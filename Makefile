@@ -35,9 +35,12 @@ test-multicore:
 	GOMAXPROCS=4 $(GO) test -count=1 -run 'Striped|Stripe|Pipeline|Bulk|ReadAll' . ./internal/record ./internal/gsitransport ./internal/gridftp
 
 ## race: the concurrency gate — the session pool and transports must be
-## clean under the race detector.
+## clean under the race detector, and GRAM's concurrent cold starts
+## (one GRIM exchange per invocation, one LMJFS per account) hold up
+## over many schedules.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=50 -run 'Concurrent' ./internal/gram
 
 ## fuzz-smoke: a short fuzz pass over every parser target (go test runs
 ## one -fuzz target per invocation).
@@ -169,14 +172,18 @@ bench-trace:
 ## decision over WAL-backed durable state at 0 (durability is paid at
 ## mutation time, never on the decision hot path), and a group-committed
 ## WAL append at 1 — the same single frame-buffer allocation as
-## SyncAlways, so batching never buys throughput with garbage.
+## SyncAlways, so batching never buys throughput with garbage. A GRAM
+## Submit routed to a running LMJFS over a 1,000-entry grid-mapfile stays
+## at 217: one O(mapfile) step in the router or the LMJFS would be
+## thousands over.
 gate-allocs:
 	{ $(GO) test -run '^$$' -bench '^BenchmarkExchangeSteadyState$$|^BenchmarkAuthorizeCachedDurable$$' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkPoolProbe$$|^BenchmarkExchangeInstrumented$$|^BenchmarkExchangeTracingDisabled$$' -benchmem ./pkg/gsi ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkCounterInc$$|^BenchmarkHistogramObserve$$' -benchmem ./internal/telemetry ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkSpanStartEnd$$' -benchmem ./internal/trace ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkWALAppendSync(Always|Batched)1$$' -benchmem ./internal/wal ; } \
-	| $(GO) run ./cmd/bench2json -gate-allocs 'ExchangeSteadyState=2,PoolProbe=0,ExchangeInstrumented=2,CounterInc=0,HistogramObserve=0,ExchangeTracingDisabled=2,SpanStartEnd=0,AuthorizeCachedDurable=0,WALAppendSyncAlways1=1,WALAppendSyncBatched1=1' > /dev/null
+	  $(GO) test -run '^$$' -bench '^BenchmarkWALAppendSync(Always|Batched)1$$' -benchmem ./internal/wal ; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkGRAMSubmitWarm1k$$' -benchmem ./internal/gram ; } \
+	| $(GO) run ./cmd/bench2json -gate-allocs 'ExchangeSteadyState=2,PoolProbe=0,ExchangeInstrumented=2,CounterInc=0,HistogramObserve=0,ExchangeTracingDisabled=2,SpanStartEnd=0,AuthorizeCachedDurable=0,WALAppendSyncAlways1=1,WALAppendSyncBatched1=1,GRAMSubmitWarm1k=217' > /dev/null
 
 ## fmt: rewrite files in place.
 fmt:

@@ -81,11 +81,10 @@ func TestMultiUserConcurrentSubmissions(t *testing.T) {
 	if st.JobsAccepted != users*jobsPerUser {
 		t.Fatalf("jobs accepted = %d", st.JobsAccepted)
 	}
-	// Each user needed at most a handful of cold starts (races on the
-	// first submissions may cold-start more than once per account), and
-	// GRIM ran only for cold starts.
-	if st.ColdStarts < users || st.ColdStarts > users*jobsPerUser {
-		t.Fatalf("cold starts = %d", st.ColdStarts)
+	// Concurrent first submissions for one account share a single cold
+	// start, and GRIM ran only for cold starts.
+	if st.ColdStarts != users {
+		t.Fatalf("cold starts = %d, want one per user (%d)", st.ColdStarts, users)
 	}
 	if st.GRIMRuns != st.ColdStarts || st.StarterRuns != st.ColdStarts {
 		t.Fatalf("privileged runs: %+v", st)

@@ -184,7 +184,7 @@ func TestGRIMCredentialVerification(t *testing.T) {
 	}
 	m, _ := b.res.LookupMJS(h.MJSHandle)
 	// The MJS credential verifies for Alice…
-	pol, err := VerifyGRIMCredential(m.cred.Chain, b.trust, b.alice.Identity())
+	pol, err := VerifyGRIMCredential(m.lmjfs.cred.Chain, b.trust, b.alice.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +192,11 @@ func TestGRIMCredentialVerification(t *testing.T) {
 		t.Fatalf("policy = %+v", pol)
 	}
 	// …but not for Bob: the embedded grid identity must match.
-	if _, err := VerifyGRIMCredential(m.cred.Chain, b.trust, b.bob.Identity()); err == nil {
+	if _, err := VerifyGRIMCredential(m.lmjfs.cred.Chain, b.trust, b.bob.Identity()); err == nil {
 		t.Fatal("GRIM credential accepted for wrong user")
 	}
 	// And not against an empty trust store.
-	if _, err := VerifyGRIMCredential(m.cred.Chain, gridcert.NewTrustStore(), b.alice.Identity()); err == nil {
+	if _, err := VerifyGRIMCredential(m.lmjfs.cred.Chain, gridcert.NewTrustStore(), b.alice.Identity()); err == nil {
 		t.Fatal("GRIM credential accepted with no trust roots")
 	}
 }

@@ -55,13 +55,20 @@ func DecodeGRIMPolicy(b []byte) (GRIMPolicy, error) {
 // to an acceptable host certificate, (b) carries a GRIM policy extension,
 // and (c) that policy names the client's own grid identity — proving the
 // MJS "is running not only on the right host but also in an appropriate
-// account."
+// account." It is for callers holding a raw chain; after a handshake,
+// (a) is done and grimPolicy applies to the validated peer.
 func VerifyGRIMCredential(chain []*gridcert.Certificate, trust *gridcert.TrustStore, expectUser gridcert.Name) (GRIMPolicy, error) {
 	info, err := trust.Verify(chain, gridcert.VerifyOptions{})
 	if err != nil {
 		return GRIMPolicy{}, fmt.Errorf("gram: GRIM chain: %w", err)
 	}
-	ext, ok := chain[0].FindExtension(gridcert.ExtGRIMIdentity)
+	return grimPolicy(info, expectUser)
+}
+
+// grimPolicy is checks (b) and (c) over a chain already validated
+// against the requestor's trust store.
+func grimPolicy(info *gridcert.ChainInfo, expectUser gridcert.Name) (GRIMPolicy, error) {
+	ext, ok := info.Leaf.FindExtension(gridcert.ExtGRIMIdentity)
 	if !ok {
 		return GRIMPolicy{}, errors.New("gram: credential carries no GRIM policy")
 	}

@@ -2,7 +2,6 @@ package gram
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/authz"
 	"repro/internal/gridcert"
@@ -18,31 +17,15 @@ import (
 // parsing and every authentication step executes with root privileges,
 // and a compromise of the gatekeeper yields the host.
 type GT2Resource struct {
-	Sys   *osim.System
-	Trust *gridcert.TrustStore
-
-	hostCred       *gridcert.Credential
+	host
 	gatekeeperProc *osim.Process
-
-	mu    sync.Mutex
-	seq   int
-	jobs  map[string]*Job
-	stats Stats
+	jobs           map[string]*Job // guarded by host.mu
 }
 
 // NewGT2Resource boots a GT2 gatekeeper host.
 func NewGT2Resource(hostCred *gridcert.Credential, trust *gridcert.TrustStore, gridmap *authz.GridMap) (*GT2Resource, error) {
-	r := &GT2Resource{
-		Sys:      osim.NewSystem(),
-		Trust:    trust,
-		hostCred: hostCred,
-		jobs:     make(map[string]*Job),
-	}
-	r.Sys.WriteFileAs(osim.RootUID, HostCredPath, gridcert.EncodeChain(hostCred.Chain), false)
-	r.Sys.WriteFileAs(osim.RootUID, GridMapPath, []byte(gridmap.Serialize()), true)
-	r.Sys.InstallProgram(osim.RootUID, JobProgram, false, func(p *osim.Process, args []string) error {
-		return nil
-	})
+	r := &GT2Resource{jobs: make(map[string]*Job)}
+	r.boot(hostCred, trust, gridmap)
 	// THE defining property: the gatekeeper is a privileged network
 	// service — root AND listening.
 	var err error
@@ -52,22 +35,9 @@ func NewGT2Resource(hostCred *gridcert.Credential, trust *gridcert.TrustStore, g
 	return r, nil
 }
 
-// CreateAccount provisions a local account.
-func (r *GT2Resource) CreateAccount(name string) error {
-	_, err := r.Sys.CreateAccount(name)
-	return err
-}
-
 // GatekeeperProcess exposes the privileged service for compromise
 // simulation.
 func (r *GT2Resource) GatekeeperProcess() *osim.Process { return r.gatekeeperProc }
-
-// Stats returns activity counters.
-func (r *GT2Resource) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
-}
 
 // Submit processes a signed job request entirely inside the privileged
 // gatekeeper: signature verification, grid-mapfile lookup, and job-manager
@@ -78,27 +48,9 @@ func (r *GT2Resource) Submit(env *soap.Envelope) (*Job, error) {
 	}
 	// All of this work is charged as privileged operations (EUID 0):
 	// the gatekeeper parses and verifies untrusted network input as root.
-	if err := r.gatekeeperProc.Work(verifyWork); err != nil {
-		return nil, err
-	}
-	info, err := xmlsec.VerifyEnvelope(env, xmlsec.VerifyOptions{
-		TrustStore:    r.Trust,
-		RejectLimited: true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("gram: gatekeeper: %w", err)
-	}
-	mapBytes, err := r.gatekeeperProc.ReadFile(GridMapPath)
+	_, account, err := r.admit("gatekeeper", r.gatekeeperProc, nil, env)
 	if err != nil {
 		return nil, err
-	}
-	gm, err := authz.ParseGridMap(string(mapBytes))
-	if err != nil {
-		return nil, err
-	}
-	account, ok := gm.Lookup(info.Identity)
-	if !ok {
-		return nil, fmt.Errorf("gram: gatekeeper: no grid-mapfile entry for %q", info.Identity)
 	}
 	acct, ok := r.Sys.Lookup(account)
 	if !ok {

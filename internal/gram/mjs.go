@@ -20,13 +20,12 @@ import (
 type MJS struct {
 	*ogsa.Base
 
-	res     *Resource
-	account string
-	owner   gridcert.Name
-	cred    *gridcert.Credential // GRIM credential
-	proc    *osim.Process        // hosting-environment process (user account)
-	job     *Job
-	handle  string
+	// lmjfs is the hosting environment: its account, process, GRIM
+	// credential and verified-chain cache are the MJS's own.
+	lmjfs  *LMJFS
+	owner  gridcert.Name
+	job    *Job
+	handle string
 
 	mu        sync.Mutex
 	delegated *gridcert.Credential
@@ -94,10 +93,9 @@ func (m *MJS) Connect(requestor *gridcert.Credential, requestorTrust *gridcert.T
 // proxy-depth caps). reqCfg.Credential and reqCfg.TrustStore are
 // mandatory.
 func (m *MJS) ConnectWith(reqCfg gss.Config) (*Connection, error) {
-	requestor, requestorTrust := reqCfg.Credential, reqCfg.TrustStore
 	ictx, actx, err := gss.Establish(
 		reqCfg,
-		gss.Config{Credential: m.cred, TrustStore: m.res.Trust, RejectLimited: true},
+		gss.Config{Credential: m.lmjfs.cred, TrustStore: m.lmjfs.res.Trust, ChainCache: m.lmjfs.chains, RejectLimited: true},
 	)
 	if err != nil {
 		return nil, fmt.Errorf("gram: MJS mutual authentication: %w", err)
@@ -107,13 +105,14 @@ func (m *MJS) ConnectWith(reqCfg gss.Config) (*Connection, error) {
 		return nil, fmt.Errorf("gram: requestor %q is not the owner %q of this MJS",
 			actx.Peer().Identity, m.owner)
 	}
-	// Requestor side: GRIM-credential authorization.
-	pol, err := VerifyGRIMCredential(ictx.Peer().Chain, requestorTrust, requestor.Identity())
+	// Requestor side: GRIM-credential authorization, over the chain the
+	// handshake has just validated against the requestor's trust store.
+	pol, err := grimPolicy(ictx.Peer().Info, reqCfg.Credential.Identity())
 	if err != nil {
 		return nil, err
 	}
-	if pol.Account != m.account {
-		return nil, fmt.Errorf("gram: GRIM policy account %q does not match MJS account %q", pol.Account, m.account)
+	if pol.Account != m.lmjfs.account {
+		return nil, fmt.Errorf("gram: GRIM policy account %q does not match MJS account %q", pol.Account, m.lmjfs.account)
 	}
 	return &Connection{mjs: m, ictx: ictx, actx: actx, pol: pol}, nil
 }
@@ -161,7 +160,7 @@ func (c *Connection) Delegate(requestor *gridcert.Credential) error {
 		return err
 	}
 	// The delegated chain must verify at the resource.
-	if _, err := c.mjs.res.Trust.Verify(cred.Chain, gridcert.VerifyOptions{}); err != nil {
+	if _, err := c.mjs.lmjfs.res.Trust.Verify(cred.Chain, gridcert.VerifyOptions{}); err != nil {
 		return fmt.Errorf("gram: delegated credential: %w", err)
 	}
 	c.mjs.mu.Lock()
@@ -188,7 +187,7 @@ func (c *Connection) Start() error {
 	}
 	// Instantiate the job process in the user's account (unprivileged:
 	// the hosting environment already runs there).
-	jobProc, err := m.proc.Exec(m.job.Description.Executable, "job-"+m.account, false, m.job.Description.Args...)
+	jobProc, err := m.lmjfs.proc.Exec(m.job.Description.Executable, "job-"+m.lmjfs.account, false, m.job.Description.Args...)
 	if err != nil {
 		m.job.Transition(StateFailed)
 		return fmt.Errorf("gram: starting job: %w", err)

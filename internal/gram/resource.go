@@ -3,6 +3,7 @@ package gram
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/authz"
@@ -46,58 +47,28 @@ type Stats struct {
 // and GRIM as the only privileged code (§5.2: "All privileged code is
 // contained in two small, tightly constrained setuid programs").
 type Resource struct {
-	Sys   *osim.System
-	Trust *gridcert.TrustStore
-
-	hostCred *gridcert.Credential
-	gridmap  *authz.GridMap
+	host
 
 	routerProc *osim.Process
 	mmjfsProc  *osim.Process
 
-	mu     sync.Mutex
-	lmjfs  map[string]*LMJFS // keyed by local account
-	mjs    map[string]*MJS   // keyed by MJS handle
-	seq    int
-	stats  Stats
-	grimEx *grimExchange // active GRIM invocation (guarded by mu)
-}
+	starting sync.Map // account → *sync.Mutex, held across an LMJFS cold start
 
-// grimExchange passes parameters and results between the LMJFS and the
-// GRIM setuid program across the osim Exec boundary.
-type grimExchange struct {
-	account string
-	user    gridcert.Name
-	cred    *gridcert.Credential
-	err     error
+	// guarded by host.mu
+	lmjfs map[string]*LMJFS // registered, keyed by local account
+	mjs   map[string]*MJS   // keyed by MJS handle
+	grim  map[string]*LMJFS // awaiting their GRIM credential, keyed by GRIM invocation id
 }
 
 // NewResource boots a GT3 GRAM resource. hostCred is the host identity
 // credential (conceptually root-owned on disk), trust the CA roots the
 // resource accepts, gridmap the DN→account mapping.
 func NewResource(hostCred *gridcert.Credential, trust *gridcert.TrustStore, gridmap *authz.GridMap) (*Resource, error) {
-	r := &Resource{
-		Sys:      osim.NewSystem(),
-		Trust:    trust,
-		hostCred: hostCred,
-		gridmap:  gridmap,
-		lmjfs:    make(map[string]*LMJFS),
-		mjs:      make(map[string]*MJS),
-	}
+	r := &Resource{lmjfs: make(map[string]*LMJFS), mjs: make(map[string]*MJS), grim: make(map[string]*LMJFS)}
+	r.boot(hostCred, trust, gridmap)
 	if _, err := r.Sys.CreateAccount(FactoryAcct); err != nil {
 		return nil, err
 	}
-	// Host credential: root-owned, NOT world readable — only privileged
-	// code may touch it. (The private key lives in process memory; the
-	// file models its access control.)
-	r.Sys.WriteFileAs(osim.RootUID, HostCredPath, gridcert.EncodeChain(hostCred.Chain), false)
-	// grid-mapfile: root-owned, world readable.
-	r.Sys.WriteFileAs(osim.RootUID, GridMapPath, []byte(gridmap.Serialize()), true)
-	// A job executable for jobs to run.
-	r.Sys.InstallProgram(osim.RootUID, JobProgram, false, func(p *osim.Process, args []string) error {
-		return nil // the simulated application body
-	})
-
 	// The two privileged programs.
 	r.Sys.InstallProgram(osim.RootUID, StarterPath, true, r.starterProgram)
 	r.Sys.InstallProgram(osim.RootUID, GRIMPath, true, r.grimProgram)
@@ -111,19 +82,6 @@ func NewResource(hostCred *gridcert.Credential, trust *gridcert.TrustStore, grid
 		return nil, err
 	}
 	return r, nil
-}
-
-// CreateAccount provisions a local account (administrative act).
-func (r *Resource) CreateAccount(name string) error {
-	_, err := r.Sys.CreateAccount(name)
-	return err
-}
-
-// Stats returns a snapshot of activity counters.
-func (r *Resource) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
 }
 
 // HostIdentity returns the resource's host DN.
@@ -152,79 +110,70 @@ func (r *Resource) starterProgram(p *osim.Process, args []string) error {
 // them generates a set of GSI proxy credentials for the LMJFS", embedding
 // the user's grid identity and local account, then drops privileges.
 func (r *Resource) grimProgram(p *osim.Process, args []string) error {
+	if len(args) != 1 {
+		return errors.New("gram: grim: want exactly one argument (invocation id)")
+	}
 	r.mu.Lock()
-	ex := r.grimEx
+	l := r.grim[args[0]]
 	r.mu.Unlock()
-	if ex == nil {
-		return errors.New("gram: grim: no pending exchange")
+	if l == nil {
+		return errors.New("gram: grim: no LMJFS awaits this invocation")
 	}
 	// Privileged read of the host credential (fails unless setuid worked).
 	chainBytes, err := p.ReadFile(HostCredPath)
 	if err != nil {
-		ex.err = fmt.Errorf("gram: grim: reading host credential: %w", err)
-		return ex.err
+		return fmt.Errorf("gram: grim: reading host credential: %w", err)
 	}
 	if _, err := gridcert.DecodeChain(chainBytes); err != nil {
-		ex.err = fmt.Errorf("gram: grim: host credential corrupt: %w", err)
-		return ex.err
+		return fmt.Errorf("gram: grim: host credential corrupt: %w", err)
 	}
 	// Drop privileges before any further work.
-	acct, ok := r.Sys.Lookup(ex.account)
+	acct, ok := r.Sys.Lookup(l.account)
 	if !ok {
-		ex.err = fmt.Errorf("gram: grim: no account %q", ex.account)
-		return ex.err
+		return fmt.Errorf("gram: grim: no account %q", l.account)
 	}
 	if err := p.SetEUID(acct.UID); err != nil {
-		ex.err = err
 		return err
 	}
 	// Issue the GRIM proxy over a fresh key.
 	key, err := gridcrypto.GenerateKeyPair(gridcrypto.AlgEd25519)
 	if err != nil {
-		ex.err = err
 		return err
 	}
-	pol := GRIMPolicy{User: ex.user, Account: ex.account, Host: r.hostCred.Leaf().Subject}
+	pol := GRIMPolicy{User: l.user, Account: l.account, Host: r.hostCred.Leaf().Subject}
 	cert, err := proxy.Issue(r.hostCred, key.Public(), proxy.Options{
 		Extensions: []gridcert.Extension{{ID: gridcert.ExtGRIMIdentity, Value: pol.Encode()}},
 	})
 	if err != nil {
-		ex.err = fmt.Errorf("gram: grim: issuing credential: %w", err)
-		return ex.err
+		return fmt.Errorf("gram: grim: issuing credential: %w", err)
 	}
-	cred, err := gridcert.NewCredential(append([]*gridcert.Certificate{cert}, r.hostCred.Chain...), key)
-	if err != nil {
-		ex.err = err
-		return err
-	}
-	ex.cred = cred
-	return nil
+	l.cred, err = gridcert.NewCredential(append([]*gridcert.Certificate{cert}, r.hostCred.Chain...), key)
+	return err
 }
 
-// runGRIM invokes the GRIM setuid program on behalf of an LMJFS process.
-func (r *Resource) runGRIM(invoker *osim.Process, account string, user gridcert.Name) (*gridcert.Credential, error) {
-	ex := &grimExchange{account: account, user: user}
+// runGRIM invokes the GRIM setuid program from a starting LMJFS's own
+// process. The child finds the LMJFS to credential by the invocation id
+// it is handed, so concurrent cold starts cannot take each other's result.
+func (r *Resource) runGRIM(l *LMJFS) error {
 	r.mu.Lock()
-	r.grimEx = ex
 	r.stats.GRIMRuns++
+	id := strconv.Itoa(r.stats.GRIMRuns)
+	r.grim[id] = l
 	r.mu.Unlock()
 	defer func() {
 		r.mu.Lock()
-		r.grimEx = nil
+		delete(r.grim, id)
 		r.mu.Unlock()
 	}()
-	child, err := invoker.Exec(GRIMPath, "grim", false)
+	child, err := l.proc.Exec(GRIMPath, "grim", false, id)
 	if err != nil {
-		if ex.err != nil {
-			return nil, ex.err
-		}
-		return nil, err
+		return err
 	}
 	child.Exit()
-	if ex.err != nil {
-		return nil, ex.err
+	if l.cred == nil {
+		return errors.New("gram: grim: exited without issuing a credential")
 	}
-	return ex.cred, nil
+	return nil
 }
 
 // --- Proxy Router ---------------------------------------------------------
@@ -243,25 +192,18 @@ func (r *Resource) Deliver(env *soap.Envelope) (*soap.Envelope, error) {
 	}
 	// The router resolves DN→account from the grid-mapfile (an
 	// unprivileged read: the file is world readable).
-	mapBytes, err := r.routerProc.ReadFile(GridMapPath)
+	account, err := r.mapAccount(r.routerProc, claimed)
 	if err != nil {
 		return nil, err
 	}
-	gm, err := authz.ParseGridMap(string(mapBytes))
-	if err != nil {
-		return nil, err
+	r.mu.Lock()
+	l := r.lmjfs[account]
+	if l != nil {
+		r.stats.WarmHits++
 	}
-	account, ok := gm.Lookup(claimed)
-	if ok {
-		r.mu.Lock()
-		l := r.lmjfs[account]
-		r.mu.Unlock()
-		if l != nil {
-			r.mu.Lock()
-			r.stats.WarmHits++
-			r.mu.Unlock()
-			return l.handleSubmit(env)
-		}
+	r.mu.Unlock()
+	if l != nil {
+		return l.handleSubmit(env)
 	}
 	return r.handleMMJFS(env)
 }
@@ -270,54 +212,52 @@ func (r *Resource) Deliver(env *soap.Envelope) (*soap.Envelope, error) {
 // start an LMJFS via the Setuid Starter, and forward the request.
 func (r *Resource) handleMMJFS(env *soap.Envelope) (*soap.Envelope, error) {
 	// Step 3: "The MMJFS verifies the signature on the request and
-	// establishes the identity of the requestor." Limited proxies must be
-	// rejected for job initiation (GSI rule). The parsing and signature
-	// verification are charged to the (unprivileged) MMJFS process.
-	if err := r.mmjfsProc.Work(verifyWork); err != nil {
-		return nil, err
-	}
-	info, err := xmlsec.VerifyEnvelope(env, xmlsec.VerifyOptions{
-		TrustStore:    r.Trust,
-		RejectLimited: true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("gram: mmjfs: %w", err)
-	}
-	// Determine the local account from the grid-mapfile (read through the
-	// unprivileged MMJFS process).
-	mapBytes, err := r.mmjfsProc.ReadFile(GridMapPath)
+	// establishes the identity of the requestor", then determines the
+	// local account — all as the unprivileged MMJFS process.
+	info, account, err := r.admit("mmjfs", r.mmjfsProc, nil, env)
 	if err != nil {
 		return nil, err
 	}
-	gm, err := authz.ParseGridMap(string(mapBytes))
+	l, err := r.startLMJFS(account, info.Identity)
 	if err != nil {
 		return nil, err
 	}
-	account, ok := gm.Lookup(info.Identity)
-	if !ok {
-		return nil, fmt.Errorf("gram: mmjfs: no grid-mapfile entry for %q", info.Identity)
+	// Step 6 happens inside the LMJFS.
+	return l.handleSubmit(env)
+}
+
+// startLMJFS is steps 4–5 for an account with no LMJFS yet. Concurrent
+// first requests for one account wait on its gate and share the LMJFS
+// the first of them starts; an LMJFS is registered, and so reachable
+// from the router, only once it holds its GRIM credential.
+func (r *Resource) startLMJFS(account string, user gridcert.Name) (*LMJFS, error) {
+	gate, _ := r.starting.LoadOrStore(account, new(sync.Mutex))
+	gate.(*sync.Mutex).Lock()
+	defer gate.(*sync.Mutex).Unlock()
+	r.mu.Lock()
+	l := r.lmjfs[account]
+	if l == nil {
+		r.stats.ColdStarts++
+		r.stats.StarterRuns++
+	}
+	r.mu.Unlock()
+	if l != nil {
+		return l, nil
 	}
 	// Step 4: invoke the Setuid Starter to start an LMJFS in the account.
-	r.mu.Lock()
-	r.stats.ColdStarts++
-	r.stats.StarterRuns++
-	r.mu.Unlock()
 	lmjfsProc, err := r.mmjfsProc.Exec(StarterPath, "lmjfs-"+account, true, account)
 	if err != nil {
 		return nil, fmt.Errorf("gram: setuid-starter: %w", err)
 	}
 	// Step 5: the LMJFS acquires GRIM credentials and registers.
-	l := &LMJFS{res: r, account: account, proc: lmjfsProc}
-	cred, err := r.runGRIM(lmjfsProc, account, info.Identity)
-	if err != nil {
+	l = &LMJFS{res: r, account: account, user: user, proc: lmjfsProc, chains: gridcert.NewVerifyCache(lmjfsChains)}
+	if err := r.runGRIM(l); err != nil {
 		return nil, err
 	}
-	l.cred = cred
 	r.mu.Lock()
 	r.lmjfs[account] = l
 	r.mu.Unlock()
-	// Step 6 happens inside the LMJFS.
-	return l.handleSubmit(env)
+	return l, nil
 }
 
 // LookupMJS resolves an MJS handle (the in-memory analog of connecting to
@@ -354,36 +294,31 @@ func decodeSubmitReply(b []byte) (submitReply, error) {
 type LMJFS struct {
 	res     *Resource
 	account string
+	user    gridcert.Name // the grid identity it was started for; GRIM embeds it
 	proc    *osim.Process
 	cred    *gridcert.Credential
+	// chains holds the chains this hosting environment has validated. Its
+	// scope is the osim process: the LMJFS and the MJSs it hosts share it,
+	// nothing in another account does — MMJFS having validated a chain
+	// must not vouch for it here.
+	chains *gridcert.VerifyCache
 }
+
+// lmjfsChains bounds an LMJFS's verified-chain cache: one account's
+// users and the few proxies each has live.
+const lmjfsChains = 16
 
 // handleSubmit is step 6: "The LMJFS verifies the signature on the
 // request … and verifies the requestor is authorized to access the local
-// user account in which the LMJFS is running", then creates an MJS.
+// user account in which the LMJFS is running", then creates an MJS. The
+// work runs in the user's own account.
 func (l *LMJFS) handleSubmit(env *soap.Envelope) (*soap.Envelope, error) {
-	// Verification work runs in the user's own account.
-	if err := l.proc.Work(verifyWork); err != nil {
-		return nil, err
-	}
-	info, err := xmlsec.VerifyEnvelope(env, xmlsec.VerifyOptions{
-		TrustStore:    l.res.Trust,
-		RejectLimited: true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("gram: lmjfs: %w", err)
-	}
-	// Authorization: the requester must map to this LMJFS's account.
-	mapBytes, err := l.proc.ReadFile(GridMapPath)
+	r := l.res
+	info, account, err := r.admit("lmjfs", l.proc, l.chains, env)
 	if err != nil {
 		return nil, err
 	}
-	gm, err := authz.ParseGridMap(string(mapBytes))
-	if err != nil {
-		return nil, err
-	}
-	account, ok := gm.Lookup(info.Identity)
-	if !ok || account != l.account {
+	if account != l.account {
 		return nil, fmt.Errorf("gram: lmjfs: %q is not authorized for account %q", info.Identity, l.account)
 	}
 	desc, err := DecodeJobDescription(env.Body)
@@ -391,25 +326,13 @@ func (l *LMJFS) handleSubmit(env *soap.Envelope) (*soap.Envelope, error) {
 		return nil, err
 	}
 	// Create the MJS in this hosting environment.
-	l.res.mu.Lock()
-	l.res.seq++
-	handle := fmt.Sprintf("mjs://%s/%s/%d", l.res.hostCred.Leaf().Subject.CommonName(), l.account, l.res.seq)
-	l.res.stats.JobsAccepted++
-	l.res.mu.Unlock()
-
 	base := ogsa.NewBase()
-	m := &MJS{
-		Base:    base,
-		res:     l.res,
-		account: l.account,
-		owner:   info.Identity,
-		cred:    l.cred,
-		proc:    l.proc,
-		job:     NewJob(desc, l.account, base.Data),
-		handle:  handle,
-	}
-	l.res.mu.Lock()
-	l.res.mjs[handle] = m
-	l.res.mu.Unlock()
-	return env.Reply(submitReply{MJSHandle: handle, Account: l.account}.encode()), nil
+	m := &MJS{Base: base, lmjfs: l, owner: info.Identity, job: NewJob(desc, l.account, base.Data)}
+	r.mu.Lock()
+	r.seq++
+	m.handle = fmt.Sprintf("mjs://%s/%s/%d", r.hostCred.Leaf().Subject.CommonName(), l.account, r.seq)
+	r.stats.JobsAccepted++
+	r.mjs[m.handle] = m
+	r.mu.Unlock()
+	return env.Reply(submitReply{MJSHandle: m.handle, Account: l.account}.encode()), nil
 }

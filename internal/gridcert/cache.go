@@ -114,15 +114,12 @@ func (vc *VerifyCache) store(key verifyCacheKey, gen uint64, info *ChainInfo, no
 // chainWindow computes the joint validity window of a chain plus its
 // trust anchor: the interval in which every certificate is valid.
 func chainWindow(chain []*Certificate, root *Certificate) (notBefore, notAfter time.Time) {
-	certs := chain
-	if root != nil {
-		certs = append(append([]*Certificate{}, chain...), root)
-	}
-	for i, c := range certs {
-		if i == 0 || c.NotBefore.After(notBefore) {
+	notBefore, notAfter = root.NotBefore, root.NotAfter
+	for _, c := range chain {
+		if c.NotBefore.After(notBefore) {
 			notBefore = c.NotBefore
 		}
-		if i == 0 || c.NotAfter.Before(notAfter) {
+		if c.NotAfter.Before(notAfter) {
 			notAfter = c.NotAfter
 		}
 	}

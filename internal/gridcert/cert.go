@@ -250,8 +250,11 @@ func (c *Certificate) Encode() []byte {
 // Decode parses a certificate produced by Encode. The signature is not
 // verified here; use CheckSignatureFrom or chain validation.
 func Decode(b []byte) (*Certificate, error) {
-	d := &decoder{b: b}
-	tbs := d.bytes()
+	// The certificate keeps one private copy of its encoding; the
+	// memoized signed portion is a view into it, not a second copy.
+	raw := append([]byte(nil), b...)
+	d := &decoder{b: raw}
+	tbs := d.view()
 	alg := gridcrypto.Algorithm(d.u8())
 	sig := d.bytes()
 	if err := d.done(); err != nil {
@@ -266,11 +269,12 @@ func Decode(b []byte) (*Certificate, error) {
 	}
 	c.SignatureAlg = alg
 	c.Signature = sig
-	rawCopy := append([]byte(nil), b...)
-	c.raw.Store(&rawCopy)
+	c.raw.Store(&raw)
 	return c, nil
 }
 
+// decodeTBS parses the signed portion of a certificate. The certificate
+// keeps tbs as its memoized encoding, so tbs must not change afterwards.
 func decodeTBS(tbs []byte) (*Certificate, error) {
 	d := &decoder{b: tbs}
 	c := &Certificate{}
@@ -314,8 +318,7 @@ func decodeTBS(tbs []byte) (*Certificate, error) {
 	if err := c.checkStructure(); err != nil {
 		return nil, err
 	}
-	tbsCopy := append([]byte(nil), tbs...)
-	c.rawTBS.Store(&tbsCopy)
+	c.rawTBS.Store(&tbs)
 	return c, nil
 }
 

@@ -93,6 +93,23 @@ func TestCertificateEncodeDecode(t *testing.T) {
 		if err := dec.CheckSignatureFrom(caCert); err != nil {
 			t.Fatalf("decoded cert signature: %v", err)
 		}
+		// The decoded certificate owns its bytes: the caller's buffer may
+		// be reused, and the memoized encodings stay those of the original.
+		want := string(enc)
+		input := []byte(want)
+		dec, err = Decode(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range input {
+			input[i] = 0
+		}
+		if string(dec.Encode()) != want || string(dec.encodeTBS()) != string(c.encodeTBS()) {
+			t.Fatal("decoded certificate aliases the caller's buffer")
+		}
+		if err := dec.CheckSignatureFrom(caCert); err != nil {
+			t.Fatalf("decoded cert signature after the input was reused: %v", err)
+		}
 	}
 }
 

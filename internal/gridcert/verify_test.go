@@ -1,6 +1,7 @@
 package gridcert
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -258,6 +259,43 @@ func TestVerifyBrokenSignatureInMiddle(t *testing.T) {
 	p1.Signature[0] ^= 1
 	if _, err := ts.Verify([]*Certificate{p2, p1, userCert}, VerifyOptions{}); err == nil {
 		t.Fatal("broken middle signature accepted")
+	}
+}
+
+// TestVerifyChecksEachSignatureOnce: a chain of n certificates below the
+// root costs exactly n signature checks — the top certificate's, against
+// the root found by its issuer name, included — whether or not the chain
+// carries the root itself; and a top certificate whose signature does not
+// verify is still refused as a bad signature.
+func TestVerifyChecksEachSignatureOnce(t *testing.T) {
+	caCert, _, userCert, userKey := testPKI(t)
+	ts := newStore(t, caCert)
+	p1, k1 := issueProxy(t, userCert, userKey, ProxyImpersonation, -1)
+	p2, _ := issueProxy(t, p1, k1, ProxyImpersonation, -1)
+	for _, tc := range []struct {
+		chain []*Certificate
+		want  uint64
+	}{
+		{[]*Certificate{userCert}, 1},
+		{[]*Certificate{p1, userCert}, 2},
+		{[]*Certificate{p2, p1, userCert}, 3},
+		{[]*Certificate{p2, p1, userCert, caCert}, 3},
+	} {
+		before := ts.sigChecks.Load()
+		if _, err := ts.Verify(tc.chain, VerifyOptions{}); err != nil {
+			t.Fatalf("chain of %d: %v", len(tc.chain), err)
+		}
+		if got := ts.sigChecks.Load() - before; got != tc.want {
+			t.Errorf("chain of %d certificates: %d signature checks, want %d", len(tc.chain), got, tc.want)
+		}
+	}
+
+	userCert.Signature = append([]byte(nil), userCert.Signature...)
+	userCert.Signature[0] ^= 1
+	for _, chain := range [][]*Certificate{{userCert}, {p1, userCert}, {p1, userCert, caCert}} {
+		if _, err := ts.Verify(chain, VerifyOptions{}); !errors.Is(err, gridcrypto.ErrBadSignature) {
+			t.Fatalf("tampered top certificate (chain of %d): %v", len(chain), err)
+		}
 	}
 }
 

@@ -125,7 +125,8 @@ func (d *decoder) bool() bool {
 	}
 }
 
-func (d *decoder) bytes() []byte {
+// view returns the next length-prefixed field as a slice of the input.
+func (d *decoder) view() []byte {
 	n := d.u32()
 	if d.err != nil {
 		return nil
@@ -137,9 +138,18 @@ func (d *decoder) bytes() []byte {
 	if !d.need(int(n)) {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.b[d.off:d.off+int(n)])
 	d.off += int(n)
+	return d.b[d.off-int(n) : d.off : d.off]
+}
+
+// bytes returns a copy of the next length-prefixed field.
+func (d *decoder) bytes() []byte {
+	v := d.view()
+	if v == nil {
+		return nil
+	}
+	out := make([]byte, len(v))
+	copy(out, v)
 	return out
 }
 

@@ -34,6 +34,11 @@ type File struct {
 	// Setuid marks an executable that runs with the owner's UID.
 	Setuid bool
 	Data   []byte
+	// Version is the host-wide write sequence number of the file's last
+	// write. Every write gets a fresh one, so a reader that kept what it
+	// derived from the file at Version v knows it still holds while the
+	// file is at v (see ReadFileIfChanged).
+	Version uint64
 	// Program, if non-nil, is the executable's behaviour (see Exec).
 	Program Program
 }
@@ -66,6 +71,7 @@ type System struct {
 	procs    map[int]*Process
 	nextPID  int
 	nextUID  int
+	writes   uint64 // file writes since boot; the source of File.Version
 
 	// privOps counts operations executed with EUID 0.
 	privOps int
@@ -137,7 +143,8 @@ func (s *System) AccountName(uid int) string {
 func (s *System) WriteFileAs(ownerUID int, path string, data []byte, worldReadable bool) *File {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := &File{Path: path, OwnerUID: ownerUID, WorldReadable: worldReadable, Data: data}
+	s.writes++
+	f := &File{Path: path, OwnerUID: ownerUID, WorldReadable: worldReadable, Data: data, Version: s.writes}
 	s.files[path] = f
 	return f
 }
@@ -146,7 +153,8 @@ func (s *System) WriteFileAs(ownerUID int, path string, data []byte, worldReadab
 func (s *System) InstallProgram(ownerUID int, path string, setuid bool, prog Program) *File {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := &File{Path: path, OwnerUID: ownerUID, Setuid: setuid, Program: prog, WorldReadable: true}
+	s.writes++
+	f := &File{Path: path, OwnerUID: ownerUID, Setuid: setuid, Program: prog, WorldReadable: true, Version: s.writes}
 	s.files[path] = f
 	return f
 }
@@ -244,8 +252,19 @@ func (p *Process) check() error {
 
 // ReadFile reads a file under the process's effective UID.
 func (p *Process) ReadFile(path string) ([]byte, error) {
+	data, _, err := p.ReadFileIfChanged(path, 0)
+	return data, err
+}
+
+// ReadFileIfChanged is ReadFile for a reader that kept what it made of
+// the file at version have (0: nothing kept): the same liveness and
+// permission checks and the same privileged-operation charge on every
+// call, but the contents are copied out only when the file's version
+// differs from have. It returns the version the file is at; data is nil
+// when that equals have.
+func (p *Process) ReadFileIfChanged(path string, have uint64) (data []byte, version uint64, err error) {
 	if err := p.check(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	s := p.sys
 	s.mu.Lock()
@@ -253,12 +272,15 @@ func (p *Process) ReadFile(path string) ([]byte, error) {
 	s.chargeLocked(p)
 	f, ok := s.files[path]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoFile, path)
+		return nil, 0, fmt.Errorf("%w: %q", ErrNoFile, path)
 	}
 	if p.EUID != RootUID && p.EUID != f.OwnerUID && !f.WorldReadable {
-		return nil, fmt.Errorf("%w: read %q as %s", ErrPermission, path, s.byUID[p.EUID].Name)
+		return nil, 0, fmt.Errorf("%w: read %q as %s", ErrPermission, path, s.byUID[p.EUID].Name)
 	}
-	return append([]byte(nil), f.Data...), nil
+	if f.Version == have {
+		return nil, have, nil
+	}
+	return append([]byte(nil), f.Data...), f.Version, nil
 }
 
 // WriteFile writes a file under the process's effective UID; only the
@@ -273,13 +295,13 @@ func (p *Process) WriteFile(path string, data []byte, worldReadable bool) error 
 	s.chargeLocked(p)
 	f, ok := s.files[path]
 	if !ok {
-		s.files[path] = &File{Path: path, OwnerUID: p.EUID, WorldReadable: worldReadable, Data: append([]byte(nil), data...)}
-		return nil
-	}
-	if p.EUID != RootUID && p.EUID != f.OwnerUID {
+		f = &File{Path: path, OwnerUID: p.EUID, WorldReadable: worldReadable}
+		s.files[path] = f
+	} else if p.EUID != RootUID && p.EUID != f.OwnerUID {
 		return fmt.Errorf("%w: write %q", ErrPermission, path)
 	}
-	f.Data = append([]byte(nil), data...)
+	s.writes++
+	f.Data, f.Version = append([]byte(nil), data...), s.writes
 	return nil
 }
 

@@ -245,3 +245,61 @@ func TestBootUnknownAccount(t *testing.T) {
 		t.Fatalf("boot unknown account: %v", err)
 	}
 }
+
+// TestReadFileIfChanged: the conditional read is the same access as
+// ReadFile — same liveness and permission checks, same charge — and
+// differs only in handing back no bytes for a version the reader has.
+func TestReadFileIfChanged(t *testing.T) {
+	s := NewSystem()
+	s.CreateAccount("alice")
+	v1 := s.WriteFileAs(RootUID, "/etc/f", []byte("one"), true).Version
+	pa, _ := s.Boot("shell", "alice", false)
+	proot, _ := s.Boot("rootd", "root", false)
+
+	data, v, err := pa.ReadFileIfChanged("/etc/f", 0)
+	if err != nil || string(data) != "one" || v != v1 || v == 0 {
+		t.Fatalf("first read: %q v%d (want v%d) %v", data, v, v1, err)
+	}
+	if data, v, err = pa.ReadFileIfChanged("/etc/f", v1); err != nil || data != nil || v != v1 {
+		t.Fatalf("unchanged file: %q v%d %v", data, v, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { pa.ReadFileIfChanged("/etc/f", v1) }); n != 0 {
+		t.Fatalf("unchanged read allocates %v times", n)
+	}
+
+	// Every write moves the version: by a process, and by the boot-time
+	// installer replacing the file outright.
+	if err := proot.WriteFile("/etc/f", []byte("two"), true); err != nil {
+		t.Fatal(err)
+	}
+	data, v2, err := pa.ReadFileIfChanged("/etc/f", v1)
+	if err != nil || string(data) != "two" || v2 == v1 {
+		t.Fatalf("after WriteFile: %q v%d %v", data, v2, err)
+	}
+	v3 := s.WriteFileAs(RootUID, "/etc/f", []byte("two"), true).Version
+	if v3 == v2 || v3 == v1 {
+		t.Fatalf("WriteFileAs reused a version: %d after %d, %d", v3, v1, v2)
+	}
+
+	// The charge is per call, changed or not.
+	base := s.ProcessPrivOps(proot.PID)
+	proot.ReadFileIfChanged("/etc/f", v3)
+	proot.ReadFileIfChanged("/etc/f", 0)
+	if got := s.ProcessPrivOps(proot.PID) - base; got != 2 {
+		t.Fatalf("privileged ops charged = %d, want 2", got)
+	}
+
+	// Permission comes before the version: holding the current version
+	// of a file that is no longer readable gets a refusal, not "unchanged".
+	v4 := s.WriteFileAs(RootUID, "/etc/f", []byte("two"), false).Version
+	if _, _, err := pa.ReadFileIfChanged("/etc/f", v4); !errors.Is(err, ErrPermission) {
+		t.Fatalf("unreadable file: %v", err)
+	}
+	if _, _, err := pa.ReadFileIfChanged("/etc/missing", 0); !errors.Is(err, ErrNoFile) {
+		t.Fatalf("missing file: %v", err)
+	}
+	pa.Exit()
+	if _, _, err := pa.ReadFileIfChanged("/etc/f", 0); !errors.Is(err, ErrDeadProcess) {
+		t.Fatalf("dead process: %v", err)
+	}
+}

@@ -91,6 +91,11 @@ func SignEnvelope(env *soap.Envelope, cred *gridcert.Credential, extraHeaders ..
 type VerifyOptions struct {
 	// TrustStore validates the signer chain (required).
 	TrustStore *gridcert.TrustStore
+	// ChainCache, if set, memoizes successful signer-chain validations,
+	// keyed by the chain bytes the envelope carries. A verifier shares one
+	// only with parties it would trust to validate on its behalf; nil
+	// validates every envelope in full.
+	ChainCache *gridcert.VerifyCache
 	// MaxAge rejects envelopes whose timestamp is older (0 = 5 minutes).
 	MaxAge time.Duration
 	// Now overrides the clock.
@@ -121,7 +126,7 @@ func VerifyEnvelope(env *soap.Envelope, opts VerifyOptions) (*gridcert.ChainInfo
 	if now.IsZero() {
 		now = time.Now()
 	}
-	info, err := opts.TrustStore.Verify(chain, gridcert.VerifyOptions{
+	info, err := opts.TrustStore.VerifyCached(opts.ChainCache, block.chain, chain, gridcert.VerifyOptions{
 		Now:           now,
 		RejectLimited: opts.RejectLimited,
 	})

@@ -2,6 +2,7 @@ package xmlsec
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +178,55 @@ func TestSignWithProxyRejectLimited(t *testing.T) {
 	// …but job-creation verifiers reject limited proxies.
 	if _, err := VerifyEnvelope(env, VerifyOptions{TrustStore: b.ts, RejectLimited: true}); err == nil {
 		t.Fatal("limited proxy accepted with RejectLimited")
+	}
+}
+
+// TestVerifyEnvelopeChainCache: a verifier's chain cache spares only the
+// chain validation, only for the same chain bytes under the same options,
+// and never the envelope's own signature, freshness or the limited-proxy
+// rule.
+func TestVerifyEnvelopeChainCache(t *testing.T) {
+	b := newBed(t)
+	cache := gridcert.NewVerifyCache(4)
+	opts := VerifyOptions{TrustStore: b.ts, ChainCache: cache}
+	sign := func(cred *gridcert.Credential, body string) *soap.Envelope {
+		env := soap.NewEnvelope("gram/create", []byte(body))
+		if err := SignEnvelope(env, cred); err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	for i, want := range []gridcert.VerifyCacheStats{{Misses: 1, Len: 1}, {Misses: 1, Hits: 1, Len: 1}} {
+		info, err := VerifyEnvelope(sign(b.alice, "job"), opts)
+		if err != nil || info.Identity.String() != "/O=Grid/CN=Alice" {
+			t.Fatalf("verify %d: %v %v", i, info, err)
+		}
+		if got := cache.Stats(); got != want {
+			t.Fatalf("verify %d: cache %+v, want %+v", i, got, want)
+		}
+	}
+	// A cached chain does not carry a tampered body through.
+	env := sign(b.alice, "job")
+	env.Body = []byte("tampered")
+	if _, err := VerifyEnvelope(env, opts); err == nil {
+		t.Fatal("tampered body accepted on a chain-cache hit")
+	}
+	// Nor a stale timestamp.
+	if _, err := VerifyEnvelope(sign(b.alice, "job"), VerifyOptions{TrustStore: b.ts, ChainCache: cache, Now: time.Now().Add(time.Hour)}); err == nil {
+		t.Fatal("stale envelope accepted on a chain-cache hit")
+	}
+	// A limited proxy validated where limited proxies are acceptable is
+	// still refused where they are not: the options are part of the key.
+	limited, err := proxy.New(b.alice, proxy.Options{Variant: gridcert.ProxyLimited})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifyEnvelope(sign(limited, "job"), opts); err != nil {
+		t.Fatal(err)
+	}
+	opts.RejectLimited = true
+	if _, err := VerifyEnvelope(sign(limited, "job"), opts); !errors.Is(err, gridcert.ErrLimitedProxy) {
+		t.Fatalf("limited proxy under RejectLimited with a warm cache: %v", err)
 	}
 }
 

@@ -606,8 +606,9 @@ type decisionEntry struct {
 }
 
 type decisionShard struct {
-	mu sync.RWMutex
-	m  map[decisionKey]*decisionEntry
+	mu   sync.RWMutex
+	m    map[decisionKey]*decisionEntry
+	gens [5]uint64 // the generations every entry in m was computed under
 }
 
 // decisionCache is the per-pipeline decision memo: sharded by key hash
@@ -706,12 +707,18 @@ func (c *decisionCache) remove(key decisionKey) {
 // for a dead victim before giving up and evicting arbitrarily.
 const evictionScan = 32
 
-// makeRoomLocked frees one slot when the shard is at cap and key is not
-// already present; the caller holds s.mu. Prefer dead victims: entries
-// past their TTL or computed under superseded generations (the incoming
-// key carries the current ones) are unreachable and should go first;
-// only a shard full of live entries sacrifices an arbitrary one.
+// makeRoomLocked readies the shard for key; the caller holds s.mu.
+// Generations only move forward, so once the trust state has changed
+// nothing the shard holds can be looked up again: the first key of a new
+// generation vector empties it. Past that, it frees one slot when the
+// shard is at cap and key is not already present, preferring an entry
+// past its TTL; only a shard full of live entries sacrifices an
+// arbitrary one.
 func (s *decisionShard) makeRoomLocked(key decisionKey, now time.Time) {
+	if key.gens != s.gens {
+		clear(s.m)
+		s.gens = key.gens
+	}
 	if _, exists := s.m[key]; exists || len(s.m) < decisionShardCap {
 		return
 	}
@@ -719,7 +726,7 @@ func (s *decisionShard) makeRoomLocked(key decisionKey, now time.Time) {
 	haveFallback, evicted := false, false
 	scanned := 0
 	for k, e := range s.m {
-		if now.After(e.expiry) || k.gens != key.gens {
+		if now.After(e.expiry) {
 			delete(s.m, k)
 			evicted = true
 			break

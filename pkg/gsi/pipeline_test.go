@@ -351,6 +351,12 @@ func TestDecisionCacheHitsAndInvalidation(t *testing.T) {
 	if d6.Decision != gsi.Permit {
 		t.Fatalf("re-trusted VO denied: %+v", d6)
 	}
+
+	// The decisions each mutation stranded can never be looked up again,
+	// and are not kept: only the current generation's is held.
+	if st := pl.CacheStats(); st.Len != 1 {
+		t.Fatalf("cache holds %d decisions after the mutations, want 1", st.Len)
+	}
 }
 
 // TestDecisionCacheDisabled: WithDecisionCache(0) evaluates every time.
