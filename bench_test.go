@@ -634,7 +634,7 @@ func BenchmarkE8_Bridge(b *testing.B) {
 // The pair the ISSUE's acceptance criteria compare: the same secured
 // request/response over a live GT2 endpoint, paying the full public-key
 // handshake every call (cold) versus riding the session pool (pooled).
-// `make bench-pool` records them into BENCH_pool.json.
+// BENCH_pool.json holds their recorded rows.
 
 func newExchangeBenchWorld(b *testing.B, clientOpts ...gsi.Option) (*gsi.Client, gsi.Endpoint) {
 	b.Helper()

@@ -1,11 +1,11 @@
 // Command bench2json converts `go test -bench` output on stdin into a
 // JSON series on stdout, so benchmark runs can be recorded as
-// BENCH_*.json trajectory points (see the Makefile's bench-pool
+// BENCH_*.json trajectory points (see the Makefile's bench-authz
 // target).
 //
 // Usage:
 //
-//	go test -bench 'Exchange' -benchmem . | bench2json > BENCH_pool.json
+//	go test -bench 'Authorize' -benchmem . | bench2json > BENCH_authz.json
 //
 // With -gate-allocs, bench2json doubles as the CI allocation
 // regression gate: it still emits the JSON, but exits nonzero when a

@@ -3,7 +3,7 @@
 // under one stable credential; BenchmarkExchangeAcrossRotation runs the
 // same traffic while the manager rotates the credential every
 // rotationPeriod exchanges, forcing pool rekeys and fresh handshakes.
-// `make bench-credman` records both into BENCH_credman.json.
+// BENCH_credman.json holds both recorded rows.
 package repro
 
 import (

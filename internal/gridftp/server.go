@@ -29,10 +29,9 @@ type Server struct {
 	served  int
 	closing bool
 
-	// xmu guards xfers, the striped transfers still collecting their
-	// data connections (keyed by transfer token).
-	xmu   sync.Mutex
-	xfers map[string]*stripeXfer
+	// stripes collects the data connections of striped transfers as
+	// their JOINs arrive.
+	stripes *gsitransport.Rendezvous
 
 	// tracer, when set via SetTracer, spans every transfer and feeds
 	// the active-transfer registry. Nil disables.
@@ -46,10 +45,10 @@ func NewServer(addr string, store *Store, cred *gridcert.Credential, trust *grid
 		return nil, err
 	}
 	s := &Server{
-		store: store,
-		cred:  cred,
-		trust: trust,
-		xfers: make(map[string]*stripeXfer),
+		store:   store,
+		cred:    cred,
+		trust:   trust,
+		stripes: gsitransport.NewRendezvous(gsitransport.StripeJoinTimeout),
 		listener: gsitransport.NewListener(inner, gss.Config{
 			Credential: cred,
 			TrustStore: trust,
@@ -135,96 +134,103 @@ func (s *Server) serve(conn *gsitransport.Conn) {
 	}
 }
 
-// serveGet answers a streamed GET: acknowledge, then send the file as
-// chunk records straight out of the store (the seal is the only pass
-// over the data). A stripe-marked payload diverts to the parallel
-// striped path. Returns false when the connection is unusable.
+// serveGet answers a GET: acknowledge (granting stripes when the payload
+// asks for them), then send the file as chunk records straight out of
+// the store — the seal is the only pass over the data — over the control
+// connection or the K data connections. A striped GET carries no
+// further control reply: the data plane's FIN trailers are the
+// completion signal. Returns false when the control connection is
+// unusable.
 func (s *Server) serveGet(ctx context.Context, conn *gsitransport.Conn, identity gridcert.Name, path string, payload []byte, rctx trace.SpanContext) bool {
-	if k, ok := decodeStripeGetReq(payload); ok {
-		return s.serveGetStriped(ctx, conn, identity, path, k, rctx)
-	}
 	sp := s.tracer.StartRemote(rctx, "gridftp.server.get")
 	sp.SetPeer(identity.String())
 	data, err := s.store.Open(identity, path)
 	if err != nil {
-		sp.SetError(err)
-		sp.End()
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
+		return s.refuse(conn, path, sp, err)
 	}
-	xfer := s.tracer.Transfers().Begin("get:"+path, identity.String(), 1, sp.Context().TraceID)
-	done := func(err error) bool {
-		sp.SetError(err)
-		sp.End()
-		xfer.End()
-		return err == nil
+	k, striped := decodeStripeGetReq(payload)
+	var size [8]byte
+	binary.BigEndian.PutUint64(size[:], uint64(len(data)))
+	conns, grp, err := s.invite(conn, identity, path, k, striped, size[:])
+	if err != nil {
+		return s.refuse(conn, path, sp, err)
 	}
-	if err := conn.Send(encodeReply(opOK, path, nil)); err != nil {
-		return done(err)
+	tr := xferTrace{sp: sp, xfer: s.tracer.Transfers().Begin("get:"+path, identity.String(), len(conns), sp.Context().TraceID)}
+	pipe := gsitransport.NewTransfer(ctx, conns, gsitransport.Send)
+	_, err = pipe.Write(data)
+	if err == nil {
+		tr.add(len(data))
 	}
-	st := gsitransport.NewStream(ctx, conn)
-	if _, err := st.Write(data); err != nil {
-		// Mid-stream store-side failures would abort via CloseWithError;
-		// a transport failure here already broke the connection.
-		st.CloseWithError(err.Error())
-		return done(err)
+	// A write failure travels to the client as the ERROR record (when the
+	// connections can still carry one).
+	if ferr := pipe.Finish(err); err == nil {
+		err = ferr
 	}
-	sp.AddBytes(int64(len(data)))
-	xfer.Add(int64(len(data)))
-	return done(st.CloseWrite())
+	tr.end(err)
+	if grp != nil {
+		grp.Close()
+		return true
+	}
+	return err == nil
 }
 
-// servePut answers a streamed PUT: authorize before inviting any data,
-// acknowledge, assemble the inbound chunks, and confirm. The command
-// payload may carry an 8-byte size hint used to pre-size the assembly
-// (bounded — a lying hint degrades to incremental growth, never to an
-// oversized trust-the-peer allocation). Returns false when the
-// connection is unusable.
+// servePut answers a PUT: authorize before inviting any data,
+// acknowledge (granting stripes when asked), assemble the inbound
+// chunks, and send the verdict on the control connection. The command
+// payload may carry a size hint used to pre-size the assembly (bounded —
+// a lying hint degrades to incremental growth, never to an oversized
+// trust-the-peer allocation). Returns false when the control connection
+// is unusable.
 func (s *Server) servePut(ctx context.Context, conn *gsitransport.Conn, identity gridcert.Name, path string, payload []byte, rctx trace.SpanContext) bool {
-	if k, hint, ok := decodeStripePutReq(payload); ok {
-		return s.servePutStriped(ctx, conn, identity, path, k, hint, rctx)
-	}
 	sp := s.tracer.StartRemote(rctx, "gridftp.server.put")
 	sp.SetPeer(identity.String())
 	// Fail-closed before the client ships a byte.
 	if err := s.store.authorize(identity, path, "write"); err != nil {
-		sp.SetError(err)
-		sp.End()
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
+		return s.refuse(conn, path, sp, err)
 	}
-	var hint int64
-	if len(payload) == 8 {
-		hint = int64(binary.BigEndian.Uint64(payload))
+	k, hint, striped := decodeStripePutReq(payload)
+	if !striped && len(payload) == 8 {
+		hint = binary.BigEndian.Uint64(payload)
 	}
-	xfer := s.tracer.Transfers().Begin("put:"+path, identity.String(), 1, sp.Context().TraceID)
-	done := func(err error) {
-		sp.SetError(err)
-		sp.End()
-		xfer.End()
-	}
-	st := gsitransport.NewStream(ctx, conn)
-	if err := conn.Send(encodeReply(opOK, path, nil)); err != nil {
-		done(err)
-		return false
-	}
-	assembled, err := readAllStream(st, hint)
+	conns, grp, err := s.invite(conn, identity, path, k, striped, nil)
 	if err != nil {
-		done(err)
-		var peerErr *record.PeerError
-		if errors.As(err, &peerErr) {
-			// Clean client abort: the terminal record resynchronized the
-			// stream; report and keep serving.
-			return conn.Send(encodeReply(opErr, path, []byte(peerErr.Msg))) == nil
-		}
-		return false
+		return s.refuse(conn, path, sp, err)
 	}
-	sp.AddBytes(int64(len(assembled)))
-	xfer.Add(int64(len(assembled)))
-	if err := s.store.PutOwned(identity, path, assembled); err != nil {
-		done(err)
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
+	tr := xferTrace{sp: sp, xfer: s.tracer.Transfers().Begin("put:"+path, identity.String(), len(conns), sp.Context().TraceID)}
+	pipe := gsitransport.NewTransfer(ctx, conns, gsitransport.Recv)
+	prealloc := uint64(1 << 20)
+	if hint > prealloc {
+		prealloc = min(hint, maxPutPrealloc)
 	}
-	done(nil)
-	return conn.Send(encodeReply(opOK, path, nil)) == nil
+	assembled, err := pipe.ReadAll(int(prealloc))
+	pipe.Finish(nil) // nothing to add: a failed ReadAll is Finish's verdict too
+	if grp != nil {
+		grp.Close()
+	}
+	if err == nil {
+		tr.add(len(assembled))
+		err = s.store.PutOwned(identity, path, assembled)
+	}
+	tr.end(err)
+	if err == nil {
+		return conn.Send(encodeReply(opOK, path, nil)) == nil
+	}
+	// A clean client abort resynchronized the stream: report its reason
+	// and keep serving. After a transport failure on the control
+	// connection the reply fails too, and the session ends.
+	msg := err.Error()
+	var peerErr *record.PeerError
+	if errors.As(err, &peerErr) {
+		msg = peerErr.Msg
+	}
+	return conn.Send(encodeReply(opErr, path, []byte(msg))) == nil
+}
+
+// refuse ends a transfer's span with err and reports it to the client.
+func (s *Server) refuse(conn *gsitransport.Conn, path string, sp *trace.Span, err error) bool {
+	sp.SetError(err)
+	sp.End()
+	return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
 }
 
 // maxPutPrealloc caps how much memory a declared size hint may reserve
@@ -235,19 +241,6 @@ const maxPutPrealloc = 256 << 20
 // matches the stream layer's bulk-write threshold so each relay write
 // takes the pipelined seal path instead of sealing chunk by chunk.
 const transferCopyBuffer = 4 * record.DefaultChunkSize
-
-// readAllStream assembles a whole inbound stream through the stream's
-// pipelined receive path (the open worker overlaps with assembly). A
-// trusted-bounded size hint pre-sizes the buffer so well-declared
-// transfers never pay a growth copy; lying hints degrade to amortized
-// growth, never to an oversized trust-the-peer allocation.
-func readAllStream(st *gsitransport.Stream, hint int64) ([]byte, error) {
-	prealloc := int64(1 << 20)
-	if hint > prealloc {
-		prealloc = min(hint, maxPutPrealloc)
-	}
-	return st.ReadAll(int(prealloc))
-}
 
 func (s *Server) execute(identity gridcert.Name, verb, path string, payload []byte) []byte {
 	switch verb {
@@ -305,66 +298,117 @@ func (c *Client) roundTrip(verb, path string, payload []byte) ([]byte, error) {
 	return c.readReply()
 }
 
-// GetReader is an in-flight streamed GET: an io.ReadCloser delivering
-// the file as its chunks arrive. Close before issuing further commands
-// on the same client.
+// GetReader is an in-flight GET: an io.ReadCloser delivering the file in
+// order as its chunks arrive, over the control connection or over the
+// striped data connections. Close before issuing further commands on the
+// same client.
 type GetReader struct {
-	st   *gsitransport.Stream
+	pipe *gsitransport.Stream
+	data []*gsitransport.Conn // transfer-scoped data connections of a striped GET
+	size int64
 	err  error
-	sp   *trace.Span     // nil when untraced
-	xfer *trace.Transfer // nil when untraced
+	tr   xferTrace
+}
+
+// Size is the transfer size a striped grant announced (0 when the GET
+// streams on the control connection, which announces none).
+func (g *GetReader) Size() int64 { return g.size }
+
+// serverErr renders a peer abort as the server's reason.
+func serverErr(err error) error {
+	var peerErr *record.PeerError
+	if errors.As(err, &peerErr) {
+		return fmt.Errorf("gridftp: server: %s", peerErr.Msg)
+	}
+	return err
 }
 
 // Read returns file bytes, io.EOF at the end of a complete transfer,
 // and the server's abort reason if it failed mid-stream.
 func (g *GetReader) Read(p []byte) (int, error) {
-	n, err := g.st.Read(p)
-	var peerErr *record.PeerError
-	if errors.As(err, &peerErr) {
-		err = fmt.Errorf("gridftp: server: %s", peerErr.Msg)
-	}
+	n, err := g.pipe.Read(p)
 	if err != nil && err != io.EOF {
+		err = serverErr(err)
 		g.err = err
 	}
-	if n > 0 {
-		g.sp.AddBytes(int64(n))
-		g.xfer.Add(int64(n))
-	}
+	g.tr.add(n)
 	return n, err
 }
 
-// finishTrace ends the span and transfer registration exactly once.
-func (g *GetReader) finishTrace() {
-	g.sp.SetError(g.err)
-	g.sp.End()
-	g.xfer.End()
-	g.sp, g.xfer = nil, nil
-}
-
-// Close drains any unread remainder so the session is reusable.
+// Close consumes any unread remainder so the session is reusable, and
+// closes the data connections of a striped GET. A failure the reader
+// already reported is not reported again.
 func (g *GetReader) Close() error {
-	defer g.finishTrace()
-	if g.err != nil {
-		g.st.Release()
-		return nil // already failed; connection state is settled
+	err := g.pipe.Finish(nil)
+	for _, dc := range g.data {
+		dc.Close()
 	}
-	return g.st.Drain()
+	if g.err != nil {
+		err = nil
+	} else {
+		g.err = err
+	}
+	g.tr.end(g.err)
+	return err
 }
 
-// GetStream starts a streamed GET of path.
-func (c *Client) GetStream(path string) (*GetReader, error) {
+// readAll consumes the whole file into memory through the pipelined
+// receive path and closes the transfer.
+func (g *GetReader) readAll() ([]byte, error) {
+	hint := 0
+	if g.size > 0 && g.size <= maxPutPrealloc {
+		hint = int(g.size)
+	}
+	data, err := g.pipe.ReadAll(hint)
+	if err != nil {
+		g.err = serverErr(err)
+		g.Close()
+		return nil, g.err
+	}
+	g.tr.add(len(data))
+	return data, g.Close()
+}
+
+// openGet starts a GET of path: on the control connection when stripes
+// is 0, else over up to stripes data connections (the server may grant
+// fewer).
+func (c *Client) openGet(path string, stripes int) (*GetReader, error) {
 	sp := c.tracer.StartRoot("gridftp.get")
 	sp.SetPeer(c.expectHost.String())
-	if _, err := c.roundTrip(opGetS, path, traceSuffix(sp, nil)); err != nil {
+	var req []byte
+	if stripes > 0 {
+		req = encodeStripeGetReq(stripes)
+	}
+	g := &GetReader{}
+	grant, err := c.roundTrip(opGetS, path, traceSuffix(sp, req))
+	conns, lanes := []*gsitransport.Conn{c.conn}, []*trace.Span(nil)
+	if err == nil && stripes > 0 {
+		if len(grant) != 4+8+stripeTokenLen {
+			err = errMalformedGrant
+		} else {
+			g.size = int64(binary.BigEndian.Uint64(grant[4:12]))
+			conns, lanes, err = c.dialStripes(int(binary.BigEndian.Uint32(grant)), grant[12:], sp)
+			g.data = conns
+		}
+	}
+	if err != nil {
 		sp.SetError(err)
 		sp.End()
 		return nil, err
 	}
-	return &GetReader{
-		st:   gsitransport.NewStream(context.Background(), c.conn),
-		sp:   sp,
-		xfer: c.tracer.Transfers().Begin("get:"+path, c.expectHost.String(), 1, sp.Context().TraceID),
-	}, nil
+	g.pipe = gsitransport.NewTransfer(context.Background(), conns, gsitransport.Recv)
+	g.tr = xferTrace{sp: sp, lanes: lanes,
+		xfer: c.tracer.Transfers().Begin("get:"+path, c.expectHost.String(), len(conns), sp.Context().TraceID)}
+	return g, nil
+}
+
+// GetStream starts a streamed GET of path on the control connection.
+func (c *Client) GetStream(path string) (*GetReader, error) { return c.openGet(path, 0) }
+
+// GetStripedReader starts a striped GET of path over up to stripes
+// data connections (the server may grant fewer).
+func (c *Client) GetStripedReader(path string, stripes int) (*GetReader, error) {
+	return c.openGet(path, max(stripes, 1))
 }
 
 // GetTo fetches path, writing the content to w as it arrives, and
@@ -382,70 +426,65 @@ func (c *Client) GetTo(path string, w io.Writer) (int64, error) {
 }
 
 // Get fetches a file into memory through the pipelined receive path.
-func (c *Client) Get(path string) ([]byte, error) {
-	g, err := c.GetStream(path)
-	if err != nil {
-		return nil, err
-	}
-	data, err := g.st.ReadAll(0)
-	if err != nil {
-		g.err = err
-		g.st.Release()
-		g.finishTrace()
-		var peerErr *record.PeerError
-		if errors.As(err, &peerErr) {
-			return nil, fmt.Errorf("gridftp: server: %s", peerErr.Msg)
-		}
-		return nil, err
-	}
-	g.sp.AddBytes(int64(len(data)))
-	g.xfer.Add(int64(len(data)))
-	g.finishTrace()
-	return data, nil
+func (c *Client) Get(path string) ([]byte, error) { return c.getAll(path, 0) }
+
+// GetStriped fetches a file over parallel stripes into memory.
+func (c *Client) GetStriped(path string, stripes int) ([]byte, error) {
+	return c.getAll(path, max(stripes, 1))
 }
 
-// PutWriter is an in-flight streamed PUT: an io.WriteCloser whose Close
-// completes the transfer and returns the server's verdict. Abort
-// cancels mid-stream. Finish (Close or Abort) before issuing further
-// commands on the same client.
+func (c *Client) getAll(path string, stripes int) ([]byte, error) {
+	g, err := c.openGet(path, stripes)
+	if err != nil {
+		return nil, err
+	}
+	return g.readAll()
+}
+
+// PutWriter is an in-flight PUT: an io.WriteCloser whose Close completes
+// the transfer and returns the server's verdict from the control
+// connection. Abort cancels mid-stream. Finish (Close or Abort) before
+// issuing further commands on the same client.
 type PutWriter struct {
 	c    *Client
-	st   *gsitransport.Stream
+	pipe *gsitransport.Stream
+	data []*gsitransport.Conn // transfer-scoped data connections of a striped PUT
 	done bool
-	sp   *trace.Span     // nil when untraced
-	xfer *trace.Transfer // nil when untraced
+	tr   xferTrace
 }
 
 // Write ships file bytes as chunk records.
 func (w *PutWriter) Write(p []byte) (int, error) {
-	n, err := w.st.Write(p)
-	if n > 0 {
-		w.sp.AddBytes(int64(n))
-		w.xfer.Add(int64(n))
-	}
+	n, err := w.pipe.Write(p)
+	w.tr.add(n)
 	return n, err
 }
 
-func (w *PutWriter) finishTrace(err error) {
-	w.sp.SetError(err)
-	w.sp.End()
-	w.xfer.End()
-	w.sp, w.xfer = nil, nil
+// finish terminates the data plane (FIN, or the ERROR record carrying
+// cause) and consumes the server's verdict, which arrives on the
+// control connection either way and must not be left in its reply
+// stream.
+func (w *PutWriter) finish(cause error) (sendErr, verdict error) {
+	w.done = true
+	sendErr = w.pipe.Finish(cause)
+	_, verdict = w.c.readReply()
+	for _, dc := range w.data {
+		dc.Close()
+	}
+	return sendErr, verdict
 }
 
-// Close sends FIN and waits for the server's confirmation.
+// Close sends FIN (the FIN trailer on every stripe) and waits for the
+// server's confirmation.
 func (w *PutWriter) Close() error {
 	if w.done {
 		return nil
 	}
-	w.done = true
-	defer w.st.Release()
-	if err := w.st.CloseWrite(); err != nil {
-		w.finishTrace(err)
-		return err
+	err, verdict := w.finish(nil)
+	if err == nil {
+		err = verdict
 	}
-	_, err := w.c.readReply()
-	w.finishTrace(err)
+	w.tr.end(err)
 	return err
 }
 
@@ -455,17 +494,14 @@ func (w *PutWriter) Abort(reason string) error {
 	if w.done {
 		return nil
 	}
-	w.done = true
-	defer w.st.Release()
-	w.finishTrace(errors.New(reason))
-	if err := w.st.CloseWithError(reason); err != nil {
-		return err
+	cause := errors.New(reason)
+	err, verdict := w.finish(cause)
+	w.tr.end(cause)
+	if err == nil && verdict == nil {
+		// The server acknowledges an abort with its ERR reply.
+		err = errors.New("gridftp: server confirmed an aborted transfer")
 	}
-	// The server acknowledges the abort with its ERR reply.
-	if _, err := w.c.readReply(); err == nil {
-		return errors.New("gridftp: server confirmed an aborted transfer")
-	}
-	return nil
+	return err
 }
 
 // readReply consumes one OK/ERR control message.
@@ -484,27 +520,52 @@ func (c *Client) readReply() ([]byte, error) {
 	return rpayload, nil
 }
 
-// PutStream starts a streamed PUT to path. The server authorizes the
-// write before any data flows. sizeHint, when positive, lets the
+// openPut starts a PUT to path: on the control connection when stripes
+// is 0, else over up to stripes data connections. The server authorizes
+// the write before any data flows. sizeHint, when positive, lets the
 // server pre-size its assembly; 0 means unknown.
-func (c *Client) PutStream(path string, sizeHint int64) (*PutWriter, error) {
-	var payload []byte
-	if sizeHint > 0 {
-		payload = binary.BigEndian.AppendUint64(nil, uint64(sizeHint))
+func (c *Client) openPut(path string, stripes int, sizeHint int64) (*PutWriter, error) {
+	hint := uint64(max(sizeHint, 0))
+	var req []byte
+	switch {
+	case stripes > 0:
+		req = encodeStripePutReq(stripes, hint)
+	case hint > 0:
+		req = binary.BigEndian.AppendUint64(nil, hint)
 	}
 	sp := c.tracer.StartRoot("gridftp.put")
 	sp.SetPeer(c.expectHost.String())
-	if _, err := c.roundTrip(opPutS, path, traceSuffix(sp, payload)); err != nil {
+	w := &PutWriter{c: c}
+	grant, err := c.roundTrip(opPutS, path, traceSuffix(sp, req))
+	conns, lanes := []*gsitransport.Conn{c.conn}, []*trace.Span(nil)
+	if err == nil && stripes > 0 {
+		if len(grant) != 4+stripeTokenLen {
+			err = errMalformedGrant
+		} else {
+			conns, lanes, err = c.dialStripes(int(binary.BigEndian.Uint32(grant)), grant[4:], sp)
+			w.data = conns
+		}
+	}
+	if err != nil {
 		sp.SetError(err)
 		sp.End()
 		return nil, err
 	}
-	return &PutWriter{
-		c:    c,
-		st:   gsitransport.NewStream(context.Background(), c.conn),
-		sp:   sp,
-		xfer: c.tracer.Transfers().Begin("put:"+path, c.expectHost.String(), 1, sp.Context().TraceID),
-	}, nil
+	w.pipe = gsitransport.NewTransfer(context.Background(), conns, gsitransport.Send)
+	w.tr = xferTrace{sp: sp, lanes: lanes,
+		xfer: c.tracer.Transfers().Begin("put:"+path, c.expectHost.String(), len(conns), sp.Context().TraceID)}
+	return w, nil
+}
+
+// PutStream starts a streamed PUT to path on the control connection.
+func (c *Client) PutStream(path string, sizeHint int64) (*PutWriter, error) {
+	return c.openPut(path, 0, sizeHint)
+}
+
+// PutStripedWriter starts a striped PUT to path over up to stripes
+// data connections (the server may grant fewer).
+func (c *Client) PutStripedWriter(path string, stripes int, sizeHint int64) (*PutWriter, error) {
+	return c.openPut(path, max(stripes, 1), sizeHint)
 }
 
 // PutFrom stores r's content at path, streaming as it reads, and
@@ -521,6 +582,12 @@ func (c *Client) PutFrom(path string, r io.Reader) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return copyTo(w, r)
+}
+
+// copyTo relays r into w through one transfer-sized pooled buffer and
+// completes the PUT; a failure aborts it.
+func copyTo(w *PutWriter, r io.Reader) (int64, error) {
 	buf := record.Get(transferCopyBuffer)
 	n, err := io.CopyBuffer(w, r, buf.B[:transferCopyBuffer])
 	buf.Free()
@@ -532,12 +599,20 @@ func (c *Client) PutFrom(path string, r io.Reader) (int64, error) {
 }
 
 // Put stores a file from memory.
-func (c *Client) Put(path string, data []byte) error {
-	w, err := c.PutStream(path, int64(len(data)))
+func (c *Client) Put(path string, data []byte) error { return c.putAll(path, 0, data) }
+
+// PutStriped stores a file from memory over parallel stripes.
+func (c *Client) PutStriped(path string, stripes int, data []byte) error {
+	return c.putAll(path, max(stripes, 1), data)
+}
+
+func (c *Client) putAll(path string, stripes int, data []byte) error {
+	w, err := c.openPut(path, stripes, int64(len(data)))
 	if err != nil {
 		return err
 	}
 	if _, err := w.Write(data); err != nil {
+		w.Abort(err.Error())
 		return err
 	}
 	return w.Close()
@@ -577,6 +652,24 @@ func ThirdPartyTransfer(client *gridcert.Credential, trust *gridcert.TrustStore,
 	srcAddr string, srcHost gridcert.Name,
 	dstAddr string, dstHost gridcert.Name,
 	srcPath, dstPath string) error {
+	return thirdParty(client, trust, srcAddr, srcHost, dstAddr, dstHost, srcPath, dstPath, 0)
+}
+
+// ThirdPartyTransferStriped is ThirdPartyTransfer over parallel
+// stripes on both legs: the delegated credential opens striped
+// sessions to source and destination, and the file flows stripes-in to
+// stripes-out without ever materializing.
+func ThirdPartyTransferStriped(client *gridcert.Credential, trust *gridcert.TrustStore,
+	srcAddr string, srcHost gridcert.Name,
+	dstAddr string, dstHost gridcert.Name,
+	srcPath, dstPath string, stripes int) error {
+	return thirdParty(client, trust, srcAddr, srcHost, dstAddr, dstHost, srcPath, dstPath, max(stripes, 1))
+}
+
+func thirdParty(client *gridcert.Credential, trust *gridcert.TrustStore,
+	srcAddr string, srcHost gridcert.Name,
+	dstAddr string, dstHost gridcert.Name,
+	srcPath, dstPath string, stripes int) error {
 
 	// 1. The client connects to the source and fetches nothing itself —
 	// it delegates. (Delegation rides the established secure channel in
@@ -607,24 +700,16 @@ func ThirdPartyTransfer(client *gridcert.Credential, trust *gridcert.TrustStore,
 	}
 	defer dstConn.Close()
 
-	get, err := srcConn.GetStream(srcPath)
+	get, err := srcConn.openGet(srcPath, stripes)
 	if err != nil {
 		return err
 	}
-	put, err := dstConn.PutStream(dstPath, 0)
+	put, err := dstConn.openPut(dstPath, stripes, get.Size())
 	if err != nil {
 		get.Close()
 		return err
 	}
-	buf := record.Get(transferCopyBuffer)
-	_, err = io.CopyBuffer(put, get, buf.B[:transferCopyBuffer])
-	buf.Free()
-	if err != nil {
-		put.Abort(err.Error())
-		get.Close()
-		return err
-	}
-	if err := put.Close(); err != nil {
+	if _, err := copyTo(put, get); err != nil {
 		get.Close()
 		return err
 	}

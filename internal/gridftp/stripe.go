@@ -1,20 +1,14 @@
 package gridftp
 
 import (
-	"context"
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/gridcert"
 	"repro/internal/gridcrypto"
 	"repro/internal/gsitransport"
 	"repro/internal/gss"
-	"repro/internal/proxy"
-	"repro/internal/record"
 	"repro/internal/trace"
 )
 
@@ -42,13 +36,6 @@ const stripeTokenLen = 16
 // (legacy payloads — empty, or the 8-byte PUT size hint — can never
 // collide with the marked lengths).
 const stripeMarker = 'S'
-
-// xferJoinTimeout bounds how long the control goroutine waits for the
-// client's data connections to arrive.
-const xferJoinTimeout = 10 * time.Second
-
-// maxPendingXfers bounds concurrently forming striped transfers.
-const maxPendingXfers = 256
 
 func encodeStripeGetReq(k int) []byte {
 	p := make([]byte, 5)
@@ -91,88 +78,44 @@ func clampStripes(k int) int {
 
 // --- server side ---------------------------------------------------------
 
-// stripeXfer is one striped transfer forming (or running) on a server:
-// data connections collected by JOINs until all granted stripes
-// arrived. ready closes when the group is complete; done closes when
-// the transfer finished and the data connections belong to their serve
-// goroutines again.
-type stripeXfer struct {
-	identity gridcert.Name
-	token    string
-	conns    []*gsitransport.Conn
-	joined   int
-	failed   bool
-	ready    chan struct{}
-	done     chan struct{}
-}
+var (
+	errMalformedGrant     = errors.New("gridftp: malformed stripe grant")
+	errStripesNeverJoined = errors.New("gridftp: stripes never joined")
+)
 
-// newXfer registers a pending transfer under a fresh token.
-func (s *Server) newXfer(identity gridcert.Name, granted int) (*stripeXfer, error) {
+// invite acknowledges a GETS/PUTS and returns the connections the file
+// crosses. Unstriped, that is the control connection after a bare OK.
+// Striped, the OK carries a grant — min(k, cap) stripes, extra (the GET's
+// size announcement), and a fresh transfer token bound to identity — and
+// invite waits for that many JOINs; the caller must Close the returned
+// group once its transfer is finished.
+func (s *Server) invite(conn *gsitransport.Conn, identity gridcert.Name, path string, k int, striped bool, extra []byte) ([]*gsitransport.Conn, *gsitransport.StripeGroup, error) {
+	if !striped {
+		return []*gsitransport.Conn{conn}, nil, conn.Send(encodeReply(opOK, path, nil))
+	}
 	tok, err := gridcrypto.RandomBytes(stripeTokenLen)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	x := &stripeXfer{
-		identity: identity,
-		token:    string(tok),
-		conns:    make([]*gsitransport.Conn, granted),
-		ready:    make(chan struct{}),
-		done:     make(chan struct{}),
+	granted := clampStripes(k)
+	grp, err := s.stripes.Open(identity.String(), string(tok), granted, "")
+	if err != nil {
+		return nil, nil, err
 	}
-	s.xmu.Lock()
-	defer s.xmu.Unlock()
-	if len(s.xfers) >= maxPendingXfers {
-		return nil, errors.New("gridftp: too many pending striped transfers")
+	grant := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(extra)+stripeTokenLen), uint32(granted))
+	grant = append(append(grant, extra...), tok...)
+	// A failed send needs no path of its own: a client that never saw the
+	// grant never joins, and Await gives the group up.
+	conn.Send(encodeReply(opOK, path, grant))
+	if !s.stripes.Await(grp) {
+		return nil, nil, errStripesNeverJoined
 	}
-	s.xfers[x.token] = x
-	return x, nil
+	return grp.Conns, grp, nil
 }
 
-// joinXfer binds one data connection to its pending transfer. The
-// token is the capability; it is additionally bound to the control
-// connection's authenticated identity, so a leaked token is useless
-// without the credential that opened the transfer.
-func (s *Server) joinXfer(token []byte, idx int, identity gridcert.Name, conn *gsitransport.Conn) (*stripeXfer, error) {
-	s.xmu.Lock()
-	defer s.xmu.Unlock()
-	x := s.xfers[string(token)]
-	if x == nil || subtle.ConstantTimeCompare([]byte(x.token), token) != 1 {
-		return nil, errors.New("gridftp: unknown transfer token")
-	}
-	if x.identity.String() != identity.String() {
-		return nil, errors.New("gridftp: transfer token bound to another identity")
-	}
-	if idx < 0 || idx >= len(x.conns) || x.conns[idx] != nil {
-		return nil, errors.New("gridftp: bad stripe index")
-	}
-	x.conns[idx] = conn
-	x.joined++
-	if x.joined == len(x.conns) {
-		close(x.ready)
-		delete(s.xfers, x.token)
-	}
-	return x, nil
-}
-
-// abandonXfer fails a transfer whose stripes never all arrived.
-// Reports false when the group completed concurrently — the transfer
-// then runs and the caller must follow the ready path instead.
-func (s *Server) abandonXfer(x *stripeXfer) bool {
-	s.xmu.Lock()
-	defer s.xmu.Unlock()
-	select {
-	case <-x.ready:
-		return false
-	default:
-	}
-	x.failed = true
-	delete(s.xfers, x.token)
-	return true
-}
-
-// serveJoin handles a JOIN on a data connection: validate the token,
-// bind the connection to its transfer, and park until the transfer
-// releases it. Reports whether the connection is still usable.
+// serveJoin handles a JOIN on a data connection: decode the token and
+// stripe index, bind the connection to its transfer, and park until the
+// transfer releases it. Reports whether the connection is still usable.
 func (s *Server) serveJoin(conn *gsitransport.Conn, identity gridcert.Name, payload []byte, rctx trace.SpanContext) bool {
 	if len(payload) != stripeTokenLen+4 {
 		return conn.Send(encodeReply(opErr, "", []byte("gridftp: malformed JOIN"))) == nil
@@ -181,181 +124,18 @@ func (s *Server) serveJoin(conn *gsitransport.Conn, identity gridcert.Name, payl
 	// the stripe's whole tenure in the transfer, join to release.
 	sp := s.tracer.StartRemote(rctx, "gridftp.server.stripe")
 	sp.SetPeer(identity.String())
-	token := payload[:stripeTokenLen]
+	defer sp.End()
 	idx := int(binary.BigEndian.Uint32(payload[stripeTokenLen:]))
-	x, err := s.joinXfer(token, idx, identity, conn)
+	grp, _, err := s.stripes.Join(identity.String(), string(payload[:stripeTokenLen]), idx, conn)
 	if err != nil {
 		sp.SetError(err)
-		sp.End()
 		return conn.Send(encodeReply(opErr, "", []byte(err.Error()))) == nil
 	}
-	// From here the connection belongs to the transfer until done: even
-	// on a failed reply it must not be closed out from under it.
+	// From here the connection belongs to the transfer until released:
+	// even on a failed reply it must not be closed out from under it.
 	replyErr := conn.Send(encodeReply(opOK, "", nil))
-	<-x.done
-	sp.End()
+	s.stripes.Wait(grp)
 	return replyErr == nil && !conn.Broken()
-}
-
-// awaitStripes waits for the client's data connections, abandoning the
-// transfer if they never arrive. Reports whether the transfer is ready
-// to run.
-func (s *Server) awaitStripes(x *stripeXfer) bool {
-	select {
-	case <-x.ready:
-		return true
-	case <-time.After(xferJoinTimeout):
-		if s.abandonXfer(x) {
-			close(x.done) // release any stripes that did join
-			return false
-		}
-		<-x.ready // lost the race with the final JOIN
-		return true
-	}
-}
-
-// serveGetStriped answers a striped GET: grant min(k, cap) stripes and
-// a transfer token, wait for the JOINs, and stream the file over all
-// stripes at once. The control connection carries no further reply —
-// the data plane's FIN trailers are the completion signal.
-func (s *Server) serveGetStriped(ctx context.Context, conn *gsitransport.Conn, identity gridcert.Name, path string, k int, rctx trace.SpanContext) bool {
-	sp := s.tracer.StartRemote(rctx, "gridftp.server.get")
-	sp.SetPeer(identity.String())
-	data, err := s.store.Open(identity, path)
-	if err != nil {
-		sp.SetError(err)
-		sp.End()
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
-	}
-	granted := clampStripes(k)
-	x, err := s.newXfer(identity, granted)
-	if err != nil {
-		sp.SetError(err)
-		sp.End()
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
-	}
-	xfer := s.tracer.Transfers().Begin("get:"+path, identity.String(), granted, sp.Context().TraceID)
-	grant := make([]byte, 4+8+stripeTokenLen)
-	binary.BigEndian.PutUint32(grant, uint32(granted))
-	binary.BigEndian.PutUint64(grant[4:], uint64(len(data)))
-	copy(grant[12:], x.token)
-	if err := conn.Send(encodeReply(opOK, path, grant)); err != nil {
-		if s.abandonXfer(x) {
-			close(x.done)
-		} else {
-			s.runGetStripes(ctx, x, data, sp, xfer)
-			return false
-		}
-		sp.SetError(err)
-		sp.End()
-		xfer.End()
-		return false
-	}
-	if !s.awaitStripes(x) {
-		err := errors.New("gridftp: stripes never joined")
-		sp.SetError(err)
-		sp.End()
-		xfer.End()
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
-	}
-	s.runGetStripes(ctx, x, data, sp, xfer)
-	return true
-}
-
-func (s *Server) runGetStripes(ctx context.Context, x *stripeXfer, data []byte, sp *trace.Span, xfer *trace.Transfer) {
-	defer close(x.done)
-	defer xfer.End()
-	defer sp.End()
-	w := gsitransport.NewStripedWriter(ctx, x.conns)
-	if _, err := w.Write(data); err != nil {
-		sp.SetError(err)
-		w.CloseWithError(err.Error())
-		return
-	}
-	sp.AddBytes(int64(len(data)))
-	xfer.Add(int64(len(data)))
-	w.Close()
-}
-
-// servePutStriped answers a striped PUT: authorize before inviting any
-// data, grant stripes and a token, reassemble the inbound stripes, and
-// send the verdict on the control connection.
-func (s *Server) servePutStriped(ctx context.Context, conn *gsitransport.Conn, identity gridcert.Name, path string, k int, hint uint64, rctx trace.SpanContext) bool {
-	sp := s.tracer.StartRemote(rctx, "gridftp.server.put")
-	sp.SetPeer(identity.String())
-	if err := s.store.authorize(identity, path, "write"); err != nil {
-		sp.SetError(err)
-		sp.End()
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
-	}
-	granted := clampStripes(k)
-	x, err := s.newXfer(identity, granted)
-	if err != nil {
-		sp.SetError(err)
-		sp.End()
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
-	}
-	xfer := s.tracer.Transfers().Begin("put:"+path, identity.String(), granted, sp.Context().TraceID)
-	done := func(err error) {
-		sp.SetError(err)
-		sp.End()
-		xfer.End()
-	}
-	grant := make([]byte, 4+stripeTokenLen)
-	binary.BigEndian.PutUint32(grant, uint32(granted))
-	copy(grant[4:], x.token)
-	if err := conn.Send(encodeReply(opOK, path, grant)); err != nil {
-		if s.abandonXfer(x) {
-			close(x.done)
-		} else {
-			s.runPutStripes(ctx, x, hint)
-		}
-		done(err)
-		return false
-	}
-	if !s.awaitStripes(x) {
-		err := errors.New("gridftp: stripes never joined")
-		done(err)
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
-	}
-	assembled, err := s.runPutStripes(ctx, x, hint)
-	if err != nil {
-		done(err)
-		var peerErr *record.PeerError
-		if errors.As(err, &peerErr) {
-			return conn.Send(encodeReply(opErr, path, []byte(peerErr.Msg))) == nil
-		}
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
-	}
-	sp.AddBytes(int64(len(assembled)))
-	xfer.Add(int64(len(assembled)))
-	if err := s.store.PutOwned(identity, path, assembled); err != nil {
-		done(err)
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
-	}
-	done(nil)
-	return conn.Send(encodeReply(opOK, path, nil)) == nil
-}
-
-func (s *Server) runPutStripes(ctx context.Context, x *stripeXfer, hint uint64) ([]byte, error) {
-	defer close(x.done)
-	prealloc := uint64(1 << 20)
-	if hint > prealloc {
-		prealloc = min(hint, uint64(maxPutPrealloc))
-	}
-	r := gsitransport.NewStripedReader(ctx, x.conns, 0)
-	data, err := r.ReadAll(int(prealloc))
-	if err != nil {
-		var peerErr *record.PeerError
-		if errors.As(err, &peerErr) {
-			r.Join() // clean abort: every stripe resynchronized
-		} else {
-			r.Abort()
-		}
-		return nil, err
-	}
-	r.Join()
-	return data, nil
 }
 
 // --- client side ---------------------------------------------------------
@@ -366,7 +146,7 @@ func (s *Server) runPutStripes(ctx context.Context, x *stripeXfer, hint uint64) 
 // is consumed so the session stays synchronized.
 func (c *Client) dialStripes(granted int, token []byte, sp *trace.Span) ([]*gsitransport.Conn, []*trace.Span, error) {
 	if granted < 1 || granted > maxTransferStripes || len(token) != stripeTokenLen {
-		return nil, nil, errors.New("gridftp: malformed stripe grant")
+		return nil, nil, errMalformedGrant
 	}
 	var (
 		conns []*gsitransport.Conn
@@ -426,315 +206,4 @@ func (c *Client) dialStripes(granted int, token []byte, sp *trace.Span) ([]*gsit
 		}
 	}
 	return conns, lanes, nil
-}
-
-// StripedGetReader is an in-flight striped GET: an io.ReadCloser
-// delivering the file in order as its stripes arrive.
-type StripedGetReader struct {
-	r     *gsitransport.StripedReader
-	conns []*gsitransport.Conn
-	size  int64
-	err   error
-	sp    *trace.Span     // nil when untraced
-	lanes []*trace.Span   // per-stripe children, ended at Close
-	xfer  *trace.Transfer // nil when untraced
-}
-
-// Size is the transfer size the server announced in its grant.
-func (g *StripedGetReader) Size() int64 { return g.size }
-
-// Read returns file bytes in global order, io.EOF after every stripe's
-// FIN agrees the file is complete.
-func (g *StripedGetReader) Read(p []byte) (int, error) {
-	n, err := g.r.Read(p)
-	var peerErr *record.PeerError
-	if errors.As(err, &peerErr) {
-		err = fmt.Errorf("gridftp: server: %s", peerErr.Msg)
-	}
-	if err != nil && err != io.EOF {
-		g.err = err
-	}
-	if n > 0 {
-		g.sp.AddBytes(int64(n))
-		g.xfer.Add(int64(n))
-	}
-	return n, err
-}
-
-// finishTrace ends lanes, root span, and transfer registration once.
-func (g *StripedGetReader) finishTrace() {
-	for _, lane := range g.lanes {
-		lane.End()
-	}
-	g.sp.SetError(g.err)
-	g.sp.End()
-	g.xfer.End()
-	g.sp, g.lanes, g.xfer = nil, nil, nil
-}
-
-// Close drains any unread remainder, reaps the stripe readers, and
-// closes the data connections (they are transfer-scoped).
-func (g *StripedGetReader) Close() error {
-	defer g.finishTrace()
-	var drainErr error
-	if g.err == nil {
-		var scratch [4096]byte
-		for {
-			_, err := g.r.Read(scratch[:])
-			if err == io.EOF {
-				g.r.Join()
-				break
-			}
-			if err != nil {
-				g.err = err
-				drainErr = err
-				break
-			}
-		}
-	}
-	if g.err != nil {
-		g.r.Abort()
-	}
-	for _, dc := range g.conns {
-		dc.Close()
-	}
-	return drainErr
-}
-
-// GetStripedReader starts a striped GET of path over up to stripes
-// data connections (the server may grant fewer).
-func (c *Client) GetStripedReader(path string, stripes int) (*StripedGetReader, error) {
-	sp := c.tracer.StartRoot("gridftp.get")
-	sp.SetPeer(c.expectHost.String())
-	fail := func(err error) (*StripedGetReader, error) {
-		sp.SetError(err)
-		sp.End()
-		return nil, err
-	}
-	grant, err := c.roundTrip(opGetS, path, traceSuffix(sp, encodeStripeGetReq(stripes)))
-	if err != nil {
-		return fail(err)
-	}
-	if len(grant) != 4+8+stripeTokenLen {
-		return fail(errors.New("gridftp: malformed stripe grant"))
-	}
-	granted := int(binary.BigEndian.Uint32(grant))
-	size := int64(binary.BigEndian.Uint64(grant[4:12]))
-	conns, lanes, err := c.dialStripes(granted, grant[12:], sp)
-	if err != nil {
-		return fail(err)
-	}
-	return &StripedGetReader{
-		r:     gsitransport.NewStripedReader(context.Background(), conns, 0),
-		conns: conns,
-		size:  size,
-		sp:    sp,
-		lanes: lanes,
-		xfer:  c.tracer.Transfers().Begin("get:"+path, c.expectHost.String(), granted, sp.Context().TraceID),
-	}, nil
-}
-
-// GetStriped fetches a file over parallel stripes into memory.
-func (c *Client) GetStriped(path string, stripes int) ([]byte, error) {
-	g, err := c.GetStripedReader(path, stripes)
-	if err != nil {
-		return nil, err
-	}
-	hint := 0
-	if g.size > 0 && g.size <= maxPutPrealloc {
-		hint = int(g.size)
-	}
-	data, err := g.r.ReadAll(hint)
-	if err != nil {
-		g.err = err
-		g.Close()
-		var peerErr *record.PeerError
-		if errors.As(err, &peerErr) {
-			return nil, fmt.Errorf("gridftp: server: %s", peerErr.Msg)
-		}
-		return nil, err
-	}
-	g.sp.AddBytes(int64(len(data)))
-	g.xfer.Add(int64(len(data)))
-	g.Close()
-	return data, nil
-}
-
-// StripedPutWriter is an in-flight striped PUT: an io.WriteCloser
-// whose Close completes the transfer and returns the server's verdict
-// from the control connection.
-type StripedPutWriter struct {
-	c     *Client
-	w     *gsitransport.StripedWriter
-	conns []*gsitransport.Conn
-	done  bool
-	sp    *trace.Span     // nil when untraced
-	lanes []*trace.Span   // per-stripe children, ended at Close/Abort
-	xfer  *trace.Transfer // nil when untraced
-}
-
-// Write deals file bytes across the stripes.
-func (w *StripedPutWriter) Write(p []byte) (int, error) {
-	n, err := w.w.Write(p)
-	if n > 0 {
-		w.sp.AddBytes(int64(n))
-		w.xfer.Add(int64(n))
-	}
-	return n, err
-}
-
-func (w *StripedPutWriter) finishTrace(err error) {
-	for _, lane := range w.lanes {
-		lane.End()
-	}
-	w.sp.SetError(err)
-	w.sp.End()
-	w.xfer.End()
-	w.sp, w.lanes, w.xfer = nil, nil, nil
-}
-
-// Close sends the FIN trailer on every stripe and waits for the
-// server's verdict.
-func (w *StripedPutWriter) Close() error {
-	if w.done {
-		return nil
-	}
-	w.done = true
-	werr := w.w.Close()
-	_, rerr := w.c.readReply()
-	for _, dc := range w.conns {
-		dc.Close()
-	}
-	if rerr != nil {
-		w.finishTrace(rerr)
-		return rerr
-	}
-	w.finishTrace(werr)
-	return werr
-}
-
-// Abort cancels the transfer: every stripe carries the ERROR record,
-// the server discards the partial file, and the control session stays
-// usable.
-func (w *StripedPutWriter) Abort(reason string) error {
-	if w.done {
-		return nil
-	}
-	w.done = true
-	w.finishTrace(errors.New(reason))
-	w.w.CloseWithError(reason)
-	_, rerr := w.c.readReply()
-	for _, dc := range w.conns {
-		dc.Close()
-	}
-	if rerr == nil {
-		return errors.New("gridftp: server confirmed an aborted transfer")
-	}
-	return nil
-}
-
-// PutStripedWriter starts a striped PUT to path over up to stripes
-// data connections. The server authorizes the write before any grant.
-func (c *Client) PutStripedWriter(path string, stripes int, sizeHint int64) (*StripedPutWriter, error) {
-	var hint uint64
-	if sizeHint > 0 {
-		hint = uint64(sizeHint)
-	}
-	sp := c.tracer.StartRoot("gridftp.put")
-	sp.SetPeer(c.expectHost.String())
-	fail := func(err error) (*StripedPutWriter, error) {
-		sp.SetError(err)
-		sp.End()
-		return nil, err
-	}
-	grant, err := c.roundTrip(opPutS, path, traceSuffix(sp, encodeStripePutReq(stripes, hint)))
-	if err != nil {
-		return fail(err)
-	}
-	if len(grant) != 4+stripeTokenLen {
-		return fail(errors.New("gridftp: malformed stripe grant"))
-	}
-	granted := int(binary.BigEndian.Uint32(grant))
-	conns, lanes, err := c.dialStripes(granted, grant[4:], sp)
-	if err != nil {
-		return fail(err)
-	}
-	return &StripedPutWriter{
-		c:     c,
-		w:     gsitransport.NewStripedWriter(context.Background(), conns),
-		conns: conns,
-		sp:    sp,
-		lanes: lanes,
-		xfer:  c.tracer.Transfers().Begin("put:"+path, c.expectHost.String(), granted, sp.Context().TraceID),
-	}, nil
-}
-
-// PutStriped stores a file over parallel stripes.
-func (c *Client) PutStriped(path string, stripes int, data []byte) error {
-	w, err := c.PutStripedWriter(path, stripes, int64(len(data)))
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		w.Abort(err.Error())
-		return err
-	}
-	return w.Close()
-}
-
-// ThirdPartyTransferStriped is ThirdPartyTransfer over parallel
-// stripes on both legs: the delegated credential opens striped
-// sessions to source and destination, and the file flows stripes-in to
-// stripes-out without ever materializing.
-func ThirdPartyTransferStriped(client *gridcert.Credential, trust *gridcert.TrustStore,
-	srcAddr string, srcHost gridcert.Name,
-	dstAddr string, dstHost gridcert.Name,
-	srcPath, dstPath string, stripes int) error {
-
-	delegatee, req, err := proxy.NewDelegatee(0, false)
-	if err != nil {
-		return err
-	}
-	reply, err := proxy.HandleDelegation(client, req, proxy.Options{})
-	if err != nil {
-		return err
-	}
-	delegated, err := delegatee.Accept(reply)
-	if err != nil {
-		return err
-	}
-
-	srcConn, err := Dial(srcAddr, delegated, trust, srcHost)
-	if err != nil {
-		return fmt.Errorf("gridftp: third-party: source: %w", err)
-	}
-	defer srcConn.Close()
-	dstConn, err := Dial(dstAddr, delegated, trust, dstHost)
-	if err != nil {
-		return fmt.Errorf("gridftp: third-party: destination: %w", err)
-	}
-	defer dstConn.Close()
-
-	get, err := srcConn.GetStripedReader(srcPath, stripes)
-	if err != nil {
-		return err
-	}
-	put, err := dstConn.PutStripedWriter(dstPath, stripes, get.Size())
-	if err != nil {
-		get.Close()
-		return err
-	}
-	buf := record.Get(transferCopyBuffer)
-	_, err = io.CopyBuffer(put, get, buf.B[:transferCopyBuffer])
-	buf.Free()
-	if err != nil {
-		put.Abort(err.Error())
-		get.Close()
-		return err
-	}
-	if err := put.Close(); err != nil {
-		get.Close()
-		return err
-	}
-	return get.Close()
 }

@@ -232,9 +232,9 @@ func TestStripedTokenBoundToIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &StripedGetReader{
-		r:     gsitransport.NewStripedReader(context.Background(), conns, 0),
-		conns: conns,
+	g := &GetReader{
+		pipe: gsitransport.NewTransfer(context.Background(), conns, gsitransport.Recv),
+		data: conns,
 	}
 	got, err := io.ReadAll(g)
 	if err != nil || len(got) != 1<<16 {

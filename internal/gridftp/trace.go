@@ -25,6 +25,36 @@ func (s *Server) SetTracer(t *trace.Tracer) { s.tracer = t }
 // transfer registry.
 func (c *Client) SetTracer(t *trace.Tracer) { c.tracer = t }
 
+// xferTrace is the tracing state of one in-flight transfer, on either
+// side: its span, the per-stripe lane spans under it (client side of a
+// striped transfer), and its entry in the active-transfer registry. All
+// three are nil when untraced.
+type xferTrace struct {
+	sp    *trace.Span
+	lanes []*trace.Span
+	xfer  *trace.Transfer
+}
+
+// add accounts n transferred bytes.
+func (t *xferTrace) add(n int) {
+	if n > 0 {
+		t.sp.AddBytes(int64(n))
+		t.xfer.Add(int64(n))
+	}
+}
+
+// end closes lanes, span and registration with the transfer's outcome.
+// Only the first call counts.
+func (t *xferTrace) end(err error) {
+	for _, lane := range t.lanes {
+		lane.End()
+	}
+	t.sp.SetError(err)
+	t.sp.End()
+	t.xfer.End()
+	*t = xferTrace{}
+}
+
 // traceSuffix appends sp's wire context to a command payload; untraced
 // (nil span) payloads pass through untouched.
 func traceSuffix(sp *trace.Span, payload []byte) []byte {

@@ -9,67 +9,108 @@ import (
 	"repro/internal/record"
 )
 
+// chunkSize is the DATA payload every stream cuts its bytes into.
+const chunkSize = record.DefaultChunkSize
+
 // chunkRecvHint pre-sizes record reads for streams: a full DATA chunk
 // record (header + payload) plus the wrap expansion, so chunk reads hit
 // one pool class and never grow.
-const chunkRecvHint = record.ChunkHeader + record.DefaultChunkSize + SendOverhead
+const chunkRecvHint = record.ChunkHeader + chunkSize + SendOverhead
 
 // ErrWriteHalfClosed reports a Write after CloseWrite.
 var ErrWriteHalfClosed = errors.New("gsitransport: stream write half closed")
 
-// Stream is a secured byte stream carried as chunk records on a Conn's
-// record stream (record package, chunked mode). While a stream is in
-// flight it owns the connection's record stream: the application
-// protocol above it decides when a stream starts and both ends must
-// agree, after which DATA records flow until the explicit FIN (or
-// ERROR) terminal record. Each half is independently usable — a
-// transfer may stream in one direction only — and each half must be
-// driven by a single goroutine at a time.
+// Dir names the halves of a transfer this end drives. The protocol
+// above the stream fixes it: a GridFTP GET only ever flows server to
+// client, a facade stream flows both ways.
+type Dir uint8
+
+const (
+	Send Dir = 1 << iota
+	Recv
+	Duplex = Send | Recv
+)
+
+// Stream is one secured byte transfer over one connection or K, chosen
+// by len(conns) and nothing else.
 //
-// A stream that terminates cleanly (FIN sent and/or FIN read, per the
-// protocol's direction) leaves the connection synchronized and reusable
-// for further exchanges or streams; any I/O or sequence error breaks
-// the connection.
+// On one connection the bytes travel as chunk records on its record
+// stream (record package, chunked mode): DATA records until the
+// explicit FIN (or ERROR) terminal record. On K connections they are
+// dealt round-robin over striped lanes (stripe.go), every lane ending
+// with a FIN trailer that pins the chunk population. Either way the
+// stream owns its connections' record streams while in flight — the
+// protocol above decides when a stream starts and both ends must agree
+// — each half is independently usable, and each half must be driven by
+// a single goroutine at a time.
+//
+// Finish ends the transfer and is the only place the connections are
+// handed back: synchronized and reusable after a clean end or a peer
+// abort, broken after anything else.
 type Stream struct {
-	c   *Conn
-	ctx context.Context
+	conns []*Conn
+	c     *Conn // conns[0], the record stream of a one-connection transfer
+	ctx   context.Context
+	dir   Dir
 
-	// Send half.
-	sender    record.ChunkSender
-	chunkSize int
+	// One connection, send half.
+	sender record.ChunkSender
 
-	// Receive half.
+	// One connection, receive half.
 	asm    record.Assembler
 	cur    []byte // unread remainder of the current DATA chunk
 	curBuf *record.Buf
 	rerr   error // terminal receive state: io.EOF after FIN, else the failure
+
+	// K connections: the lanes of the halves dir names.
+	w *stripedWriter
+	r *stripedReader
 }
 
-// NewStream starts a stream on c, with ctx governing every record it
-// sends or receives. The caller's protocol must have put both ends in
-// agreement that chunk records follow.
+// NewStream starts a duplex stream on c, with ctx governing every
+// record it sends or receives. The caller's protocol must have put both
+// ends in agreement that chunk records follow.
 func NewStream(ctx context.Context, c *Conn) *Stream {
+	return NewTransfer(ctx, []*Conn{c}, Duplex)
+}
+
+// NewTransfer starts a transfer over conns (index-aligned with the
+// peer's), driving the halves dir names. The caller's protocol must
+// have put both ends in agreement that chunk records for this one
+// transfer follow on every connection.
+func NewTransfer(ctx context.Context, conns []*Conn, dir Dir) *Stream {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.SetReceiveSizeHint(chunkRecvHint)
-	return &Stream{c: c, ctx: ctx, chunkSize: record.DefaultChunkSize}
+	s := &Stream{conns: conns, c: conns[0], ctx: ctx, dir: dir}
+	if len(conns) == 1 {
+		s.c.SetReceiveSizeHint(chunkRecvHint)
+		return s
+	}
+	if dir&Send != 0 {
+		s.w = newStripedWriter(ctx, conns)
+	}
+	if dir&Recv != 0 {
+		s.r = newStripedReader(ctx, conns)
+	}
+	return s
 }
-
-// Conn returns the connection the stream rides on.
-func (s *Stream) Conn() *Conn { return s.c }
 
 // bulkWriteThreshold is the write size past which Write switches to the
 // pipelined seal path: enough chunks that worker fan-out and vectored
 // flushes pay for the pipeline's goroutines.
-const bulkWriteThreshold = 4 * record.DefaultChunkSize
+const bulkWriteThreshold = 4 * chunkSize
 
-// Write splits p into DATA chunk records of at most DefaultChunkSize
-// and sends each sealed in place from a pooled buffer. Large writes
-// take the pipelined path: chunks seal on worker goroutines in parallel
-// and reach the wire as vectored batches, in exactly the byte order the
-// serial path would have produced.
+// Write splits p into DATA chunk records of at most DefaultChunkSize.
+// On one connection each is sealed in place from a pooled buffer, and
+// large writes take the pipelined path: chunks seal on worker goroutines
+// in parallel and reach the wire as vectored batches, in exactly the
+// byte order the serial path would have produced. On K connections the
+// chunks are dealt across the lanes.
 func (s *Stream) Write(p []byte) (int, error) {
+	if len(s.conns) > 1 {
+		return s.w.Write(p)
+	}
 	if s.sender.Terminated() {
 		return 0, ErrWriteHalfClosed
 	}
@@ -79,8 +120,8 @@ func (s *Stream) Write(p []byte) (int, error) {
 	written := 0
 	for written < len(p) {
 		piece := p[written:]
-		if len(piece) > s.chunkSize {
-			piece = piece[:s.chunkSize]
+		if len(piece) > chunkSize {
+			piece = piece[:chunkSize]
 		}
 		if err := s.sendChunk(func(frame []byte) ([]byte, error) {
 			return s.sender.AppendData(frame, piece)
@@ -103,8 +144,8 @@ func (s *Stream) writeBulk(p []byte) (int, error) {
 	written := 0
 	for written < len(p) {
 		piece := p[written:]
-		if len(piece) > s.chunkSize {
-			piece = piece[:s.chunkSize]
+		if len(piece) > chunkSize {
+			piece = piece[:chunkSize]
 		}
 		buf := record.Get(Headroom + record.ChunkHeader + len(piece) + SendOverhead)
 		frame, err := s.sender.AppendData(buf.B[:Headroom], piece)
@@ -125,9 +166,13 @@ func (s *Stream) writeBulk(p []byte) (int, error) {
 	return written, nil
 }
 
-// CloseWrite terminates the send half cleanly with the FIN record.
-// Idempotent: a second close is a no-op.
+// CloseWrite terminates the send half cleanly with the FIN record (on
+// every lane, carrying the chunk total). Idempotent: a second close
+// sends nothing.
 func (s *Stream) CloseWrite() error {
+	if len(s.conns) > 1 {
+		return s.w.Close()
+	}
 	if s.sender.Terminated() {
 		return nil
 	}
@@ -138,6 +183,9 @@ func (s *Stream) CloseWrite() error {
 // msg; the peer's reads fail with a *record.PeerError. No-op if the
 // half is already terminated.
 func (s *Stream) CloseWithError(msg string) error {
+	if len(s.conns) > 1 {
+		return s.w.CloseWithError(msg)
+	}
 	if s.sender.Terminated() {
 		return nil
 	}
@@ -158,10 +206,24 @@ func (s *Stream) sendChunk(appendFn func([]byte) ([]byte, error), payloadLen int
 	return s.c.SendAssembled(s.ctx, frame)
 }
 
+// lostBeforeFIN is the receive failure for a record stream that ended
+// (err, possibly nil) before the terminal record. A connection closed at
+// a record boundary reads as io.EOF, which a stream reports only for
+// FIN: a truncated transfer must never look complete.
+func lostBeforeFIN(err error) error {
+	if err == nil || err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
 // Read returns stream bytes as the peer's DATA chunks arrive, io.EOF
 // after its FIN, and a *record.PeerError if the peer aborted. A
 // sequence violation breaks the connection.
 func (s *Stream) Read(p []byte) (int, error) {
+	if len(s.conns) > 1 {
+		return s.r.Read(p)
+	}
 	for {
 		if len(s.cur) > 0 {
 			n := copy(p, s.cur)
@@ -180,8 +242,8 @@ func (s *Stream) Read(p []byte) (int, error) {
 		}
 		view, buf, err := s.c.ReceiveView(s.ctx)
 		if err != nil {
-			s.rerr = err
-			return 0, err
+			s.rerr = lostBeforeFIN(err)
+			return 0, s.rerr
 		}
 		payload, fin, err := s.asm.Accept(view)
 		switch {
@@ -230,6 +292,9 @@ func (s *Stream) ReadAll(sizeHint int) ([]byte, error) {
 		sizeHint = 0
 	}
 	data := make([]byte, 0, sizeHint)
+	if len(s.conns) > 1 {
+		return s.r.ReadAll(data)
+	}
 	if len(s.cur) > 0 {
 		data = append(data, s.cur...)
 		s.cur = nil
@@ -244,7 +309,7 @@ func (s *Stream) ReadAll(sizeHint int) ([]byte, error) {
 	}
 
 	op := record.NewOpenPipeline(s.c.Context(), 0, 0)
-	fullToken := gss.WrapOverhead + record.ChunkHeader + s.chunkSize
+	fullToken := gss.WrapOverhead + record.ChunkHeader + chunkSize
 	proceed := make(chan bool, 1)
 	readerDone := make(chan struct{})
 	var readErr error // written before CloseSubmit, read after Next reports closed
@@ -295,14 +360,10 @@ func (s *Stream) ReadAll(sizeHint int) ([]byte, error) {
 		}
 		if !ok {
 			<-readerDone
-			err := readErr
-			if err == nil {
-				err = io.ErrUnexpectedEOF
-			}
-			s.rerr = err
-			return data, err
+			s.rerr = lostBeforeFIN(readErr)
+			return data, s.rerr
 		}
-		small := len(pt) != record.ChunkHeader+s.chunkSize
+		small := len(pt) != record.ChunkHeader+chunkSize
 		payload, fin, aerr := s.asm.Accept(pt)
 		switch {
 		case aerr != nil:
@@ -338,31 +399,65 @@ func (s *Stream) ReadAll(sizeHint int) ([]byte, error) {
 	}
 }
 
-// Drain consumes and discards the peer's remaining chunks until FIN,
-// leaving the connection synchronized. Returns nil when the stream
-// ended cleanly (including a stream already fully read).
-func (s *Stream) Drain() error {
-	var scratch [4096]byte
-	for {
-		_, err := s.Read(scratch[:])
-		if err == io.EOF {
-			return nil
+// Finish ends the transfer and settles its connections; nothing else
+// does. The send half (if this end drives one and it is still open)
+// terminates with the ERROR record carrying cause's text, or FIN when
+// cause is nil; the receive half (if any) is consumed to the peer's
+// terminal record. The result says what became of the connections:
+//
+//   - nil: both halves ended cleanly; every connection is synchronized
+//     at a record boundary and reusable.
+//   - a *record.PeerError: the peer aborted. Its terminal record
+//     resynchronized every connection just the same; they are reusable.
+//   - anything else: a record was lost, late or out of order. Every
+//     connection is broken, and no read of this stream ever reported a
+//     clean end — a truncated transfer cannot look complete.
+//
+// The stream must not be used afterwards.
+func (s *Stream) Finish(cause error) error {
+	err := s.terminate(cause)
+	var peerErr *record.PeerError
+	clean := err == nil || errors.As(err, &peerErr)
+	switch {
+	case s.r != nil:
+		s.r.settle(clean)
+	case clean:
+		s.c.SetReceiveSizeHint(0)
+	default:
+		for _, c := range s.conns {
+			c.abortReads()
+		}
+	}
+	if s.curBuf != nil {
+		s.curBuf.Free()
+		s.cur, s.curBuf = nil, nil
+	}
+	return err
+}
+
+// terminate runs the wire half of Finish: terminal record out, peer's
+// terminal record in.
+func (s *Stream) terminate(cause error) error {
+	if s.dir&Send != 0 {
+		var err error
+		if cause != nil {
+			err = s.CloseWithError(cause.Error())
+		} else {
+			err = s.CloseWrite()
 		}
 		if err != nil {
 			return err
 		}
 	}
-}
-
-// Release returns the stream's buffered state to the pool and restores
-// the connection's default receive sizing. Called by stream owners that
-// end a stream without reading it to FIN; the stream must not be used
-// afterwards.
-func (s *Stream) Release() {
-	if s.curBuf != nil {
-		s.curBuf.Free()
-		s.curBuf = nil
-		s.cur = nil
+	if s.dir&Recv == 0 {
+		return nil
 	}
-	s.c.SetReceiveSizeHint(0)
+	var scratch [4096]byte
+	for {
+		if _, err := s.Read(scratch[:]); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
+	}
 }

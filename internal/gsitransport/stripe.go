@@ -10,18 +10,18 @@ import (
 	"repro/internal/record"
 )
 
-// Striped transfer: one logical byte stream fanned over K secured
-// connections, GridFTP parallel-stripes style. The sender stamps every
-// DATA chunk with a *global* sequence number before dealing it
-// round-robin to a stripe, so each stripe's record protection covers
-// the ordering information; the receiver reassembles through a
+// The K-connection lanes of a Stream: one logical byte stream fanned
+// over K secured connections, GridFTP parallel-stripes style. The
+// sender stamps every DATA chunk with a *global* sequence number before
+// dealing it round-robin to a stripe, so each stripe's record protection
+// covers the ordering information; the receiver reassembles through a
 // windowed StripeAssembler. Every stripe terminates with a FIN whose
 // sequence field carries the transfer's total chunk count — the FIN
 // trailer — so a stripe that dies mid-flight always surfaces as an
 // error, never as a silently truncated file (see internal/record's
 // stripe.go for the invariant).
 
-// ErrStripeAborted reports a striped transfer torn down by Abort.
+// ErrStripeAborted reports a striped transfer torn down by a failed Finish.
 var ErrStripeAborted = errors.New("gsitransport: striped transfer aborted")
 
 type laneFrame struct {
@@ -29,19 +29,17 @@ type laneFrame struct {
 	n   int // chunk record length, assembled at offset Headroom
 }
 
-// StripedWriter fans one stream over K connections. Chunks are
+// stripedWriter fans one stream over K connections. Chunks are
 // assembled and sequence-stamped by the writing goroutine; each stripe
 // has a sender goroutine sealing and writing on its own connection, so
 // K stripes drive up to K cores. Not safe for concurrent Write.
-type StripedWriter struct {
-	ctx       context.Context
-	conns     []*Conn
-	lanes     []chan laneFrame
-	chunkSize int
-	seq       uint64 // next global DATA chunk sequence number
-	finSent   bool
-	closed    bool
-	wg        sync.WaitGroup
+type stripedWriter struct {
+	ctx     context.Context
+	lanes   []chan laneFrame
+	seq     uint64 // next global DATA chunk sequence number
+	finSent bool
+	closed  bool
+	wg      sync.WaitGroup
 
 	mu  sync.Mutex
 	err error
@@ -51,18 +49,11 @@ type StripedWriter struct {
 // chunks; depth × chunk size × stripes is the sender-side memory bound.
 const laneDepth = 4
 
-// NewStripedWriter starts a striped writer over conns. The caller's
-// protocol must have put all K connections in agreement that chunk
-// records for this one transfer follow.
-func NewStripedWriter(ctx context.Context, conns []*Conn) *StripedWriter {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	w := &StripedWriter{
-		ctx:       ctx,
-		conns:     conns,
-		lanes:     make([]chan laneFrame, len(conns)),
-		chunkSize: record.DefaultChunkSize,
+// newStripedWriter starts a sender goroutine per connection.
+func newStripedWriter(ctx context.Context, conns []*Conn) *stripedWriter {
+	w := &stripedWriter{
+		ctx:   ctx,
+		lanes: make([]chan laneFrame, len(conns)),
 	}
 	for i, c := range conns {
 		w.lanes[i] = make(chan laneFrame, laneDepth)
@@ -72,7 +63,7 @@ func NewStripedWriter(ctx context.Context, conns []*Conn) *StripedWriter {
 	return w
 }
 
-func (w *StripedWriter) fail(err error) {
+func (w *stripedWriter) fail(err error) {
 	w.mu.Lock()
 	if w.err == nil {
 		w.err = err
@@ -81,13 +72,13 @@ func (w *StripedWriter) fail(err error) {
 }
 
 // Err returns the first stripe failure, if any.
-func (w *StripedWriter) Err() error {
+func (w *stripedWriter) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.err
 }
 
-func (w *StripedWriter) runLane(c *Conn, ch chan laneFrame) {
+func (w *stripedWriter) runLane(c *Conn, ch chan laneFrame) {
 	defer w.wg.Done()
 	for f := range ch {
 		err := c.SendAssembled(w.ctx, f.buf.B[:Headroom+f.n])
@@ -105,7 +96,7 @@ func (w *StripedWriter) runLane(c *Conn, ch chan laneFrame) {
 }
 
 // Write deals p across the stripes as globally sequenced DATA chunks.
-func (w *StripedWriter) Write(p []byte) (int, error) {
+func (w *stripedWriter) Write(p []byte) (int, error) {
 	if w.finSent || w.closed {
 		return 0, ErrWriteHalfClosed
 	}
@@ -115,8 +106,8 @@ func (w *StripedWriter) Write(p []byte) (int, error) {
 			return written, err
 		}
 		piece := p[written:]
-		if len(piece) > w.chunkSize {
-			piece = piece[:w.chunkSize]
+		if len(piece) > chunkSize {
+			piece = piece[:chunkSize]
 		}
 		buf := record.Get(Headroom + record.ChunkHeader + len(piece) + SendOverhead)
 		rec := record.AppendChunk(buf.B[:Headroom], record.ChunkData, w.seq, piece)
@@ -129,7 +120,7 @@ func (w *StripedWriter) Write(p []byte) (int, error) {
 }
 
 // terminate fans one terminal record (built by mk) to every stripe.
-func (w *StripedWriter) terminate(mk func(dst []byte) []byte) {
+func (w *stripedWriter) terminate(mk func(dst []byte) []byte) {
 	for _, lane := range w.lanes {
 		buf := record.Get(Headroom + record.ChunkHeader + record.MaxErrorPayload + SendOverhead)
 		rec := mk(buf.B[:Headroom])
@@ -139,7 +130,7 @@ func (w *StripedWriter) terminate(mk func(dst []byte) []byte) {
 
 // Close sends the FIN trailer — total chunk count — on every stripe,
 // waits for all lanes to flush, and returns the first failure.
-func (w *StripedWriter) Close() error {
+func (w *stripedWriter) Close() error {
 	if !w.closed {
 		w.closed = true
 		if !w.finSent && w.Err() == nil {
@@ -160,7 +151,7 @@ func (w *StripedWriter) Close() error {
 // CloseWithError aborts the transfer: every stripe carries the ERROR
 // record so the receiver fails with a *record.PeerError no matter which
 // stripe it reads first.
-func (w *StripedWriter) CloseWithError(msg string) error {
+func (w *stripedWriter) CloseWithError(msg string) error {
 	if w.closed {
 		return w.Err()
 	}
@@ -179,11 +170,11 @@ func (w *StripedWriter) CloseWithError(msg string) error {
 	return w.Err()
 }
 
-// StripedReader reassembles one stream from K connections. A reader
+// stripedReader reassembles one stream from K connections. A reader
 // goroutine per stripe feeds a shared windowed assembler; Read/ReadAll
 // deliver bytes in global sequence order. A connection that fails
 // before its FIN fails the whole transfer.
-type StripedReader struct {
+type stripedReader struct {
 	conns []*Conn
 	wg    sync.WaitGroup
 
@@ -195,15 +186,12 @@ type StripedReader struct {
 	curBuf *record.Buf
 }
 
-// NewStripedReader starts reader goroutines over conns with the given
-// reassembly window (0 = record.DefaultStripeWindow).
-func NewStripedReader(ctx context.Context, conns []*Conn, window int) *StripedReader {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	r := &StripedReader{
+// newStripedReader starts a reader goroutine per connection, feeding a
+// record.DefaultStripeWindow reassembly window.
+func newStripedReader(ctx context.Context, conns []*Conn) *stripedReader {
+	r := &stripedReader{
 		conns: conns,
-		asm:   record.NewStripeAssembler(len(conns), window),
+		asm:   record.NewStripeAssembler(len(conns), 0),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	for _, c := range conns {
@@ -214,7 +202,7 @@ func NewStripedReader(ctx context.Context, conns []*Conn, window int) *StripedRe
 	return r
 }
 
-func (r *StripedReader) runStripe(ctx context.Context, c *Conn) {
+func (r *stripedReader) runStripe(ctx context.Context, c *Conn) {
 	defer r.wg.Done()
 	for {
 		view, buf, err := c.ReceiveView(ctx)
@@ -231,6 +219,7 @@ func (r *StripedReader) runStripe(ctx context.Context, c *Conn) {
 			return
 		}
 		typ, seq, _, perr := record.ParseChunk(view)
+		terminal := perr == nil && typ != record.ChunkData
 		r.mu.Lock()
 		// Flow control: a stripe that ran ahead of the delivery cursor
 		// parks here until the consumer drains the window. Only DATA
@@ -239,30 +228,29 @@ func (r *StripedReader) runStripe(ctx context.Context, c *Conn) {
 		for r.err == nil && perr == nil && typ == record.ChunkData && !r.asm.Fits(seq) {
 			r.cond.Wait()
 		}
-		if r.err != nil {
-			r.mu.Unlock()
-			buf.Free()
-			return
-		}
-		if aerr := r.asm.Accept(view, buf); aerr != nil {
-			var peerErr *record.PeerError
-			if !errors.As(aerr, &peerErr) {
+		var peerErr *record.PeerError
+		if r.err == nil {
+			if r.err = r.asm.Accept(view, buf); r.err != nil && !errors.As(r.err, &peerErr) {
 				c.broken.Store(true)
 			}
-			r.err = aerr
 			r.cond.Broadcast()
-			r.mu.Unlock()
-			buf.Free()
-			return
+			if r.err == nil && !terminal {
+				r.mu.Unlock()
+				continue // the assembler holds buf until the chunk is popped
+			}
 		}
-		fin := perr == nil && typ == record.ChunkFIN
-		r.cond.Broadcast()
+		// This lane's record flow is over (its terminal record arrived, or
+		// the transfer failed) — unless the peer aborted: its ERROR record
+		// travels on every lane behind that lane's in-flight DATA, so the
+		// lane discards up to its own terminal record and hands its
+		// connection back synchronized.
+		discard := errors.As(r.err, &peerErr) && !terminal
 		r.mu.Unlock()
-		if fin {
-			// FIN buffers stay with the caller; this stripe's record flow
-			// ends here, leaving its connection synchronized.
-			buf.Free()
-			c.SetReceiveSizeHint(0)
+		buf.Free()
+		if !discard {
+			if terminal {
+				c.SetReceiveSizeHint(0)
+			}
 			return
 		}
 	}
@@ -270,7 +258,7 @@ func (r *StripedReader) runStripe(ctx context.Context, c *Conn) {
 
 // Read delivers stream bytes in global order, io.EOF after every
 // stripe's FIN agrees the stream is complete.
-func (r *StripedReader) Read(p []byte) (int, error) {
+func (r *stripedReader) Read(p []byte) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
@@ -302,12 +290,8 @@ func (r *StripedReader) Read(p []byte) (int, error) {
 	}
 }
 
-// ReadAll consumes the whole transfer, preallocating sizeHint.
-func (r *StripedReader) ReadAll(sizeHint int) ([]byte, error) {
-	if sizeHint < 0 {
-		sizeHint = 0
-	}
-	data := make([]byte, 0, sizeHint)
+// ReadAll consumes the whole transfer, appending to data.
+func (r *stripedReader) ReadAll(data []byte) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.cur) > 0 {
@@ -333,32 +317,30 @@ func (r *StripedReader) ReadAll(sizeHint int) ([]byte, error) {
 	}
 }
 
-// Join waits for every stripe goroutine to finish after a clean read to
-// EOF, leaving the connections reusable.
-func (r *StripedReader) Join() {
-	r.wg.Wait()
-}
-
-// Abort tears the transfer down from the consumer side: poisons every
-// connection, wakes blocked stripe readers, reaps them, and frees all
-// buffered chunks. The connections are not reusable afterwards.
-func (r *StripedReader) Abort() {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = ErrStripeAborted
+// settle reaps the stripe goroutines at the end of the transfer and
+// frees whatever chunks are still buffered. After a clean end or a peer
+// abort every lane has consumed its terminal record and returns by
+// itself, leaving the connections reusable; otherwise the lanes are
+// torn down: every connection is poisoned so blocked stripe readers
+// wake, and none is reusable afterwards.
+func (r *stripedReader) settle(clean bool) {
+	if !clean {
+		r.mu.Lock()
+		if r.err == nil {
+			r.err = ErrStripeAborted
+		}
+		r.cond.Broadcast()
+		r.mu.Unlock()
+		for _, c := range r.conns {
+			c.abortReads()
+		}
 	}
+	r.wg.Wait()
+	r.mu.Lock()
 	if r.curBuf != nil {
 		r.curBuf.Free()
-		r.curBuf = nil
-		r.cur = nil
+		r.cur, r.curBuf = nil, nil
 	}
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	for _, c := range r.conns {
-		c.abortReads()
-	}
-	r.wg.Wait()
-	r.mu.Lock()
 	r.asm.Release()
 	r.mu.Unlock()
 }

@@ -136,19 +136,19 @@ func TestStripedRoundTrip(t *testing.T) {
 		err  error
 	}
 	got := make(chan result, 1)
-	var reader *StripedReader
+	var reader *Stream
 	go func() {
-		reader = NewStripedReader(nil, servers, 0)
+		reader = NewTransfer(nil, servers, Recv)
 		data, err := reader.ReadAll(len(payload))
 		got <- result{data, err}
 	}()
 
-	w := NewStripedWriter(nil, clients)
+	w := NewTransfer(nil, clients, Send)
 	if _, err := w.Write(payload); err != nil {
 		t.Fatalf("striped write: %v", err)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("striped close: %v", err)
+	if err := w.Finish(nil); err != nil {
+		t.Fatalf("striped finish: %v", err)
 	}
 	r := <-got
 	if r.err != nil {
@@ -157,7 +157,9 @@ func TestStripedRoundTrip(t *testing.T) {
 	if !bytes.Equal(r.data, payload) {
 		t.Fatalf("striped round trip corrupted: %d vs %d bytes", len(r.data), len(payload))
 	}
-	reader.Join()
+	if err := reader.Finish(nil); err != nil {
+		t.Fatalf("reader finish: %v", err)
+	}
 }
 
 // A stripe that dies mid-transfer must fail the read — the surviving
@@ -178,14 +180,14 @@ func TestStripedDeadStripeDetected(t *testing.T) {
 	rand.New(rand.NewSource(31)).Read(payload)
 
 	got := make(chan error, 1)
-	var reader *StripedReader
+	var reader *Stream
 	go func() {
-		reader = NewStripedReader(nil, servers, 0)
+		reader = NewTransfer(nil, servers, Recv)
 		_, err := reader.ReadAll(len(payload))
 		got <- err
 	}()
 
-	w := NewStripedWriter(nil, clients)
+	w := NewTransfer(nil, clients, Send)
 	half := payload[:len(payload)/2]
 	if _, err := w.Write(half); err != nil {
 		t.Fatalf("first half: %v", err)
@@ -196,14 +198,16 @@ func TestStripedDeadStripeDetected(t *testing.T) {
 	} else if err == io.EOF {
 		t.Fatal("reader reported clean EOF on a truncated stream")
 	}
-	reader.Abort()
+	if reader.Finish(nil) == nil {
+		t.Fatal("Finish reported a clean end after a dead stripe")
+	}
 	// With the reader gone nothing drains the surviving pipes; close the
 	// server ends so the writer's lanes fail instead of blocking.
 	for _, s := range servers {
 		s.Close()
 	}
 	w.Write(payload[len(payload)/2:])
-	if w.Close() == nil {
+	if w.Finish(nil) == nil {
 		t.Fatal("writer did not notice the dead stripe")
 	}
 }

@@ -1,12 +1,11 @@
 // Benchmarks for the journal's append path: what one durable mutation
-// costs under each sync policy as write concurrency grows. SyncAlways
-// pays one fsync per append, so 64 writers pay 64 fsyncs for 64
-// records; SyncBatched coalesces concurrent appends onto one group
-// fsync with identical per-record durability, so the same 64 records
-// share a handful. `make bench-ctrlplane` records the six rows into
-// BENCH_ctrlplane.json; the widening gap at 8 and 64 writers is the
-// group-commit claim of PR 10. The 1-writer rows also gate allocs/op:
-// batching must not add allocations over the SyncAlways frame build.
+// costs as write concurrency grows. Every append blocks until its own
+// record is fsynced; concurrent appends share fsyncs (group commit), so
+// 64 writers' 64 records cost a handful of fsyncs, not 64. `make
+// bench-ctrlplane` records the three rows into BENCH_ctrlplane.json;
+// the falling ns/op at 8 and 64 writers is the group-commit claim of
+// PR 10. The 1-writer row also gates allocs/op at the single frame
+// buffer: batching never buys throughput with garbage.
 package wal
 
 import (
@@ -15,10 +14,9 @@ import (
 )
 
 // benchmarkAppend drives b.N appends split across the given number of
-// concurrent writers, each append blocking until its record is durable
-// (both measured policies acknowledge only after fsync).
-func benchmarkAppend(b *testing.B, policy SyncPolicy, writers int) {
-	w, err := Open(b.TempDir(), Options{Sync: policy})
+// concurrent writers, each append blocking until its record is durable.
+func benchmarkAppend(b *testing.B, writers int) {
+	w, err := Open(b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,10 +47,6 @@ func benchmarkAppend(b *testing.B, policy SyncPolicy, writers int) {
 	wg.Wait()
 }
 
-func BenchmarkWALAppendSyncAlways1(b *testing.B)  { benchmarkAppend(b, SyncAlways, 1) }
-func BenchmarkWALAppendSyncAlways8(b *testing.B)  { benchmarkAppend(b, SyncAlways, 8) }
-func BenchmarkWALAppendSyncAlways64(b *testing.B) { benchmarkAppend(b, SyncAlways, 64) }
-
-func BenchmarkWALAppendSyncBatched1(b *testing.B)  { benchmarkAppend(b, SyncBatched, 1) }
-func BenchmarkWALAppendSyncBatched8(b *testing.B)  { benchmarkAppend(b, SyncBatched, 8) }
-func BenchmarkWALAppendSyncBatched64(b *testing.B) { benchmarkAppend(b, SyncBatched, 64) }
+func BenchmarkWALAppend1(b *testing.B)  { benchmarkAppend(b, 1) }
+func BenchmarkWALAppend8(b *testing.B)  { benchmarkAppend(b, 8) }
+func BenchmarkWALAppend64(b *testing.B) { benchmarkAppend(b, 64) }

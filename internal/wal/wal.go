@@ -38,7 +38,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // MaxPayload bounds one record's payload (matches wire.MaxField: WAL
@@ -78,25 +77,19 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type SyncPolicy uint8
 
 const (
-	// SyncAlways fsyncs after every append: an acknowledged mutation
-	// survives kill -9. The default — durability is why the WAL exists.
-	SyncAlways SyncPolicy = iota
-	// SyncNever leaves flushing to the OS (tests, bulk loads, benches).
-	// Close and explicit Sync still flush.
+	// SyncDurable, the zero value, is the one durable mode: every Append
+	// blocks until its own record is on stable storage, so an
+	// acknowledged mutation survives kill -9 — durability is why the WAL
+	// exists. Concurrent Appends share fsyncs through a leader/follower
+	// commit queue (group commit); a lone writer pays exactly one fsync
+	// per record. A failed fsync is sticky: the affected Appends report
+	// it and every later Append is refused, because the log can no
+	// longer promise durability.
+	SyncDurable SyncPolicy = iota
+	// SyncNever leaves flushing to the OS (tests and fuzzers). Close and
+	// explicit Sync still flush.
 	SyncNever
-	// SyncBatched is group commit: concurrent Appends coalesce onto one
-	// fsync via a leader/follower commit queue, but every Append still
-	// blocks until its own record is on stable storage — SyncAlways
-	// durability at a fraction of the fsync count under write
-	// concurrency. A failed group fsync is sticky: the affected Appends
-	// report it and every later Append is refused, because the log can
-	// no longer promise durability.
-	SyncBatched
 )
-
-// MaxBatchWindow caps Options.BatchWindow: group commit may delay an
-// acknowledgement to gather companions, but never by more than this.
-const MaxBatchWindow = 2 * time.Millisecond
 
 // Options parameterize Open.
 type Options struct {
@@ -105,11 +98,6 @@ type Options struct {
 	SegmentSize int64
 	// Sync is the fsync policy for appends.
 	Sync SyncPolicy
-	// BatchWindow (SyncBatched only) is how long a commit leader waits
-	// for companion appends before issuing the group fsync. Zero fsyncs
-	// immediately — batching still emerges naturally from appends that
-	// land while an fsync is in flight. Clamped to MaxBatchWindow.
-	BatchWindow time.Duration
 }
 
 // Record is one replayed log entry. Payload aliases an internal read
@@ -145,7 +133,7 @@ type WAL struct {
 	// order: snapMu before mu.
 	snapMu sync.Mutex
 
-	// Group commit (SyncBatched). cmu guards the commit queue; it nests
+	// Group commit. cmu guards the commit queue; it nests
 	// inside mu (mu → cmu) and the leader never holds it across the
 	// fsync itself.
 	cmu       sync.Mutex
@@ -162,12 +150,6 @@ type WAL struct {
 func Open(dir string, opts Options) (*WAL, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
-	}
-	if opts.BatchWindow < 0 {
-		opts.BatchWindow = 0
-	}
-	if opts.BatchWindow > MaxBatchWindow {
-		opts.BatchWindow = MaxBatchWindow
 	}
 	w := &WAL{dir: dir, opts: opts, nextSeq: 1}
 	w.commit = sync.NewCond(&w.cmu)
@@ -397,8 +379,8 @@ func (w *WAL) newSegment() error {
 	return nil
 }
 
-// Append journals one record and returns its sequence number. Under
-// SyncAlways and SyncBatched the record is on stable storage when
+// Append journals one record and returns its sequence number. Unless
+// the log was opened SyncNever the record is on stable storage when
 // Append returns; the caller applies the mutation only after
 // (journal-then-apply).
 func (w *WAL) Append(kind uint8, payload []byte) (uint64, error) {
@@ -410,17 +392,15 @@ func (w *WAL) Append(kind uint8, payload []byte) (uint64, error) {
 		w.mu.Unlock()
 		return 0, errors.New("wal: append on closed log")
 	}
-	if w.opts.Sync == SyncBatched {
-		w.cmu.Lock()
-		err := w.syncErr
-		w.cmu.Unlock()
-		if err != nil {
-			// The log already failed to make an append durable; writing
-			// more records it may never be able to acknowledge would only
-			// widen the divergence between the file and the applied state.
-			w.mu.Unlock()
-			return 0, fmt.Errorf("wal: append after failed group commit: %w", err)
-		}
+	w.cmu.Lock()
+	err := w.syncErr
+	w.cmu.Unlock()
+	if err != nil {
+		// The log already failed to make an append durable; writing more
+		// records it may never be able to acknowledge would only widen the
+		// divergence between the file and the applied state.
+		w.mu.Unlock()
+		return 0, fmt.Errorf("wal: append after failed group commit: %w", err)
 	}
 	if w.activeSz >= w.opts.SegmentSize {
 		if err := w.newSegment(); err != nil {
@@ -439,17 +419,11 @@ func (w *WAL) Append(kind uint8, payload []byte) (uint64, error) {
 		w.mu.Unlock()
 		return 0, err
 	}
-	if w.opts.Sync == SyncAlways {
-		if err := w.active.Sync(); err != nil {
-			w.mu.Unlock()
-			return 0, err
-		}
-	}
 	w.activeSz += int64(len(frame))
 	w.liveBytes += int64(len(frame))
 	w.nextSeq = seq + 1
 	w.mu.Unlock()
-	if w.opts.Sync == SyncBatched {
+	if w.opts.Sync != SyncNever {
 		if err := w.awaitDurable(seq); err != nil {
 			return 0, err
 		}
@@ -475,16 +449,14 @@ func (w *WAL) awaitDurable(seq uint64) error {
 			w.commit.Wait()
 			continue
 		}
-		// Leader: optionally linger to gather companions, then fsync the
-		// active file outside both locks. Every record ≤ target is either
+		// Leader: fsync the active file outside both locks — batching
+		// emerges from the appends that land while the fsync is in flight.
+		// Every record ≤ target is either
 		// in the captured file or in an earlier segment, and segments are
 		// synced before they are closed — so one successful fsync makes
 		// all of them durable.
 		w.syncing = true
 		w.cmu.Unlock()
-		if d := w.opts.BatchWindow; d > 0 {
-			time.Sleep(d)
-		}
 		w.mu.Lock()
 		target := w.nextSeq - 1
 		f := w.active
@@ -513,9 +485,6 @@ func (w *WAL) awaitDurable(seq uint64) error {
 // markSynced records that every record ≤ seq is on stable storage and
 // wakes group-commit waiters. Safe to call with w.mu held (mu → cmu).
 func (w *WAL) markSynced(seq uint64) {
-	if w.opts.Sync != SyncBatched {
-		return
-	}
 	w.cmu.Lock()
 	if seq > w.syncedSeq {
 		w.syncedSeq = seq
@@ -612,37 +581,16 @@ func (w *WAL) Replay(fn func(Record) error) error {
 	return nil
 }
 
-// WriteSnapshot atomically records payload as the state through
-// LastSeq and truncates every fully covered segment, bounding the
-// log's disk footprint. The snapshot lands via rename, so a crash
-// mid-write leaves the previous snapshot (and the segments it needs)
-// intact.
+// WriteSnapshotAt atomically records payload as the state through
+// covered and truncates every fully covered segment, bounding the log's
+// disk footprint. The snapshot lands via rename, so a crash mid-write
+// leaves the previous snapshot (and the segments it needs) intact.
 //
-// WriteSnapshot trusts the caller that payload reflects every record
-// through LastSeq. When appends can race the caller's state capture,
-// use WriteSnapshotAt, which refuses a payload the log has outrun.
-func (w *WAL) WriteSnapshot(payload []byte) error {
-	w.snapMu.Lock()
-	defer w.snapMu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return errors.New("wal: snapshot on closed log")
-	}
-	covered := w.nextSeq - 1
-	tmp, err := w.stageSnapshot(payload, covered)
-	if err != nil {
-		return err
-	}
-	return w.commitSnapshotLocked(payload, covered, tmp)
-}
-
-// WriteSnapshotAt is WriteSnapshot for state captured at a known
-// sequence: the caller reads LastSeq, encodes its state, and passes
-// that sequence as covered. If any record landed in between — the
-// payload cannot account for it, and truncating its segment would lose
-// an acknowledged durable mutation — the write is refused with
-// ErrSnapshotStale and the caller re-captures and retries.
+// The caller reads LastSeq, encodes its state, and passes that sequence
+// as covered. If any record landed in between — the payload cannot
+// account for it, and truncating its segment would lose an acknowledged
+// durable mutation — the write is refused with ErrSnapshotStale and the
+// caller re-captures and retries.
 //
 // The expensive part — writing and fsyncing the snapshot payload — runs
 // OUTSIDE the append lock, so a large snapshot stalls concurrent

@@ -218,7 +218,7 @@ func TestFirstSegmentPastSnapshotIsCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.WriteSnapshot([]byte("state-through-6")); err != nil {
+	if err := w.WriteSnapshotAt([]byte("state-through-6"), w.LastSeq()); err != nil {
 		t.Fatal(err)
 	}
 	// Records 7-8 live only in the post-snapshot segment.
@@ -270,7 +270,7 @@ func TestLeftoverCoveredSegmentTolerated(t *testing.T) {
 		}
 		saved[s] = b
 	}
-	if err := w.WriteSnapshot([]byte("state-through-12")); err != nil {
+	if err := w.WriteSnapshotAt([]byte("state-through-12"), w.LastSeq()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Append(2, []byte("after-snap")); err != nil {
@@ -343,7 +343,7 @@ func TestSnapshotTruncatesSegments(t *testing.T) {
 		}
 	}
 	state := []byte("state-through-30")
-	if err := w.WriteSnapshot(state); err != nil {
+	if err := w.WriteSnapshotAt(state, w.LastSeq()); err != nil {
 		t.Fatal(err)
 	}
 	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
@@ -383,7 +383,7 @@ func TestCorruptSnapshotRefused(t *testing.T) {
 	if _, err := w.Append(1, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteSnapshot([]byte("good")); err != nil {
+	if err := w.WriteSnapshotAt([]byte("good"), w.LastSeq()); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -413,13 +413,13 @@ func TestPayloadCap(t *testing.T) {
 	}
 }
 
-// TestSyncBatchedConcurrentAppendsDurable is the group-commit
-// correctness test: many writers appending under SyncBatched must each
+// TestGroupCommitConcurrentAppendsDurable is the group-commit
+// correctness test: many writers appending concurrently must each
 // get a unique sequence, and every acknowledged record must replay
 // after a reopen — the batching may coalesce fsyncs, never skip them.
-func TestSyncBatchedConcurrentAppendsDurable(t *testing.T) {
+func TestGroupCommitConcurrentAppendsDurable(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{Sync: SyncBatched})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestSyncBatchedConcurrentAppendsDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, err := Open(dir, Options{Sync: SyncBatched})
+	w2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,13 +478,13 @@ func TestSyncBatchedConcurrentAppendsDurable(t *testing.T) {
 	}
 }
 
-// TestSyncBatchedAcrossRotation drives concurrent batched appends
+// TestGroupCommitAcrossRotation drives concurrent batched appends
 // through many segment rotations: a follower whose segment was synced
 // and closed by rotation mid-batch must still be acknowledged, and
 // everything must replay in order.
-func TestSyncBatchedAcrossRotation(t *testing.T) {
+func TestGroupCommitAcrossRotation(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{Sync: SyncBatched, SegmentSize: 512})
+	w, err := Open(dir, Options{SegmentSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestSyncBatchedAcrossRotation(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := Open(dir, Options{Sync: SyncBatched})
+	w2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,12 +524,12 @@ func TestSyncBatchedAcrossRotation(t *testing.T) {
 	}
 }
 
-// TestSyncBatchedClosedLogRefused: appends racing Close either complete
+// TestGroupCommitClosedLogRefused: appends racing Close either complete
 // durably or fail — after Close returns, new appends must error, not
 // hang waiting on a commit that will never run.
-func TestSyncBatchedClosedLogRefused(t *testing.T) {
+func TestGroupCommitClosedLogRefused(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{Sync: SyncBatched})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestSyncBatchedClosedLogRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := w.Append(1, []byte("after")); err == nil {
-		t.Fatal("append on closed batched log must fail")
+		t.Fatal("append on closed log must fail")
 	}
 }
 

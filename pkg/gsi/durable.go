@@ -82,9 +82,8 @@ const DefaultAutoCompactInterval = 5 * time.Second
 // apply semantics. Fail closed: corruption anywhere but a torn final
 // record refuses to open.
 //
-// The options honored here are WithWALSync and WithAutoCompact; others
-// do not apply to a bare durable state and are ignored, matching the
-// Option contract.
+// The one option honored here is WithAutoCompact; others do not apply
+// to a bare durable state and are ignored, matching the Option contract.
 func OpenDurableState(dir string, opts ...Option) (*DurableState, error) {
 	const op = "gsi.OpenDurableState"
 	var cfg settings
@@ -96,11 +95,7 @@ func OpenDurableState(dir string, opts ...Option) (*DurableState, error) {
 }
 
 func openDurable(op, dir string, cfg settings) (*DurableState, error) {
-	wopts := wal.Options{}
-	if cfg.walSyncSet && cfg.walSync == WALSyncBatched {
-		wopts.Sync = wal.SyncBatched
-	}
-	w, err := wal.Open(dir, wopts)
+	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		return nil, opErr(op, err)
 	}
@@ -250,8 +245,8 @@ func (d *DurableState) JournalStats() JournalStats {
 // truth for one policy, and the ad-hoc one would silently win.
 func (s *settings) materializeDurable() error {
 	if s.durableDir == "" {
-		if s.walSyncSet || s.autoCompact != nil {
-			return errors.New("gsi: WithWALSync and WithAutoCompact configure the durable journal; they require WithDurableState")
+		if s.autoCompact != nil {
+			return errors.New("gsi: WithAutoCompact configures the durable journal; it requires WithDurableState")
 		}
 		return nil
 	}

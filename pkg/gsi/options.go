@@ -47,9 +47,7 @@ type settings struct {
 	delegation    bool
 	anonymous     bool
 	rejectLimited bool
-	maxProxyDepth int
 	expectedPeer  Name
-	lifetime      time.Duration
 	deadlineSkew  time.Duration
 
 	// Session pooling. poolEnable is set by any pool option; NewClient
@@ -114,13 +112,10 @@ type settings struct {
 	casUpstream *CASUpstreamConfig
 	casPublish  *CASServer
 
-	// Control-plane fast path (PR 10). walSync selects the durable
-	// journal's fsync discipline; autoCompact snapshots the journal in
-	// the background once it outgrows the thresholds; cacheWarmN makes
+	// Control-plane fast path (PR 10). autoCompact snapshots the journal
+	// in the background once it outgrows the thresholds; cacheWarmN makes
 	// the CAS syncer pull the publisher's hot decision keys after a
 	// bundle apply and pre-compute those decisions locally.
-	walSync     WALSyncPolicy
-	walSyncSet  bool
 	autoCompact *AutoCompactConfig
 	cacheWarmN  int
 
@@ -193,35 +188,11 @@ func WithRejectLimited() Option {
 	}
 }
 
-// WithMaxProxyDepth caps the peer chain's delegation depth (0 removes
-// the cap).
-func WithMaxProxyDepth(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return errors.New("gsi: negative proxy depth")
-		}
-		s.maxProxyDepth = n
-		return nil
-	}
-}
-
 // WithExpectedPeer requires the peer's grid identity (its end-entity
 // subject, regardless of proxying) to equal name.
 func WithExpectedPeer(name Name) Option {
 	return func(s *settings) error {
 		s.expectedPeer = name
-		return nil
-	}
-}
-
-// WithLifetime caps the security-context lifetime (0 means the 12h
-// default; never beyond the credential's own expiry).
-func WithLifetime(d time.Duration) Option {
-	return func(s *settings) error {
-		if d < 0 {
-			return errors.New("gsi: negative lifetime")
-		}
-		s.lifetime = d
 		return nil
 	}
 }
@@ -472,36 +443,6 @@ func WithDurableState(dir string) Option {
 		s.durableDir = dir
 		s.authzRev++
 		s.authzEnabled = true
-		return nil
-	}
-}
-
-// WALSyncPolicy selects when the durable journal's appends reach
-// stable storage (WithWALSync).
-type WALSyncPolicy int
-
-const (
-	// WALSyncAlways fsyncs once per mutation: the strictest discipline,
-	// and the default — an acknowledged mutation survives kill -9.
-	WALSyncAlways WALSyncPolicy = iota
-	// WALSyncBatched is group commit: concurrent mutations coalesce onto
-	// one fsync, but every mutation still blocks until its own record is
-	// on stable storage. Identical durability per acknowledged mutation,
-	// a fraction of the fsync count under write concurrency.
-	WALSyncBatched
-)
-
-// WithWALSync selects the durable journal's fsync discipline. Both
-// policies acknowledge a mutation only after its record is durable;
-// WALSyncBatched merely shares fsyncs between concurrent writers.
-// Requires WithDurableState (or pass to OpenDurableState directly).
-func WithWALSync(p WALSyncPolicy) Option {
-	return func(s *settings) error {
-		if p != WALSyncAlways && p != WALSyncBatched {
-			return errors.New("gsi: unknown WAL sync policy")
-		}
-		s.walSync = p
-		s.walSyncSet = true
 		return nil
 	}
 }
@@ -830,9 +771,7 @@ func (s settings) contextConfig(env *Environment, cred *Credential) gss.Config {
 		Anonymous:     s.anonymous,
 		Delegate:      s.delegation,
 		RejectLimited: s.rejectLimited,
-		MaxProxyDepth: s.maxProxyDepth,
 		ExpectedPeer:  s.expectedPeer,
-		Lifetime:      s.lifetime,
 		Now:           env.now,
 	}
 }

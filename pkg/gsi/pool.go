@@ -36,8 +36,8 @@ const (
 // poolKey identifies interchangeable sessions. Everything that shapes
 // the security context of a session is part of the key — the endpoint,
 // the transport, the protection level, every GSS handshake parameter
-// (delegation, anonymity, limited-proxy policy, depth cap, peer
-// pinning, lifetime), and the exact client credential (by leaf
+// (delegation, anonymity, limited-proxy policy, peer pinning), and the
+// exact client credential (by leaf
 // fingerprint, so a rotated credential never inherits its
 // predecessor's sessions) — plus the Environment itself, whose trust
 // roots and clock the handshake validated against, so clients of
@@ -52,9 +52,7 @@ type poolKey struct {
 	delegation    bool
 	anonymous     bool
 	rejectLimited bool
-	maxProxyDepth int
 	expectedPeer  string
-	lifetime      time.Duration
 	credential    [32]byte // leaf certificate fingerprint; zero if anonymous
 }
 
@@ -67,9 +65,7 @@ func poolKeyOf(env *Environment, endpoint string, s settings, cred *Credential) 
 		delegation:    s.delegation,
 		anonymous:     s.anonymous,
 		rejectLimited: s.rejectLimited,
-		maxProxyDepth: s.maxProxyDepth,
 		expectedPeer:  s.expectedPeer.String(),
-		lifetime:      s.lifetime,
 	}
 	if cred != nil {
 		key.credential = cred.Leaf().Fingerprint()
@@ -85,10 +81,9 @@ func poolKeyOf(env *Environment, endpoint string, s settings, cred *Credential) 
 // (endpoint, expected peer) are %q-escaped so no crafted value can make
 // two distinct keys render identically.
 func (k poolKey) resumeScope() string {
-	return fmt.Sprintf("%s|%q|%q|%d|d=%v|a=%v|rl=%v|md=%d|ep=%q|lt=%d|%x",
+	return fmt.Sprintf("%s|%q|%q|%d|d=%v|a=%v|rl=%v|ep=%q|%x",
 		k.env.id, k.endpoint, k.transport, k.protection, k.delegation,
-		k.anonymous, k.rejectLimited, k.maxProxyDepth, k.expectedPeer,
-		k.lifetime, k.credential)
+		k.anonymous, k.rejectLimited, k.expectedPeer, k.credential)
 }
 
 // idleSession is a parked session plus the instant it was parked.

@@ -134,61 +134,81 @@ func (s *gt2Session) OpenStream(ctx context.Context, op string) (Stream, error) 
 		return nil, opErr(opName, fmt.Errorf("gsi: invalid stream op %q", op))
 	}
 	s.mu.Lock()
-	payload, buf, err := s.roundTrip(ctx, streamOpenOp, []byte(op))
+	_, buf, err := s.roundTrip(ctx, streamOpenOp, []byte(op))
 	if err != nil {
 		s.mu.Unlock()
 		return nil, opErr(opName, err)
 	}
-	_ = payload
 	buf.Free()
-	return &gt2Stream{sess: s, st: gsitransport.NewStream(ctx, s.conn)}, nil
+	return newGT2Stream(ctx, []*gt2Session{s}, nil), nil
 }
 
+// gt2Stream is the client side of a GT2 stream: the sessions it rides —
+// one, or the K stripes of OpenStripedStream — stay locked until Close
+// has resynchronized every connection, so a pooling client parks only
+// clean sessions (a connection that could not resynchronize is left
+// broken, which the pool observes via the health check at release).
 type gt2Stream struct {
-	sess   *gt2Session
-	st     *gsitransport.Stream
-	closed bool
+	members []*gt2Session // locked for the stream's duration
+	owners  []Session     // checkouts this stream releases at Close (striped opens)
+	pipe    *gsitransport.Stream
+	closed  atomic.Bool
+}
+
+func newGT2Stream(ctx context.Context, members []*gt2Session, owners []Session) *gt2Stream {
+	conns := make([]*gsitransport.Conn, len(members))
+	for i, m := range members {
+		conns[i] = m.conn
+	}
+	return &gt2Stream{
+		members: members,
+		owners:  owners,
+		pipe:    gsitransport.NewTransfer(ctx, conns, gsitransport.Duplex),
+	}
 }
 
 func (g *gt2Stream) Read(p []byte) (int, error) {
-	n, err := g.st.Read(p)
+	n, err := g.pipe.Read(p)
 	return n, streamErr(err)
 }
 
 func (g *gt2Stream) Write(p []byte) (int, error) {
-	n, err := g.st.Write(p)
+	n, err := g.pipe.Write(p)
 	return n, streamErr(err)
 }
 
-func (g *gt2Stream) CloseWrite() error { return streamErr(g.st.CloseWrite()) }
+func (g *gt2Stream) CloseWrite() error { return streamErr(g.pipe.CloseWrite()) }
 
-func (g *gt2Stream) Peer() Peer { return g.sess.conn.Peer() }
+func (g *gt2Stream) Peer() Peer { return g.members[0].conn.Peer() }
 
-// Close terminates both halves and returns the connection to
-// exchange mode: FIN the write half if still open, consume the read
-// half to its terminal record. Only then is the record stream at a
-// frame boundary again — a failure here leaves the session broken,
-// which a pooling client observes via the health check at release.
+// Close terminates both halves and returns every connection to
+// exchange mode, then releases the sessions.
 func (g *gt2Stream) Close() error {
-	if g.closed {
+	if g.closed.Swap(true) {
 		return nil
 	}
-	g.closed = true
-	defer g.sess.mu.Unlock()
-	defer g.st.Release()
-	var firstErr error
-	if err := g.st.CloseWrite(); err != nil {
-		firstErr = err
+	err := g.pipe.Finish(nil)
+	if peerAborted(err) {
+		// A peer abort surfaces through Read; as far as Close is concerned
+		// its terminal record resynchronized the connections.
+		err = nil
 	}
-	if err := g.st.Drain(); err != nil && firstErr == nil {
-		var peerErr *record.PeerError
-		if !errors.As(err, &peerErr) {
-			firstErr = err
+	for _, m := range g.members {
+		m.mu.Unlock()
+	}
+	for _, o := range g.owners {
+		if cerr := o.Close(); err == nil {
+			err = cerr
 		}
-		// A peer abort already surfaced through Read; the terminal
-		// record still resynchronized the connection.
 	}
-	return streamErr(firstErr)
+	return streamErr(err)
+}
+
+// peerAborted reports whether err is the peer's mid-stream abort — a
+// clean termination of the stream as far as its connections go.
+func peerAborted(err error) bool {
+	var peerErr *record.PeerError
+	return errors.As(err, &peerErr)
 }
 
 // streamErr classifies stream-level failures at the facade boundary.
@@ -209,26 +229,27 @@ func streamErr(err error) error {
 	return &Error{Op: "gsi.Stream", Kind: classify(err), Err: err}
 }
 
-// serverGT2Stream is the handler-facing stream on a GT2 server
-// connection. Termination and drain are owned by the serve loop
-// (serveGT2Stream), so Close here only flushes the write half.
+// serverGT2Stream is the handler-facing stream of a GT2 server, over
+// one connection or a stripe group's K. Termination and drain are owned
+// by the serve loop (serveGT2Stream), so Close here only flushes the
+// write half.
 type serverGT2Stream struct {
-	st   *gsitransport.Stream
+	pipe *gsitransport.Stream
 	peer Peer
 }
 
 func (s *serverGT2Stream) Read(p []byte) (int, error) {
-	n, err := s.st.Read(p)
+	n, err := s.pipe.Read(p)
 	return n, streamErr(err)
 }
 
 func (s *serverGT2Stream) Write(p []byte) (int, error) {
-	n, err := s.st.Write(p)
+	n, err := s.pipe.Write(p)
 	return n, streamErr(err)
 }
 
-func (s *serverGT2Stream) CloseWrite() error { return streamErr(s.st.CloseWrite()) }
-func (s *serverGT2Stream) Close() error      { return streamErr(s.st.CloseWrite()) }
+func (s *serverGT2Stream) CloseWrite() error { return streamErr(s.pipe.CloseWrite()) }
+func (s *serverGT2Stream) Close() error      { return streamErr(s.pipe.CloseWrite()) }
 func (s *serverGT2Stream) Peer() Peer        { return s.peer }
 
 // --- GT3: chunk records as conversation calls ---------------------------

@@ -282,3 +282,32 @@ func TestStreamSignedRefused(t *testing.T) {
 		t.Fatal("signed session accepted a stream")
 	}
 }
+
+// A striped open holds all K checkouts at once. On a pool capped below
+// K the surplus checkout used to queue at the cap for a session only
+// this same call could give back — until the context ended, forever
+// without a deadline — with the stripes already bound parked on the
+// server. It must be refused before the first checkout.
+func TestStripedOpenBeyondPoolCapFailsFast(t *testing.T) {
+	_, client, addr, done := streamWorld(t, gsi.TransportGT2(),
+		gsi.WithSessionPool(nil), gsi.WithMaxConcurrentPerHost(2), gsi.WithStripes(4))
+	defer done()
+	const deadline = 2 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	st, err := client.OpenStripedStream(ctx, addr, "mirror")
+	if err == nil {
+		st.Close()
+		t.Fatal("4 stripes opened through a pool capped at 2 sessions per host")
+	}
+	if !errors.Is(err, gsi.ErrPoolExhausted) {
+		t.Fatalf("err = %v, want ErrPoolExhausted", err)
+	}
+	if waited := time.Since(start); waited > deadline/2 {
+		t.Fatalf("refused only after queueing at the cap for %v", waited)
+	}
+	if s := client.Pool().Stats(); s.Dials != 0 {
+		t.Fatalf("%d sessions dialed for an open that could never complete", s.Dials)
+	}
+}

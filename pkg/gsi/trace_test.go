@@ -199,7 +199,10 @@ func TestTraceStripedStream(t *testing.T) {
 	}
 
 	// The same trace id on the server covers every lane, every per-lane
-	// authorization decision, and the group's stream span.
+	// authorization decision, and the group's stream span. Lane spans
+	// end last — when the group releases its connections, after the
+	// client's Close has already returned — so they are what to wait for.
+	waitSpans(t, server.Tracer(), gsi.TraceQuery{TraceID: tid, Op: "server.stripe", N: 100}, stripes)
 	srv := waitSpans(t, server.Tracer(), gsi.TraceQuery{TraceID: tid, N: 100}, 2*stripes+1)
 	sops := opCount(srv)
 	if sops["server.stripe"] != stripes {
@@ -605,7 +608,7 @@ func BenchmarkExchangeTracingDisabled(b *testing.B) {
 }
 
 // BenchmarkExchangeTraced measures the cost of tracing ON (always
-// sampled, both ends): not alloc-gated, reported by make bench-trace
+// sampled, both ends): not alloc-gated, recorded in BENCH_trace.json
 // so the overhead stays visible over time.
 func BenchmarkExchangeTraced(b *testing.B) {
 	authority, err := gsi.NewCA("/O=Grid/CN=Bench CA", 24*time.Hour)

@@ -322,9 +322,9 @@ func (t gt2Transport) Serve(ctx context.Context, addr string, cfg ServeConfig) (
 	serveCtx, cancel := context.WithCancel(ctx)
 	listener := gsitransport.NewListener(inner, cfg.Context)
 	ep := &gt2Endpoint{addr: inner.Addr().String(), cancel: cancel, listener: listener}
-	// The stripe-group registry is endpoint-scoped: striped opens on
-	// different connections of this endpoint rendezvous through it.
-	groups := newStripeGroups()
+	// The stripe rendezvous is endpoint-scoped: striped opens on
+	// different connections of this endpoint meet through it.
+	groups := gsitransport.NewRendezvous(gsitransport.StripeJoinTimeout)
 	go func() {
 		for {
 			conn, err := listener.AcceptContext(serveCtx)
@@ -365,7 +365,7 @@ const maxInternedOps = 1024
 // buffer, valid only for the duration of the call — handlers that
 // retain it must copy (returning it, as an echo handler does, is safe:
 // the reply is sealed before the buffer is reused).
-func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, groups *stripeGroups) {
+func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, groups *gsitransport.Rendezvous) {
 	defer conn.Close()
 	stop := conn.CloseOnDone(ctx)
 	defer stop()
@@ -428,26 +428,20 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 				interned[op] = op
 			}
 		}
-		if op == streamOpenOp {
+		if striped := op == stripedOpenOp; striped || op == streamOpenOp {
 			var sp *trace.Span
 			if tracer != nil {
-				sp = tracer.StartRemote(remote, "server.stream")
+				// A striped open's span is its lane; the group's runner
+				// parents the stream span under it.
+				name := "server.stream"
+				if striped {
+					name = "server.stripe"
+				}
+				sp = tracer.StartRemote(remote, name)
 				sp.SetPeer(peerDN)
 				handshakeSpan(sp)
 			}
-			if !serveGT2Stream(ctx, conn, cfg, peer, authorizer, string(body), rbuf, sp) {
-				return
-			}
-			continue
-		}
-		if op == stripedOpenOp {
-			var sp *trace.Span
-			if tracer != nil {
-				sp = tracer.StartRemote(remote, "server.stripe")
-				sp.SetPeer(peerDN)
-				handshakeSpan(sp)
-			}
-			if !serveGT2StripedOpen(ctx, conn, cfg, peer, authorizer, groups, body, rbuf, sp) {
+			if !serveGT2Stream(ctx, conn, cfg, peer, authorizer, groups, striped, body, rbuf, sp) {
 				return
 			}
 			continue
@@ -505,23 +499,40 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 	}
 }
 
-// serveGT2Stream handles one stream open on a GT2 connection: authorize
-// the named op (once, through the pipeline when configured), hand the
-// stream to the StreamHandler, and resynchronize the record stream when
-// the handler returns. Reports whether the connection is still usable.
-func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, peer Peer, authorizer Engine, op string, rbuf *record.Buf, sp *trace.Span) bool {
-	rbuf.Free()
-	if cfg.StreamHandler == nil {
-		err := errors.New("gsi: endpoint does not accept streams")
-		sp.SetError(err)
-		sp.End()
-		return sendGT2Reply(context.Background(), conn, gt2StatusNotFound, []byte(err.Error())) == nil
+// serveGT2Stream handles one stream open on a GT2 connection — a plain
+// gsi.__stream.open, or one stripe's gsi.__stream.sopen: authorize the
+// named op (once per connection, through the pipeline when configured —
+// the decision cache makes a group's repeats cheap), then run the
+// StreamHandler over this connection, or join the stripe group and
+// either run the handler over all of its connections (last arrival) or
+// park until the group's transfer is over. Reports whether the
+// connection is still usable for further exchanges.
+func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, peer Peer, authorizer Engine, groups *gsitransport.Rendezvous, striped bool, body []byte, rbuf *record.Buf, sp *trace.Span) bool {
+	bg := context.Background()
+	op, groupID, idx, count := string(body), "", 0, 1
+	malformed := false
+	if striped {
+		d := wire.NewDecoder(body)
+		op = d.Str()
+		groupID = string(d.Bytes())
+		idx = int(d.U32())
+		count = int(d.U32())
+		malformed = d.Done() != nil || len(groupID) != 16 ||
+			count < 1 || count > maxStripes || idx < 0 || idx >= count
 	}
-	if op == "" || strings.HasPrefix(op, reservedOpPrefix) {
-		err := errors.New("gsi: invalid stream op " + op)
+	rbuf.Free()
+	refuse := func(status byte, err error) bool {
 		sp.SetError(err)
 		sp.End()
-		return sendGT2Reply(context.Background(), conn, gt2StatusNotFound, []byte(err.Error())) == nil
+		return sendGT2Reply(bg, conn, status, []byte(err.Error())) == nil
+	}
+	switch {
+	case cfg.StreamHandler == nil:
+		return refuse(gt2StatusNotFound, errors.New("gsi: endpoint does not accept streams"))
+	case malformed:
+		return refuse(gt2StatusNotFound, errors.New("gsi: malformed striped open"))
+	case op == "" || strings.HasPrefix(op, reservedOpPrefix):
+		return refuse(gt2StatusNotFound, errors.New("gsi: invalid stream op "+op))
 	}
 	exPeer := peer
 	var authErr error
@@ -534,20 +545,64 @@ func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfi
 	asp.SetError(authErr)
 	asp.End()
 	if authErr != nil {
-		sp.SetError(authErr)
-		sp.End()
-		return sendGT2Reply(context.Background(), conn, gt2Status(authErr), []byte(authErr.Error())) == nil
+		return refuse(gt2Status(authErr), authErr)
 	}
-	if err := sendGT2Reply(context.Background(), conn, gt2StatusOK, nil); err != nil {
-		sp.SetError(err)
+	if !striped {
+		if err := sendGT2Reply(bg, conn, gt2StatusOK, nil); err != nil {
+			sp.SetError(err)
+			sp.End()
+			return false
+		}
+		runGT2Stream(ctx, cfg, []*gsitransport.Conn{conn}, exPeer, "stream:", op, sp)
+		return !conn.Broken()
+	}
+	// The group is bound to the authenticated peer: stripes under one
+	// group id must all arrive from the same identity.
+	grp, err := groups.Open(peerKey(peer), groupID, count, op)
+	last := false
+	if err == nil {
+		grp, last, err = groups.Join(peerKey(peer), groupID, idx, conn)
+	}
+	if err != nil {
+		return refuse(gt2StatusError, err)
+	}
+	// From here the connection belongs to the group until released: even
+	// on a failed reply it must not be closed out from under the transfer.
+	replyErr := sendGT2Reply(bg, conn, gt2StatusOK, nil)
+	if last {
+		// The completing arrival runs the transfer; its lane span (when
+		// traced) parents the stream span covering the handler's run.
+		var gsp *trace.Span
+		if sp != nil {
+			gsp = sp.StartChild("server.stream")
+			gsp.SetPeer(peerDNOf(exPeer))
+		}
+		runGT2Stream(ctx, cfg, grp.Conns, exPeer, "sopen:", op, gsp)
+		grp.Close()
+	} else if !groups.Wait(grp) {
+		// The group never completed; this stripe was never handed to a
+		// transfer, so the connection can simply die.
+		sp.SetError(errors.New("gsi: stripe group incomplete"))
 		sp.End()
 		return false
 	}
+	sp.End()
+	return replyErr == nil && !conn.Broken()
+}
+
+// runGT2Stream executes one stream over conns: the handler, then the
+// end-of-transfer sequence — the handler's error travels as the
+// stream's terminal record, and the client half is consumed to its own
+// if the handler did not. A connection that could not resynchronize is
+// left broken. sp (nil when untraced) covers the handler's whole
+// transfer and is ended here; kind names the stream in the
+// active-transfer registry.
+func runGT2Stream(ctx context.Context, cfg ServeConfig, conns []*gsitransport.Conn, peer Peer, kind, op string, sp *trace.Span) {
 	// The stream's record I/O runs under Background like the exchange
 	// loop's: cancellation arrives through the connection-lifetime
 	// CloseOnDone watcher, not a per-record watcher goroutine.
-	st := gsitransport.NewStream(context.Background(), conn)
-	var hstream Stream = &serverGT2Stream{st: st, peer: exPeer}
+	pipe := gsitransport.NewTransfer(context.Background(), conns, gsitransport.Duplex)
+	var hstream Stream = &serverGT2Stream{pipe: pipe, peer: peer}
 	var ts *tracedStream
 	if sp != nil {
 		// The traced wrapper accounts bytes and cumulative seal/open
@@ -555,35 +610,14 @@ func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfi
 		// when the handler is done, registering the stream as an active
 		// transfer meanwhile.
 		ts = newTracedStream(hstream, sp, "server")
-		ts.xfer = cfg.Tracer.Transfers().Begin("stream:"+op, peerDNOf(exPeer), 1, sp.Context().TraceID)
+		ts.xfer = cfg.Tracer.Transfers().Begin(kind+op, peerDNOf(peer), len(conns), sp.Context().TraceID)
 		hstream = ts
 	}
-	serr := cfg.StreamHandler(ctx, exPeer, op, hstream)
+	herr := cfg.StreamHandler(ctx, peer, op, hstream)
 	if ts != nil {
-		ts.finish(serr)
+		ts.finish(herr)
 	}
-	// Terminate the server half: the handler's error travels as the
-	// stream's terminal record.
-	if serr != nil {
-		if err := st.CloseWithError(serr.Error()); err != nil {
-			st.Release()
-			return false
-		}
-	} else if err := st.CloseWrite(); err != nil {
-		st.Release()
-		return false
-	}
-	// Resynchronize: consume the client half to its FIN if the handler
-	// did not. A client-side abort is a clean termination too.
-	if err := st.Drain(); err != nil {
-		var peerErr *record.PeerError
-		if !errors.As(err, &peerErr) {
-			st.Release()
-			return false
-		}
-	}
-	st.Release()
-	return true
+	pipe.Finish(herr) // the verdict is in the connections' state
 }
 
 type gt2Endpoint struct {

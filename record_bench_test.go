@@ -13,9 +13,9 @@
 //     against the receiver's open; single-core CI measures only the
 //     per-byte work removed.)
 //
-// `make bench-record` records both (plus the steady-state exchange and
-// the idle-probe benchmarks) into BENCH_record.json and gates
-// allocs/op regressions via cmd/bench2json.
+// BENCH_record.json holds both rows (plus the steady-state exchange and
+// the idle-probe benchmarks, whose allocs/op `make gate-allocs` gates
+// via cmd/bench2json).
 package repro
 
 import (
@@ -39,7 +39,7 @@ const transferSize = 64 << 20
 
 // settleHeap runs the collector to a steady state so one transfer
 // benchmark's heap residue cannot skew the GC pacing of the next
-// (`make bench-record` additionally runs each in its own process).
+// (a recorded run additionally gives each its own process).
 func settleHeap() {
 	runtime.GC()
 	runtime.GC()

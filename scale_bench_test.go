@@ -1,4 +1,4 @@
-// The million-subject federation scenario (`make bench-scale`): two
+// The million-subject federation scenario (BENCH_scale.json): two
 // resource-server OS processes, each with WAL-backed durable trust
 // state and a CAS bundle replica pulled from a primary publisher with
 // a standby behind it, decide a corpus of ~1M distinct subject DNs
@@ -34,9 +34,8 @@ import (
 )
 
 // scaleParams sizes the scenario. The full numbers (the acceptance
-// shape: 1M subjects, 10k sessions) run when GSI_SCALE_FULL=1 — the
-// Makefile's bench-scale target sets it; a bare `go test -bench Scale`
-// runs a quick smoke shape.
+// shape: 1M subjects, 10k sessions) run when GSI_SCALE_FULL=1; a bare
+// `go test -bench Scale` runs a quick smoke shape.
 type scaleParams struct {
 	Children int
 	Subjects int // total distinct corpus, split across children
