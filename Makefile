@@ -1,17 +1,14 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build test test-bench-module test-multicore race fuzz-smoke bench bench-authz bench-ctrlplane gate-allocs fmt
+.PHONY: ci fmt-check vet build reachable test test-bench-module test-multicore race fuzz-smoke bench gate-allocs fmt
 
-## ci: the tier-1 gate — format check, vet, build, test (plus the
-## benchmark module, which compiles against this one's API, and the
-## GOMAXPROCS matrix over the striped data plane: the same tests must
-## pass single-core and multicore), race (which includes the
-## hot-reload-under-traffic test), fuzz smoke, the
-## authorization-decision benchmark pair (which also asserts cached
-## decisions stay cached), the control-plane fast-path rows (group
-## commit, delta sync, warm promotion), and the allocs/op regression
-## gates for the record layer and the observability plane.
-ci: fmt-check vet build test test-bench-module test-multicore race fuzz-smoke bench-authz bench-ctrlplane gate-allocs
+## ci: the tier-1 gate — format check, vet, build, the reachability
+## check, test (plus the benchmark module, which compiles against this
+## one's API, and the GOMAXPROCS matrix over the striped data plane: the
+## same tests must pass single-core and multicore), race (which includes
+## the hot-reload-under-traffic test), fuzz smoke, and the allocation
+## ceilings on their own. It leaves the working tree as it found it.
+ci: fmt-check vet build reachable test test-bench-module test-multicore race fuzz-smoke gate-allocs
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -24,6 +21,18 @@ vet:
 
 build:
 	$(GO) build ./...
+
+## reachable: every internal package is a dependency of some cmd, pkg or
+## example; one that only its own tests (or nothing) import fails here,
+## so a paper-era island cannot quietly come back. internal/israce is
+## test-only by design.
+reachable:
+	@deps=$$($(GO) list -deps ./cmd/... ./pkg/... ./examples/...); \
+	islands=$$($(GO) list ./internal/... | grep -v '/internal/israce$$' | while read -r p; do \
+		echo "$$deps" | grep -qx "$$p" || echo "$$p"; done); \
+	if [ -n "$$islands" ]; then \
+		echo "internal packages no cmd, pkg or example reaches:"; echo "$$islands"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...
@@ -75,48 +84,20 @@ fuzz-smoke:
 bench:
 	bash bench/run.sh
 
-## bench-authz: record the authorization-decision rows (full pipeline
-## evaluation, decision-cache hit, and the cache hit over WAL-backed
-## durable state) into BENCH_authz.json.
-bench-authz:
-	$(GO) test -run '^$$' -bench 'AuthorizeCold|AuthorizeCached' -benchmem . \
-		| $(GO) run ./cmd/bench2json > BENCH_authz.json
-	@cat BENCH_authz.json
-
-## bench-ctrlplane: record the PR 10 control-plane fast-path rows into
-## BENCH_ctrlplane.json — the WAL append rows (1/8/64 writers: the
-## falling cost per durable append is the group-commit claim; the
-## 1-writer row gates that an append allocates its frame buffer and
-## nothing else), the 100k-member VO sync pair (signed
-## delta vs full bundle, with the bytes metrics for a 100-change
-## catch-up), and the promotion pair (a standby's first decision cold
-## vs pre-warmed from the publisher's hot-key export).
-bench-ctrlplane:
-	{ $(GO) test -run '^$$' -bench '^BenchmarkWALAppend(1|8|64)$$' -benchmem ./internal/wal ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkCASDeltaSync100k$$|^BenchmarkCASFullSync100k$$' -benchmem -timeout 900s . ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkPromotion(Cold|Warm)FirstDecision$$' -benchmem . ; } \
-	| $(GO) run ./cmd/bench2json -gate-allocs 'WALAppend1=1' > BENCH_ctrlplane.json
-	@cat BENCH_ctrlplane.json
-
-## gate-allocs: the fast CI regression gate — steady-state pooled
-## Exchange must stay ≤ 2 allocs/op with metrics attached and with
-## tracing compiled in but disabled, the idle probe at 0, the telemetry
-## and span-lifecycle hot paths at 0, and a cached authorization
-## decision over WAL-backed durable state at 0 (durability is paid at
-## mutation time, never on the decision hot path), and a durable WAL
-## append at 1 — the single frame-buffer allocation, so group commit
-## never buys throughput with garbage. A GRAM
-## Submit routed to a running LMJFS over a 1,000-entry grid-mapfile stays
-## at 217: one O(mapfile) step in the router or the LMJFS would be
-## thousands over.
+## gate-allocs: the allocation ceilings, alone and uncached — the same
+## tests `go test ./...` runs, each in the package that owns its path
+## (each skips itself under -race). Steady-state pooled Exchange stays
+## <= 2 allocs/op plain, with metrics attached, and with tracing
+## compiled in but disabled; the idle probe, the telemetry and
+## span-lifecycle hot paths and a cached authorization decision over
+## WAL-backed durable state stay at 0 (durability is paid at mutation
+## time, never on the decision hot path); a durable WAL append at 1 —
+## the single frame-buffer allocation, so group commit never buys
+## throughput with garbage; a GRAM Submit routed to a running LMJFS over
+## a 1,000-entry grid-mapfile at 217: one O(mapfile) step in the router
+## or the LMJFS would be thousands over.
 gate-allocs:
-	{ $(GO) test -run '^$$' -bench '^BenchmarkExchangeSteadyState$$|^BenchmarkAuthorizeCachedDurable$$' -benchmem . ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkPoolProbe$$|^BenchmarkExchangeInstrumented$$|^BenchmarkExchangeTracingDisabled$$' -benchmem ./pkg/gsi ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkCounterInc$$|^BenchmarkHistogramObserve$$' -benchmem ./internal/telemetry ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkSpanStartEnd$$' -benchmem ./internal/trace ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkWALAppend1$$' -benchmem ./internal/wal ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkGRAMSubmitWarm1k$$' -benchmem ./internal/gram ; } \
-	| $(GO) run ./cmd/bench2json -gate-allocs 'ExchangeSteadyState=2,PoolProbe=0,ExchangeInstrumented=2,CounterInc=0,HistogramObserve=0,ExchangeTracingDisabled=2,SpanStartEnd=0,AuthorizeCachedDurable=0,WALAppend1=1,GRAMSubmitWarm1k=217' > /dev/null
+	$(GO) test -count=1 -run 'Alloc' ./pkg/gsi ./internal/telemetry ./internal/trace ./internal/wal ./internal/gram
 
 ## fmt: rewrite files in place.
 fmt:

@@ -2,8 +2,8 @@
 // HPDC 2003): the Grid Security Infrastructure of the Globus Toolkit
 // versions 2 and 3, built from scratch in Go on the standard library.
 //
-// The public API lives in pkg/gsi; the experiment harness regenerating
-// the paper's figures and claims is in bench_test.go (run with
-// go test -bench=. -benchmem). See DESIGN.md for the system inventory
-// and EXPERIMENTS.md for paper-vs-measured results.
+// The public API lives in pkg/gsi; this package holds the cross-module
+// integration tests. The repo's one benchmark is the separate module
+// under bench/ (bash bench/run.sh; see BENCHMARK.json). See DESIGN.md
+// for the system inventory.
 package repro

@@ -17,6 +17,8 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/ogsa"
+	"repro/internal/secsvc"
 	"repro/pkg/gsi"
 )
 
@@ -24,25 +26,39 @@ func main() {
 	log.SetFlags(0)
 	ctx := context.Background()
 
-	// 1. A grid: CA, trust, a service host running a security stack
-	// (container + the §4.1 security services, audit included).
-	boot, err := gsi.NewBootstrap("/O=Grid/CN=Lifecycle CA", "/O=Grid/CN=host portal.example.org", nil)
+	// 1. A grid: CA, trust, a service host running a hosting
+	// environment with the §4.1 audit service behind it.
+	authority, err := gsi.NewCA("/O=Grid/CN=Lifecycle CA", 365*24*time.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
-	env, err := gsi.NewEnvironment(gsi.WithTrustStore(boot.Trust))
+	env, err := gsi.NewEnvironment(gsi.WithRoots(authority.Certificate()))
 	if err != nil {
 		log.Fatal(err)
 	}
-	alice, err := boot.CA.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
+	host, err := authority.NewHostEntity(gsi.MustParseName("/O=Grid/CN=host portal.example.org"), 30*24*time.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("1. grid booted:", boot.Host.Identity())
+	audit := secsvc.NewAuditLog()
+	container, err := ogsa.NewContainer(ogsa.ContainerConfig{
+		Name:       "portal.example.org",
+		Credential: host,
+		TrustStore: env.Trust(),
+		Audit:      audit,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	alice, err := authority.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("1. grid booted:", host.Identity())
 
-	// 2. The container exposes the delegation port type. It inherits
-	// the stack's audit log, so every deposit and retrieval is chained.
-	boot.Stack.Container.EnableDelegation(gsi.DelegationConfig{MaxLifetime: 2 * time.Hour})
+	// 2. The container exposes the delegation port type. It writes to
+	// the container's audit log, so every deposit and retrieval is chained.
+	container.EnableDelegation(gsi.DelegationConfig{MaxLifetime: 2 * time.Hour})
 	fmt.Println("2. delegation endpoint enabled:", gsi.DelegationEndpoint)
 
 	// 3. Alice deposits a medium-lived proxy at the endpoint over an
@@ -58,9 +74,9 @@ func main() {
 		log.Fatal(err)
 	}
 	svcClient := &gsi.ServiceClient{
-		Transport:  gsi.PipeTransport(boot.Stack.Container),
+		Transport:  gsi.PipeTransport(container),
 		Credential: depositProxy,
-		TrustStore: boot.Trust,
+		TrustStore: env.Trust(),
 	}
 	invoke := func(ctx context.Context, op string, body []byte) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
@@ -94,7 +110,7 @@ func main() {
 
 	// 5. The worker's pooled client exchanges traffic with a GT2
 	// service; a rotation mid-traffic loses nothing.
-	server, err := env.NewServer(boot.Host)
+	server, err := env.NewServer(host)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -131,14 +147,14 @@ func main() {
 
 	// 6. The audit chain recorded the lifecycle: deposits, retrievals,
 	// and every authorized invocation, tamper-evidently.
-	events := boot.Stack.Audit.Events()
+	events := audit.Events()
 	var deleg int
 	for _, e := range events {
 		if strings.HasPrefix(e.Event, "delegation-") {
 			deleg++
 		}
 	}
-	if bad := boot.Stack.Audit.VerifyChain(); bad >= 0 {
+	if bad := audit.VerifyChain(); bad >= 0 {
 		log.Fatalf("audit chain tampered at %d", bad)
 	}
 	fmt.Printf("6. audit chain verified: %d events, %d delegation events\n", len(events), deleg)

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/authz"
 	"repro/internal/ogsa"
+	"repro/internal/secsvc"
 	"repro/pkg/gsi"
 )
 
@@ -49,8 +50,9 @@ func main() {
 	log.SetFlags(0)
 	ctx := context.Background()
 
-	// Server side: bootstrap a CA + host + security stack, with an
-	// authorization service that admits only Alice.
+	// Server side: a CA, a host credential, and a hosting environment
+	// whose authorizer admits only Alice and whose audit log is itself
+	// published as a service.
 	policy := authz.NewPolicy(authz.DenyOverrides).Add(
 		authz.Rule{
 			Effect:    authz.EffectPermit,
@@ -65,27 +67,41 @@ func main() {
 			Actions:   []string{"Count", "Verify", "Query"},
 		},
 	)
-	boot, err := gsi.NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host inventory.example.org",
-		&authz.PolicyEngine{Policy: policy, DefaultDeny: true})
+	authority, err := gsi.NewCA("/O=Grid/CN=CA", 365*24*time.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
-	boot.Stack.Container.Publish("inventory", newInventoryService())
-	url, shutdown, err := gsi.ServeHTTP(boot.Stack.Container, "127.0.0.1:0")
+	env, err := gsi.NewEnvironment(gsi.WithRoots(authority.Certificate()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	host, err := authority.NewHostEntity(gsi.MustParseName("/O=Grid/CN=host inventory.example.org"), 30*24*time.Hour)
+	if err != nil {
+		log.Fatal(err)
+	}
+	audit := secsvc.NewAuditLog()
+	container, err := ogsa.NewContainer(ogsa.ContainerConfig{
+		Name:       "inventory.example.org",
+		Credential: host,
+		TrustStore: env.Trust(),
+		Authorizer: &authz.PolicyEngine{Policy: policy, DefaultDeny: true},
+		Audit:      audit,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	container.Publish("inventory", newInventoryService())
+	container.Publish("security/audit", audit)
+	url, shutdown, err := gsi.ServeHTTP(container, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer shutdown()
 	fmt.Println("hosting environment listening at", url)
 
-	// Client side: an Environment sharing the bootstrap's trust roots,
-	// and a Client handle for Alice. Invoke runs the whole Figure-3
-	// pipeline under the context.
-	env, err := gsi.NewEnvironment(gsi.WithTrustStore(boot.Trust))
-	if err != nil {
-		log.Fatal(err)
-	}
-	alice, err := boot.CA.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
+	// Client side: a Client handle for Alice under the same trust
+	// roots. Invoke runs the whole Figure-3 pipeline under the context.
+	alice, err := authority.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +124,7 @@ func main() {
 	// Bob authenticates fine but is denied by the authorization service
 	// (step 5) — surfaced as a typed gsi.ErrUnauthorized; the
 	// application never sees his call.
-	bob, err := boot.CA.NewEntity(gsi.MustParseName("/O=Grid/CN=Bob"), 12*time.Hour)
+	bob, err := authority.NewEntity(gsi.MustParseName("/O=Grid/CN=Bob"), 12*time.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,9 +14,6 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/authz"
-	"repro/internal/cas"
-	"repro/internal/vo"
 	"repro/pkg/gsi"
 )
 
@@ -24,33 +21,35 @@ func main() {
 	log.SetFlags(0)
 	ctx := context.Background()
 
-	// Two classical organizations, each with its own CA and local policy.
-	anl, err := vo.NewDomain("ANL")
+	// Two classical organizations, each with its own CA.
+	anlCA, err := gsi.NewCA("/O=ANL/CN=CA", 365*24*time.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
-	isi, err := vo.NewDomain("ISI")
+	isiCA, err := gsi.NewCA("/O=ISI/CN=CA", 365*24*time.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("domains:", anl.Name, "and", isi.Name)
+	fmt.Println("domains: ANL and ISI")
 
-	// They form a VO. Each installs the other's CA unilaterally — no
-	// inter-organizational agreement is signed.
-	climateVO := vo.New("climate-vo")
-	cost, err := climateVO.JoinGSI(anl, isi)
+	// They form a VO. Each installs the other's CA beside its own — a
+	// unilateral act; no inter-organizational agreement is signed.
+	anlEnv, err := gsi.NewEnvironment(gsi.WithRoots(anlCA.Certificate(), isiCA.Certificate()))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("VO formed: %d unilateral trust acts, %d bilateral agreements\n",
-		cost.UnilateralActs, cost.BilateralAgreements)
+	isiEnv, err := gsi.NewEnvironment(gsi.WithRoots(isiCA.Certificate(), anlCA.Certificate()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("VO formed: 2 unilateral trust acts, 0 bilateral agreements")
 
 	// Alice is an ISI user; the data service and the CAS server live at ANL.
-	alice, err := isi.NewUser("Alice")
+	alice, err := isiCA.NewEntity(gsi.MustParseName("/O=ISI/CN=Alice"), 12*time.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
-	voCred, err := anl.NewUser("ClimateVO CAS")
+	voCred, err := anlCA.NewEntity(gsi.MustParseName("/O=ANL/CN=ClimateVO CAS"), 12*time.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,16 +74,12 @@ func main() {
 		Resources: []string{"gridftp:/climate/*"},
 		Actions:   []string{"read", "write"},
 	})
-	enforcer := gsi.NewCASEnforcer(anl.Trust, local)
+	enforcer := gsi.NewCASEnforcer(anlEnv.Trust(), local)
 	enforcer.TrustVO(casServer.Certificate())
 
 	// Step 1–2 through Alice's Client handle: request the assertion
 	// (cancellable) and embed it in a restricted proxy.
-	aliceEnv, err := gsi.NewEnvironment(gsi.WithTrustStore(isi.Trust))
-	if err != nil {
-		log.Fatal(err)
-	}
-	aliceClient, err := aliceEnv.NewClient(alice)
+	aliceClient, err := isiEnv.NewClient(alice)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,7 +100,7 @@ func main() {
 		{"read", "gridftp:/secret/plans"},
 	} {
 		res, err := enforcer.AuthorizeContext(ctx, cred.Chain, attempt.resource, attempt.action, time.Time{})
-		if err != nil && res.Decision != authz.Deny {
+		if err != nil && res.Decision != gsi.Deny {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %s %-24s -> %-6s (local=%s, vo=%s)\n",
@@ -115,39 +110,15 @@ func main() {
 	// The dual check: a non-member from ANL's own CA cannot use the VO
 	// path even though the local policy would admit them, because CAS
 	// issues them no assertion.
-	mallory, err := anl.NewUser("Mallory")
+	mallory, err := anlCA.NewEntity(gsi.MustParseName("/O=ANL/CN=Mallory"), 12*time.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
-	malloryClient, err := aliceEnv.NewClient(mallory)
+	malloryClient, err := anlEnv.NewClient(mallory)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if _, err := malloryClient.RequestAssertion(ctx, casServer); err != nil {
 		fmt.Println("non-member denied an assertion:", err)
 	}
-
-	// And the VO policy overlay view (Figure 1): effective rights are the
-	// intersection of domain-local and community policy.
-	overlay := vo.Overlay{Domain: anl, VO: climateVO}
-	climateVO.Policy.Add(gsi.Rule{
-		Effect:    gsi.EffectPermit,
-		Subjects:  []string{alice.Identity().String()},
-		Resources: []string{"gridftp:/climate/*"},
-		Actions:   []string{"read"},
-	})
-	anl.Local.Add(gsi.Rule{
-		Effect:    gsi.EffectPermit,
-		Subjects:  []string{"*"},
-		Resources: []string{"gridftp:/climate/*"},
-		Actions:   []string{"read"},
-	})
-	eff, localD, voD := overlay.Decide(gsi.Request{
-		Subject:  alice.Identity(),
-		Resource: "gridftp:/climate/run7",
-		Action:   "read",
-	})
-	fmt.Printf("overlay decision: effective=%s (local=%s, vo=%s)\n", eff, localD, voD)
-
-	_ = cas.PolicyLanguage // document the restricted-proxy language in use
 }

@@ -9,19 +9,73 @@ import (
 	"time"
 
 	"repro/internal/authz"
+	"repro/internal/ca"
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/gram"
 	"repro/internal/gridcert"
 	"repro/internal/gridftp"
-	"repro/internal/mds"
 	"repro/internal/myproxy"
 	"repro/internal/ogsa"
 	"repro/internal/proxy"
+	"repro/internal/secsvc"
 	"repro/internal/soap"
-	"repro/internal/vo"
 	"repro/internal/xmlsec"
 )
+
+// fixture is a single-CA grid: the CA, a trust store holding it, a user
+// and a host.
+type fixture struct {
+	auth  *ca.Authority
+	trust *gridcert.TrustStore
+	alice *gridcert.Credential
+	host  *gridcert.Credential
+}
+
+func newFixture(tb testing.TB) fixture {
+	tb.Helper()
+	auth, trust := newDomain(tb, "Grid")
+	alice, err := auth.NewEntity(gridcert.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	host, err := auth.NewHostEntity(gridcert.MustParseName("/O=Grid/CN=host bench"), 12*time.Hour)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fixture{auth: auth, trust: trust, alice: alice, host: host}
+}
+
+// newDomain is one classical organization: its own CA and a trust store
+// that trusts it.
+func newDomain(tb testing.TB, org string) (*ca.Authority, *gridcert.TrustStore) {
+	tb.Helper()
+	auth, err := ca.New(gridcert.MustParseName("/O="+org+"/CN=CA"), 24*time.Hour, ca.DefaultPolicy())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	trust := gridcert.NewTrustStore()
+	if err := trust.AddRoot(auth.Certificate()); err != nil {
+		tb.Fatal(err)
+	}
+	return auth, trust
+}
+
+// benchService echoes its request body.
+type benchService struct{ *ogsa.Base }
+
+func newBenchService() *benchService {
+	s := &benchService{Base: ogsa.NewBase()}
+	s.Data.Set("__warmup__", []byte("ok"))
+	return s
+}
+
+func (s *benchService) Invoke(call *ogsa.Call) ([]byte, error) {
+	if reply, handled, err := s.HandleStandardOp(call); handled {
+		return reply, err
+	}
+	return call.Body, nil
+}
 
 // TestIntegrationMyProxyToGRAM: a portal retrieves a user's delegated
 // credential from the repository and submits a job with it — the classic
@@ -184,31 +238,20 @@ func TestIntegrationSignedEnvelopeThroughRelays(t *testing.T) {
 // one domain submits a job at the other domain's GRAM resource. This is
 // the paper's headline scenario end to end.
 func TestIntegrationVOWideJobSubmission(t *testing.T) {
-	orgA, err := vo.NewDomain("OrgA")
+	caA, trustA := newDomain(t, "OrgA")
+	caB, trustB := newDomain(t, "OrgB")
+	alice, err := caA.NewEntity(gridcert.MustParseName("/O=OrgA/CN=Alice"), 12*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orgB, err := vo.NewDomain("OrgB")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := vo.New("joint")
-	if _, err := v.JoinGSI(orgA, orgB); err != nil {
-		t.Fatal(err)
-	}
-	alice, err := orgA.NewUser("Alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hostB, err := orgB.CA.NewHostEntity(gridcert.MustParseName("/O=OrgB/CN=host cluster-b"), 12*time.Hour)
+	hostB, err := caB.NewHostEntity(gridcert.MustParseName("/O=OrgB/CN=host cluster-b"), 12*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gm := authz.NewGridMap()
 	gm.Add(alice.Identity(), "visitor_alice")
-	// The resource validates with OrgB's trust store, which now includes
-	// OrgA's CA thanks to the VO join.
-	res, err := gram.NewResource(hostB, orgB.Trust, gm)
+	// The resource validates with OrgB's trust store.
+	res, err := gram.NewResource(hostB, trustB, gm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +262,23 @@ func TestIntegrationVOWideJobSubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := &gram.Client{Credential: p, Trust: orgA.Trust, Resource: res}
-	mjs, err := client.SubmitAndRun(gram.JobDescription{Executable: gram.JobProgram, DelegateCredential: true})
+	client := &gram.Client{Credential: p, Trust: trustA, Resource: res}
+	job := gram.JobDescription{Executable: gram.JobProgram, DelegateCredential: true}
+
+	// Two domains with no trust relationship: OrgB has never heard of
+	// the CA that vouches for Alice.
+	if _, err := client.SubmitAndRun(job); err == nil {
+		t.Fatal("cross-domain job accepted before the domains joined")
+	}
+	// Forming the VO the GSI way: each domain unilaterally installs the
+	// other's CA beside its own. No agreement between them is signed.
+	if err := trustA.AddRoot(caB.Certificate()); err != nil {
+		t.Fatal(err)
+	}
+	if err := trustB.AddRoot(caA.Certificate()); err != nil {
+		t.Fatal(err)
+	}
+	mjs, err := client.SubmitAndRun(job)
 	if err != nil {
 		t.Fatalf("cross-domain job: %v", err)
 	}
@@ -232,33 +290,37 @@ func TestIntegrationVOWideJobSubmission(t *testing.T) {
 	}
 }
 
-// TestIntegrationFullStackWithSecurityServices: the Figure-3 pipeline
-// against a stack whose authorization and audit are themselves OGSA
-// services, over the HTTP binding.
+// TestIntegrationFullStackHTTP: the Figure-3 pipeline against a hosting
+// environment whose audit log is itself an OGSA service, over the HTTP
+// binding.
 func TestIntegrationFullStackHTTP(t *testing.T) {
+	f := newFixture(t)
 	pol := authz.NewPolicy(authz.DenyOverrides).Add(authz.Rule{
 		Effect:    authz.EffectPermit,
 		Subjects:  []string{"/O=Grid/CN=Alice"},
 		Resources: []string{"ogsa:*"},
 		Actions:   []string{"*"},
 	})
-	boot, err := core.NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host full",
-		&authz.PolicyEngine{Policy: pol, DefaultDeny: true})
+	audit := secsvc.NewAuditLog()
+	container, err := ogsa.NewContainer(ogsa.ContainerConfig{
+		Name:       "full",
+		Credential: f.host,
+		TrustStore: f.trust,
+		Authorizer: &authz.PolicyEngine{Policy: pol, DefaultDeny: true},
+		Audit:      audit,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot.Stack.Container.Publish("app", newBenchService())
-	srv, err := soap.NewServer("127.0.0.1:0", boot.Stack.Container.Dispatcher())
+	container.Publish("app", newBenchService())
+	container.Publish("security/audit", audit)
+	srv, err := soap.NewServer("127.0.0.1:0", container.Dispatcher())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	alice, err := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
 	httpClient := &soap.Client{Endpoint: srv.URL()}
-	req := &core.Requestor{Credential: alice, Trust: boot.Trust}
+	req := &core.Requestor{Credential: f.alice, Trust: f.trust}
 	out, trace, err := req.Invoke(httpClient.Call, "app", "echo", []byte("over the wire"))
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +332,7 @@ func TestIntegrationFullStackHTTP(t *testing.T) {
 		t.Fatalf("trace = %+v", trace)
 	}
 	// The audit log is intact and saw the traffic.
-	client := &ogsa.Client{Transport: httpClient.Call, Credential: alice, TrustStore: boot.Trust}
+	client := &ogsa.Client{Transport: httpClient.Call, Credential: f.alice, TrustStore: f.trust}
 	verify, err := client.InvokeSigned("security/audit", "Verify", nil)
 	if err != nil || string(verify) != "intact" {
 		t.Fatalf("audit: %q %v", verify, err)
@@ -278,72 +340,6 @@ func TestIntegrationFullStackHTTP(t *testing.T) {
 	events, err := client.InvokeSigned("security/audit", "Query", []byte("invoke"))
 	if err != nil || !strings.Contains(string(events), "app/echo") {
 		t.Fatalf("audit query: %v %q", err, events)
-	}
-}
-
-// TestIntegrationDiscoveryToInvocation: services register themselves in
-// MDS; a client discovers a GRAM endpoint by type and submits a job to
-// it — the "dynamic creation of services ... securely coordinated"
-// loop of §2.
-func TestIntegrationDiscoveryToInvocation(t *testing.T) {
-	f := newFixture(t)
-
-	// A secured MDS container.
-	mdsHost, err := f.auth.NewHostEntity(gridcert.MustParseName("/O=Grid/CN=host mds"), 12*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	container, err := ogsa.NewContainer(ogsa.ContainerConfig{
-		Name: "mds", Credential: mdsHost, TrustStore: f.trust,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	index := mds.NewIndex()
-	container.Publish("mds", mds.NewService(index))
-	transport := soap.Pipe(container.Dispatcher())
-
-	// The GRAM resource registers itself (authenticated as its host).
-	gm := authz.NewGridMap()
-	gm.Add(f.alice.Identity(), "alice")
-	res, err := gram.NewResource(f.host, f.trust, gm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.CreateAccount("alice"); err != nil {
-		t.Fatal(err)
-	}
-	hostClient := &ogsa.Client{Transport: transport, Credential: f.host, TrustStore: f.trust}
-	reg := mds.RegisterRequest{
-		Handle:     "gram://" + res.HostIdentity().CommonName(),
-		Type:       "gram.mmjfs",
-		Attributes: map[string]string{"queue": "batch"},
-	}
-	if _, err := hostClient.InvokeSigned("mds", "Register", reg.Encode()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Alice discovers a GRAM service…
-	aliceProxy, err := proxy.New(f.alice, proxy.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aliceClient := &ogsa.Client{Transport: transport, Credential: aliceProxy, TrustStore: f.trust}
-	found, err := aliceClient.InvokeSigned("mds", "Find", []byte("gram.*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(found), "gram://cluster") && !strings.Contains(string(found), "gram://") {
-		t.Fatalf("discovery result = %q", found)
-	}
-	// …and submits a job to the discovered resource.
-	client := &gram.Client{Credential: aliceProxy, Trust: f.trust, Resource: res}
-	mjs, err := client.SubmitAndRun(gram.JobDescription{Executable: gram.JobProgram, DelegateCredential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mjs.Job().State() != gram.StateDone {
-		t.Fatalf("state = %s", mjs.Job().State())
 	}
 }
 

@@ -47,8 +47,7 @@ type Authority struct {
 	nextStat Stats
 }
 
-// Stats summarises CA activity, used by the E1 trust-establishment
-// experiment to count administrative acts.
+// Stats summarises CA activity (cmd/gridca prints it).
 type Stats struct {
 	Issued  int
 	Revoked int

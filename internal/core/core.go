@@ -1,11 +1,10 @@
-// Package core assembles the GSI3 security stack of the paper's §4–5:
-// hosting environments (ogsa.Container) publishing security policy,
-// OGSA security services (secsvc), and a client-side Requestor that
-// automates the Figure-3 secured-request pipeline — policy discovery,
-// credential conversion, token processing, and invocation — so that
-// "security mechanisms should not have to be instantiated in an
-// application but instead should be supplied by the surrounding Grid
-// infrastructure."
+// Package core is the client-side hosting environment of the paper's
+// §4–5: a Requestor that automates the Figure-3 secured-request pipeline
+// against a hosting environment (ogsa.Container) publishing its security
+// policy — policy discovery, credential conversion, token processing,
+// and invocation — so that "security mechanisms should not have to be
+// instantiated in an application but instead should be supplied by the
+// surrounding Grid infrastructure."
 package core
 
 import (
@@ -14,120 +13,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/authz"
-	"repro/internal/bridge"
-	"repro/internal/ca"
 	"repro/internal/gridcert"
 	"repro/internal/ogsa"
-	"repro/internal/secsvc"
 	"repro/internal/wssec"
 )
-
-// Stack is one host's GSI3 deployment: a hosting environment with the
-// standard security services published inside it.
-type Stack struct {
-	Container *ogsa.Container
-	Audit     *secsvc.AuditLog
-	Trust     *gridcert.TrustStore
-
-	// The published security services (§4.1).
-	CredentialProcessing *secsvc.CredentialProcessing
-	Authorization        *secsvc.Authorization
-	IdentityMapping      *secsvc.IdentityMapping
-}
-
-// StackConfig configures NewStack.
-type StackConfig struct {
-	// Name labels the stack's container.
-	Name string
-	// Credential is the host credential.
-	Credential *gridcert.Credential
-	// Trust is the host's trust store.
-	Trust *gridcert.TrustStore
-	// Authorizer governs inbound calls; nil = authenticate-only.
-	Authorizer authz.Engine
-	// Mapper backs the identity-mapping service; nil creates an empty one.
-	Mapper *bridge.IdentityMapper
-	// RejectLimited refuses limited-proxy callers.
-	RejectLimited bool
-}
-
-// NewStack builds a hosting environment with the security services
-// published under their well-known handles:
-//
-//	security/credential-processing
-//	security/authorization
-//	security/identity-mapping
-//	security/audit
-func NewStack(cfg StackConfig) (*Stack, error) {
-	audit := secsvc.NewAuditLog()
-	container, err := ogsa.NewContainer(ogsa.ContainerConfig{
-		Name:          cfg.Name,
-		Credential:    cfg.Credential,
-		TrustStore:    cfg.Trust,
-		Authorizer:    cfg.Authorizer,
-		Audit:         audit,
-		RejectLimited: cfg.RejectLimited,
-	})
-	if err != nil {
-		return nil, err
-	}
-	mapper := cfg.Mapper
-	if mapper == nil {
-		mapper = bridge.NewIdentityMapper()
-	}
-	s := &Stack{
-		Container:            container,
-		Audit:                audit,
-		Trust:                cfg.Trust,
-		CredentialProcessing: secsvc.NewCredentialProcessing(cfg.Trust),
-		IdentityMapping:      secsvc.NewIdentityMapping(mapper),
-	}
-	if cfg.Authorizer != nil {
-		s.Authorization = secsvc.NewAuthorization(cfg.Authorizer)
-		container.Publish("security/authorization", s.Authorization)
-	}
-	container.Publish("security/credential-processing", s.CredentialProcessing)
-	container.Publish("security/identity-mapping", s.IdentityMapping)
-	container.Publish("security/audit", audit)
-	return s, nil
-}
-
-// Bootstrap builds a complete single-CA grid test/demo environment: a
-// CA, a trust store holding it, a host credential, and a stack.
-type Bootstrap struct {
-	CA    *ca.Authority
-	Trust *gridcert.TrustStore
-	Host  *gridcert.Credential
-	Stack *Stack
-}
-
-// NewBootstrap creates the environment. caName and hostName are DNs like
-// "/O=Grid/CN=CA" and "/O=Grid/CN=host cluster".
-func NewBootstrap(caName, hostName string, authorizer authz.Engine) (*Bootstrap, error) {
-	authority, err := ca.New(gridcert.MustParseName(caName), 365*24*time.Hour, ca.DefaultPolicy())
-	if err != nil {
-		return nil, err
-	}
-	trust := gridcert.NewTrustStore()
-	if err := trust.AddRoot(authority.Certificate()); err != nil {
-		return nil, err
-	}
-	host, err := authority.NewHostEntity(gridcert.MustParseName(hostName), 30*24*time.Hour)
-	if err != nil {
-		return nil, err
-	}
-	stack, err := NewStack(StackConfig{
-		Name:       hostName,
-		Credential: host,
-		Trust:      trust,
-		Authorizer: authorizer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Bootstrap{CA: authority, Trust: trust, Host: host, Stack: stack}, nil
-}
 
 // Trace records where time went in one secured request — the measurable
 // form of Figure 3's numbered steps.
@@ -146,8 +35,8 @@ func (t Trace) Total() time.Duration {
 }
 
 // Converter obtains an acceptable credential when the requestor's current
-// one does not satisfy the target's policy (Figure 3 step 2) — e.g. a KCA
-// exchange or a CAS assertion embedding.
+// one does not satisfy the target's policy (Figure 3 step 2) — e.g. an
+// online-CA exchange or a CAS assertion embedding.
 type Converter func() (*gridcert.Credential, error)
 
 // Requestor is the client-side hosting environment of Figure 3: it
@@ -166,8 +55,6 @@ type Requestor struct {
 	// PreferStateless picks per-message signing over secure conversation
 	// when the target allows both.
 	PreferStateless bool
-
-	client *ogsa.Client
 }
 
 // capabilities derives the client capabilities from a credential.
@@ -257,14 +144,9 @@ func (r *Requestor) InvokeContext(ctx context.Context, transport wssec.Transport
 	case wssec.MechSecureConversation:
 		t2 := time.Now()
 		// Warm the conversation so token processing is visible separately
-		// from the invocation.
-		if _, err := client.InvokeSecure(handle, "FindServiceData", []byte("__warmup__")); err != nil {
-			// FindServiceData may fail for services without that SDE; the
-			// context is established regardless. Only transport-level
-			// failures abort.
-			var noCtx interface{ Error() string }
-			_ = noCtx
-		}
+		// from the invocation. FindServiceData may fail for services
+		// without that SDE; the context is established regardless.
+		client.InvokeSecure(handle, "FindServiceData", []byte("__warmup__"))
 		trace.TokenProcessing = time.Since(t2)
 		if err := ctx.Err(); err != nil {
 			return nil, trace, err

@@ -6,14 +6,48 @@ import (
 	"time"
 
 	"repro/internal/authz"
-	"repro/internal/bridge"
 	"repro/internal/ca"
 	"repro/internal/gridcert"
-	"repro/internal/kerberos"
 	"repro/internal/ogsa"
 	"repro/internal/soap"
 	"repro/internal/wssec"
 )
+
+// bootstrap is a single-CA grid: the CA, a trust store holding it, and a
+// hosting environment under a host credential with demoService published
+// as "app".
+type bootstrap struct {
+	CA        *ca.Authority
+	Trust     *gridcert.TrustStore
+	Container *ogsa.Container
+}
+
+func newBootstrap(t testing.TB, authorizer authz.Engine) *bootstrap {
+	t.Helper()
+	authority, err := ca.New(gridcert.MustParseName("/O=Grid/CN=CA"), 24*time.Hour, ca.DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	trust := gridcert.NewTrustStore()
+	if err := trust.AddRoot(authority.Certificate()); err != nil {
+		t.Fatal(err)
+	}
+	host, err := authority.NewHostEntity(gridcert.MustParseName("/O=Grid/CN=host s1"), 12*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	container, err := ogsa.NewContainer(ogsa.ContainerConfig{
+		Name:       "s1",
+		Credential: host,
+		TrustStore: trust,
+		Authorizer: authorizer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	container.Publish("app", newDemoService())
+	return &bootstrap{CA: authority, Trust: trust, Container: container}
+}
 
 // demoService echoes with its caller's identity.
 type demoService struct{ *ogsa.Base }
@@ -34,53 +68,12 @@ func (s *demoService) Invoke(call *ogsa.Call) ([]byte, error) {
 	return append([]byte("ok:"), call.Body...), nil
 }
 
-func TestBootstrapAndStackServices(t *testing.T) {
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alice, err := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := &ogsa.Client{
-		Transport:  soap.Pipe(boot.Stack.Container.Dispatcher()),
-		Credential: alice,
-		TrustStore: boot.Trust,
-	}
-	// The credential-processing service validates chains.
-	reply, err := client.InvokeSigned("security/credential-processing", "ValidateChain",
-		gridcert.EncodeChain(alice.Chain))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(reply) != "/O=Grid/CN=Alice" {
-		t.Fatalf("ValidateChain = %q", reply)
-	}
-	// The audit service saw the calls.
-	cnt, err := client.InvokeSigned("security/audit", "Count", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(cnt) == "0" {
-		t.Fatal("audit log empty")
-	}
-	verify, err := client.InvokeSigned("security/audit", "Verify", nil)
-	if err != nil || string(verify) != "intact" {
-		t.Fatalf("audit verify: %q %v", verify, err)
-	}
-}
-
 func TestFigure3PipelineStateful(t *testing.T) {
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot.Stack.Container.Publish("app", newDemoService())
+	boot := newBootstrap(t, nil)
 	alice, _ := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
 
 	req := &Requestor{Credential: alice, Trust: boot.Trust}
-	out, trace, err := req.Invoke(soap.Pipe(boot.Stack.Container.Dispatcher()), "app", "whoami", nil)
+	out, trace, err := req.Invoke(soap.Pipe(boot.Container.Dispatcher()), "app", "whoami", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +95,10 @@ func TestFigure3PipelineStateful(t *testing.T) {
 }
 
 func TestFigure3PipelineStateless(t *testing.T) {
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot.Stack.Container.Publish("app", newDemoService())
+	boot := newBootstrap(t, nil)
 	alice, _ := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
 	req := &Requestor{Credential: alice, Trust: boot.Trust, PreferStateless: true}
-	out, trace, err := req.Invoke(soap.Pipe(boot.Stack.Container.Dispatcher()), "app", "whoami", nil)
+	out, trace, err := req.Invoke(soap.Pipe(boot.Container.Dispatcher()), "app", "whoami", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,52 +113,24 @@ func TestFigure3PipelineStateless(t *testing.T) {
 }
 
 func TestFigure3WithConversion(t *testing.T) {
-	// A site user with only Kerberos credentials converts via KCA inside
-	// the pipeline (step 2), then the request proceeds.
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
+	// A site user holding no grid credential converts inside the pipeline
+	// (step 2) — here an online CA the host trusts mints one on demand —
+	// then the request proceeds under the converted identity.
+	boot := newBootstrap(t, nil)
+	siteCA, err := ca.New(gridcert.MustParseName("/O=ANL/CN=Online CA"), 24*time.Hour, ca.DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot.Stack.Container.Publish("app", newDemoService())
-
-	// Site Kerberos infrastructure + KCA whose CA the host trusts.
-	kdc := kerberos.NewKDC("ANL.GOV")
-	principal := kdc.RegisterPrincipal("alice", "pw")
-	kcaP, kcaKey, _ := kdc.RegisterService("kca/grid")
-	kcaAuthority, err := ca.New(gridcert.MustParseName("/O=ANL/CN=KCA"), 24*time.Hour, ca.DefaultPolicy())
-	if err != nil {
+	if err := boot.Trust.AddRoot(siteCA.Certificate()); err != nil {
 		t.Fatal(err)
 	}
-	mapper := bridge.NewIdentityMapper()
 	aliceDN := gridcert.MustParseName("/O=ANL/CN=Alice")
-	mapper.MapKerberos(aliceDN, principal)
-	kca := bridge.NewKCA(kcaAuthority, kerberos.NewService(kcaP, kcaKey), mapper)
-	if err := boot.Trust.AddRoot(kcaAuthority.Certificate()); err != nil {
-		t.Fatal(err)
-	}
-
 	convert := func() (*gridcert.Credential, error) {
-		tgt, tgtSess, err := kdc.ASExchange("alice", "pw")
-		if err != nil {
-			return nil, err
-		}
-		a1, err := kerberos.NewAuthenticator(principal, tgtSess, time.Now())
-		if err != nil {
-			return nil, err
-		}
-		st, stSess, err := kdc.TGSExchange(tgt, a1, "kca/grid")
-		if err != nil {
-			return nil, err
-		}
-		ap, err := kerberos.NewAuthenticator(principal, stSess, time.Now())
-		if err != nil {
-			return nil, err
-		}
-		return kca.Convert(st, ap)
+		return siteCA.NewEntity(aliceDN, time.Hour)
 	}
 
 	req := &Requestor{Credential: nil, Trust: boot.Trust, Convert: convert}
-	out, trace, err := req.Invoke(soap.Pipe(boot.Stack.Container.Dispatcher()), "app", "whoami", nil)
+	out, trace, err := req.Invoke(soap.Pipe(boot.Container.Dispatcher()), "app", "whoami", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,45 +149,33 @@ func TestPipelineAuthorizationDeny(t *testing.T) {
 		Resources: []string{"ogsa:app"},
 		Actions:   []string{"whoami", "FindServiceData"},
 	})
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1",
-		&authz.PolicyEngine{Policy: pol, DefaultDeny: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot.Stack.Container.Publish("app", newDemoService())
+	boot := newBootstrap(t, &authz.PolicyEngine{Policy: pol, DefaultDeny: true})
 	alice, _ := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
 	bob, _ := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Bob"), 12*time.Hour)
 
 	reqA := &Requestor{Credential: alice, Trust: boot.Trust}
-	if _, _, err := reqA.Invoke(soap.Pipe(boot.Stack.Container.Dispatcher()), "app", "whoami", nil); err != nil {
+	if _, _, err := reqA.Invoke(soap.Pipe(boot.Container.Dispatcher()), "app", "whoami", nil); err != nil {
 		t.Fatalf("alice: %v", err)
 	}
 	reqB := &Requestor{Credential: bob, Trust: boot.Trust}
-	_, _, err = reqB.Invoke(soap.Pipe(boot.Stack.Container.Dispatcher()), "app", "whoami", nil)
+	_, _, err := reqB.Invoke(soap.Pipe(boot.Container.Dispatcher()), "app", "whoami", nil)
 	if err == nil || !strings.Contains(err.Error(), "denied") {
 		t.Fatalf("bob: %v", err)
 	}
 }
 
 func TestRequestorWithoutCredentialOrConverter(t *testing.T) {
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	boot := newBootstrap(t, nil)
 	req := &Requestor{Trust: boot.Trust}
-	_, _, err = req.Invoke(soap.Pipe(boot.Stack.Container.Dispatcher()), "app", "op", nil)
+	_, _, err := req.Invoke(soap.Pipe(boot.Container.Dispatcher()), "app", "op", nil)
 	if err == nil {
 		t.Fatal("invocation without credential succeeded")
 	}
 }
 
 func TestPipelineOverHTTP(t *testing.T) {
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot.Stack.Container.Publish("app", newDemoService())
-	srv, err := soap.NewServer("127.0.0.1:0", boot.Stack.Container.Dispatcher())
+	boot := newBootstrap(t, nil)
+	srv, err := soap.NewServer("127.0.0.1:0", boot.Container.Dispatcher())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,13 +193,9 @@ func TestPipelineOverHTTP(t *testing.T) {
 }
 
 func BenchmarkFigure3PipelineFull(b *testing.B) {
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	boot.Stack.Container.Publish("app", newDemoService())
+	boot := newBootstrap(b, nil)
 	alice, _ := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	transport := soap.Pipe(boot.Stack.Container.Dispatcher())
+	transport := soap.Pipe(boot.Container.Dispatcher())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := &Requestor{Credential: alice, Trust: boot.Trust}

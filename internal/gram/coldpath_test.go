@@ -11,6 +11,7 @@ import (
 	"repro/internal/authz"
 	"repro/internal/gridcert"
 	"repro/internal/gridcrypto"
+	"repro/internal/israce"
 	"repro/internal/osim"
 	"repro/internal/proxy"
 	"repro/internal/soap"
@@ -243,8 +244,8 @@ func TestSubmitCostIndependentOfMapfileSize(t *testing.T) {
 	}
 }
 
-// TestPrivilegedOpsPerJob pins the §5.2 accounting the E-series
-// experiments report: what a job costs in root-privileged operations, and
+// TestPrivilegedOpsPerJob pins the §5.2 accounting `gramsim -exp e5`
+// reports: what a job costs in root-privileged operations, and
 // which process is charged, in each architecture. Reading the mapfile
 // through the view is charged exactly as reading it was.
 func TestPrivilegedOpsPerJob(t *testing.T) {
@@ -397,20 +398,21 @@ func TestRevocationBetweenSubmitAndRun(t *testing.T) {
 	}
 }
 
-// --- benchmarks --------------------------------------------------------------
-
-// BenchmarkGRAMSubmitWarm1k is a Submit routed to a running LMJFS over a
-// 1,000-entry mapfile. make gate-allocs holds its allocs/op to an exact
-// ceiling: one O(mapfile) step in the router or the LMJFS is thousands
-// over it.
-func BenchmarkGRAMSubmitWarm1k(b *testing.B) {
-	bed, _ := bedWithMapfile(b, 999, 0)
+// TestSubmitWarm1kAllocs holds a Submit routed to a running LMJFS over a
+// 1,000-entry mapfile to an exact ceiling: one O(mapfile) step in the
+// router or the LMJFS is thousands over it.
+func TestSubmitWarm1kAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("race instrumentation allocates; exactness only holds in plain builds")
+	}
+	bed, _ := bedWithMapfile(t, 999, 0)
 	desc := testJob()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	allocs := testing.AllocsPerRun(500, func() {
 		if _, err := bed.client.Submit(desc); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
+	})
+	if allocs > 217 {
+		t.Fatalf("warm submit over a 1,000-entry mapfile allocates %.0f/op, want <= 217", allocs)
 	}
 }

@@ -169,9 +169,6 @@ const (
 	// ExtCASAssertion carries a CAS policy assertion embedded in a
 	// restricted proxy.
 	ExtCASAssertion = "grid.cas.assertion"
-	// ExtKCAOrigin marks a certificate issued by the Kerberos CA bridge
-	// and carries the originating Kerberos principal.
-	ExtKCAOrigin = "grid.kca.principal"
 )
 
 // FindExtension returns the first extension with the given ID.

@@ -263,13 +263,13 @@ func TestFindExtension(t *testing.T) {
 		Type:    TypeEndEntity,
 		Subject: MustParseName("/CN=svc"),
 		Extensions: []Extension{
-			{ID: ExtKCAOrigin, Critical: false, Value: []byte("alice@REALM")},
+			{ID: "site.origin", Critical: false, Value: []byte("alice@REALM")},
 		},
 	}, key.Public(), caCert.Subject, caKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, ok := c.FindExtension(ExtKCAOrigin)
+	ext, ok := c.FindExtension("site.origin")
 	if !ok || string(ext.Value) != "alice@REALM" {
 		t.Fatalf("FindExtension: ok=%v value=%q", ok, ext.Value)
 	}
@@ -281,7 +281,7 @@ func TestFindExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext2, ok := dec.FindExtension(ExtKCAOrigin)
+	ext2, ok := dec.FindExtension("site.origin")
 	if !ok || string(ext2.Value) != "alice@REALM" {
 		t.Fatal("extension lost in round trip")
 	}

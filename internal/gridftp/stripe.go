@@ -126,14 +126,16 @@ func (s *Server) serveJoin(conn *gsitransport.Conn, identity gridcert.Name, payl
 	sp.SetPeer(identity.String())
 	defer sp.End()
 	idx := int(binary.BigEndian.Uint32(payload[stripeTokenLen:]))
-	grp, _, err := s.stripes.Join(identity.String(), string(payload[:stripeTokenLen]), idx, conn)
+	var replyErr error
+	grp, _, err := s.stripes.Join(identity.String(), string(payload[:stripeTokenLen]), idx, conn, func() {
+		replyErr = conn.Send(encodeReply(opOK, "", nil))
+	})
 	if err != nil {
 		sp.SetError(err)
 		return conn.Send(encodeReply(opErr, "", []byte(err.Error()))) == nil
 	}
-	// From here the connection belongs to the transfer until released:
-	// even on a failed reply it must not be closed out from under it.
-	replyErr := conn.Send(encodeReply(opOK, "", nil))
+	// The connection has belonged to the transfer since it joined: even
+	// on a failed reply it must not be closed out from under it.
 	s.stripes.Wait(grp)
 	return replyErr == nil && !conn.Broken()
 }

@@ -12,10 +12,13 @@ import (
 // named by an opaque transfer token — unguessable, chosen by whoever
 // opens the group — and bound to the authenticated identity that opened
 // it, so a leaked token is useless without the credential. Each
-// connection joins under its stripe index; the group is complete when
-// every index is taken. From its Join until the group's Close a connection
-// belongs to the group: its serve goroutine parks in Wait and must not
-// read, write or close it.
+// connection joins under its stripe index and is then told so; the group
+// is complete when every index is taken and every join reply has been
+// handed to its socket — not before, or whoever runs the transfer could
+// write DATA on a lane ahead of (or into the middle of) that lane's own
+// reply. From its Join until the group's Close a connection belongs to
+// the group: its serve goroutine parks in Wait and must not read, write
+// or close it.
 
 // StripeJoinTimeout bounds how long a forming group waits for its
 // remaining stripes: a peer that dies between joins must not park serve
@@ -47,9 +50,9 @@ type StripeGroup struct {
 	token    string
 	identity string
 	op       string
-	joined   int
+	replied  int // stripes seated whose join reply has been sent
 	failed   bool
-	ready    chan struct{} // closed when every stripe has joined
+	ready    chan struct{} // closed when every stripe has joined and been told so
 	done     chan struct{} // closed by Close, or when the group is abandoned
 }
 
@@ -103,27 +106,43 @@ func (r *Rendezvous) Open(identity, token string, count int, op string) (*Stripe
 	return g, nil
 }
 
-// Join binds conn into the forming group named token as stripe idx. The
+// Join binds conn into the forming group named token as stripe idx and
+// then runs reply, which tells the peer so over conn — outside the lock,
+// and before the stripe counts toward completion: a group is complete
+// only once every stripe's reply is out, so no reply can share its
+// connection with the transfer. A refused Join does not run reply. The
 // arrival that completes the group is told so (last): the group has
 // left the rendezvous and a caller without a separate coordinator runs
-// the transfer on this goroutine. Every other arrival parks in Wait.
-func (r *Rendezvous) Join(identity, token string, idx int, conn *Conn) (g *StripeGroup, last bool, err error) {
+// the transfer on this goroutine. Every other arrival parks in Wait —
+// as does one whose group was abandoned while it replied; Wait reports
+// that.
+func (r *Rendezvous) Join(identity, token string, idx int, conn *Conn, reply func()) (g *StripeGroup, last bool, err error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	g = r.forming[token]
 	switch {
 	case g == nil:
-		return nil, false, ErrUnknownToken
+		err = ErrUnknownToken
 	case g.identity != identity:
-		return nil, false, ErrTokenIdentity
+		err = ErrTokenIdentity
 	case idx < 0 || idx >= len(g.Conns):
-		return nil, false, ErrBadStripeIndex
+		err = ErrBadStripeIndex
 	case g.Conns[idx] != nil:
-		return nil, false, ErrDuplicateStripe
+		err = ErrDuplicateStripe
+	default:
+		g.Conns[idx] = conn
 	}
-	g.Conns[idx] = conn
-	g.joined++
-	if g.joined == len(g.Conns) {
+	r.mu.Unlock()
+	if err != nil {
+		return nil, false, err
+	}
+	reply()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if g.failed {
+		return g, false, nil
+	}
+	g.replied++
+	if g.replied == len(g.Conns) {
 		delete(r.forming, token)
 		close(g.ready)
 		return g, true, nil
@@ -131,8 +150,8 @@ func (r *Rendezvous) Join(identity, token string, idx int, conn *Conn) (g *Strip
 	return g, false, nil
 }
 
-// abandon fails a group whose stripes did not all arrive in time,
-// releasing every stripe parked on it — unless the group completed
+// abandon fails a group whose stripes did not all arrive and reply in
+// time, releasing every stripe parked on it — unless the group completed
 // first: the race with the final Join is settled under the rendezvous
 // lock, and a complete group is left to run.
 func (r *Rendezvous) abandon(g *StripeGroup) {
@@ -146,8 +165,9 @@ func (r *Rendezvous) abandon(g *StripeGroup) {
 	close(g.done)
 }
 
-// complete reports whether every stripe has joined. Once the group has
-// left the rendezvous (last Join, or abandon) the answer is final.
+// complete reports whether every stripe has joined and been told so.
+// Once the group has left the rendezvous (last Join, or abandon) the
+// answer is final.
 func (g *StripeGroup) complete() bool {
 	select {
 	case <-g.ready:

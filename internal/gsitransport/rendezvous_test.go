@@ -7,6 +7,9 @@ import (
 	"time"
 )
 
+// noReply is the join reply of a stripe with no peer to tell.
+func noReply() {}
+
 // Every refusal the rendezvous can give, each on a fresh instance. The
 // connections are opaque to the rendezvous, so bare values do.
 func TestRendezvousRefusals(t *testing.T) {
@@ -18,13 +21,13 @@ func TestRendezvousRefusals(t *testing.T) {
 	}{
 		{"duplicate index", func(r *Rendezvous) error {
 			r.Open(alice, "tok", 3, "put")
-			r.Join(alice, "tok", 1, &Conn{})
-			_, _, err := r.Join(alice, "tok", 1, &Conn{})
+			r.Join(alice, "tok", 1, &Conn{}, noReply)
+			_, _, err := r.Join(alice, "tok", 1, &Conn{}, noReply)
 			return err
 		}, ErrDuplicateStripe},
 		{"index out of range", func(r *Rendezvous) error {
 			r.Open(alice, "tok", 3, "put")
-			_, _, err := r.Join(alice, "tok", 3, &Conn{})
+			_, _, err := r.Join(alice, "tok", 3, &Conn{}, noReply)
 			return err
 		}, ErrBadStripeIndex},
 		{"count disagreement", func(r *Rendezvous) error {
@@ -44,17 +47,17 @@ func TestRendezvousRefusals(t *testing.T) {
 		}, ErrTokenIdentity},
 		{"join under another identity's token", func(r *Rendezvous) error {
 			r.Open(alice, "tok", 3, "put")
-			_, _, err := r.Join(bob, "tok", 0, &Conn{})
+			_, _, err := r.Join(bob, "tok", 0, &Conn{}, noReply)
 			return err
 		}, ErrTokenIdentity},
 		{"unknown token", func(r *Rendezvous) error {
-			_, _, err := r.Join(alice, "never-opened", 0, &Conn{})
+			_, _, err := r.Join(alice, "never-opened", 0, &Conn{}, noReply)
 			return err
 		}, ErrUnknownToken},
 		{"token of a completed group", func(r *Rendezvous) error {
 			r.Open(alice, "tok", 1, "put")
-			r.Join(alice, "tok", 0, &Conn{})
-			_, _, err := r.Join(alice, "tok", 0, &Conn{})
+			r.Join(alice, "tok", 0, &Conn{}, noReply)
+			_, _, err := r.Join(alice, "tok", 0, &Conn{}, noReply)
 			return err
 		}, ErrUnknownToken},
 		{"forming-group bound", func(r *Rendezvous) error {
@@ -83,7 +86,7 @@ func TestRendezvousCompleteGroupFreesItsSlot(t *testing.T) {
 	for i := 0; i < maxFormingGroups; i++ {
 		r.Open("id", fmt.Sprint("tok", i), 1, "")
 	}
-	g, last, err := r.Join("id", "tok0", 0, &Conn{})
+	g, last, err := r.Join("id", "tok0", 0, &Conn{}, noReply)
 	if err != nil || !last || !r.Await(g) {
 		t.Fatalf("completing join: last=%v err=%v", last, err)
 	}
@@ -102,7 +105,7 @@ func TestRendezvousAbandonReleasesParkedStripes(t *testing.T) {
 	}
 	parked := make(chan bool, 2)
 	for idx := 0; idx < 2; idx++ {
-		jg, last, err := r.Join("id", "tok", idx, &Conn{})
+		jg, last, err := r.Join("id", "tok", idx, &Conn{}, noReply)
 		if err != nil || last || jg != g {
 			t.Fatalf("join %d: last=%v err=%v", idx, last, err)
 		}
@@ -121,7 +124,7 @@ func TestRendezvousAbandonReleasesParkedStripes(t *testing.T) {
 			t.Fatal("parked stripe never released")
 		}
 	}
-	if _, _, err := r.Join("id", "tok", 2, &Conn{}); !errors.Is(err, ErrUnknownToken) {
+	if _, _, err := r.Join("id", "tok", 2, &Conn{}, noReply); !errors.Is(err, ErrUnknownToken) {
 		t.Fatalf("late join of an abandoned group: %v", err)
 	}
 }
@@ -135,14 +138,14 @@ func TestRendezvousFinalJoinRacesTimeout(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		r := NewRendezvous(timeout)
 		g, _ := r.Open("id", "tok", 2, "")
-		if _, _, err := r.Join("id", "tok", 0, &Conn{}); err != nil {
+		if _, _, err := r.Join("id", "tok", 0, &Conn{}, noReply); err != nil {
 			t.Fatal(err)
 		}
 		parked := make(chan bool, 1)
 		go func() { parked <- r.Wait(g) }()
 		// Sweep the final Join across the moment the timeout fires.
 		time.Sleep(timeout/2 + time.Duration(round)*timeout/20)
-		_, last, err := r.Join("id", "tok", 1, &Conn{})
+		_, last, err := r.Join("id", "tok", 1, &Conn{}, noReply)
 		switch {
 		case err == nil && last:
 			select {
@@ -161,5 +164,86 @@ func TestRendezvousFinalJoinRacesTimeout(t *testing.T) {
 		default:
 			t.Fatalf("final join: last=%v err=%v", last, err)
 		}
+	}
+}
+
+// A group is complete only once every stripe's join reply is out: a
+// stripe that is seated but still replying — at any position in the
+// arrival order — holds Await back, so the transfer cannot write on its
+// connection while the reply is still to come. Run under -race -count=50.
+func TestRendezvousHoldsBackUntilEveryReplyIsOut(t *testing.T) {
+	const k = 4
+	for slow := 0; slow < k; slow++ {
+		t.Run(fmt.Sprint("position ", slow), func(t *testing.T) {
+			r := NewRendezvous(time.Minute)
+			g, err := r.Open("id", "tok", k, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ready := make(chan bool, 1)
+			go func() { ready <- r.Await(g) }()
+			replying, release := make(chan struct{}), make(chan struct{})
+			lasts := make(chan bool, k)
+			join := func(idx int, reply func()) {
+				_, last, err := r.Join("id", "tok", idx, &Conn{}, reply)
+				if err != nil {
+					t.Errorf("join %d: %v", idx, err)
+				}
+				lasts <- last
+			}
+			// Stripes arrive in index order; the slow one parks inside its
+			// reply until released, the others reply at once.
+			for idx := 0; idx < k; idx++ {
+				if idx == slow {
+					go join(idx, func() { close(replying); <-release })
+					<-replying
+				} else {
+					join(idx, noReply)
+				}
+			}
+			select {
+			case <-ready:
+				t.Fatal("group released while a seated stripe's reply was still to come")
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(release)
+			if !<-ready {
+				t.Fatal("group abandoned although every stripe joined and replied")
+			}
+			completions := 0
+			for i := 0; i < k; i++ {
+				if <-lasts {
+					completions++
+				}
+			}
+			if completions != 1 {
+				t.Fatalf("%d arrivals were told they completed the group, want 1", completions)
+			}
+		})
+	}
+}
+
+// The join timeout covers the replies too: a group abandoned while a
+// seated stripe was still replying stays abandoned, and that stripe
+// learns it from Wait like any other.
+func TestRendezvousAbandonedWhileReplying(t *testing.T) {
+	r := NewRendezvous(10 * time.Millisecond)
+	g, err := r.Open("id", "tok", 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jg, last, err := r.Join("id", "tok", 0, &Conn{}, func() {
+		if r.Await(g) {
+			t.Error("group complete before its only stripe had replied")
+		}
+	})
+	if err != nil || last || jg != g {
+		t.Fatalf("join of a group abandoned mid-reply: last=%v err=%v", last, err)
+	}
+	if r.Wait(g) {
+		t.Fatal("stripe of an abandoned group told its transfer ran")
+	}
+	if _, err := r.Open("id", "tok", 1, ""); err != nil {
+		t.Fatalf("abandoned group still holds its token: %v", err)
 	}
 }

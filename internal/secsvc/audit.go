@@ -1,9 +1,12 @@
+// Package secsvc holds the audit service of the paper's §4.1 (after the
+// OGSA Security Roadmap): "a service that securely logs relevant
+// information about events", cast as a Grid service so a hosting
+// environment can publish it and the durable state can journal it.
 package secsvc
 
 import (
 	"bytes"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -94,7 +97,7 @@ func (l *AuditLog) RecordTrace(event, subject, detail, trace string) {
 	defer l.mu.Unlock()
 	e := AuditEvent{
 		Seq:     uint64(len(l.events)),
-		Time:    timeNow().UTC(),
+		Time:    time.Now().UTC(),
 		Event:   event,
 		Subject: subject,
 		Detail:  detail,
@@ -215,17 +218,6 @@ func DecodeAuditEvent(b []byte) (AuditEvent, error) {
 	}
 	copy(e.Hash[:], hash)
 	return e, nil
-}
-
-// Tamper is a test hook that corrupts an event in place.
-func (l *AuditLog) Tamper(i int, detail string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if i < 0 || i >= len(l.events) {
-		return errors.New("secsvc: tamper index out of range")
-	}
-	l.events[i].Detail = detail
-	return nil
 }
 
 // Invoke implements ogsa.Service.

@@ -217,23 +217,3 @@ func TestHostileDNLabels(t *testing.T) {
 		t.Fatalf("want 2 series under the family, got %d:\n%s", c, sb.String())
 	}
 }
-
-// The benchmark pair below rides the same cmd/bench2json -gate-allocs
-// mechanism as the record-layer gates: make gate-allocs pins both at 0
-// allocs/op.
-
-func BenchmarkCounterInc(b *testing.B) {
-	c := NewCounter("gsi_bench_total", "")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram("gsi_bench_seconds", "", nil)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(0.0042)
-	}
-}

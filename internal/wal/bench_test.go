@@ -1,11 +1,8 @@
-// Benchmarks for the journal's append path: what one durable mutation
-// costs as write concurrency grows. Every append blocks until its own
-// record is fsynced; concurrent appends share fsyncs (group commit), so
-// 64 writers' 64 records cost a handful of fsyncs, not 64. `make
-// bench-ctrlplane` records the three rows into BENCH_ctrlplane.json;
-// the falling ns/op at 8 and 64 writers is the group-commit claim of
-// PR 10. The 1-writer row also gates allocs/op at the single frame
-// buffer: batching never buys throughput with garbage.
+// Benchmarks for the journal's append path, for profiling: what one
+// durable mutation costs as write concurrency grows. Every append blocks
+// until its own record is fsynced; concurrent appends share fsyncs
+// (group commit), so 64 writers' 64 records cost a handful of fsyncs,
+// not 64.
 package wal
 
 import (

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/israce"
 )
 
 func replayAll(t *testing.T, w *WAL) []Record {
@@ -551,5 +553,27 @@ func TestFrameLengthLieRejected(t *testing.T) {
 	binary.BigEndian.PutUint32(b[:], MaxPayload+1)
 	if _, _, _, _, err := decodeFrame(b[:]); err == nil {
 		t.Fatal("oversized length field must fail decode")
+	}
+}
+
+// TestAppendAllocs: a durable append allocates its frame buffer and
+// nothing else — group commit never buys throughput with garbage.
+func TestAppendAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("race instrumentation allocates; exactness only holds in plain builds")
+	}
+	w, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	payload := make([]byte, 128)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := w.Append(1, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("durable append allocates %.2f/op, want <= 1", allocs)
 	}
 }

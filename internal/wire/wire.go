@@ -1,6 +1,6 @@
 // Package wire provides the deterministic length-prefixed binary encoding
 // shared by the grid protocol messages (delegation, security-context
-// tokens, Kerberos messages). All integers are big-endian; variable-length
+// tokens, journal records). All integers are big-endian; variable-length
 // fields carry a uint32 length prefix.
 package wire
 

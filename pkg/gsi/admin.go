@@ -2,7 +2,6 @@ package gsi
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -187,7 +186,7 @@ func (b *adminBackend) AdminCASSync() ([]byte, error) {
 	// Like AdminReload: a failed pull is not a failed op. The caller asked
 	// "pull now and tell me how it went"; on failure the previous bundle
 	// stays live and the error is the answer.
-	err := cs.syncOnce(context.Background())
+	err := cs.syncOnce()
 	report := struct {
 		OK    bool   `json:"ok"`
 		Error string `json:"error,omitempty"`

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -184,36 +185,113 @@ func TestCASRequestCancellation(t *testing.T) {
 }
 
 // TestGT3InvokeCancellation: the Figure-3 pipeline run through
-// Client.Invoke aborts with the context, mid-RPC, over real HTTP.
+// Client.Invoke refuses a dead context and succeeds under a live one,
+// over real HTTP.
 func TestGT3InvokeCancellation(t *testing.T) {
-	boot, err := gsi.NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host inv", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	url, shutdown, err := gsi.ServeHTTP(boot.Stack.Container, "127.0.0.1:0")
+	tb := newTestbed(t)
+	url, shutdown, err := gsi.ServeHTTP(newPingContainer(t, tb), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shutdown()
-	alice, err := boot.CA.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := gsi.NewEnvironment(gsi.WithTrustStore(boot.Trust))
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := env.NewClient(alice)
+	client, err := tb.env.NewClient(tb.alice)
 	if err != nil {
 		t.Fatal(err)
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := client.Invoke(canceled, url, "security/audit", "Count", nil); !errors.Is(err, gsi.ErrContextClosed) {
+	if _, _, err := client.Invoke(canceled, url, "ping", "ping", nil); !errors.Is(err, gsi.ErrContextClosed) {
 		t.Fatalf("canceled Invoke not surfaced: %v", err)
 	}
 	// Live context: full pipeline succeeds.
-	if out, _, err := client.Invoke(context.Background(), url, "security/audit", "Count", nil); err != nil {
+	if out, _, err := client.Invoke(context.Background(), url, "ping", "ping", nil); err != nil {
 		t.Fatalf("live Invoke: %v (out=%q)", err, out)
+	}
+}
+
+// TestGT3InvokeDeadlineMidRPC: a deadline that passes while an RPC of
+// the pipeline is in flight — the peer accepted and never answers —
+// ends the call then, not at the HTTP client's own 30 s timeout.
+func TestGT3InvokeDeadlineMidRPC(t *testing.T) {
+	tb := newTestbed(t)
+	ln := blackholeListener(t)
+	client, err := tb.env.NewClient(tb.alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err = client.Invoke(ctx, "http://"+ln.Addr().String()+"/soap", "ping", "ping", nil)
+	if !errors.Is(err, gsi.ErrContextClosed) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline not surfaced: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("Invoke outlived its 300ms deadline by %v", elapsed)
+	}
+}
+
+// TestCloseAbortsCASPullInFlight: an endpoint whose CAS upstream accepts
+// and never answers closes promptly — Close cancels the pull instead of
+// waiting out its timeout — and the aborted round counts as a failure.
+func TestCloseAbortsCASPullInFlight(t *testing.T) {
+	bed := newAuthzBed(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			accepted <- conn // held open, never answered
+		}
+	}()
+	reg := gsi.NewMetricsRegistry()
+	server, err := bed.env.NewServer(bed.host,
+		gsi.WithTransport(gsi.TransportGT3()),
+		gsi.WithMetrics(reg),
+		gsi.WithCASUpstream(gsi.CASUpstreamConfig{
+			Endpoints: []string{"http://" + ln.Addr().String() + "/soap"},
+			Cert:      bed.vo.Certificate(),
+		}),
+		gsi.WithLocalPolicy(bed.local))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := server.Serve(context.Background(), "127.0.0.1:0",
+		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
+			return body, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case conn := <-accepted: // the first pull is in flight
+		defer conn.Close()
+	case <-time.After(5 * time.Second):
+		t.Fatal("the syncer never dialed its upstream")
+	}
+	start := time.Now()
+	if err := ep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("Close waited %v for the pull in flight", elapsed)
+	}
+	// The control plane is gone with the endpoint; the syncer's counters
+	// stay readable through the registry.
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var failures string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "gsi_cas_sync_failures_total") {
+			failures = line[strings.LastIndexByte(line, ' ')+1:]
+		}
+	}
+	if failures != "1" {
+		t.Fatalf("gsi_cas_sync_failures_total = %q after the aborted pull, want 1:\n%s", failures, sb.String())
 	}
 }

@@ -39,8 +39,11 @@ type casSyncer struct {
 	warmN    int                    // hot keys to request per warm (0 = off)
 	cfg      CASUpstreamConfig
 
-	stop chan struct{}
-	done chan struct{}
+	// ctx is the syncer's lifetime: every pull runs under it, so close
+	// aborts one in flight instead of waiting out casSyncTimeout.
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{}
 
 	mu       sync.Mutex
 	lastErr  string
@@ -115,13 +118,15 @@ func newCASSyncer(env *Environment, cred *Credential, pipeline *AuthorizationPip
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultCASSyncInterval
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	return &casSyncer{
 		client:   client,
 		replica:  pipeline.Replica(),
 		pipeline: pipeline,
 		warmN:    warmN,
 		cfg:      cfg,
-		stop:     make(chan struct{}),
+		ctx:      ctx,
+		cancel:   cancel,
 		done:     make(chan struct{}),
 	}, nil
 }
@@ -132,31 +137,31 @@ func (cs *casSyncer) start() {
 		// First pull immediately: an endpoint that comes up pointing at a
 		// live community server should enforce its bundle from the first
 		// request, not after one interval of local-only decisions.
-		cs.syncOnce(context.Background())
+		cs.syncOnce()
 		t := time.NewTicker(cs.cfg.Interval)
 		defer t.Stop()
 		for {
 			select {
-			case <-cs.stop:
+			case <-cs.ctx.Done():
 				return
 			case <-t.C:
-				cs.syncOnce(context.Background())
+				cs.syncOnce()
 			}
 		}
 	}()
 }
 
 func (cs *casSyncer) close() {
-	close(cs.stop)
+	cs.cancel()
 	<-cs.done
 }
 
 // syncOnce tries each endpoint in order until one yields a bundle the
 // replica accepts. "Up to date" (same version) counts as success.
-func (cs *casSyncer) syncOnce(ctx context.Context) error {
+func (cs *casSyncer) syncOnce() error {
 	var errs []error
 	for _, ep := range cs.cfg.Endpoints {
-		err := cs.pull(ctx, ep)
+		err := cs.pull(cs.ctx, ep)
 		if err == nil {
 			cs.mu.Lock()
 			cs.lastOK = ep

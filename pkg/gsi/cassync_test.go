@@ -259,8 +259,8 @@ func TestCASWarmPromotionFailover(t *testing.T) {
 	if st.DeltaSyncs == 0 {
 		t.Fatalf("failover caught up without a single delta: %+v", st)
 	}
-	// (Byte savings are a scale claim — BenchmarkCASDeltaSync100k proves
-	// them; a fixture VO this small can't.)
+	// (Byte savings are a scale claim — the benchmark's cas.delta_bytes
+	// shows them; a fixture VO this small can't.)
 
 	// The post-churn sync cycle must re-warm against the settled
 	// generation vector: WarmCurrent reports that the most recent warm

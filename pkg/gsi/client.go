@@ -9,6 +9,7 @@ import (
 	"repro/internal/gram"
 	"repro/internal/gss"
 	"repro/internal/proxy"
+	"repro/internal/soap"
 	"repro/internal/trace"
 )
 
@@ -310,8 +311,7 @@ func (c *Client) Exchange(ctx context.Context, endpoint, op string, body []byte,
 }
 
 // Establish runs an in-memory mutual authentication against an acceptor
-// configuration — the handle-based form of the old EstablishContext free
-// function, for co-located services and tests.
+// configuration, for co-located services and tests.
 func (c *Client) Establish(ctx context.Context, acceptor ContextConfig, opts ...Option) (initiator, accepted *Context, err error) {
 	const op = "gsi.Client.Establish"
 	ctx, cancelSkew, s, err := c.resolve(ctx, opts)
@@ -456,7 +456,11 @@ func (c *Client) Invoke(ctx context.Context, endpoint, handle, op string, body [
 		Trust:           c.env.trust,
 		PreferStateless: s.protection == ProtectionSigned,
 	}
-	out, phases, err := r.InvokeContext(ctx, HTTPTransport(endpoint), handle, op, body)
+	// Every round trip of the pipeline is bound to ctx, so its end aborts
+	// an RPC in flight, not just the next phase.
+	soapClient := &soap.Client{Endpoint: endpoint}
+	transport := func(env *Envelope) (*Envelope, error) { return soapClient.CallContext(ctx, env) }
+	out, phases, err := r.InvokeContext(ctx, transport, handle, op, body)
 	if err != nil {
 		return nil, phases, opErr(opName, err)
 	}

@@ -1,27 +1,18 @@
 package gsi_test
 
 import (
-	"net"
+	"context"
 	"testing"
 	"time"
 
-	"repro/internal/gsitransport"
-	"repro/internal/proxy"
 	"repro/pkg/gsi"
 )
 
 // TestFacadeCASFlow drives the CAS helpers of the public API.
 func TestFacadeCASFlow(t *testing.T) {
-	authority, err := gsi.NewCA("/O=Grid/CN=CA", 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trust := gsi.NewTrustStore()
-	if err := trust.AddRoot(authority.Certificate()); err != nil {
-		t.Fatal(err)
-	}
-	alice, _ := authority.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	voCred, _ := authority.NewEntity(gsi.MustParseName("/O=Grid/CN=VO"), 12*time.Hour)
+	tb := newTestbed(t)
+	alice := tb.alice
+	voCred, _ := tb.ca.NewEntity(gsi.MustParseName("/O=Grid/CN=VO"), 12*time.Hour)
 
 	server := gsi.NewCASServer(voCred)
 	server.AddMember(alice.Identity(), "g")
@@ -35,11 +26,15 @@ func TestFacadeCASFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cred, err := gsi.EmbedAssertion(alice, assertion)
+	client, err := tb.env.NewClient(alice)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enforcer := gsi.NewCASEnforcer(trust, gsi.NewPolicy(gsi.Rule{
+	cred, err := client.EmbedAssertion(assertion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enforcer := gsi.NewCASEnforcer(tb.env.Trust(), gsi.NewPolicy(gsi.Rule{
 		Effect:    gsi.EffectPermit,
 		Subjects:  []string{"*"},
 		Resources: []string{"r:/*"},
@@ -86,91 +81,42 @@ func TestFacadeMyProxyAndGridMap(t *testing.T) {
 	}
 }
 
-// TestFacadeDialGSI covers the GT2 transport helper.
-func TestFacadeDialGSI(t *testing.T) {
-	authority, _ := gsi.NewCA("/O=Grid/CN=CA", 24*time.Hour)
-	trust := gsi.NewTrustStore()
-	trust.AddRoot(authority.Certificate())
-	alice, _ := authority.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	host, _ := authority.NewHostEntity(gsi.MustParseName("/O=Grid/CN=host d"), 12*time.Hour)
-
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := gsitransport.NewListener(inner, gsi.ContextConfig{Credential: host, TrustStore: trust})
-	defer l.Close()
-	done := make(chan error, 1)
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		defer conn.Close()
-		msg, err := conn.Receive()
-		if err != nil {
-			done <- err
-			return
-		}
-		done <- conn.Send(msg)
-	}()
-	conn, err := gsi.DialGSI(l.Addr().String(), gsi.ContextConfig{Credential: alice, TrustStore: trust})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Send([]byte("ping")); err != nil {
-		t.Fatal(err)
-	}
-	if pong, err := conn.Receive(); err != nil || string(pong) != "ping" {
-		t.Fatalf("%v %q", err, pong)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestGT2GT3CredentialCompatibility asserts the §6 claim: "GSI3 remains
 // compatible (in terms of credential formats) with those used in GT2" —
 // the very same proxy credential authenticates over the GT2 transport
 // and the GT3 SOAP stack.
 func TestGT2GT3CredentialCompatibility(t *testing.T) {
-	boot, err := gsi.NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host compat", nil)
+	tb := newTestbed(t)
+	p, err := gsi.NewProxy(tb.alice, gsi.ProxyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alice, _ := boot.CA.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	p, err := proxy.New(alice, proxy.Options{})
+	client, err := tb.env.NewClient(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// GT2: raw transport mutual auth with the proxy.
-	ictx, actx, err := gsi.EstablishContext(
-		gsi.ContextConfig{Credential: p, TrustStore: boot.Trust},
-		gsi.ContextConfig{Credential: boot.Host, TrustStore: boot.Trust},
-	)
+	_, actx, err := client.Establish(context.Background(),
+		gsi.ContextConfig{Credential: tb.host, TrustStore: tb.env.Trust()})
 	if err != nil {
 		t.Fatalf("GT2 path: %v", err)
 	}
-	_ = ictx
-	if !actx.Peer().Identity.Equal(alice.Identity()) {
+	if !actx.Peer().Identity.Equal(tb.alice.Identity()) {
 		t.Fatalf("GT2 identity = %q", actx.Peer().Identity)
 	}
 
 	// GT3: the same credential drives the SOAP pipeline.
-	client := &gsi.ServiceClient{
-		Transport:  gsi.PipeTransport(boot.Stack.Container),
+	svc := &gsi.ServiceClient{
+		Transport:  gsi.PipeTransport(newPingContainer(t, tb)),
 		Credential: p,
-		TrustStore: boot.Trust,
+		TrustStore: tb.env.Trust(),
 	}
-	out, err := client.InvokeSigned("security/credential-processing", "ValidateChain",
-		gsi.EncodeChain(p.Chain))
+	out, err := svc.InvokeSigned("ping", "ping", nil)
 	if err != nil {
 		t.Fatalf("GT3 path: %v", err)
 	}
-	if string(out) != alice.Identity().String() {
+	if string(out) != "pong:"+tb.alice.Identity().String() {
 		t.Fatalf("GT3 identity = %q", out)
 	}
 }

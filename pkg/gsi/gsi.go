@@ -4,7 +4,7 @@
 // # The handle-based API
 //
 // The primary surface is three handles (see DESIGN.md for the full
-// shape and migration notes):
+// shape):
 //
 //   - Environment — trust roots + clock + authorization policy,
 //     constructed with NewEnvironment and EnvOptions;
@@ -45,11 +45,8 @@
 //     enforcement (Figure 2);
 //   - the GT3 service stack: hosting environments with security handler
 //     pipelines, published security policy, WS-SecureConversation and
-//     per-message signatures, and the OGSA security services (Figures 3);
+//     per-message signatures, and the secured-request pipeline (Figure 3);
 //   - GRAM: least-privilege remote job management (Figure 4).
-//
-// The free functions at the bottom of this file predate the handles;
-// they remain as thin deprecated shims.
 //
 // The quickstart example (examples/quickstart) shows the typical flow:
 // create a CA, issue a user, make a proxy, authenticate mutually, and
@@ -141,10 +138,6 @@ type (
 	ServiceClient = ogsa.Client
 	// Requestor automates the Figure-3 secured-request pipeline.
 	Requestor = core.Requestor
-	// Stack is a hosting environment with the standard security services.
-	Stack = core.Stack
-	// Bootstrap is a single-CA demo/test environment.
-	Bootstrap = core.Bootstrap
 	// PolicyDocument is a published WS-Policy security policy.
 	PolicyDocument = wssec.PolicyDocument
 	// Envelope is a SOAP message.
@@ -228,27 +221,6 @@ func NewProxy(signer *Credential, opts ProxyOptions) (*Credential, error) {
 	return proxy.New(signer, opts)
 }
 
-// EstablishContext runs an in-memory mutual authentication and returns
-// both sides' contexts.
-//
-// Deprecated: build a Client with Environment.NewClient and use
-// Client.Establish, which honors a context.Context and returns typed
-// errors.
-func EstablishContext(initiator, acceptor ContextConfig) (*Context, *Context, error) {
-	return gss.Establish(initiator, acceptor)
-}
-
-// DialGSI connects to a GT2-style secured TCP endpoint.
-//
-// Deprecated: build a Client with Environment.NewClient and use
-// Client.Connect with TransportGT2 (the default), which honors a
-// context.Context mid-handshake and returns typed errors. DialGSI
-// remains for callers speaking raw GT2 record streams rather than
-// request/response exchanges.
-func DialGSI(addr string, cfg ContextConfig) (*Conn, error) {
-	return gsitransport.Dial(addr, cfg)
-}
-
 // NewPolicy creates a deny-overrides policy.
 func NewPolicy(rules ...Rule) *Policy {
 	return authz.NewPolicy(authz.DenyOverrides).Add(rules...)
@@ -264,20 +236,6 @@ func NewCASServer(voCred *Credential) *CASServer { return cas.NewServer(voCred) 
 // NewCASEnforcer creates the resource-side CAS policy combiner.
 func NewCASEnforcer(trust *TrustStore, local *Policy) *CASEnforcer {
 	return cas.NewEnforcer(trust, local)
-}
-
-// EmbedAssertion wraps a CAS assertion into a restricted proxy.
-//
-// Deprecated: use Client.EmbedAssertion, which classifies failures onto
-// the package error taxonomy.
-func EmbedAssertion(member *Credential, a *CASAssertion) (*Credential, error) {
-	return cas.EmbedInProxy(member, a)
-}
-
-// NewBootstrap builds a complete single-CA environment: CA, trust store,
-// host credential, and a security stack.
-func NewBootstrap(caName, hostName string, authorizer authz.Engine) (*Bootstrap, error) {
-	return core.NewBootstrap(caName, hostName, authorizer)
 }
 
 // NewMyProxy creates an online credential repository.

@@ -1,6 +1,7 @@
 package gsi_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -11,32 +12,19 @@ import (
 // TestPublicAPIQuickstart exercises the documented quickstart flow
 // through the public facade only.
 func TestPublicAPIQuickstart(t *testing.T) {
-	authority, err := gsi.NewCA("/O=Grid/CN=Demo CA", 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trust := gsi.NewTrustStore()
-	if err := trust.AddRoot(authority.Certificate()); err != nil {
-		t.Fatal(err)
-	}
-	alice, err := authority.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host, err := authority.NewHostEntity(gsi.MustParseName("/O=Grid/CN=host demo"), 12*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := newTestbed(t)
 	// Single sign-on: create a proxy.
-	p, err := gsi.NewProxy(alice, gsi.ProxyOptions{Lifetime: time.Hour})
+	p, err := gsi.NewProxy(tb.alice, gsi.ProxyOptions{Lifetime: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := tb.env.NewClient(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Mutual authentication with the proxy.
-	ictx, actx, err := gsi.EstablishContext(
-		gsi.ContextConfig{Credential: p, TrustStore: trust},
-		gsi.ContextConfig{Credential: host, TrustStore: trust},
-	)
+	ictx, actx, err := client.Establish(context.Background(),
+		gsi.ContextConfig{Credential: tb.host, TrustStore: tb.env.Trust()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,18 +50,26 @@ func (s *pingService) Invoke(call *gsi.Call) ([]byte, error) {
 	return []byte("pong:" + call.Caller.Name.String()), nil
 }
 
+// newPingContainer is a hosting environment under tb's host credential
+// and trust roots, with a pingService published as "ping".
+func newPingContainer(t testing.TB, tb *testbed) *gsi.Container {
+	t.Helper()
+	c, err := ogsa.NewContainer(ogsa.ContainerConfig{
+		Name:       "svc",
+		Credential: tb.host,
+		TrustStore: tb.env.Trust(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Publish("ping", &pingService{Base: ogsa.NewBase()})
+	return c
+}
+
 func TestPublicAPIServiceStack(t *testing.T) {
-	boot, err := gsi.NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host svc", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot.Stack.Container.Publish("ping", &pingService{Base: ogsa.NewBase()})
-	alice, err := boot.CA.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := &gsi.Requestor{Credential: alice, Trust: boot.Trust}
-	out, trace, err := req.Invoke(gsi.PipeTransport(boot.Stack.Container), "ping", "ping", nil)
+	tb := newTestbed(t)
+	req := &gsi.Requestor{Credential: tb.alice, Trust: tb.env.Trust()}
+	out, trace, err := req.Invoke(gsi.PipeTransport(newPingContainer(t, tb)), "ping", "ping", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,18 +82,13 @@ func TestPublicAPIServiceStack(t *testing.T) {
 }
 
 func TestPublicAPIOverHTTP(t *testing.T) {
-	boot, err := gsi.NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host svc", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot.Stack.Container.Publish("ping", &pingService{Base: ogsa.NewBase()})
-	url, shutdown, err := gsi.ServeHTTP(boot.Stack.Container, "127.0.0.1:0")
+	tb := newTestbed(t)
+	url, shutdown, err := gsi.ServeHTTP(newPingContainer(t, tb), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shutdown()
-	alice, _ := boot.CA.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	req := &gsi.Requestor{Credential: alice, Trust: boot.Trust}
+	req := &gsi.Requestor{Credential: tb.alice, Trust: tb.env.Trust()}
 	out, _, err := req.Invoke(gsi.HTTPTransport(url), "ping", "ping", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -407,58 +407,3 @@ func TestAdminRequiresGT3(t *testing.T) {
 		t.Fatalf("Serve with WithAdmin on GT2: got %v, want GT3-transport refusal", err)
 	}
 }
-
-// BenchmarkExchangeInstrumented is BenchmarkExchangeSteadyState with
-// the observability plane attached on both ends: client and server
-// share a metrics registry, so every pooled exchange crosses the
-// instrumented pool, transport, and record-layer counters. The
-// Makefile's alloc gate pins it to the same 2 allocs/op as the
-// uninstrumented baseline — metrics must be free on the hot path.
-func BenchmarkExchangeInstrumented(b *testing.B) {
-	authority, err := gsi.NewCA("/O=Grid/CN=Bench CA", 24*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env, err := gsi.NewEnvironment(gsi.WithRoots(authority.Certificate()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	alice, err := authority.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	host, err := authority.NewHostEntity(gsi.MustParseName("/O=Grid/CN=host bench"), 12*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg := gsi.NewMetricsRegistry()
-	server, err := env.NewServer(host, gsi.WithMetrics(reg))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	ep, err := server.Serve(ctx, "127.0.0.1:0",
-		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
-			return body, nil
-		})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ep.Close()
-	client, err := env.NewClient(alice, gsi.WithSessionPool(nil), gsi.WithMetrics(reg))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Pool().Close()
-	payload := []byte("steady")
-	if _, err := client.Exchange(ctx, ep.Addr(), "echo", payload); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Exchange(ctx, ep.Addr(), "echo", payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -448,8 +448,13 @@ func (p *SessionPool) RetireCredential(old *Credential) {
 	if old == nil {
 		return
 	}
-	fp := old.Leaf().Fingerprint()
-	var toClose []Session
+	p.retire(old.Leaf().Fingerprint(), old.Leaf().NotAfter)
+}
+
+// retire marks fp retired until the given time, closes the idle
+// sessions parked under it and invalidates its resumption trees,
+// reporting how many sessions it closed.
+func (p *SessionPool) retire(fp [32]byte, until time.Time) int {
 	p.mu.Lock()
 	if !p.closed {
 		if p.retired == nil {
@@ -466,21 +471,11 @@ func (p *SessionPool) RetireCredential(old *Credential) {
 				delete(p.retired, oldFP)
 			}
 		}
-		p.retired[fp] = old.Leaf().NotAfter
+		p.retired[fp] = until
 	}
-	for key, hp := range p.hosts {
-		if key.credential != fp {
-			continue
-		}
-		for _, it := range hp.idle {
-			toClose = append(toClose, it.sess)
-			hp.signal() // each closed idle session frees capacity
-		}
-		hp.idle = nil
-		p.reapLocked(key, hp)
-	}
+	drained := p.drainIdleLocked(func(key poolKey) bool { return key.credential == fp })
 	p.mu.Unlock()
-	for _, sess := range toClose {
+	for _, sess := range drained {
 		p.retiredSess.Add(1)
 		sess.Close()
 	}
@@ -491,6 +486,27 @@ func (p *SessionPool) RetireCredential(old *Credential) {
 	p.resume.InvalidateMatching(func(key string) bool {
 		return strings.HasSuffix(key, suffix)
 	})
+	return len(drained)
+}
+
+// drainIdleLocked takes every idle session parked under a key that
+// match accepts out of the pool, each one freeing capacity for a
+// waiter. Callers hold the mutex and close the sessions once they have
+// released it.
+func (p *SessionPool) drainIdleLocked(match func(poolKey) bool) []Session {
+	var drained []Session
+	for key, hp := range p.hosts {
+		if !match(key) {
+			continue
+		}
+		for _, it := range hp.idle {
+			drained = append(drained, it.sess)
+			hp.signal()
+		}
+		hp.idle = nil
+		p.reapLocked(key, hp)
+	}
+	return drained
 }
 
 // ResumptionStats is a snapshot of the pool's GT3 secure-conversation
@@ -511,22 +527,14 @@ func (p *SessionPool) ResumptionStats() ResumptionStats {
 // operator may want every future call to pay a fresh handshake under
 // the new state.
 func (p *SessionPool) DrainIdle() int {
-	var toClose []Session
 	p.mu.Lock()
-	for key, hp := range p.hosts {
-		for _, it := range hp.idle {
-			toClose = append(toClose, it.sess)
-			hp.signal()
-		}
-		hp.idle = nil
-		p.reapLocked(key, hp)
-	}
+	drained := p.drainIdleLocked(func(poolKey) bool { return true })
 	p.mu.Unlock()
-	for _, sess := range toClose {
+	for _, sess := range drained {
 		p.evictions.Add(1)
 		sess.Close()
 	}
-	return len(toClose)
+	return len(drained)
 }
 
 // RetireFingerprint is RetireCredential for callers that hold only the
@@ -575,41 +583,7 @@ func (p *SessionPool) RetireFingerprint(prefix string) (drained int, err error) 
 		}
 		copy(fp[:], raw)
 	}
-	var toClose []Session
-	p.mu.Lock()
-	if !p.closed {
-		if p.retired == nil {
-			p.retired = make(map[[32]byte]time.Time)
-		}
-		now := time.Now()
-		for oldFP, notAfter := range p.retired {
-			if now.After(notAfter) {
-				delete(p.retired, oldFP)
-			}
-		}
-		p.retired[fp] = now.Add(24 * time.Hour)
-	}
-	for key, hp := range p.hosts {
-		if key.credential != fp {
-			continue
-		}
-		for _, it := range hp.idle {
-			toClose = append(toClose, it.sess)
-			hp.signal()
-		}
-		hp.idle = nil
-		p.reapLocked(key, hp)
-	}
-	p.mu.Unlock()
-	for _, sess := range toClose {
-		p.retiredSess.Add(1)
-		sess.Close()
-	}
-	suffix := fmt.Sprintf("%x", fp)
-	p.resume.InvalidateMatching(func(key string) bool {
-		return strings.HasSuffix(key, suffix)
-	})
-	return len(toClose), nil
+	return p.retire(fp, time.Now().Add(24*time.Hour)), nil
 }
 
 // credentialRetired reports whether key's credential has been rotated

@@ -4,14 +4,14 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/israce"
 )
 
 // probeWorld stands up a GT2 endpoint and a raw (unpooled) GT2 session
 // against it, exposing the prober the pool's idle health check uses.
 func newProbeWorld(t testing.TB) (sessionProber, func()) {
-	if h, ok := t.(interface{ Helper() }); ok {
-		h.Helper()
-	}
+	t.Helper()
 	authority, err := NewCA("/O=Grid/CN=Probe CA", 24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func newProbeWorld(t testing.TB) (sessionProber, func()) {
 // in a pooled record buffer, seals in place, and discards the reply
 // view instead of copying it — on both the client and the server loop.
 func TestProbeZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("race instrumentation allocates; exactness only holds in plain builds")
 	}
 	pr, done := newProbeWorld(t)
@@ -73,22 +73,5 @@ func TestProbeZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("idle probe allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// BenchmarkPoolProbe records the probe's cost for BENCH_record.json.
-func BenchmarkPoolProbe(b *testing.B) {
-	pr, done := newProbeWorld(b)
-	defer done()
-	ctx := context.Background()
-	if err := pr.Probe(ctx); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := pr.Probe(ctx); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

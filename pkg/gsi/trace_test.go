@@ -551,110 +551,16 @@ func TestTraceSamplerGates(t *testing.T) {
 	}
 }
 
-// BenchmarkExchangeTracingDisabled is BenchmarkExchangeInstrumented
-// with the tracing feature present in the binary but NOT enabled —
-// the Makefile's alloc gate pins it to the same 2 allocs/op as the
-// baseline, proving the nil-tracer checks on the hot path are free.
-func BenchmarkExchangeTracingDisabled(b *testing.B) {
-	authority, err := gsi.NewCA("/O=Grid/CN=Bench CA", 24*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env, err := gsi.NewEnvironment(gsi.WithRoots(authority.Certificate()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	alice, err := authority.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	host, err := authority.NewHostEntity(gsi.MustParseName("/O=Grid/CN=host bench"), 12*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg := gsi.NewMetricsRegistry()
-	server, err := env.NewServer(host, gsi.WithMetrics(reg))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	ep, err := server.Serve(ctx, "127.0.0.1:0",
-		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
-			return body, nil
-		})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ep.Close()
-	client, err := env.NewClient(alice, gsi.WithSessionPool(nil), gsi.WithMetrics(reg))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Pool().Close()
-	if client.Tracer() != nil {
-		b.Fatal("tracer materialized without WithTracing")
-	}
-	payload := []byte("steady")
-	if _, err := client.Exchange(ctx, ep.Addr(), "echo", payload); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Exchange(ctx, ep.Addr(), "echo", payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExchangeTraced measures the cost of tracing ON (always
-// sampled, both ends): not alloc-gated, recorded in BENCH_trace.json
-// so the overhead stays visible over time.
+// BenchmarkExchangeTraced is a pooled exchange with tracing ON (always
+// sampled, both ends), for profiling the traced path.
 func BenchmarkExchangeTraced(b *testing.B) {
-	authority, err := gsi.NewCA("/O=Grid/CN=Bench CA", 24*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env, err := gsi.NewEnvironment(gsi.WithRoots(authority.Certificate()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	alice, err := authority.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	host, err := authority.NewHostEntity(gsi.MustParseName("/O=Grid/CN=host bench"), 12*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg := gsi.NewMetricsRegistry()
-	server, err := env.NewServer(host, gsi.WithMetrics(reg), gsi.WithTracing())
-	if err != nil {
-		b.Fatal(err)
-	}
+	client, addr := newEchoWorld(b, gsi.WithMetrics(gsi.NewMetricsRegistry()), gsi.WithTracing())
 	ctx := context.Background()
-	ep, err := server.Serve(ctx, "127.0.0.1:0",
-		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
-			return body, nil
-		})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ep.Close()
-	client, err := env.NewClient(alice,
-		gsi.WithSessionPool(nil), gsi.WithMetrics(reg), gsi.WithTracing())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Pool().Close()
 	payload := []byte("steady")
-	if _, err := client.Exchange(ctx, ep.Addr(), "echo", payload); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.Exchange(ctx, ep.Addr(), "echo", payload); err != nil {
+		if _, err := client.Exchange(ctx, addr, "echo", payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -559,16 +559,20 @@ func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfi
 	// The group is bound to the authenticated peer: stripes under one
 	// group id must all arrive from the same identity.
 	grp, err := groups.Open(peerKey(peer), groupID, count, op)
-	last := false
+	var (
+		last     bool
+		replyErr error
+	)
 	if err == nil {
-		grp, last, err = groups.Join(peerKey(peer), groupID, idx, conn)
+		grp, last, err = groups.Join(peerKey(peer), groupID, idx, conn, func() {
+			replyErr = sendGT2Reply(bg, conn, gt2StatusOK, nil)
+		})
 	}
 	if err != nil {
 		return refuse(gt2StatusError, err)
 	}
-	// From here the connection belongs to the group until released: even
-	// on a failed reply it must not be closed out from under the transfer.
-	replyErr := sendGT2Reply(bg, conn, gt2StatusOK, nil)
+	// The connection has belonged to the group since it joined: even on
+	// a failed reply it must not be closed out from under the transfer.
 	if last {
 		// The completing arrival runs the transfer; its lane span (when
 		// traced) parents the stream span covering the handler's run.
