@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build reachable test test-bench-module test-multicore race fuzz-smoke bench gate-allocs fmt
+.PHONY: ci fmt-check vet build reachable options test examples test-bench-module test-multicore race fuzz-smoke bench gate-allocs fmt
 
-## ci: the tier-1 gate — format check, vet, build, the reachability
-## check, test (plus the benchmark module, which compiles against this
-## one's API, and the GOMAXPROCS matrix over the striped data plane: the
-## same tests must pass single-core and multicore), race (which includes
-## the hot-reload-under-traffic test), fuzz smoke, and the allocation
+## ci: the tier-1 gate — format check, vet, build, the reachability and
+## option-surface checks, test (plus the example walkthroughs, the
+## benchmark module, which compiles against this one's API, and the
+## GOMAXPROCS matrix over the striped data plane: the same tests must
+## pass single-core and multicore), race (which includes the
+## hot-reload-under-traffic test), fuzz smoke, and the allocation
 ## ceilings on their own. It leaves the working tree as it found it.
-ci: fmt-check vet build reachable test test-bench-module test-multicore race fuzz-smoke gate-allocs
+ci: fmt-check vet build reachable options test examples test-bench-module test-multicore race fuzz-smoke gate-allocs
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -34,8 +35,32 @@ reachable:
 		echo "internal packages no cmd, pkg or example reaches:"; echo "$$islands"; exit 1; \
 	fi
 
+## options: pkg/gsi's option surface stays what something uses. Every
+## exported With* it declares is named by a cmd, an example, the
+## benchmark or a test, and only the six handle constructors take
+## ...Option — an option nobody sets, or a per-call option list, fails
+## here instead of quietly coming back.
+options:
+	@src=$$(ls pkg/gsi/*.go | grep -v '_test\.go$$'); \
+	unset=$$(grep -ho '^func With[A-Za-z0-9]*' $$src | sed 's/^func //' | sort -u | while read -r o; do \
+		grep -rqw --include='*.go' "$$o" cmd examples bench || \
+		grep -rqw --include='*_test.go' "$$o" . || echo "$$o"; done); \
+	percall=$$(grep -hE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9]*\(.*\.\.\.Option' $$src | \
+		grep -vE '^func (\([^)]*\) )?(NewClient|NewServer|NewSessionPool|NewCredentialManager|NewAuthorizationPipeline|OpenDurableState)\('); \
+	if [ -n "$$unset" ]; then echo "pkg/gsi options no cmd, example, benchmark or test sets:"; echo "$$unset"; fi; \
+	if [ -n "$$percall" ]; then echo "pkg/gsi functions other than the handle constructors taking ...Option:"; echo "$$percall"; fi; \
+	[ -z "$$unset$$percall" ]
+
 test:
 	$(GO) test ./...
+
+## examples: every walkthrough under examples/ runs to exit 0 (each is
+## in-memory and finishes in under a second), so a facade change that
+## compiles but breaks one fails here rather than in front of a reader.
+examples:
+	@for e in examples/*/; do \
+		$(GO) run ./$$e > /dev/null || { echo "$$e failed"; exit 1; }; \
+	done
 
 ## test-bench-module: bench/ is its own module, so `go test ./...` here
 ## never descends into it; an API it calls could break unnoticed.
@@ -78,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyBundleDecode$$' -fuzztime=5s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaBundleDecode$$' -fuzztime=5s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaApply$$' -fuzztime=5s ./internal/cas
+	$(GO) test -run '^$$' -fuzz '^FuzzSyncReplyDecode$$' -fuzztime=5s ./internal/cas
 
 ## bench: the repo's one benchmark (BENCHMARK.json): four grid
 ## workloads, end-to-end metrics and per-layer probes.

@@ -319,8 +319,7 @@ func main() {
 	// is always an error, never a silently truncated file. The same
 	// stream-handler server from step 10 serves it: striping is a
 	// client-negotiated transport detail.
-	sup, err := pooled.OpenStripedStream(ctx, streamEP.Addr(), "upload:/exp/striped",
-		gsi.WithStripes(4))
+	sup, err := pooled.OpenStripedStream(ctx, streamEP.Addr(), "upload:/exp/striped", 4)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -433,16 +432,14 @@ func main() {
 	fmt.Printf("14. killed mid-churn and restarted: policy/gridmap generations %d/%d identical, %d-event audit chain verifies\n",
 		pGen, gGen, recovered.Audit().Len())
 
-	// 15. The control-plane fast path: once a resource server holds a
-	// VO's full signed bundle, membership churn travels as signed DELTAS
-	// — only the mutations since the replica's version, verified against
-	// the same VO key, with automatic fallback to a full bundle on any
-	// mismatch. WithCacheWarming additionally pulls the publisher's
-	// hottest decision keys and pre-computes those decisions locally, so
-	// a freshly promoted standby serves cache hits from its first
-	// request. `gsictl cas-status` reads the same status shown here over
-	// the secure admin channel (and `gsictl compact` folds step 14's
-	// journal on demand).
+	// 15. The control-plane fast path: every sync is one pull carrying
+	// the replica's version. Once a resource server holds a VO's full
+	// signed bundle, membership churn comes back as signed DELTAS — only
+	// the mutations since that version, verified against the same VO key
+	// — and the publisher answers with the full bundle whenever its delta
+	// log does not cover the version. `gsictl cas-status` reads the same
+	// status shown here over the secure admin channel (and `gsictl
+	// compact` folds step 14's journal on demand).
 	voCred, err := authority.NewEntity(gsi.MustParseName("/O=Grid/CN=ClimateVO CAS"), 7*24*time.Hour)
 	if err != nil {
 		log.Fatal(err)
@@ -493,8 +490,7 @@ func main() {
 			Endpoints: []string{pubEP.Addr()},
 			Cert:      vo.Certificate(),
 			Interval:  20 * time.Millisecond,
-		}),
-		gsi.WithCacheWarming(32))
+		}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -524,6 +520,6 @@ func main() {
 	casStatus := waitCAS("delta catch-up", func(st gsi.CASSyncStatus) bool {
 		return st.Version >= want && st.DeltaSyncs > 0
 	})
-	fmt.Printf("15. CAS replica at v%d via %d delta sync(s) after 1 full bundle: %d delta bytes vs %d full, %d bytes saved, %d decision(s) pre-warmed\n",
-		casStatus.Version, casStatus.DeltaSyncs, casStatus.DeltaBytes, casStatus.FullBytes, casStatus.BytesSaved, casStatus.WarmedKeys)
+	fmt.Printf("15. CAS replica at v%d via %d delta sync(s) after 1 full bundle: %d delta bytes vs %d full, %d bytes saved\n",
+		casStatus.Version, casStatus.DeltaSyncs, casStatus.DeltaBytes, casStatus.FullBytes, casStatus.BytesSaved)
 }

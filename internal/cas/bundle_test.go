@@ -1,7 +1,9 @@
 package cas
 
 import (
+	"bytes"
 	"errors"
+	"strconv"
 	"testing"
 
 	"repro/internal/authz"
@@ -277,35 +279,84 @@ func TestCASStateSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSyncServiceOps pins the publisher's one rule: a replica at the
+// server's version gets an empty signed delta, one the delta log covers
+// gets the delta, and everything else — version 0, a version behind the
+// log, a version ahead of the server — gets the full bundle.
 func TestSyncServiceOps(t *testing.T) {
 	bed := newVOBed(t)
-	svc := NewSyncService(bed.server, nil)
-
-	// Conversation + authenticated caller: both ops answer.
-	body, err := svc.Invoke(newSyncCall(SyncOpVersion, bed, true, false))
-	if err != nil {
-		t.Fatalf("Version: %v", err)
+	// A restore collapses history: the log of this server starts at the
+	// snapshot's version, so anything older is a gap.
+	server := NewServer(bed.server.cred)
+	if err := server.RestoreState(bed.server.EncodeState()); err != nil {
+		t.Fatal(err)
 	}
-	if string(body) != "2" {
-		t.Fatalf("Version body = %q, want 2", body)
-	}
-	body, err = svc.Invoke(newSyncCall(SyncOpBundle, bed, true, false))
-	if err != nil {
-		t.Fatalf("Bundle: %v", err)
-	}
-	b, err := DecodeBundle(body)
-	if err != nil {
-		t.Fatalf("DecodeBundle: %v", err)
-	}
-	if err := b.Verify(bed.server.Certificate()); err != nil {
-		t.Fatalf("served bundle does not verify: %v", err)
+	snap := server.Version()
+	server.AddMember(bed.bob.Identity(), "researchers")
+	svc := NewSyncService(server, nil)
+	pull := func(have uint64, conversation, anonymous bool) ([]byte, error) {
+		call := newSyncCall(SyncOpPull, bed, conversation, anonymous)
+		call.Body = []byte(strconv.FormatUint(have, 10))
+		return svc.Invoke(call)
 	}
 
-	// Channel rules: no conversation, anonymous → refused.
-	if _, err := svc.Invoke(newSyncCall(SyncOpBundle, bed, false, false)); err == nil {
+	for _, tc := range []struct {
+		name    string
+		have    uint64
+		full    bool
+		wantOps int
+	}{
+		{"current", snap + 1, false, 0},
+		{"covered", snap, false, 1},
+		{"gap", snap - 1, true, 0},
+		{"empty replica", 0, true, 0},
+		{"ahead of the publisher", snap + 5, true, 0},
+	} {
+		body, err := pull(tc.have, true, false)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		delta, bundle, err := DecodeSyncReply(body)
+		if err != nil {
+			t.Fatalf("%s: DecodeSyncReply: %v", tc.name, err)
+		}
+		if tc.full {
+			if bundle == nil || bundle.Version != snap+1 {
+				t.Fatalf("%s: want the full bundle at %d, got delta=%v bundle=%v", tc.name, snap+1, delta, bundle)
+			}
+			if err := bundle.Verify(server.Certificate()); err != nil {
+				t.Fatalf("%s: served bundle does not verify: %v", tc.name, err)
+			}
+			if !bytes.Equal(body[1:], bundle.Encode()) {
+				t.Fatalf("%s: reply is not a tag plus Bundle.Encode()", tc.name)
+			}
+			continue
+		}
+		if delta == nil || delta.FromVersion != tc.have || delta.ToVersion != snap+1 || len(delta.Ops) != tc.wantOps {
+			t.Fatalf("%s: want a %d-op delta %d-%d, got delta=%+v bundle=%v", tc.name, tc.wantOps, tc.have, snap+1, delta, bundle)
+		}
+		if err := delta.Verify(server.Certificate()); err != nil {
+			t.Fatalf("%s: served delta does not verify: %v", tc.name, err)
+		}
+		if !bytes.Equal(body[1:], delta.Encode()) {
+			t.Fatalf("%s: reply is not a tag plus Delta.Encode()", tc.name)
+		}
+	}
+
+	// Channel rules: no conversation, anonymous → refused; so are a body
+	// that is not a version and the ops the pull replaced.
+	if _, err := pull(0, false, false); err == nil {
 		t.Fatal("per-message caller served a bundle")
 	}
-	if _, err := svc.Invoke(newSyncCall(SyncOpBundle, bed, true, true)); err == nil {
+	if _, err := pull(0, true, true); err == nil {
 		t.Fatal("anonymous caller served a bundle")
+	}
+	if _, err := svc.Invoke(newSyncCall(SyncOpPull, bed, true, false)); err == nil {
+		t.Fatal("pull without a version served")
+	}
+	for _, op := range []string{"Bundle", "Version", "Delta"} {
+		if _, err := svc.Invoke(newSyncCall(op, bed, true, false)); err == nil {
+			t.Fatalf("retired op %s still served", op)
+		}
 	}
 }

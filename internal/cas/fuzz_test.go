@@ -191,3 +191,43 @@ func FuzzDeltaApply(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSyncReplyDecode feeds arbitrary bytes to the one decoder of the
+// sync port type. It must never panic; whatever decodes is exactly one
+// document whose tag-plus-Encode() spelling is the input (so trailing
+// bytes and second spellings are refused), and any other tag errors.
+func FuzzSyncReplyDecode(f *testing.F) {
+	_, base, delta := deltaFuzzWorld(f)
+	full := encodeSyncReply(syncTagFull, base.tbs(), base.Signature)
+	inc := encodeSyncReply(syncTagDelta, delta.tbs(), delta.Signature)
+
+	f.Add(full)
+	f.Add(inc)
+	f.Add(append(append([]byte(nil), inc...), 0))
+	f.Add(append([]byte{syncTagFull}, inc[1:]...))
+	f.Add(append([]byte{9}, full[1:]...))
+	f.Add(inc[:len(inc)/2])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, b, err := DecodeSyncReply(data)
+		if err != nil {
+			if d != nil || b != nil {
+				t.Fatal("failed decode returned a document")
+			}
+			return
+		}
+		var respelled []byte
+		switch {
+		case d != nil && b == nil && data[0] == syncTagDelta:
+			respelled = d.Encode()
+		case b != nil && d == nil && data[0] == syncTagFull:
+			respelled = b.Encode()
+		default:
+			t.Fatalf("tag %d decoded to delta=%v bundle=%v", data[0], d != nil, b != nil)
+		}
+		if !bytes.Equal(respelled, data[1:]) {
+			t.Fatalf("decode/encode not canonical for %d-byte input", len(data))
+		}
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/ogsa"
+	"repro/internal/wire"
 )
 
 // SyncHandle is the reserved service handle the community server
@@ -16,24 +17,51 @@ import (
 // so a VO can restrict which resource servers may pull its policy.
 const SyncHandle = "gsi.__cas.sync"
 
-// Sync port type operations.
+// SyncOpPull is the sync port type's one operation. Body: the version
+// the replica holds, in decimal (0 = none yet). The reply is one tag
+// byte followed by a signed document (DecodeSyncReply): the Delta from
+// that version to the server's when the delta log covers it — no ops
+// when the replica is current — and the full Bundle otherwise (version
+// 0, a log gap, or a replica ahead of this server).
+const SyncOpPull = "Pull"
+
+// Pull reply tags.
 const (
-	// SyncOpBundle returns the current signed policy bundle, encoded.
-	// Body: empty.
-	SyncOpBundle = "Bundle"
-	// SyncOpVersion returns the current bundle version in decimal.
-	// Body: empty.
-	SyncOpVersion = "Version"
-	// SyncOpDelta returns the signed mutation delta from the version in
-	// the body (decimal) through the server's current version. Errors
-	// when the bounded delta log no longer covers the range; the caller
-	// falls back to SyncOpBundle.
-	SyncOpDelta = "Delta"
-	// SyncOpHotKeys returns the publisher's hottest decision-cache keys
-	// (encoded HotKey list; empty when the host exports none). Body: the
-	// maximum key count in decimal, 0 for the server cap.
-	SyncOpHotKeys = "HotKeys"
+	syncTagDelta byte = 1
+	syncTagFull  byte = 2
 )
+
+// ErrBadDelta marks a Pull reply tagged as a delta whose payload does
+// not decode. Like a delta that fails to verify or apply, it is the
+// puller's cue to ask once more from version 0.
+var ErrBadDelta = errors.New("cas: malformed delta reply")
+
+// encodeSyncReply frames a signed document as a Pull reply: the tag,
+// then exactly the document's Encode() bytes.
+func encodeSyncReply(tag byte, tbs, sig []byte) []byte {
+	return wire.NewEncoder().U8(tag).Bytes(tbs).Bytes(sig).Finish()
+}
+
+// DecodeSyncReply parses a Pull reply (signatures not verified): exactly
+// one of delta and bundle is non-nil on success. The document is decoded
+// from a view of data, not a copy.
+func DecodeSyncReply(data []byte) (delta *Delta, bundle *Bundle, err error) {
+	if len(data) == 0 {
+		return nil, nil, errors.New("cas: empty sync reply")
+	}
+	switch data[0] {
+	case syncTagDelta:
+		if delta, err = DecodeDelta(data[1:]); err != nil {
+			return nil, nil, fmt.Errorf("%w: %w", ErrBadDelta, err)
+		}
+		return delta, nil, nil
+	case syncTagFull:
+		bundle, err = DecodeBundle(data[1:])
+		return nil, bundle, err
+	default:
+		return nil, nil, fmt.Errorf("cas: unknown sync reply tag %d", data[0])
+	}
+}
 
 // SyncService serves a CAS server's signed bundles to pulling replicas.
 // Bundles carry their own signature, so the transport adds
@@ -42,22 +70,13 @@ const (
 // may read the VO's full membership roll is itself policy.
 type SyncService struct {
 	*ogsa.Base
-	server  *Server
-	audit   ogsa.AuditSink
-	hotKeys func(n int) []HotKey
+	server *Server
+	audit  ogsa.AuditSink
 }
 
 // NewSyncService fronts server's bundle feed.
 func NewSyncService(server *Server, audit ogsa.AuditSink) *SyncService {
 	return &SyncService{Base: ogsa.NewBase(), server: server, audit: audit}
-}
-
-// SetHotKeySource installs the host's hot decision-key exporter (the
-// resource server's pipeline cache, when cache warming is enabled).
-// Without one, SyncOpHotKeys serves an empty list. Set before the
-// service is published; not safe to swap while serving.
-func (s *SyncService) SetHotKeySource(fn func(n int) []HotKey) {
-	s.hotKeys = fn
 }
 
 var _ ogsa.Service = (*SyncService)(nil)
@@ -82,52 +101,25 @@ func (s *SyncService) Invoke(call *ogsa.Call) ([]byte, error) {
 		s.record("cas-sync-refused", "", "anonymous caller")
 		return nil, errors.New("cas: sync operations require an authenticated caller")
 	}
-	subject := call.Caller.Name.String()
-	switch call.Op {
-	case SyncOpBundle:
-		b, err := s.server.ExportBundle()
-		if err != nil {
-			s.record("cas-sync-error", subject, err.Error())
-			return nil, err
-		}
-		s.record("cas-sync-bundle", subject, fmt.Sprintf("version %d", b.Version))
-		return b.Encode(), nil
-	case SyncOpVersion:
-		return []byte(strconv.FormatUint(s.server.Version(), 10)), nil
-	case SyncOpDelta:
-		from, err := strconv.ParseUint(string(call.Body), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("cas: delta op wants a decimal from-version: %w", err)
-		}
-		d, err := s.server.ExportDelta(from)
-		if err != nil {
-			s.record("cas-sync-delta-miss", subject, err.Error())
-			return nil, err
-		}
-		s.record("cas-sync-delta", subject, fmt.Sprintf("versions %d-%d, %d ops", d.FromVersion, d.ToVersion, len(d.Ops)))
-		return d.Encode(), nil
-	case SyncOpHotKeys:
-		n := 0
-		if len(call.Body) > 0 {
-			v, err := strconv.Atoi(string(call.Body))
-			if err != nil {
-				return nil, fmt.Errorf("cas: hot-key op wants a decimal count: %w", err)
-			}
-			n = v
-		}
-		if n <= 0 || n > MaxHotKeys {
-			n = MaxHotKeys
-		}
-		var keys []HotKey
-		if s.hotKeys != nil {
-			keys = s.hotKeys(n)
-			if len(keys) > n {
-				keys = keys[:n]
-			}
-		}
-		s.record("cas-sync-hotkeys", subject, fmt.Sprintf("%d keys", len(keys)))
-		return EncodeHotKeys(keys), nil
-	default:
+	if call.Op != SyncOpPull {
 		return nil, fmt.Errorf("cas: sync port type has no op %q", call.Op)
 	}
+	have, err := strconv.ParseUint(string(call.Body), 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("cas: pull wants the replica's version in decimal: %w", err)
+	}
+	subject := call.Caller.Name.String()
+	if have > 0 {
+		if d, err := s.server.ExportDelta(have); err == nil {
+			s.record("cas-sync-delta", subject, fmt.Sprintf("versions %d-%d, %d ops", d.FromVersion, d.ToVersion, len(d.Ops)))
+			return encodeSyncReply(syncTagDelta, d.tbs(), d.Signature), nil
+		}
+	}
+	b, err := s.server.ExportBundle()
+	if err != nil {
+		s.record("cas-sync-error", subject, err.Error())
+		return nil, err
+	}
+	s.record("cas-sync-bundle", subject, fmt.Sprintf("version %d for a replica at %d", b.Version, have))
+	return encodeSyncReply(syncTagFull, b.tbs(), b.Signature), nil
 }

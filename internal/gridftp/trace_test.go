@@ -31,7 +31,6 @@ func TestStripedGetTracePropagation(t *testing.T) {
 	const stripes = 3
 	b := newBed(t, openAll("/O=Grid/CN=Alice"))
 	serverTracer := trace.New(trace.Config{})
-	defer serverTracer.Close()
 	b.srv.SetTracer(serverTracer)
 
 	c, err := Dial(b.srv.Addr(), b.alice, b.trust, b.srv.Identity())
@@ -40,7 +39,6 @@ func TestStripedGetTracePropagation(t *testing.T) {
 	}
 	defer c.Close()
 	clientTracer := trace.New(trace.Config{})
-	defer clientTracer.Close()
 	c.SetTracer(clientTracer)
 
 	payload := stripedPayload(2<<20 + 77)
@@ -102,7 +100,6 @@ func TestTraceInteropUntracedPeers(t *testing.T) {
 	}
 	defer c.Close()
 	ct := trace.New(trace.Config{})
-	defer ct.Close()
 	c.SetTracer(ct)
 	payload := stripedPayload(1 << 20)
 	if err := c.PutStriped("/data/interop", 2, payload); err != nil {
@@ -121,7 +118,6 @@ func TestTraceInteropUntracedPeers(t *testing.T) {
 
 	// Untraced client, traced server: roots a server-local trace.
 	st := trace.New(trace.Config{})
-	defer st.Close()
 	b.srv.SetTracer(st)
 	c2, err := Dial(b.srv.Addr(), b.alice, b.trust, b.srv.Identity())
 	if err != nil {
@@ -132,7 +128,12 @@ func TestTraceInteropUntracedPeers(t *testing.T) {
 	if err != nil || len(got) != len(payload) {
 		t.Fatalf("untraced→traced striped GET: %d bytes, %v", len(got), err)
 	}
-	recs := st.Recorder().Snapshot(trace.Query{Op: "gridftp.server.get"})
+	// The server ends its span after the last byte left, so the client
+	// can be back first.
+	var recs []trace.SpanRecord
+	for deadline := time.Now().Add(5 * time.Second); len(recs) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		recs = st.Recorder().Snapshot(trace.Query{Op: "gridftp.server.get"})
+	}
 	if len(recs) != 1 {
 		t.Fatalf("traced server recorded %d gridftp.server.get spans, want 1", len(recs))
 	}

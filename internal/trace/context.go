@@ -42,43 +42,3 @@ func RemoteFromContext(ctx context.Context) SpanContext {
 	sc, _ := ctx.Value(remoteCtxKey{}).(SpanContext)
 	return sc
 }
-
-// AttachExporter wires exp to receive every recorded span and ties
-// its lifetime to the tracer: Close flushes and stops it.
-func (t *Tracer) AttachExporter(exp *Exporter) {
-	if t == nil || exp == nil {
-		return
-	}
-	t.exportMu.Lock()
-	t.exporter = exp
-	t.export = exp.Enqueue
-	t.exportMu.Unlock()
-}
-
-// Exporter returns the attached push exporter, if any.
-func (t *Tracer) Exporter() *Exporter {
-	if t == nil {
-		return nil
-	}
-	t.exportMu.RLock()
-	defer t.exportMu.RUnlock()
-	return t.exporter
-}
-
-// Close flushes and stops the attached exporter (if any). The tracer
-// itself needs no teardown — spans started after Close still record
-// locally.
-func (t *Tracer) Close() error {
-	if t == nil {
-		return nil
-	}
-	t.exportMu.Lock()
-	exp := t.exporter
-	t.exporter = nil
-	t.export = nil
-	t.exportMu.Unlock()
-	if exp != nil {
-		return exp.Close()
-	}
-	return nil
-}

@@ -155,10 +155,6 @@ type Tracer struct {
 	histMu sync.RWMutex
 	hists  map[string]*telemetry.Histogram
 
-	exportMu sync.RWMutex
-	export   func(SpanRecord)
-	exporter *Exporter
-
 	transfers TransferRegistry
 }
 
@@ -198,17 +194,6 @@ func (t *Tracer) Recorder() *FlightRecorder {
 		return nil
 	}
 	return t.rec
-}
-
-// SetExport installs a hook called with every recorded span (after the
-// flight recorder). Used to feed a push exporter. Nil clears it.
-func (t *Tracer) SetExport(fn func(SpanRecord)) {
-	if t == nil {
-		return
-	}
-	t.exportMu.Lock()
-	t.export = fn
-	t.exportMu.Unlock()
 }
 
 // newIDs mints a fresh trace id. math/rand/v2's global generator is
@@ -364,12 +349,6 @@ func (s *Span) AddTimed(op string, start time.Time, d time.Duration, peer string
 		Duration: d,
 	}
 	t.rec.add(rec)
-	t.exportMu.RLock()
-	export := t.export
-	t.exportMu.RUnlock()
-	if export != nil {
-		export(rec)
-	}
 }
 
 // End finishes the span: observes the per-op latency histogram,
@@ -396,12 +375,6 @@ func (s *Span) End() {
 			Remote:   s.remote,
 		}
 		t.rec.add(rec)
-		t.exportMu.RLock()
-		export := t.export
-		t.exportMu.RUnlock()
-		if export != nil {
-			export(rec)
-		}
 	}
 	*s = Span{}
 	t.pool.Put(s)

@@ -3,10 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"errors"
-	"net/http"
-	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -196,178 +193,6 @@ func TestSpanRecordJSON(t *testing.T) {
 	}
 	if got["peer"] != rec.Peer {
 		t.Fatalf("hostile DN did not round-trip: %q", got["peer"])
-	}
-}
-
-func TestExporterPushAndRetry(t *testing.T) {
-	var mu sync.Mutex
-	var batches []Batch
-	fail := true
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		defer mu.Unlock()
-		if fail {
-			fail = false
-			http.Error(w, "unavailable", http.StatusServiceUnavailable)
-			return
-		}
-		var b Batch
-		if err := json.NewDecoder(r.Body).Decode(&b); err != nil {
-			t.Errorf("bad batch: %v", err)
-		}
-		batches = append(batches, b)
-	}))
-	defer srv.Close()
-
-	exp, err := NewExporter(ExporterConfig{
-		URL:      srv.URL,
-		Interval: 20 * time.Millisecond,
-		Metrics:  func() string { return "# TYPE x counter\nx 1\n" },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := New(Config{})
-	tr.SetExport(exp.Enqueue)
-	s := tr.StartRoot("exchange")
-	s.End()
-
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		mu.Lock()
-		n := len(batches)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no batch delivered")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := exp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	var spans int
-	for _, b := range batches {
-		spans += len(b.Spans)
-		if b.Metrics == "" {
-			t.Fatal("batch missing metrics exposition")
-		}
-	}
-	if spans != 1 {
-		t.Fatalf("delivered %d spans, want exactly 1 (retry must not duplicate)", spans)
-	}
-	pushed, lastErr := exp.Stats()
-	if pushed == 0 || lastErr != nil {
-		t.Fatalf("stats = %d pushed, err %v", pushed, lastErr)
-	}
-}
-
-func TestExporterQueueBound(t *testing.T) {
-	exp, err := NewExporter(ExporterConfig{
-		URL:      "http://127.0.0.1:0/never",
-		Interval: time.Hour, // never pushes during the test
-		MaxQueue: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		exp.Enqueue(SpanRecord{Op: "x"})
-	}
-	exp.mu.Lock()
-	qlen, dropped := len(exp.queue), exp.dropped
-	exp.mu.Unlock()
-	if qlen != 4 || dropped != 6 {
-		t.Fatalf("queue = %d dropped = %d, want 4 and 6", qlen, dropped)
-	}
-	exp.stopOnce.Do(func() { close(exp.stop) })
-	<-exp.done
-}
-
-// TestExporterBacklogRotation drives the exporter against a collector
-// that stays down for several pushes, then recovers: batches that
-// exhausted their retries must be retained (marshaled once) up to
-// MaxBacklog, the oldest must rotate out with its spans counted
-// dropped, and recovery must deliver the survivors oldest-first with
-// the drop reported in-band.
-func TestExporterBacklogRotation(t *testing.T) {
-	var mu sync.Mutex
-	var batches []Batch
-	down := true
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		defer mu.Unlock()
-		if down {
-			http.Error(w, "unavailable", http.StatusServiceUnavailable)
-			return
-		}
-		var b Batch
-		if err := json.NewDecoder(r.Body).Decode(&b); err != nil {
-			t.Errorf("bad batch: %v", err)
-		}
-		batches = append(batches, b)
-	}))
-	defer srv.Close()
-
-	exp, err := NewExporter(ExporterConfig{
-		URL:        srv.URL,
-		Interval:   time.Hour, // pushes are driven by hand below
-		MaxRetries: 1,
-		MaxBacklog: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three failed pushes of one span each against a MaxBacklog of 2:
-	// the first batch must rotate out.
-	for _, op := range []string{"span0", "span1", "span2"} {
-		exp.Enqueue(SpanRecord{Op: op})
-		exp.push()
-	}
-	exp.mu.Lock()
-	retained := len(exp.backlog)
-	exp.mu.Unlock()
-	if retained != 2 {
-		t.Fatalf("backlog holds %d batches, want 2", retained)
-	}
-	if got := exp.Dropped(); got != 1 {
-		t.Fatalf("Dropped() = %d after rotation, want 1", got)
-	}
-
-	mu.Lock()
-	down = false
-	mu.Unlock()
-	exp.Enqueue(SpanRecord{Op: "span3"})
-	exp.push()
-	exp.stopOnce.Do(func() { close(exp.stop) })
-	<-exp.done
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(batches) != 3 {
-		t.Fatalf("delivered %d batches after recovery, want 3 (two retained + one fresh)", len(batches))
-	}
-	// Oldest-first: the survivors are the spans from failed pushes 1 and
-	// 2 (push 0 rotated out), then the fresh one.
-	for i, want := range []string{"span1", "span2", "span3"} {
-		if len(batches[i].Spans) != 1 || batches[i].Spans[0].Op != want {
-			t.Fatalf("batch %d spans = %+v, want one span with op %q", i, batches[i].Spans, want)
-		}
-	}
-	// The rotated span is reported in-band exactly once.
-	var reported uint64
-	for _, b := range batches {
-		reported += b.Dropped
-	}
-	if reported != 1 {
-		t.Fatalf("batches report %d dropped spans, want 1", reported)
-	}
-	if got := exp.Dropped(); got != 1 {
-		t.Fatalf("Dropped() = %d after recovery, want 1", got)
 	}
 }
 

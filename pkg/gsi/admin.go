@@ -19,10 +19,10 @@ import (
 // than inventing empty answers.
 type adminBackend struct {
 	server   *Server
-	pipeline *AuthorizationPipeline // nil when the endpoint authenticates only
-	reg      *MetricsRegistry       // nil without WithMetrics
-	pool     *SessionPool           // nil without WithAdminPool
-	tracer   *Tracer                // nil without WithTracing
+	pipeline *AuthorizationPipeline
+	reg      *MetricsRegistry // nil without WithMetrics
+	pool     *SessionPool     // nil without WithAdminPool
+	tracer   *Tracer          // nil without WithTracing
 }
 
 // adminStats is the Stats op's JSON shape — a point-in-time snapshot of
@@ -80,13 +80,9 @@ func (b *adminBackend) AdminStats() ([]byte, error) {
 			Entries int    `json:"entries"`
 		}{Hits: rs.Hits, Misses: rs.Misses, Entries: rs.Len}
 	}
-	if b.pipeline != nil {
-		cs := b.pipeline.CacheStats()
-		snap.AuthzCache = &cs
-	}
-	if src := b.server.sources(); src != nil {
-		snap.Conversations.Live, snap.Conversations.Evicted = src.conversations()
-	}
+	cs := b.pipeline.CacheStats()
+	snap.AuthzCache = &cs
+	snap.Conversations.Live, snap.Conversations.Evicted = b.server.src.conversations()
 	if r := b.server.currentReloader(); r != nil {
 		st := r.Stats()
 		snap.Reload = &struct {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/authz"
 	"repro/pkg/gsi"
 )
 
@@ -24,17 +23,14 @@ func echoHandler(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]
 	}
 }
 
-// permitOnly builds an environment authorizer admitting only subject.
-func permitOnly(subject string) gsi.Engine {
-	return &authz.PolicyEngine{
-		Policy: gsi.NewPolicy(gsi.Rule{
-			Effect:    gsi.EffectPermit,
-			Subjects:  []string{subject},
-			Resources: []string{"*"},
-			Actions:   []string{"*"},
-		}),
-		DefaultDeny: true,
-	}
+// permitOnly builds a local policy admitting only subject.
+func permitOnly(subject string) *gsi.Policy {
+	return gsi.NewPolicy(gsi.Rule{
+		Effect:    gsi.EffectPermit,
+		Subjects:  []string{subject},
+		Resources: []string{"*"},
+		Actions:   []string{"*"},
+	})
 }
 
 // transportRoundTrip drives one transport end to end through the
@@ -42,15 +38,8 @@ func permitOnly(subject string) gsi.Engine {
 func transportRoundTrip(t *testing.T, transport gsi.Transport, opts ...gsi.Option) {
 	t.Helper()
 	tb := newTestbed(t)
-	authEnv, err := gsi.NewEnvironment(
-		gsi.WithTrustStore(tb.env.Trust()),
-		gsi.WithAuthorizer(permitOnly("/O=Grid/CN=Alice")),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	server, err := authEnv.NewServer(tb.host, gsi.WithTransport(transport))
+	server, err := tb.env.NewServer(tb.host, gsi.WithTransport(transport),
+		gsi.WithLocalPolicy(permitOnly("/O=Grid/CN=Alice")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +71,7 @@ func transportRoundTrip(t *testing.T, transport gsi.Transport, opts ...gsi.Optio
 		t.Fatalf("%s whoami: %v %q", transport, err, who)
 	}
 
-	// Bob authenticates but the environment's authorizer denies him.
+	// Bob authenticates but the server's local policy denies him.
 	bob, err := tb.ca.NewEntity(gsi.MustParseName("/O=Grid/CN=Bob"), 12*time.Hour)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,24 +105,23 @@ type TraceAuditSink interface {
 // everything: resources are closed-world, so policy must be stated.
 func (e *Environment) NewAuthorizationPipeline(opts ...Option) (*AuthorizationPipeline, error) {
 	var s settings
-	s, err := s.apply(opts)
-	if err != nil {
+	if err := s.apply(opts); err != nil {
 		return nil, opErr("gsi.NewAuthorizationPipeline", err)
 	}
 	if s.authzAdopted {
 		// Accepting it silently would discard the prebuilt pipeline and
 		// hand back a policy-less deny-all one — the same trap NewServer
-		// and Serve refuse loudly.
+		// refuses loudly.
 		return nil, opErr("gsi.NewAuthorizationPipeline", errors.New("gsi: WithAuthorizationPipeline is a server option; NewAuthorizationPipeline builds pipelines from assembly options"))
 	}
 	if err := s.materializeDurable(); err != nil {
 		return nil, opErr("gsi.NewAuthorizationPipeline", err)
 	}
-	return newPipeline(e, s), nil
+	return newPipeline(e, &s), nil
 }
 
 // newPipeline assembles a pipeline from resolved settings.
-func newPipeline(e *Environment, s settings) *AuthorizationPipeline {
+func newPipeline(e *Environment, s *settings) *AuthorizationPipeline {
 	p := &AuthorizationPipeline{
 		env:     e,
 		local:   s.authzLocal,
@@ -248,24 +246,9 @@ func (p *AuthorizationPipeline) Authorize(ctx context.Context, peer Peer, resour
 	gens := p.generations()
 	key := decisionKey{fp: leaf.Fingerprint(), resource: resource, action: action, gens: gens}
 	if p.cache != nil {
-		if d, warmed, ok := p.cache.lookup(key, now); ok {
-			if !warmed {
-				d.Cached = true
-				return p.finish(ctx, d, resource, action)
-			}
-			// A warmed entry's decision came from this pipeline's own
-			// policy state, but its fp→identity binding is the
-			// publisher's unverified claim. Honor it only once the
-			// peer's own verified chain proves the binding; otherwise
-			// drop the entry and take the cold path, which decides from
-			// scratch. A forged hot key can therefore waste one
-			// evaluation, never flip a decision.
-			if info := p.verifiedPeerInfo(peer, now); info != nil && info.Identity.Equal(d.Identity) {
-				p.cache.confirmWarm(key, chainNotAfter(peer, leaf))
-				d.Cached = true
-				return p.finish(ctx, d, resource, action)
-			}
-			p.cache.remove(key)
+		if d, ok := p.cache.lookup(key, now); ok {
+			d.Cached = true
+			return p.finish(ctx, d, resource, action)
 		}
 	}
 	d, expiry, err := p.evaluate(peer, leaf, resource, action, now)
@@ -387,39 +370,19 @@ func (p *AuthorizationPipeline) evaluate(peer Peer, leaf *Certificate, resource,
 		if assertion.ExpiresAt.Before(expiry) {
 			expiry = assertion.ExpiresAt
 		}
-	} else {
-		voLayer = p.replicaLayer(&d, &req)
+	} else if p.replica != nil {
+		if groups, roles, ok := p.replica.Lookup(info.Identity); ok {
+			voLayer = true
+			d.VOName = p.replica.VO()
+			req.Groups = groups
+			req.Roles = roles
+			d.VO = p.replica.Evaluate(req)
+		}
+		// A non-member falls through to local policy alone — the bundle
+		// vouches for members only; it never blocks identities the VO
+		// has nothing to say about.
 	}
 
-	p.combineAndMap(&d, req, voLayer, assertion != nil)
-	return d, expiry, nil
-}
-
-// replicaLayer fills the VO half of a decision for a peer that arrived
-// without an assertion, from the replicated policy bundle. A non-member
-// falls through to local policy alone — the bundle vouches for members
-// only; it never blocks identities the VO has nothing to say about.
-// Shared by the cold path and warm-cache promotion so the two cannot
-// drift.
-func (p *AuthorizationPipeline) replicaLayer(d *AuthzDecision, req *authz.Request) (voLayer bool) {
-	if p.replica == nil {
-		return false
-	}
-	groups, roles, ok := p.replica.Lookup(req.Subject)
-	if !ok {
-		return false
-	}
-	d.VOName = p.replica.VO()
-	req.Groups = groups
-	req.Roles = roles
-	d.VO = p.replica.Evaluate(authz.Request{Subject: req.Subject, Resource: req.Resource, Action: req.Action, Time: req.Time})
-	return true
-}
-
-// combineAndMap finishes a decision: local policy, the Figure-2
-// intersection when a VO layer is in scope, and the grid-mapfile
-// mapping. Shared by the cold path and warm-cache promotion.
-func (p *AuthorizationPipeline) combineAndMap(d *AuthzDecision, req authz.Request, voLayer, viaAssertion bool) {
 	if p.local != nil {
 		d.Local = p.local.Evaluate(req)
 	} else {
@@ -432,7 +395,7 @@ func (p *AuthorizationPipeline) combineAndMap(d *AuthzDecision, req authz.Reques
 		if d.Decision != Permit {
 			d.Decision = Deny
 			d.Reason = fmt.Sprintf("intersection of local (%s) and VO (%s) policy", d.Local, d.VO)
-		} else if viaAssertion {
+		} else if assertion != nil {
 			d.Reason = "permitted by local ∩ VO policy"
 		} else {
 			d.Reason = "permitted by local ∩ replicated VO policy"
@@ -450,87 +413,15 @@ func (p *AuthorizationPipeline) combineAndMap(d *AuthzDecision, req authz.Reques
 	// Grid-mapfile mapping (paper §5.3 step 3): a permitted requester
 	// with no local account cannot be served — fail closed.
 	if d.Decision == Permit && p.gridmap != nil {
-		account, ok := p.gridmap.Lookup(req.Subject)
+		account, ok := p.gridmap.Lookup(info.Identity)
 		if !ok {
 			d.Decision = Deny
-			d.Reason = fmt.Sprintf("no gridmap entry for %q", req.Subject)
-			return
+			d.Reason = fmt.Sprintf("no gridmap entry for %q", info.Identity)
+			return d, expiry, nil
 		}
 		d.LocalAccount = account
 	}
-}
-
-// verifiedPeerInfo returns the peer's verified validation info, or nil
-// when the chain does not verify: the presented chain when one is in
-// hand (via the environment's verified-chain cache), else the
-// transport's connect-time info.
-func (p *AuthorizationPipeline) verifiedPeerInfo(peer Peer, now time.Time) *gridcert.ChainInfo {
-	if len(peer.Chain) > 0 {
-		info, err := p.env.trust.VerifyCached(p.env.chains, gridcert.EncodeChain(peer.Chain), peer.Chain, gridcert.VerifyOptions{Now: now})
-		if err != nil {
-			return nil
-		}
-		return info
-	}
-	return peer.Info
-}
-
-// HotDecisionKeys exports the decision cache's top-n hottest live keys
-// (subject DN, chain fingerprint, resource, action — never decisions)
-// for a standby's warm-cache promotion. Nil when caching is disabled.
-func (p *AuthorizationPipeline) HotDecisionKeys(n int) []cas.HotKey {
-	if p.cache == nil || n <= 0 {
-		return nil
-	}
-	if n > cas.MaxHotKeys {
-		n = cas.MaxHotKeys
-	}
-	return p.cache.hotKeys(n, p.env.Now(), p.generations())
-}
-
-// WarmDecisions pre-computes decisions for publisher-exported hot keys
-// through this pipeline's OWN policy state — replica bundle, local
-// policy, gridmap — and installs them as warmed cache entries, so a
-// standby promotes serving hits instead of stampeding cold misses.
-// Nothing in the keys is trusted as authority: the decision is computed
-// here, its expiry is capped by the exporter's NotAfter, a live entry
-// is never displaced, and the fp→identity binding stays unverified
-// until a real peer's chain proves it (see Authorize). Returns how many
-// entries were installed.
-func (p *AuthorizationPipeline) WarmDecisions(keys []cas.HotKey) int {
-	if p.cache == nil {
-		return 0
-	}
-	now := p.env.Now()
-	warmed := 0
-	for _, k := range keys {
-		if k.Resource == "" || k.Action == "" {
-			continue
-		}
-		identity, err := gridcert.ParseName(k.Subject)
-		if err != nil {
-			continue
-		}
-		gens := p.generations()
-		key := decisionKey{fp: k.FP, resource: k.Resource, action: k.Action, gens: gens}
-		d := AuthzDecision{Identity: identity, VO: NotApplicable}
-		req := authz.Request{Subject: identity, Resource: k.Resource, Action: k.Action, Time: now}
-		voLayer := p.replicaLayer(&d, &req)
-		p.combineAndMap(&d, req, voLayer, false)
-		expiry := now.Add(p.cacheTTL())
-		if k.NotAfter > 0 {
-			if na := time.Unix(k.NotAfter, 0); na.Before(expiry) {
-				expiry = na
-			}
-		}
-		if !expiry.After(now) {
-			continue
-		}
-		if p.cache.storeWarm(key, d, expiry, now) {
-			warmed++
-		}
-	}
-	return warmed
+	return d, expiry, nil
 }
 
 func (p *AuthorizationPipeline) cacheTTL() time.Duration {
@@ -592,17 +483,11 @@ type decisionKey struct {
 	gens [5]uint64
 }
 
+// decisionEntry is immutable once stored, so a lookup reads it outside
+// the shard lock.
 type decisionEntry struct {
 	d      AuthzDecision
 	expiry time.Time
-	// warmed marks an entry pre-computed from a publisher-exported hot
-	// key: its decision came from this pipeline's own policy state, but
-	// the fp→identity binding is the publisher's claim, unverified until
-	// the first real peer presents a chain that proves it (see
-	// Authorize). d and expiry are written only under the shard lock;
-	// hits is the only field mutated on the read path.
-	warmed bool
-	hits   atomic.Uint64
 }
 
 type decisionShard struct {
@@ -647,21 +532,12 @@ func (c *decisionCache) shard(key decisionKey) *decisionShard {
 	return &c.shards[h.Sum32()%decisionShardCount]
 }
 
-func (c *decisionCache) lookup(key decisionKey, now time.Time) (d AuthzDecision, warmed, ok bool) {
+func (c *decisionCache) lookup(key decisionKey, now time.Time) (AuthzDecision, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
-	e, live := s.m[key]
-	var expired bool
-	if live {
-		// Copy under the lock: confirmWarm mutates expiry/warmed.
-		d, warmed = e.d, e.warmed
-		expired = now.After(e.expiry)
-		if !expired {
-			e.hits.Add(1)
-		}
-	}
+	e, ok := s.m[key]
 	s.mu.RUnlock()
-	if live && expired {
+	if ok && now.After(e.expiry) {
 		// Reap in place so dead entries do not sit at a shard's cap
 		// crowding out live ones.
 		s.mu.Lock()
@@ -669,38 +545,14 @@ func (c *decisionCache) lookup(key decisionKey, now time.Time) (d AuthzDecision,
 			delete(s.m, key)
 		}
 		s.mu.Unlock()
-		live = false
+		ok = false
 	}
-	if !live {
+	if !ok {
 		c.misses.Add(1)
-		return AuthzDecision{}, false, false
+		return AuthzDecision{}, false
 	}
 	c.hits.Add(1)
-	return d, warmed, true
-}
-
-// confirmWarm upgrades a warmed entry whose fp→identity binding a real
-// peer's verified chain just proved: the entry becomes a normal cached
-// decision, with its expiry tightened to the chain's horizon (the
-// warm-time entry could not know it).
-func (c *decisionCache) confirmWarm(key decisionKey, chainNotAfter time.Time) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if e, ok := s.m[key]; ok && e.warmed {
-		e.warmed = false
-		if chainNotAfter.Before(e.expiry) {
-			e.expiry = chainNotAfter
-		}
-	}
-	s.mu.Unlock()
-}
-
-// remove drops an entry (a warmed entry whose binding failed to prove).
-func (c *decisionCache) remove(key decisionKey) {
-	s := c.shard(key)
-	s.mu.Lock()
-	delete(s.m, key)
-	s.mu.Unlock()
+	return e.d, true
 }
 
 // evictionScan bounds how many entries a full shard examines looking
@@ -748,72 +600,7 @@ func (c *decisionCache) store(key decisionKey, d AuthzDecision, expiry time.Time
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.makeRoomLocked(key, now)
-	e := &decisionEntry{d: d, expiry: expiry}
-	if old, ok := s.m[key]; ok {
-		// Re-evaluation of a hot key keeps its heat.
-		e.hits.Store(old.hits.Load())
-	}
-	s.m[key] = e
-}
-
-// storeWarm installs a pre-computed (warmed) decision unless a live
-// entry — real or already warmed — holds the slot. Reports whether the
-// entry was installed.
-func (c *decisionCache) storeWarm(key decisionKey, d AuthzDecision, expiry time.Time, now time.Time) bool {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[key]; ok && !now.After(e.expiry) {
-		return false
-	}
-	s.makeRoomLocked(key, now)
-	s.m[key] = &decisionEntry{d: d, expiry: expiry, warmed: true}
-	return true
-}
-
-// hotKeys exports the cache's hottest live, confirmed entries as CAS
-// hot keys: identifiers only, never decisions. Entries under superseded
-// generations, expired, warmed-but-unconfirmed, or without an identity
-// (early-path denies) are skipped.
-func (c *decisionCache) hotKeys(n int, now time.Time, gens [5]uint64) []cas.HotKey {
-	type cand struct {
-		key  cas.HotKey
-		hits uint64
-	}
-	var cands []cand
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for k, e := range s.m {
-			if k.gens != gens || e.warmed || now.After(e.expiry) {
-				continue
-			}
-			subject := e.d.Identity.String()
-			if subject == "" {
-				continue
-			}
-			cands = append(cands, cand{
-				key: cas.HotKey{
-					Subject:  subject,
-					FP:       k.fp,
-					Resource: k.resource,
-					Action:   k.action,
-					NotAfter: e.expiry.Unix(),
-				},
-				hits: e.hits.Load(),
-			})
-		}
-		s.mu.RUnlock()
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].hits > cands[j].hits })
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	keys := make([]cas.HotKey, len(cands))
-	for i, c := range cands {
-		keys[i] = c.key
-	}
-	return keys
+	s.m[key] = &decisionEntry{d: d, expiry: expiry}
 }
 
 func (c *decisionCache) stats() DecisionCacheStats {

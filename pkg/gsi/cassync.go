@@ -25,19 +25,14 @@ const casSyncTimeout = 30 * time.Second
 // "the first pull failed, the next succeeded" — and applies it to the
 // pipeline's replica through the fail-closed, generation-counted swap.
 //
-// Once the replica holds a version, each round asks for a signed DELTA
-// from that version first and falls back to the full bundle on any
-// refusal — gap, stale, bad signature, malformed — so steady-state
-// sync traffic scales with the change rate, not the membership roll.
-// With cache warming enabled it also pulls the publisher's hot
-// decision keys after an apply and pre-computes those decisions
-// through the local pipeline.
+// Each round is one pull carrying the replica's version; the publisher
+// answers with the signed delta from that version when its log covers
+// it and with the full bundle otherwise, so steady-state sync traffic
+// scales with the change rate, not the membership roll.
 type casSyncer struct {
-	client   *Client
-	replica  *cas.Replica
-	pipeline *AuthorizationPipeline // hot-key warming target (nil = off)
-	warmN    int                    // hot keys to request per warm (0 = off)
-	cfg      CASUpstreamConfig
+	client  *Client
+	replica *cas.Replica
+	cfg     CASUpstreamConfig
 
 	// ctx is the syncer's lifetime: every pull runs under it, so close
 	// aborts one in flight instead of waiting out casSyncTimeout.
@@ -59,10 +54,6 @@ type casSyncer struct {
 	bytesSaved     uint64 // vs shipping the last full bundle again
 	deltaFallbacks uint64
 	lastFullBytes  uint64
-
-	warmedKeys uint64
-	warmedGens [5]uint64 // pipeline generation vector at the last warm
-	warmedAt   time.Time
 }
 
 // CASSyncStatus is the JSON shape of the gsi.__admin CASStatus op and
@@ -89,9 +80,9 @@ type CASSyncStatus struct {
 	// every endpoint failed.
 	Syncs    uint64 `json:"syncs"`
 	Failures uint64 `json:"failures"`
-	// DeltaSyncs and FullSyncs split successful pulls by transfer shape;
-	// DeltaFallbacks counts delta attempts that fell back to a full
-	// bundle (version gap, verify failure, malformed delta).
+	// DeltaSyncs and FullSyncs split successful pulls by reply shape;
+	// DeltaFallbacks counts deltas that failed to decode, verify or
+	// apply, each answered by one more pull from version 0.
 	DeltaSyncs     uint64 `json:"delta_syncs"`
 	FullSyncs      uint64 `json:"full_syncs"`
 	DeltaFallbacks uint64 `json:"delta_fallbacks"`
@@ -101,16 +92,9 @@ type CASSyncStatus struct {
 	DeltaBytes uint64 `json:"delta_bytes"`
 	FullBytes  uint64 `json:"full_bytes"`
 	BytesSaved uint64 `json:"bytes_saved"`
-	// WarmedKeys counts decisions pre-computed from the publisher's hot
-	// keys (0 unless WithCacheWarming is active). WarmCurrent reports
-	// that the most recent warm ran against the pipeline's current
-	// generation vector — i.e. the warmed entries are servable, not
-	// invalidated by a policy/gridmap/bundle change since the warm.
-	WarmedKeys  uint64 `json:"warmed_keys"`
-	WarmCurrent bool   `json:"warm_current,omitempty"`
 }
 
-func newCASSyncer(env *Environment, cred *Credential, pipeline *AuthorizationPipeline, cfg CASUpstreamConfig, warmN int) (*casSyncer, error) {
+func newCASSyncer(env *Environment, cred *Credential, replica *cas.Replica, cfg CASUpstreamConfig) (*casSyncer, error) {
 	client, err := env.NewClient(cred, WithTransport(TransportGT3()))
 	if err != nil {
 		return nil, err
@@ -120,14 +104,12 @@ func newCASSyncer(env *Environment, cred *Credential, pipeline *AuthorizationPip
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &casSyncer{
-		client:   client,
-		replica:  pipeline.Replica(),
-		pipeline: pipeline,
-		warmN:    warmN,
-		cfg:      cfg,
-		ctx:      ctx,
-		cancel:   cancel,
-		done:     make(chan struct{}),
+		client:  client,
+		replica: replica,
+		cfg:     cfg,
+		ctx:     ctx,
+		cancel:  cancel,
+		done:    make(chan struct{}),
 	}, nil
 }
 
@@ -181,98 +163,58 @@ func (cs *casSyncer) syncOnce() error {
 	return err
 }
 
+// pull runs one sync against one endpoint. Its one fallback: a delta
+// that fails to decode, verify or apply — the last good state stays live
+// throughout — is answered by asking once more from version 0, which
+// the publisher answers with the full bundle.
 func (cs *casSyncer) pull(ctx context.Context, endpoint string) error {
 	ctx, cancel := context.WithTimeout(ctx, casSyncTimeout)
 	defer cancel()
-	// Delta first once the replica tracks a version. Every delta failure
-	// mode — endpoint refusal (log gap), decode error, verify failure,
-	// ApplyDelta's gap/stale/malformed refusals — falls back to the full
-	// bundle, with the last good state live throughout.
-	if have := cs.replica.Version(); have > 0 {
-		if err := cs.pullDelta(ctx, endpoint, have); err == nil {
-			cs.maybeWarm(ctx, endpoint)
-			return nil
-		}
+	badDelta, err := cs.pullSince(ctx, endpoint, cs.replica.Version())
+	if badDelta {
 		cs.mu.Lock()
 		cs.deltaFallbacks++
 		cs.mu.Unlock()
+		_, err = cs.pullSince(ctx, endpoint, 0)
 	}
-	body, _, err := cs.client.Invoke(ctx, endpoint, cas.SyncHandle, cas.SyncOpBundle, nil)
+	return err
+}
+
+// pullSince asks endpoint for what changed since version have and
+// applies the reply. badDelta reports that the failure was the delta's,
+// not the endpoint's or a full bundle's.
+func (cs *casSyncer) pullSince(ctx context.Context, endpoint string, have uint64) (badDelta bool, err error) {
+	body, _, err := cs.client.Invoke(ctx, endpoint, cas.SyncHandle, cas.SyncOpPull, strconv.AppendUint(nil, have, 10))
 	if err != nil {
-		return err
+		return false, err
 	}
-	b, err := cas.DecodeBundle(body)
+	size := uint64(len(body))
+	delta, bundle, err := cas.DecodeSyncReply(body)
 	if err != nil {
-		return err
+		return errors.Is(err, cas.ErrBadDelta), err
 	}
-	if err := cs.replica.Apply(b); err != nil {
-		return err
+	if delta != nil {
+		if err := cs.replica.ApplyDelta(delta); err != nil {
+			return true, err
+		}
+		cs.mu.Lock()
+		cs.deltaSyncs++
+		cs.deltaBytes += size
+		if cs.lastFullBytes > size {
+			cs.bytesSaved += cs.lastFullBytes - size
+		}
+		cs.mu.Unlock()
+		return false, nil
+	}
+	if err := cs.replica.Apply(bundle); err != nil {
+		return false, err
 	}
 	cs.mu.Lock()
 	cs.fullSyncs++
-	cs.fullBytes += uint64(len(body))
-	cs.lastFullBytes = uint64(len(body))
+	cs.fullBytes += size
+	cs.lastFullBytes = size
 	cs.mu.Unlock()
-	cs.maybeWarm(ctx, endpoint)
-	return nil
-}
-
-func (cs *casSyncer) pullDelta(ctx context.Context, endpoint string, have uint64) error {
-	body, _, err := cs.client.Invoke(ctx, endpoint, cas.SyncHandle, cas.SyncOpDelta, []byte(strconv.FormatUint(have, 10)))
-	if err != nil {
-		return err
-	}
-	d, err := cas.DecodeDelta(body)
-	if err != nil {
-		return err
-	}
-	if err := cs.replica.ApplyDelta(d); err != nil {
-		return err
-	}
-	cs.mu.Lock()
-	cs.deltaSyncs++
-	cs.deltaBytes += uint64(len(body))
-	if cs.lastFullBytes > uint64(len(body)) {
-		cs.bytesSaved += cs.lastFullBytes - uint64(len(body))
-	}
-	cs.mu.Unlock()
-	return nil
-}
-
-// maybeWarm pulls the publisher's hot decision keys and pre-computes
-// those decisions through the local pipeline. Purely advisory: any
-// failure is ignored (never a sync failure), and re-warming is skipped
-// while the pipeline's generation vector is unchanged and the last
-// warm is recent, so a quiet upstream does not cost an evaluation
-// storm per poll. The vector — not just the replica generation —
-// matters: warmed entries are keyed by all five generations, so a
-// local policy or gridmap change invalidates them just as surely as a
-// bundle apply does, and must trigger a re-warm.
-func (cs *casSyncer) maybeWarm(ctx context.Context, endpoint string) {
-	if cs.warmN <= 0 || cs.pipeline == nil {
-		return
-	}
-	gens := cs.pipeline.generations()
-	cs.mu.Lock()
-	fresh := cs.warmedGens == gens && !cs.warmedAt.IsZero() && time.Since(cs.warmedAt) < cs.pipeline.cacheTTL()/2
-	cs.mu.Unlock()
-	if fresh {
-		return
-	}
-	body, _, err := cs.client.Invoke(ctx, endpoint, cas.SyncHandle, cas.SyncOpHotKeys, []byte(strconv.Itoa(cs.warmN)))
-	if err != nil {
-		return
-	}
-	keys, err := cas.DecodeHotKeys(body)
-	if err != nil {
-		return
-	}
-	n := cs.pipeline.WarmDecisions(keys)
-	cs.mu.Lock()
-	cs.warmedKeys += uint64(n)
-	cs.warmedGens = gens
-	cs.warmedAt = time.Now()
-	cs.mu.Unlock()
+	return false, nil
 }
 
 // status snapshots the syncer for the admin surface.
@@ -292,10 +234,6 @@ func (cs *casSyncer) status() CASSyncStatus {
 		DeltaBytes:     cs.deltaBytes,
 		FullBytes:      cs.fullBytes,
 		BytesSaved:     cs.bytesSaved,
-		WarmedKeys:     cs.warmedKeys,
-	}
-	if !cs.warmedAt.IsZero() && cs.pipeline != nil {
-		st.WarmCurrent = cs.warmedGens == cs.pipeline.generations()
 	}
 	cs.mu.Unlock()
 	st.Version = cs.replica.Version()

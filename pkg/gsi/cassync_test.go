@@ -11,9 +11,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cas"
 	"repro/internal/ogsa"
 	"repro/pkg/gsi"
 )
@@ -191,15 +193,14 @@ func TestCASSyncFailover(t *testing.T) {
 	}
 }
 
-// TestCASWarmPromotionFailover is the PR 10 standby-promotion scenario
-// end to end: a resource server follows the VO by signed delta and
-// warms its decision cache from the publishers' hot-key exports; the
-// primary is killed mid-run with membership churn (deltas) in flight.
-// The standby must keep serving deltas, warming must survive the
-// failover, the first decision for a publisher-hot subject must be a
-// warm cache hit (the cold baseline misses), and nothing may fail open.
-func TestCASWarmPromotionFailover(t *testing.T) {
-	c := newCASSyncBed(t, gsi.WithCacheWarming(64))
+// TestCASPromotionFailover is the standby-promotion scenario end to
+// end: a resource server follows the VO by signed delta; the primary is
+// killed mid-run with membership churn (deltas) in flight. The standby
+// must keep serving deltas, a member admitted after the primary died
+// must get in, and nothing may fail open: an outsider stays denied
+// throughout.
+func TestCASPromotionFailover(t *testing.T) {
+	c := newCASSyncBed(t)
 	bed := c.bed
 	ctx := context.Background()
 	pipe := c.resource.AuthorizationPipeline()
@@ -213,37 +214,33 @@ func TestCASWarmPromotionFailover(t *testing.T) {
 		Resources: []string{"data:/climate/*"},
 		Actions:   []string{"read"},
 	})
+	malloryCred, err := bed.ca.NewEntity(gsi.MustParseName("/O=Grid/CN=Mallory"), 12*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallory := gsi.Peer{Identity: malloryCred.Identity(), Chain: malloryCred.Chain}
+	outsiderDenied := func(when string) {
+		t.Helper()
+		if d, err := pipe.Authorize(ctx, mallory, "data:/climate/hot", "read"); err != nil || d.Decision != gsi.Deny {
+			t.Errorf("outsider %s: %+v err=%v", when, d, err)
+		}
+	}
 
 	first := c.waitSync(t, "first bundle", func(st gsi.CASSyncStatus) bool { return st.Version >= 1 })
 	if first.FullSyncs == 0 {
 		t.Fatalf("initial sync was not a full bundle: %+v", first)
 	}
-
-	// Heat the publishers: alice is busy against the publisher fleet, so
-	// her decision keys become the hot set both exporters serve. The
-	// publishers' own decisions are irrelevant (their policy knows
-	// nothing of the data tree) — hot keys carry no decisions, and the
-	// resource server recomputes through its OWN replica ∩ local policy.
-	alice := gsi.Peer{Identity: bed.alice.Identity(), Chain: bed.alice.Chain}
-	for _, srv := range []*gsi.Server{c.primarySrv, c.standbySrv} {
-		pp := srv.AuthorizationPipeline()
-		if pp == nil {
-			t.Fatal("publisher has no pipeline")
-		}
-		for i := 0; i < 3; i++ {
-			if _, err := pp.Authorize(ctx, alice, "data:/climate/hot", "read"); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	outsiderDenied("before the churn")
 
 	// Membership churn with the primary dying mid-stream: deltas are in
-	// flight when the endpoint list fails over.
+	// flight when the endpoint list fails over, and the outsider keeps
+	// knocking the whole time.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 40; i++ {
 			c.vo.AddMember(gsi.MustParseName(fmt.Sprintf("/O=Grid/CN=churn %02d", i)), "researchers")
+			outsiderDenied("during the churn")
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
@@ -259,46 +256,192 @@ func TestCASWarmPromotionFailover(t *testing.T) {
 	if st.DeltaSyncs == 0 {
 		t.Fatalf("failover caught up without a single delta: %+v", st)
 	}
+	if st.DeltaFallbacks != 0 {
+		t.Fatalf("honest publishers' deltas were refused: %+v", st)
+	}
 	// (Byte savings are a scale claim — the benchmark's cas.delta_bytes
 	// shows them; a fixture VO this small can't.)
 
-	// The post-churn sync cycle must re-warm against the settled
-	// generation vector: WarmCurrent reports that the most recent warm
-	// matches the pipeline's live generations, i.e. the warmed entries
-	// are actually servable (a counter-delta wait here would race with
-	// the settling cycle).
-	c.waitSync(t, "warm set current", func(st gsi.CASSyncStatus) bool {
-		return st.WarmedKeys > 0 && st.WarmCurrent
-	})
-
-	// Promotion: alice has NEVER contacted the resource server, yet her
-	// first decision is a verified warm hit — while bob (a legitimate
-	// member who was not hot on the publishers) pays the cold miss.
-	d, err := pipe.Authorize(ctx, alice, "data:/climate/hot", "read")
-	if err != nil || d.Decision != gsi.Permit {
-		t.Fatalf("warm first decision: %+v err=%v", d, err)
-	}
-	if !d.Cached {
-		t.Fatal("publisher-hot subject's first decision missed the warmed cache")
+	// Promotion: alice, a member from the start, and bob, admitted only
+	// after the primary died, are both decided from the standby's feed.
+	alice := gsi.Peer{Identity: bed.alice.Identity(), Chain: bed.alice.Chain}
+	if d, err := pipe.Authorize(ctx, alice, "data:/climate/hot", "read"); err != nil || d.Decision != gsi.Permit {
+		t.Fatalf("member after promotion: %+v err=%v", d, err)
 	}
 	bob := gsi.Peer{Identity: bed.bob.Identity(), Chain: bed.bob.Chain}
-	d, err = pipe.Authorize(ctx, bob, "data:/climate/hot", "read")
-	if err != nil || d.Decision != gsi.Permit {
-		t.Fatalf("cold first decision: %+v err=%v", d, err)
+	if d, err := pipe.Authorize(ctx, bob, "data:/climate/hot", "read"); err != nil || d.Decision != gsi.Permit {
+		t.Fatalf("late member after promotion: %+v err=%v", d, err)
 	}
-	if d.Cached {
-		t.Fatal("cold baseline was served from cache on its first decision")
-	}
+	outsiderDenied("after promotion")
+}
 
-	// Zero fail-open: an outsider stays denied through promotion, warm
-	// cache and all.
-	malloryCred, err := bed.ca.NewEntity(gsi.MustParseName("/O=Grid/CN=Mallory"), 12*time.Hour)
+// tamperingFeed fronts an honest sync service as a publisher that can
+// be told to corrupt what it serves: the signature of the next delta
+// that carries mutations, or — answering as if its log had a gap — of
+// every full bundle. It logs the version each pull carried.
+type tamperingFeed struct {
+	inner ogsa.Service
+
+	mu        sync.Mutex
+	badDelta  bool // one shot
+	badFull   bool
+	requested []string
+}
+
+func (f *tamperingFeed) Invoke(call *ogsa.Call) ([]byte, error) {
+	if call.Op != cas.SyncOpPull {
+		return f.inner.Invoke(call)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.requested = append(f.requested, string(call.Body))
+	if f.badFull {
+		call.Body = []byte("0")
+	}
+	reply, err := f.inner.Invoke(call)
+	if err != nil {
+		return nil, err
+	}
+	delta, _, err := cas.DecodeSyncReply(reply)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case delta == nil && f.badFull:
+		reply[len(reply)-1] ^= 0x80
+	case delta != nil && len(delta.Ops) > 0 && f.badDelta:
+		f.badDelta = false
+		reply[len(reply)-1] ^= 0x80
+	}
+	return reply, nil
+}
+
+func (f *tamperingFeed) arm(set func(*tamperingFeed)) (logged int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	set(f)
+	return len(f.requested)
+}
+
+func (f *tamperingFeed) since(n int) []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]string(nil), f.requested[n:]...)
+}
+
+// TestCASPullFallback pins the client's one fallback against a
+// publisher that corrupts its replies. A delta that fails to verify is
+// answered by exactly one more pull from version 0 on the same
+// endpoint, whose full bundle applies — the bad delta never moves the
+// replica. A full bundle that fails is the endpoint's failure: no
+// retry, the next endpoint serves the round.
+func TestCASPullFallback(t *testing.T) {
+	bed := newAuthzBed(t)
+	ctx := context.Background()
+	feedCred, err := bed.ca.NewHostEntity(gsi.MustParseName("/O=Grid/CN=cas tamperer"), 72*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mallory := gsi.Peer{Identity: malloryCred.Identity(), Chain: malloryCred.Chain}
-	if d, err = pipe.Authorize(ctx, mallory, "data:/climate/hot", "read"); err != nil || d.Decision != gsi.Deny {
-		t.Fatalf("outsider after promotion: %+v err=%v", d, err)
+	container, err := ogsa.NewContainer(ogsa.ContainerConfig{
+		Name: "tamperer", Credential: feedCred, TrustStore: bed.env.Trust(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := &tamperingFeed{inner: cas.NewSyncService(bed.vo, nil)}
+	container.Publish(cas.SyncHandle, feed)
+	feedURL, shutdown, err := gsi.ServeHTTP(container, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+
+	echo := func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
+		return body, nil
+	}
+	honestCred, err := bed.ca.NewHostEntity(gsi.MustParseName("/O=Grid/CN=cas honest"), 72*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest, err := bed.env.NewServer(honestCred,
+		gsi.WithTransport(gsi.TransportGT3()),
+		gsi.WithCASPublisher(bed.vo),
+		gsi.WithLocalPolicy(gsi.NewPolicy(gsi.Rule{
+			Effect: gsi.EffectPermit, Subjects: []string{"*"},
+			Resources: []string{"ogsa:gsi.__cas.sync"}, Actions: []string{"*"},
+		})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	honestEP, err := honest.Serve(ctx, "127.0.0.1:0", echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer honestEP.Close()
+
+	rsCred, err := bed.ca.NewHostEntity(gsi.MustParseName("/O=Grid/CN=resource node"), 72*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resource, err := bed.env.NewServer(rsCred,
+		gsi.WithCASUpstream(gsi.CASUpstreamConfig{
+			Endpoints: []string{feedURL, honestEP.Addr()},
+			Cert:      bed.vo.Certificate(),
+			Interval:  20 * time.Millisecond,
+		}),
+		gsi.WithLocalPolicy(bed.local))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsEP, err := resource.Serve(ctx, "127.0.0.1:0", echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsEP.Close()
+	c := &casSyncBed{resource: resource}
+	first := c.waitSync(t, "first bundle", func(st gsi.CASSyncStatus) bool { return st.Version >= 1 })
+	if first.LastEndpoint != feedURL || first.FullSyncs != 1 {
+		t.Fatalf("first sync: %+v", first)
+	}
+
+	// Tampered delta: one retry from version 0, the full bundle applies.
+	mark := feed.arm(func(f *tamperingFeed) { f.badDelta = true })
+	bed.vo.AddMember(gsi.MustParseName("/O=Grid/CN=Joiner"), "researchers")
+	want := bed.vo.Version()
+	st := c.waitSync(t, "recovery from the bad delta", func(st gsi.CASSyncStatus) bool { return st.Version >= want })
+	if st.DeltaFallbacks != 1 || st.FullSyncs != 2 || st.Failures != 0 || st.LastEndpoint != feedURL {
+		t.Fatalf("after a tampered delta: %+v", st)
+	}
+	if st.Generation != first.Generation+1 {
+		t.Fatalf("replica generation %d -> %d: the bad delta moved it", first.Generation, st.Generation)
+	}
+	// Up-to-date polls may surround the pull that met the mutation; the
+	// retry is the one pull from version 0, right behind a pull from the
+	// version the replica held.
+	got := feed.since(mark)
+	zeros, at := 0, -1
+	for i, have := range got {
+		if have == "0" {
+			zeros++
+			at = i
+		}
+	}
+	if zeros != 1 || at == 0 || got[at-1] != fmt.Sprint(first.Version) {
+		t.Fatalf("pulls around the tampered delta = %q, want version %d then exactly one 0", got, first.Version)
+	}
+
+	// Tampered full bundle: the endpoint failed; the next one serves.
+	mark = feed.arm(func(f *tamperingFeed) { f.badFull = true })
+	bed.vo.AddMember(gsi.MustParseName("/O=Grid/CN=Latecomer"), "researchers")
+	want = bed.vo.Version()
+	st = c.waitSync(t, "the next endpoint", func(st gsi.CASSyncStatus) bool { return st.Version >= want })
+	if st.LastEndpoint != honestEP.Addr() || st.DeltaFallbacks != 1 || st.Failures != 0 {
+		t.Fatalf("after a tampered full bundle: %+v", st)
+	}
+	for _, have := range feed.since(mark) {
+		if have == "0" {
+			t.Fatalf("a failed full bundle was retried from version 0: %q", feed.since(mark))
+		}
 	}
 }
 

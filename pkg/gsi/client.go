@@ -29,22 +29,24 @@ type Client struct {
 }
 
 // NewClient builds a Client from a credential. A nil credential is
-// allowed only together with WithAnonymous or WithCredentialManager (a
-// managed client always reads the manager's current credential, so a
-// fixed one here would be misleading). Any pool option
+// allowed only together with WithCredentialManager (a managed client
+// always reads the manager's current credential, so a fixed one here
+// would be misleading). Any pool option
 // (WithSessionPool, WithMaxIdle, WithIdleTTL, WithMaxConcurrentPerHost)
 // enables session pooling; without an explicitly shared pool the client
 // gets a private one tuned by those options. A pooling client bound to
 // a CredentialManager rekeys its pool on every rotation: the replaced
 // credential's sessions drain and its resumption trees are dropped.
 func (e *Environment) NewClient(cred *Credential, opts ...Option) (*Client, error) {
-	base := settings{transport: TransportGT2()}
-	base, err := base.apply(opts)
-	if err != nil {
+	// The options fold straight into the handle, so the settings are
+	// allocated once, with it.
+	c := &Client{env: e, cred: cred, base: settings{transport: TransportGT2()}}
+	base := &c.base
+	if err := base.apply(opts); err != nil {
 		return nil, opErr("gsi.NewClient", err)
 	}
-	if cred == nil && !base.anonymous && base.credman == nil {
-		return nil, opErr("gsi.NewClient", errors.New("gsi: client requires a credential unless anonymous or managed"))
+	if cred == nil && base.credman == nil {
+		return nil, opErr("gsi.NewClient", errors.New("gsi: client requires a credential unless managed"))
 	}
 	if cred != nil && base.credman != nil {
 		return nil, opErr("gsi.NewClient", errors.New("gsi: a managed client takes its credential from the manager; pass a nil credential"))
@@ -64,10 +66,8 @@ func (e *Environment) NewClient(cred *Credential, opts ...Option) (*Client, erro
 			return nil, opErr("gsi.NewClient", err)
 		}
 	}
-	if err := base.buildTracer(); err != nil {
-		return nil, opErr("gsi.NewClient", err)
-	}
-	return &Client{env: e, cred: cred, base: base}, nil
+	base.buildTracer()
+	return c, nil
 }
 
 // credential resolves the client's effective credential: the manager's
@@ -89,26 +89,20 @@ func (c *Client) Environment() *Environment { return c.env }
 
 // Credential returns the client's effective credential: the manager's
 // current one on a managed client (so it changes across rotations), the
-// fixed one otherwise, nil for anonymous clients.
+// fixed one otherwise.
 func (c *Client) Credential() *Credential { return c.credential() }
 
 // CredentialManager returns the manager a managed client is bound to
 // (nil otherwise).
 func (c *Client) CredentialManager() *CredentialManager { return c.base.credman }
 
-// resolve folds per-call options over the handle's base settings and
-// derives the effective context: the deadline-skew budget (if any) is
-// taken off the caller's deadline.
-func (c *Client) resolve(ctx context.Context, opts []Option) (context.Context, context.CancelFunc, settings, error) {
-	s, err := c.base.apply(opts)
-	if err != nil {
-		return ctx, func() {}, s, err
+// skewed derives the effective context of one operation: the handle's
+// deadline-skew budget (if any) is taken off the caller's deadline.
+func (c *Client) skewed(ctx context.Context) (context.Context, context.CancelFunc) {
+	if deadline, ok := ctx.Deadline(); ok && c.base.deadlineSkew > 0 {
+		return context.WithDeadline(ctx, deadline.Add(-c.base.deadlineSkew))
 	}
-	if deadline, ok := ctx.Deadline(); ok && s.deadlineSkew > 0 {
-		skewed, cancel := context.WithDeadline(ctx, deadline.Add(-s.deadlineSkew))
-		return skewed, cancel, s, nil
-	}
-	return ctx, func() {}, s, nil
+	return ctx, func() {}
 }
 
 // Connect establishes a secured session with the peer at endpoint over
@@ -118,16 +112,11 @@ func (c *Client) resolve(ctx context.Context, opts []Option) (context.Context, c
 // rather than tearing it down — so the handshake is paid only when the
 // pool has no live session for (endpoint, transport, protection,
 // delegation, credential).
-func (c *Client) Connect(ctx context.Context, endpoint string, opts ...Option) (Session, error) {
+func (c *Client) Connect(ctx context.Context, endpoint string) (Session, error) {
 	const op = "gsi.Client.Connect"
-	ctx, cancelSkew, s, err := c.resolve(ctx, opts)
+	ctx, cancelSkew := c.skewed(ctx)
 	defer cancelSkew()
-	if err != nil {
-		return nil, opErr(op, err)
-	}
-	if err := s.poolUsable(); err != nil {
-		return nil, opErr(op, err)
-	}
+	s := &c.base
 	cred := c.credential()
 	// Tracing: a Connect inside a traced operation (OpenStream's dial,
 	// a stream's parent span in ctx) lands as a retroactive child on
@@ -143,8 +132,8 @@ func (c *Client) Connect(ctx context.Context, endpoint string, opts ...Option) (
 		start = time.Now()
 	}
 	if s.pool != nil {
-		sess, err := s.pool.checkout(ctx, poolKeyOf(c.env, endpoint, s, cred),
-			dialRequest{client: c, endpoint: endpoint, s: s, cred: cred})
+		sess, err := s.pool.checkout(ctx, c.poolKey(endpoint, cred),
+			dialRequest{client: c, endpoint: endpoint, cred: cred})
 		if err != nil {
 			sp.SetError(err)
 			sp.End()
@@ -162,7 +151,7 @@ func (c *Client) Connect(ctx context.Context, endpoint string, opts ...Option) (
 		}
 		return sess, nil
 	}
-	sess, err := c.dialSession(ctx, endpoint, s, cred)
+	sess, err := c.dialSession(ctx, endpoint, cred)
 	if err != nil {
 		sp.SetError(err)
 		sp.End()
@@ -186,7 +175,8 @@ func (c *Client) Connect(ctx context.Context, endpoint string, opts ...Option) (
 // secure-conversation resumption cache into the transport so even
 // fresh GT3 dials skip the WS-Trust bootstrap when an earlier
 // conversation with the peer is still warm.
-func (c *Client) dialSession(ctx context.Context, endpoint string, s settings, cred *Credential) (Session, error) {
+func (c *Client) dialSession(ctx context.Context, endpoint string, cred *Credential) (Session, error) {
+	s := &c.base
 	cfg := DialConfig{
 		Context:    s.contextConfig(c.env, cred),
 		Protection: s.protection,
@@ -198,7 +188,7 @@ func (c *Client) dialSession(ctx context.Context, endpoint string, s settings, c
 	// off it. Retired means every dial bootstraps fresh, permanently.
 	if s.pool != nil && !s.pool.fingerprintRetired(cred) {
 		cfg.resumption = s.pool.resume
-		cfg.resumeKey = poolKeyOf(c.env, endpoint, s, cred).resumeScope()
+		cfg.resumeKey = c.poolKey(endpoint, cred).resumeScope()
 	}
 	return s.transport.Dial(ctx, endpoint, cfg)
 }
@@ -216,16 +206,11 @@ func (c *Client) dialSession(ctx context.Context, endpoint string, s settings, c
 // arrived is indistinguishable from one that died before delivery, so
 // the op may execute twice. Issue non-idempotent operations through
 // Connect and Session.Exchange instead, which never retry.
-func (c *Client) Exchange(ctx context.Context, endpoint, op string, body []byte, opts ...Option) ([]byte, error) {
+func (c *Client) Exchange(ctx context.Context, endpoint, op string, body []byte) ([]byte, error) {
 	const opName = "gsi.Client.Exchange"
-	ctx, cancelSkew, s, err := c.resolve(ctx, opts)
+	ctx, cancelSkew := c.skewed(ctx)
 	defer cancelSkew()
-	if err != nil {
-		return nil, opErr(opName, err)
-	}
-	if err := s.poolUsable(); err != nil {
-		return nil, opErr(opName, err)
-	}
+	s := &c.base
 	// Tracing: the root span covers the whole operation — dial (or pool
 	// checkout), any retries, and the exchange itself — and rides ctx so
 	// the transport appends its context to the outgoing frame. The
@@ -241,7 +226,7 @@ func (c *Client) Exchange(ctx context.Context, endpoint, op string, body []byte,
 		if sp != nil {
 			dialStart = time.Now()
 		}
-		sess, err := c.dialSession(ctx, endpoint, s, c.credential())
+		sess, err := c.dialSession(ctx, endpoint, c.credential())
 		if err != nil {
 			sp.SetError(err)
 			sp.End()
@@ -272,12 +257,12 @@ func (c *Client) Exchange(ctx context.Context, endpoint, op string, body []byte,
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		cred := c.credential()
-		key := poolKeyOf(c.env, endpoint, s, cred)
+		key := c.poolKey(endpoint, cred)
 		checkoutStart := time.Time{}
 		if sp != nil {
 			checkoutStart = time.Now()
 		}
-		sess, err := s.pool.checkout(ctx, key, dialRequest{client: c, endpoint: endpoint, s: s, cred: cred})
+		sess, err := s.pool.checkout(ctx, key, dialRequest{client: c, endpoint: endpoint, cred: cred})
 		if err != nil {
 			sp.SetError(err)
 			sp.End()
@@ -312,14 +297,11 @@ func (c *Client) Exchange(ctx context.Context, endpoint, op string, body []byte,
 
 // Establish runs an in-memory mutual authentication against an acceptor
 // configuration, for co-located services and tests.
-func (c *Client) Establish(ctx context.Context, acceptor ContextConfig, opts ...Option) (initiator, accepted *Context, err error) {
+func (c *Client) Establish(ctx context.Context, acceptor ContextConfig) (initiator, accepted *Context, err error) {
 	const op = "gsi.Client.Establish"
-	ctx, cancelSkew, s, err := c.resolve(ctx, opts)
+	ctx, cancelSkew := c.skewed(ctx)
 	defer cancelSkew()
-	if err != nil {
-		return nil, nil, opErr(op, err)
-	}
-	ictx, actx, err := gss.EstablishContext(ctx, s.contextConfig(c.env, c.credential()), acceptor)
+	ictx, actx, err := gss.EstablishContext(ctx, c.base.contextConfig(c.env, c.credential()), acceptor)
 	if err != nil {
 		return nil, nil, opErr(op, err)
 	}
@@ -339,18 +321,11 @@ func (c *Client) Proxy(opts ProxyOptions) (*Credential, error) {
 // RequestAssertion performs step 1 of the CAS flow (Figure 2): the
 // client's authenticated identity asks the VO's CAS server for its
 // signed policy assertion. Cancellation aborts the policy scan.
-func (c *Client) RequestAssertion(ctx context.Context, server *CASServer, opts ...Option) (*CASAssertion, error) {
+func (c *Client) RequestAssertion(ctx context.Context, server *CASServer) (*CASAssertion, error) {
 	const op = "gsi.Client.RequestAssertion"
-	ctx, cancelSkew, _, err := c.resolve(ctx, opts)
+	ctx, cancelSkew := c.skewed(ctx)
 	defer cancelSkew()
-	if err != nil {
-		return nil, opErr(op, err)
-	}
-	cred := c.credential()
-	if cred == nil {
-		return nil, opErr(op, errors.New("gsi: anonymous clients cannot request assertions"))
-	}
-	a, err := server.IssueAssertionContext(ctx, cred.Identity())
+	a, err := server.IssueAssertionContext(ctx, c.credential().Identity())
 	if err != nil {
 		return nil, opErr(op, err)
 	}
@@ -372,13 +347,10 @@ func (c *Client) EmbedAssertion(a *CASAssertion) (*Credential, error) {
 // and receives a fresh short-lived proxy delegated from the stored
 // credential. The private key is generated locally and never crosses the
 // exchange.
-func (c *Client) RetrieveCredential(ctx context.Context, repo *MyProxy, username, passphrase string, lifetime time.Duration, opts ...Option) (*Credential, error) {
+func (c *Client) RetrieveCredential(ctx context.Context, repo *MyProxy, username, passphrase string, lifetime time.Duration) (*Credential, error) {
 	const op = "gsi.Client.RetrieveCredential"
-	ctx, cancelSkew, _, err := c.resolve(ctx, opts)
+	ctx, cancelSkew := c.skewed(ctx)
 	defer cancelSkew()
-	if err != nil {
-		return nil, opErr(op, err)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, opErr(op, err)
 	}
@@ -401,13 +373,10 @@ func (c *Client) RetrieveCredential(ctx context.Context, repo *MyProxy, username
 // StoreCredential delegates a proxy below the client's credential into a
 // MyProxy repository under username/passphrase; maxLifetime bounds
 // proxies later retrieved.
-func (c *Client) StoreCredential(ctx context.Context, repo *MyProxy, username, passphrase string, deposit *Credential, maxLifetime time.Duration, opts ...Option) error {
+func (c *Client) StoreCredential(ctx context.Context, repo *MyProxy, username, passphrase string, deposit *Credential, maxLifetime time.Duration) error {
 	const op = "gsi.Client.StoreCredential"
-	ctx, cancelSkew, _, err := c.resolve(ctx, opts)
+	ctx, cancelSkew := c.skewed(ctx)
 	defer cancelSkew()
-	if err != nil {
-		return opErr(op, err)
-	}
 	if err := repo.StoreContext(ctx, username, passphrase, deposit, maxLifetime); err != nil {
 		return opErr(op, err)
 	}
@@ -419,20 +388,17 @@ func (c *Client) StoreCredential(ctx context.Context, repo *MyProxy, username, p
 // created MJS, delegate if the description asks for it, and start the
 // job. Cancellation aborts between the submit, connect, delegate, and
 // start steps.
-func (c *Client) SubmitJob(ctx context.Context, resource *JobResource, desc JobDescription, opts ...Option) (*MJS, error) {
+func (c *Client) SubmitJob(ctx context.Context, resource *JobResource, desc JobDescription) (*MJS, error) {
 	const op = "gsi.Client.SubmitJob"
-	ctx, cancelSkew, s, err := c.resolve(ctx, opts)
+	ctx, cancelSkew := c.skewed(ctx)
 	defer cancelSkew()
-	if err != nil {
-		return nil, opErr(op, err)
-	}
-	// The resolved options shape the step-7 MJS connection: delegation
+	// The handle's options shape the step-7 MJS connection: delegation
 	// intent, peer pinning, limited-proxy rejection, depth caps.
 	gc := &gram.Client{
 		Credential:    c.credential(),
 		Trust:         c.env.trust,
 		Resource:      resource,
-		ConnectConfig: s.contextConfig(c.env, nil),
+		ConnectConfig: c.base.contextConfig(c.env, nil),
 	}
 	mjs, err := gc.SubmitAndRunContext(ctx, desc)
 	if err != nil {
@@ -444,17 +410,14 @@ func (c *Client) SubmitJob(ctx context.Context, resource *JobResource, desc JobD
 // Invoke runs the Figure-3 secured-request pipeline against a GT3
 // container endpoint (policy fetch, mechanism selection, token
 // processing, delivery), returning the reply and the phase timings.
-func (c *Client) Invoke(ctx context.Context, endpoint, handle, op string, body []byte, opts ...Option) ([]byte, Trace, error) {
+func (c *Client) Invoke(ctx context.Context, endpoint, handle, op string, body []byte) ([]byte, Trace, error) {
 	const opName = "gsi.Client.Invoke"
-	ctx, cancelSkew, s, err := c.resolve(ctx, opts)
+	ctx, cancelSkew := c.skewed(ctx)
 	defer cancelSkew()
-	if err != nil {
-		return nil, Trace{}, opErr(opName, err)
-	}
 	r := &Requestor{
 		Credential:      c.credential(),
 		Trust:           c.env.trust,
-		PreferStateless: s.protection == ProtectionSigned,
+		PreferStateless: c.base.protection == ProtectionSigned,
 	}
 	// Every round trip of the pipeline is bound to ctx, so its end aborts
 	// an RPC in flight, not just the next phase.

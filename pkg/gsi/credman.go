@@ -120,8 +120,8 @@ func (cm *CredentialManager) bindPool(pool *SessionPool) {
 // ignored, matching how handle options behave across operations.
 func (e *Environment) NewCredentialManager(initial *Credential, source RenewalSource, opts ...Option) (*CredentialManager, error) {
 	const op = "gsi.NewCredentialManager"
-	s, err := settings{}.apply(opts)
-	if err != nil {
+	var s settings
+	if err := s.apply(opts); err != nil {
 		return nil, opErr(op, err)
 	}
 	m, err := credman.NewManager(initial, credman.Config{

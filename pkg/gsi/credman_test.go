@@ -328,7 +328,7 @@ func TestCredentialManagerOptionErrors(t *testing.T) {
 	if _, err := w.env.NewClient(nil, WithCredentialManager(nil)); err == nil {
 		t.Fatal("nil manager must be rejected")
 	}
-	if _, err := w.env.NewClient(nil); err == nil || !strings.Contains(err.Error(), "anonymous or managed") {
+	if _, err := w.env.NewClient(nil); err == nil || !strings.Contains(err.Error(), "unless managed") {
 		t.Fatalf("unmanaged nil-credential client = %v", err)
 	}
 	var e *Error

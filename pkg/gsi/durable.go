@@ -87,14 +87,13 @@ const DefaultAutoCompactInterval = 5 * time.Second
 func OpenDurableState(dir string, opts ...Option) (*DurableState, error) {
 	const op = "gsi.OpenDurableState"
 	var cfg settings
-	cfg, err := cfg.apply(opts)
-	if err != nil {
+	if err := cfg.apply(opts); err != nil {
 		return nil, opErr(op, err)
 	}
-	return openDurable(op, dir, cfg)
+	return openDurable(op, dir, cfg.autoCompact)
 }
 
-func openDurable(op, dir string, cfg settings) (*DurableState, error) {
+func openDurable(op, dir string, autoCompact *AutoCompactConfig) (*DurableState, error) {
 	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		return nil, opErr(op, err)
@@ -153,8 +152,8 @@ func openDurable(op, dir string, cfg settings) (*DurableState, error) {
 		_, err := w.Append(kindAudit, secsvc.EncodeAuditEvent(e))
 		return err
 	})
-	if cfg.autoCompact != nil {
-		ds.startAutoCompact(*cfg.autoCompact)
+	if autoCompact != nil {
+		ds.startAutoCompact(*autoCompact)
 	}
 	return ds, nil
 }
@@ -237,10 +236,10 @@ func (d *DurableState) JournalStats() JournalStats {
 	}
 }
 
-// materializeDurable opens the WithDurableState directory (once per
-// handle) and substitutes the durable objects into the pipeline
-// assembly slots, so newPipeline builds over the journaled policy and
-// gridmap and the decision trail lands in the journaled audit chain.
+// materializeDurable opens the WithDurableState directory and
+// substitutes the durable objects into the pipeline assembly slots, so
+// newPipeline builds over the journaled policy and gridmap and the
+// decision trail lands in the journaled audit chain.
 // Combining with WithLocalPolicy/WithGridMap is refused: two sources of
 // truth for one policy, and the ad-hoc one would silently win.
 func (s *settings) materializeDurable() error {
@@ -250,13 +249,10 @@ func (s *settings) materializeDurable() error {
 		}
 		return nil
 	}
-	if s.durable != nil {
-		return nil
-	}
 	if s.authzLocal != nil || s.authzGridMap != nil {
 		return errors.New("gsi: WithDurableState cannot combine with WithLocalPolicy or WithGridMap; mutate the durable objects via Server.DurableState instead")
 	}
-	ds, err := openDurable("gsi.OpenDurableState", s.durableDir, *s)
+	ds, err := openDurable("gsi.OpenDurableState", s.durableDir, s.autoCompact)
 	if err != nil {
 		return err
 	}

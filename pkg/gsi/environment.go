@@ -5,24 +5,21 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/authz"
 	"repro/internal/gridcert"
 	"repro/internal/gridcrypto"
 )
 
 // Environment is the ambient security world a process operates in: the
-// trust roots it accepts, the clock it validates against, and the
-// default authorization policy its servers enforce. Clients and Servers
-// are constructed from an Environment so that every handshake and every
-// chain validation in the process agrees on these three things.
+// trust roots it accepts and the clock it validates against. Clients
+// and Servers are constructed from an Environment so that every
+// handshake and every chain validation in the process agrees on both.
 //
 //	env, _ := gsi.NewEnvironment(gsi.WithRoots(caCert))
 //	client, _ := env.NewClient(cred)
 //	server, _ := env.NewServer(hostCred)
 type Environment struct {
-	trust      *gridcert.TrustStore
-	now        func() time.Time
-	authorizer authz.Engine
+	trust *gridcert.TrustStore
+	now   func() time.Time
 
 	// id is a process-unique random tag naming this environment in
 	// string-keyed caches (the secure-conversation resumption cache),
@@ -75,15 +72,6 @@ func WithClock(now func() time.Time) EnvOption {
 	}
 }
 
-// WithAuthorizer sets the environment's default authorization engine,
-// enforced by Servers built from it (nil means authenticate-only).
-func WithAuthorizer(engine authz.Engine) EnvOption {
-	return func(e *Environment) error {
-		e.authorizer = engine
-		return nil
-	}
-}
-
 // NewEnvironment builds an Environment. With no options it has an empty
 // trust store (add roots later via Trust().AddRoot) and the system
 // clock.
@@ -111,10 +99,6 @@ func (e *Environment) Trust() *TrustStore { return e.trust }
 
 // Now returns the environment's current time.
 func (e *Environment) Now() time.Time { return e.now() }
-
-// Authorizer returns the environment's default authorization engine
-// (nil means authenticate-only).
-func (e *Environment) Authorizer() authz.Engine { return e.authorizer }
 
 // ChainCacheStats reports the environment's verified-chain cache
 // effectiveness (hits mean repeated peers skipped full path validation).

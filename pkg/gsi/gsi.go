@@ -6,8 +6,8 @@
 // The primary surface is three handles (see DESIGN.md for the full
 // shape):
 //
-//   - Environment — trust roots + clock + authorization policy,
-//     constructed with NewEnvironment and EnvOptions;
+//   - Environment — trust roots + clock, constructed with
+//     NewEnvironment and EnvOptions;
 //   - Client — an initiator credential bound to an Environment; its
 //     Connect/Establish/RequestAssertion/RetrieveCredential/SubmitJob/
 //     Invoke methods all take a context.Context (cancellation and
@@ -16,7 +16,10 @@
 //     ErrUntrustedIssuer, ErrUnauthorized, ErrContextClosed,
 //     ErrTransport, …);
 //   - Server — an acceptor credential serving secured exchanges to a
-//     Handler behind the environment's authorizer.
+//     Handler behind its authorization pipeline: one path, on both
+//     transports, authorizes every exchange and stream open before the
+//     application sees it (WithLocalPolicy is the smallest way to get
+//     one; a server without a pipeline serves every authenticated peer).
 //
 // A fourth handle, CredentialManager, keeps a credential alive across
 // its own expiry: it renews from a pluggable RenewalSource (MyProxy,
@@ -25,8 +28,9 @@
 // picks up each rotation on its very next call — its session pool
 // drains the replaced credential's sessions while traffic continues.
 //
-// Both handles take functional options (WithTransport, WithDelegation,
-// WithMessageProtection, WithDeadlineSkew, WithExpectedPeer, …), and the
+// Functional options (WithTransport, WithDelegation,
+// WithMessageProtection, WithDeadlineSkew, WithExpectedPeer, …) configure
+// a handle once, at its constructor; the handles' methods take none. The
 // Transport interface unifies the GT2 raw-socket path (TransportGT2)
 // and the GT3 SOAP/HTTP path (TransportGT3) — the same handshake
 // tokens over either carriage, chosen by option rather than by

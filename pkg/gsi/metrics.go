@@ -225,7 +225,7 @@ func (s *serverMetricSources) reloadStats() (ok bool, st ReloadStats, unhealthy 
 // the process-wide set plus decision-cache, conversation-table, and
 // reload series labeled with the server's identity. The pipeline may
 // be nil (no authorization configured); src must not be.
-func registerServerMetrics(reg *MetricsRegistry, id string, pipeline *AuthorizationPipeline, src *serverMetricSources, tracer *Tracer) error {
+func registerServerMetrics(reg *MetricsRegistry, id string, pipeline *AuthorizationPipeline, src *serverMetricSources) error {
 	ms := append([]telemetry.Metric(nil), buildProcessMetrics()...)
 	if pipeline != nil {
 		ms = append(ms,
@@ -262,15 +262,6 @@ func registerServerMetrics(reg *MetricsRegistry, id string, pipeline *Authorizat
 				telemetry.NewCounterFunc(labeled("gsi_cas_sync_failures_total", id),
 					"Sync rounds in which every configured CAS endpoint failed; the previous bundle stayed live each time.",
 					func() uint64 { _, failures := src.casStats(); return failures }),
-			)
-		}
-	}
-	if tracer != nil {
-		if exp := tracer.Exporter(); exp != nil {
-			ms = append(ms,
-				telemetry.NewCounterFunc(labeled("gsi_trace_export_dropped_total", id),
-					"Spans lost by the push exporter to queue overflow or failed-batch backlog rotation.",
-					func() uint64 { return exp.Dropped() }),
 			)
 		}
 	}

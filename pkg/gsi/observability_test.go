@@ -388,22 +388,35 @@ func TestAdminSurfaceAuthz(t *testing.T) {
 	}
 }
 
-// TestAdminRequiresGT3 pins the refusal: the admin port type needs a
-// hosting container, so WithAdmin on the GT2 transport is a Serve-time
-// error, not a silently admin-less endpoint.
-func TestAdminRequiresGT3(t *testing.T) {
+// TestNewServerRefusesIncoherentOptions pins where contradictory server
+// options are refused: at NewServer, with the reason, before any
+// endpoint exists — never as a Serve-time error or a silently
+// admin-less, feed-less or listener-less endpoint.
+func TestNewServerRefusesIncoherentOptions(t *testing.T) {
 	bed := newAuthzBed(t)
-	server, err := bed.env.NewServer(bed.host,
-		gsi.WithAuthorizationPipeline(bed.pipeline(t)),
-		gsi.WithAdmin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = server.Serve(context.Background(), "127.0.0.1:0",
-		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
-			return body, nil
-		})
-	if err == nil || !strings.Contains(err.Error(), "GT3") {
-		t.Fatalf("Serve with WithAdmin on GT2: got %v, want GT3-transport refusal", err)
+	pl := bed.pipeline(t)
+	gt3 := gsi.WithTransport(gsi.TransportGT3())
+	for _, tc := range []struct {
+		name string
+		opts []gsi.Option
+		want string // substring of the refusal; "" = accepted
+	}{
+		{"admin on GT2", []gsi.Option{gsi.WithAuthorizationPipeline(pl), gsi.WithAdmin()}, "GT3"},
+		{"admin without a pipeline", []gsi.Option{gt3, gsi.WithAdmin()}, "authorization pipeline"},
+		{"CAS publisher on GT2", []gsi.Option{gsi.WithAuthorizationPipeline(pl), gsi.WithCASPublisher(bed.vo)}, "GT3"},
+		{"CAS publisher without a pipeline", []gsi.Option{gt3, gsi.WithCASPublisher(bed.vo)}, "authorization pipeline"},
+		{"metrics listener without a registry", []gsi.Option{gsi.WithMetricsListener("127.0.0.1:0")}, "WithMetrics"},
+		{"prebuilt pipeline plus assembly options", []gsi.Option{gsi.WithAuthorizationPipeline(pl), gsi.WithLocalPolicy(bed.local)}, "prebuilt"},
+		{"auto-compaction without durable state", []gsi.Option{gsi.WithAutoCompact(gsi.AutoCompactConfig{MaxRecords: 1})}, "WithDurableState"},
+		{"all of it, coherently", []gsi.Option{gt3, gsi.WithAuthorizationPipeline(pl), gsi.WithAdmin(),
+			gsi.WithCASPublisher(bed.vo), gsi.WithMetrics(gsi.NewMetricsRegistry()), gsi.WithMetricsListener("127.0.0.1:0")}, ""},
+	} {
+		_, err := bed.env.NewServer(bed.host, tc.opts...)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got %v, want a refusal naming %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package gsi
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/gss"
@@ -38,14 +37,14 @@ func (p ProtectionLevel) String() string {
 	}
 }
 
-// settings is the resolved option set of a Client, Server, Connect, or
-// Serve call. Options compose left to right; per-call options override
-// per-handle ones.
+// settings is the resolved option set of one handle — a Client, Server,
+// SessionPool, CredentialManager, AuthorizationPipeline or DurableState.
+// Options compose left to right and are applied once, by the handle's
+// constructor.
 type settings struct {
 	transport     Transport
 	protection    ProtectionLevel
 	delegation    bool
-	anonymous     bool
 	rejectLimited bool
 	expectedPeer  Name
 	deadlineSkew  time.Duration
@@ -61,11 +60,6 @@ type settings struct {
 	// streamHandler receives streams opened by peers (Server option).
 	streamHandler StreamHandler
 
-	// stripes is the parallel-stripe count OpenStripedStream fans a
-	// stream over (client option; 0/1 = single stream). Deliberately not
-	// part of the pool key: stripe sessions are ordinary pooled sessions.
-	stripes int
-
 	// Credential lifecycle. credman makes a Client's credential dynamic;
 	// the renew* knobs tune a CredentialManager under construction.
 	credman       *CredentialManager
@@ -75,14 +69,11 @@ type settings struct {
 	renewRetryMax time.Duration
 
 	// Authorization pipeline. authzPipeline adopts a prebuilt pipeline;
-	// the authz* fields assemble a private one (any of them also sets
-	// authzEnabled so servers know to build it). authzRev counts
-	// assembly-option applications, so Serve can tell per-call additions
-	// from the handle's baseline.
+	// the authz* fields assemble a private one (the enforcement options
+	// also set authzEnabled so servers know to build it).
 	authzPipeline *AuthorizationPipeline
 	authzAdopted  bool // authzPipeline came from WithAuthorizationPipeline
 	authzEnabled  bool
-	authzRev      int
 	authzLocal    *Policy
 	authzVOs      []*Certificate
 	authzGridMap  *GridMap
@@ -112,28 +103,25 @@ type settings struct {
 	casUpstream *CASUpstreamConfig
 	casPublish  *CASServer
 
-	// Control-plane fast path (PR 10). autoCompact snapshots the journal
-	// in the background once it outgrows the thresholds; cacheWarmN makes
-	// the CAS syncer pull the publisher's hot decision keys after a
-	// bundle apply and pre-compute those decisions locally.
+	// autoCompact snapshots the journal in the background once it
+	// outgrows the thresholds (PR 10).
 	autoCompact *AutoCompactConfig
-	cacheWarmN  int
 
 	// End-to-end tracing (PR 8). traceEnable is set by any trace
 	// option; NewClient/NewServer then materialize tracer (per-op
-	// histograms land in metrics when both are set). traceExport
-	// attaches a push exporter to the tracer at materialization.
+	// histograms land in metrics when both are set).
 	traceEnable  bool
 	traceSampler TraceSampler
-	traceExport  *TraceExporterConfig
 	tracer       *Tracer
 }
 
-// Option configures a Client or Server handle, or a single
-// Connect/Serve call on one. Options that do not apply to a given
-// operation (e.g. WithTransport on the in-memory Establish) are
-// ignored by it; the context-shaping options (WithDeadlineSkew) and
-// the GSS options apply everywhere a handshake or deadline exists.
+// Option configures a handle, once, at its constructor (NewClient,
+// NewServer, NewSessionPool, NewCredentialManager,
+// NewAuthorizationPipeline, OpenDurableState); the handle's methods take
+// none. Options that do not apply to a given handle or operation (e.g.
+// WithTransport on the in-memory Establish) are ignored by it; the
+// context-shaping options (WithDeadlineSkew) and the GSS options apply
+// everywhere a handshake or deadline exists.
 type Option func(*settings) error
 
 // WithTransport selects how sessions reach peers: TransportGT2 (the
@@ -166,15 +154,6 @@ func WithMessageProtection(level ProtectionLevel) Option {
 func WithDelegation() Option {
 	return func(s *settings) error {
 		s.delegation = true
-		return nil
-	}
-}
-
-// WithAnonymous withholds the client identity: only the server
-// authenticates (policy-discovery requests).
-func WithAnonymous() Option {
-	return func(s *settings) error {
-		s.anonymous = true
 		return nil
 	}
 }
@@ -273,22 +252,6 @@ func WithStreamHandler(h StreamHandler) Option {
 	}
 }
 
-// WithStripes sets the parallel-stripe count for
-// Client.OpenStripedStream: the stream is fanned over k secured
-// sessions (checked out of the pool on a pooling client), each stripe
-// sealing and writing on its own connection so k stripes drive up to k
-// cores. 1 falls back to the single-stream path; requires the GT2
-// transport.
-func WithStripes(k int) Option {
-	return func(s *settings) error {
-		if k < 1 || k > maxStripes {
-			return fmt.Errorf("gsi: stripe count %d outside [1,%d]", k, maxStripes)
-		}
-		s.stripes = k
-		return nil
-	}
-}
-
 // WithCredentialManager binds a Client to a CredentialManager: the
 // client's credential becomes dynamic — every Connect/Exchange reads
 // the manager's current credential, so a rotation is picked up by the
@@ -354,8 +317,7 @@ func WithRenewalRetry(min, max time.Duration) Option {
 // authorization pipeline (Environment.NewAuthorizationPipeline) to a
 // Server: every exchange on both transports passes through it before
 // the handler runs, and its decision cache and audit trail are shared
-// across all endpoints the server opens. Takes precedence over the
-// environment's plain WithAuthorizer engine. Combining it with the
+// across all endpoints the server opens. Combining it with the
 // assembly/tuning options below is an error — the pipeline's policy
 // lives inside the pipeline object, so those options could only be
 // dropped or misapplied; build the desired variant up front instead.
@@ -381,7 +343,6 @@ func WithLocalPolicy(p *Policy) Option {
 			return errors.New("gsi: nil local policy")
 		}
 		s.authzLocal = p
-		s.authzRev++
 		s.authzEnabled = true
 		return nil
 	}
@@ -398,12 +359,7 @@ func WithTrustedVO(certs ...*Certificate) Option {
 				return errors.New("gsi: nil VO certificate")
 			}
 		}
-		// Copy-on-write: settings structs are copied by value when
-		// per-call options fold over a handle's base, so appending in
-		// place could write into the base's backing array and leak one
-		// call's VOs into another (a data race under concurrent Serves).
-		s.authzVOs = append(append([]*Certificate(nil), s.authzVOs...), certs...)
-		s.authzRev++
+		s.authzVOs = append(s.authzVOs, certs...)
 		s.authzEnabled = true
 		return nil
 	}
@@ -419,7 +375,6 @@ func WithGridMap(gm *GridMap) Option {
 			return errors.New("gsi: nil gridmap")
 		}
 		s.authzGridMap = gm
-		s.authzRev++
 		s.authzEnabled = true
 		return nil
 	}
@@ -433,15 +388,13 @@ func WithGridMap(gm *GridMap) Option {
 // re-warms instead of stampeding, and the audit hash chain is
 // re-verified end to end. The durable objects replace WithLocalPolicy /
 // WithGridMap (combining them is an error: two sources of truth for one
-// policy); mutate them through Server.DurableState. Handle option — it
-// may not appear per-call on Serve.
+// policy); mutate them through Server.DurableState.
 func WithDurableState(dir string) Option {
 	return func(s *settings) error {
 		if dir == "" {
 			return errors.New("gsi: empty durable state directory")
 		}
 		s.durableDir = dir
-		s.authzRev++
 		s.authzEnabled = true
 		return nil
 	}
@@ -484,26 +437,6 @@ func WithAutoCompact(cfg AutoCompactConfig) Option {
 	}
 }
 
-// WithCacheWarming makes the WithCASUpstream syncer pull the
-// publisher's n hottest decision-cache keys after applying a bundle and
-// pre-compute those decisions through the local pipeline, so a standby
-// promoted mid-incident starts with the community's working set warm
-// instead of serving every first request cold. The keys are hints, not
-// authority: each decision is computed by THIS server's policy, and a
-// warmed entry is not served until the requester's own verified
-// credentials confirm the identity it was computed for — a forged key
-// can waste one evaluation, never flip a decision. No effect without
-// WithCASUpstream. Server option.
-func WithCacheWarming(n int) Option {
-	return func(s *settings) error {
-		if n <= 0 {
-			return errors.New("gsi: cache warming wants a positive key count")
-		}
-		s.cacheWarmN = n
-		return nil
-	}
-}
-
 // CASUpstreamConfig points a resource server at its community server's
 // bundle feed (the gsi.__cas.sync port type).
 type CASUpstreamConfig struct {
@@ -540,7 +473,6 @@ func WithCASUpstream(cfg CASUpstreamConfig) Option {
 		c := cfg
 		c.Endpoints = append([]string(nil), cfg.Endpoints...)
 		s.casUpstream = &c
-		s.authzRev++
 		s.authzEnabled = true
 		return nil
 	}
@@ -576,7 +508,6 @@ func WithDecisionCache(ttl time.Duration) Option {
 			return errors.New("gsi: negative decision-cache TTL")
 		}
 		s.authzTTL = ttl
-		s.authzRev++
 		s.authzTTLSet = true
 		return nil
 	}
@@ -597,7 +528,6 @@ func WithAuditSink(sink AuditSink) Option {
 			return errors.New("gsi: WithAuditSink conflicts with WithoutDecisionAudit")
 		}
 		s.authzAudit = sink
-		s.authzRev++
 		return nil
 	}
 }
@@ -614,7 +544,6 @@ func WithoutDecisionAudit() Option {
 			return errors.New("gsi: WithoutDecisionAudit conflicts with WithAuditSink")
 		}
 		s.authzAuditOff = true
-		s.authzRev++
 		return nil
 	}
 }
@@ -720,55 +649,33 @@ func WithDeadlineSkew(d time.Duration) Option {
 	}
 }
 
-// authzAssemblyDiffers reports whether pipeline-assembly options were
-// applied on top of base — i.e. per-call options asked for a different
-// pipeline than the handle already built. Serve rebuilds an
-// endpoint-private pipeline in that case rather than silently dropping
-// the per-call options.
-func (s settings) authzAssemblyDiffers(base settings) bool {
-	return s.authzRev != base.authzRev
-}
-
-// poolUsable rejects resolved settings that ask for pooling no pool
-// can satisfy: pools are materialized by NewClient (or adopted via
-// WithSessionPool with a concrete pool), so pool options appearing
-// only per-call would otherwise be silently ignored.
-func (s settings) poolUsable() error {
-	if s.poolEnable && s.pool == nil {
-		return errors.New("gsi: pool options require a pooled client (enable pooling at NewClient, or pass a concrete pool via WithSessionPool)")
+// apply folds opts over the zero-or-default settings a constructor
+// starts from.
+func (s *settings) apply(opts []Option) error {
+	for _, opt := range opts {
+		if err := opt(s); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// apply folds opts over base, returning the resolved settings. The
-// no-option case stays allocation-free: taking &s for the option
-// callbacks forces the copy to the heap, so that path lives in
-// applyOpts and per-call-option-free hot paths (every pooled Exchange)
-// never pay it.
-func (s settings) apply(opts []Option) (settings, error) {
-	if len(opts) == 0 {
-		return s, nil
-	}
-	return s.applyOpts(opts)
-}
-
-func (s settings) applyOpts(opts []Option) (settings, error) {
-	for _, opt := range opts {
-		if err := opt(&s); err != nil {
-			return s, err
-		}
-	}
-	return s, nil
+// assemblesPipeline reports whether any pipeline assembly or tuning
+// option was given: a prebuilt pipeline's policy lives inside the
+// pipeline object, so none of them may accompany one.
+func (s *settings) assemblesPipeline() bool {
+	return s.authzLocal != nil || len(s.authzVOs) > 0 || s.authzGridMap != nil ||
+		s.durableDir != "" || s.casUpstream != nil ||
+		s.authzTTLSet || s.authzAudit != nil || s.authzAuditOff
 }
 
 // contextConfig assembles the GSS configuration for one side of an
 // establishment from an environment, a credential, and settings.
-func (s settings) contextConfig(env *Environment, cred *Credential) gss.Config {
+func (s *settings) contextConfig(env *Environment, cred *Credential) gss.Config {
 	return gss.Config{
 		Credential:    cred,
 		TrustStore:    env.trust,
 		ChainCache:    env.chains,
-		Anonymous:     s.anonymous,
 		Delegate:      s.delegation,
 		RejectLimited: s.rejectLimited,
 		ExpectedPeer:  s.expectedPeer,

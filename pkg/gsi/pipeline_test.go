@@ -447,89 +447,30 @@ func TestPipelineRevocationBitesLiveConnection(t *testing.T) {
 	}
 }
 
-// TestServePerCallPipelineOptions: pipeline options given per Serve
-// call must take effect (an endpoint-private pipeline is rebuilt from
-// the merged settings) instead of being silently dropped in favor of
-// the handle's pipeline.
-func TestServePerCallPipelineOptions(t *testing.T) {
-	bed := newAuthzBed(t)
-	server, err := bed.env.NewServer(bed.host,
-		gsi.WithLocalPolicy(bed.local),
-		gsi.WithTrustedVO(bed.vo.Certificate()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	handler := func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
-		return []byte(peer.LocalAccount), nil
-	}
-	// Endpoint 1: the handle's pipeline — no gridmap, so no account.
-	ep1, err := server.Serve(ctx, "127.0.0.1:0", handler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep1.Close()
-	// Endpoint 2: per-call gridmap — mapping must be enforced here.
-	ep2, err := server.Serve(ctx, "127.0.0.1:0", handler, gsi.WithGridMap(bed.gridmap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep2.Close()
-
-	aliceCl, err := bed.env.NewClient(bed.aliceVO)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := aliceCl.Exchange(ctx, ep1.Addr(), "echo", nil)
-	if err != nil || string(out) != "" {
-		t.Fatalf("gridmap-free endpoint: %q %v", out, err)
-	}
-	out, err = aliceCl.Exchange(ctx, ep2.Addr(), "echo", nil)
-	if err != nil || string(out) != "alice" {
-		t.Fatalf("per-call WithGridMap dropped: %q %v", out, err)
-	}
-	// And fail-closed: Bob is unmapped on endpoint 2 but fine on 1 —
-	// except local policy there still requires... local permits any
-	// subject, no assertion required, so endpoint 1 permits Bob.
-	bobCl, err := bed.env.NewClient(bed.bob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bobCl.Exchange(ctx, ep1.Addr(), "echo", nil); err != nil {
-		t.Fatalf("endpoint 1 denied Bob: %v", err)
-	}
-	if _, err := bobCl.Exchange(ctx, ep2.Addr(), "echo", nil); !errors.Is(err, gsi.ErrUnauthorized) {
-		t.Fatalf("endpoint 2 permitted unmapped Bob: %v", err)
-	}
-}
-
 // TestServeRefusesTuningPrebuiltPipeline: a prebuilt pipeline's policy
-// lives inside the pipeline object, so per-call assembly options cannot
-// be merged into it — Serve must error loudly rather than silently
-// rebuild an empty deny-all pipeline.
+// lives inside the pipeline object, so assembly and tuning options
+// cannot be merged into it — NewServer must error loudly rather than
+// silently drop them; the variant is built up front instead.
 func TestServeRefusesTuningPrebuiltPipeline(t *testing.T) {
 	bed := newAuthzBed(t)
 	pl := bed.pipeline(t)
-	server, err := bed.env.NewServer(bed.host, gsi.WithAuthorizationPipeline(pl))
+	for name, opt := range map[string]gsi.Option{
+		"WithGridMap":       gsi.WithGridMap(bed.gridmap),
+		"WithDecisionCache": gsi.WithDecisionCache(5 * time.Second),
+	} {
+		if _, err := bed.env.NewServer(bed.host, gsi.WithAuthorizationPipeline(pl), opt); err == nil {
+			t.Fatalf("NewServer accepted %s alongside a prebuilt pipeline", name)
+		}
+	}
+	server, err := bed.env.NewServer(bed.host,
+		gsi.WithAuthorizationPipeline(bed.pipeline(t, gsi.WithDecisionCache(5*time.Second))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler := func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
-		return body, nil
-	}
-	if _, err := server.Serve(context.Background(), "127.0.0.1:0", handler,
-		gsi.WithDecisionCache(5*time.Second)); err == nil {
-		t.Fatal("Serve accepted per-call assembly options on a prebuilt pipeline")
-	}
-	// The same combination at NewServer time must refuse identically,
-	// not silently drop the assembly option.
-	if _, err := bed.env.NewServer(bed.host,
-		gsi.WithAuthorizationPipeline(pl), gsi.WithGridMap(bed.gridmap)); err == nil {
-		t.Fatal("NewServer accepted assembly options alongside a prebuilt pipeline")
-	}
-	// Replacing the pipeline per-call is fine.
-	ep, err := server.Serve(context.Background(), "127.0.0.1:0", handler,
-		gsi.WithAuthorizationPipeline(bed.pipeline(t, gsi.WithDecisionCache(5*time.Second))))
+	ep, err := server.Serve(context.Background(), "127.0.0.1:0",
+		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
+			return body, nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

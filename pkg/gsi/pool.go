@@ -36,41 +36,37 @@ const (
 // poolKey identifies interchangeable sessions. Everything that shapes
 // the security context of a session is part of the key — the endpoint,
 // the transport, the protection level, every GSS handshake parameter
-// (delegation, anonymity, limited-proxy policy, peer pinning), and the
-// exact client credential (by leaf
-// fingerprint, so a rotated credential never inherits its
-// predecessor's sessions) — plus the Environment itself, whose trust
-// roots and clock the handshake validated against, so clients of
-// different Environments sharing one pool can never bypass each other's
-// trust policy. A checkout therefore never receives a session
-// established under different terms than the caller's resolved options.
+// (delegation, limited-proxy policy, peer pinning), and the exact client
+// credential (by leaf fingerprint, so a rotated credential never
+// inherits its predecessor's sessions) — plus the Environment itself,
+// whose trust roots and clock the handshake validated against, so
+// clients of different Environments sharing one pool can never bypass
+// each other's trust policy. A checkout therefore never receives a session
+// established under different terms than the calling client's options.
 type poolKey struct {
 	env           *Environment
 	endpoint      string
 	transport     string
 	protection    ProtectionLevel
 	delegation    bool
-	anonymous     bool
 	rejectLimited bool
 	expectedPeer  string
-	credential    [32]byte // leaf certificate fingerprint; zero if anonymous
+	credential    [32]byte // leaf certificate fingerprint
 }
 
-func poolKeyOf(env *Environment, endpoint string, s settings, cred *Credential) poolKey {
-	key := poolKey{
-		env:           env,
+// poolKey keys the client's sessions to endpoint under cred.
+func (c *Client) poolKey(endpoint string, cred *Credential) poolKey {
+	s := &c.base
+	return poolKey{
+		env:           c.env,
 		endpoint:      endpoint,
 		transport:     s.transport.String(),
 		protection:    s.protection,
 		delegation:    s.delegation,
-		anonymous:     s.anonymous,
 		rejectLimited: s.rejectLimited,
 		expectedPeer:  s.expectedPeer.String(),
+		credential:    cred.Leaf().Fingerprint(),
 	}
-	if cred != nil {
-		key.credential = cred.Leaf().Fingerprint()
-	}
-	return key
 }
 
 // resumeScope renders the pool key as the stable string the GT3
@@ -81,9 +77,9 @@ func poolKeyOf(env *Environment, endpoint string, s settings, cred *Credential) 
 // (endpoint, expected peer) are %q-escaped so no crafted value can make
 // two distinct keys render identically.
 func (k poolKey) resumeScope() string {
-	return fmt.Sprintf("%s|%q|%q|%d|d=%v|a=%v|rl=%v|ep=%q|%x",
+	return fmt.Sprintf("%s|%q|%q|%d|d=%v|rl=%v|ep=%q|%x",
 		k.env.id, k.endpoint, k.transport, k.protection, k.delegation,
-		k.anonymous, k.rejectLimited, k.expectedPeer, k.credential)
+		k.rejectLimited, k.expectedPeer, k.credential)
 }
 
 // idleSession is a parked session plus the instant it was parked.
@@ -99,6 +95,12 @@ type hostPool struct {
 	idle    []idleSession
 	active  int
 	waiters []chan struct{}
+
+	// gather is held by the one striped open currently collecting its
+	// sessions under this key (beginGather); gatherers counts the opens
+	// holding or queued for it, so the key is not reaped under them.
+	gather    chan struct{}
+	gatherers int
 }
 
 func (hp *hostPool) total() int { return hp.active + len(hp.idle) }
@@ -171,14 +173,14 @@ type SessionPool struct {
 // are accepted and ignored. Share the pool between clients with
 // WithSessionPool.
 func NewSessionPool(opts ...Option) (*SessionPool, error) {
-	s, err := settings{}.apply(opts)
-	if err != nil {
+	var s settings
+	if err := s.apply(opts); err != nil {
 		return nil, opErr("gsi.NewSessionPool", err)
 	}
-	return newSessionPool(s), nil
+	return newSessionPool(&s), nil
 }
 
-func newSessionPool(s settings) *SessionPool {
+func newSessionPool(s *settings) *SessionPool {
 	p := &SessionPool{
 		maxIdle:    s.poolMaxIdle,
 		idleTTL:    s.poolIdleTTL,
@@ -264,7 +266,7 @@ func (p *SessionPool) host(key poolKey) *hostPool {
 // long-lived pool serving many ephemeral endpoints or rotated
 // credentials does not accrete empty entries. Callers hold the mutex.
 func (p *SessionPool) reapLocked(key poolKey, hp *hostPool) {
-	if hp.active == 0 && len(hp.idle) == 0 && len(hp.waiters) == 0 {
+	if hp.active == 0 && len(hp.idle) == 0 && len(hp.waiters) == 0 && hp.gatherers == 0 {
 		delete(p.hosts, key)
 	}
 }
@@ -285,12 +287,11 @@ type sessionProber interface {
 type dialRequest struct {
 	client   *Client
 	endpoint string
-	s        settings
 	cred     *Credential
 }
 
 func (d dialRequest) dial(ctx context.Context) (Session, error) {
-	return d.client.dialSession(ctx, d.endpoint, d.s, d.cred)
+	return d.client.dialSession(ctx, d.endpoint, d.cred)
 }
 
 // checkout returns a live session for key, in preference order: a
@@ -373,6 +374,32 @@ func (p *SessionPool) checkout(ctx context.Context, key poolKey, dial dialReques
 			p.mu.Unlock()
 			return nil, checkoutAbort(op, ctx.Err())
 		}
+	}
+}
+
+// beginGather admits one striped open at a time to key's checkout
+// phase, waiting no longer than ctx allows; the open calls done once it
+// holds all of its sessions (or gave up).
+func (p *SessionPool) beginGather(ctx context.Context, key poolKey) (done func(), err error) {
+	p.mu.Lock()
+	hp := p.host(key)
+	if hp.gather == nil {
+		hp.gather = make(chan struct{}, 1)
+	}
+	hp.gatherers++
+	p.mu.Unlock()
+	leave := func() {
+		p.mu.Lock()
+		hp.gatherers--
+		p.reapLocked(key, hp)
+		p.mu.Unlock()
+	}
+	select {
+	case hp.gather <- struct{}{}:
+		return func() { <-hp.gather; leave() }, nil
+	case <-ctx.Done():
+		leave()
+		return nil, checkoutAbort("gsi.SessionPool.Checkout", ctx.Err())
 	}
 }
 
@@ -562,7 +589,7 @@ func (p *SessionPool) RetireFingerprint(prefix string) (drained int, err error) 
 	found := false
 	p.mu.Lock()
 	for key := range p.hosts {
-		if key.anonymous || !strings.HasPrefix(fmt.Sprintf("%x", key.credential), prefix) {
+		if !strings.HasPrefix(fmt.Sprintf("%x", key.credential), prefix) {
 			continue
 		}
 		if found && key.credential != fp {
@@ -589,9 +616,6 @@ func (p *SessionPool) RetireFingerprint(prefix string) (drained int, err error) 
 // credentialRetired reports whether key's credential has been rotated
 // away. Callers hold the mutex.
 func (p *SessionPool) credentialRetired(key poolKey) bool {
-	if len(p.retired) == 0 || key.anonymous {
-		return false
-	}
 	_, ok := p.retired[key.credential]
 	return ok
 }
@@ -607,9 +631,6 @@ func (p *SessionPool) isClosed() bool {
 // fingerprintRetired reports whether cred's leaf fingerprint has been
 // rotated away (dials under it must skip the resumption cache).
 func (p *SessionPool) fingerprintRetired(cred *Credential) bool {
-	if cred == nil {
-		return false
-	}
 	fp := cred.Leaf().Fingerprint()
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -197,26 +197,37 @@ func TestPoolPoisonedConnRetriedOnFreshSession(t *testing.T) {
 }
 
 // TestPoolSessionKeying: sessions established under different delegation
-// modes or protection levels never mix, because they key separately.
+// modes or limited-proxy policies never mix, because they key
+// separately — three clients sharing one pool, each configured
+// differently, dial three times and never reuse each other's sessions.
 func TestPoolSessionKeying(t *testing.T) {
-	pb := newPoolBed(t, nil, gsi.WithSessionPool(nil))
+	pool, err := gsi.NewSessionPool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb := newPoolBed(t, nil, gsi.WithSessionPool(pool))
 	ctx := context.Background()
-	if _, err := pb.client.Exchange(ctx, pb.ep.Addr(), "echo", nil); err != nil {
-		t.Fatal(err)
+	for _, opts := range [][]gsi.Option{
+		nil,
+		// Delegation intent: must not reuse the parked non-delegating
+		// session.
+		{gsi.WithDelegation()},
+		// Stricter policy: must not reuse a session handshaken without
+		// the limited-proxy check.
+		{gsi.WithRejectLimited()},
+	} {
+		client, err := pb.env.NewClient(pb.alice, append(opts, gsi.WithSessionPool(pool))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := client.Exchange(ctx, pb.ep.Addr(), "echo", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// Same endpoint, delegation intent: must not reuse the parked
-	// non-delegating session.
-	if _, err := pb.client.Exchange(ctx, pb.ep.Addr(), "echo", nil, gsi.WithDelegation()); err != nil {
-		t.Fatal(err)
-	}
-	// Stricter per-call policy: must not reuse a session handshaken
-	// without the limited-proxy check.
-	if _, err := pb.client.Exchange(ctx, pb.ep.Addr(), "echo", nil, gsi.WithRejectLimited()); err != nil {
-		t.Fatal(err)
-	}
-	st := pb.client.Pool().Stats()
-	if st.Dials != 3 {
-		t.Fatalf("dials = %d, want 3 (distinct keys)", st.Dials)
+	if st := pool.Stats(); st.Dials != 3 || st.Hits != 3 {
+		t.Fatalf("stats = %+v, want 3 dials (distinct keys) and 3 hits (each client reusing only its own)", st)
 	}
 }
 

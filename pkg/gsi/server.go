@@ -14,8 +14,8 @@ import (
 
 // Server is the acceptor handle of the redesigned API: a service
 // credential bound to an Environment, serving secured exchanges over a
-// chosen Transport. The environment's authorizer (if any) gates every
-// exchange before the handler runs, so the handler sees only
+// chosen Transport. The server's authorization pipeline (if any) gates
+// every exchange before the handler runs, so the handler sees only
 // authenticated, authorized calls — the paper's hosting-environment
 // pipeline as an API shape.
 //
@@ -33,8 +33,8 @@ type Server struct {
 	// refcounted across live endpoints so the goroutine and socket
 	// close with the last endpoint's Close.
 	mu          sync.Mutex
-	src         *serverMetricSources
-	metricsDone map[*MetricsRegistry]bool
+	src         serverMetricSources
+	metricsDone bool
 	ctrl        *serverControl
 }
 
@@ -53,40 +53,60 @@ type serverControl struct {
 // (WithLocalPolicy, WithTrustedVO, WithGridMap, WithDecisionCache,
 // WithAuditSink) assemble one authorization pipeline shared by every
 // endpoint the server opens; WithAuthorizationPipeline adopts a
-// prebuilt one instead.
+// prebuilt one instead. Options that contradict each other are refused
+// here, before any endpoint exists.
 func (e *Environment) NewServer(cred *Credential, opts ...Option) (*Server, error) {
+	const op = "gsi.NewServer"
 	if cred == nil {
-		return nil, opErr("gsi.NewServer", errors.New("gsi: server requires a credential"))
+		return nil, opErr(op, errors.New("gsi: server requires a credential"))
 	}
-	base := settings{transport: TransportGT2()}
-	base, err := base.apply(opts)
-	if err != nil {
-		return nil, opErr("gsi.NewServer", err)
+	s := &Server{env: e, cred: cred, base: settings{transport: TransportGT2()}}
+	base := &s.base
+	if err := base.apply(opts); err != nil {
+		return nil, opErr(op, err)
 	}
-	if base.authzAdopted && base.authzRev > 0 {
-		// Same refusal Serve makes for the per-call combination: a
-		// prebuilt pipeline cannot be modified by assembly or tuning
-		// options, and dropping them silently would serve under weaker
-		// policy than the operator wrote down.
-		return nil, opErr("gsi.NewServer", errors.New("gsi: pipeline options cannot modify a prebuilt authorization pipeline; build the variant with Environment.NewAuthorizationPipeline and pass it via WithAuthorizationPipeline"))
+	if err := base.serverCoherent(); err != nil {
+		return nil, opErr(op, err)
 	}
 	if err := base.materializeDurable(); err != nil {
-		return nil, opErr("gsi.NewServer", err)
+		return nil, opErr(op, err)
 	}
 	if base.durable != nil && base.casPublish != nil {
 		// A community server with durable state journals its membership
 		// and VO policy through the same log as the local trust plane.
 		if err := base.durable.AttachCAS(base.casPublish); err != nil {
-			return nil, opErr("gsi.NewServer", err)
+			return nil, opErr(op, err)
 		}
 	}
 	if base.authzEnabled && base.authzPipeline == nil {
 		base.authzPipeline = newPipeline(e, base)
 	}
-	if err := base.buildTracer(); err != nil {
-		return nil, opErr("gsi.NewServer", err)
+	base.buildTracer()
+	return s, nil
+}
+
+// serverCoherent refuses option sets no endpoint of the server could
+// honor, so a misconfiguration fails at construction rather than at the
+// first Serve.
+func (s *settings) serverCoherent() error {
+	_, gt3 := s.transport.(gt3Transport)
+	switch {
+	case s.authzAdopted && s.assemblesPipeline():
+		// Dropping the options silently would serve under weaker policy
+		// than the operator wrote down.
+		return errors.New("gsi: pipeline options cannot modify a prebuilt authorization pipeline; build the variant with Environment.NewAuthorizationPipeline and pass it via WithAuthorizationPipeline")
+	case s.adminEnable && !gt3:
+		return errors.New("gsi: the admin surface requires the GT3 transport (a hosting container to publish gsi.__admin on)")
+	case s.adminEnable && !s.authzEnabled:
+		return errors.New("gsi: the admin surface requires an authorization pipeline (an unauthorized control plane is refused outright)")
+	case s.casPublish != nil && !gt3:
+		return errors.New("gsi: publishing a CAS bundle feed requires the GT3 transport (a hosting container to publish gsi.__cas.sync on)")
+	case s.casPublish != nil && !s.authzEnabled:
+		return errors.New("gsi: publishing a CAS bundle feed requires an authorization pipeline (which resource servers may read the VO's roll is policy)")
+	case s.metricsAddr != "" && s.metrics == nil:
+		return errors.New("gsi: a metrics listener requires a registry (WithMetrics)")
 	}
-	return &Server{env: e, cred: cred, base: base}, nil
+	return nil
 }
 
 // Environment returns the server's environment.
@@ -107,77 +127,28 @@ func (s *Server) Identity() Name { return s.cred.Leaf().Subject }
 // ":0"-style addresses pick an ephemeral port — read the dialable form
 // from Endpoint.Addr). The endpoint stops when ctx ends or Close is
 // called; in-flight handshakes and exchanges abort with the context.
-func (s *Server) Serve(ctx context.Context, addr string, h Handler, opts ...Option) (Endpoint, error) {
+func (s *Server) Serve(ctx context.Context, addr string, h Handler) (Endpoint, error) {
 	const op = "gsi.Server.Serve"
 	if h == nil {
 		return nil, opErr(op, errors.New("gsi: nil handler"))
 	}
-	resolved, err := s.base.apply(opts)
-	if err != nil {
-		return nil, opErr(op, err)
-	}
-	if resolved.durableDir != s.base.durableDir {
-		// Durable state is a handle-lifetime object (one WAL, one set of
-		// bound stores); a per-call directory would open a second journal
-		// behind the handle's back.
-		return nil, opErr(op, errors.New("gsi: WithDurableState is a handle option; pass it to NewServer, not Serve"))
-	}
-	pipeline := resolved.authzPipeline
-	switch {
-	case resolved.authzAssemblyDiffers(s.base) && resolved.authzAdopted:
-		// Assembly or tuning options combined with an adopted pipeline —
-		// whether the adoption came from NewServer or this very call. A
-		// prebuilt pipeline's policy lives inside the pipeline object,
-		// not in these settings, so "merging" would rebuild an empty
-		// deny-all pipeline and silently dropping the options would be
-		// just as wrong — refuse loudly instead.
-		return nil, opErr(op, errors.New("gsi: per-call pipeline options cannot modify a prebuilt authorization pipeline; build the variant with Environment.NewAuthorizationPipeline and pass it via WithAuthorizationPipeline"))
-	case resolved.authzEnabled && resolved.authzAssemblyDiffers(s.base):
-		// Assembly options appeared (or changed) per-call on a handle
-		// whose pipeline — if any — was assembled from these same
-		// settings, so the merged settings fully describe the variant:
-		// this endpoint gets a private pipeline (its own decision
-		// cache). A per-call WithAuthorizationPipeline without assembly
-		// options falls through both cases and replaces the handle's
-		// pipeline as-is.
-		pipeline = newPipeline(s.env, resolved)
-	}
-	// Per-call trace options materialize an endpoint-private tracer;
-	// otherwise the handle's (possibly nil) tracer serves.
-	if err := resolved.buildTracer(); err != nil {
-		return nil, opErr(op, err)
-	}
+	b := &s.base
 	scfg := ServeConfig{
-		Context:       resolved.contextConfig(s.env, s.cred),
+		Context:       b.contextConfig(s.env, s.cred),
 		Handler:       h,
-		StreamHandler: resolved.streamHandler,
-		Environment:   s.env,
-		Pipeline:      pipeline,
-		Tracer:        resolved.tracer,
+		StreamHandler: b.streamHandler,
+		Pipeline:      b.authzPipeline,
+		Tracer:        b.tracer,
 	}
-	wantCtrl := resolved.metrics != nil || resolved.reloadCfg != nil ||
-		resolved.metricsAddr != "" || resolved.adminEnable ||
-		resolved.casUpstream != nil || resolved.casPublish != nil
+	wantCtrl := b.metrics != nil || b.reloadCfg != nil || b.adminEnable ||
+		b.casUpstream != nil || b.casPublish != nil
 	if wantCtrl {
-		if resolved.adminEnable {
-			if _, ok := resolved.transport.(gt3Transport); !ok {
-				return nil, opErr(op, errors.New("gsi: the admin surface requires the GT3 transport (a hosting container to publish gsi.__admin on)"))
-			}
-		}
-		if resolved.casPublish != nil {
-			if _, ok := resolved.transport.(gt3Transport); !ok {
-				return nil, opErr(op, errors.New("gsi: publishing a CAS bundle feed requires the GT3 transport (a hosting container to publish gsi.__cas.sync on)"))
-			}
-			if pipeline == nil {
-				return nil, opErr(op, errors.New("gsi: publishing a CAS bundle feed requires an authorization pipeline (which resource servers may read the VO's roll is policy)"))
-			}
-		}
-		if err := s.acquireControl(resolved, pipeline); err != nil {
+		if err := s.acquireControl(); err != nil {
 			return nil, opErr(op, err)
 		}
-		scfg.ConfigureContainer = s.containerHook(resolved, pipeline)
+		scfg.ConfigureContainer = s.configureContainer
 	}
-	ep, err := resolved.transport.Serve(ctx, addr, scfg)
+	ep, err := b.transport.Serve(ctx, addr, scfg)
 	if err != nil {
 		if wantCtrl {
 			s.releaseControl()
@@ -188,19 +159,6 @@ func (s *Server) Serve(ctx context.Context, addr string, h Handler, opts ...Opti
 		ep = &controlledEndpoint{Endpoint: ep, s: s}
 	}
 	return ep, nil
-}
-
-// sources returns the server's metric-source registry, creating it on
-// first use. Never nil after a control-plane Serve; callers from the
-// admin path tolerate nil (a server that never served with control
-// options).
-func (s *Server) sources() *serverMetricSources {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.src == nil {
-		s.src = &serverMetricSources{}
-	}
-	return s.src
 }
 
 // DurableState returns the WAL-backed trust plane opened by
@@ -256,58 +214,44 @@ func (s *Server) currentReloader() *Reloader {
 	return s.ctrl.reloader
 }
 
-// acquireControl brings the control plane up (first endpoint) or joins
-// the running one, and lands the server's metric series in the
-// registry — once per registry, since re-registering fresh closures
-// under the same names is a registration conflict by design.
-//
-// The control plane is per-server, first-Serve-wins: the reload
-// configuration and listener address of the first control-plane Serve
-// stay in force until the last such endpoint closes, at which point a
-// later Serve may bring it up with new settings.
-func (s *Server) acquireControl(resolved settings, pipeline *AuthorizationPipeline) error {
+// acquireControl brings the server's control plane up (first endpoint)
+// or joins the running one, and lands the server's metric series in its
+// registry — once, since re-registering fresh closures under the same
+// names is a registration conflict by design.
+func (s *Server) acquireControl() error {
+	b := &s.base
+	pipeline := b.authzPipeline
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.src == nil {
-		s.src = &serverMetricSources{}
-	}
-	if resolved.metrics != nil && !s.metricsDone[resolved.metrics] {
-		if err := registerServerMetrics(resolved.metrics, metricID(s.cred), pipeline, s.src, resolved.tracer); err != nil {
+	if b.metrics != nil && !s.metricsDone {
+		if err := registerServerMetrics(b.metrics, metricID(s.cred), pipeline, &s.src); err != nil {
 			return err
 		}
-		if s.metricsDone == nil {
-			s.metricsDone = make(map[*MetricsRegistry]bool)
-		}
-		s.metricsDone[resolved.metrics] = true
+		s.metricsDone = true
 	}
 	if s.ctrl == nil {
 		ctrl := &serverControl{}
-		if resolved.reloadCfg != nil {
-			r, err := newReloader(*resolved.reloadCfg, s.env, pipeline)
+		if b.reloadCfg != nil {
+			r, err := newReloader(*b.reloadCfg, s.env, pipeline)
 			if err != nil {
 				return err
 			}
 			ctrl.reloader = r
 		}
-		if resolved.casUpstream != nil && pipeline != nil {
-			if rep := pipeline.Replica(); rep != nil {
-				cs, err := newCASSyncer(s.env, s.cred, pipeline, *resolved.casUpstream, resolved.cacheWarmN)
-				if err != nil {
-					return err
-				}
-				ctrl.casSync = cs
+		if b.casUpstream != nil {
+			cs, err := newCASSyncer(s.env, s.cred, pipeline.Replica(), *b.casUpstream)
+			if err != nil {
+				return err
 			}
+			ctrl.casSync = cs
 		}
-		if resolved.metricsAddr != "" {
-			if resolved.metrics == nil {
-				return errors.New("gsi: a metrics listener requires a registry (WithMetrics)")
-			}
-			lis, err := net.Listen("tcp", resolved.metricsAddr)
+		if b.metricsAddr != "" {
+			lis, err := net.Listen("tcp", b.metricsAddr)
 			if err != nil {
 				return err
 			}
 			mux := http.NewServeMux()
-			mux.Handle("/metrics", resolved.metrics)
+			mux.Handle("/metrics", b.metrics)
 			mux.HandleFunc("/healthz", s.serveHealthz)
 			// The plaintext listener faces whatever can reach the scrape
 			// port: bound header/body reading and slow-client writes so a
@@ -388,36 +332,31 @@ func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Write([]byte("ok\n"))
 }
 
-// containerHook is the GT3 container hook of a control-plane endpoint:
-// it folds the endpoint's conversation table into the server's gauges
-// and, when WithAdmin is on, publishes the admin port type — refused by
-// EnableAdmin if the container cannot authorize it.
-func (s *Server) containerHook(resolved settings, pipeline *AuthorizationPipeline) func(*ogsa.Container) error {
-	return func(c *ogsa.Container) error {
-		s.sources().addConvMgr(c.ConversationManager())
-		if resolved.casPublish != nil {
-			// The sync service enforces its own channel rules; route-step
-			// authorization (resource "ogsa:gsi.__cas.sync") is the
-			// container's, which Serve guaranteed has a pipeline. The
-			// pipeline also feeds the hot-key export: keys only, never
-			// decisions, and reading them is itself an authorized op.
-			svc := cas.NewSyncService(resolved.casPublish, resolved.authzAudit)
-			svc.SetHotKeySource(pipeline.HotDecisionKeys)
-			c.Publish(cas.SyncHandle, svc)
-		}
-		if !resolved.adminEnable {
-			return nil
-		}
-		backend := &adminBackend{
-			server:   s,
-			pipeline: pipeline,
-			reg:      resolved.metrics,
-			pool:     resolved.adminPool,
-			tracer:   resolved.tracer,
-		}
-		_, err := c.EnableAdmin(ogsa.AdminConfig{Backend: backend})
-		return err
+// configureContainer is the GT3 container hook of a control-plane
+// endpoint: it folds the endpoint's conversation table into the server's
+// gauges, publishes the CAS bundle feed of WithCASPublisher and, when
+// WithAdmin is on, the admin port type.
+func (s *Server) configureContainer(c *ogsa.Container) error {
+	b := &s.base
+	s.src.addConvMgr(c.ConversationManager())
+	if b.casPublish != nil {
+		// The sync service enforces its own channel rules; route-step
+		// authorization (resource "ogsa:gsi.__cas.sync") is the
+		// container's, which NewServer guaranteed has a pipeline.
+		c.Publish(cas.SyncHandle, cas.NewSyncService(b.casPublish, b.authzAudit))
 	}
+	if !b.adminEnable {
+		return nil
+	}
+	backend := &adminBackend{
+		server:   s,
+		pipeline: b.authzPipeline,
+		reg:      b.metrics,
+		pool:     b.adminPool,
+		tracer:   b.tracer,
+	}
+	_, err := c.EnableAdmin(ogsa.AdminConfig{Backend: backend})
+	return err
 }
 
 // controlledEndpoint ties the control plane's lifetime to the

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/authz"
 	"repro/internal/gridcrypto"
 	"repro/internal/gsitransport"
 	"repro/internal/record"
@@ -57,7 +56,7 @@ type Stream interface {
 
 // StreamHandler serves one opened stream on a Server: by the time it
 // runs, the peer is authenticated and op authorized (once per stream,
-// through the authorization pipeline when one is configured).
+// through the authorization pipeline when the server has one).
 // Returning an error aborts the stream — the client observes it as a
 // mid-stream ERROR record. The handler must not retain the stream past
 // its return.
@@ -69,7 +68,7 @@ var errStreamsUnsupported = errors.New("gsi: session does not support streams")
 // OpenStream on a Client: checks a session out (from the pool on a
 // pooling client), opens a stream for op on it, and binds the session's
 // release to the stream's Close.
-func (c *Client) OpenStream(ctx context.Context, endpoint, op string, opts ...Option) (Stream, error) {
+func (c *Client) OpenStream(ctx context.Context, endpoint, op string) (Stream, error) {
 	const opName = "gsi.Client.OpenStream"
 	// The root span covers dial, open, every chunk, and Close; its
 	// context crosses on the open round trip so the server's stream
@@ -79,7 +78,7 @@ func (c *Client) OpenStream(ctx context.Context, endpoint, op string, opts ...Op
 		sp = tr.StartRoot("client.stream")
 		ctx = trace.ContextWithSpan(ctx, sp)
 	}
-	sess, err := c.Connect(ctx, endpoint, opts...)
+	sess, err := c.Connect(ctx, endpoint)
 	if err != nil {
 		sp.SetError(err)
 		sp.End()
@@ -650,15 +649,12 @@ func (h *serverGT3Stream) Peer() Peer   { return h.s.peer }
 // --- GT3 authorization gate ----------------------------------------------
 
 // gt3AuthGate is the container's chain-authorization hook with stream
-// awareness: stream opens are authorized as the op they carry (through
-// the pipeline when configured, once per stream), chunk calls are
-// admitted by possession of a live stream id bound to the same
-// authenticated peer, and everything else follows the exact pre-stream
-// rules (pipeline, else plain engine, else authenticated-is-enough).
+// awareness: stream opens are authorized as the op they carry (once per
+// stream), chunk calls are admitted by possession of a live stream id
+// bound to the same authenticated peer, and everything else is
+// authorized as it arrives — all through authorizeCall.
 type gt3AuthGate struct {
 	pipeline *AuthorizationPipeline
-	engine   Engine
-	env      *Environment
 	reg      *gt3StreamRegistry
 	tracer   *Tracer
 }
@@ -689,9 +685,9 @@ func (g *gt3AuthGate) AuthorizeChain(ctx context.Context, peer Peer, resource, a
 	return g.authorize(ctx, peer, resource, action)
 }
 
-// authorize reproduces the container's pre-gate behavior for ordinary
-// calls. When the router lifted a trace context off the envelope, the
-// decision is recorded as a server.authz span in the caller's trace.
+// authorize decides one call. When the router lifted a trace context off
+// the envelope, the decision is recorded as a server.authz span in the
+// caller's trace.
 func (g *gt3AuthGate) authorize(ctx context.Context, peer Peer, resource, action string) (account string, err error) {
 	if g.tracer != nil {
 		asp := g.tracer.StartRemote(trace.RemoteFromContext(ctx), "server.authz")
@@ -701,23 +697,5 @@ func (g *gt3AuthGate) authorize(ctx context.Context, peer Peer, resource, action
 			asp.End()
 		}()
 	}
-	if g.pipeline != nil {
-		return g.pipeline.AuthorizeChain(ctx, peer, resource, action)
-	}
-	if g.engine != nil {
-		req := Request{Subject: peer.Identity, Resource: resource, Action: action}
-		if g.env != nil {
-			req.Time = g.env.Now()
-		} else {
-			req.Time = time.Now()
-		}
-		decision, err := g.engine.Authorize(req)
-		if err != nil {
-			return "", err
-		}
-		if decision != authz.Permit {
-			return "", fmt.Errorf("gsi: %q denied %s", peer.Identity, action)
-		}
-	}
-	return "", nil
+	return authorizeCall(ctx, g.pipeline, peer, resource, action)
 }

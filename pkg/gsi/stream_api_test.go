@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -274,10 +275,10 @@ func TestStreamDenied(t *testing.T) {
 
 // ProtectionSigned sessions are stateless and refuse streams.
 func TestStreamSignedRefused(t *testing.T) {
-	_, client, addr, done := streamWorld(t, gsi.TransportGT3())
-	defer done()
-	_, err := client.OpenStream(context.Background(), addr, "upload:/x",
+	_, client, addr, done := streamWorld(t, gsi.TransportGT3(),
 		gsi.WithMessageProtection(gsi.ProtectionSigned))
+	defer done()
+	_, err := client.OpenStream(context.Background(), addr, "upload:/x")
 	if err == nil {
 		t.Fatal("signed session accepted a stream")
 	}
@@ -290,13 +291,13 @@ func TestStreamSignedRefused(t *testing.T) {
 // server. It must be refused before the first checkout.
 func TestStripedOpenBeyondPoolCapFailsFast(t *testing.T) {
 	_, client, addr, done := streamWorld(t, gsi.TransportGT2(),
-		gsi.WithSessionPool(nil), gsi.WithMaxConcurrentPerHost(2), gsi.WithStripes(4))
+		gsi.WithSessionPool(nil), gsi.WithMaxConcurrentPerHost(2))
 	defer done()
 	const deadline = 2 * time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	st, err := client.OpenStripedStream(ctx, addr, "mirror")
+	st, err := client.OpenStripedStream(ctx, addr, "mirror", 4)
 	if err == nil {
 		st.Close()
 		t.Fatal("4 stripes opened through a pool capped at 2 sessions per host")
@@ -309,5 +310,81 @@ func TestStripedOpenBeyondPoolCapFailsFast(t *testing.T) {
 	}
 	if s := client.Pool().Stats(); s.Dials != 0 {
 		t.Fatalf("%d sessions dialed for an open that could never complete", s.Dials)
+	}
+}
+
+// slowDialProxy relays TCP to backend, holding every new connection for
+// delay first: handshakes through it are slow, so concurrent callers'
+// dials reliably overlap.
+func slowDialProxy(t *testing.T, backend string, delay time.Duration) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			client, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer client.Close()
+				time.Sleep(delay)
+				server, err := net.Dial("tcp", backend)
+				if err != nil {
+					return
+				}
+				defer server.Close()
+				go io.Copy(server, client)
+				io.Copy(client, server)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// Two striped opens under one pool key whose stripes together exceed the
+// per-host cap: each holds its checkouts while it waits for more, so
+// opens that interleave their checkouts (slow handshakes make them) used
+// to each hold part of the cap and wait for the rest until their
+// contexts ended. One open collects its sessions at a time; both
+// transfers complete.
+func TestConcurrentStripedOpensShareCap(t *testing.T) {
+	store, client, addr, done := streamWorld(t, gsi.TransportGT2(),
+		gsi.WithSessionPool(nil), gsi.WithMaxConcurrentPerHost(4))
+	defer done()
+	addr = slowDialProxy(t, addr, 20*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	payload := bytes.Repeat([]byte("stripe"), 100_000)
+	start := time.Now()
+	errs := make(chan error, 2)
+	for _, path := range []string{"/a", "/b"} {
+		go func() {
+			st, err := client.OpenStripedStream(ctx, addr, "upload:"+path, 3)
+			if err != nil {
+				errs <- fmt.Errorf("open %s: %w", path, err)
+				return
+			}
+			_, werr := st.Write(payload)
+			errs <- errors.Join(werr, st.Close())
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("two 3-stripe transfers under a cap of 4 took %v", took)
+	}
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	for _, path := range []string{"/a", "/b"} {
+		if !bytes.Equal(store.files[path], payload) {
+			t.Fatalf("upload %s stored %d bytes, want %d", path, len(store.files[path]), len(payload))
+		}
 	}
 }

@@ -32,36 +32,44 @@ const stripedOpenOp = reservedOpPrefix + "stream.sopen"
 // will grant.
 const maxStripes = 16
 
-// OpenStripedStream opens a stream for op fanned over the WithStripes
-// stripe count: it checks that many sessions out (from the pool on a
-// pooling client), binds them into one group on the server, and
-// returns a Stream whose bytes travel over all stripes in parallel.
-// With a stripe count of 1 (or none configured) it is exactly
-// OpenStream. Striping requires the GT2 transport — GT3 carries chunks
-// as calls and has no connection to stripe over.
-func (c *Client) OpenStripedStream(ctx context.Context, endpoint, op string, opts ...Option) (Stream, error) {
+// OpenStripedStream opens a stream for op fanned over k stripes: it
+// checks k sessions out (from the pool on a pooling client), binds them
+// into one group on the server, and returns a Stream whose bytes travel
+// over all stripes in parallel, each stripe sealing and writing on its
+// own connection. With k = 1 it is exactly OpenStream. Striping requires
+// the GT2 transport — GT3 carries chunks as calls and has no connection
+// to stripe over.
+func (c *Client) OpenStripedStream(ctx context.Context, endpoint, op string, k int) (Stream, error) {
 	const opName = "gsi.Client.OpenStripedStream"
-	_, cancelSkew, s, err := c.resolve(ctx, opts)
-	cancelSkew() // settings only; session I/O budgets its own deadlines
-	if err != nil {
-		return nil, opErr(opName, err)
+	if k < 1 || k > maxStripes {
+		return nil, opErr(opName, fmt.Errorf("gsi: stripe count %d outside [1,%d]", k, maxStripes))
 	}
-	if s.stripes <= 1 {
-		return c.OpenStream(ctx, endpoint, op, opts...)
+	if k == 1 {
+		return c.OpenStream(ctx, endpoint, op)
 	}
 	if op == "" || strings.HasPrefix(op, reservedOpPrefix) {
 		return nil, opErr(opName, fmt.Errorf("gsi: invalid stream op %q", op))
 	}
-	if s.transport.String() != "gt2" {
+	if c.base.transport.String() != "gt2" {
 		return nil, opErr(opName, fmt.Errorf("%w: striping requires the GT2 transport", errStreamsUnsupported))
 	}
-	k := s.stripes
-	// All K checkouts are held at once: a per-host cap below K would
-	// queue the surplus checkout behind sessions only this call can
-	// return.
-	if p := s.pool; p != nil && p.maxPerHost > 0 && k > p.maxPerHost {
-		return nil, &Error{Op: opName, Kind: ErrPoolExhausted,
-			Err: fmt.Errorf("gsi: %d stripes exceed the pool's per-host cap of %d", k, p.maxPerHost)}
+	if p := c.base.pool; p != nil {
+		// All K checkouts are held at once: a per-host cap below K would
+		// queue the surplus checkout behind sessions only this call can
+		// return.
+		if p.maxPerHost > 0 && k > p.maxPerHost {
+			return nil, &Error{Op: opName, Kind: ErrPoolExhausted,
+				Err: fmt.Errorf("gsi: %d stripes exceed the pool's per-host cap of %d", k, p.maxPerHost)}
+		}
+		// And one open collects its K at a time: two opens interleaving
+		// their checkouts under a cap below 2K would each hold part and
+		// wait for the rest until their contexts end. Transfers overlap;
+		// only the collecting is serialized.
+		done, err := p.beginGather(ctx, c.poolKey(endpoint, c.credential()))
+		if err != nil {
+			return nil, opErr(opName, err)
+		}
+		defer done()
 	}
 	group, err := gridcrypto.RandomBytes(16)
 	if err != nil {
@@ -105,7 +113,7 @@ func (c *Client) OpenStripedStream(ctx context.Context, endpoint, op string, opt
 			lanes = append(lanes, lane)
 			lctx = trace.ContextWithSpan(ctx, lane)
 		}
-		sess, err := c.Connect(lctx, endpoint, opts...)
+		sess, err := c.Connect(lctx, endpoint)
 		if err != nil {
 			sp.SetError(err)
 			cleanup()

@@ -3,8 +3,6 @@ package gsi
 import (
 	"context"
 	"errors"
-	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -52,30 +50,6 @@ func SampleNever() TraceSampler { return trace.NeverSample() }
 // SampleRatio records approximately ratio of traces (0..1).
 func SampleRatio(ratio float64) TraceSampler { return trace.RatioSampler(ratio) }
 
-// TraceExporterConfig parameterizes the push exporter of
-// WithTraceExporter: finished spans and the Prometheus exposition are
-// periodically POSTed as a JSON batch to URL, with bounded queueing
-// and retry with exponential backoff. For scrapeless deployments —
-// batch workers behind NAT, short-lived submit hosts — that cannot
-// expose a /metrics listener.
-type TraceExporterConfig struct {
-	// URL receives the POSTed batches.
-	URL string
-	// Interval between pushes (0 = 10s).
-	Interval time.Duration
-	// MaxQueue bounds spans buffered between pushes; oldest drop first
-	// (0 = 8192).
-	MaxQueue int
-	// MaxRetries bounds redelivery attempts per batch (0 = 3).
-	MaxRetries int
-	// MaxBacklog bounds retained undeliverable batches across pushes
-	// during a collector outage; the oldest rotates out first and its
-	// spans count toward trace_export_dropped_total (0 = 16).
-	MaxBacklog int
-	// Client is the HTTP client used for delivery (nil = 10s timeout).
-	Client *http.Client
-}
-
 // WithTracing enables end-to-end tracing on a Client or Server: every
 // exchange, stream open, and striped transfer produces a causally
 // linked trace whose context crosses the wire on both transports, so
@@ -91,8 +65,8 @@ func WithTracing() Option {
 }
 
 // WithTraceSampler sets the recording sampler (implies WithTracing).
-// Sampling gates the flight recorder and exporter only — per-op
-// latency histograms observe every operation regardless.
+// Sampling gates the flight recorder only — per-op latency histograms
+// observe every operation regardless.
 func WithTraceSampler(sm TraceSampler) Option {
 	return func(s *settings) error {
 		if sm == nil {
@@ -104,55 +78,12 @@ func WithTraceSampler(sm TraceSampler) Option {
 	}
 }
 
-// WithTraceExporter attaches a batching push exporter to the handle's
-// tracer (implies WithTracing). The exporter runs until the tracer is
-// closed (Tracer().Close()).
-func WithTraceExporter(cfg TraceExporterConfig) Option {
-	return func(s *settings) error {
-		if cfg.URL == "" {
-			return errors.New("gsi: trace exporter needs a URL")
-		}
-		c := cfg
-		s.traceExport = &c
-		s.traceEnable = true
-		return nil
+// buildTracer materializes the handle's tracer when a trace option
+// asked for one.
+func (s *settings) buildTracer() {
+	if s.traceEnable {
+		s.tracer = trace.New(trace.Config{Registry: s.metrics, Sampler: s.traceSampler})
 	}
-}
-
-// buildTracer materializes the handle's tracer from resolved
-// settings. Idempotent: an already-materialized (or adopted) tracer
-// is kept.
-func (s *settings) buildTracer() error {
-	if !s.traceEnable || s.tracer != nil {
-		return nil
-	}
-	t := trace.New(trace.Config{Registry: s.metrics, Sampler: s.traceSampler})
-	if s.traceExport != nil {
-		ecfg := trace.ExporterConfig{
-			URL:        s.traceExport.URL,
-			Interval:   s.traceExport.Interval,
-			MaxQueue:   s.traceExport.MaxQueue,
-			MaxRetries: s.traceExport.MaxRetries,
-			MaxBacklog: s.traceExport.MaxBacklog,
-			Client:     s.traceExport.Client,
-		}
-		if reg := s.metrics; reg != nil {
-			ecfg.Metrics = func() string {
-				var b strings.Builder
-				if err := reg.WritePrometheus(&b); err != nil {
-					return ""
-				}
-				return b.String()
-			}
-		}
-		exp, err := trace.NewExporter(ecfg)
-		if err != nil {
-			return err
-		}
-		t.AttachExporter(exp)
-	}
-	s.tracer = t
-	return nil
 }
 
 // Tracer returns the client's tracer (nil unless WithTracing was set

@@ -162,12 +162,11 @@ func TestTraceStripedStream(t *testing.T) {
 
 	client, err := bed.env.NewClient(bed.alice,
 		gsi.WithTransport(gsi.TransportGT2()),
-		gsi.WithStripes(stripes),
 		gsi.WithTracing())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := client.OpenStripedStream(ctx, ep.Addr(), "bulk")
+	st, err := client.OpenStripedStream(ctx, ep.Addr(), "bulk", stripes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,11 @@ import (
 )
 
 // Handler serves one secured exchange on a Server. By the time it runs,
-// the transport has authenticated peer and (for GT3) the container has
-// authorized the call; op and body are the application request. Op
-// names beginning with "gsi.__" are reserved for the transport itself
-// (the GT2 liveness ping) and never reach the handler.
+// the transport has authenticated peer and the server's authorization
+// pipeline (if any) has permitted the call; op and body are the
+// application request. Op names beginning with "gsi.__" are reserved
+// for the transport itself (the GT2 liveness ping) and never reach the
+// handler.
 type Handler func(ctx context.Context, peer Peer, op string, body []byte) ([]byte, error)
 
 // Session is an established secured channel to one peer. Exchange is a
@@ -97,12 +98,10 @@ type ServeConfig struct {
 	// StreamHandler receives opened streams (Session.OpenStream on the
 	// client side); nil refuses stream opens.
 	StreamHandler StreamHandler
-	// Environment supplies the authorizer and audit plumbing (GT3).
-	Environment *Environment
 	// Pipeline is the chain-aware authorization pipeline; when set it
-	// gates every exchange (CAS assertion, VO ∩ local policy, gridmap)
-	// on both transports and wins over the environment's plain
-	// authorizer.
+	// gates every exchange and stream open (CAS assertion, VO ∩ local
+	// policy, gridmap) on both transports. Nil serves every
+	// authenticated peer.
 	Pipeline *AuthorizationPipeline
 
 	// ConfigureContainer, when set, observes the GT3 hosting container
@@ -120,8 +119,13 @@ type ServeConfig struct {
 	Tracer *Tracer
 }
 
-// exchangeHandle is the service handle GT3 exchanges are routed under.
-const exchangeHandle = "gsi.exchange"
+// exchangeHandle is the service handle GT3 exchanges are routed under;
+// exchangeResource names it as the resource both transports authorize
+// exchanges and stream opens against.
+const (
+	exchangeHandle   = "gsi.exchange"
+	exchangeResource = "ogsa:" + exchangeHandle
+)
 
 // reservedOpPrefix is the op namespace owned by the transport layer:
 // ops under it never reach the authorizer or the application handler
@@ -131,12 +135,12 @@ const reservedOpPrefix = "gsi.__"
 // gt2PingOp is the infrastructure-level liveness probe of the GT2
 // exchange protocol: answered by the server loop itself (one wrapped
 // round trip proving peer, context, and record stream are all alive)
-// without touching the authorizer or the application handler.
+// without touching the pipeline or the application handler.
 const gt2PingOp = reservedOpPrefix + "ping"
 
 // streamOpenOp opens a chunked stream on a session. Its body names the
 // application op the stream is for; the server authorizes that op —
-// once, through the PR-4 pipeline when configured — before any chunk
+// once, through its pipeline when it has one — before any chunk
 // flows. The GT3 form suffixes the op: "gsi.__stream.open:<op>".
 const streamOpenOp = reservedOpPrefix + "stream.open"
 
@@ -370,7 +374,6 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 	stop := conn.CloseOnDone(ctx)
 	defer stop()
 	peer := conn.Peer()
-	authorizer := authorizerOf(cfg.Environment)
 	tracer := cfg.Tracer
 	var peerDN string
 	if tracer != nil {
@@ -413,7 +416,7 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 			return
 		}
 		// Infrastructure fast path: the liveness ping answers below the
-		// authorizer and allocates nothing.
+		// pipeline and allocates nothing.
 		if bytes.Equal(opView, gt2PingOpBytes) {
 			rbuf.Free()
 			if err := sendGT2Reply(bg, conn, gt2StatusOK, pongBytes); err != nil {
@@ -441,7 +444,7 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 				sp.SetPeer(peerDN)
 				handshakeSpan(sp)
 			}
-			if !serveGT2Stream(ctx, conn, cfg, peer, authorizer, groups, striped, body, rbuf, sp) {
+			if !serveGT2Stream(ctx, conn, cfg, peer, groups, striped, body, rbuf, sp) {
 				return
 			}
 			continue
@@ -461,18 +464,12 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 				handshakeSpan(sp)
 				hctx = trace.ContextWithSpan(ctx, sp)
 			}
-			// Authorization: the chain-aware pipeline when configured
-			// (CAS assertion, VO ∩ local policy, gridmap — with the
-			// mapped account surfaced on the handler's Peer), else the
-			// environment's plain engine.
+			// Authorization: CAS assertion, VO ∩ local policy, gridmap —
+			// with the mapped account surfaced on the handler's Peer.
 			exPeer := peer
-			var authErr error
 			asp := sp.StartChild("server.authz")
-			if cfg.Pipeline != nil {
-				exPeer, authErr = authorizePipelined(hctx, cfg.Pipeline, peer, op)
-			} else {
-				authErr = authorizeExchange(authorizer, cfg.Environment, peer, op)
-			}
+			account, authErr := authorizeCall(hctx, cfg.Pipeline, peer, exchangeResource, op)
+			exPeer.LocalAccount = account
 			asp.SetError(authErr)
 			asp.End()
 			if authErr != nil {
@@ -501,13 +498,12 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 
 // serveGT2Stream handles one stream open on a GT2 connection — a plain
 // gsi.__stream.open, or one stripe's gsi.__stream.sopen: authorize the
-// named op (once per connection, through the pipeline when configured —
-// the decision cache makes a group's repeats cheap), then run the
-// StreamHandler over this connection, or join the stripe group and
-// either run the handler over all of its connections (last arrival) or
-// park until the group's transfer is over. Reports whether the
-// connection is still usable for further exchanges.
-func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, peer Peer, authorizer Engine, groups *gsitransport.Rendezvous, striped bool, body []byte, rbuf *record.Buf, sp *trace.Span) bool {
+// named op (once per connection — the decision cache makes a group's
+// repeats cheap), then run the StreamHandler over this connection, or
+// join the stripe group and either run the handler over all of its
+// connections (last arrival) or park until the group's transfer is over.
+// Reports whether the connection is still usable for further exchanges.
+func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, peer Peer, groups *gsitransport.Rendezvous, striped bool, body []byte, rbuf *record.Buf, sp *trace.Span) bool {
 	bg := context.Background()
 	op, groupID, idx, count := string(body), "", 0, 1
 	malformed := false
@@ -535,13 +531,9 @@ func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfi
 		return refuse(gt2StatusNotFound, errors.New("gsi: invalid stream op "+op))
 	}
 	exPeer := peer
-	var authErr error
 	asp := sp.StartChild("server.authz")
-	if cfg.Pipeline != nil {
-		exPeer, authErr = authorizePipelined(ctx, cfg.Pipeline, peer, op)
-	} else {
-		authErr = authorizeExchange(authorizer, cfg.Environment, peer, op)
-	}
+	account, authErr := authorizeCall(ctx, cfg.Pipeline, peer, exchangeResource, op)
+	exPeer.LocalAccount = account
 	asp.SetError(authErr)
 	asp.End()
 	if authErr != nil {
@@ -723,25 +715,20 @@ func (gt3Transport) Serve(ctx context.Context, addr string, cfg ServeConfig) (En
 		Name:          exchangeHandle,
 		Credential:    cfg.Context.Credential,
 		TrustStore:    cfg.Context.TrustStore,
-		Authorizer:    authorizerOf(cfg.Environment),
 		RejectLimited: cfg.Context.RejectLimited,
 		Now:           cfg.Context.Now,
 	}
 	serveCtx, cancel := context.WithCancel(ctx)
 	svc := &handlerService{ctx: serveCtx, h: cfg.Handler, sh: cfg.StreamHandler, tracer: cfg.Tracer}
 	if cfg.Pipeline != nil || cfg.StreamHandler != nil {
-		// The chain gate carries the pipeline (typed-nil guard included:
-		// a nil *AuthorizationPipeline must not become a non-nil
-		// interface) and admits chunk calls on streams their peer opened.
+		// The chain gate carries the pipeline and admits chunk calls on
+		// streams their peer opened.
 		svc.reg = newGT3StreamRegistry()
 		containerCfg.ChainAuthorizer = &gt3AuthGate{
 			pipeline: cfg.Pipeline,
-			engine:   authorizerOf(cfg.Environment),
-			env:      cfg.Environment,
 			reg:      svc.reg,
 			tracer:   cfg.Tracer,
 		}
-		containerCfg.Authorizer = nil // the gate reproduces the engine path
 	}
 	container, err := ogsa.NewContainer(containerCfg)
 	if err != nil {
@@ -913,59 +900,15 @@ func (e *gt3Endpoint) Close() error {
 
 // --- shared server-side authorization -----------------------------------
 
-func authorizerOf(env *Environment) Engine {
-	if env == nil {
-		return nil
+// authorizeCall is a server's one authorization path: every GT2
+// exchange, every GT2 stream open (single or striped) and the GT3 gate
+// decide through it. A server with a pipeline asks it — chain
+// re-validation, decision cache and audit trail included — and gets the
+// requester's gridmap account on permit, an ErrUnauthorized-classified
+// error on deny; a server without one serves every authenticated peer.
+func authorizeCall(ctx context.Context, p *AuthorizationPipeline, peer Peer, resource, action string) (account string, err error) {
+	if p == nil {
+		return "", nil
 	}
-	return env.authorizer
-}
-
-// authorizeExchange runs the environment's authorization engine against
-// one GT2 exchange, mirroring the container's Figure-3 step 5 with the
-// resource named after the exchange handle. The request is stamped with
-// the environment's clock so time-bounded rules never fall back to
-// time.Now inside the engine.
-func authorizeExchange(engine Engine, env *Environment, peer Peer, op string) error {
-	if engine == nil {
-		return nil
-	}
-	req := Request{
-		Subject:  peer.Identity,
-		Resource: "ogsa:" + exchangeHandle,
-		Action:   op,
-	}
-	if env != nil {
-		req.Time = env.Now()
-	}
-	decision, err := engine.Authorize(req)
-	if err != nil {
-		return &Error{Op: "gsi.Server", Err: err}
-	}
-	if decision != Permit {
-		return &Error{
-			Op:   "gsi.Server",
-			Kind: ErrUnauthorized,
-			Err:  fmt.Errorf("gsi: %q denied %s", peer.Identity, op),
-		}
-	}
-	return nil
-}
-
-// authorizePipelined gates one GT2 exchange through the authorization
-// pipeline, returning the peer augmented with its gridmap account on
-// permit and an ErrUnauthorized-classified error on deny.
-func authorizePipelined(ctx context.Context, p *AuthorizationPipeline, peer Peer, op string) (Peer, error) {
-	d, err := p.Authorize(ctx, peer, "ogsa:"+exchangeHandle, op)
-	if err != nil {
-		return peer, &Error{Op: "gsi.Server", Err: err}
-	}
-	if d.Decision != Permit {
-		return peer, &Error{
-			Op:   "gsi.Server",
-			Kind: ErrUnauthorized,
-			Err:  fmt.Errorf("gsi: %q denied %s: %s", peer.Identity, op, d.Reason),
-		}
-	}
-	peer.LocalAccount = d.LocalAccount
-	return peer, nil
+	return p.AuthorizeChain(ctx, peer, resource, action)
 }

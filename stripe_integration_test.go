@@ -153,7 +153,7 @@ func TestStripedTransferAcrossRotation(t *testing.T) {
 		rotated <- err
 	}()
 
-	up, err := w.client.OpenStripedStream(ctx, w.ep.Addr(), "upload:/big", gsi.WithStripes(4))
+	up, err := w.client.OpenStripedStream(ctx, w.ep.Addr(), "upload:/big", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestStripedTransferAcrossRotation(t *testing.T) {
 		t.Fatalf("rotation: %v", err)
 	}
 
-	down, err := w.client.OpenStripedStream(ctx, w.ep.Addr(), "download:/big", gsi.WithStripes(4))
+	down, err := w.client.OpenStripedStream(ctx, w.ep.Addr(), "download:/big", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestStripedTransferDeadStripeNeverTruncates(t *testing.T) {
 	// and each of the 4 stripes carries ~16 MiB.
 	proxy := newStripeKillerProxy(t, w.ep.Addr(), 4<<20)
 
-	up, err := w.client.OpenStripedStream(ctx, proxy.Addr(), "upload:/doomed", gsi.WithStripes(4))
+	up, err := w.client.OpenStripedStream(ctx, proxy.Addr(), "upload:/doomed", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
