@@ -79,12 +79,14 @@ test-multicore:
 ## race: the concurrency gate — the session pool and transports must be
 ## clean under the race detector, and GRAM's concurrent cold starts
 ## (one GRIM exchange per invocation, one LMJFS per account) hold up
-## over many schedules, as does the stripe rendezvous (the final join
-## racing the join timeout).
+## over many schedules, as do the stripe rendezvous (the final join
+## racing the join timeout) and the trust store's link-signature memo
+## (verifiers in flight while a root reload and a CRL land).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run 'Concurrent' ./internal/gram
 	$(GO) test -race -count=50 -run 'Rendezvous' ./internal/gsitransport
+	$(GO) test -race -count=20 -run 'TestVerifyMemoConcurrentRevocation' ./internal/gridcert
 
 ## fuzz-smoke: a short fuzz pass over every parser target (go test runs
 ## one -fuzz target per invocation).

@@ -131,6 +131,7 @@ func main() {
 	} else {
 		fmt.Printf("no pool: every exchange paid a full handshake (%d handshakes)\n", n)
 	}
-	cs := env.ChainCacheStats()
+	cs, ss := env.ChainCacheStats(), env.Trust().SignatureStats()
 	fmt.Printf("verified-chain cache: hits=%d misses=%d\n", cs.Hits, cs.Misses)
+	fmt.Printf("certificate signatures: checked=%d remembered=%d (memo hits=%d)\n", ss.Checks, ss.Entries, ss.MemoHits)
 }

@@ -282,6 +282,58 @@ func TestPrivilegedOpsPerJob(t *testing.T) {
 	}
 }
 
+// TestSignatureChecksPerJob pins what a cold job costs the resource's
+// trust store in certificate-signature checks. MMJFS, the LMJFS, the MJS
+// acceptor and the delegation endpoint each validate the user's chain for
+// themselves, but the store checks a link's signature once: a first-time
+// user's job with delegation costs it their certificate, their proxy and
+// the proxy they delegate; their next proxy does not pay for the user
+// again. The requestor validates the resource on a store of its own, so
+// none of this is the client's work. The GT2 gatekeeper, which validates
+// once per job anyway, gains the same across jobs.
+func TestSignatureChecksPerJob(t *testing.T) {
+	b := newGramBed(t)
+	b.client.Trust = gridcert.NewTrustStore()
+	if err := b.client.Trust.AddRoot(b.auth.Certificate()); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		name     string
+		newProxy bool
+		want     uint64
+	}{
+		{"a first-time user's job", false, 3},
+		{"the user's next proxy", true, 2},
+		{"the same proxy again", false, 1}, // the newly delegated proxy
+	} {
+		if step.newProxy {
+			p, err := proxy.New(b.alice, proxy.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.client.Credential = p
+		}
+		before := b.trust.SignatureStats().Checks
+		if _, err := b.client.SubmitAndRun(testJob()); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.trust.SignatureStats().Checks - before; got > step.want {
+			t.Errorf("%s: %d signature checks on the resource's store, want <= %d", step.name, got, step.want)
+		}
+	}
+
+	res2, aliceProxy, trust2 := newGT2Bed(t)
+	for job, want := range []uint64{2, 0} {
+		before := trust2.SignatureStats().Checks
+		if _, err := SubmitSigned(res2, aliceProxy, JobDescription{Executable: JobProgram}); err != nil {
+			t.Fatal(err)
+		}
+		if got := trust2.SignatureStats().Checks - before; got != want {
+			t.Errorf("GT2 gatekeeper job %d: %d signature checks, want %d", job+1, got, want)
+		}
+	}
+}
+
 // --- chain verification scope ----------------------------------------------
 
 // TestChainValidatedOncePerHostingEnvironment: MMJFS validating the

@@ -1,10 +1,10 @@
 package gridcert
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -40,9 +40,78 @@ type TrustStore struct {
 	// installing a CRL invalidates every cached validation at once.
 	gen uint64
 
-	// sigChecks counts the certificate signatures Verify has checked: one
-	// per chain certificate that is not itself the trust anchor.
-	sigChecks atomic.Uint64
+	links linkMemo
+}
+
+// linkMemoCap bounds one generation of a store's link-signature memo.
+const linkMemoCap = 4096
+
+// linkMemo remembers which (issuer public key, TBS bytes, signature)
+// triples have verified. That is a pure function of the three — no CRL,
+// clock or root change alters it — so an entry is never invalidated, and
+// everything else Verify decides it decides again on every call. Only
+// successes are kept, in two generations: a full current one becomes the
+// previous one, whose predecessor is dropped.
+type linkMemo struct {
+	mu           sync.Mutex
+	cur, prev    map[[sha256.Size]byte]struct{}
+	checks, hits uint64 // signatures checked on the curve; links recognised instead
+}
+
+// checkLink is cert.CheckSignatureFrom(parent), skipped when this store
+// has seen the same signature over the same bytes verify under the same
+// key. The memo key hashes exactly what PublicKey.Verify is handed (part
+// by part, so none runs into the next), as the certificate stands now.
+func (ts *TrustStore) checkLink(cert, parent *Certificate) error {
+	var b [1 + 3*sha256.Size]byte
+	b[0] = byte(parent.PublicKey.Alg)
+	for i, part := range [][]byte{parent.PublicKey.Raw, cert.encodeTBS(), cert.Signature} {
+		h := sha256.Sum256(part)
+		copy(b[1+i*sha256.Size:], h[:])
+	}
+	m, key := &ts.links, sha256.Sum256(b[:])
+	m.mu.Lock()
+	_, ok := m.cur[key]
+	if !ok {
+		_, ok = m.prev[key]
+	}
+	if ok {
+		m.hits++
+	} else {
+		m.checks++
+	}
+	m.mu.Unlock()
+	if ok {
+		return nil
+	}
+	if err := cert.CheckSignatureFrom(parent); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.cur) >= linkMemoCap {
+		m.prev, m.cur = m.cur, nil
+	}
+	if m.cur == nil {
+		m.cur = make(map[[sha256.Size]byte]struct{})
+	}
+	m.cur[key] = struct{}{}
+	return nil
+}
+
+// SignatureStats counts a store's certificate-signature work: Checks
+// verified on the curve, MemoHits recognised instead, Entries remembered.
+type SignatureStats struct {
+	Checks, MemoHits uint64
+	Entries          int
+}
+
+// SignatureStats returns a snapshot of the counters.
+func (ts *TrustStore) SignatureStats() SignatureStats {
+	m := &ts.links
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return SignatureStats{m.checks, m.hits, len(m.cur) + len(m.prev)}
 }
 
 // NewTrustStore creates an empty trust store.
@@ -150,21 +219,12 @@ func (ts *TrustStore) ReplaceRoots(roots []*Certificate) error {
 // than a failure: re-reading an unchanged CRL file is routine.
 var ErrCRLStale = errors.New("gridcert: CRL not newer than installed")
 
-// AddCRL installs a certificate revocation list after verifying its
-// signature against the trusted root for its issuer.
+// AddCRL installs a certificate revocation list that CheckCRL accepts.
 func (ts *TrustStore) AddCRL(crl *CRL) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	root, ok := ts.roots[crl.Issuer.String()]
-	if !ok {
-		return fmt.Errorf("gridcert: CRL issuer %q is not a trusted root", crl.Issuer)
-	}
-	if err := crl.CheckSignatureFrom(root); err != nil {
+	if err := ts.checkCRLLocked(crl); err != nil {
 		return err
-	}
-	prev, ok := ts.crls[crl.Issuer.String()]
-	if ok && prev.Number >= crl.Number {
-		return fmt.Errorf("%w: number %d, installed %d", ErrCRLStale, crl.Number, prev.Number)
 	}
 	ts.crls[crl.Issuer.String()] = crl
 	ts.gen++
@@ -180,6 +240,10 @@ func (ts *TrustStore) AddCRL(crl *CRL) error {
 func (ts *TrustStore) CheckCRL(crl *CRL) error {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
+	return ts.checkCRLLocked(crl)
+}
+
+func (ts *TrustStore) checkCRLLocked(crl *CRL) error {
 	root, ok := ts.roots[crl.Issuer.String()]
 	if !ok {
 		return fmt.Errorf("gridcert: CRL issuer %q is not a trusted root", crl.Issuer)
@@ -311,8 +375,7 @@ func (ts *TrustStore) Verify(chain []*Certificate, opts VerifyOptions) (*ChainIn
 		}
 		// Signature check. The top cert may BE the root (already trusted).
 		if !(i == len(chain)-1 && cert == root) {
-			ts.sigChecks.Add(1)
-			if err := cert.CheckSignatureFrom(parent); err != nil {
+			if err := ts.checkLink(cert, parent); err != nil {
 				return nil, err
 			}
 		}

@@ -262,34 +262,66 @@ func TestVerifyBrokenSignatureInMiddle(t *testing.T) {
 	}
 }
 
-// TestVerifyChecksEachSignatureOnce: a chain of n certificates below the
-// root costs exactly n signature checks — the top certificate's, against
-// the root found by its issuer name, included — whether or not the chain
-// carries the root itself; and a top certificate whose signature does not
+// TestVerifyChecksEachSignatureOnce: a store checks a link's signature
+// once. A chain of n certificates below the root costs n checks the first
+// time — the top certificate's, against the root found by its issuer name,
+// included — and none when repeated; a chain that extends one already
+// verified pays only for its new links; carrying the root or not makes no
+// difference to either count. A top certificate whose signature does not
 // verify is still refused as a bad signature.
 func TestVerifyChecksEachSignatureOnce(t *testing.T) {
 	caCert, _, userCert, userKey := testPKI(t)
-	ts := newStore(t, caCert)
 	p1, k1 := issueProxy(t, userCert, userKey, ProxyImpersonation, -1)
 	p2, _ := issueProxy(t, p1, k1, ProxyImpersonation, -1)
-	for _, tc := range []struct {
+	type step struct {
 		chain []*Certificate
 		want  uint64
-	}{
-		{[]*Certificate{userCert}, 1},
-		{[]*Certificate{p1, userCert}, 2},
-		{[]*Certificate{p2, p1, userCert}, 3},
-		{[]*Certificate{p2, p1, userCert, caCert}, 3},
+	}
+	for name, steps := range map[string][]step{
+		"whole chain, then again": {
+			{[]*Certificate{p2, p1, userCert}, 3},
+			{[]*Certificate{p2, p1, userCert}, 0},
+			{[]*Certificate{p2, p1, userCert, caCert}, 0},
+		},
+		"root carried first": {
+			{[]*Certificate{p2, p1, userCert, caCert}, 3},
+			{[]*Certificate{p2, p1, userCert}, 0},
+		},
+		"growing from a verified prefix": {
+			{[]*Certificate{userCert}, 1},
+			{[]*Certificate{p1, userCert}, 1},
+			{[]*Certificate{p2, p1, userCert, caCert}, 1},
+			{[]*Certificate{p1, userCert}, 0},
+		},
 	} {
-		before := ts.sigChecks.Load()
-		if _, err := ts.Verify(tc.chain, VerifyOptions{}); err != nil {
-			t.Fatalf("chain of %d: %v", len(tc.chain), err)
-		}
-		if got := ts.sigChecks.Load() - before; got != tc.want {
-			t.Errorf("chain of %d certificates: %d signature checks, want %d", len(tc.chain), got, tc.want)
+		ts := newStore(t, caCert)
+		for i, st := range steps {
+			links := uint64(len(st.chain)) // every certificate but the anchor
+			if st.chain[len(st.chain)-1] == caCert {
+				links--
+			}
+			before := ts.SignatureStats()
+			info, err := ts.Verify(st.chain, VerifyOptions{})
+			if err != nil {
+				t.Fatalf("%s, step %d: %v", name, i, err)
+			}
+			if !info.Identity.Equal(userCert.Subject) || uint64(info.ProxyDepth) != links-1 {
+				t.Errorf("%s, step %d: identity %q depth %d", name, i, info.Identity, info.ProxyDepth)
+			}
+			after := ts.SignatureStats()
+			if got := after.Checks - before.Checks; got != st.want {
+				t.Errorf("%s, step %d: %d signature checks, want %d", name, i, got, st.want)
+			}
+			if got := after.MemoHits - before.MemoHits; got != links-st.want {
+				t.Errorf("%s, step %d: %d memo hits, want %d", name, i, got, links-st.want)
+			}
 		}
 	}
 
+	ts := newStore(t, caCert)
+	if _, err := ts.Verify([]*Certificate{p1, userCert}, VerifyOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	userCert.Signature = append([]byte(nil), userCert.Signature...)
 	userCert.Signature[0] ^= 1
 	for _, chain := range [][]*Certificate{{userCert}, {p1, userCert}, {p1, userCert, caCert}} {

@@ -62,7 +62,7 @@ func (e *Environment) NewClient(cred *Credential, opts ...Option) (*Client, erro
 		if id == nil && base.credman != nil {
 			id = base.credman.Current()
 		}
-		if err := registerClientMetrics(base.metrics, metricID(id), base.pool, base.credman); err != nil {
+		if err := registerClientMetrics(base.metrics, e, metricID(id), base.pool, base.credman); err != nil {
 			return nil, opErr("gsi.NewClient", err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gridcert"
 	"repro/internal/gridcrypto"
+	"repro/internal/telemetry"
 )
 
 // Environment is the ambient security world a process operates in: the
@@ -31,6 +32,7 @@ type Environment struct {
 	// validation. Invalidation is automatic: entries are bound to the
 	// trust store's generation and the chain's validity window.
 	chains *gridcert.VerifyCache
+	series []telemetry.Metric // trustMetrics
 }
 
 // EnvOption configures NewEnvironment.
@@ -86,6 +88,7 @@ func NewEnvironment(opts ...EnvOption) (*Environment, error) {
 		chains: gridcert.NewVerifyCache(gridcert.DefaultVerifyCacheSize),
 		id:     fmt.Sprintf("env-%x", tag),
 	}
+	e.series = e.trustMetrics()
 	for _, opt := range opts {
 		if err := opt(e); err != nil {
 			return nil, opErr("gsi.NewEnvironment", err)

@@ -78,6 +78,19 @@ func buildProcessMetrics() []telemetry.Metric {
 	return processMetrics
 }
 
+// trustMetrics builds the environment's trust-store series, once: all of
+// its handles register these same objects, which a registry allows.
+func (e *Environment) trustMetrics() []telemetry.Metric {
+	return []telemetry.Metric{
+		telemetry.NewCounterFunc(labeled("gsi_cert_signature_checks_total", e.id),
+			"Certificate signatures the environment's trust store verified on the curve.",
+			func() uint64 { return e.trust.SignatureStats().Checks }),
+		telemetry.NewCounterFunc(labeled("gsi_cert_signature_memo_hits_total", e.id),
+			"Certificate links the trust store recognised as verified before (no curve work).",
+			func() uint64 { return e.trust.SignatureStats().MemoHits }),
+	}
+}
+
 // metricID renders the id label value for a handle's per-handle series:
 // the credential's grid identity (end-entity DN), which — unlike a leaf
 // fingerprint — survives proxy rotation, so a managed client keeps one
@@ -94,10 +107,10 @@ func labeled(family, id string) string {
 }
 
 // registerClientMetrics lands a client handle's instruments in reg:
-// the process-wide set plus per-handle pool, resumption-cache, and
-// credential-lifecycle series labeled with the client's identity.
-func registerClientMetrics(reg *MetricsRegistry, id string, pool *SessionPool, cm *CredentialManager) error {
-	ms := append([]telemetry.Metric(nil), buildProcessMetrics()...)
+// the process-wide and environment sets plus per-handle pool, resumption-
+// cache, and credential-lifecycle series labeled with the client's identity.
+func registerClientMetrics(reg *MetricsRegistry, env *Environment, id string, pool *SessionPool, cm *CredentialManager) error {
+	ms := append(append([]telemetry.Metric(nil), buildProcessMetrics()...), env.series...)
 	if pool != nil {
 		ms = append(ms, poolMetrics(id, pool)...)
 	}
@@ -225,8 +238,8 @@ func (s *serverMetricSources) reloadStats() (ok bool, st ReloadStats, unhealthy 
 // the process-wide set plus decision-cache, conversation-table, and
 // reload series labeled with the server's identity. The pipeline may
 // be nil (no authorization configured); src must not be.
-func registerServerMetrics(reg *MetricsRegistry, id string, pipeline *AuthorizationPipeline, src *serverMetricSources) error {
-	ms := append([]telemetry.Metric(nil), buildProcessMetrics()...)
+func registerServerMetrics(reg *MetricsRegistry, env *Environment, id string, pipeline *AuthorizationPipeline, src *serverMetricSources) error {
+	ms := append(append([]telemetry.Metric(nil), buildProcessMetrics()...), env.series...)
 	if pipeline != nil {
 		ms = append(ms,
 			telemetry.NewCounterFunc(labeled("gsi_authz_cache_hits_total", id),

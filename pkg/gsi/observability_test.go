@@ -420,3 +420,60 @@ func TestNewServerRefusesIncoherentOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestSignatureMetrics: the trust store's signature counters are the
+// environment's series, so a server and any number of clients of one
+// environment land the same two in a shared registry, and a scrape reads
+// what the store counted — a user's second proxy costs one signature
+// check, not a chain's worth.
+func TestSignatureMetrics(t *testing.T) {
+	bed := newAuthzBed(t)
+	reg := gsi.NewMetricsRegistry()
+	server, err := bed.env.NewServer(bed.host, gsi.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ep, err := server.Serve(ctx, "127.0.0.1:0",
+		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) { return body, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	user, err := bed.env.NewClient(bed.alice, gsi.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		px, err := user.Proxy(gsi.ProxyOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := bed.env.NewClient(px, gsi.WithMetrics(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Exchange(ctx, ep.Addr(), "echo", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := bed.env.Trust().SignatureStats()
+	if st.Checks != 4 || st.MemoHits != 1 || st.Entries != 4 {
+		t.Fatalf("host, user and two proxies: %+v, want 4 checks, 1 memo hit, 4 entries", st)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for series, want := range map[string]uint64{"gsi_cert_signature_checks_total": st.Checks, "gsi_cert_signature_memo_hits_total": st.MemoHits} {
+		var got []string
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if strings.HasPrefix(line, series+"{") {
+				got = append(got, line)
+			}
+		}
+		if len(got) != 1 || !strings.HasPrefix(got[0], series+`{id="env-`) || !strings.HasSuffix(got[0], fmt.Sprintf(`"} %d`, want)) {
+			t.Errorf("scrape has %q, want one %s series of the environment reading %d", got, series, want)
+		}
+	}
+}

@@ -224,7 +224,7 @@ func (s *Server) acquireControl() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if b.metrics != nil && !s.metricsDone {
-		if err := registerServerMetrics(b.metrics, metricID(s.cred), pipeline, &s.src); err != nil {
+		if err := registerServerMetrics(b.metrics, s.env, metricID(s.cred), pipeline, &s.src); err != nil {
 			return err
 		}
 		s.metricsDone = true
