@@ -123,9 +123,13 @@ bench:
 ## the single frame-buffer allocation, so group commit never buys
 ## throughput with garbage; a GRAM Submit routed to a running LMJFS over
 ## a 1,000-entry grid-mapfile at 217: one O(mapfile) step in the router
-## or the LMJFS would be thousands over.
+## or the LMJFS would be thousands over; a cold authorization decision
+## (65 local rules, the VO's half from the bundle replica) <= 100; and a
+## replica's first full sync of a 10,000-member bundle <= 1,000 on each
+## side — DecodeBundle + Apply, and the publisher's version-0 Pull —
+## where anything done per member would be tens of thousands.
 gate-allocs:
-	$(GO) test -count=1 -run 'Alloc' ./pkg/gsi ./internal/telemetry ./internal/trace ./internal/wal ./internal/gram
+	$(GO) test -count=1 -run 'Alloc' ./pkg/gsi ./internal/telemetry ./internal/trace ./internal/wal ./internal/gram ./internal/cas
 
 ## fmt: rewrite files in place.
 fmt:

@@ -26,9 +26,9 @@
 // single full trace by id. transfers lists the bulk transfers in
 // flight right now (op, peer, bytes so far, stripes, elapsed).
 // cas-status reports the CAS policy-bundle replica (applied version,
-// generation, pull history split into delta and full-bundle replies);
-// cas-sync forces an immediate bundle pull
-// from the configured upstreams. Both require a server started with
+// generation, pull history split into delta and full-bundle replies,
+// what the last pull took and in which shape it was answered); cas-sync
+// forces a pull from the configured upstreams. Both require a server started with
 // WithCASUpstream. compact folds the durable journal into a snapshot
 // now and reports its shape after; it requires WithDurableState.
 //

@@ -101,8 +101,13 @@ type Rule struct {
 	NotAfter  time.Time
 }
 
-// Matches reports whether the rule applies to the request.
+// Matches reports whether the rule applies to the request. The cheap
+// string matchers run first: in a scan most rules miss on resource or
+// action, and only a rule that lists Subjects needs the DN rendered.
 func (r Rule) Matches(req Request) bool {
+	if !matchAny(r.Resources, req.Resource, matchResource) || !matchAny(r.Actions, req.Action, matchExactOrStar) {
+		return false
+	}
 	t := req.time()
 	if !r.NotBefore.IsZero() && t.Before(r.NotBefore) {
 		return false
@@ -110,16 +115,7 @@ func (r Rule) Matches(req Request) bool {
 	if !r.NotAfter.IsZero() && t.After(r.NotAfter) {
 		return false
 	}
-	if !r.subjectMatches(req) {
-		return false
-	}
-	if !matchAny(r.Resources, req.Resource, matchResource) {
-		return false
-	}
-	if !matchAny(r.Actions, req.Action, matchExactOrStar) {
-		return false
-	}
-	return true
+	return r.subjectMatches(req)
 }
 
 func (r Rule) subjectMatches(req Request) bool {
@@ -127,10 +123,12 @@ func (r Rule) subjectMatches(req Request) bool {
 	if len(r.Subjects) == 0 && len(r.Groups) == 0 && len(r.Roles) == 0 {
 		return true
 	}
-	subj := req.Subject.String()
-	for _, s := range r.Subjects {
-		if s == "*" || s == subj {
-			return true
+	if len(r.Subjects) > 0 {
+		subj := req.Subject.String()
+		for _, s := range r.Subjects {
+			if s == "*" || s == subj {
+				return true
+			}
 		}
 	}
 	for _, g := range r.Groups {

@@ -21,7 +21,9 @@ import (
 
 const bundleMagic = "cas-bundle-v1"
 
-// Bundle is one signed export of a VO's policy state.
+// Bundle is one signed export of a VO's policy state. One built in
+// process answers for its fields; one that arrived as bytes (DecodeBundle)
+// answers for those bytes: Verify, Encode and Replica.Apply go by them.
 type Bundle struct {
 	// VO is the issuing community's identity (the CAS server's DN).
 	VO gridcert.Name
@@ -37,21 +39,26 @@ type Bundle struct {
 	Rules []authz.Rule
 
 	Signature []byte
+	signed    []byte // DecodeBundle's view of the signed bytes as they arrived
 }
 
+// tbs is the one bundle encoder: the bytes the VO signs (as received, if
+// they were), sized up front — growing into 5.5 MB would copy it twice.
 func (b *Bundle) tbs() []byte {
-	e := wire.NewEncoder()
-	e.Str(bundleMagic)
-	e.Str(b.VO.String())
-	e.U64(b.Version)
-	e.I64(b.IssuedAt.Unix())
+	if b.signed != nil {
+		return b.signed
+	}
+	tail := wire.NewEncoder().U32(uint32(len(b.Rules)))
+	for _, r := range b.Rules {
+		authz.WireEncodeRule(tail, r)
+	}
+	vo := b.VO.String()
+	e := wire.NewEncoder().Reset(make([]byte, 0,
+		8+len(bundleMagic)+len(vo)+16+stringListMapSize(b.Members)+stringListMapSize(b.Roles)+tail.Len()))
+	e.Str(bundleMagic).Str(vo).U64(b.Version).I64(b.IssuedAt.Unix())
 	encodeStringListMap(e, b.Members)
 	encodeStringListMap(e, b.Roles)
-	e.U32(uint32(len(b.Rules)))
-	for _, r := range b.Rules {
-		authz.WireEncodeRule(e, r)
-	}
-	return e.Finish()
+	return e.Raw(tail.Finish()).Finish()
 }
 
 // Encode serialises the bundle with its signature.
@@ -59,29 +66,37 @@ func (b *Bundle) Encode() []byte {
 	return wire.NewEncoder().Bytes(b.tbs()).Bytes(b.Signature).Finish()
 }
 
-// DecodeBundle parses an encoded bundle (signature not verified).
+// DecodeBundle parses an encoded bundle (signature not verified). The
+// bundle keeps a view of data: do not change data while holding it.
 func DecodeBundle(data []byte) (*Bundle, error) {
 	d := wire.NewDecoder(data)
-	tbs := d.Bytes()
-	sig := d.Bytes()
+	tbs, sig := d.View(), d.Bytes()
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	td := wire.NewDecoder(tbs)
-	if magic := td.Str(); td.Err() == nil && magic != bundleMagic {
+	b, err := decodeSigned(tbs, sig)
+	if err == nil {
+		b.signed = tbs
+	}
+	return b, err
+}
+
+// decodeSigned reads signed bytes into fields carved from one string copy
+// of them (see carver), refusing what tbs would not have written.
+func decodeSigned(tbs, sig []byte) (*Bundle, error) {
+	c := &carver{text: string(tbs)}
+	if magic := c.str(); c.err == nil && magic != bundleMagic {
 		return nil, fmt.Errorf("cas: bad bundle magic %q", magic)
 	}
-	b := &Bundle{}
-	voStr := td.Str()
-	b.Version = td.U64()
-	b.IssuedAt = time.Unix(td.I64(), 0).UTC()
-	var err error
-	if b.Members, err = decodeStringListMap(td, "bundle member"); err != nil {
-		return nil, err
+	voStr := c.str()
+	b := &Bundle{Version: c.u64(), Signature: sig}
+	b.IssuedAt = time.Unix(int64(c.u64()), 0).UTC()
+	b.Members = c.listMap("bundle member")
+	b.Roles = c.listMap("bundle role holder")
+	if c.err != nil {
+		return nil, c.err
 	}
-	if b.Roles, err = decodeStringListMap(td, "bundle role holder"); err != nil {
-		return nil, err
-	}
+	td := wire.NewDecoder(tbs[c.off:])
 	n := td.Count("bundle rule", maxAssertionRules)
 	for i := 0; i < n && td.Err() == nil; i++ {
 		b.Rules = append(b.Rules, authz.WireDecodeRule(td))
@@ -89,10 +104,13 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 	if err := td.Done(); err != nil {
 		return nil, err
 	}
+	var err error
 	if b.VO, err = gridcert.ParseName(voStr); err != nil {
 		return nil, err
 	}
-	b.Signature = sig
+	if b.VO.String() != voStr {
+		return nil, fmt.Errorf("cas: bundle VO %q is not in canonical form", voStr)
+	}
 	return b, nil
 }
 
@@ -107,33 +125,25 @@ func (b *Bundle) Verify(casCert *gridcert.Certificate) error {
 	return nil
 }
 
-// ExportBundle snapshots the server's state as a signed bundle.
-func (s *Server) ExportBundle() (*Bundle, error) {
+// exportSigned encodes the signed bytes of the server's state once,
+// straight from the live tables under the read lock, and signs them.
+func (s *Server) exportSigned() (version uint64, tbs, sig []byte, err error) {
 	s.mu.RLock()
-	members := make(map[string][]string, len(s.members))
-	for k, v := range s.members {
-		members[k] = append([]string(nil), v...)
-	}
-	roles := make(map[string][]string, len(s.roles))
-	for k, v := range s.roles {
-		roles[k] = append([]string(nil), v...)
-	}
-	version := s.version
+	live := Bundle{VO: s.VO(), Version: s.version, IssuedAt: s.now(), Members: s.members, Roles: s.roles, Rules: s.policy.Rules()}
+	tbs = live.tbs()
 	s.mu.RUnlock()
-	b := &Bundle{
-		VO:       s.VO(),
-		Version:  version,
-		IssuedAt: s.now().UTC(),
-		Members:  members,
-		Roles:    roles,
-		Rules:    s.policy.Rules(),
-	}
-	sig, err := s.cred.Key.Sign(b.tbs())
+	sig, err = s.cred.Key.Sign(tbs)
+	return live.Version, tbs, sig, err
+}
+
+// ExportBundle snapshots the server's state as a signed bundle that
+// answers for its fields: change one and it no longer verifies.
+func (s *Server) ExportBundle() (*Bundle, error) {
+	_, tbs, sig, err := s.exportSigned()
 	if err != nil {
 		return nil, err
 	}
-	b.Signature = sig
-	return b, nil
+	return decodeSigned(tbs, sig)
 }
 
 // ErrStaleBundle reports an Apply with a version below the replica's.
@@ -170,41 +180,36 @@ func NewReplica(casCert *gridcert.Certificate) *Replica {
 // VO returns the community identity the replica mirrors.
 func (r *Replica) VO() gridcert.Name { return r.cert.Subject }
 
-// Apply installs a bundle. Equal version is an up-to-date no-op; lower
-// is ErrStaleBundle; a bad signature or invalid rule is an error. In
-// every failure case the previous bundle stays live.
+// Apply installs a bundle: it verifies b's signed bytes, then builds
+// tables of its own from those same bytes, so what is installed is what
+// the signature covers and shares nothing with b. Equal version is a
+// no-op; lower is ErrStaleBundle; a bad signature or invalid rule is an
+// error. In every failure case the previous bundle stays live.
 func (r *Replica) Apply(b *Bundle) error {
-	if err := b.Verify(r.cert); err != nil {
+	tbs := b.tbs()
+	if err := r.cert.PublicKey.Verify(tbs, b.Signature); err != nil {
+		return fmt.Errorf("cas: bundle signature: %w", err)
+	}
+	own, err := decodeSigned(tbs, b.Signature)
+	if err != nil {
 		return err
 	}
+	if !r.cert.Subject.Equal(own.VO) {
+		return fmt.Errorf("cas: bundle VO %q does not match CAS certificate %q", own.VO, r.cert.Subject)
+	}
 	next := authz.NewPolicy(authz.DenyOverrides)
-	if err := next.AddChecked(b.Rules...); err != nil {
+	if err := next.AddChecked(own.Rules...); err != nil {
 		return fmt.Errorf("cas: bundle rejected: %w", err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if b.Version == r.version {
+	if own.Version == r.version {
 		return nil
 	}
-	if b.Version < r.version {
-		return fmt.Errorf("%w: have %d, got %d", ErrStaleBundle, r.version, b.Version)
+	if own.Version < r.version {
+		return fmt.Errorf("%w: have %d, got %d", ErrStaleBundle, r.version, own.Version)
 	}
-	// Deep-copy the bundle's maps: ApplyDelta mutates the replica's maps
-	// in place, and aliasing them to the caller's bundle would corrupt a
-	// signed Bundle the caller still holds (its signature would stop
-	// verifying after the first delta).
-	members := make(map[string][]string, len(b.Members))
-	for dn, groups := range b.Members {
-		members[dn] = append([]string(nil), groups...)
-	}
-	roles := make(map[string][]string, len(b.Roles))
-	for dn, rs := range b.Roles {
-		roles[dn] = append([]string(nil), rs...)
-	}
-	r.members = members
-	r.roles = roles
-	r.policy = next
-	r.version = b.Version
+	r.members, r.roles, r.policy, r.version = own.Members, own.Roles, next, own.Version
 	r.gen++
 	return nil
 }

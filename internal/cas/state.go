@@ -26,9 +26,9 @@ const (
 
 const casMutationCodecVersion = 1
 
-// maxBundleMembers bounds decoded membership tables. A 10k-member VO
-// bundle is the design point; the cap is headroom above it, well under
-// what a 16 MiB wire frame can carry.
+// maxBundleMembers bounds decoded membership tables. A 100,000-member
+// VO bundle (5.5 MB signed, what the benchmark syncs) is the design
+// point; the cap is about what a 16 MiB wire frame can carry.
 const maxBundleMembers = 1 << 20
 
 // SetJournal installs the persistence hook: each mutation's encoded
@@ -248,22 +248,19 @@ func (s *Server) EncodeState() []byte {
 // journaling. Fail closed: a malformed snapshot leaves the server
 // untouched.
 func (s *Server) RestoreState(b []byte) error {
-	d := wire.NewDecoder(b)
-	if v := d.U8(); d.Err() == nil && v != casStateVersion {
-		return fmt.Errorf("cas: unknown state version %d", v)
+	c := &carver{text: string(b)}
+	if v := c.take(1); c.err == nil && v[0] != casStateVersion {
+		return fmt.Errorf("cas: unknown state version %d", v[0])
 	}
-	version := d.U64()
-	members, err := decodeStringListMap(d, "snapshot member")
-	if err != nil {
-		return err
+	version := c.u64()
+	members := c.listMap("snapshot member")
+	roles := c.listMap("snapshot role holder")
+	policyState := []byte(c.str())
+	if c.err == nil && c.off != len(b) {
+		c.err = fmt.Errorf("cas: %d trailing bytes in snapshot", len(b)-c.off)
 	}
-	roles, err := decodeStringListMap(d, "snapshot role holder")
-	if err != nil {
-		return err
-	}
-	policyState := d.Bytes()
-	if err := d.Done(); err != nil {
-		return err
+	if c.err != nil {
+		return c.err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -293,21 +290,86 @@ func encodeStringListMap(e *wire.Encoder, m map[string][]string) {
 	}
 }
 
-func decodeStringListMap(d *wire.Decoder, what string) (map[string][]string, error) {
-	n := d.Count(what, maxBundleMembers)
-	m := make(map[string][]string, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		k := d.Str()
-		v := authz.WireDecodeStrings(d)
-		if d.Err() == nil {
-			if k == "" {
-				return nil, fmt.Errorf("cas: %s with empty DN", what)
-			}
-			m[k] = v
+func stringListMapSize(m map[string][]string) int {
+	size := 4
+	for k, v := range m {
+		size += 8 + len(k)
+		for _, s := range v {
+			size += 4 + len(s)
 		}
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
+	return size
+}
+
+// carver decodes wire-format tables out of text, one string copy of the
+// encoded bytes: every string is a substring of text and every list a
+// cap == len window of one arena, so a table costs a handful of
+// allocations, not three a member, and an in-place append to one DN's
+// list cannot reach a neighbour's. A table keeps all of text alive.
+type carver struct {
+	text string
+	off  int
+	err  error
+}
+
+func (c *carver) take(n int) string {
+	if c.err == nil && (n < 0 || n > len(c.text)-c.off) {
+		c.err = wire.ErrTruncated
 	}
-	return m, nil
+	if c.err != nil {
+		return ""
+	}
+	c.off += n
+	return c.text[c.off-n : c.off]
+}
+
+func (c *carver) u32() uint32 {
+	if b := c.take(4); b != "" {
+		return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+	}
+	return 0
+}
+
+func (c *carver) u64() uint64 { return uint64(c.u32())<<32 | uint64(c.u32()) }
+func (c *carver) str() string { return c.take(int(c.u32())) }
+
+func (c *carver) count(what string, max uint32) int {
+	n := c.u32()
+	if c.err == nil && n > max {
+		c.err, n = fmt.Errorf("cas: %s count %d exceeds cap %d", what, n, max), 0
+	}
+	return int(n)
+}
+
+// listMap reads a DN -> string-list table, refusing what
+// encodeStringListMap would not have written: an empty DN, keys not
+// strictly ascending. The first pass checks the form and sizes the arena,
+// so a table that is not all there allocates nothing; the second carves.
+func (c *carver) listMap(what string) map[string][]string {
+	n := c.count(what, maxBundleMembers)
+	start, total, prev := c.off, 0, ""
+	for i := 0; i < n && c.err == nil; i++ {
+		k := c.str()
+		for j := c.count("string list", 4096); j > 0; j-- { // authz.WireDecodeStrings' cap
+			c.str()
+			total++
+		}
+		if c.err == nil && k <= prev {
+			c.err = fmt.Errorf("cas: %s %q is empty or not in ascending order", what, k)
+		}
+		prev = k
+	}
+	if c.err != nil {
+		return nil
+	}
+	c.off = start
+	m, arena := make(map[string][]string, n), make([]string, 0, total)
+	for i := 0; i < n; i++ {
+		k, lo := c.str(), len(arena)
+		for j := c.u32(); j > 0; j-- {
+			arena = append(arena, c.str())
+		}
+		m[k] = arena[lo:len(arena):len(arena)]
+	}
+	return m
 }

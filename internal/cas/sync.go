@@ -39,7 +39,7 @@ var ErrBadDelta = errors.New("cas: malformed delta reply")
 // encodeSyncReply frames a signed document as a Pull reply: the tag,
 // then exactly the document's Encode() bytes.
 func encodeSyncReply(tag byte, tbs, sig []byte) []byte {
-	return wire.NewEncoder().U8(tag).Bytes(tbs).Bytes(sig).Finish()
+	return wire.NewEncoder().Reset(make([]byte, 0, 9+len(tbs)+len(sig))).U8(tag).Bytes(tbs).Bytes(sig).Finish()
 }
 
 // DecodeSyncReply parses a Pull reply (signatures not verified): exactly
@@ -115,11 +115,11 @@ func (s *SyncService) Invoke(call *ogsa.Call) ([]byte, error) {
 			return encodeSyncReply(syncTagDelta, d.tbs(), d.Signature), nil
 		}
 	}
-	b, err := s.server.ExportBundle()
+	version, tbs, sig, err := s.server.exportSigned()
 	if err != nil {
 		s.record("cas-sync-error", subject, err.Error())
 		return nil, err
 	}
-	s.record("cas-sync-bundle", subject, fmt.Sprintf("version %d for a replica at %d", b.Version, have))
-	return encodeSyncReply(syncTagFull, b.tbs(), b.Signature), nil
+	s.record("cas-sync-bundle", subject, fmt.Sprintf("version %d for a replica at %d", version, have))
+	return encodeSyncReply(syncTagFull, tbs, sig), nil
 }

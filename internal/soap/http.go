@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -134,6 +135,7 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(out))) // or a large reply goes out chunked, past readBody's sized path
 	w.Write(out)
 }
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/gridcrypto"
 )
@@ -170,7 +171,7 @@ func Unmarshal(data []byte) (*Envelope, error) {
 	if err := xml.Unmarshal(data, &xe); err != nil {
 		return nil, fmt.Errorf("soap: unmarshal: %w", err)
 	}
-	body, err := base64.StdEncoding.DecodeString(trimSpace(xe.Body))
+	body, err := base64.StdEncoding.DecodeString(strings.TrimSpace(xe.Body))
 	if err != nil {
 		return nil, fmt.Errorf("soap: body decode: %w", err)
 	}
@@ -182,7 +183,7 @@ func Unmarshal(data []byte) (*Envelope, error) {
 		Body:      body,
 	}
 	for _, b := range xe.Blocks {
-		content, err := base64.StdEncoding.DecodeString(trimSpace(b.Content))
+		content, err := base64.StdEncoding.DecodeString(strings.TrimSpace(b.Content))
 		if err != nil {
 			return nil, fmt.Errorf("soap: header %q decode: %w", b.Name, err)
 		}
@@ -192,10 +193,6 @@ func Unmarshal(data []byte) (*Envelope, error) {
 		e.Fault = &Fault{Code: xe.Fault.Code, Reason: xe.Fault.Reason}
 	}
 	return e, nil
-}
-
-func trimSpace(s string) string {
-	return string(bytes.TrimSpace([]byte(s)))
 }
 
 // Canonical returns the canonical byte form of the envelope parts covered

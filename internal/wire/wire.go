@@ -86,7 +86,11 @@ func (e *Encoder) Bytes(b []byte) *Encoder {
 }
 
 // Str appends a length-prefixed string.
-func (e *Encoder) Str(s string) *Encoder { return e.Bytes([]byte(s)) }
+func (e *Encoder) Str(s string) *Encoder {
+	e.U32(uint32(len(s)))
+	e.buf = append(e.buf, s...)
+	return e
+}
 
 // Raw appends b verbatim — no length prefix. For fixed-size trailers
 // (the GT2 trace-context field) that a Decoder recovers with Tail.
@@ -217,7 +221,7 @@ func (d *Decoder) View() []byte {
 }
 
 // Str reads a length-prefixed string.
-func (d *Decoder) Str() string { return string(d.Bytes()) }
+func (d *Decoder) Str() string { return string(d.View()) }
 
 // Count validates a list length against a cap.
 func (d *Decoder) Count(what string, max int) int {

@@ -2,6 +2,7 @@ package gsi_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -149,5 +150,87 @@ func TestAuthorizeCachedDurableAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("cached durable decision allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// TestAuthorizeColdAllocs pins ROADMAP 1(d)'s number: a cold decision —
+// a bare VO member decided through the bundle replica, 64 local rules
+// that do not match ahead of the one that does (half naming a subject,
+// half a group, as the benchmark's data server has them), durable
+// state, no decision audit — stays at or under 100 allocations (13 as
+// written). A rule scan that renders the requester's DN once per rule
+// with a subject matcher read 147 here and 324 in the benchmark.
+func TestAuthorizeColdAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("race instrumentation allocates; the ceiling only holds in plain builds")
+	}
+	bed := newAuthzBed(t)
+	bed.vo.AddPolicy(gsi.Rule{
+		ID: "vo-data", Effect: gsi.EffectPermit,
+		Groups: []string{"researchers"}, Resources: []string{"data:/climate/*"}, Actions: []string{"*"},
+	})
+	pl, err := bed.env.NewAuthorizationPipeline(
+		gsi.WithDurableState(t.TempDir()),
+		gsi.WithoutDecisionAudit(),
+		gsi.WithTrustedVO(bed.vo.Certificate()),
+		gsi.WithCASUpstream(gsi.CASUpstreamConfig{Endpoints: []string{"unused:0"}, Cert: bed.vo.Certificate()}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := pl.DurableState()
+	t.Cleanup(func() { ds.Close() })
+	for i := 0; i < 64; i++ {
+		r := gsi.Rule{
+			ID: fmt.Sprintf("site-%02d", i), Effect: gsi.EffectPermit,
+			Resources: []string{fmt.Sprintf("data:/site-%02d/*", i)}, Actions: []string{"read"},
+		}
+		if i%2 == 0 {
+			r.Subjects = []string{fmt.Sprintf("/O=Grid/OU=Site/CN=operator %02d", i)}
+		} else {
+			r.Groups = []string{fmt.Sprintf("site-%02d", i)}
+		}
+		if err := ds.Policy().AddChecked(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Policy().AddChecked(gsi.Rule{
+		ID: "local-data", Effect: gsi.EffectPermit,
+		Groups: []string{"researchers"}, Resources: []string{"data:/climate/*"}, Actions: []string{"*"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.GridMap().AddChecked(bed.alice.Identity(), "alice"); err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := bed.vo.ExportBundle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Replica().Apply(bundle); err != nil {
+		t.Fatal(err)
+	}
+	info, err := bed.env.Trust().Verify(bed.alice.Chain, gsi.VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := gsi.Peer{Identity: info.Identity, Subject: info.Subject, Chain: bed.alice.Chain, Info: info}
+	ctx := context.Background()
+	// A new action every call, so no call is answered from the cache.
+	actions := make([]string, 400)
+	for i := range actions {
+		actions[i] = fmt.Sprintf("probe-%d", i)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(len(actions)-2, func() {
+		d, err := pl.Authorize(ctx, peer, "data:/climate/run1", actions[next])
+		next++
+		if err != nil || d.Decision != gsi.Permit || d.Cached {
+			t.Fatalf("cold decision: %+v %v", d, err)
+		}
+	})
+	t.Logf("cold decision: %.0f allocations", allocs)
+	if allocs > 100 {
+		t.Fatalf("a cold decision allocates %.0f, want <= 100", allocs)
 	}
 }

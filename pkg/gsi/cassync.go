@@ -40,12 +40,14 @@ type casSyncer struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu       sync.Mutex
-	lastErr  string
-	lastOK   string // endpoint of the most recent successful pull
-	lastTime time.Time
-	syncs    uint64
-	failures uint64
+	mu        sync.Mutex
+	lastErr   string
+	lastOK    string // endpoint of the most recent successful pull
+	lastTime  time.Time
+	lastPull  time.Duration // that pull, from request to applied
+	lastReply string        // and the shape it was answered in
+	syncs     uint64
+	failures  uint64
 
 	deltaSyncs     uint64
 	fullSyncs      uint64
@@ -71,8 +73,12 @@ type CASSyncStatus struct {
 	Endpoints []string `json:"endpoints,omitempty"`
 	// LastEndpoint is where the most recent successful pull landed.
 	LastEndpoint string `json:"last_endpoint,omitempty"`
-	// LastSync is the time of the most recent successful pull.
-	LastSync time.Time `json:"last_sync,omitzero"`
+	// LastSync is the time of the most recent successful pull,
+	// LastPullMillis what it took from request to applied, LastReply the
+	// shape it was answered in ("full" or "delta").
+	LastSync       time.Time `json:"last_sync,omitzero"`
+	LastPullMillis float64   `json:"last_pull_ms"`
+	LastReply      string    `json:"last_reply,omitempty"`
 	// LastError is the most recent full-round failure ("" when the last
 	// round succeeded).
 	LastError string `json:"last_error,omitempty"`
@@ -184,6 +190,7 @@ func (cs *casSyncer) pull(ctx context.Context, endpoint string) error {
 // applies the reply. badDelta reports that the failure was the delta's,
 // not the endpoint's or a full bundle's.
 func (cs *casSyncer) pullSince(ctx context.Context, endpoint string, have uint64) (badDelta bool, err error) {
+	start := time.Now()
 	body, _, err := cs.client.Invoke(ctx, endpoint, cas.SyncHandle, cas.SyncOpPull, strconv.AppendUint(nil, have, 10))
 	if err != nil {
 		return false, err
@@ -197,23 +204,24 @@ func (cs *casSyncer) pullSince(ctx context.Context, endpoint string, have uint64
 		if err := cs.replica.ApplyDelta(delta); err != nil {
 			return true, err
 		}
-		cs.mu.Lock()
+	} else if err := cs.replica.Apply(bundle); err != nil {
+		return false, err
+	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	cs.lastPull, cs.lastReply = time.Since(start), "full"
+	if delta != nil {
+		cs.lastReply = "delta"
 		cs.deltaSyncs++
 		cs.deltaBytes += size
 		if cs.lastFullBytes > size {
 			cs.bytesSaved += cs.lastFullBytes - size
 		}
-		cs.mu.Unlock()
 		return false, nil
 	}
-	if err := cs.replica.Apply(bundle); err != nil {
-		return false, err
-	}
-	cs.mu.Lock()
 	cs.fullSyncs++
 	cs.fullBytes += size
 	cs.lastFullBytes = size
-	cs.mu.Unlock()
 	return false, nil
 }
 
@@ -225,6 +233,8 @@ func (cs *casSyncer) status() CASSyncStatus {
 		Endpoints:      cs.cfg.Endpoints,
 		LastEndpoint:   cs.lastOK,
 		LastSync:       cs.lastTime,
+		LastPullMillis: float64(cs.lastPull) / float64(time.Millisecond),
+		LastReply:      cs.lastReply,
 		LastError:      cs.lastErr,
 		Syncs:          cs.syncs,
 		Failures:       cs.failures,

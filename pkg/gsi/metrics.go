@@ -197,15 +197,14 @@ func (s *serverMetricSources) setCASSyncer(cs *casSyncer) {
 	s.mu.Unlock()
 }
 
-func (s *serverMetricSources) casStats() (syncs, failures uint64) {
+func (s *serverMetricSources) casStatus() CASSyncStatus {
 	s.mu.Lock()
 	cs := s.casSync
 	s.mu.Unlock()
 	if cs == nil {
-		return 0, 0
+		return CASSyncStatus{}
 	}
-	st := cs.status()
-	return st.Syncs, st.Failures
+	return cs.status()
 }
 
 func (s *serverMetricSources) conversations() (live, evicted uint64) {
@@ -271,10 +270,13 @@ func registerServerMetrics(reg *MetricsRegistry, env *Environment, id string, pi
 					func() uint64 { return rep.Generation() }),
 				telemetry.NewCounterFunc(labeled("gsi_cas_sync_total", id),
 					"Successful CAS bundle pulls (up-to-date counts as success).",
-					func() uint64 { syncs, _ := src.casStats(); return syncs }),
+					func() uint64 { return src.casStatus().Syncs }),
 				telemetry.NewCounterFunc(labeled("gsi_cas_sync_failures_total", id),
 					"Sync rounds in which every configured CAS endpoint failed; the previous bundle stayed live each time.",
-					func() uint64 { _, failures := src.casStats(); return failures }),
+					func() uint64 { return src.casStatus().Failures }),
+				telemetry.NewGaugeFunc(labeled("gsi_cas_last_sync_seconds", id),
+					"Duration of the last successful CAS pull, request to applied; after a restart, how long the replica vouched for nobody.",
+					func() float64 { return src.casStatus().LastPullMillis / 1e3 }),
 			)
 		}
 	}

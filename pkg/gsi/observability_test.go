@@ -477,3 +477,106 @@ func TestSignatureMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestCASSyncCostIsObservable: what a replica's last pull cost, and in
+// which shape it was answered, is readable from the product — the
+// CASStatus JSON gsictl cas-status prints and one gauge — so the window
+// in which a restarted server vouches for nobody (its first full sync)
+// does not need the benchmark to be seen.
+func TestCASSyncCostIsObservable(t *testing.T) {
+	c := newCASSyncBed(t)
+	bed := c.bed
+	ctx := context.Background()
+	bed.local.Add(gsi.Rule{
+		ID:        "admin-ops",
+		Effect:    gsi.EffectPermit,
+		Subjects:  []string{bed.bob.Identity().String()},
+		Resources: []string{"ogsa:" + ogsa.AdminHandle},
+		Actions:   []string{"*"},
+	})
+	bed.gridmap.Add(bed.bob.Identity(), "bob")
+
+	// A second resource server of the same identity that pulls once at
+	// start and then only when told to, so each status below is the
+	// status of a known pull.
+	rsCred, err := bed.ca.NewHostEntity(gsi.MustParseName("/O=Grid/CN=resource node"), 72*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := gsi.NewMetricsRegistry()
+	resource, err := bed.env.NewServer(rsCred,
+		gsi.WithTransport(gsi.TransportGT3()),
+		gsi.WithCASUpstream(gsi.CASUpstreamConfig{Endpoints: []string{c.primary.Addr()}, Cert: bed.vo.Certificate(), Interval: time.Hour}),
+		gsi.WithLocalPolicy(bed.local), gsi.WithGridMap(bed.gridmap),
+		gsi.WithAdmin(), gsi.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := resource.Serve(ctx, "127.0.0.1:0",
+		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) { return body, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for resource.CASSyncStatus().Syncs == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("first sync never landed: %+v", resource.CASSyncStatus())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	first := resource.CASSyncStatus()
+	if first.LastReply != "full" || first.LastPullMillis <= 0 || first.FullSyncs != 1 || first.Version < 1 {
+		t.Fatalf("after the first sync: %+v", first)
+	}
+	lastSyncGauge := func() float64 {
+		t.Helper()
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if strings.HasPrefix(line, "gsi_cas_last_sync_seconds{") {
+				var v float64
+				if _, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &v); err != nil {
+					t.Fatalf("%q: %v", line, err)
+				}
+				return v
+			}
+		}
+		t.Fatalf("no gsi_cas_last_sync_seconds series in:\n%s", sb.String())
+		return 0
+	}
+	if got, want := lastSyncGauge(), first.LastPullMillis/1e3; got != want {
+		t.Fatalf("gsi_cas_last_sync_seconds = %v, status says %v s", got, want)
+	}
+
+	// The roll changes; a forced sync is answered with a delta, and the
+	// admin op's JSON — what gsictl cas-status prints — says so.
+	bed.vo.AddMember(gsi.MustParseName("/O=Grid/CN=Carol"), "researchers")
+	admin, err := bed.env.NewClient(bed.bob, gsi.WithTransport(gsi.TransportGT3()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpCASSync, nil); err != nil {
+		t.Fatalf("CASSync: %v", err)
+	}
+	out, _, err := admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpCASStatus, nil)
+	if err != nil {
+		t.Fatalf("CASStatus: %v", err)
+	}
+	var shown struct {
+		LastPullMillis *float64 `json:"last_pull_ms"`
+		LastReply      string   `json:"last_reply"`
+		DeltaSyncs     uint64   `json:"delta_syncs"`
+	}
+	if err := json.Unmarshal(out, &shown); err != nil {
+		t.Fatalf("CASStatus is not JSON: %v\n%s", err, out)
+	}
+	if shown.LastReply != "delta" || shown.LastPullMillis == nil || *shown.LastPullMillis <= 0 || shown.DeltaSyncs != 1 {
+		t.Fatalf("after the forced delta sync, CASStatus shows:\n%s", out)
+	}
+	if got := lastSyncGauge(); got != *shown.LastPullMillis/1e3 {
+		t.Fatalf("gsi_cas_last_sync_seconds = %v after the delta, status says %v ms", got, *shown.LastPullMillis)
+	}
+}
