@@ -23,10 +23,20 @@ vet:
 build:
 	$(GO) build ./...
 
-## reachable: every internal package is a dependency of some cmd, pkg or
+## reachable: nothing under internal/ exists for tests alone. Per
+## package: every internal package is a dependency of some cmd, pkg or
 ## example; one that only its own tests (or nothing) import fails here,
-## so a paper-era island cannot quietly come back. internal/israce is
-## test-only by design.
+## so a paper-era island cannot quietly come back (internal/israce is
+## test-only by design). Per symbol (TestNoTestOnlyExports, type-checked
+## from source with go/types): every exported function, method, type,
+## constant and variable a non-test file under internal/ declares is
+## referenced by a non-test file of this module, or named by a file under
+## bench/. Three things are exempt: a method that satisfies an interface
+## non-test code can see (it is called through the interface); a method of
+## a type pkg/gsi re-exports by alias (facade surface, held to `make
+## options`' standard: something must use it); and the keep-list in
+## reachable_test.go, for reference implementations a named test compares
+## the product against. Each finding prints file:line package.Name.
 reachable:
 	@deps=$$($(GO) list -deps ./cmd/... ./pkg/... ./examples/...); \
 	islands=$$($(GO) list ./internal/... | grep -v '/internal/israce$$' | while read -r p; do \
@@ -34,6 +44,7 @@ reachable:
 	if [ -n "$$islands" ]; then \
 		echo "internal packages no cmd, pkg or example reaches:"; echo "$$islands"; exit 1; \
 	fi
+	$(GO) test -count=1 -run TestNoTestOnlyExports .
 
 ## options: pkg/gsi's option surface stays what something uses. Every
 ## exported With* it declares is named by a cmd, an example, the
@@ -123,13 +134,17 @@ bench:
 ## the single frame-buffer allocation, so group commit never buys
 ## throughput with garbage; a GRAM Submit routed to a running LMJFS over
 ## a 1,000-entry grid-mapfile at 217: one O(mapfile) step in the router
-## or the LMJFS would be thousands over; a cold authorization decision
-## (65 local rules, the VO's half from the bundle replica) <= 100; and a
+## or the LMJFS would be thousands over; a chain whose links the trust
+## store has in its memo verifies in <= 2 (its ChainInfo, and the
+## Restricted list when a proxy carries a policy) — that, not a cache of
+## verdicts in front of Verify, is what makes a repeated peer cheap; a
+## cold authorization decision (65 local rules, the VO's half from the
+## bundle replica) <= 100; and a
 ## replica's first full sync of a 10,000-member bundle <= 1,000 on each
 ## side — DecodeBundle + Apply, and the publisher's version-0 Pull —
 ## where anything done per member would be tens of thousands.
 gate-allocs:
-	$(GO) test -count=1 -run 'Alloc' ./pkg/gsi ./internal/telemetry ./internal/trace ./internal/wal ./internal/gram ./internal/cas
+	$(GO) test -count=1 -run 'Alloc' ./pkg/gsi ./internal/telemetry ./internal/trace ./internal/wal ./internal/gram ./internal/cas ./internal/gridcert
 
 ## fmt: rewrite files in place.
 fmt:

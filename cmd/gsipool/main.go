@@ -131,7 +131,6 @@ func main() {
 	} else {
 		fmt.Printf("no pool: every exchange paid a full handshake (%d handshakes)\n", n)
 	}
-	cs, ss := env.ChainCacheStats(), env.Trust().SignatureStats()
-	fmt.Printf("verified-chain cache: hits=%d misses=%d\n", cs.Hits, cs.Misses)
+	ss := env.Trust().SignatureStats()
 	fmt.Printf("certificate signatures: checked=%d remembered=%d (memo hits=%d)\n", ss.Checks, ss.Entries, ss.MemoHits)
 }

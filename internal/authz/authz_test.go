@@ -142,49 +142,6 @@ func TestCombineConjunction(t *testing.T) {
 	}
 }
 
-func TestRoleAuthority(t *testing.T) {
-	ra := NewRoleAuthority()
-	ra.Grant("operator", []string{"job-submit"}, []string{"gram:/cluster/*"})
-	ra.AssignRole(alice, "operator")
-
-	d, err := ra.Authorize(Request{Subject: alice, Resource: "gram:/cluster/node1", Action: "job-submit"})
-	if err != nil || d != Permit {
-		t.Fatalf("operator submit: %v %v", d, err)
-	}
-	// Bob has no role.
-	d, _ = ra.Authorize(Request{Subject: bob, Resource: "gram:/cluster/node1", Action: "job-submit"})
-	if d != Deny {
-		t.Fatalf("roleless subject = %v", d)
-	}
-	// Revoke and retry.
-	ra.RevokeRole(alice, "operator")
-	d, _ = ra.Authorize(Request{Subject: alice, Resource: "gram:/cluster/node1", Action: "job-submit"})
-	if d != Deny {
-		t.Fatalf("after revoke = %v", d)
-	}
-}
-
-func TestRoleAuthorityForbidOverrides(t *testing.T) {
-	ra := NewRoleAuthority()
-	ra.Grant("member", []string{"*"}, []string{"data:/*"})
-	ra.Forbid("suspended", []string{"*"}, []string{"*"})
-	ra.AssignRole(alice, "member")
-	ra.AssignRole(alice, "suspended")
-	d, _ := ra.Authorize(Request{Subject: alice, Resource: "data:/set", Action: "read"})
-	if d != Deny {
-		t.Fatalf("suspended member = %v, want deny-overrides", d)
-	}
-}
-
-func TestRoleAssignmentIdempotent(t *testing.T) {
-	ra := NewRoleAuthority()
-	ra.AssignRole(alice, "x")
-	ra.AssignRole(alice, "x")
-	if got := ra.RolesOf(alice); len(got) != 1 {
-		t.Fatalf("roles = %v", got)
-	}
-}
-
 func TestGridMapRoundTrip(t *testing.T) {
 	g := NewGridMap()
 	g.Add(alice, "alice")

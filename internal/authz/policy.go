@@ -1,6 +1,6 @@
 // Package authz implements the grid authorization engine: attribute- and
-// identity-based policy rules with pluggable combination algorithms, a
-// PERMIS-style role-based layer, and the grid-mapfile. It is consumed
+// identity-based policy rules with pluggable combination algorithms,
+// and the grid-mapfile. It is consumed
 // directly by resources (GT2 style) and wrapped as an OGSA authorization
 // service (GT3 style, paper §4.1: "a service that evaluates policy rules
 // regarding the decision to allow the attempted actions").
@@ -46,7 +46,7 @@ type Request struct {
 	// Subject is the requester's grid identity (end-entity DN).
 	Subject gridcert.Name
 	// Groups and Roles are attributes established out of band (VO
-	// membership, RBAC role assignment).
+	// membership, VO role assignment).
 	Groups []string
 	Roles  []string
 	// Resource names the target, e.g. "gridftp:/data/climate/run1".

@@ -124,30 +124,6 @@ func (a *Authority) Issue(req Request) (*gridcert.Certificate, error) {
 	return cert, nil
 }
 
-// IssueIntermediate signs a subordinate CA certificate.
-func (a *Authority) IssueIntermediate(subject gridcert.Name, pub gridcrypto.PublicKey, maxPathLen int, lifetime time.Duration) (*gridcert.Certificate, error) {
-	if lifetime <= 0 || lifetime > a.policy.MaxLifetime {
-		lifetime = a.policy.MaxLifetime
-	}
-	now := time.Now()
-	cert, err := gridcert.Sign(gridcert.Template{
-		Type:       gridcert.TypeCA,
-		Subject:    subject,
-		NotBefore:  now.Add(-5 * time.Minute),
-		NotAfter:   now.Add(lifetime),
-		KeyUsage:   gridcert.UsageCertSign | gridcert.UsageCRLSign,
-		MaxPathLen: maxPathLen,
-	}, pub, a.cert.Subject, a.key)
-	if err != nil {
-		return nil, err
-	}
-	a.mu.Lock()
-	a.issued[cert.SerialNumber] = cert
-	a.nextStat.Issued++
-	a.mu.Unlock()
-	return cert, nil
-}
-
 // Revoke marks a serial number revoked. The revocation takes effect for
 // relying parties when they install the next CRL.
 func (a *Authority) Revoke(serial uint64) error {

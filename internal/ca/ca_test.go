@@ -107,30 +107,6 @@ func TestRevocationFlow(t *testing.T) {
 	}
 }
 
-func TestIssueIntermediate(t *testing.T) {
-	root := newTestCA(t, DefaultPolicy())
-	interKey, _ := gridcrypto.GenerateKeyPair(gridcrypto.AlgEd25519)
-	interCert, err := root.IssueIntermediate(gridcert.MustParseName("/O=Grid/CN=Sub CA"), interKey.Public(), 0, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	userKey, _ := gridcrypto.GenerateKeyPair(gridcrypto.AlgEd25519)
-	userCert, err := gridcert.Sign(gridcert.Template{
-		Type:    gridcert.TypeEndEntity,
-		Subject: gridcert.MustParseName("/O=Grid/CN=Carol"),
-	}, userKey.Public(), interCert.Subject, interKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := gridcert.NewTrustStore()
-	if err := ts.AddRoot(root.Certificate()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ts.Verify([]*gridcert.Certificate{userCert, interCert}, gridcert.VerifyOptions{}); err != nil {
-		t.Fatalf("intermediate-issued cert: %v", err)
-	}
-}
-
 func TestLookup(t *testing.T) {
 	a := newTestCA(t, DefaultPolicy())
 	cred, _ := a.NewEntity(gridcert.MustParseName("/O=Grid/CN=D"), time.Hour)

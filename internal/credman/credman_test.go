@@ -45,13 +45,28 @@ func newWorld(t testing.TB, proxyLifetime time.Duration) world {
 	return world{authority: authority, trust: trust, user: user, initial: initial}
 }
 
+// scripted hands out pre-made successors in order, then fails.
+func scripted(succ ...*gridcert.Credential) Source {
+	return SourceFunc(func(ctx context.Context, _ *gridcert.Credential) (*gridcert.Credential, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if len(succ) == 0 {
+			return nil, errors.New("scripted source exhausted")
+		}
+		c := succ[0]
+		succ = succ[1:]
+		return c, nil
+	})
+}
+
 func TestManagerRenewPublishesAndRunsHooks(t *testing.T) {
 	w := newWorld(t, time.Hour)
 	successor, err := proxy.New(w.user, proxy.Options{Lifetime: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(w.initial, Config{Source: Static(successor)})
+	m, err := NewManager(w.initial, Config{Source: scripted(successor)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +122,7 @@ func TestManagerRejectsUnusableSuccessors(t *testing.T) {
 			return nil, nil
 		})},
 		"expired": {
-			Source: Static(expired),
+			Source: scripted(expired),
 			Now:    func() time.Time { return base.Add(time.Hour) },
 		},
 	} {
@@ -170,7 +185,7 @@ func TestManagerBackgroundRotationAndBackoff(t *testing.T) {
 
 func TestManagerCloseStopsRenewal(t *testing.T) {
 	w := newWorld(t, time.Hour)
-	m, err := NewManager(w.initial, Config{Source: Static()})
+	m, err := NewManager(w.initial, Config{Source: scripted()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +368,7 @@ func TestOnRotateWhilePrunes(t *testing.T) {
 		}
 		return c
 	}
-	m, err := NewManager(w.initial, Config{Source: Static(mk(), mk(), mk())})
+	m, err := NewManager(w.initial, Config{Source: scripted(mk(), mk(), mk())})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,29 +28,12 @@ type Source interface {
 	Renew(ctx context.Context, current *gridcert.Credential) (*gridcert.Credential, error)
 }
 
-// SourceFunc adapts a function to Source (static/test sources).
+// SourceFunc adapts a function to Source.
 type SourceFunc func(ctx context.Context, current *gridcert.Credential) (*gridcert.Credential, error)
 
 // Renew implements Source.
 func (f SourceFunc) Renew(ctx context.Context, current *gridcert.Credential) (*gridcert.Credential, error) {
 	return f(ctx, current)
-}
-
-// Static returns a source that hands out pre-made successors in order,
-// then fails. Tests use it to script exact rotation sequences.
-func Static(succ ...*gridcert.Credential) Source {
-	i := 0
-	return SourceFunc(func(ctx context.Context, _ *gridcert.Credential) (*gridcert.Credential, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if i >= len(succ) {
-			return nil, errors.New("credman: static source exhausted")
-		}
-		c := succ[i]
-		i++
-		return c, nil
-	})
 }
 
 // MyProxySource renews from an online credential repository: a fresh

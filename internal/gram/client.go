@@ -108,12 +108,7 @@ func (c *Client) RunContext(ctx context.Context, h JobHandle) (*MJS, error) {
 	return m, nil
 }
 
-// SubmitAndRun is the full Figure-4 flow in one call.
-func (c *Client) SubmitAndRun(desc JobDescription) (*MJS, error) {
-	return c.SubmitAndRunContext(context.Background(), desc)
-}
-
-// SubmitAndRunContext is SubmitAndRun honoring ctx.
+// SubmitAndRunContext is the full Figure-4 flow in one call, honoring ctx.
 func (c *Client) SubmitAndRunContext(ctx context.Context, desc JobDescription) (*MJS, error) {
 	h, err := c.SubmitContext(ctx, desc)
 	if err != nil {

@@ -1,6 +1,7 @@
 package gram
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -60,7 +61,7 @@ func TestMultiUserConcurrentSubmissions(t *testing.T) {
 			wg.Add(1)
 			go func(c *Client) {
 				defer wg.Done()
-				mjs, err := c.SubmitAndRun(JobDescription{Executable: JobProgram, DelegateCredential: true})
+				mjs, err := c.SubmitAndRunContext(context.Background(), JobDescription{Executable: JobProgram, DelegateCredential: true})
 				if err != nil {
 					errs <- err
 					return

@@ -1,6 +1,7 @@
 package gram
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -77,7 +78,7 @@ func testJob() JobDescription {
 
 func TestFigure4ColdPath(t *testing.T) {
 	b := newGramBed(t)
-	mjs, err := b.client.SubmitAndRun(testJob())
+	mjs, err := b.client.SubmitAndRunContext(context.Background(), testJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +105,10 @@ func TestFigure4ColdPath(t *testing.T) {
 
 func TestWarmPathUsesLMJFS(t *testing.T) {
 	b := newGramBed(t)
-	if _, err := b.client.SubmitAndRun(testJob()); err != nil {
+	if _, err := b.client.SubmitAndRunContext(context.Background(), testJob()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.client.SubmitAndRun(testJob()); err != nil {
+	if _, err := b.client.SubmitAndRunContext(context.Background(), testJob()); err != nil {
 		t.Fatal(err)
 	}
 	st := b.res.Stats()
@@ -183,8 +184,12 @@ func TestGRIMCredentialVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := b.res.LookupMJS(h.MJSHandle)
+	info, err := b.trust.Verify(m.lmjfs.cred.Chain, gridcert.VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The MJS credential verifies for Alice…
-	pol, err := VerifyGRIMCredential(m.lmjfs.cred.Chain, b.trust, b.alice.Identity())
+	pol, err := grimPolicy(info, b.alice.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +197,11 @@ func TestGRIMCredentialVerification(t *testing.T) {
 		t.Fatalf("policy = %+v", pol)
 	}
 	// …but not for Bob: the embedded grid identity must match.
-	if _, err := VerifyGRIMCredential(m.lmjfs.cred.Chain, b.trust, b.bob.Identity()); err == nil {
+	if _, err := grimPolicy(info, b.bob.Identity()); err == nil {
 		t.Fatal("GRIM credential accepted for wrong user")
 	}
-	// And not against an empty trust store.
-	if _, err := VerifyGRIMCredential(m.lmjfs.cred.Chain, gridcert.NewTrustStore(), b.alice.Identity()); err == nil {
+	// And its chain does not verify against an empty trust store.
+	if _, err := gridcert.NewTrustStore().Verify(m.lmjfs.cred.Chain, gridcert.VerifyOptions{}); err == nil {
 		t.Fatal("GRIM credential accepted with no trust roots")
 	}
 }
@@ -208,28 +213,18 @@ func TestMJSMonitoring(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := b.res.LookupMJS(h.MJSHandle)
-	// Subscribe to jobState before running.
-	ch := m.Data.Subscribe("jobState")
 	if _, err := b.client.Run(h); err != nil {
 		t.Fatal(err)
 	}
-	// Collect notifications until Done.
-	deadline := time.After(time.Second)
-	var states []string
-	for {
-		select {
-		case ev := <-ch:
-			states = append(states, string(ev.Value))
-			if string(ev.Value) == "Done" {
-				goto done
-			}
-		case <-deadline:
-			t.Fatalf("never saw Done; states = %v", states)
-		}
+	// The jobState element follows the job to Done, by way of Active.
+	if v, ok := m.Data.Query("jobState"); !ok || string(v) != "Done" {
+		t.Fatalf("jobState = %q %v", v, ok)
 	}
-done:
-	joined := strings.Join(states, ",")
-	if !strings.Contains(joined, "Active") {
+	var states []string
+	for _, s := range m.Job().History() {
+		states = append(states, s.String())
+	}
+	if !strings.Contains(strings.Join(states, ","), "Active") {
 		t.Fatalf("states = %v", states)
 	}
 }
@@ -345,7 +340,7 @@ func TestGT2SubmitWorks(t *testing.T) {
 func TestE5LeastPrivilegeComparison(t *testing.T) {
 	// GT3 side.
 	b := newGramBed(t)
-	if _, err := b.client.SubmitAndRun(testJob()); err != nil {
+	if _, err := b.client.SubmitAndRunContext(context.Background(), testJob()); err != nil {
 		t.Fatal(err)
 	}
 	gt3 := b.res.Sys.Audit()
@@ -402,7 +397,7 @@ func BenchmarkGT3JobColdPath(b *testing.B) {
 		b.StopTimer()
 		bed := newGramBed(b)
 		b.StartTimer()
-		if _, err := bed.client.SubmitAndRun(testJob()); err != nil {
+		if _, err := bed.client.SubmitAndRunContext(context.Background(), testJob()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -410,12 +405,12 @@ func BenchmarkGT3JobColdPath(b *testing.B) {
 
 func BenchmarkGT3JobWarmPath(b *testing.B) {
 	bed := newGramBed(b)
-	if _, err := bed.client.SubmitAndRun(testJob()); err != nil {
+	if _, err := bed.client.SubmitAndRunContext(context.Background(), testJob()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bed.client.SubmitAndRun(testJob()); err != nil {
+		if _, err := bed.client.SubmitAndRunContext(context.Background(), testJob()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,23 +50,12 @@ func DecodeGRIMPolicy(b []byte) (GRIMPolicy, error) {
 	return GRIMPolicy{User: user, Account: account, Host: host}, nil
 }
 
-// VerifyGRIMCredential is the requestor-side check of Figure 4 step 7:
-// the client authorizes the MJS by checking that its credential (a) chains
-// to an acceptable host certificate, (b) carries a GRIM policy extension,
-// and (c) that policy names the client's own grid identity — proving the
-// MJS "is running not only on the right host but also in an appropriate
-// account." It is for callers holding a raw chain; after a handshake,
-// (a) is done and grimPolicy applies to the validated peer.
-func VerifyGRIMCredential(chain []*gridcert.Certificate, trust *gridcert.TrustStore, expectUser gridcert.Name) (GRIMPolicy, error) {
-	info, err := trust.Verify(chain, gridcert.VerifyOptions{})
-	if err != nil {
-		return GRIMPolicy{}, fmt.Errorf("gram: GRIM chain: %w", err)
-	}
-	return grimPolicy(info, expectUser)
-}
-
-// grimPolicy is checks (b) and (c) over a chain already validated
-// against the requestor's trust store.
+// grimPolicy is the requestor-side check of Figure 4 step 7, over the
+// MJS chain the handshake validated against the requestor's trust store
+// (so it chains to an acceptable host certificate): the credential
+// carries a GRIM policy extension, and that policy names the client's own
+// grid identity — proving the MJS "is running not only on the right host
+// but also in an appropriate account."
 func grimPolicy(info *gridcert.ChainInfo, expectUser gridcert.Name) (GRIMPolicy, error) {
 	ext, ok := info.Leaf.FindExtension(gridcert.ExtGRIMIdentity)
 	if !ok {

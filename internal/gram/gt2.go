@@ -48,7 +48,7 @@ func (r *GT2Resource) Submit(env *soap.Envelope) (*Job, error) {
 	}
 	// All of this work is charged as privileged operations (EUID 0):
 	// the gatekeeper parses and verifies untrusted network input as root.
-	_, account, err := r.admit("gatekeeper", r.gatekeeperProc, nil, env)
+	_, account, err := r.admit("gatekeeper", r.gatekeeperProc, env)
 	if err != nil {
 		return nil, err
 	}

@@ -96,13 +96,13 @@ func (h *host) mapAccount(proc *osim.Process, dn gridcert.Name) (string, error) 
 // proc (root for the GT2 gatekeeper, unprivileged accounts in GT3 — the
 // §5.2 contrast), limited proxies are refused (the GSI rule for job
 // initiation), and the signer is mapped through the grid-mapfile read as
-// proc. chains, if set, is the verified-chain cache of proc's own
-// hosting environment.
-func (h *host) admit(service string, proc *osim.Process, chains *gridcert.VerifyCache, env *soap.Envelope) (*gridcert.ChainInfo, string, error) {
+// proc. Every hosting environment validates the chain for itself: one
+// having admitted it vouches for nothing in another account.
+func (h *host) admit(service string, proc *osim.Process, env *soap.Envelope) (*gridcert.ChainInfo, string, error) {
 	if err := proc.Work(verifyWork); err != nil {
 		return nil, "", err
 	}
-	info, err := xmlsec.VerifyEnvelope(env, xmlsec.VerifyOptions{TrustStore: h.Trust, ChainCache: chains, RejectLimited: true})
+	info, err := xmlsec.VerifyEnvelope(env, xmlsec.VerifyOptions{TrustStore: h.Trust, RejectLimited: true})
 	if err != nil {
 		return nil, "", fmt.Errorf("gram: %s: %w", service, err)
 	}

@@ -20,8 +20,8 @@ import (
 type MJS struct {
 	*ogsa.Base
 
-	// lmjfs is the hosting environment: its account, process, GRIM
-	// credential and verified-chain cache are the MJS's own.
+	// lmjfs is the hosting environment: its account, process and GRIM
+	// credential are the MJS's own.
 	lmjfs  *LMJFS
 	owner  gridcert.Name
 	job    *Job
@@ -95,7 +95,7 @@ func (m *MJS) Connect(requestor *gridcert.Credential, requestorTrust *gridcert.T
 func (m *MJS) ConnectWith(reqCfg gss.Config) (*Connection, error) {
 	ictx, actx, err := gss.Establish(
 		reqCfg,
-		gss.Config{Credential: m.lmjfs.cred, TrustStore: m.lmjfs.res.Trust, ChainCache: m.lmjfs.chains, RejectLimited: true},
+		gss.Config{Credential: m.lmjfs.cred, TrustStore: m.lmjfs.res.Trust, RejectLimited: true},
 	)
 	if err != nil {
 		return nil, fmt.Errorf("gram: MJS mutual authentication: %w", err)
@@ -201,9 +201,4 @@ func (c *Connection) Start() error {
 	// The simulated application runs to completion immediately.
 	jobProc.Exit()
 	return m.job.Transition(StateDone)
-}
-
-// PeerIdentity returns the identity each side authenticated.
-func (c *Connection) PeerIdentity() (requestorSaw, mjsSaw gridcert.Name) {
-	return c.ictx.Peer().Identity, c.actx.Peer().Identity
 }

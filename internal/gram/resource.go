@@ -214,7 +214,7 @@ func (r *Resource) handleMMJFS(env *soap.Envelope) (*soap.Envelope, error) {
 	// Step 3: "The MMJFS verifies the signature on the request and
 	// establishes the identity of the requestor", then determines the
 	// local account — all as the unprivileged MMJFS process.
-	info, account, err := r.admit("mmjfs", r.mmjfsProc, nil, env)
+	info, account, err := r.admit("mmjfs", r.mmjfsProc, env)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +250,7 @@ func (r *Resource) startLMJFS(account string, user gridcert.Name) (*LMJFS, error
 		return nil, fmt.Errorf("gram: setuid-starter: %w", err)
 	}
 	// Step 5: the LMJFS acquires GRIM credentials and registers.
-	l = &LMJFS{res: r, account: account, user: user, proc: lmjfsProc, chains: gridcert.NewVerifyCache(lmjfsChains)}
+	l = &LMJFS{res: r, account: account, user: user, proc: lmjfsProc}
 	if err := r.runGRIM(l); err != nil {
 		return nil, err
 	}
@@ -297,16 +297,7 @@ type LMJFS struct {
 	user    gridcert.Name // the grid identity it was started for; GRIM embeds it
 	proc    *osim.Process
 	cred    *gridcert.Credential
-	// chains holds the chains this hosting environment has validated. Its
-	// scope is the osim process: the LMJFS and the MJSs it hosts share it,
-	// nothing in another account does — MMJFS having validated a chain
-	// must not vouch for it here.
-	chains *gridcert.VerifyCache
 }
-
-// lmjfsChains bounds an LMJFS's verified-chain cache: one account's
-// users and the few proxies each has live.
-const lmjfsChains = 16
 
 // handleSubmit is step 6: "The LMJFS verifies the signature on the
 // request … and verifies the requestor is authorized to access the local
@@ -314,7 +305,7 @@ const lmjfsChains = 16
 // work runs in the user's own account.
 func (l *LMJFS) handleSubmit(env *soap.Envelope) (*soap.Envelope, error) {
 	r := l.res
-	info, account, err := r.admit("lmjfs", l.proc, l.chains, env)
+	info, account, err := r.admit("lmjfs", l.proc, env)
 	if err != nil {
 		return nil, err
 	}

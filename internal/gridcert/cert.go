@@ -166,9 +166,6 @@ const (
 	// ExtGRIMIdentity marks a GRIM-issued credential and carries the
 	// encoded GRIM policy (user grid identity, local account, host).
 	ExtGRIMIdentity = "grid.grim.identity"
-	// ExtCASAssertion carries a CAS policy assertion embedded in a
-	// restricted proxy.
-	ExtCASAssertion = "grid.cas.assertion"
 )
 
 // FindExtension returns the first extension with the given ID.

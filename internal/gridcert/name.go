@@ -124,8 +124,7 @@ func (n Name) IsImmediateChildOf(parent Name) bool {
 	if last.Type != "CN" {
 		return false
 	}
-	trimmed, _ := n.Parent()
-	return trimmed.Equal(parent)
+	return Name{n.Components[:len(parent.Components)]}.Equal(parent)
 }
 
 // encodeTo appends the wire encoding of the name.

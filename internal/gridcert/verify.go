@@ -30,17 +30,63 @@ var (
 // its organization — which is the property the paper identifies as key to
 // lightweight VO formation (§3).
 type TrustStore struct {
-	mu    sync.RWMutex
-	roots map[string]*Certificate // keyed by subject string
-	crls  map[string]*CRL         // latest CRL per CA subject
+	mu sync.RWMutex
+	// anchors is replaced, never written in place: Verify takes the slice
+	// under the read lock and walks a chain against that one state.
+	anchors anchorSet
 
-	// gen counts trust-state mutations (root or CRL changes). Verified-
-	// chain caches record the generation a result was computed under and
-	// discard it when the store has moved on, so withdrawing a root or
-	// installing a CRL invalidates every cached validation at once.
+	// gen counts trust-state mutations (root or CRL changes); the
+	// authorization pipeline's decision cache keys on it, so withdrawing
+	// a root or installing a CRL strands every cached decision at once.
 	gen uint64
 
 	links linkMemo
+}
+
+// anchor is one trusted root and the latest CRL that root's key signed.
+// The list lives and dies with the key that vouched for it: re-keying a
+// CA under its old name starts again from no list, so the new key's CRL
+// number 1 is never "stale" against a number its predecessor reached.
+type anchor struct {
+	root *Certificate
+	crl  *CRL
+}
+
+// anchorSet is searched by name component, not by rendered DN: a store
+// holds a handful of roots, and a lookup must not allocate.
+type anchorSet []anchor
+
+func (as anchorSet) find(subject Name) *anchor {
+	for i := range as {
+		if as[i].root.Subject.Equal(subject) {
+			return &as[i]
+		}
+	}
+	return nil
+}
+
+// without returns a copy of as lacking the anchor named subject, with
+// room for one more.
+func (as anchorSet) without(subject Name) anchorSet {
+	next := make(anchorSet, 0, len(as)+1)
+	for _, a := range as {
+		if !a.root.Subject.Equal(subject) {
+			next = append(next, a)
+		}
+	}
+	return next
+}
+
+// with returns a copy of as in which a stands in for the anchor of the
+// same name, or is added.
+func (as anchorSet) with(a anchor) anchorSet {
+	return append(as.without(a.root.Subject), a)
+}
+
+// revoked reports whether serial was revoked by the CA with the given name.
+func (as anchorSet) revoked(issuer Name, serial uint64) bool {
+	a := as.find(issuer)
+	return a != nil && a.crl != nil && a.crl.Contains(serial)
 }
 
 // linkMemoCap bounds one generation of a store's link-signature memo.
@@ -115,16 +161,11 @@ func (ts *TrustStore) SignatureStats() SignatureStats {
 }
 
 // NewTrustStore creates an empty trust store.
-func NewTrustStore() *TrustStore {
-	return &TrustStore{
-		roots: make(map[string]*Certificate),
-		crls:  make(map[string]*CRL),
-	}
-}
+func NewTrustStore() *TrustStore { return &TrustStore{} }
 
-// AddRoot registers a trusted root CA certificate. The certificate must be
-// a self-signed CA with a valid self-signature.
-func (ts *TrustStore) AddRoot(root *Certificate) error {
+// checkRoot applies the rules every trusted root must pass: a self-signed
+// CA certificate whose self-signature verifies.
+func checkRoot(root *Certificate) error {
 	if root.Type != TypeCA {
 		return fmt.Errorf("gridcert: trust root %q is not a CA certificate", root.Subject)
 	}
@@ -134,82 +175,93 @@ func (ts *TrustStore) AddRoot(root *Certificate) error {
 	if err := root.CheckSignatureFrom(root); err != nil {
 		return fmt.Errorf("gridcert: trust root self-signature invalid: %w", err)
 	}
+	return nil
+}
+
+// rekeyed is the anchor for root given the state it joins: it inherits
+// the installed CRL only from a root of the same name and public key.
+func (as anchorSet) rekeyed(root *Certificate) anchor {
+	if old := as.find(root.Subject); old != nil && old.root.PublicKey.Equal(root.PublicKey) {
+		return anchor{root, old.crl}
+	}
+	return anchor{root: root}
+}
+
+// AddRoot registers a trusted root CA certificate. The certificate must be
+// a self-signed CA with a valid self-signature. A root replacing one of
+// the same name under a different key does not inherit its CRL.
+func (ts *TrustStore) AddRoot(root *Certificate) error {
+	if err := checkRoot(root); err != nil {
+		return err
+	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.roots[root.Subject.String()] = root
+	ts.anchors = ts.anchors.with(ts.anchors.rekeyed(root))
 	ts.gen++
 	return nil
 }
 
-// RemoveRoot withdraws trust from a root by subject name.
+// RemoveRoot withdraws trust from a root by subject name, and its CRL
+// with it.
 func (ts *TrustStore) RemoveRoot(subject Name) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	delete(ts.roots, subject.String())
+	ts.anchors = ts.anchors.without(subject)
 	ts.gen++
+}
+
+func (ts *TrustStore) snapshot() anchorSet {
+	ts.mu.RLock()
+	defer ts.mu.RUnlock()
+	return ts.anchors
 }
 
 // Root returns the trusted root with the given subject, if present.
 func (ts *TrustStore) Root(subject Name) (*Certificate, bool) {
-	ts.mu.RLock()
-	defer ts.mu.RUnlock()
-	r, ok := ts.roots[subject.String()]
-	return r, ok
+	if a := ts.snapshot().find(subject); a != nil {
+		return a.root, true
+	}
+	return nil, false
 }
 
 // Roots returns all trusted roots.
 func (ts *TrustStore) Roots() []*Certificate {
-	ts.mu.RLock()
-	defer ts.mu.RUnlock()
-	out := make([]*Certificate, 0, len(ts.roots))
-	for _, r := range ts.roots {
-		out = append(out, r)
+	anchors := ts.snapshot()
+	out := make([]*Certificate, 0, len(anchors))
+	for _, a := range anchors {
+		out = append(out, a.root)
 	}
 	return out
 }
 
 // Len reports the number of trusted roots.
-func (ts *TrustStore) Len() int {
-	ts.mu.RLock()
-	defer ts.mu.RUnlock()
-	return len(ts.roots)
-}
+func (ts *TrustStore) Len() int { return len(ts.snapshot()) }
 
 // ReplaceRoots swaps the entire trusted-root set in one transaction:
 // every candidate is validated first (same rules as AddRoot), and only
-// if all pass is the set swapped and the generation bumped — once, so
-// chain caches invalidate a single time per reload rather than per
-// root. An empty roots slice is rejected: a reload must never drop a
-// live store to "trust nobody", which would fail every verification
-// and is indistinguishable from a truncated trust file. CRLs whose
-// issuer vanished from the new set are pruned (their anchor is gone;
-// keeping them would resurrect stale revocations if the root returns
-// with a new key).
+// if all pass is the set swapped and the generation bumped — once per
+// reload rather than per root. An empty roots slice is rejected: a
+// reload must never drop a live store to "trust nobody", which would
+// fail every verification and is indistinguishable from a truncated
+// trust file. A CRL survives only under a root of the same name and
+// public key as the one it was installed under: one whose issuer
+// vanished, or came back re-keyed, is gone.
 func (ts *TrustStore) ReplaceRoots(roots []*Certificate) error {
 	if len(roots) == 0 {
 		return errors.New("gridcert: refusing to replace trust roots with an empty set")
 	}
-	next := make(map[string]*Certificate, len(roots))
 	for _, root := range roots {
-		if root.Type != TypeCA {
-			return fmt.Errorf("gridcert: trust root %q is not a CA certificate", root.Subject)
+		if err := checkRoot(root); err != nil {
+			return err
 		}
-		if !root.SelfSigned() {
-			return fmt.Errorf("gridcert: trust root %q is not self-signed", root.Subject)
-		}
-		if err := root.CheckSignatureFrom(root); err != nil {
-			return fmt.Errorf("gridcert: trust root self-signature invalid: %w", err)
-		}
-		next[root.Subject.String()] = root
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.roots = next
-	for issuer := range ts.crls {
-		if _, ok := next[issuer]; !ok {
-			delete(ts.crls, issuer)
-		}
+	var next anchorSet
+	for _, root := range roots {
+		next = next.with(ts.anchors.rekeyed(root))
 	}
+	ts.anchors = next
 	ts.gen++
 	return nil
 }
@@ -223,10 +275,10 @@ var ErrCRLStale = errors.New("gridcert: CRL not newer than installed")
 func (ts *TrustStore) AddCRL(crl *CRL) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if err := ts.checkCRLLocked(crl); err != nil {
+	if err := ts.anchors.checkCRL(crl); err != nil {
 		return err
 	}
-	ts.crls[crl.Issuer.String()] = crl
+	ts.anchors = ts.anchors.with(anchor{ts.anchors.find(crl.Issuer).root, crl})
 	ts.gen++
 	return nil
 }
@@ -237,29 +289,24 @@ func (ts *TrustStore) AddCRL(crl *CRL) error {
 // ErrCRLStale. Reload paths vet a whole CRL set with this before
 // installing any of it, so one bad CRL rejects the file outright
 // instead of half-applying.
-func (ts *TrustStore) CheckCRL(crl *CRL) error {
-	ts.mu.RLock()
-	defer ts.mu.RUnlock()
-	return ts.checkCRLLocked(crl)
-}
+func (ts *TrustStore) CheckCRL(crl *CRL) error { return ts.snapshot().checkCRL(crl) }
 
-func (ts *TrustStore) checkCRLLocked(crl *CRL) error {
-	root, ok := ts.roots[crl.Issuer.String()]
-	if !ok {
+func (as anchorSet) checkCRL(crl *CRL) error {
+	a := as.find(crl.Issuer)
+	if a == nil {
 		return fmt.Errorf("gridcert: CRL issuer %q is not a trusted root", crl.Issuer)
 	}
-	if err := crl.CheckSignatureFrom(root); err != nil {
+	if err := crl.CheckSignatureFrom(a.root); err != nil {
 		return err
 	}
-	if prev, ok := ts.crls[crl.Issuer.String()]; ok && prev.Number >= crl.Number {
-		return fmt.Errorf("%w: number %d, installed %d", ErrCRLStale, crl.Number, prev.Number)
+	if a.crl != nil && a.crl.Number >= crl.Number {
+		return fmt.Errorf("%w: number %d, installed %d", ErrCRLStale, crl.Number, a.crl.Number)
 	}
 	return nil
 }
 
 // Generation reports the trust-state revision: it increments whenever a
-// root or CRL is added or removed. Cached validation results are only
-// valid for the generation they were computed under.
+// root or CRL is added or removed.
 func (ts *TrustStore) Generation() uint64 {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
@@ -268,10 +315,7 @@ func (ts *TrustStore) Generation() uint64 {
 
 // revoked reports whether serial was revoked by the CA with the given name.
 func (ts *TrustStore) revoked(issuer Name, serial uint64) bool {
-	ts.mu.RLock()
-	defer ts.mu.RUnlock()
-	crl, ok := ts.crls[issuer.String()]
-	return ok && crl.Contains(serial)
+	return ts.snapshot().revoked(issuer, serial)
 }
 
 // VerifyOptions tunes chain validation.
@@ -337,12 +381,13 @@ func (ts *TrustStore) Verify(chain []*Certificate, opts VerifyOptions) (*ChainIn
 	// Locate the trust anchor: the issuer of the last chain certificate
 	// (whose signature the walk below checks against it, like every other
 	// link), or the last certificate itself if it is a trusted root.
+	anchors := ts.snapshot()
 	top := chain[len(chain)-1]
 	var root *Certificate
-	if r, ok := ts.Root(top.Subject); ok && r.PublicKey.Equal(top.PublicKey) {
-		root = r
-	} else if r, ok := ts.Root(top.Issuer); ok {
-		root = r
+	if a := anchors.find(top.Subject); a != nil && a.root.PublicKey.Equal(top.PublicKey) {
+		root = a.root
+	} else if a := anchors.find(top.Issuer); a != nil {
+		root = a.root
 	} else {
 		return nil, fmt.Errorf("%w: no trusted root for chain ending at %q (issuer %q)", ErrUntrustedIssuer, top.Subject, top.Issuer)
 	}
@@ -380,7 +425,7 @@ func (ts *TrustStore) Verify(chain []*Certificate, opts VerifyOptions) (*ChainIn
 			}
 		}
 		// Revocation applies to CA-issued certificates.
-		if parent.Type == TypeCA && ts.revoked(parent.Subject, cert.SerialNumber) {
+		if parent.Type == TypeCA && anchors.revoked(parent.Subject, cert.SerialNumber) {
 			return nil, fmt.Errorf("%w: certificate %q (serial %d)", ErrRevoked, cert.Subject, cert.SerialNumber)
 		}
 		// Issuer name must match parent subject.

@@ -174,39 +174,6 @@ func (o *Opener) OpenAtInPlace(seq uint64, ciphertext, aad []byte) ([]byte, erro
 	return plaintext, nil
 }
 
-// SealOnce encrypts a single message under key with a random nonce,
-// returning nonce||ciphertext. It is used for one-shot protection such as
-// XML element encryption, where no ordering channel exists.
-func SealOnce(key, plaintext, aad []byte) ([]byte, error) {
-	aead, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	nonce, err := RandomBytes(12)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, 12+len(plaintext)+aead.Overhead())
-	out = append(out, nonce...)
-	return aead.Seal(out, nonce, plaintext, aad), nil
-}
-
-// OpenOnce reverses SealOnce.
-func OpenOnce(key, sealed, aad []byte) ([]byte, error) {
-	if len(sealed) < 12 {
-		return nil, ErrOpenFailed
-	}
-	aead, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	plaintext, err := aead.Open(nil, sealed[:12], sealed[12:], aad)
-	if err != nil {
-		return nil, ErrOpenFailed
-	}
-	return plaintext, nil
-}
-
 func newGCM(key []byte) (cipher.AEAD, error) {
 	if len(key) != AEADKeySize {
 		return nil, fmt.Errorf("gridcrypto: AEAD key must be %d bytes, got %d", AEADKeySize, len(key))

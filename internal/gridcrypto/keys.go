@@ -70,17 +70,6 @@ func (p PublicKey) Equal(q PublicKey) bool {
 	return p.Alg == q.Alg && bytes.Equal(p.Raw, q.Raw)
 }
 
-// Fingerprint returns the SHA-256 hash of the encoded key. It is the
-// canonical short identifier for a key.
-func (p PublicKey) Fingerprint() [32]byte {
-	h := sha256.New()
-	h.Write([]byte{byte(p.Alg)})
-	h.Write(p.Raw)
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
-}
-
 // Encode returns the wire encoding of the public key: one algorithm byte
 // followed by the raw key material.
 func (p PublicKey) Encode() []byte {

@@ -34,11 +34,6 @@ func NewStore(policy *authz.Policy) *Store {
 	return &Store{files: make(map[string][]byte), policy: policy}
 }
 
-// Put writes a file as identity.
-func (s *Store) Put(identity gridcert.Name, path string, data []byte) error {
-	return s.PutOwned(identity, path, append([]byte(nil), data...))
-}
-
 // PutOwned installs data without copying; ownership transfers to the
 // store, which treats every stored slice as immutable from then on.
 // The streaming PUT path assembles the file once from its chunks and

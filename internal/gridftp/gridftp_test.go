@@ -61,7 +61,7 @@ func TestPutGetListDelete(t *testing.T) {
 	defer c.Close()
 
 	data := bytes.Repeat([]byte("climate "), 1000)
-	if err := c.Put("/data/run1", data); err != nil {
+	if err := put(c, "/data/run1", data); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Get("/data/run1")
@@ -71,7 +71,7 @@ func TestPutGetListDelete(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("round trip mismatch")
 	}
-	if err := c.Put("/data/run2", []byte("x")); err != nil {
+	if err := put(c, "/data/run2", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	names, err := c.List("/data/")
@@ -81,7 +81,7 @@ func TestPutGetListDelete(t *testing.T) {
 	if len(names) != 2 || names[0] != "/data/run1" {
 		t.Fatalf("List = %v", names)
 	}
-	if err := c.Delete("/data/run1"); err != nil {
+	if err := del(c, "/data/run1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Get("/data/run1"); err == nil {
@@ -110,10 +110,10 @@ func TestAuthorizationPerIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ca_.Close()
-	if err := ca_.Put("/shared/doc", []byte("hello")); err != nil {
+	if err := put(ca_, "/shared/doc", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ca_.Put("/private/alice", []byte("secret")); err != nil {
+	if err := put(ca_, "/private/alice", []byte("secret")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,13 +125,13 @@ func TestAuthorizationPerIdentity(t *testing.T) {
 	if got, err := cb.Get("/shared/doc"); err != nil || string(got) != "hello" {
 		t.Fatalf("bob read shared: %q %v", got, err)
 	}
-	if err := cb.Put("/shared/doc", []byte("overwrite")); err == nil {
+	if err := put(cb, "/shared/doc", []byte("overwrite")); err == nil {
 		t.Fatal("bob wrote to read-only share")
 	}
 	if _, err := cb.Get("/private/alice"); err == nil {
 		t.Fatal("bob read alice's private file")
 	}
-	if err := cb.Delete("/shared/doc"); err == nil {
+	if err := del(cb, "/shared/doc"); err == nil {
 		t.Fatal("bob deleted from read-only share")
 	}
 }
@@ -149,7 +149,7 @@ func TestProxyCredentialWorks(t *testing.T) {
 	defer c.Close()
 	// The store authorizes against the *identity* (Alice), not the proxy
 	// subject.
-	if err := c.Put("/data/via-proxy", []byte("x")); err != nil {
+	if err := put(c, "/data/via-proxy", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -202,7 +202,7 @@ func TestThirdPartyTransfer(t *testing.T) {
 
 	// Seed the source (as Alice).
 	payload := bytes.Repeat([]byte("dataset "), 500)
-	if err := srcStore.Put(alice.Identity(), "/exp/результат", payload); err != nil {
+	if err := srcStore.PutOwned(alice.Identity(), "/exp/результат", payload); err != nil {
 		t.Fatal(err)
 	}
 
@@ -236,7 +236,7 @@ func TestThirdPartyTransferDeniedWithoutRights(t *testing.T) {
 	defer src.Close()
 	dst, _ := NewServer("127.0.0.1:0", dstStore, dstHost, trust)
 	defer dst.Close()
-	srcStore.Put(alice.Identity(), "/f", []byte("x"))
+	srcStore.PutOwned(alice.Identity(), "/f", []byte("x"))
 	err := ThirdPartyTransfer(alice, trust, src.Addr(), src.Identity(), dst.Addr(), dst.Identity(), "/f", "/f")
 	if err == nil || !strings.Contains(err.Error(), "denied") {
 		t.Fatalf("transfer into deny-all store: %v", err)
@@ -283,14 +283,14 @@ func TestCommandCodecRejectsNULInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Put("/data\x00/injected", []byte("x")); err == nil {
+	if err := put(c, "/data\x00/injected", []byte("x")); err == nil {
 		t.Fatal("Put with NUL path accepted")
 	}
 	if _, err := c.Get("/data\x00/injected"); err == nil {
 		t.Fatal("Get with NUL path accepted")
 	}
 	// The refusal is local; the session stays usable.
-	if err := c.Put("/data/clean", []byte("x")); err != nil {
+	if err := put(c, "/data/clean", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -303,7 +303,7 @@ func BenchmarkSecuredTransfer64K(b *testing.B) {
 	}
 	defer c.Close()
 	data := bytes.Repeat([]byte{7}, 64<<10)
-	if err := c.Put("/bench", data); err != nil {
+	if err := put(c, "/bench", data); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(64 << 10)
@@ -377,7 +377,7 @@ func TestStreamedPutAbort(t *testing.T) {
 		t.Fatal("partial file materialized despite abort")
 	}
 	// Unauthorized PUT is refused before any data is invited.
-	if err := c.Put("/ok/after", []byte("fine")); err != nil {
+	if err := put(c, "/ok/after", []byte("fine")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Get("/ok/after")

@@ -15,7 +15,6 @@ import (
 	"repro/internal/gss"
 	"repro/internal/proxy"
 	"repro/internal/record"
-	"repro/internal/trace"
 )
 
 // Server is a GridFTP endpoint: a secured listener in front of a Store.
@@ -26,16 +25,11 @@ type Server struct {
 	listener *gsitransport.Listener
 
 	mu      sync.Mutex
-	served  int
 	closing bool
 
 	// stripes collects the data connections of striped transfers as
 	// their JOINs arrive.
 	stripes *gsitransport.Rendezvous
-
-	// tracer, when set via SetTracer, spans every transfer and feeds
-	// the active-transfer registry. Nil disables.
-	tracer *trace.Tracer
 }
 
 // NewServer starts a GridFTP server on addr ("127.0.0.1:0" for tests).
@@ -64,13 +58,6 @@ func (s *Server) Addr() string { return s.listener.Addr().String() }
 // Identity returns the server's host identity.
 func (s *Server) Identity() gridcert.Name { return s.cred.Leaf().Subject }
 
-// Served reports how many connections completed the handshake.
-func (s *Server) Served() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.served
-}
-
 // Close stops the server.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -91,9 +78,6 @@ func (s *Server) acceptLoop() {
 			}
 			continue // failed handshake; keep serving
 		}
-		s.mu.Lock()
-		s.served++
-		s.mu.Unlock()
 		go s.serve(conn)
 	}
 }
@@ -112,18 +96,17 @@ func (s *Server) serve(conn *gsitransport.Conn) {
 			conn.Send(encodeReply(opErr, "", []byte(err.Error())))
 			return
 		}
-		payload, rctx := splitTrace(verb, payload)
 		switch verb {
 		case opGetS:
-			if !s.serveGet(ctx, conn, identity, path, payload, rctx) {
+			if !s.serveGet(ctx, conn, identity, path, payload) {
 				return
 			}
 		case opPutS:
-			if !s.servePut(ctx, conn, identity, path, payload, rctx) {
+			if !s.servePut(ctx, conn, identity, path, payload) {
 				return
 			}
 		case opJoin:
-			if !s.serveJoin(conn, identity, payload, rctx) {
+			if !s.serveJoin(conn, identity, payload) {
 				return
 			}
 		default:
@@ -141,32 +124,25 @@ func (s *Server) serve(conn *gsitransport.Conn) {
 // further control reply: the data plane's FIN trailers are the
 // completion signal. Returns false when the control connection is
 // unusable.
-func (s *Server) serveGet(ctx context.Context, conn *gsitransport.Conn, identity gridcert.Name, path string, payload []byte, rctx trace.SpanContext) bool {
-	sp := s.tracer.StartRemote(rctx, "gridftp.server.get")
-	sp.SetPeer(identity.String())
+func (s *Server) serveGet(ctx context.Context, conn *gsitransport.Conn, identity gridcert.Name, path string, payload []byte) bool {
 	data, err := s.store.Open(identity, path)
 	if err != nil {
-		return s.refuse(conn, path, sp, err)
+		return s.refuse(conn, path, err)
 	}
 	k, striped := decodeStripeGetReq(payload)
 	var size [8]byte
 	binary.BigEndian.PutUint64(size[:], uint64(len(data)))
 	conns, grp, err := s.invite(conn, identity, path, k, striped, size[:])
 	if err != nil {
-		return s.refuse(conn, path, sp, err)
+		return s.refuse(conn, path, err)
 	}
-	tr := xferTrace{sp: sp, xfer: s.tracer.Transfers().Begin("get:"+path, identity.String(), len(conns), sp.Context().TraceID)}
 	pipe := gsitransport.NewTransfer(ctx, conns, gsitransport.Send)
 	_, err = pipe.Write(data)
-	if err == nil {
-		tr.add(len(data))
-	}
 	// A write failure travels to the client as the ERROR record (when the
 	// connections can still carry one).
 	if ferr := pipe.Finish(err); err == nil {
 		err = ferr
 	}
-	tr.end(err)
 	if grp != nil {
 		grp.Close()
 		return true
@@ -181,12 +157,10 @@ func (s *Server) serveGet(ctx context.Context, conn *gsitransport.Conn, identity
 // a lying hint degrades to incremental growth, never to an oversized
 // trust-the-peer allocation). Returns false when the control connection
 // is unusable.
-func (s *Server) servePut(ctx context.Context, conn *gsitransport.Conn, identity gridcert.Name, path string, payload []byte, rctx trace.SpanContext) bool {
-	sp := s.tracer.StartRemote(rctx, "gridftp.server.put")
-	sp.SetPeer(identity.String())
+func (s *Server) servePut(ctx context.Context, conn *gsitransport.Conn, identity gridcert.Name, path string, payload []byte) bool {
 	// Fail-closed before the client ships a byte.
 	if err := s.store.authorize(identity, path, "write"); err != nil {
-		return s.refuse(conn, path, sp, err)
+		return s.refuse(conn, path, err)
 	}
 	k, hint, striped := decodeStripePutReq(payload)
 	if !striped && len(payload) == 8 {
@@ -194,9 +168,8 @@ func (s *Server) servePut(ctx context.Context, conn *gsitransport.Conn, identity
 	}
 	conns, grp, err := s.invite(conn, identity, path, k, striped, nil)
 	if err != nil {
-		return s.refuse(conn, path, sp, err)
+		return s.refuse(conn, path, err)
 	}
-	tr := xferTrace{sp: sp, xfer: s.tracer.Transfers().Begin("put:"+path, identity.String(), len(conns), sp.Context().TraceID)}
 	pipe := gsitransport.NewTransfer(ctx, conns, gsitransport.Recv)
 	prealloc := uint64(1 << 20)
 	if hint > prealloc {
@@ -208,10 +181,8 @@ func (s *Server) servePut(ctx context.Context, conn *gsitransport.Conn, identity
 		grp.Close()
 	}
 	if err == nil {
-		tr.add(len(assembled))
 		err = s.store.PutOwned(identity, path, assembled)
 	}
-	tr.end(err)
 	if err == nil {
 		return conn.Send(encodeReply(opOK, path, nil)) == nil
 	}
@@ -226,10 +197,8 @@ func (s *Server) servePut(ctx context.Context, conn *gsitransport.Conn, identity
 	return conn.Send(encodeReply(opErr, path, []byte(msg))) == nil
 }
 
-// refuse ends a transfer's span with err and reports it to the client.
-func (s *Server) refuse(conn *gsitransport.Conn, path string, sp *trace.Span, err error) bool {
-	sp.SetError(err)
-	sp.End()
+// refuse reports err to the client in place of a grant.
+func (s *Server) refuse(conn *gsitransport.Conn, path string, err error) bool {
 	return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
 }
 
@@ -268,7 +237,6 @@ type Client struct {
 	trust      *gridcert.TrustStore
 	addr       string
 	expectHost gridcert.Name
-	tracer     *trace.Tracer // nil disables tracing (SetTracer)
 }
 
 // Dial connects and authenticates to a GridFTP server.
@@ -307,7 +275,6 @@ type GetReader struct {
 	data []*gsitransport.Conn // transfer-scoped data connections of a striped GET
 	size int64
 	err  error
-	tr   xferTrace
 }
 
 // Size is the transfer size a striped grant announced (0 when the GET
@@ -331,7 +298,6 @@ func (g *GetReader) Read(p []byte) (int, error) {
 		err = serverErr(err)
 		g.err = err
 	}
-	g.tr.add(n)
 	return n, err
 }
 
@@ -348,7 +314,6 @@ func (g *GetReader) Close() error {
 	} else {
 		g.err = err
 	}
-	g.tr.end(g.err)
 	return err
 }
 
@@ -365,7 +330,6 @@ func (g *GetReader) readAll() ([]byte, error) {
 		g.Close()
 		return nil, g.err
 	}
-	g.tr.add(len(data))
 	return data, g.Close()
 }
 
@@ -373,32 +337,26 @@ func (g *GetReader) readAll() ([]byte, error) {
 // is 0, else over up to stripes data connections (the server may grant
 // fewer).
 func (c *Client) openGet(path string, stripes int) (*GetReader, error) {
-	sp := c.tracer.StartRoot("gridftp.get")
-	sp.SetPeer(c.expectHost.String())
 	var req []byte
 	if stripes > 0 {
 		req = encodeStripeGetReq(stripes)
 	}
 	g := &GetReader{}
-	grant, err := c.roundTrip(opGetS, path, traceSuffix(sp, req))
-	conns, lanes := []*gsitransport.Conn{c.conn}, []*trace.Span(nil)
+	grant, err := c.roundTrip(opGetS, path, req)
+	conns := []*gsitransport.Conn{c.conn}
 	if err == nil && stripes > 0 {
 		if len(grant) != 4+8+stripeTokenLen {
 			err = errMalformedGrant
 		} else {
 			g.size = int64(binary.BigEndian.Uint64(grant[4:12]))
-			conns, lanes, err = c.dialStripes(int(binary.BigEndian.Uint32(grant)), grant[12:], sp)
+			conns, err = c.dialStripes(int(binary.BigEndian.Uint32(grant)), grant[12:])
 			g.data = conns
 		}
 	}
 	if err != nil {
-		sp.SetError(err)
-		sp.End()
 		return nil, err
 	}
 	g.pipe = gsitransport.NewTransfer(context.Background(), conns, gsitransport.Recv)
-	g.tr = xferTrace{sp: sp, lanes: lanes,
-		xfer: c.tracer.Transfers().Begin("get:"+path, c.expectHost.String(), len(conns), sp.Context().TraceID)}
 	return g, nil
 }
 
@@ -426,15 +384,8 @@ func (c *Client) GetTo(path string, w io.Writer) (int64, error) {
 }
 
 // Get fetches a file into memory through the pipelined receive path.
-func (c *Client) Get(path string) ([]byte, error) { return c.getAll(path, 0) }
-
-// GetStriped fetches a file over parallel stripes into memory.
-func (c *Client) GetStriped(path string, stripes int) ([]byte, error) {
-	return c.getAll(path, max(stripes, 1))
-}
-
-func (c *Client) getAll(path string, stripes int) ([]byte, error) {
-	g, err := c.openGet(path, stripes)
+func (c *Client) Get(path string) ([]byte, error) {
+	g, err := c.GetStream(path)
 	if err != nil {
 		return nil, err
 	}
@@ -450,14 +401,11 @@ type PutWriter struct {
 	pipe *gsitransport.Stream
 	data []*gsitransport.Conn // transfer-scoped data connections of a striped PUT
 	done bool
-	tr   xferTrace
 }
 
 // Write ships file bytes as chunk records.
 func (w *PutWriter) Write(p []byte) (int, error) {
-	n, err := w.pipe.Write(p)
-	w.tr.add(n)
-	return n, err
+	return w.pipe.Write(p)
 }
 
 // finish terminates the data plane (FIN, or the ERROR record carrying
@@ -484,7 +432,6 @@ func (w *PutWriter) Close() error {
 	if err == nil {
 		err = verdict
 	}
-	w.tr.end(err)
 	return err
 }
 
@@ -494,9 +441,7 @@ func (w *PutWriter) Abort(reason string) error {
 	if w.done {
 		return nil
 	}
-	cause := errors.New(reason)
-	err, verdict := w.finish(cause)
-	w.tr.end(cause)
+	err, verdict := w.finish(errors.New(reason))
 	if err == nil && verdict == nil {
 		// The server acknowledges an abort with its ERR reply.
 		err = errors.New("gridftp: server confirmed an aborted transfer")
@@ -533,27 +478,21 @@ func (c *Client) openPut(path string, stripes int, sizeHint int64) (*PutWriter, 
 	case hint > 0:
 		req = binary.BigEndian.AppendUint64(nil, hint)
 	}
-	sp := c.tracer.StartRoot("gridftp.put")
-	sp.SetPeer(c.expectHost.String())
 	w := &PutWriter{c: c}
-	grant, err := c.roundTrip(opPutS, path, traceSuffix(sp, req))
-	conns, lanes := []*gsitransport.Conn{c.conn}, []*trace.Span(nil)
+	grant, err := c.roundTrip(opPutS, path, req)
+	conns := []*gsitransport.Conn{c.conn}
 	if err == nil && stripes > 0 {
 		if len(grant) != 4+stripeTokenLen {
 			err = errMalformedGrant
 		} else {
-			conns, lanes, err = c.dialStripes(int(binary.BigEndian.Uint32(grant)), grant[4:], sp)
+			conns, err = c.dialStripes(int(binary.BigEndian.Uint32(grant)), grant[4:])
 			w.data = conns
 		}
 	}
 	if err != nil {
-		sp.SetError(err)
-		sp.End()
 		return nil, err
 	}
 	w.pipe = gsitransport.NewTransfer(context.Background(), conns, gsitransport.Send)
-	w.tr = xferTrace{sp: sp, lanes: lanes,
-		xfer: c.tracer.Transfers().Begin("put:"+path, c.expectHost.String(), len(conns), sp.Context().TraceID)}
 	return w, nil
 }
 
@@ -598,16 +537,9 @@ func copyTo(w *PutWriter, r io.Reader) (int64, error) {
 	return n, w.Close()
 }
 
-// Put stores a file from memory.
-func (c *Client) Put(path string, data []byte) error { return c.putAll(path, 0, data) }
-
 // PutStriped stores a file from memory over parallel stripes.
 func (c *Client) PutStriped(path string, stripes int, data []byte) error {
-	return c.putAll(path, max(stripes, 1), data)
-}
-
-func (c *Client) putAll(path string, stripes int, data []byte) error {
-	w, err := c.openPut(path, stripes, int64(len(data)))
+	w, err := c.PutStripedWriter(path, stripes, int64(len(data)))
 	if err != nil {
 		return err
 	}
@@ -616,12 +548,6 @@ func (c *Client) putAll(path string, stripes int, data []byte) error {
 		return err
 	}
 	return w.Close()
-}
-
-// Delete removes a file.
-func (c *Client) Delete(path string) error {
-	_, err := c.roundTrip(opDel, path, nil)
-	return err
 }
 
 // List enumerates a prefix.
@@ -652,24 +578,6 @@ func ThirdPartyTransfer(client *gridcert.Credential, trust *gridcert.TrustStore,
 	srcAddr string, srcHost gridcert.Name,
 	dstAddr string, dstHost gridcert.Name,
 	srcPath, dstPath string) error {
-	return thirdParty(client, trust, srcAddr, srcHost, dstAddr, dstHost, srcPath, dstPath, 0)
-}
-
-// ThirdPartyTransferStriped is ThirdPartyTransfer over parallel
-// stripes on both legs: the delegated credential opens striped
-// sessions to source and destination, and the file flows stripes-in to
-// stripes-out without ever materializing.
-func ThirdPartyTransferStriped(client *gridcert.Credential, trust *gridcert.TrustStore,
-	srcAddr string, srcHost gridcert.Name,
-	dstAddr string, dstHost gridcert.Name,
-	srcPath, dstPath string, stripes int) error {
-	return thirdParty(client, trust, srcAddr, srcHost, dstAddr, dstHost, srcPath, dstPath, max(stripes, 1))
-}
-
-func thirdParty(client *gridcert.Credential, trust *gridcert.TrustStore,
-	srcAddr string, srcHost gridcert.Name,
-	dstAddr string, dstHost gridcert.Name,
-	srcPath, dstPath string, stripes int) error {
 
 	// 1. The client connects to the source and fetches nothing itself —
 	// it delegates. (Delegation rides the established secure channel in
@@ -700,11 +608,11 @@ func thirdParty(client *gridcert.Credential, trust *gridcert.TrustStore,
 	}
 	defer dstConn.Close()
 
-	get, err := srcConn.openGet(srcPath, stripes)
+	get, err := srcConn.GetStream(srcPath)
 	if err != nil {
 		return err
 	}
-	put, err := dstConn.openPut(dstPath, stripes, get.Size())
+	put, err := dstConn.PutStream(dstPath, get.Size())
 	if err != nil {
 		get.Close()
 		return err

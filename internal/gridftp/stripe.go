@@ -9,7 +9,6 @@ import (
 	"repro/internal/gridcrypto"
 	"repro/internal/gsitransport"
 	"repro/internal/gss"
-	"repro/internal/trace"
 )
 
 // Parallel striped transfers, GridFTP's signature move (paper §3): the
@@ -116,22 +115,16 @@ func (s *Server) invite(conn *gsitransport.Conn, identity gridcert.Name, path st
 // serveJoin handles a JOIN on a data connection: decode the token and
 // stripe index, bind the connection to its transfer, and park until the
 // transfer releases it. Reports whether the connection is still usable.
-func (s *Server) serveJoin(conn *gsitransport.Conn, identity gridcert.Name, payload []byte, rctx trace.SpanContext) bool {
+func (s *Server) serveJoin(conn *gsitransport.Conn, identity gridcert.Name, payload []byte) bool {
 	if len(payload) != stripeTokenLen+4 {
 		return conn.Send(encodeReply(opErr, "", []byte("gridftp: malformed JOIN"))) == nil
 	}
-	// The lane span continues the client's per-stripe context: it spans
-	// the stripe's whole tenure in the transfer, join to release.
-	sp := s.tracer.StartRemote(rctx, "gridftp.server.stripe")
-	sp.SetPeer(identity.String())
-	defer sp.End()
 	idx := int(binary.BigEndian.Uint32(payload[stripeTokenLen:]))
 	var replyErr error
 	grp, _, err := s.stripes.Join(identity.String(), string(payload[:stripeTokenLen]), idx, conn, func() {
 		replyErr = conn.Send(encodeReply(opOK, "", nil))
 	})
 	if err != nil {
-		sp.SetError(err)
 		return conn.Send(encodeReply(opErr, "", []byte(err.Error()))) == nil
 	}
 	// The connection has belonged to the transfer since it joined: even
@@ -146,36 +139,22 @@ func (s *Server) serveJoin(conn *gsitransport.Conn, identity gridcert.Name, payl
 // stripe index. On failure every dialed connection is closed and the
 // pending control-connection verdict (the server's join-timeout ERR)
 // is consumed so the session stays synchronized.
-func (c *Client) dialStripes(granted int, token []byte, sp *trace.Span) ([]*gsitransport.Conn, []*trace.Span, error) {
+func (c *Client) dialStripes(granted int, token []byte) ([]*gsitransport.Conn, error) {
 	if granted < 1 || granted > maxTransferStripes || len(token) != stripeTokenLen {
-		return nil, nil, errMalformedGrant
+		return nil, errMalformedGrant
 	}
-	var (
-		conns []*gsitransport.Conn
-		lanes []*trace.Span // per-stripe children of sp; nil entries never occur
-	)
-	fail := func(err error) ([]*gsitransport.Conn, []*trace.Span, error) {
+	var conns []*gsitransport.Conn
+	fail := func(err error) ([]*gsitransport.Conn, error) {
 		for _, dc := range conns {
 			dc.Close()
-		}
-		for _, lane := range lanes {
-			lane.SetError(err)
-			lane.End()
 		}
 		// The server's control goroutine is waiting for the group; its
 		// join timeout will deliver an ERR we must not leave in the
 		// reply stream.
 		c.readReply()
-		return nil, nil, err
+		return nil, err
 	}
 	for i := 0; i < granted; i++ {
-		var lane *trace.Span
-		if sp != nil {
-			// Each JOIN carries its own lane context so the server's
-			// per-stripe spans parent under this lane, not the root.
-			lane = sp.StartChild("gridftp.stripe")
-			lanes = append(lanes, lane)
-		}
 		dc, err := gsitransport.Dial(c.addr, gss.Config{
 			Credential:   c.cred,
 			TrustStore:   c.trust,
@@ -188,7 +167,7 @@ func (c *Client) dialStripes(granted int, token []byte, sp *trace.Span) ([]*gsit
 		payload := make([]byte, stripeTokenLen+4)
 		copy(payload, token)
 		binary.BigEndian.PutUint32(payload[stripeTokenLen:], uint32(i))
-		msg, err := encodeCmd(opJoin, "", traceSuffix(lane, payload))
+		msg, err := encodeCmd(opJoin, "", payload)
 		if err != nil {
 			return fail(err)
 		}
@@ -207,5 +186,5 @@ func (c *Client) dialStripes(granted int, token []byte, sp *trace.Span) ([]*gsit
 			return fail(fmt.Errorf("gridftp: server: %s", rpayload))
 		}
 	}
-	return conns, lanes, nil
+	return conns, nil
 }

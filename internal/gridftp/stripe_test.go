@@ -7,10 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/ca"
-	"repro/internal/gridcert"
 	"repro/internal/gsitransport"
 	"repro/internal/gss"
 )
@@ -19,6 +16,31 @@ func stripedPayload(n int) []byte {
 	data := make([]byte, n)
 	rand.New(rand.NewSource(7)).Read(data)
 	return data
+}
+
+// put stores data the way a client with the bytes in hand does.
+func put(c *Client, path string, data []byte) error {
+	_, err := c.PutFrom(path, bytes.NewReader(data))
+	return err
+}
+
+// del sends the DEL command.
+func del(c *Client, path string) error {
+	_, err := c.roundTrip(opDel, path, nil)
+	return err
+}
+
+// getStriped fetches path over up to stripes data connections.
+func getStriped(c *Client, path string, stripes int) ([]byte, error) {
+	g, err := c.GetStripedReader(path, stripes)
+	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(g)
+	if cerr := g.Close(); err == nil {
+		err = cerr
+	}
+	return data, err
 }
 
 // A striped PUT then striped GET must reproduce the file exactly, with
@@ -35,7 +57,7 @@ func TestStripedPutGetRoundTrip(t *testing.T) {
 	if err := c.PutStriped("/data/striped", 4, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.GetStriped("/data/striped", 4)
+	got, err := getStriped(c, "/data/striped", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +81,7 @@ func TestStripedGetReaderStreams(t *testing.T) {
 	defer c.Close()
 
 	payload := stripedPayload(3<<20 + 17)
-	if err := c.Put("/data/f", payload); err != nil {
+	if err := put(c, "/data/f", payload); err != nil {
 		t.Fatal(err)
 	}
 	g, err := c.GetStripedReader("/data/f", 3)
@@ -95,7 +117,7 @@ func TestStripedGrantClamp(t *testing.T) {
 	if err := c.PutStriped("/data/one", 1, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.GetStriped("/data/one", maxTransferStripes+7)
+	got, err := getStriped(c, "/data/one", maxTransferStripes+7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +170,7 @@ func TestStripedPutAbort(t *testing.T) {
 	if _, err := c.Get("/data/partial"); err == nil {
 		t.Fatal("aborted striped PUT left a file behind")
 	}
-	if err := c.Put("/data/next", []byte("still works")); err != nil {
+	if err := put(c, "/data/next", []byte("still works")); err != nil {
 		t.Fatalf("session unusable after abort: %v", err)
 	}
 }
@@ -193,7 +215,7 @@ func TestStripedTokenBoundToIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := b.store.Put(b.alice.Identity(), "/data/f", stripedPayload(1<<16)); err != nil {
+	if err := b.store.PutOwned(b.alice.Identity(), "/data/f", stripedPayload(1<<16)); err != nil {
 		t.Fatal(err)
 	}
 	grant, err := c.roundTrip(opGetS, "/data/f", encodeStripeGetReq(2))
@@ -228,7 +250,7 @@ func TestStripedTokenBoundToIdentity(t *testing.T) {
 	}
 
 	// Alice still completes her transfer normally.
-	conns, _, err := c.dialStripes(2, token, nil)
+	conns, err := c.dialStripes(2, token)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,46 +263,4 @@ func TestStripedTokenBoundToIdentity(t *testing.T) {
 		t.Fatalf("post-theft transfer: %d bytes, %v", len(got), err)
 	}
 	g.Close()
-}
-
-// Striped third-party transfer: both legs run over parallel stripes
-// with the delegated credential, end to end.
-func TestThirdPartyTransferStriped(t *testing.T) {
-	auth, _ := ca.New(gridcert.MustParseName("/O=Grid/CN=CA"), 24*time.Hour, ca.DefaultPolicy())
-	trust := gridcert.NewTrustStore()
-	trust.AddRoot(auth.Certificate())
-	alice, _ := auth.NewEntity(gridcert.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	srcHost, _ := auth.NewHostEntity(gridcert.MustParseName("/O=Grid/CN=host ssrc"), 12*time.Hour)
-	dstHost, _ := auth.NewHostEntity(gridcert.MustParseName("/O=Grid/CN=host sdst"), 12*time.Hour)
-
-	pol := openAll("/O=Grid/CN=Alice")
-	srcStore, dstStore := NewStore(pol), NewStore(pol)
-	src, err := NewServer("127.0.0.1:0", srcStore, srcHost, trust)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	dst, err := NewServer("127.0.0.1:0", dstStore, dstHost, trust)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-
-	payload := stripedPayload(5<<20 + 99)
-	if err := srcStore.Put(alice.Identity(), "/exp/big", payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := ThirdPartyTransferStriped(alice, trust,
-		src.Addr(), src.Identity(),
-		dst.Addr(), dst.Identity(),
-		"/exp/big", "/mirror/big", 4); err != nil {
-		t.Fatal(err)
-	}
-	got, err := dstStore.Get(alice.Identity(), "/mirror/big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("striped third-party copy mismatch")
-	}
 }

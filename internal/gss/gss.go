@@ -55,10 +55,6 @@ type Config struct {
 	Credential *gridcert.Credential
 	// TrustStore validates the peer's chain.
 	TrustStore *gridcert.TrustStore
-	// ChainCache, if set, memoizes successful peer-chain validations so
-	// handshakes with repeated peers skip full path validation. Shared
-	// per Environment; nil disables caching.
-	ChainCache *gridcert.VerifyCache
 	// Anonymous (initiator only) withholds the local identity.
 	Anonymous bool
 	// Delegate (initiator only) announces the intent to delegate a proxy

@@ -74,7 +74,7 @@ func (i *Initiator) Finish(token2Bytes []byte) ([]byte, *Context, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: acceptor chain: %w", ErrAuthFailed, err)
 	}
-	info, err := i.cfg.TrustStore.VerifyCached(i.cfg.ChainCache, t2.chain, chain, gridcert.VerifyOptions{
+	info, err := i.cfg.TrustStore.Verify(chain, gridcert.VerifyOptions{
 		Now:           i.cfg.now(),
 		RejectLimited: i.cfg.RejectLimited,
 		MaxProxyDepth: i.cfg.MaxProxyDepth,
@@ -230,7 +230,7 @@ func (a *Acceptor) Complete(token3Bytes []byte) (*Context, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: initiator chain: %w", ErrAuthFailed, err)
 		}
-		info, err := a.cfg.TrustStore.VerifyCached(a.cfg.ChainCache, t3.chain, chain, gridcert.VerifyOptions{
+		info, err := a.cfg.TrustStore.Verify(chain, gridcert.VerifyOptions{
 			Now:           a.cfg.now(),
 			RejectLimited: a.cfg.RejectLimited,
 			MaxProxyDepth: a.cfg.MaxProxyDepth,

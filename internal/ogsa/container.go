@@ -80,10 +80,9 @@ type Container struct {
 	dispatcher *soap.Dispatcher
 	convMgr    *wssec.ConversationManager
 
-	mu        sync.RWMutex
-	services  map[string]Service
-	factories map[string]Factory
-	seq       uint64
+	mu       sync.RWMutex
+	services map[string]Service
+	seq      uint64
 }
 
 // NewContainer builds a hosting environment and its SOAP dispatcher.
@@ -98,7 +97,6 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 		cfg:        cfg,
 		dispatcher: soap.NewDispatcher(),
 		services:   make(map[string]Service),
-		factories:  make(map[string]Factory),
 	}
 	c.convMgr = wssec.NewConversationManager(gss.Config{
 		Credential:    cfg.Credential,
@@ -157,14 +155,6 @@ func (c *Container) Publish(handle string, svc Service) {
 	c.services[handle] = svc
 }
 
-// PublishFactory registers a factory under a handle; its Create operation
-// becomes invocable as <handle> op "CreateService".
-func (c *Container) PublishFactory(handle string, f Factory) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.factories[handle] = f
-}
-
 // Lookup returns a published service.
 func (c *Container) Lookup(handle string) (Service, bool) {
 	c.mu.RLock()
@@ -173,38 +163,11 @@ func (c *Container) Lookup(handle string) (Service, bool) {
 	return s, ok
 }
 
-// Handles lists published service handles.
-func (c *Container) Handles() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.services))
-	for h := range c.services {
-		out = append(out, h)
-	}
-	return out
-}
-
 // Remove unpublishes a service.
 func (c *Container) Remove(handle string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.services, handle)
-}
-
-// SweepExpired destroys services whose soft-state lifetime has lapsed.
-// Returns the handles removed.
-func (c *Container) SweepExpired(now time.Time) []string {
-	type expirer interface{ ExpiredAt(time.Time) bool }
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var removed []string
-	for h, s := range c.services {
-		if e, ok := s.(expirer); ok && e.ExpiredAt(now) {
-			delete(c.services, h)
-			removed = append(removed, h)
-		}
-	}
-	return removed
 }
 
 // --- inbound pipeline --------------------------------------------------
@@ -294,21 +257,6 @@ func (c *Container) route(env *soap.Envelope, prefix string, caller Identity, pe
 	}
 	c.audit("invoke", caller.Name.String(), handle+"/"+op)
 
-	// Factories answer CreateService.
-	if op == "CreateService" {
-		c.mu.RLock()
-		f, ok := c.factories[handle]
-		c.mu.RUnlock()
-		if ok {
-			newHandle, svc, err := f.Create(caller, env.Body)
-			if err != nil {
-				return nil, fmt.Errorf("ogsa: factory %q: %w", handle, err)
-			}
-			c.Publish(newHandle, svc)
-			c.audit("create-service", caller.Name.String(), newHandle)
-			return env.Reply([]byte(newHandle)), nil
-		}
-	}
 	c.mu.RLock()
 	svc, ok := c.services[handle]
 	c.mu.RUnlock()

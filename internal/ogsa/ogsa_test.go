@@ -174,76 +174,15 @@ func TestAuthorizationPipeline(t *testing.T) {
 	}
 }
 
-func TestFactoryCreateService(t *testing.T) {
-	b := newBed(t, nil)
-	var created int
-	b.container.PublishFactory("jobs", FactoryFunc(func(caller Identity, params []byte) (string, Service, error) {
-		created++
-		handle := fmt.Sprintf("jobs/instance-%d", created)
-		svc := newEchoService()
-		svc.Data.Set("owner", []byte(caller.Name.String()))
-		return handle, svc, nil
-	}))
-	handle, err := b.client.InvokeSigned("jobs", "CreateService", []byte("params"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(handle) != "jobs/instance-1" {
-		t.Fatalf("handle = %q", handle)
-	}
-	// The new instance is invocable and knows its creator.
-	owner, err := b.client.InvokeSigned(string(handle), "FindServiceData", []byte("owner"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(owner) != "/O=Grid/CN=Alice" {
-		t.Fatalf("owner = %q", owner)
-	}
-	if !b.audit.contains("create-service") {
-		t.Fatal("creation not audited")
-	}
-}
-
-func TestServiceDataQuerySubscribe(t *testing.T) {
+func TestServiceDataQuery(t *testing.T) {
 	sd := NewServiceData()
-	ch := sd.Subscribe("jobState")
 	sd.Set("jobState", []byte("Active"))
-	select {
-	case ev := <-ch:
-		if ev.Name != "jobState" || string(ev.Value) != "Active" {
-			t.Fatalf("event = %+v", ev)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no notification")
-	}
 	v, ok := sd.Query("jobState")
 	if !ok || string(v) != "Active" {
 		t.Fatalf("query = %q %v", v, ok)
 	}
 	if _, ok := sd.Query("missing"); ok {
 		t.Fatal("query invented element")
-	}
-	if len(sd.Names()) != 1 {
-		t.Fatalf("names = %v", sd.Names())
-	}
-}
-
-func TestLifetimeManagement(t *testing.T) {
-	b := newBed(t, nil)
-	svc := newEchoService()
-	b.container.Publish("tmp", svc)
-
-	// Set termination in the past, sweep, and the service is gone.
-	when := time.Now().Add(-time.Minute).Format(time.RFC3339)
-	if _, err := b.client.InvokeSigned("tmp", "SetTerminationTime", []byte(when)); err != nil {
-		t.Fatal(err)
-	}
-	removed := b.container.SweepExpired(time.Now())
-	if len(removed) != 1 || removed[0] != "tmp" {
-		t.Fatalf("removed = %v", removed)
-	}
-	if _, err := b.client.InvokeSigned("tmp", "echo", nil); err == nil {
-		t.Fatal("swept service still invocable")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package ogsa implements the Grid-service framework of OGSA as the
 // paper uses it (§4): stateful services with service data elements
-// (SDEs), factories for dynamic service creation, lifetime management,
-// and a container ("hosting environment") that pulls security handling
+// (SDEs), explicit destruction, and a container ("hosting environment")
+// that pulls security handling
 // out of the application — authentication, authorization and auditing
 // run in the container's handler pipeline, and the service sees only
 // authorized, identified calls (§4.2, §4.5).
@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/gridcert"
 	"repro/internal/trace"
@@ -60,41 +59,25 @@ type Service interface {
 	Invoke(call *Call) ([]byte, error)
 }
 
-// SDE is a service data element: a queryable, subscribable named value
-// (§4: "Grid services can define, as part of their interface, service
-// data elements that other entities can query or subscribe to").
-type SDE struct {
-	Name  string
-	Value []byte
-}
-
-// ServiceData is the SDE set of one service instance.
+// ServiceData is the service data element (SDE) set of one service
+// instance: queryable named values (§4: "Grid services can define, as
+// part of their interface, service data elements that other entities can
+// query").
 type ServiceData struct {
 	mu     sync.RWMutex
 	values map[string][]byte
-	subs   map[string][]chan SDE
 }
 
 // NewServiceData creates an empty SDE set.
 func NewServiceData() *ServiceData {
-	return &ServiceData{
-		values: make(map[string][]byte),
-		subs:   make(map[string][]chan SDE),
-	}
+	return &ServiceData{values: make(map[string][]byte)}
 }
 
-// Set updates an element and notifies subscribers.
+// Set updates an element.
 func (sd *ServiceData) Set(name string, value []byte) {
 	sd.mu.Lock()
+	defer sd.mu.Unlock()
 	sd.values[name] = append([]byte(nil), value...)
-	subs := append([]chan SDE(nil), sd.subs[name]...)
-	sd.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- SDE{Name: name, Value: value}:
-		default: // slow subscribers drop notifications rather than block
-		}
-	}
 }
 
 // Query returns the current value of an element.
@@ -108,54 +91,18 @@ func (sd *ServiceData) Query(name string) ([]byte, bool) {
 	return append([]byte(nil), v...), true
 }
 
-// Names lists the defined elements.
-func (sd *ServiceData) Names() []string {
-	sd.mu.RLock()
-	defer sd.mu.RUnlock()
-	out := make([]string, 0, len(sd.values))
-	for n := range sd.values {
-		out = append(out, n)
-	}
-	return out
-}
-
-// Subscribe returns a channel receiving future updates of the element.
-// The buffer absorbs bursts; overflow drops.
-func (sd *ServiceData) Subscribe(name string) <-chan SDE {
-	ch := make(chan SDE, 16)
-	sd.mu.Lock()
-	sd.subs[name] = append(sd.subs[name], ch)
-	sd.mu.Unlock()
-	return ch
-}
-
 // Base provides the standard GridService port type: service data and
-// termination time. Concrete services embed it.
+// destruction. Concrete services embed it.
 type Base struct {
 	Data *ServiceData
 
-	mu          sync.Mutex
-	termination time.Time // zero = no scheduled termination
-	destroyed   bool
+	mu        sync.Mutex
+	destroyed bool
 }
 
 // NewBase creates the standard behaviour bundle.
 func NewBase() *Base {
 	return &Base{Data: NewServiceData()}
-}
-
-// SetTerminationTime schedules destruction (OGSA soft-state lifetime).
-func (b *Base) SetTerminationTime(t time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.termination = t
-}
-
-// TerminationTime reports the scheduled termination.
-func (b *Base) TerminationTime() time.Time {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.termination
 }
 
 // Destroy marks the service destroyed.
@@ -172,13 +119,6 @@ func (b *Base) Destroyed() bool {
 	return b.destroyed
 }
 
-// ExpiredAt reports whether the soft-state lifetime has lapsed at t.
-func (b *Base) ExpiredAt(t time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.destroyed || (!b.termination.IsZero() && t.After(b.termination))
-}
-
 // HandleStandardOp implements the GridService port type operations that
 // every service shares. Returns handled=false for service-specific ops.
 func (b *Base) HandleStandardOp(call *Call) (reply []byte, handled bool, err error) {
@@ -190,34 +130,12 @@ func (b *Base) HandleStandardOp(call *Call) (reply []byte, handled bool, err err
 			return nil, true, fmt.Errorf("ogsa: no service data element %q", name)
 		}
 		return v, true, nil
-	case "SetTerminationTime":
-		t, perr := time.Parse(time.RFC3339, string(call.Body))
-		if perr != nil {
-			return nil, true, fmt.Errorf("ogsa: bad termination time: %w", perr)
-		}
-		b.SetTerminationTime(t)
-		return []byte("ok"), true, nil
 	case "Destroy":
 		b.Destroy()
 		return []byte("destroyed"), true, nil
 	default:
 		return nil, false, nil
 	}
-}
-
-// Factory creates service instances on demand (the dynamic-service
-// mechanism of §2 requirement 2 and the MJS-factory pattern of §5.3).
-type Factory interface {
-	// Create instantiates a service for the caller, returning its handle.
-	Create(caller Identity, params []byte) (string, Service, error)
-}
-
-// FactoryFunc adapts a function to Factory.
-type FactoryFunc func(caller Identity, params []byte) (string, Service, error)
-
-// Create implements Factory.
-func (f FactoryFunc) Create(caller Identity, params []byte) (string, Service, error) {
-	return f(caller, params)
 }
 
 // ErrServiceDestroyed is returned when invoking a destroyed service.

@@ -75,20 +75,17 @@ type System struct {
 
 	// privOps counts operations executed with EUID 0.
 	privOps int
-	// privOpsByProc tracks per-process privileged operation counts.
-	privOpsByProc map[int]int
 }
 
 // NewSystem boots a host with a root account.
 func NewSystem() *System {
 	s := &System{
-		accounts:      make(map[string]*Account),
-		byUID:         make(map[int]*Account),
-		files:         make(map[string]*File),
-		procs:         make(map[int]*Process),
-		nextPID:       1,
-		nextUID:       1000,
-		privOpsByProc: make(map[int]int),
+		accounts: make(map[string]*Account),
+		byUID:    make(map[int]*Account),
+		files:    make(map[string]*File),
+		procs:    make(map[int]*Process),
+		nextPID:  1,
+		nextUID:  1000,
 	}
 	root := &Account{Name: "root", UID: RootUID}
 	s.accounts["root"] = root
@@ -126,16 +123,6 @@ func (s *System) Lookup(name string) (*Account, bool) {
 	defer s.mu.Unlock()
 	a, ok := s.accounts[name]
 	return a, ok
-}
-
-// AccountName resolves a UID to its account name.
-func (s *System) AccountName(uid int) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if a, ok := s.byUID[uid]; ok {
-		return a.Name
-	}
-	return fmt.Sprintf("uid-%d", uid)
 }
 
 // WriteFileAs installs a file owned by the given UID (administrative/boot
@@ -182,24 +169,7 @@ func (s *System) spawnLocked(name string, uid, euid int, listens bool) *Process 
 func (s *System) chargeLocked(p *Process) {
 	if p.EUID == RootUID {
 		s.privOps++
-		s.privOpsByProc[p.PID]++
 	}
-}
-
-// PrivilegedOps reports the total operations executed with root
-// privileges since boot.
-func (s *System) PrivilegedOps() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.privOps
-}
-
-// ProcessPrivOps reports root-privileged operations charged to one
-// process.
-func (s *System) ProcessPrivOps(pid int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.privOpsByProc[pid]
 }
 
 // Snapshot summarises the host's privilege posture.
@@ -399,14 +369,6 @@ func (p *Process) Exit() {
 	defer s.mu.Unlock()
 	p.alive = false
 	delete(s.procs, p.PID)
-}
-
-// Alive reports liveness.
-func (p *Process) Alive() bool {
-	s := p.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return p.alive
 }
 
 // --- compromise simulation ----------------------------------------------

@@ -201,9 +201,3 @@ func (a *Assembler) Accept(rec []byte) (payload []byte, fin bool, err error) {
 		return nil, false, a.err
 	}
 }
-
-// Done reports whether the stream terminated cleanly (FIN accepted).
-func (a *Assembler) Done() bool { return a.fin }
-
-// Err returns the poisoning error, if any.
-func (a *Assembler) Err() error { return a.err }

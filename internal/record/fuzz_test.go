@@ -233,7 +233,7 @@ func FuzzStripeReassembly(f *testing.F) {
 			}
 		}
 		if !a.Done() {
-			t.Fatalf("faithful striped transcript incomplete: fins=%d/%d pending=%d", a.FINs(), stripes, a.Pending())
+			t.Fatalf("faithful striped transcript incomplete: fins=%d/%d pending=%d", a.fins, stripes, len(a.buffered))
 		}
 		if !bytes.Equal(rebuilt, stream) {
 			t.Fatalf("striped reassembly corrupted: %d != %d bytes", len(rebuilt), len(stream))

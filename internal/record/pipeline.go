@@ -156,7 +156,7 @@ func (pl *Pipeline) Submit(buf *Buf, n int) error {
 
 func (pl *Pipeline) worker() {
 	defer pl.wg.Done()
-	hr := FramePrefix + pl.p.WrapPrefix()
+	hr := Headroom(pl.p)
 	for t := range pl.tasks {
 		token, err := pl.p.WrapAtInto(t.seq, t.buf.B[FramePrefix:FramePrefix], t.buf.B[hr:hr+t.n])
 		switch {

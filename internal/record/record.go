@@ -151,7 +151,7 @@ var ErrFrameTooLarge = errors.New("record: frame exceeds cap")
 // p.WrapOverhead()-p.WrapPrefix() spare capacity; a caller that
 // under-sized the buffer still gets a correct (two-write) frame.
 func WriteAssembled(w io.Writer, p Protector, frame []byte) error {
-	hr := FramePrefix + p.WrapPrefix()
+	hr := Headroom(p)
 	if len(frame) < hr {
 		return fmt.Errorf("record: assembled frame of %d bytes is shorter than its %d-byte headroom", len(frame), hr)
 	}

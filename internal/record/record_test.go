@@ -276,7 +276,7 @@ func TestChunkProtocol(t *testing.T) {
 	if _, done, err := a.Accept(fin); err != nil || !done {
 		t.Fatalf("FIN: %v %v", done, err)
 	}
-	if !a.Done() {
+	if !a.fin {
 		t.Fatal("assembler not done after FIN")
 	}
 	// Termination is single-shot on both halves.

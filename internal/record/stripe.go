@@ -187,15 +187,6 @@ func (a *StripeAssembler) Done() bool {
 		len(a.buffered) == 0 && a.fins == a.stripes
 }
 
-// Err returns the poisoning error, if any.
-func (a *StripeAssembler) Err() error { return a.err }
-
-// Pending reports how many chunks are buffered ahead of the cursor.
-func (a *StripeAssembler) Pending() int { return len(a.buffered) }
-
-// FINs reports how many stripes have FINed so far.
-func (a *StripeAssembler) FINs() int { return a.fins }
-
 // Release frees every buffered chunk (teardown after an error).
 func (a *StripeAssembler) Release() {
 	for s, c := range a.buffered {

@@ -66,7 +66,7 @@ func TestStripeAssemblerReordersAcrossStripes(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if !a.Done() {
-			t.Fatalf("trial %d: not done (fins=%d pending=%d)", trial, a.FINs(), a.Pending())
+			t.Fatalf("trial %d: not done (fins=%d pending=%d)", trial, a.fins, len(a.buffered))
 		}
 		var want bytes.Buffer
 		for i := 0; i < 8; i++ {
@@ -109,8 +109,8 @@ func TestStripeAssemblerMissingFINNeverDone(t *testing.T) {
 	if a.Done() {
 		t.Fatal("stream complete with a missing stripe FIN")
 	}
-	if a.FINs() != 3 {
-		t.Fatalf("FINs = %d", a.FINs())
+	if a.fins != 3 {
+		t.Fatalf("FINs = %d", a.fins)
 	}
 }
 
@@ -217,7 +217,7 @@ func TestStripeAssemblerViolations(t *testing.T) {
 		if lastErr == nil {
 			t.Fatalf("%s: accepted", tc.name)
 		}
-		if a.Err() == nil {
+		if a.err == nil {
 			t.Fatalf("%s: not poisoned", tc.name)
 		}
 		a.Release()

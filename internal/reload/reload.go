@@ -78,10 +78,6 @@ type Watcher struct {
 
 	reloads  atomic.Uint64
 	failures atomic.Uint64
-
-	// onEvent, if set, observes every attempt (telemetry, logs). err is
-	// nil on success. Must not call back into the Watcher.
-	onEvent func(name string, err error)
 }
 
 // New creates a watcher polling at the given interval (<= 0 selects
@@ -95,15 +91,6 @@ func New(interval time.Duration) *Watcher {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-}
-
-// OnEvent installs an observer called after every apply attempt with
-// the source name and the outcome (nil = success). Install before
-// Start.
-func (w *Watcher) OnEvent(fn func(name string, err error)) {
-	w.mu.Lock()
-	w.onEvent = fn
-	w.mu.Unlock()
 }
 
 // Watch registers a file. name labels the source in status and events;
@@ -191,7 +178,6 @@ func (w *Watcher) pollOne(s *source, force bool) error {
 	}
 	w.mu.Lock()
 	unchanged := s.tried && st == s.seen
-	onEvent := w.onEvent
 	w.mu.Unlock()
 	if unchanged && !force {
 		return nil
@@ -228,9 +214,6 @@ func (w *Watcher) pollOne(s *source, force bool) error {
 		w.failures.Add(1)
 	} else {
 		w.reloads.Add(1)
-	}
-	if onEvent != nil {
-		onEvent(s.name, err)
 	}
 	return err
 }

@@ -73,7 +73,6 @@ func escapeHelp(s string) string {
 }
 
 func formatUint(v uint64) string { return strconv.FormatUint(v, 10) }
-func formatInt(v int64) string   { return strconv.FormatInt(v, 10) }
 
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)

@@ -1,7 +1,8 @@
-// Package telemetry is the repo's dependency-free metrics layer: atomic
-// counters, gauges, and fixed-bucket histograms whose hot paths allocate
-// nothing, collected by a Registry that renders the Prometheus text
-// exposition format. The security plane's counters (pool occupancy,
+// Package telemetry is the repo's dependency-free metrics layer:
+// counters and gauges sampled at scrape time from the counters each
+// subsystem already keeps, and fixed-bucket histograms whose Observe
+// allocates nothing, collected by a Registry that renders the Prometheus
+// text exposition format. The security plane's counters (pool occupancy,
 // decision-cache hits, handshake latency, record-pool pressure) hang off
 // it so a long-running container is observable without restarting — the
 // operational story the paper's deployment section assumes.
@@ -14,7 +15,7 @@
 // Series naming follows the exposition format directly: a metric's name
 // may carry a literal label block, e.g.
 //
-//	telemetry.NewCounter(`gsi_pool_hits_total{id="ab12cd34"}`, "...")
+//	telemetry.NewCounterFunc(`gsi_pool_hits_total{id="ab12cd34"}`, "...", pool.hits)
 //
 // and metrics sharing the family (the part before '{') share one
 // HELP/TYPE header in the scrape output.
@@ -30,8 +31,8 @@ import (
 	"time"
 )
 
-// Metric is anything a Registry can expose. The three instrument kinds
-// plus their func-sampled variants implement it.
+// Metric is anything a Registry can expose: CounterFunc, GaugeFunc and
+// Histogram implement it.
 type Metric interface {
 	// Name returns the full series name, label block included.
 	Name() string
@@ -42,67 +43,6 @@ type Metric interface {
 }
 
 // --- instruments ---------------------------------------------------------
-
-// Counter is a monotonically increasing value. Inc and Add are
-// lock-free and allocation-free.
-type Counter struct {
-	desc
-	v atomic.Uint64
-}
-
-// NewCounter creates a standalone counter. The name (family plus
-// optional literal label block) must be a valid exposition series name;
-// invalid names panic — metric registration is programmer-controlled.
-func NewCounter(name, help string) *Counter {
-	return &Counter{desc: mustDesc(name, help)}
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-func (c *Counter) typ() string { return "counter" }
-
-func (c *Counter) write(b *strings.Builder) {
-	writeSample(b, c.name, "", formatUint(c.v.Load()))
-}
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	desc
-	v atomic.Int64
-}
-
-// NewGauge creates a standalone gauge.
-func NewGauge(name, help string) *Gauge {
-	return &Gauge{desc: mustDesc(name, help)}
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the value by delta (negative deltas decrease it).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) typ() string { return "gauge" }
-
-func (g *Gauge) write(b *strings.Builder) {
-	writeSample(b, g.name, "", formatInt(g.v.Load()))
-}
 
 // CounterFunc samples a uint64 at scrape time — the bridge for
 // subsystems that already keep their own atomic counters (pool stats,
@@ -377,10 +317,6 @@ func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[string]Metric)}
 }
 
-// Default is the process-wide registry the facade wires shared
-// internals into when the caller does not supply one.
-var Default = NewRegistry()
-
 // Register adds metrics to the registry. Re-registering the same object
 // is a no-op (wiring code may run per-endpoint); a different metric
 // under an existing series name is an error — two writers under one
@@ -401,13 +337,6 @@ func (r *Registry) Register(ms ...Metric) error {
 		r.metrics[m.Name()] = m
 	}
 	return nil
-}
-
-// MustRegister is Register, panicking on conflict.
-func (r *Registry) MustRegister(ms ...Metric) {
-	if err := r.Register(ms...); err != nil {
-		panic(err)
-	}
 }
 
 // Get returns the metric registered under the full series name, if any.

@@ -6,22 +6,20 @@ import (
 	"time"
 )
 
+// counter is a counter that reads v at every scrape.
+func counter(name, help string, v uint64) *CounterFunc {
+	return NewCounterFunc(name, help, func() uint64 { return v })
+}
+
 // TestExpositionGolden pins the exact exposition output: family
 // grouping, HELP/TYPE headers, sorted series, histogram buckets with
 // cumulative counts and merged labels.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 
-	c := NewCounter("gsi_test_ops_total", "Operations performed.")
-	c.Add(41)
-	c.Inc()
-
-	g := NewGauge(`gsi_test_idle{id="a"}`, "Idle things.")
-	g.Set(7)
-	g.Dec()
-
-	g2 := NewGauge(`gsi_test_idle{id="b"}`, "Idle things.")
-	g2.Set(3)
+	c := counter("gsi_test_ops_total", "Operations performed.", 42)
+	g := NewGaugeFunc(`gsi_test_idle{id="a"}`, "Idle things.", func() float64 { return 6 })
+	g2 := NewGaugeFunc(`gsi_test_idle{id="b"}`, "Idle things.", func() float64 { return 3 })
 
 	h := NewHistogram(`gsi_test_seconds{kind="x"}`, "Latency.", []float64{0.01, 0.1})
 	h.Observe(0.005)
@@ -32,7 +30,9 @@ func TestExpositionGolden(t *testing.T) {
 	f := NewGaugeFunc("gsi_test_ratio", "A sampled ratio.", func() float64 { return 0.5 })
 	cf := NewCounterFunc("gsi_test_sampled_total", "A sampled counter.", func() uint64 { return 9 })
 
-	r.MustRegister(c, g, g2, h, f, cf)
+	if err := r.Register(c, g, g2, h, f, cf); err != nil {
+		t.Fatal(err)
+	}
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -68,18 +68,7 @@ gsi_test_seconds_count{kind="x"} 4
 // allocations per operation — the invariant that lets the record layer
 // and exchange path carry them without moving the 2-allocs/op gate.
 func TestMetricsZeroAlloc(t *testing.T) {
-	c := NewCounter("gsi_test_zero_total", "")
-	g := NewGauge("gsi_test_zero", "")
 	h := NewHistogram("gsi_test_zero_seconds", "", nil)
-	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
-		t.Errorf("Counter.Inc allocates %v/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { c.Add(3) }); n != 0 {
-		t.Errorf("Counter.Add allocates %v/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { g.Add(-2) }); n != 0 {
-		t.Errorf("Gauge.Add allocates %v/op, want 0", n)
-	}
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(0.003) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %v/op, want 0", n)
 	}
@@ -103,7 +92,7 @@ func TestHistogramCountSum(t *testing.T) {
 
 func TestRegisterConflicts(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter("gsi_test_dup_total", "")
+	c := counter("gsi_test_dup_total", "", 0)
 	if err := r.Register(c); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +101,7 @@ func TestRegisterConflicts(t *testing.T) {
 		t.Errorf("re-registering the same object: %v", err)
 	}
 	// Different object, same series: conflict.
-	if err := r.Register(NewCounter("gsi_test_dup_total", "")); err == nil {
+	if err := r.Register(counter("gsi_test_dup_total", "", 0)); err == nil {
 		t.Error("registering a second metric under one series name should fail")
 	}
 	// The same object may live in several registries (shared process-wide
@@ -134,13 +123,13 @@ func TestNameValidation(t *testing.T) {
 					t.Errorf("name %q: expected panic", bad)
 				}
 			}()
-			NewCounter(bad, "")
+			counter(bad, "", 0)
 		}()
 	}
 	for _, good := range []string{
 		"x", "x_total", "ns:sub_total", `x{k="v"}`, `x{a="1",b="two words"}`,
 	} {
-		NewCounter(good, "") // must not panic
+		counter(good, "", 0) // must not panic
 	}
 }
 
@@ -166,10 +155,10 @@ func TestHostileDNLabels(t *testing.T) {
 	}
 	for _, dn := range hostile {
 		name := `gsi_test_dn_total{id="` + EscapeLabelValue(dn) + `"}`
-		c := NewCounter(name, "Per-identity ops.") // must not panic
-		c.Inc()
 		r := NewRegistry()
-		r.MustRegister(c)
+		if err := r.Register(counter(name, "Per-identity ops.", 1)); err != nil { // must not panic
+			t.Fatal(err)
+		}
 		var b strings.Builder
 		if err := r.WritePrometheus(&b); err != nil {
 			t.Fatalf("DN %q: %v", dn, err)
@@ -200,15 +189,17 @@ func TestHostileDNLabels(t *testing.T) {
 					t.Errorf("label block %q: expected panic", bad)
 				}
 			}()
-			NewCounter(bad, "")
+			counter(bad, "", 0)
 		}()
 	}
 	// A full DN from the gridmap path renders as one parseable series
 	// even when several identities share the family.
-	a := NewCounter(`gsi_peer_ops_total{id="`+EscapeLabelValue(`/O=Grid/CN=A\lice "The" 1st`)+`"}`, "h")
-	b2 := NewCounter(`gsi_peer_ops_total{id="`+EscapeLabelValue("/O=Grid/CN=Bob,OU=x")+`"}`, "h")
+	a := counter(`gsi_peer_ops_total{id="`+EscapeLabelValue(`/O=Grid/CN=A\lice "The" 1st`)+`"}`, "h", 0)
+	b2 := counter(`gsi_peer_ops_total{id="`+EscapeLabelValue("/O=Grid/CN=Bob,OU=x")+`"}`, "h", 0)
 	r := NewRegistry()
-	r.MustRegister(a, b2)
+	if err := r.Register(a, b2); err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

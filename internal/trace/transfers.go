@@ -34,14 +34,6 @@ func (t *Transfer) Add(n int64) {
 	}
 }
 
-// Bytes returns the bytes moved so far. Nil-safe.
-func (t *Transfer) Bytes() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.bytes.Load()
-}
-
 // End removes the transfer from its registry. Nil-safe and idempotent.
 func (t *Transfer) End() {
 	if t == nil || t.reg == nil {

@@ -73,23 +73,19 @@ var ErrSnapshotStale = errors.New("wal: snapshot stale")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// SyncPolicy selects when appends reach stable storage.
+// SyncPolicy selects when appends reach stable storage. The zero value
+// is the one durable mode: every Append blocks until its own record is on
+// stable storage, so an acknowledged mutation survives kill -9 —
+// durability is why the WAL exists. Concurrent Appends share fsyncs
+// through a leader/follower commit queue (group commit); a lone writer
+// pays exactly one fsync per record. A failed fsync is sticky: the
+// affected Appends report it and every later Append is refused, because
+// the log can no longer promise durability.
 type SyncPolicy uint8
 
-const (
-	// SyncDurable, the zero value, is the one durable mode: every Append
-	// blocks until its own record is on stable storage, so an
-	// acknowledged mutation survives kill -9 — durability is why the WAL
-	// exists. Concurrent Appends share fsyncs through a leader/follower
-	// commit queue (group commit); a lone writer pays exactly one fsync
-	// per record. A failed fsync is sticky: the affected Appends report
-	// it and every later Append is refused, because the log can no
-	// longer promise durability.
-	SyncDurable SyncPolicy = iota
-	// SyncNever leaves flushing to the OS (tests and fuzzers). Close and
-	// explicit Sync still flush.
-	SyncNever
-)
+// SyncNever leaves flushing to the OS (tests and fuzzers). Close still
+// flushes.
+const SyncNever SyncPolicy = 1
 
 // Options parameterize Open.
 type Options struct {
@@ -491,20 +487,6 @@ func (w *WAL) markSynced(seq uint64) {
 		w.commit.Broadcast()
 	}
 	w.cmu.Unlock()
-}
-
-// Sync flushes the active segment to stable storage.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed || w.active == nil {
-		return nil
-	}
-	if err := w.active.Sync(); err != nil {
-		return err
-	}
-	w.markSynced(w.nextSeq - 1)
-	return nil
 }
 
 // Stats describes the journal's growth since its last snapshot, for

@@ -43,14 +43,6 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) *Encoder { e.buf = append(e.buf, v); return e }
 
-// U16 appends a big-endian uint16.
-func (e *Encoder) U16(v uint16) *Encoder {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	e.buf = append(e.buf, b[:]...)
-	return e
-}
-
 // U32 appends a big-endian uint32.
 func (e *Encoder) U32(v uint32) *Encoder {
 	var b [4]byte
@@ -139,16 +131,6 @@ func (d *Decoder) U8() uint8 {
 	}
 	v := d.b[d.off]
 	d.off++
-	return v
-}
-
-// U16 reads a big-endian uint16.
-func (d *Decoder) U16() uint16 {
-	if !d.need(2) {
-		return 0
-	}
-	v := binary.BigEndian.Uint16(d.b[d.off:])
-	d.off += 2
 	return v
 }
 

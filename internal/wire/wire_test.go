@@ -10,11 +10,11 @@ import (
 
 func TestScalarRoundTrip(t *testing.T) {
 	enc := NewEncoder().
-		U8(0xAB).U16(0xCDEF).U32(0xDEADBEEF).U64(0x0123456789ABCDEF).
+		U8(0xAB).U32(0xDEADBEEF).U64(0x0123456789ABCDEF).
 		I64(-42).Bool(true).Bool(false).
 		Bytes([]byte{1, 2, 3}).Str("hello")
 	d := NewDecoder(enc.Finish())
-	if d.U8() != 0xAB || d.U16() != 0xCDEF || d.U32() != 0xDEADBEEF || d.U64() != 0x0123456789ABCDEF {
+	if d.U8() != 0xAB || d.U32() != 0xDEADBEEF || d.U64() != 0x0123456789ABCDEF {
 		t.Fatal("unsigned round trip failed")
 	}
 	if d.I64() != -42 {

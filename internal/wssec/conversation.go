@@ -1,9 +1,9 @@
 // Package wssec implements the GT3 Web-services security protocols of the
 // paper (§4.4, §5.1): WS-SecureConversation (security-context
-// establishment whose tokens are the same GSS tokens GT2 frames over TCP,
-// here carried in SOAP envelopes), WS-Trust (a token-issuance service),
-// and WS-Policy (publication and intersection of service security
-// policy).
+// establishment, in WS-Trust's RequestSecurityToken exchange, whose
+// tokens are the same GSS tokens GT2 frames over TCP, here carried in SOAP
+// envelopes) and WS-Policy (security policy documents, their retrieval
+// and intersection).
 package wssec
 
 import (
@@ -195,23 +195,21 @@ func (c *Conversation) CallContext(ctx context.Context, env *soap.Envelope) (*so
 	return &out, nil
 }
 
-// DefaultMaxSessions bounds a manager's live-session table when no
-// explicit cap is set. The minute-throttled expiry sweep alone is not a
-// bound: long-lived contexts accumulating faster than they lapse would
-// grow the table without limit.
-const DefaultMaxSessions = 4096
+// maxSessions bounds a manager's live-session table. The
+// minute-throttled expiry sweep alone is not a bound: long-lived contexts
+// accumulating faster than they lapse would grow the table without limit.
+const maxSessions = 4096
 
 // ConversationManager is the service side: it answers the RST/RSTR
 // actions and unwraps secured application messages.
 type ConversationManager struct {
 	cfg gss.Config
 
-	mu          sync.Mutex
-	pending     map[string]*pendingAccept
-	sessions    map[string]*serverSession
-	lastExpire  time.Time
-	maxSessions int
-	evicted     uint64
+	mu         sync.Mutex
+	pending    map[string]*pendingAccept
+	sessions   map[string]*serverSession
+	lastExpire time.Time
+	evicted    uint64
 }
 
 // pendingAccept is a half-established acceptor between RST and RSTR;
@@ -236,22 +234,10 @@ type serverSession struct {
 // NewConversationManager creates a manager for a service credential.
 func NewConversationManager(cfg gss.Config) *ConversationManager {
 	return &ConversationManager{
-		cfg:         cfg,
-		pending:     make(map[string]*pendingAccept),
-		sessions:    make(map[string]*serverSession),
-		maxSessions: DefaultMaxSessions,
+		cfg:      cfg,
+		pending:  make(map[string]*pendingAccept),
+		sessions: make(map[string]*serverSession),
 	}
-}
-
-// SetMaxSessions changes the live-session cap (n <= 0 restores the
-// default). Shrinking does not evict immediately; the next store does.
-func (m *ConversationManager) SetMaxSessions(n int) {
-	if n <= 0 {
-		n = DefaultMaxSessions
-	}
-	m.mu.Lock()
-	m.maxSessions = n
-	m.mu.Unlock()
 }
 
 // Evicted reports how many live sessions were dropped to honor the cap
@@ -270,10 +256,10 @@ func (m *ConversationManager) Evicted() uint64 {
 func (m *ConversationManager) storeSession(id string, s *serverSession) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.sessions) >= m.maxSessions {
+	if len(m.sessions) >= maxSessions {
 		m.expireLocked()
 	}
-	for len(m.sessions) >= m.maxSessions {
+	for len(m.sessions) >= maxSessions {
 		victim := ""
 		var soonest time.Time
 		for vid, vs := range m.sessions {
@@ -345,13 +331,6 @@ func (m *ConversationManager) Sessions() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.sessions)
-}
-
-// Expire drops sessions whose contexts have lapsed.
-func (m *ConversationManager) Expire() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.expireLocked()
 }
 
 // maybeExpire runs the lapsed-session sweep at most once per minute, so

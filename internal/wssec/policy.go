@@ -1,7 +1,6 @@
 package wssec
 
 import (
-	"encoding/hex"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -42,22 +41,6 @@ type PolicyDocument struct {
 	// TrustRoots is the hex-encoded fingerprints of CA certificates the
 	// service trusts; a client must hold a credential chaining to one.
 	TrustRoots []string `xml:"TrustRoots>Fingerprint"`
-	// EncryptionKey is the service's hex-encoded X25519 public key for
-	// stateless body encryption (empty if unsupported).
-	EncryptionKey string `xml:"EncryptionKey,omitempty"`
-}
-
-// SetEncryptionKey stores a raw X25519 public key.
-func (p *PolicyDocument) SetEncryptionKey(raw []byte) {
-	p.EncryptionKey = hex.EncodeToString(raw)
-}
-
-// EncryptionKeyBytes decodes the stored key.
-func (p *PolicyDocument) EncryptionKeyBytes() ([]byte, error) {
-	if p.EncryptionKey == "" {
-		return nil, errors.New("wssec: policy has no encryption key")
-	}
-	return hex.DecodeString(p.EncryptionKey)
 }
 
 // Marshal renders the policy as XML.
@@ -72,18 +55,6 @@ func UnmarshalPolicy(data []byte) (*PolicyDocument, error) {
 		return nil, fmt.Errorf("wssec: policy: %w", err)
 	}
 	return &p, nil
-}
-
-// PublishPolicy installs a policy-retrieval handler on a dispatcher.
-func PublishPolicy(d *soap.Dispatcher, p *PolicyDocument) error {
-	data, err := p.Marshal()
-	if err != nil {
-		return err
-	}
-	d.Handle(ActionGetPolicy, func(env *soap.Envelope) (*soap.Envelope, error) {
-		return env.Reply(data), nil
-	})
-	return nil
 }
 
 // FetchPolicy retrieves a service's policy document.

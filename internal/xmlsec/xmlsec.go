@@ -1,7 +1,6 @@
-// Package xmlsec implements XML-Signature and XML-Encryption over SOAP
-// envelopes (paper §5.1): detached signatures binding a sender's
-// certificate chain to the envelope's canonical form, and element-level
-// encryption of envelope bodies.
+// Package xmlsec implements XML-Signature over SOAP envelopes (paper
+// §5.1): detached signatures binding a sender's certificate chain to the
+// envelope's canonical form.
 //
 // The stateless mode of GT3 is built directly on SignEnvelope: "a message
 // can be created and signed, allowing the recipient to verify the
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/gridcert"
-	"repro/internal/gridcrypto"
 	"repro/internal/soap"
 	"repro/internal/wire"
 )
@@ -27,9 +25,6 @@ const SignatureHeader = "ds:Signature"
 
 // TimestampHeader carries the signing time (covered by the signature).
 const TimestampHeader = "wsu:Timestamp"
-
-// EncryptedBodyHeader marks an encrypted body and carries key material.
-const EncryptedBodyHeader = "xenc:EncryptedKey"
 
 // signatureBlock is the wire form of the detached signature.
 type signatureBlock struct {
@@ -91,11 +86,6 @@ func SignEnvelope(env *soap.Envelope, cred *gridcert.Credential, extraHeaders ..
 type VerifyOptions struct {
 	// TrustStore validates the signer chain (required).
 	TrustStore *gridcert.TrustStore
-	// ChainCache, if set, memoizes successful signer-chain validations,
-	// keyed by the chain bytes the envelope carries. A verifier shares one
-	// only with parties it would trust to validate on its behalf; nil
-	// validates every envelope in full.
-	ChainCache *gridcert.VerifyCache
 	// MaxAge rejects envelopes whose timestamp is older (0 = 5 minutes).
 	MaxAge time.Duration
 	// Now overrides the clock.
@@ -126,7 +116,7 @@ func VerifyEnvelope(env *soap.Envelope, opts VerifyOptions) (*gridcert.ChainInfo
 	if now.IsZero() {
 		now = time.Now()
 	}
-	info, err := opts.TrustStore.VerifyCached(opts.ChainCache, block.chain, chain, gridcert.VerifyOptions{
+	info, err := opts.TrustStore.Verify(chain, gridcert.VerifyOptions{
 		Now:           now,
 		RejectLimited: opts.RejectLimited,
 	})
@@ -181,77 +171,4 @@ func PeekSigner(env *soap.Envelope) (gridcert.Name, error) {
 		}
 	}
 	return chain[0].Subject, nil
-}
-
-// --- XML-Encryption ----------------------------------------------------
-
-// EncryptBody encrypts the envelope body for a recipient identified by an
-// X25519 public key (published in the service's WS-Policy document),
-// using ephemeral-static ECDH key transport and AES-256-GCM, and replaces
-// the body with the ciphertext.
-func EncryptBody(env *soap.Envelope, recipientECDHPub []byte) error {
-	eph, err := gridcrypto.GenerateECDH()
-	if err != nil {
-		return err
-	}
-	secret, err := eph.SharedSecret(recipientECDHPub)
-	if err != nil {
-		return fmt.Errorf("xmlsec: recipient key agreement: %w", err)
-	}
-	key, err := gridcrypto.DeriveKey(secret, eph.PublicBytes(), []byte("xmlenc body key"), gridcrypto.AEADKeySize)
-	if err != nil {
-		return err
-	}
-	sealed, err := gridcrypto.SealOnce(key, env.Body, []byte(env.Action))
-	if err != nil {
-		return err
-	}
-	env.SetHeader(EncryptedBodyHeader, eph.PublicBytes())
-	env.Body = sealed
-	return nil
-}
-
-// DecryptBody reverses EncryptBody with the recipient's private ECDH key.
-func DecryptBody(env *soap.Envelope, recipient *gridcrypto.ECDHKeyPair) error {
-	h, ok := env.Header(EncryptedBodyHeader)
-	if !ok {
-		return errors.New("xmlsec: body is not encrypted")
-	}
-	secret, err := recipient.SharedSecret(h.Content)
-	if err != nil {
-		return fmt.Errorf("xmlsec: key agreement: %w", err)
-	}
-	key, err := gridcrypto.DeriveKey(secret, h.Content, []byte("xmlenc body key"), gridcrypto.AEADKeySize)
-	if err != nil {
-		return err
-	}
-	plain, err := gridcrypto.OpenOnce(key, env.Body, []byte(env.Action))
-	if err != nil {
-		return fmt.Errorf("xmlsec: body decryption: %w", err)
-	}
-	env.Body = plain
-	env.RemoveHeader(EncryptedBodyHeader)
-	return nil
-}
-
-// EncryptBodyWithContextKey encrypts the body under a symmetric key
-// shared via an established security context (the WS-SecureConversation
-// path); aad binds the ciphertext to the message action.
-func EncryptBodyWithContextKey(env *soap.Envelope, key []byte) error {
-	sealed, err := gridcrypto.SealOnce(key, env.Body, []byte(env.Action))
-	if err != nil {
-		return err
-	}
-	env.Body = sealed
-	return nil
-}
-
-// DecryptBodyWithContextKey reverses EncryptBodyWithContextKey.
-func DecryptBodyWithContextKey(env *soap.Envelope, key []byte) error {
-	plain, err := gridcrypto.OpenOnce(key, env.Body, []byte(env.Action))
-	if err != nil {
-		return fmt.Errorf("xmlsec: context-key decryption: %w", err)
-	}
-	env.Body = plain
-	return nil
 }

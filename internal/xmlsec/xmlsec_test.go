@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/ca"
 	"repro/internal/gridcert"
-	"repro/internal/gridcrypto"
 	"repro/internal/proxy"
 	"repro/internal/soap"
 )
@@ -181,14 +180,13 @@ func TestSignWithProxyRejectLimited(t *testing.T) {
 	}
 }
 
-// TestVerifyEnvelopeChainCache: a verifier's chain cache spares only the
-// chain validation, only for the same chain bytes under the same options,
-// and never the envelope's own signature, freshness or the limited-proxy
-// rule.
-func TestVerifyEnvelopeChainCache(t *testing.T) {
+// TestVerifyEnvelopeWarmSignerStillChecked: a second envelope from a
+// signer whose every link the store has in its memo is spared the curve
+// arithmetic and nothing else — not the signer's expiry, the envelope's own
+// signature, its freshness, or the limited-proxy rule.
+func TestVerifyEnvelopeWarmSignerStillChecked(t *testing.T) {
 	b := newBed(t)
-	cache := gridcert.NewVerifyCache(4)
-	opts := VerifyOptions{TrustStore: b.ts, ChainCache: cache}
+	opts := VerifyOptions{TrustStore: b.ts}
 	sign := func(cred *gridcert.Credential, body string) *soap.Envelope {
 		env := soap.NewEnvelope("gram/create", []byte(body))
 		if err := SignEnvelope(env, cred); err != nil {
@@ -196,27 +194,38 @@ func TestVerifyEnvelopeChainCache(t *testing.T) {
 		}
 		return env
 	}
-	for i, want := range []gridcert.VerifyCacheStats{{Misses: 1, Len: 1}, {Misses: 1, Hits: 1, Len: 1}} {
-		info, err := VerifyEnvelope(sign(b.alice, "job"), opts)
+	short, err := proxy.New(b.alice, proxy.Options{Lifetime: 10 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wantChecks := range []uint64{uint64(len(short.Chain)), 0} {
+		before := b.ts.SignatureStats().Checks
+		info, err := VerifyEnvelope(sign(short, "job"), opts)
 		if err != nil || info.Identity.String() != "/O=Grid/CN=Alice" {
 			t.Fatalf("verify %d: %v %v", i, info, err)
 		}
-		if got := cache.Stats(); got != want {
-			t.Fatalf("verify %d: cache %+v, want %+v", i, got, want)
+		if got := b.ts.SignatureStats().Checks - before; got != wantChecks {
+			t.Fatalf("verify %d: %d certificate-signature checks, want %d", i, got, wantChecks)
 		}
 	}
-	// A cached chain does not carry a tampered body through.
-	env := sign(b.alice, "job")
+	// An hour past the proxy's NotAfter the signer is refused as expired,
+	// every link in the memo or not.
+	late := short.Leaf().NotAfter.Add(time.Hour)
+	if _, err := VerifyEnvelope(sign(short, "job"), VerifyOptions{TrustStore: b.ts, Now: late}); !errors.Is(err, gridcert.ErrExpired) {
+		t.Fatalf("envelope from a signer an hour past its proxy's NotAfter: %v", err)
+	}
+	// A remembered chain does not carry a tampered body through.
+	env := sign(short, "job")
 	env.Body = []byte("tampered")
 	if _, err := VerifyEnvelope(env, opts); err == nil {
-		t.Fatal("tampered body accepted on a chain-cache hit")
+		t.Fatal("tampered body accepted from a remembered signer")
 	}
 	// Nor a stale timestamp.
-	if _, err := VerifyEnvelope(sign(b.alice, "job"), VerifyOptions{TrustStore: b.ts, ChainCache: cache, Now: time.Now().Add(time.Hour)}); err == nil {
-		t.Fatal("stale envelope accepted on a chain-cache hit")
+	if _, err := VerifyEnvelope(sign(b.alice, "job"), VerifyOptions{TrustStore: b.ts, Now: time.Now().Add(time.Hour)}); err == nil {
+		t.Fatal("stale envelope accepted from a remembered signer")
 	}
 	// A limited proxy validated where limited proxies are acceptable is
-	// still refused where they are not: the options are part of the key.
+	// still refused where they are not.
 	limited, err := proxy.New(b.alice, proxy.Options{Variant: gridcert.ProxyLimited})
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +235,7 @@ func TestVerifyEnvelopeChainCache(t *testing.T) {
 	}
 	opts.RejectLimited = true
 	if _, err := VerifyEnvelope(sign(limited, "job"), opts); !errors.Is(err, gridcert.ErrLimitedProxy) {
-		t.Fatalf("limited proxy under RejectLimited with a warm cache: %v", err)
+		t.Fatalf("limited proxy under RejectLimited, links remembered: %v", err)
 	}
 }
 
@@ -252,91 +261,6 @@ func TestStatelessCreateBeforeRecipientExists(t *testing.T) {
 	}
 	if info.Identity.String() != "/O=Grid/CN=Alice" {
 		t.Fatalf("identity = %q", info.Identity)
-	}
-}
-
-func TestEncryptDecryptBody(t *testing.T) {
-	recipient, err := gridcrypto.GenerateECDH()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := soap.NewEnvelope("op", []byte("secret payload"))
-	if err := EncryptBody(env, recipient.PublicBytes()); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(env.Body, []byte("secret")) {
-		t.Fatal("body not encrypted")
-	}
-	// Round trip the wire.
-	data, _ := env.Marshal()
-	got, _ := soap.Unmarshal(data)
-	if err := DecryptBody(got, recipient); err != nil {
-		t.Fatal(err)
-	}
-	if string(got.Body) != "secret payload" {
-		t.Fatalf("decrypted = %q", got.Body)
-	}
-}
-
-func TestDecryptWithWrongKeyFails(t *testing.T) {
-	recipient, _ := gridcrypto.GenerateECDH()
-	other, _ := gridcrypto.GenerateECDH()
-	env := soap.NewEnvelope("op", []byte("secret"))
-	if err := EncryptBody(env, recipient.PublicBytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := DecryptBody(env, other); err == nil {
-		t.Fatal("wrong key decrypted body")
-	}
-}
-
-func TestEncryptionBoundToAction(t *testing.T) {
-	recipient, _ := gridcrypto.GenerateECDH()
-	env := soap.NewEnvelope("read", []byte("secret"))
-	if err := EncryptBody(env, recipient.PublicBytes()); err != nil {
-		t.Fatal(err)
-	}
-	env.Action = "delete" // splice ciphertext onto a different action
-	if err := DecryptBody(env, recipient); err == nil {
-		t.Fatal("ciphertext accepted under different action")
-	}
-}
-
-func TestContextKeyEncryption(t *testing.T) {
-	key := bytes.Repeat([]byte{9}, gridcrypto.AEADKeySize)
-	env := soap.NewEnvelope("op", []byte("via context"))
-	if err := EncryptBodyWithContextKey(env, key); err != nil {
-		t.Fatal(err)
-	}
-	if err := DecryptBodyWithContextKey(env, key); err != nil {
-		t.Fatal(err)
-	}
-	if string(env.Body) != "via context" {
-		t.Fatalf("got %q", env.Body)
-	}
-}
-
-func TestSignEncryptCombined(t *testing.T) {
-	// Sign-then-encrypt: the signature covers the plaintext body, so it
-	// must be verified after decryption.
-	b := newBed(t)
-	recipient, _ := gridcrypto.GenerateECDH()
-	env := soap.NewEnvelope("op", []byte("payload"))
-	if err := SignEnvelope(env, b.alice); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncryptBody(env, recipient.PublicBytes()); err != nil {
-		t.Fatal(err)
-	}
-	// Undecrypted: verification fails (body is ciphertext).
-	if _, err := VerifyEnvelope(env, VerifyOptions{TrustStore: b.ts}); err == nil {
-		t.Fatal("signature verified over ciphertext")
-	}
-	if err := DecryptBody(env, recipient); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := VerifyEnvelope(env, VerifyOptions{TrustStore: b.ts}); err != nil {
-		t.Fatalf("after decrypt: %v", err)
 	}
 }
 

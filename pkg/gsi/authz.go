@@ -313,12 +313,11 @@ func (p *AuthorizationPipeline) evaluate(peer Peer, leaf *Certificate, resource,
 		// Re-validate even when the handshake already did: the peer's
 		// Info was computed at connect time, and a long-lived session
 		// must not keep a credential alive across a CRL or root removal.
-		// The environment's verified-chain cache makes this one digest
-		// on the steady state, and its entries are themselves keyed on
-		// trust-store generation and bounded by the validity window —
-		// so revocation bites on the next exchange, not at reconnect.
+		// Every rule runs again here (the store remembers only which link
+		// signatures verified), so revocation bites on the next exchange,
+		// not at reconnect.
 		var err error
-		info, err = p.env.trust.VerifyCached(p.env.chains, gridcert.EncodeChain(peer.Chain), peer.Chain, gridcert.VerifyOptions{Now: now})
+		info, err = p.env.trust.Verify(peer.Chain, gridcert.VerifyOptions{Now: now})
 		if err != nil {
 			return AuthzDecision{Decision: Deny, Reason: "authentication failed"}, expiry, err
 		}

@@ -27,11 +27,6 @@ type Environment struct {
 	// where a pointer would be unsound across GC address reuse.
 	id string
 
-	// chains memoizes successful peer-chain validations across every
-	// handshake in the environment, so repeated peers skip full path
-	// validation. Invalidation is automatic: entries are bound to the
-	// trust store's generation and the chain's validity window.
-	chains *gridcert.VerifyCache
 	series []telemetry.Metric // trustMetrics
 }
 
@@ -83,10 +78,9 @@ func NewEnvironment(opts ...EnvOption) (*Environment, error) {
 		return nil, opErr("gsi.NewEnvironment", err)
 	}
 	e := &Environment{
-		trust:  gridcert.NewTrustStore(),
-		now:    time.Now,
-		chains: gridcert.NewVerifyCache(gridcert.DefaultVerifyCacheSize),
-		id:     fmt.Sprintf("env-%x", tag),
+		trust: gridcert.NewTrustStore(),
+		now:   time.Now,
+		id:    fmt.Sprintf("env-%x", tag),
 	}
 	e.series = e.trustMetrics()
 	for _, opt := range opts {
@@ -102,9 +96,3 @@ func (e *Environment) Trust() *TrustStore { return e.trust }
 
 // Now returns the environment's current time.
 func (e *Environment) Now() time.Time { return e.now() }
-
-// ChainCacheStats reports the environment's verified-chain cache
-// effectiveness (hits mean repeated peers skipped full path validation).
-func (e *Environment) ChainCacheStats() gridcert.VerifyCacheStats {
-	return e.chains.Stats()
-}

@@ -675,7 +675,6 @@ func (s *settings) contextConfig(env *Environment, cred *Credential) gss.Config 
 	return gss.Config{
 		Credential:    cred,
 		TrustStore:    env.trust,
-		ChainCache:    env.chains,
 		Delegate:      s.delegation,
 		RejectLimited: s.rejectLimited,
 		ExpectedPeer:  s.expectedPeer,

@@ -54,10 +54,11 @@ type ReloadSourceStatus = reload.SourceStatus
 
 // Reloader watches a server's configuration files and applies changes
 // to the live trust store, gridmap, and policy through their
-// generation-counted swap operations — so the PR 4 decision cache and
-// the PR 2 chain cache invalidate themselves on the next lookup, with
-// no restart and no explicit cache flush. Obtain one via WithReload;
-// the server starts and stops it with its control plane.
+// generation-counted swap operations — so the decision cache strands
+// its entries on the next lookup and the next chain validation walks
+// against the new roots and CRLs, with no restart and no explicit flush.
+// Obtain one via WithReload; the server starts and stops it with its
+// control plane.
 type Reloader struct {
 	w *reload.Watcher
 }
