@@ -117,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaBundleDecode$$' -fuzztime=5s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaApply$$' -fuzztime=5s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzSyncReplyDecode$$' -fuzztime=5s ./internal/cas
+	$(GO) test -run '^$$' -fuzz '^FuzzEnvelopeDecode$$' -fuzztime=5s ./internal/soap
 
 ## bench: the repo's one benchmark (BENCHMARK.json): four grid
 ## workloads, end-to-end metrics and per-layer probes.
@@ -139,12 +140,15 @@ bench:
 ## Restricted list when a proxy carries a policy) — that, not a cache of
 ## verdicts in front of Verify, is what makes a repeated peer cheap; a
 ## cold authorization decision (65 local rules, the VO's half from the
-## bundle replica) <= 100; and a
+## bundle replica) <= 100; a
 ## replica's first full sync of a 10,000-member bundle <= 1,000 on each
 ## side — DecodeBundle + Apply, and the publisher's version-0 Pull —
-## where anything done per member would be tens of thousands.
+## where anything done per member would be tens of thousands; and a SOAP
+## envelope's Marshal + Unmarshal <= 12 whether its body is 1 KiB or
+## 4 MiB, the latter in <= 3x the body's size (encoding/xml took 128 for
+## the small one and 12x for the large).
 gate-allocs:
-	$(GO) test -count=1 -run 'Alloc' ./pkg/gsi ./internal/telemetry ./internal/trace ./internal/wal ./internal/gram ./internal/cas ./internal/gridcert
+	$(GO) test -count=1 -run 'Alloc' ./pkg/gsi ./internal/telemetry ./internal/trace ./internal/wal ./internal/gram ./internal/cas ./internal/gridcert ./internal/soap
 
 ## fmt: rewrite files in place.
 fmt:

@@ -40,6 +40,8 @@ type Bundle struct {
 
 	Signature []byte
 	signed    []byte // DecodeBundle's view of the signed bytes as they arrived
+
+	memberOrder, roleOrder []string // the tables' keys ascending, where the publisher kept them
 }
 
 // tbs is the one bundle encoder: the bytes the VO signs (as received, if
@@ -56,8 +58,8 @@ func (b *Bundle) tbs() []byte {
 	e := wire.NewEncoder().Reset(make([]byte, 0,
 		8+len(bundleMagic)+len(vo)+16+stringListMapSize(b.Members)+stringListMapSize(b.Roles)+tail.Len()))
 	e.Str(bundleMagic).Str(vo).U64(b.Version).I64(b.IssuedAt.Unix())
-	encodeStringListMap(e, b.Members)
-	encodeStringListMap(e, b.Roles)
+	encodeStringListMap(e, b.Members, b.memberOrder)
+	encodeStringListMap(e, b.Roles, b.roleOrder)
 	return e.Raw(tail.Finish()).Finish()
 }
 
@@ -130,6 +132,7 @@ func (b *Bundle) Verify(casCert *gridcert.Certificate) error {
 func (s *Server) exportSigned() (version uint64, tbs, sig []byte, err error) {
 	s.mu.RLock()
 	live := Bundle{VO: s.VO(), Version: s.version, IssuedAt: s.now(), Members: s.members, Roles: s.roles, Rules: s.policy.Rules()}
+	live.memberOrder, live.roleOrder = s.keptOrder(&s.memberOrder, s.members), s.keptOrder(&s.roleOrder, s.roles)
 	tbs = live.tbs()
 	s.mu.RUnlock()
 	sig, err = s.cred.Key.Sign(tbs)

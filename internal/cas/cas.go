@@ -139,7 +139,11 @@ type Server struct {
 	mu      sync.RWMutex
 	members map[string][]string // member DN -> groups within the VO
 	roles   map[string][]string // member DN -> roles within the VO
-	policy  *authz.Policy
+	// The tables' keys ascending, kept between exports (nil: to be sorted
+	// again); exporters fill them under mu's read lock, hence orderMu.
+	orderMu                sync.Mutex
+	memberOrder, roleOrder []string
+	policy                 *authz.Policy
 	// version is the bundle version: bumped by every mutation, journaled
 	// with it, exported in signed bundles. See state.go.
 	version uint64

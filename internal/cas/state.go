@@ -80,7 +80,7 @@ func (s *Server) AddMemberChecked(dn gridcert.Name, groups ...string) error {
 	}); err != nil {
 		return err
 	}
-	s.members[dn.String()] = append([]string(nil), groups...)
+	setKeyLocked(s.members, &s.memberOrder, dn.String(), append([]string(nil), groups...))
 	s.version++
 	s.deltaLogAppendLocked(DeltaOp{Kind: casMutMemberAdd, DN: dn.String(), Strings: groups})
 	return nil
@@ -103,6 +103,7 @@ func (s *Server) RemoveMemberChecked(dn gridcert.Name) error {
 	}
 	delete(s.members, key)
 	delete(s.roles, key)
+	s.memberOrder, s.roleOrder = nil, nil
 	s.version++
 	s.deltaLogAppendLocked(DeltaOp{Kind: casMutMemberRemove, DN: key})
 	return nil
@@ -118,7 +119,7 @@ func (s *Server) AssignRoleChecked(dn gridcert.Name, roles ...string) error {
 	}); err != nil {
 		return err
 	}
-	s.roles[dn.String()] = append(s.roles[dn.String()], roles...)
+	setKeyLocked(s.roles, &s.roleOrder, dn.String(), append(s.roles[dn.String()], roles...))
 	s.version++
 	s.deltaLogAppendLocked(DeltaOp{Kind: casMutRoleAssign, DN: dn.String(), Strings: roles})
 	return nil
@@ -180,7 +181,7 @@ func (s *Server) ApplyReplayed(payload []byte) error {
 		if dn == "" {
 			return fmt.Errorf("cas: replayed member with empty DN")
 		}
-		s.members[dn] = groups
+		setKeyLocked(s.members, &s.memberOrder, dn, groups)
 		op = DeltaOp{Kind: kind, DN: dn, Strings: groups}
 	case casMutMemberRemove:
 		dn := d.Str()
@@ -189,6 +190,7 @@ func (s *Server) ApplyReplayed(payload []byte) error {
 		}
 		delete(s.members, dn)
 		delete(s.roles, dn)
+		s.memberOrder, s.roleOrder = nil, nil
 		op = DeltaOp{Kind: kind, DN: dn}
 	case casMutRoleAssign:
 		dn := d.Str()
@@ -199,7 +201,7 @@ func (s *Server) ApplyReplayed(payload []byte) error {
 		if dn == "" {
 			return fmt.Errorf("cas: replayed role assignment with empty DN")
 		}
-		s.roles[dn] = append(s.roles[dn], roles...)
+		setKeyLocked(s.roles, &s.roleOrder, dn, append(s.roles[dn], roles...))
 		op = DeltaOp{Kind: kind, DN: dn, Strings: roles}
 	case casMutPolicyAdd:
 		n := d.Count("replayed rule", maxAssertionRules)
@@ -238,8 +240,8 @@ func (s *Server) EncodeState() []byte {
 	e := wire.NewEncoder()
 	e.U8(casStateVersion)
 	e.U64(s.version)
-	encodeStringListMap(e, s.members)
-	encodeStringListMap(e, s.roles)
+	encodeStringListMap(e, s.members, s.keptOrder(&s.memberOrder, s.members))
+	encodeStringListMap(e, s.roles, s.keptOrder(&s.roleOrder, s.roles))
 	e.Bytes(s.policy.EncodeState())
 	return e.Finish()
 }
@@ -267,8 +269,8 @@ func (s *Server) RestoreState(b []byte) error {
 	if err := s.policy.RestoreState(policyState); err != nil {
 		return err
 	}
-	s.members = members
-	s.roles = roles
+	s.members, s.memberOrder = members, nil
+	s.roles, s.roleOrder = roles, nil
 	s.version = version
 	// A snapshot collapses mutation history: deltas across the restore
 	// point cannot be served, so replicas behind it fall back to a full
@@ -277,12 +279,42 @@ func (s *Server) RestoreState(b []byte) error {
 	return nil
 }
 
-func encodeStringListMap(e *wire.Encoder, m map[string][]string) {
+// setKeyLocked stores v under key, dropping the table's kept order if key
+// is new; the caller holds s.mu for writing.
+func setKeyLocked(table map[string][]string, order *[]string, key string, v []string) {
+	if _, known := table[key]; !known {
+		*order = nil
+	}
+	table[key] = v
+}
+
+// keptOrder returns table's keys in ascending order, sorted again only if
+// a key has come or gone since the last export (that drops the order: an
+// insert per enrolment would go quadratic); the caller holds s.mu.
+func (s *Server) keptOrder(order *[]string, table map[string][]string) []string {
+	s.orderMu.Lock()
+	defer s.orderMu.Unlock()
+	if *order == nil {
+		*order = sortedKeys(table)
+	}
+	return *order
+}
+
+func sortedKeys(m map[string][]string) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	return keys
+}
+
+// encodeStringListMap writes m in the order of keys: m's keys ascending,
+// sorted here when the caller has not kept them.
+func encodeStringListMap(e *wire.Encoder, m map[string][]string, keys []string) {
+	if keys == nil {
+		keys = sortedKeys(m)
+	}
 	e.U32(uint32(len(keys)))
 	for _, k := range keys {
 		e.Str(k)

@@ -3,6 +3,7 @@ package soap
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -20,10 +21,14 @@ const maxHTTPBody = 1 << 24
 // readBody reads an HTTP body into a buffer sized from Content-Length
 // when the peer declared one, avoiding ReadAll's repeated grow-and-copy
 // on large envelopes (streamed GT3 chunks make these common). An
-// undeclared or lying length degrades to the incremental path, never to
-// an oversized trust-the-header allocation.
+// undeclared length degrades to the incremental path. A body over the
+// cap, declared or not, is an error that says so: cut to the cap it would
+// reach the parser as a malformed envelope and hide the real reason.
 func readBody(r io.Reader, contentLength int64) ([]byte, error) {
-	if contentLength > 0 && contentLength <= maxHTTPBody {
+	switch {
+	case contentLength > maxHTTPBody:
+		return nil, errBodyOverCap
+	case contentLength > 0:
 		buf := make([]byte, contentLength)
 		// A body shorter than its declared length is a transport
 		// failure (peer died mid-response) and must surface as one, not
@@ -33,8 +38,14 @@ func readBody(r io.Reader, contentLength int64) ([]byte, error) {
 		}
 		return buf, nil
 	}
-	return io.ReadAll(io.LimitReader(r, maxHTTPBody))
+	data, err := io.ReadAll(io.LimitReader(r, maxHTTPBody+1))
+	if len(data) > maxHTTPBody {
+		return nil, errBodyOverCap
+	}
+	return data, err
 }
+
+var errBodyOverCap = errors.New("soap: body exceeds the 16 MiB cap")
 
 // Handler processes one envelope and returns the reply.
 type Handler func(*Envelope) (*Envelope, error)
@@ -117,7 +128,7 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := readBody(r.Body, r.ContentLength)
 	if err != nil {
-		http.Error(w, "read error", http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	env, err := Unmarshal(data)

@@ -4,9 +4,17 @@
 // specifications for all of its communications" (§5); the security
 // packages (internal/xmlsec, internal/wssec) operate on these envelopes.
 //
-// Envelopes are real XML (encoding/xml) with a deterministic canonical
-// serialization so detached signatures verify across hosts. Opaque
-// payloads (tokens, wrapped bytes) travel base64-encoded in leaf elements.
+// On the wire an envelope has one spelling: xml.Header, then
+//
+//	<Envelope><Header><Action>T</Action><MessageID>T</MessageID>
+//	[<RelatesTo>T</RelatesTo>][<To>T</To>]<Blocks>(<Block name="T">B</Block>)*
+//	</Blocks></Header><Body>B</Body>[<Fault><Code>T</Code><Reason>T</Reason></Fault>]</Envelope>
+//
+// with XML whitespace between elements only, T text as xml.EscapeText
+// escapes it and B base64 — byte for byte what encoding/xml's MarshalIndent
+// wrote when it was the writer. Unmarshal refuses everything else (trailing
+// bytes, a second Body, comments, CDATA, a DOCTYPE, namespaces, ...), so
+// the bytes that were checked and the fields that are used cannot differ.
 package soap
 
 import (
@@ -118,81 +126,179 @@ func (e *Envelope) RemoveHeader(name string) {
 
 // --- XML wire form -----------------------------------------------------
 
-type xmlHeaderBlock struct {
-	XMLName xml.Name `xml:"Block"`
-	Name    string   `xml:"name,attr"`
-	Content string   `xml:",chardata"`
-}
-
-type xmlFault struct {
-	Code   string `xml:"Code"`
-	Reason string `xml:"Reason"`
-}
-
-type xmlEnvelope struct {
-	XMLName   xml.Name         `xml:"Envelope"`
-	Action    string           `xml:"Header>Action"`
-	MessageID string           `xml:"Header>MessageID"`
-	RelatesTo string           `xml:"Header>RelatesTo,omitempty"`
-	To        string           `xml:"Header>To,omitempty"`
-	Blocks    []xmlHeaderBlock `xml:"Header>Blocks>Block"`
-	Body      string           `xml:"Body"`
-	Fault     *xmlFault        `xml:"Fault,omitempty"`
-}
-
-// Marshal renders the envelope as XML.
+// Marshal renders the envelope in its one spelling, into a buffer sized
+// up front (512 covers the markup and a fault's text) so a
+// multi-megabyte body is written once.
 func (e *Envelope) Marshal() ([]byte, error) {
-	xe := xmlEnvelope{
-		Action:    e.Action,
-		MessageID: e.MessageID,
-		RelatesTo: e.RelatesTo,
-		To:        e.To,
-		Body:      base64.StdEncoding.EncodeToString(e.Body),
-	}
+	n := 512 + len(e.Action) + len(e.MessageID) + len(e.RelatesTo) + len(e.To) + base64.StdEncoding.EncodedLen(len(e.Body))
 	for _, h := range e.Headers {
-		xe.Blocks = append(xe.Blocks, xmlHeaderBlock{
-			Name:    h.Name,
-			Content: base64.StdEncoding.EncodeToString(h.Content),
-		})
+		n += 32 + len(h.Name) + base64.StdEncoding.EncodedLen(len(h.Content))
 	}
+	b := append(make([]byte, 0, n), xml.Header+"<Envelope>\n <Header>\n"...)
+	b = appendElement(b, "  <Action>", e.Action, "</Action>\n")
+	b = appendElement(b, "  <MessageID>", e.MessageID, "</MessageID>\n")
+	if e.RelatesTo != "" {
+		b = appendElement(b, "  <RelatesTo>", e.RelatesTo, "</RelatesTo>\n")
+	}
+	if e.To != "" {
+		b = appendElement(b, "  <To>", e.To, "</To>\n")
+	}
+	b = append(b, "  <Blocks>"...)
+	for _, h := range e.Headers {
+		b = appendElement(b, "\n   <Block name=\"", h.Name, "\">")
+		b = append(base64.StdEncoding.AppendEncode(b, h.Content), "</Block>"...)
+	}
+	if len(e.Headers) > 0 {
+		b = append(b, "\n  "...)
+	}
+	b = append(b, "</Blocks>\n </Header>\n <Body>"...)
+	b = append(base64.StdEncoding.AppendEncode(b, e.Body), "</Body>\n"...)
 	if e.Fault != nil {
-		xe.Fault = &xmlFault{Code: e.Fault.Code, Reason: e.Fault.Reason}
+		b = appendElement(b, " <Fault>\n  <Code>", e.Fault.Code, "</Code>\n")
+		b = appendElement(b, "  <Reason>", e.Fault.Reason, "</Reason>\n </Fault>\n")
 	}
-	out, err := xml.MarshalIndent(xe, "", " ")
-	if err != nil {
-		return nil, fmt.Errorf("soap: marshal: %w", err)
-	}
-	return append([]byte(xml.Header), out...), nil
+	return append(b, "</Envelope>"...), nil
 }
 
-// Unmarshal parses an XML envelope.
-func Unmarshal(data []byte) (*Envelope, error) {
-	var xe xmlEnvelope
-	if err := xml.Unmarshal(data, &xe); err != nil {
-		return nil, fmt.Errorf("soap: unmarshal: %w", err)
-	}
-	body, err := base64.StdEncoding.DecodeString(strings.TrimSpace(xe.Body))
-	if err != nil {
-		return nil, fmt.Errorf("soap: body decode: %w", err)
-	}
-	e := &Envelope{
-		Action:    xe.Action,
-		MessageID: xe.MessageID,
-		RelatesTo: xe.RelatesTo,
-		To:        xe.To,
-		Body:      body,
-	}
-	for _, b := range xe.Blocks {
-		content, err := base64.StdEncoding.DecodeString(strings.TrimSpace(b.Content))
-		if err != nil {
-			return nil, fmt.Errorf("soap: header %q decode: %w", b.Name, err)
+// plainText reports whether s is all bytes xml.EscapeText copies as they
+// are: every field this repo writes is, nothing with a multi-byte rune.
+func plainText(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || strings.IndexByte(`"'&<>`, c) >= 0 {
+			return false
 		}
-		e.Headers = append(e.Headers, HeaderBlock{Name: b.Name, Content: content})
 	}
-	if xe.Fault != nil {
-		e.Fault = &Fault{Code: xe.Fault.Code, Reason: xe.Fault.Reason}
+	return true
+}
+
+// appendElement appends open, text escaped by xml.EscapeText, and close.
+func appendElement(b []byte, open, text, close string) []byte {
+	b = append(b, open...)
+	if plainText(text) {
+		return append(append(b, text...), close...)
 	}
-	return e, nil
+	buf := bytes.NewBuffer(b)
+	xml.EscapeText(buf, []byte(text)) // writes to a bytes.Buffer do not fail
+	return append(buf.Bytes(), close...)
+}
+
+// reader is a cursor over one envelope; the first refusal sticks.
+type reader struct {
+	data []byte
+	off  int
+	err  error
+}
+
+func (r *reader) fail(expected string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("soap: unmarshal: offset %d: expected %s", r.off, expected)
+	}
+}
+
+// next consumes tag if the input continues with it, after any XML
+// whitespace: none comes before the XML declaration, and there is none to
+// skip beside text or a payload, which end at their delimiter.
+func (r *reader) next(tag string) bool {
+	for r.off > 0 && r.off < len(r.data) && strings.IndexByte(" \t\r\n", r.data[r.off]) >= 0 {
+		r.off++
+	}
+	if rest := r.data[r.off:]; r.err != nil || len(rest) < len(tag) || string(rest[:len(tag)]) != tag {
+		return false
+	}
+	r.off += len(tag)
+	return true
+}
+
+func (r *reader) need(tags ...string) {
+	for _, tag := range tags {
+		if !r.next(tag) {
+			r.fail(tag)
+		}
+	}
+}
+
+// until returns the bytes before the next end, or none: then the next need fails.
+func (r *reader) until(end byte) []byte {
+	n := max(bytes.IndexByte(r.data[r.off:], end), 0)
+	r.off += n
+	return r.data[r.off-n : r.off]
+}
+
+// unescape reverses the eight escapes xml.EscapeText writes.
+var unescape = strings.NewReplacer("&#34;", `"`, "&#39;", "'", "&amp;", "&", "&lt;", "<", "&gt;", ">", "&#x9;", "\t", "&#xA;", "\n", "&#xD;", "\r")
+
+// text reads character data and the close that ends it (`">` after an
+// attribute), in the writer's spelling only: escaping what it decodes to
+// must give the same bytes back, which refuses every raw byte the writer
+// escapes and every reference it does not write. An optional element is
+// never empty: the writer leaves it out.
+func (r *reader) text(close string, optional bool) string {
+	raw := r.until(close[0])
+	s := string(raw)
+	if !plainText(s) {
+		if s = unescape.Replace(s); string(appendElement(nil, "", s, "")) != string(raw) {
+			r.fail("text as the writer escapes it before " + close)
+		}
+	}
+	if optional && s == "" {
+		r.fail("text before " + close)
+	}
+	r.need(close)
+	return s
+}
+
+// canonicalBase64 refuses trailing bits the writer never sets.
+var canonicalBase64 = base64.StdEncoding.Strict()
+
+// payload reads base64 and the close that ends it, into a buffer of its
+// own: callers decrypt bodies in place, so it must not alias the input.
+func (r *reader) payload(close string) []byte {
+	raw := bytes.Trim(r.until('<'), " \t\r\n")
+	if r.err != nil {
+		return nil
+	}
+	out := make([]byte, base64.StdEncoding.DecodedLen(len(raw)))
+	n, err := canonicalBase64.Decode(out, raw)
+	if err != nil {
+		r.fail("base64 before " + close)
+	}
+	r.need(close)
+	return out[:n]
+}
+
+// Unmarshal parses an envelope, strictly: the one spelling Marshal writes
+// (the package comment has the grammar) and nothing else.
+func Unmarshal(data []byte) (*Envelope, error) {
+	r, e := reader{data: data}, &Envelope{}
+	r.need(xml.Header, "<Envelope>", "<Header>", "<Action>")
+	e.Action = r.text("</Action>", false)
+	r.need("<MessageID>")
+	e.MessageID = r.text("</MessageID>", false)
+	if r.next("<RelatesTo>") {
+		e.RelatesTo = r.text("</RelatesTo>", true)
+	}
+	if r.next("<To>") {
+		e.To = r.text("</To>", true)
+	}
+	r.need("<Blocks>")
+	for r.next(`<Block name="`) {
+		e.Headers = append(e.Headers, HeaderBlock{Name: r.text(`">`, false), Content: r.payload("</Block>")})
+	}
+	r.need("</Blocks>", "</Header>", "<Body>")
+	e.Body = r.payload("</Body>")
+	if r.next("<Fault>") {
+		r.need("<Code>")
+		code := r.text("</Code>", false)
+		r.need("<Reason>")
+		e.Fault = &Fault{Code: code, Reason: r.text("</Reason>", false)}
+		r.need("</Fault>")
+	}
+	r.need("</Envelope>")
+	if r.err == nil && r.off == len(data) {
+		return e, nil
+	}
+	r.fail("end of input")
+	return nil, r.err
 }
 
 // Canonical returns the canonical byte form of the envelope parts covered
@@ -200,16 +306,8 @@ func Unmarshal(data []byte) (*Envelope, error) {
 // (sorted), and the body. Signature headers themselves are excluded by
 // the caller choosing names.
 func (e *Envelope) Canonical(headerNames ...string) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("action:")
-	buf.WriteString(e.Action)
-	buf.WriteString("\nid:")
-	buf.WriteString(e.MessageID)
-	buf.WriteString("\nrelates:")
-	buf.WriteString(e.RelatesTo)
-	buf.WriteString("\nto:")
-	buf.WriteString(e.To)
-	buf.WriteByte('\n')
+	head := "action:" + e.Action + "\nid:" + e.MessageID + "\nrelates:" + e.RelatesTo + "\nto:" + e.To + "\n"
+	b := append(make([]byte, 0, len(head)+16+base64.StdEncoding.EncodedLen(len(e.Body))), head...)
 	sorted := append([]string(nil), headerNames...)
 	sort.Strings(sorted)
 	for _, name := range sorted {
@@ -217,15 +315,10 @@ func (e *Envelope) Canonical(headerNames ...string) []byte {
 		if !ok {
 			continue
 		}
-		buf.WriteString("hdr:")
-		buf.WriteString(name)
-		buf.WriteByte('=')
-		buf.WriteString(base64.StdEncoding.EncodeToString(h.Content))
-		buf.WriteByte('\n')
+		b = append(append(append(b, "hdr:"...), name...), '=')
+		b = append(base64.StdEncoding.AppendEncode(b, h.Content), '\n')
 	}
-	buf.WriteString("body:")
-	buf.WriteString(base64.StdEncoding.EncodeToString(e.Body))
-	return buf.Bytes()
+	return base64.StdEncoding.AppendEncode(append(b, "body:"...), e.Body)
 }
 
 // ErrNoHandler is returned by dispatchers for unknown actions.

@@ -36,23 +36,6 @@ type Transport func(*soap.Envelope) (*soap.Envelope, error)
 // context.Context (cancellation aborts the in-flight exchange).
 type ContextTransport func(context.Context, *soap.Envelope) (*soap.Envelope, error)
 
-// Stats counts the messages and bytes of a context establishment, for
-// experiment E6.
-type Stats struct {
-	Messages int
-	Bytes    int
-}
-
-func (s *Stats) count(env *soap.Envelope) error {
-	data, err := env.Marshal()
-	if err != nil {
-		return err
-	}
-	s.Messages++
-	s.Bytes += len(data)
-	return nil
-}
-
 // Conversation is an established client-side secure conversation.
 type Conversation struct {
 	ContextID string
@@ -62,7 +45,6 @@ type Conversation struct {
 	ctx          *gss.Context
 	transport    Transport
 	ctxTransport ContextTransport // set when established via EstablishConversationContext
-	stats        Stats
 }
 
 // EstablishConversation runs the WS-SecureConversation handshake against
@@ -79,18 +61,10 @@ func EstablishConversation(cfg gss.Config, transport Transport) (*Conversation, 
 	if err != nil {
 		return nil, err
 	}
-	conv := &Conversation{transport: transport}
-
 	req1 := soap.NewEnvelope(ActionRST, t1)
-	if err := conv.stats.count(req1); err != nil {
-		return nil, err
-	}
 	resp1, err := transport(req1)
 	if err != nil {
 		return nil, fmt.Errorf("wssec: RST exchange: %w", err)
-	}
-	if err := conv.stats.count(resp1); err != nil {
-		return nil, err
 	}
 	sct, ok := resp1.Header(SCTHeader)
 	if !ok {
@@ -102,23 +76,15 @@ func EstablishConversation(cfg gss.Config, transport Transport) (*Conversation, 
 	}
 	req2 := soap.NewEnvelope(ActionRSTR, t3)
 	req2.SetHeader(SCTHeader, sct.Content)
-	if err := conv.stats.count(req2); err != nil {
-		return nil, err
-	}
 	resp2, err := transport(req2)
 	if err != nil {
 		return nil, fmt.Errorf("wssec: RSTR exchange: %w", err)
 	}
-	if err := conv.stats.count(resp2); err != nil {
-		return nil, err
-	}
 	if resp2.Fault != nil {
 		return nil, resp2.Fault
 	}
-	conv.ContextID = string(sct.Content)
-	conv.ctx = ctx
 	gss.ObserveHandshake(time.Since(start))
-	return conv, nil
+	return &Conversation{ContextID: string(sct.Content), ctx: ctx, transport: transport}, nil
 }
 
 // EstablishConversationContext is EstablishConversation over a
@@ -138,9 +104,6 @@ func EstablishConversationContext(ctx context.Context, cfg gss.Config, transport
 	conv.ctxTransport = transport
 	return conv, nil
 }
-
-// Stats returns establishment cost accounting.
-func (c *Conversation) Stats() Stats { return c.stats }
 
 // Context exposes the underlying GSS context.
 func (c *Conversation) Context() *gss.Context { return c.ctx }

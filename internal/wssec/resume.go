@@ -47,13 +47,6 @@ func (c *Conversation) ResumeContext(ctx context.Context, transport ContextTrans
 	if err != nil {
 		return nil, err
 	}
-	child := &Conversation{
-		Resumed:      true,
-		ctxTransport: transport,
-		transport: func(env *soap.Envelope) (*soap.Envelope, error) {
-			return transport(context.Background(), env)
-		},
-	}
 	// The request proves possession of the parent context: context IDs
 	// travel in cleartext headers, so without this MIC any observer
 	// could mint server sessions attributed to the original peer.
@@ -63,15 +56,9 @@ func (c *Conversation) ResumeContext(ctx context.Context, transport ContextTrans
 		Finish()
 	req := soap.NewEnvelope(ActionResume, body)
 	req.SetHeader(SCTHeader, []byte(c.ContextID))
-	if err := child.stats.count(req); err != nil {
-		return nil, err
-	}
 	resp, err := transport(ctx, req)
 	if err != nil {
 		return nil, fmt.Errorf("wssec: resume exchange: %w", err)
-	}
-	if err := child.stats.count(resp); err != nil {
-		return nil, err
 	}
 	if resp.Fault != nil {
 		return nil, resp.Fault
@@ -84,10 +71,16 @@ func (c *Conversation) ResumeContext(ctx context.Context, transport ContextTrans
 	if err != nil {
 		return nil, fmt.Errorf("wssec: deriving resumed context: %w", err)
 	}
-	child.ContextID = string(sct.Content)
-	child.ctx = derived
 	gss.ObserveResume(time.Since(start))
-	return child, nil
+	return &Conversation{
+		ContextID:    string(sct.Content),
+		Resumed:      true,
+		ctx:          derived,
+		ctxTransport: transport,
+		transport: func(env *soap.Envelope) (*soap.Envelope, error) {
+			return transport(context.Background(), env)
+		},
+	}, nil
 }
 
 // handleResume answers ActionResume on the service side: verify the
