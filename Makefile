@@ -91,7 +91,7 @@ test-multicore:
 ## clean under the race detector, and GRAM's concurrent cold starts
 ## (one GRIM exchange per invocation, one LMJFS per account) hold up
 ## over many schedules, as do the stripe rendezvous (the final join
-## racing the join timeout) and the trust store's link-signature memo
+## racing the join timeout) and the trust store's signature memo
 ## (verifiers in flight while a root reload and a CRL land).
 race:
 	$(GO) test -race ./...

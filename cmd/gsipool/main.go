@@ -132,5 +132,5 @@ func main() {
 		fmt.Printf("no pool: every exchange paid a full handshake (%d handshakes)\n", n)
 	}
 	ss := env.Trust().SignatureStats()
-	fmt.Printf("certificate signatures: checked=%d remembered=%d (memo hits=%d)\n", ss.Checks, ss.Entries, ss.MemoHits)
+	fmt.Printf("certificate signatures: checked=%d remembered=%d (memo hits=%d rotations=%d)\n", ss.Checks, ss.Entries, ss.MemoHits, ss.Rotations)
 }

@@ -51,6 +51,11 @@ type Assertion struct {
 	ExpiresAt time.Time
 
 	Signature []byte
+
+	// chain is the validated chain ExtractAssertion found the assertion
+	// in, if any: Verify checks the signature through the signature memo
+	// of the trust store that validated it.
+	chain *gridcert.ChainInfo
 }
 
 const maxAssertionRules = 4096
@@ -123,7 +128,7 @@ func (a *Assertion) Verify(casCert *gridcert.Certificate, now time.Time) error {
 	if !casCert.Subject.Equal(a.VO) {
 		return fmt.Errorf("cas: assertion VO %q does not match CAS certificate %q", a.VO, casCert.Subject)
 	}
-	if err := casCert.PublicKey.Verify(a.tbs(), a.Signature); err != nil {
+	if err := a.chain.VerifySignature(casCert.PublicKey, a.tbs(), a.Signature); err != nil {
 		return fmt.Errorf("cas: assertion signature: %w", err)
 	}
 	if now.Before(a.IssuedAt.Add(-time.Minute)) || now.After(a.ExpiresAt) {
@@ -336,6 +341,7 @@ func ExtractAssertion(info *gridcert.ChainInfo) (*Assertion, error) {
 			if err != nil {
 				return nil, fmt.Errorf("cas: malformed assertion in chain: %w", err)
 			}
+			a.chain = info
 			return a, nil
 		}
 	}

@@ -352,10 +352,13 @@ func (c *Certificate) checkStructure() error {
 // CheckSignatureFrom verifies that parent's key signed c.
 func (c *Certificate) CheckSignatureFrom(parent *Certificate) error {
 	if err := parent.PublicKey.Verify(c.encodeTBS(), c.Signature); err != nil {
-		return fmt.Errorf("gridcert: certificate %q not signed by %q: %w",
-			c.Subject, parent.Subject, err)
+		return c.notSignedBy(parent, err)
 	}
 	return nil
+}
+
+func (c *Certificate) notSignedBy(parent *Certificate, err error) error {
+	return fmt.Errorf("gridcert: certificate %q not signed by %q: %w", c.Subject, parent.Subject, err)
 }
 
 // Fingerprint returns the SHA-256 of the full certificate encoding,

@@ -333,48 +333,81 @@ func TestVerifyMemoDifferential(t *testing.T) {
 	}
 }
 
-// TestVerifyMemoBounded: three capacities' worth of distinct proxies of
-// one user leave at most two generations of links behind, and the link
-// they all share — the user's own certificate under the CA — is checked
-// again at most once per rotation.
+// TestVerifyMemoBounded: ten generations' worth of distinct proxies of one
+// user never leave more than two generations of links behind; the link
+// they all share — the user's own certificate under the CA — is in use
+// throughout and so is checked exactly once, however many rotations pass;
+// and a link nobody has touched for two generations is gone.
 func TestVerifyMemoBounded(t *testing.T) {
-	if israce.Enabled {
-		t.Skip("single-threaded, and 25,000 signatures' worth of instrumented curve arithmetic")
-	}
 	caCert, _, userCert, userKey := testPKI(t)
 	ts := newStore(t, caCert)
-	key, err := gridcrypto.GenerateKeyPair(gridcrypto.AlgEd25519)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const proxies = 3 * linkMemoCap
+	const bound = 64
+	ts.sigs.bound = bound
+	const proxies = 10 * bound
+	var first *Certificate
 	for i := 1; i <= proxies; i++ {
-		p, err := Sign(Template{
-			SerialNumber: uint64(i),
-			Type:         TypeProxy,
-			Subject:      userCert.Subject.WithCN(proxyCN(uint64(i))),
-			Proxy:        &ProxyInfo{Variant: ProxyImpersonation, PathLenConstraint: -1},
-		}, key.Public(), userCert.Subject, userKey)
-		if err != nil {
-			t.Fatal(err)
+		p, _ := issueProxy(t, userCert, userKey, ProxyImpersonation, -1)
+		if first == nil {
+			first = p
 		}
 		if _, err := ts.Verify([]*Certificate{p, userCert}, VerifyOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		if st := ts.SignatureStats(); st.Entries > 2*linkMemoCap {
-			t.Fatalf("after %d proxies the memo holds %d links, over two generations of %d", i, st.Entries, linkMemoCap)
+		if st := ts.SignatureStats(); st.Entries > 2*bound {
+			t.Fatalf("after %d proxies the memo holds %d links, over two generations of %d", i, st.Entries, bound)
 		}
 	}
 	st := ts.SignatureStats()
-	rotations := (st.Checks - 1) / linkMemoCap
-	if own := st.Checks - proxies; own < 1 || own > 1+rotations {
-		t.Errorf("the user's own link was checked %d times over %d rotations", own, rotations)
+	if own := st.Checks - proxies; own != 1 {
+		t.Errorf("the user's own link was checked %d times over %d rotations, want once", own, st.Rotations)
 	}
 	if st.Checks+st.MemoHits != 2*proxies {
 		t.Errorf("%d checks and %d memo hits do not add up to %d links", st.Checks, st.MemoHits, 2*proxies)
 	}
-	if st.Entries <= linkMemoCap {
+	// Every proxy adds a link, and the user's is carried over once a generation.
+	if st.Rotations < proxies/bound || st.Rotations > proxies/bound+1 {
+		t.Errorf("%d rotations for %d links in generations of %d", st.Rotations, proxies+1, bound)
+	}
+	if st.Entries <= bound {
 		t.Errorf("the memo holds %d links: it forgets faster than two generations", st.Entries)
+	}
+	if _, err := ts.Verify([]*Certificate{first, userCert}, VerifyOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if again := ts.SignatureStats(); again.Checks != st.Checks+1 || again.MemoHits != st.MemoHits+1 {
+		t.Errorf("the first proxy, %d rotations later: %d checks and %d memo hits, want its own link checked and the user's recognised",
+			st.Rotations, again.Checks-st.Checks, again.MemoHits-st.MemoHits)
+	}
+}
+
+// TestMemoKeepsWorkingSet: a store deciding for 10,000 identities — more
+// than the 8,192 links the memo held when its bound was a guess, fewer
+// than one generation holds now — checks each once: a second pass over
+// all of them does no curve work.
+func TestMemoKeepsWorkingSet(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("single-threaded, and 20,000 signatures' worth of instrumented curve arithmetic")
+	}
+	caCert, caKey, _, _ := testPKI(t)
+	ts := newStore(t, caCert)
+	const identities = 10000
+	users := make([]*Certificate, identities)
+	for i := range users {
+		users[i], _ = issueEntity(t, fmt.Sprintf("/O=Grid/CN=User %d", i), caCert, caKey)
+	}
+	for pass, want := range []uint64{identities, 0} {
+		before := ts.SignatureStats().Checks
+		for _, u := range users {
+			if _, err := ts.Verify([]*Certificate{u}, VerifyOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := ts.SignatureStats().Checks - before; got != want {
+			t.Errorf("pass %d over %d identities: %d signature checks, want %d", pass+1, identities, got, want)
+		}
+	}
+	if st := ts.SignatureStats(); st.Rotations != 0 || st.Entries != identities {
+		t.Errorf("%+v, want %d entries in one generation", st, identities)
 	}
 }
 

@@ -2,10 +2,13 @@ package gridcert
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/gridcrypto"
 )
 
 // Sentinel errors exposed so relying parties can branch on the class of
@@ -40,7 +43,7 @@ type TrustStore struct {
 	// a root or installing a CRL strands every cached decision at once.
 	gen uint64
 
-	links linkMemo
+	sigs sigMemo
 }
 
 // anchor is one trusted root and the latest CRL that root's key signed.
@@ -89,37 +92,56 @@ func (as anchorSet) revoked(issuer Name, serial uint64) bool {
 	return a != nil && a.crl != nil && a.crl.Contains(serial)
 }
 
-// linkMemoCap bounds one generation of a store's link-signature memo.
-const linkMemoCap = 4096
+// sigMemoCap bounds one generation of a store's signature memo: three
+// times the largest population the benchmark decides for (10,000
+// subjects). Two full generations are ≈ 5 MB (DESIGN.md).
+const sigMemoCap = 1 << 15
 
-// linkMemo remembers which (issuer public key, TBS bytes, signature)
-// triples have verified. That is a pure function of the three — no CRL,
-// clock or root change alters it — so an entry is never invalidated, and
-// everything else Verify decides it decides again on every call. Only
-// successes are kept, in two generations: a full current one becomes the
-// previous one, whose predecessor is dropped.
-type linkMemo struct {
-	mu           sync.Mutex
-	cur, prev    map[[sha256.Size]byte]struct{}
-	checks, hits uint64 // signatures checked on the curve; links recognised instead
+// sigMemo remembers which (public key, message, signature) triples have
+// verified. That is a pure function of the three — no CRL, clock or root
+// change alters it — so an entry is never invalidated, and everything
+// else Verify and cas.CheckAssertion decide they decide again on every
+// call. Only successes are kept, in two generations: a full current one
+// becomes the previous one, whose predecessor is dropped, and a hit in
+// the previous one moves into the current one, so what is in use
+// outlives any number of rotations.
+type sigMemo struct {
+	mu                      sync.Mutex
+	bound                   int // of one generation: sigMemoCap (tests set it small)
+	cur, prev               map[[sha256.Size]byte]struct{}
+	checks, hits, rotations uint64 // verified on the curve; recognised instead; generations retired
 }
 
-// checkLink is cert.CheckSignatureFrom(parent), skipped when this store
-// has seen the same signature over the same bytes verify under the same
-// key. The memo key hashes exactly what PublicKey.Verify is handed (part
-// by part, so none runs into the next), as the certificate stands now.
-func (ts *TrustStore) checkLink(cert, parent *Certificate) error {
-	var b [1 + 3*sha256.Size]byte
-	b[0] = byte(parent.PublicKey.Alg)
-	for i, part := range [][]byte{parent.PublicKey.Raw, cert.encodeTBS(), cert.Signature} {
-		h := sha256.Sum256(part)
-		copy(b[1+i*sha256.Size:], h[:])
+// add records key in the current generation, retiring a full one first.
+func (m *sigMemo) add(key [sha256.Size]byte) {
+	if len(m.cur) >= m.bound {
+		m.prev, m.cur = m.cur, nil
+		m.rotations++
 	}
-	m, key := &ts.links, sha256.Sum256(b[:])
+	if m.cur == nil {
+		m.cur = make(map[[sha256.Size]byte]struct{})
+	}
+	m.cur[key] = struct{}{}
+}
+
+// verifySignature is pub.Verify(msg, sig), skipped when this store has
+// seen the same signature over the same bytes verify under the same key.
+// The memo key is one hash over exactly what PublicKey.Verify is handed,
+// each part but the last behind its length so none runs into the next.
+func (ts *TrustStore) verifySignature(pub gridcrypto.PublicKey, msg, sig []byte) error {
+	var stack [1024]byte // a link or an assertion of a few rules fits; a longer one allocates
+	b := append(stack[:0], byte(pub.Alg))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(pub.Raw)))
+	b = append(b, pub.Raw...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(msg)))
+	b = append(append(b, msg...), sig...)
+	m, key := &ts.sigs, sha256.Sum256(b)
 	m.mu.Lock()
 	_, ok := m.cur[key]
 	if !ok {
-		_, ok = m.prev[key]
+		if _, ok = m.prev[key]; ok {
+			m.add(key)
+		}
 	}
 	if ok {
 		m.hits++
@@ -130,38 +152,36 @@ func (ts *TrustStore) checkLink(cert, parent *Certificate) error {
 	if ok {
 		return nil
 	}
-	if err := cert.CheckSignatureFrom(parent); err != nil {
+	if err := pub.Verify(msg, sig); err != nil {
 		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.cur) >= linkMemoCap {
-		m.prev, m.cur = m.cur, nil
-	}
-	if m.cur == nil {
-		m.cur = make(map[[sha256.Size]byte]struct{})
-	}
-	m.cur[key] = struct{}{}
+	m.add(key)
 	return nil
 }
 
-// SignatureStats counts a store's certificate-signature work: Checks
-// verified on the curve, MemoHits recognised instead, Entries remembered.
+// SignatureStats counts a store's signature work, certificate links and
+// CAS assertions alike: Checks verified on the curve, MemoHits recognised
+// instead, Entries remembered, Rotations of the memo's generations —
+// Checks rising with Entries at the bound is a working set the memo does
+// not hold.
 type SignatureStats struct {
 	Checks, MemoHits uint64
 	Entries          int
+	Rotations        uint64
 }
 
 // SignatureStats returns a snapshot of the counters.
 func (ts *TrustStore) SignatureStats() SignatureStats {
-	m := &ts.links
+	m := &ts.sigs
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return SignatureStats{m.checks, m.hits, len(m.cur) + len(m.prev)}
+	return SignatureStats{m.checks, m.hits, len(m.cur) + len(m.prev), m.rotations}
 }
 
 // NewTrustStore creates an empty trust store.
-func NewTrustStore() *TrustStore { return &TrustStore{} }
+func NewTrustStore() *TrustStore { return &TrustStore{sigs: sigMemo{bound: sigMemoCap}} }
 
 // checkRoot applies the rules every trusted root must pass: a self-signed
 // CA certificate whose self-signature verifies.
@@ -353,6 +373,20 @@ type ChainInfo struct {
 	// Restricted collects the policy documents of restricted proxies,
 	// outermost first; effective rights are the intersection.
 	Restricted []ProxyInfo
+
+	// store is the trust store that validated the chain.
+	store *TrustStore
+}
+
+// VerifySignature is pub.Verify(msg, sig) for a signature the validated
+// chain carries below its certificates (a CAS assertion's), checked
+// through the signature memo of the store that validated the chain. A
+// ChainInfo no store returned (nil, or built by hand) checks on the curve.
+func (info *ChainInfo) VerifySignature(pub gridcrypto.PublicKey, msg, sig []byte) error {
+	if info == nil || info.store == nil {
+		return pub.Verify(msg, sig)
+	}
+	return info.store.verifySignature(pub, msg, sig)
 }
 
 // Verify validates a certificate chain (leaf first, root optional at the
@@ -395,7 +429,7 @@ func (ts *TrustStore) Verify(chain []*Certificate, opts VerifyOptions) (*ChainIn
 		return nil, fmt.Errorf("%w: trust root %q", ErrExpired, root.Subject)
 	}
 
-	info := &ChainInfo{Root: root}
+	info := &ChainInfo{Root: root, store: ts}
 
 	// Walk from the top of the chain down to the leaf.
 	// Phase 1: CA certificates (possibly none, if chain starts below root).
@@ -420,8 +454,8 @@ func (ts *TrustStore) Verify(chain []*Certificate, opts VerifyOptions) (*ChainIn
 		}
 		// Signature check. The top cert may BE the root (already trusted).
 		if !(i == len(chain)-1 && cert == root) {
-			if err := ts.checkLink(cert, parent); err != nil {
-				return nil, err
+			if err := ts.verifySignature(parent.PublicKey, cert.encodeTBS(), cert.Signature); err != nil {
+				return nil, cert.notSignedBy(parent, err)
 			}
 		}
 		// Revocation applies to CA-issued certificates.

@@ -2,10 +2,12 @@ package gsi_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/gridcert"
 	"repro/internal/israce"
 	"repro/pkg/gsi"
 )
@@ -232,5 +234,111 @@ func TestAuthorizeColdAllocs(t *testing.T) {
 	t.Logf("cold decision: %.0f allocations", allocs)
 	if allocs > 100 {
 		t.Fatalf("a cold decision allocates %.0f, want <= 100", allocs)
+	}
+}
+
+// TestStrandedDecisionsDoNoCurveWork: what a trust-plane write costs the
+// decisions it strands. 2,000 subjects, one in five carrying a CAS
+// assertion, are decided once; a gridmap write strands every cached
+// decision; all 2,000 are decided again, every one a cache miss that runs
+// the whole evaluation — and not one signature meets the curve, the
+// links' or the assertions'. What the store remembers is arithmetic only:
+// a CRL naming one carrier denies that carrier on the very next decision.
+func TestStrandedDecisionsDoNoCurveWork(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("single-threaded, and 5,000 signatures' worth of instrumented curve arithmetic")
+	}
+	bed := newAuthzBed(t)
+	pl, err := bed.env.NewAuthorizationPipeline(
+		gsi.WithDurableState(t.TempDir()),
+		gsi.WithoutDecisionAudit(),
+		gsi.WithTrustedVO(bed.vo.Certificate()),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := pl.DurableState()
+	t.Cleanup(func() { ds.Close() })
+	if err := ds.Policy().AddChecked(gsi.Rule{
+		ID: "local-exchange", Effect: gsi.EffectPermit,
+		Subjects: []string{"*"}, Resources: []string{"ogsa:gsi.exchange"}, Actions: []string{"*"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const subjects = 2000
+	peers := make([]gsi.Peer, subjects)
+	accounts := gsi.NewGridMap()
+	var carrier *gsi.Credential // the first subject with an assertion
+	for k := range peers {
+		cred, err := bed.ca.NewEntity(gsi.MustParseName(fmt.Sprintf("/O=Grid/OU=Members/CN=member %04d", k)), 72*time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k%5 == 0 {
+			bed.vo.AddMember(cred.Identity(), "researchers")
+			c, err := bed.env.NewClient(cred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := c.RequestAssertion(ctx, bed.vo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cred, err = c.EmbedAssertion(a); err != nil {
+				t.Fatal(err)
+			}
+			if carrier == nil {
+				carrier = cred
+			}
+		}
+		peers[k] = gsi.Peer{Identity: cred.Identity(), Subject: cred.Leaf().Subject, Chain: cred.Chain}
+		accounts.Add(cred.Identity(), "member")
+	}
+	if err := ds.GridMap().Replace(accounts); err != nil {
+		t.Fatal(err)
+	}
+	decideAll := func() (misses, checks uint64) {
+		t.Helper()
+		cache, sigs := pl.CacheStats(), bed.env.Trust().SignatureStats()
+		for k, peer := range peers {
+			d, err := pl.Authorize(ctx, peer, "ogsa:gsi.exchange", "read")
+			if err != nil || d.Decision != gsi.Permit || (k%5 == 0) != (d.VO == gsi.Permit) {
+				t.Fatalf("subject %d: %+v %v", k, d, err)
+			}
+		}
+		return pl.CacheStats().Misses - cache.Misses, bed.env.Trust().SignatureStats().Checks - sigs.Checks
+	}
+	// Every subject's own certificate, and a proxy and an assertion for
+	// each carrier.
+	if misses, checks := decideAll(); misses != subjects || checks != subjects+2*subjects/5 {
+		t.Fatalf("first pass: %d cache misses, %d signature checks", misses, checks)
+	}
+	if err := ds.GridMap().AddChecked(bed.bob.Identity(), "bob"); err != nil {
+		t.Fatal(err)
+	}
+	if misses, checks := decideAll(); misses != subjects || checks != 0 {
+		t.Fatalf("after the gridmap write: %d cache misses (want %d, every decision stranded) and %d signature checks (want none)", misses, subjects, checks)
+	}
+
+	if err := bed.ca.Revoke(carrier.Chain[1].SerialNumber); err != nil {
+		t.Fatal(err)
+	}
+	crl, err := bed.ca.CRL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bed.env.Trust().AddCRL(crl); err != nil {
+		t.Fatal(err)
+	}
+	before := bed.env.Trust().SignatureStats().Checks
+	if d, err := pl.Authorize(ctx, peers[0], "ogsa:gsi.exchange", "read"); d.Decision != gsi.Deny || !errors.Is(err, gridcert.ErrRevoked) {
+		t.Fatalf("revoked carrier, every signature of its chain in the memo: %+v %v", d, err)
+	}
+	if d, err := pl.Authorize(ctx, peers[1], "ogsa:gsi.exchange", "read"); err != nil || d.Decision != gsi.Permit {
+		t.Fatalf("the next subject, under the same CRL: %+v %v", d, err)
+	}
+	if checks := bed.env.Trust().SignatureStats().Checks - before; checks != 0 {
+		t.Errorf("%d signature checks after the CRL", checks)
 	}
 }

@@ -83,11 +83,17 @@ func buildProcessMetrics() []telemetry.Metric {
 func (e *Environment) trustMetrics() []telemetry.Metric {
 	return []telemetry.Metric{
 		telemetry.NewCounterFunc(labeled("gsi_cert_signature_checks_total", e.id),
-			"Certificate signatures the environment's trust store verified on the curve.",
+			"Certificate and assertion signatures the environment's trust store verified on the curve.",
 			func() uint64 { return e.trust.SignatureStats().Checks }),
 		telemetry.NewCounterFunc(labeled("gsi_cert_signature_memo_hits_total", e.id),
-			"Certificate links the trust store recognised as verified before (no curve work).",
+			"Certificate and assertion signatures the trust store recognised as verified before (no curve work).",
 			func() uint64 { return e.trust.SignatureStats().MemoHits }),
+		telemetry.NewGaugeFunc(labeled("gsi_cert_signature_memo_entries", e.id),
+			"Verified signatures the trust store remembers, in two bounded generations.",
+			func() float64 { return float64(e.trust.SignatureStats().Entries) }),
+		telemetry.NewCounterFunc(labeled("gsi_cert_signature_memo_rotations_total", e.id),
+			"Memo generations retired; with checks rising and entries at the bound, the working set is larger than the memo.",
+			func() uint64 { return e.trust.SignatureStats().Rotations }),
 	}
 }
 

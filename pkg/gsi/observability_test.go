@@ -423,9 +423,10 @@ func TestNewServerRefusesIncoherentOptions(t *testing.T) {
 
 // TestSignatureMetrics: the trust store's signature counters are the
 // environment's series, so a server and any number of clients of one
-// environment land the same two in a shared registry, and a scrape reads
+// environment land the same four in a shared registry, and a scrape reads
 // what the store counted — a user's second proxy costs one signature
-// check, not a chain's worth.
+// check, not a chain's worth; a memo nowhere near its bound has rotated
+// no generation.
 func TestSignatureMetrics(t *testing.T) {
 	bed := newAuthzBed(t)
 	reg := gsi.NewMetricsRegistry()
@@ -460,14 +461,17 @@ func TestSignatureMetrics(t *testing.T) {
 	st := bed.env.Trust().SignatureStats()
 	// The second exchange recognises the host (at the client) and the user
 	// (at the server) instead of checking them again.
-	if st.Checks != 4 || st.MemoHits != 2 || st.Entries != 4 {
-		t.Fatalf("host, user and two proxies: %+v, want 4 checks, 2 memo hits, 4 entries", st)
+	if st.Checks != 4 || st.MemoHits != 2 || st.Entries != 4 || st.Rotations != 0 {
+		t.Fatalf("host, user and two proxies: %+v, want 4 checks, 2 memo hits, 4 entries, no rotation", st)
 	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	for series, want := range map[string]uint64{"gsi_cert_signature_checks_total": st.Checks, "gsi_cert_signature_memo_hits_total": st.MemoHits} {
+	for series, want := range map[string]uint64{
+		"gsi_cert_signature_checks_total": st.Checks, "gsi_cert_signature_memo_hits_total": st.MemoHits,
+		"gsi_cert_signature_memo_entries": uint64(st.Entries), "gsi_cert_signature_memo_rotations_total": st.Rotations,
+	} {
 		var got []string
 		for _, line := range strings.Split(sb.String(), "\n") {
 			if strings.HasPrefix(line, series+"{") {
