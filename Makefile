@@ -91,12 +91,15 @@ test-multicore:
 ## clean under the race detector, and GRAM's concurrent cold starts
 ## (one GRIM exchange per invocation, one LMJFS per account) hold up
 ## over many schedules, as do the stripe rendezvous (the final join
-## racing the join timeout) and the trust store's signature memo
+## racing the join timeout), GridFTP's parked data lanes (a session's
+## next JOIN reaching a lane whose server goroutine is still leaving the
+## last transfer's rendezvous) and the trust store's signature memo
 ## (verifiers in flight while a root reload and a CRL land).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run 'Concurrent' ./internal/gram
 	$(GO) test -race -count=50 -run 'Rendezvous' ./internal/gsitransport
+	$(GO) test -race -count=50 -run 'StripedLane' ./internal/gridftp
 	$(GO) test -race -count=20 -run 'TestVerifyMemoConcurrentRevocation' ./internal/gridcert
 
 ## fuzz-smoke: a short fuzz pass over every parser target (go test runs

@@ -237,6 +237,14 @@ type Client struct {
 	trust      *gridcert.TrustStore
 	addr       string
 	expectHost gridcert.Name
+
+	// parked holds the data connections of striped transfers that ended
+	// cleanly, authenticated once and joined to the session's next striped
+	// transfer in place of a dial (stripe.go). The lock is for Close,
+	// which may come from another goroutine than the one transferring.
+	mu     sync.Mutex
+	parked []*gsitransport.Conn
+	closed bool
 }
 
 // Dial connects and authenticates to a GridFTP server.
@@ -252,8 +260,18 @@ func Dial(addr string, cred *gridcert.Credential, trust *gridcert.TrustStore, ex
 	return &Client{conn: conn, cred: cred, trust: trust, addr: addr, expectHost: expectHost}, nil
 }
 
-// Close ends the session.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close ends the session and closes its parked data connections.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	parked := c.parked
+	c.parked = nil
+	c.mu.Unlock()
+	for _, dc := range parked {
+		dc.Close()
+	}
+	return c.conn.Close()
+}
 
 func (c *Client) roundTrip(verb, path string, payload []byte) ([]byte, error) {
 	msg, err := encodeCmd(verb, path, payload)
@@ -271,8 +289,9 @@ func (c *Client) roundTrip(verb, path string, payload []byte) ([]byte, error) {
 // striped data connections. Close before issuing further commands on the
 // same client.
 type GetReader struct {
+	c    *Client
 	pipe *gsitransport.Stream
-	data []*gsitransport.Conn // transfer-scoped data connections of a striped GET
+	data []*gsitransport.Conn // data connections of a striped GET
 	size int64
 	err  error
 }
@@ -290,25 +309,39 @@ func serverErr(err error) error {
 	return err
 }
 
-// Read returns file bytes, io.EOF at the end of a complete transfer,
-// and the server's abort reason if it failed mid-stream.
-func (g *GetReader) Read(p []byte) (int, error) {
-	n, err := g.pipe.Read(p)
+// failed records a mid-stream failure — the server's abort reason, when
+// that is what it was — so Close does not report it again.
+func (g *GetReader) failed(err error) error {
 	if err != nil && err != io.EOF {
 		err = serverErr(err)
 		g.err = err
 	}
-	return n, err
+	return err
+}
+
+// Read returns file bytes, io.EOF at the end of a complete transfer,
+// and the server's abort reason if it failed mid-stream.
+func (g *GetReader) Read(p []byte) (int, error) {
+	n, err := g.pipe.Read(p)
+	return n, g.failed(err)
+}
+
+// WriteTo hands the rest of the file to w chunk by chunk, uncopied:
+// what io.Copy uses in place of a Read loop through its own buffer.
+func (g *GetReader) WriteTo(w io.Writer) (int64, error) {
+	n, err := g.pipe.WriteTo(w)
+	return n, g.failed(err)
 }
 
 // Close consumes any unread remainder so the session is reusable, and
-// closes the data connections of a striped GET. A failure the reader
-// already reported is not reported again.
+// settles the data connections of a striped GET: parked on the session
+// when the whole transfer ended cleanly, closed otherwise. A failure the
+// reader already reported is not reported again.
 func (g *GetReader) Close() error {
 	err := g.pipe.Finish(nil)
-	for _, dc := range g.data {
-		dc.Close()
-	}
+	// (A reader put together without a session has nowhere to park.)
+	g.c.release(g.data, g.c != nil && err == nil && g.err == nil)
+	g.data = nil
 	if g.err != nil {
 		err = nil
 	} else {
@@ -325,10 +358,9 @@ func (g *GetReader) readAll() ([]byte, error) {
 		hint = int(g.size)
 	}
 	data, err := g.pipe.ReadAll(hint)
-	if err != nil {
-		g.err = serverErr(err)
+	if err = g.failed(err); err != nil {
 		g.Close()
-		return nil, g.err
+		return nil, err
 	}
 	return data, g.Close()
 }
@@ -341,7 +373,7 @@ func (c *Client) openGet(path string, stripes int) (*GetReader, error) {
 	if stripes > 0 {
 		req = encodeStripeGetReq(stripes)
 	}
-	g := &GetReader{}
+	g := &GetReader{c: c}
 	grant, err := c.roundTrip(opGetS, path, req)
 	conns := []*gsitransport.Conn{c.conn}
 	if err == nil && stripes > 0 {
@@ -399,7 +431,7 @@ func (c *Client) Get(path string) ([]byte, error) {
 type PutWriter struct {
 	c    *Client
 	pipe *gsitransport.Stream
-	data []*gsitransport.Conn // transfer-scoped data connections of a striped PUT
+	data []*gsitransport.Conn // data connections of a striped PUT
 	done bool
 }
 
@@ -411,14 +443,13 @@ func (w *PutWriter) Write(p []byte) (int, error) {
 // finish terminates the data plane (FIN, or the ERROR record carrying
 // cause) and consumes the server's verdict, which arrives on the
 // control connection either way and must not be left in its reply
-// stream.
+// stream. The data connections of a striped PUT the server confirmed
+// are parked on the session; after anything else they are closed.
 func (w *PutWriter) finish(cause error) (sendErr, verdict error) {
 	w.done = true
 	sendErr = w.pipe.Finish(cause)
 	_, verdict = w.c.readReply()
-	for _, dc := range w.data {
-		dc.Close()
-	}
+	w.c.release(w.data, cause == nil && sendErr == nil && verdict == nil)
 	return sendErr, verdict
 }
 
@@ -450,8 +481,10 @@ func (w *PutWriter) Abort(reason string) error {
 }
 
 // readReply consumes one OK/ERR control message.
-func (c *Client) readReply() ([]byte, error) {
-	msg, err := c.conn.Receive()
+func (c *Client) readReply() ([]byte, error) { return readReply(c.conn) }
+
+func readReply(conn *gsitransport.Conn) ([]byte, error) {
+	msg, err := conn.Receive()
 	if err != nil {
 		return nil, err
 	}
@@ -525,8 +558,14 @@ func (c *Client) PutFrom(path string, r io.Reader) (int64, error) {
 }
 
 // copyTo relays r into w through one transfer-sized pooled buffer and
-// completes the PUT; a failure aborts it.
+// completes the PUT; a failure aborts it. A GET goes in without its
+// WriteTo: io.CopyBuffer would take it and hand w the file one chunk at
+// a time, each below the bulk-write threshold and sealed alone, where
+// the relay's writes take the pipelined path.
 func copyTo(w *PutWriter, r io.Reader) (int64, error) {
+	if g, ok := r.(*GetReader); ok {
+		r = struct{ io.Reader }{g}
+	}
 	buf := record.Get(transferCopyBuffer)
 	n, err := io.CopyBuffer(w, r, buf.B[:transferCopyBuffer])
 	buf.Free()

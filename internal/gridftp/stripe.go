@@ -3,7 +3,6 @@ package gridftp
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"repro/internal/gridcert"
 	"repro/internal/gridcrypto"
@@ -13,16 +12,17 @@ import (
 
 // Parallel striped transfers, GridFTP's signature move (paper §3): the
 // control connection negotiates a stripe count in the GETS/PUTS round
-// trip, the client dials that many secured data connections and binds
-// each to the transfer with a JOIN carrying an unguessable token, and
+// trip, the client binds that many secured data connections — the ones
+// its session kept from the last striped transfer, dialed ones for the
+// rest — to the transfer with a JOIN carrying an unguessable token, and
 // the file then crosses all stripes at once as globally sequenced
 // chunks. Each stripe seals/opens on its own connection — K stripes
 // drive up to K cores — and every stripe ends with a FIN trailer
 // carrying the total chunk count, so a stripe that dies mid-flight is
 // always an error, never a silently truncated file.
 
-// opJoin binds a freshly dialed data connection to a pending striped
-// transfer. Payload: 16-byte token + u32 stripe index.
+// opJoin binds a data connection to a pending striped transfer.
+// Payload: 16-byte token + u32 stripe index.
 const opJoin = "JOIN"
 
 // maxTransferStripes caps the stripe count a server grants.
@@ -135,18 +135,84 @@ func (s *Server) serveJoin(conn *gsitransport.Conn, identity gridcert.Name, payl
 
 // --- client side ---------------------------------------------------------
 
-// dialStripes dials and JOINs granted data connections, aligned by
-// stripe index. On failure every dialed connection is closed and the
-// pending control-connection verdict (the server's join-timeout ERR)
-// is consumed so the session stays synchronized.
+// release settles the data connections of a striped transfer that has
+// ended. After a clean one — Finish returned nil, a PUT's verdict was
+// OK — each connection that is still Healthy is parked on the session
+// for its next striped transfer; the rest are closed. Nothing else is
+// kept: no timer runs over a parked lane, whose security context lapses
+// with the credential that authenticated it, and Close closes them all.
+func (c *Client) release(data []*gsitransport.Conn, clean bool) {
+	for _, dc := range data {
+		if !clean || !c.park(dc) {
+			dc.Close()
+		}
+	}
+}
+
+func (c *Client) park(dc *gsitransport.Conn) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed || !dc.Healthy() || len(c.parked) >= maxTransferStripes {
+		return false
+	}
+	c.parked = append(c.parked, dc)
+	return true
+}
+
+// dialStripes JOINs granted data connections to the transfer token
+// names, aligned by stripe index: the session's parked lanes first, a
+// dial for each one missing. Every JOIN is sent before the first reply
+// is read, and the server binds a parked lane exactly as it binds a new
+// one — the token must be the one it just granted, to this identity. A
+// parked lane that turns out broken, lapsed, closed by the server since,
+// or refused is closed and replaced by a dial. On failure every
+// connection touched is closed, parked ones included, and the pending
+// control-connection verdict (the server's join-timeout ERR) is consumed
+// so the session stays synchronized.
 func (c *Client) dialStripes(granted int, token []byte) ([]*gsitransport.Conn, error) {
 	if granted < 1 || granted > maxTransferStripes || len(token) != stripeTokenLen {
 		return nil, errMalformedGrant
 	}
-	var conns []*gsitransport.Conn
+	conns := make([]*gsitransport.Conn, granted)
+	var parked [maxTransferStripes]bool // conns[i] came off the session and may still be replaced
+	c.mu.Lock()
+	for i := 0; i < granted && len(c.parked) > 0; i++ {
+		last := len(c.parked) - 1
+		conns[i], parked[i], c.parked = c.parked[last], true, c.parked[:last]
+	}
+	c.mu.Unlock()
+
+	// join sends lane i's JOIN, on a new connection when it has none.
+	join := func(i int) error {
+		if conns[i] == nil {
+			dc, err := gsitransport.Dial(c.addr, gss.Config{
+				Credential:   c.cred,
+				TrustStore:   c.trust,
+				ExpectedPeer: c.expectHost,
+			})
+			if err != nil {
+				return err
+			}
+			conns[i] = dc
+		}
+		payload := binary.BigEndian.AppendUint32(append(make([]byte, 0, stripeTokenLen+4), token...), uint32(i))
+		msg, err := encodeCmd(opJoin, "", payload)
+		if err != nil {
+			return err
+		}
+		return conns[i].Send(msg)
+	}
+	redial := func(i int) error {
+		parked[i] = false
+		conns[i].Close()
+		conns[i] = nil
+		return join(i)
+	}
 	fail := func(err error) ([]*gsitransport.Conn, error) {
 		for _, dc := range conns {
-			dc.Close()
+			if dc != nil {
+				dc.Close()
+			}
 		}
 		// The server's control goroutine is waiting for the group; its
 		// join timeout will deliver an ERR we must not leave in the
@@ -154,36 +220,24 @@ func (c *Client) dialStripes(granted int, token []byte) ([]*gsitransport.Conn, e
 		c.readReply()
 		return nil, err
 	}
-	for i := 0; i < granted; i++ {
-		dc, err := gsitransport.Dial(c.addr, gss.Config{
-			Credential:   c.cred,
-			TrustStore:   c.trust,
-			ExpectedPeer: c.expectHost,
-		})
+	for i := range conns {
+		err := join(i)
+		if err != nil && parked[i] {
+			err = redial(i)
+		}
 		if err != nil {
 			return fail(err)
 		}
-		conns = append(conns, dc)
-		payload := make([]byte, stripeTokenLen+4)
-		copy(payload, token)
-		binary.BigEndian.PutUint32(payload[stripeTokenLen:], uint32(i))
-		msg, err := encodeCmd(opJoin, "", payload)
+	}
+	for i := range conns {
+		_, err := readReply(conns[i])
+		if err != nil && parked[i] {
+			if err = redial(i); err == nil {
+				_, err = readReply(conns[i])
+			}
+		}
 		if err != nil {
 			return fail(err)
-		}
-		if err := dc.Send(msg); err != nil {
-			return fail(err)
-		}
-		reply, err := dc.Receive()
-		if err != nil {
-			return fail(err)
-		}
-		rverb, _, rpayload, err := decodeCmd(reply)
-		if err != nil {
-			return fail(err)
-		}
-		if rverb == opErr {
-			return fail(fmt.Errorf("gridftp: server: %s", rpayload))
 		}
 	}
 	return conns, nil

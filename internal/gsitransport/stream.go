@@ -1,6 +1,7 @@
 package gsitransport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -56,10 +57,11 @@ type Stream struct {
 	// One connection, send half.
 	sender record.ChunkSender
 
-	// One connection, receive half.
-	asm    record.Assembler
-	cur    []byte // unread remainder of the current DATA chunk
+	// Receive half: the unread remainder of the DATA chunk Read is
+	// delivering, and on one connection its assembler.
+	cur    []byte
 	curBuf *record.Buf
+	asm    record.Assembler
 	rerr   error // terminal receive state: io.EOF after FIN, else the failure
 
 	// K connections: the lanes of the halves dir names.
@@ -217,33 +219,25 @@ func lostBeforeFIN(err error) error {
 	return err
 }
 
-// Read returns stream bytes as the peer's DATA chunks arrive, io.EOF
-// after its FIN, and a *record.PeerError if the peer aborted. A
-// sequence violation breaks the connection.
-func (s *Stream) Read(p []byte) (int, error) {
-	if len(s.conns) > 1 {
-		return s.r.Read(p)
+// next hands over the next DATA payload in stream order — first the
+// unread rest of the one Read was delivering — with the pooled record
+// buffer behind it, which the caller frees. After the peer's FIN it
+// reports io.EOF; after an abort, the *record.PeerError. A sequence
+// violation breaks the connection.
+func (s *Stream) next() ([]byte, *record.Buf, error) {
+	if len(s.cur) > 0 {
+		payload, buf := s.cur, s.curBuf
+		s.cur, s.curBuf = nil, nil
+		return payload, buf, nil
 	}
-	for {
-		if len(s.cur) > 0 {
-			n := copy(p, s.cur)
-			s.cur = s.cur[n:]
-			if len(s.cur) == 0 {
-				s.curBuf.Free()
-				s.curBuf = nil
-			}
-			return n, nil
-		}
-		if s.rerr != nil {
-			return 0, s.rerr
-		}
-		if len(p) == 0 {
-			return 0, nil
-		}
+	if s.r != nil {
+		return s.r.next()
+	}
+	for s.rerr == nil {
 		view, buf, err := s.c.ReceiveView(s.ctx)
 		if err != nil {
 			s.rerr = lostBeforeFIN(err)
-			return 0, s.rerr
+			break
 		}
 		payload, fin, err := s.asm.Accept(view)
 		switch {
@@ -256,17 +250,63 @@ func (s *Stream) Read(p []byte) (int, error) {
 				s.c.broken.Store(true)
 			}
 			s.rerr = err
-			return 0, err
 		case fin:
 			buf.Free()
 			s.rerr = io.EOF
 			s.c.SetReceiveSizeHint(0)
-			return 0, io.EOF
 		case len(payload) == 0:
 			buf.Free() // empty DATA chunk: keep reading
 		default:
-			s.cur = payload
-			s.curBuf = buf
+			return payload, buf, nil
+		}
+	}
+	return nil, nil, s.rerr
+}
+
+// Read returns stream bytes as the peer's DATA chunks arrive, io.EOF
+// after its FIN (on K connections: once every lane's FIN agrees the
+// stream is complete), and a *record.PeerError if the peer aborted.
+func (s *Stream) Read(p []byte) (int, error) {
+	if len(s.cur) == 0 {
+		if len(p) == 0 {
+			return 0, nil
+		}
+		var err error
+		if s.cur, s.curBuf, err = s.next(); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, s.cur)
+	if s.cur = s.cur[n:]; len(s.cur) == 0 {
+		s.curBuf.Free()
+		s.curBuf = nil
+	}
+	return n, nil
+}
+
+// WriteTo delivers the rest of the stream to w, each DATA payload
+// straight out of the record buffer it was opened in — the copy a Read
+// loop makes through its caller's buffer is the one skipped, no check
+// is — and ends like Read does, with nil for io.EOF. An error from w
+// ends it early; Finish still settles the connections.
+func (s *Stream) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	for {
+		payload, buf, err := s.next()
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return n, err
+		}
+		m, err := w.Write(payload)
+		buf.Free()
+		n += int64(m)
+		if err == nil && m < len(payload) {
+			err = io.ErrShortWrite
+		}
+		if err != nil {
+			return n, err
 		}
 	}
 }
@@ -292,8 +332,12 @@ func (s *Stream) ReadAll(sizeHint int) ([]byte, error) {
 		sizeHint = 0
 	}
 	data := make([]byte, 0, sizeHint)
-	if len(s.conns) > 1 {
-		return s.r.ReadAll(data)
+	if s.r != nil {
+		// The lanes already open their records in parallel; what is left
+		// is to string the chunks together, each copied with no lock held.
+		out := bytes.NewBuffer(data)
+		_, err := s.WriteTo(out)
+		return out.Bytes(), err
 	}
 	if len(s.cur) > 0 {
 		data = append(data, s.cur...)
@@ -452,12 +496,6 @@ func (s *Stream) terminate(cause error) error {
 	if s.dir&Recv == 0 {
 		return nil
 	}
-	var scratch [4096]byte
-	for {
-		if _, err := s.Read(scratch[:]); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return err
-		}
-	}
+	_, err := s.WriteTo(io.Discard)
+	return err
 }

@@ -171,19 +171,17 @@ func (w *stripedWriter) CloseWithError(msg string) error {
 }
 
 // stripedReader reassembles one stream from K connections. A reader
-// goroutine per stripe feeds a shared windowed assembler; Read/ReadAll
-// deliver bytes in global sequence order. A connection that fails
+// goroutine per stripe feeds a shared windowed assembler; next delivers
+// the chunks in global sequence order. A connection that fails
 // before its FIN fails the whole transfer.
 type stripedReader struct {
 	conns []*Conn
 	wg    sync.WaitGroup
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	asm    *record.StripeAssembler
-	err    error
-	cur    []byte
-	curBuf *record.Buf
+	mu   sync.Mutex
+	cond *sync.Cond
+	asm  *record.StripeAssembler
+	err  error
 }
 
 // newStripedReader starts a reader goroutine per connection, feeding a
@@ -256,62 +254,28 @@ func (r *stripedReader) runStripe(ctx context.Context, c *Conn) {
 	}
 }
 
-// Read delivers stream bytes in global order, io.EOF after every
-// stripe's FIN agrees the stream is complete.
-func (r *stripedReader) Read(p []byte) (int, error) {
+// next hands over the next chunk in global order and the buffer behind
+// it, which the caller frees; io.EOF after every stripe's FIN agrees
+// the stream is complete. The lock is held to pop, never while the
+// caller copies or writes the chunk, so the lanes keep seating theirs.
+func (r *stripedReader) next() ([]byte, *record.Buf, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if len(r.cur) > 0 {
-			n := copy(p, r.cur)
-			r.cur = r.cur[n:]
-			if len(r.cur) == 0 {
-				r.curBuf.Free()
-				r.curBuf = nil
-			}
-			return n, nil
-		}
 		if payload, buf, ok := r.asm.Pop(); ok {
-			r.cur, r.curBuf = payload, buf
 			// The cursor moved: wake stripes parked on the window.
 			r.cond.Broadcast()
-			continue
+			if len(payload) == 0 {
+				buf.Free() // empty DATA chunk
+				continue
+			}
+			return payload, buf, nil
 		}
 		if r.asm.Done() {
-			return 0, io.EOF
+			return nil, nil, io.EOF
 		}
 		if r.err != nil {
-			return 0, r.err
-		}
-		if len(p) == 0 {
-			return 0, nil
-		}
-		r.cond.Wait()
-	}
-}
-
-// ReadAll consumes the whole transfer, appending to data.
-func (r *stripedReader) ReadAll(data []byte) ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.cur) > 0 {
-		data = append(data, r.cur...)
-		r.cur = nil
-		r.curBuf.Free()
-		r.curBuf = nil
-	}
-	for {
-		if payload, buf, ok := r.asm.Pop(); ok {
-			data = append(data, payload...)
-			buf.Free()
-			r.cond.Broadcast()
-			continue
-		}
-		if r.asm.Done() {
-			return data, nil
-		}
-		if r.err != nil {
-			return data, r.err
+			return nil, nil, r.err
 		}
 		r.cond.Wait()
 	}
@@ -337,10 +301,6 @@ func (r *stripedReader) settle(clean bool) {
 	}
 	r.wg.Wait()
 	r.mu.Lock()
-	if r.curBuf != nil {
-		r.curBuf.Free()
-		r.cur, r.curBuf = nil, nil
-	}
 	r.asm.Release()
 	r.mu.Unlock()
 }
