@@ -93,12 +93,14 @@ test-multicore:
 ## over many schedules, as do the stripe rendezvous (the final join
 ## racing the join timeout), GridFTP's parked data lanes (a session's
 ## next JOIN reaching a lane whose server goroutine is still leaving the
-## last transfer's rendezvous) and the trust store's signature memo
-## (verifiers in flight while a root reload and a CRL land).
+## last transfer's rendezvous), the trust store's signature memo
+## (verifiers in flight while a root reload and a CRL land) and a
+## connection's read-ahead (records and handshakes read in every split).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run 'Concurrent' ./internal/gram
 	$(GO) test -race -count=50 -run 'Rendezvous' ./internal/gsitransport
+	$(GO) test -race -count=20 -run 'ReadAhead|OneRead' ./internal/gsitransport
 	$(GO) test -race -count=50 -run 'StripedLane' ./internal/gridftp
 	$(GO) test -race -count=20 -run 'TestVerifyMemoConcurrentRevocation' ./internal/gridcert
 
@@ -115,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime=5s ./internal/record
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamReassembly$$' -fuzztime=5s ./internal/record
 	$(GO) test -run '^$$' -fuzz '^FuzzStripeReassembly$$' -fuzztime=5s ./internal/record
+	$(GO) test -run '^$$' -fuzz '^FuzzReadAheadSplits$$' -fuzztime=5s ./internal/gsitransport
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime=5s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyBundleDecode$$' -fuzztime=5s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaBundleDecode$$' -fuzztime=5s ./internal/cas

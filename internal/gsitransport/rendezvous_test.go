@@ -131,8 +131,9 @@ func TestRendezvousAbandonReleasesParkedStripes(t *testing.T) {
 
 // The final Join races the join timeout. Whichever wins, everyone
 // agrees: either the group completed — the parked stripe stays parked
-// until Close and is told the transfer ran — or it was abandoned and
-// the late Join is refused. Run under -race -count=50.
+// until Close and is told the transfer ran — or it was abandoned, and
+// the late Join is refused, or was seated but abandoned before it
+// counted (the final joiner's Wait says so). Run under -race -count=50.
 func TestRendezvousFinalJoinRacesTimeout(t *testing.T) {
 	const timeout = 2 * time.Millisecond
 	for round := 0; round < 20; round++ {
@@ -145,8 +146,16 @@ func TestRendezvousFinalJoinRacesTimeout(t *testing.T) {
 		go func() { parked <- r.Wait(g) }()
 		// Sweep the final Join across the moment the timeout fires.
 		time.Sleep(timeout/2 + time.Duration(round)*timeout/20)
-		_, last, err := r.Join("id", "tok", 1, &Conn{}, noReply)
+		jg, last, err := r.Join("id", "tok", 1, &Conn{}, noReply)
 		switch {
+		case err == nil && !last:
+			// abandon landed between the final Join's seat and its count.
+			if jg != g || r.Wait(jg) {
+				t.Fatal("final joiner of an abandoned group told its transfer ran")
+			}
+			if <-parked {
+				t.Fatal("group abandoned, but its parked stripe was told the transfer ran")
+			}
 		case err == nil && last:
 			select {
 			case <-parked:

@@ -150,6 +150,11 @@ type Conn struct {
 	sendMu sync.Mutex
 	recvMu sync.Mutex
 
+	// in is the one reader of raw: every token and record is read
+	// through it (guarded by recvMu; the handshake runs before the Conn
+	// is shared).
+	in readAhead
+
 	// recvHint pre-sizes the pooled buffer records are read into
 	// (guarded by recvMu; 0 means the record layer's default).
 	recvHint int
@@ -171,6 +176,51 @@ type Conn struct {
 	hsDur   time.Duration
 }
 
+func newConn(raw net.Conn) *Conn {
+	return &Conn{raw: raw, in: readAhead{raw: raw}}
+}
+
+// aheadSize is the read-ahead's buffer, the record pool's 4 KiB class.
+const aheadSize = 4 << 10
+
+// readAhead lets one socket read serve a record's length prefix and its
+// body (and whatever followed them): a read smaller than aheadSize
+// borrows a pooled buffer, fills it with one raw.Read and serves the
+// next reads from it. The bytes past a record belong to the Conn, not
+// to the record. The buffer is freed the moment its last byte is
+// consumed, so an idle connection holds none (a bufio.Reader would pin
+// one to every pooled session for life). Close does not free it: a
+// reader may still hold it. A read of aheadSize or more while nothing is
+// buffered goes straight to raw. Bytes that arrive with an error are
+// kept and the error dropped: the next raw.Read reports it again.
+type readAhead struct {
+	raw      net.Conn
+	buf      *record.Buf
+	off, end int
+}
+
+func (r *readAhead) Read(p []byte) (int, error) {
+	if r.buf == nil {
+		if len(p) >= aheadSize {
+			return r.raw.Read(p)
+		}
+		buf := record.Get(aheadSize)
+		n, err := r.raw.Read(buf.B[:aheadSize])
+		if n == 0 {
+			buf.Free()
+			return 0, err
+		}
+		r.buf, r.off, r.end = buf, 0, n
+	}
+	n := copy(p, r.buf.B[r.off:r.end])
+	r.off += n
+	if r.off == r.end {
+		r.buf.Free()
+		r.buf = nil
+	}
+	return n, nil
+}
+
 // HandshakeStats reports the message and byte cost of establishment.
 type HandshakeStats struct {
 	Messages int
@@ -190,7 +240,7 @@ func ClientContext(ctx context.Context, raw net.Conn, cfg gss.Config) (*Conn, er
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{raw: raw}
+	c := newConn(raw)
 	start := time.Now()
 	err = runWithContext(ctx, raw, scopeBoth, func() error {
 		t1, err := init.Start()
@@ -233,7 +283,7 @@ func ServerContext(ctx context.Context, raw net.Conn, cfg gss.Config) (*Conn, er
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{raw: raw}
+	c := newConn(raw)
 	start := time.Now()
 	err = runWithContext(ctx, raw, scopeBoth, func() error {
 		t1, err := c.readToken()
@@ -279,7 +329,7 @@ func (c *Conn) writeToken(tok []byte) error {
 }
 
 func (c *Conn) readToken() ([]byte, error) {
-	tok, err := wire.ReadFrame(c.raw)
+	tok, err := wire.ReadFrame(&c.in)
 	if err != nil {
 		return nil, err
 	}
@@ -430,7 +480,7 @@ func (c *Conn) ReceiveSealed(ctx context.Context) ([]byte, *record.Buf, error) {
 	var buf *record.Buf
 	err := runWithContext(ctx, c.raw, scopeRead, func() error {
 		var err error
-		token, buf, err = record.ReadSealed(c.raw, 0, c.recvHint)
+		token, buf, err = record.ReadSealed(&c.in, 0, c.recvHint)
 		return err
 	})
 	if err != nil {
@@ -490,7 +540,7 @@ func (c *Conn) ReceiveView(ctx context.Context) ([]byte, *record.Buf, error) {
 	var buf *record.Buf
 	err := runWithContext(ctx, c.raw, scopeRead, func() error {
 		var err error
-		view, buf, err = record.Read(c.raw, c.ctx, 0, c.recvHint)
+		view, buf, err = record.Read(&c.in, c.ctx, 0, c.recvHint)
 		return err
 	})
 	if err != nil {

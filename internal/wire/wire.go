@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/record"
 )
 
 // MaxField caps any single length-prefixed field at 16 MiB.
@@ -246,17 +248,18 @@ func (d *Decoder) Done() error {
 }
 
 // WriteFrame writes a length-prefixed frame to w. Frames carry protocol
-// tokens over stream transports.
+// tokens over stream transports. Prefix and payload are assembled in a
+// pooled buffer and leave in one Write, so the prefix never travels as
+// a packet of its own.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxField {
 		return fmt.Errorf("wire: frame of %d bytes exceeds cap", len(payload))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	buf := record.Get(4 + len(payload))
+	defer buf.Free()
+	binary.BigEndian.PutUint32(buf.B, uint32(len(payload)))
+	n := copy(buf.B[4:], payload)
+	_, err := w.Write(buf.B[:4+n])
 	return err
 }
 
