@@ -5,8 +5,9 @@ GO ?= go
 ## ci: the tier-1 gate — format check, vet, build, the reachability and
 ## option-surface checks, test (plus the example walkthroughs, the
 ## benchmark module, which compiles against this one's API, and the
-## GOMAXPROCS matrix over the striped data plane: the same tests must
-## pass single-core and multicore), race (which includes the
+## GOMAXPROCS matrix over the data plane — the seal pipeline and
+## GridFTP's striped lanes: the same tests must pass single-core and
+## multicore), race (which includes the
 ## hot-reload-under-traffic test), fuzz smoke, and the allocation
 ## ceilings on their own. It leaves the working tree as it found it.
 ci: fmt-check vet build reachable options test examples test-bench-module test-multicore race fuzz-smoke gate-allocs
@@ -78,20 +79,20 @@ examples:
 test-bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-## test-multicore: the GOMAXPROCS∈{1,4} matrix over the pipelined and
-## striped data plane — scheduling-order bugs in the worker pipelines,
-## the stripe rendezvous and the end-of-transfer sequence hide at one
-## setting or the other.
+## test-multicore: the GOMAXPROCS∈{1,4} matrix over the data plane —
+## scheduling-order bugs in the seal pipeline's workers, GridFTP's
+## striped lanes and their rendezvous, and the end-of-transfer sequence
+## hide at one setting or the other. Receiving is serial everywhere.
 MULTICORE_TESTS = Striped|Stripe|Pipeline|Bulk|ReadAll|Rendezvous|Finish
 test-multicore:
-	GOMAXPROCS=1 $(GO) test -count=1 -run '$(MULTICORE_TESTS)' . ./internal/record ./internal/gsitransport ./internal/gridftp
-	GOMAXPROCS=4 $(GO) test -count=1 -run '$(MULTICORE_TESTS)' . ./internal/record ./internal/gsitransport ./internal/gridftp
+	GOMAXPROCS=1 $(GO) test -count=1 -run '$(MULTICORE_TESTS)' ./internal/record ./internal/gsitransport ./internal/gridftp
+	GOMAXPROCS=4 $(GO) test -count=1 -run '$(MULTICORE_TESTS)' ./internal/record ./internal/gsitransport ./internal/gridftp
 
 ## race: the concurrency gate — the session pool and transports must be
 ## clean under the race detector, and GRAM's concurrent cold starts
 ## (one GRIM exchange per invocation, one LMJFS per account) hold up
-## over many schedules, as do the stripe rendezvous (the final join
-## racing the join timeout), GridFTP's parked data lanes (a session's
+## over many schedules, as do GridFTP's stripe rendezvous (the final
+## join racing the join timeout), its parked data lanes (a session's
 ## next JOIN reaching a lane whose server goroutine is still leaving the
 ## last transfer's rendezvous), the trust store's signature memo
 ## (verifiers in flight while a root reload and a CRL land) and a

@@ -24,7 +24,7 @@
 // traces queries the server's flight recorder: slowest-N spans by
 // default, filterable by op name, peer DN substring, errors-only, or a
 // single full trace by id. transfers lists the bulk transfers in
-// flight right now (op, peer, bytes so far, stripes, elapsed).
+// flight right now (op, peer, bytes so far, elapsed).
 // cas-status reports the CAS policy-bundle replica (applied version,
 // generation, pull history split into delta and full-bundle replies,
 // what the last pull took and in which shape it was answered); cas-sync

@@ -311,29 +311,7 @@ func main() {
 	fmt.Printf("11. live policy swap denied the next call (%d reload(s)); registry exposes %d series\n",
 		obsServer.Reloader().Stats().Reloads, series)
 
-	// 12. Striped transfer: OpenStripedStream fans one logical stream
-	// over K parallel data sessions from the pool — GridFTP parallel
-	// striping. Each stripe seals on its own connection (K stripes
-	// drive up to K cores) and every stripe ends with a FIN trailer
-	// carrying the total chunk count, so a stripe that dies mid-flight
-	// is always an error, never a silently truncated file. The same
-	// stream-handler server from step 10 serves it: striping is a
-	// client-negotiated transport detail.
-	sup, err := pooled.OpenStripedStream(ctx, streamEP.Addr(), "upload:/exp/striped", 4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	big := make([]byte, 64<<20)
-	if _, err := sup.Write(big); err != nil {
-		log.Fatal(err)
-	}
-	if err := sup.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("12. striped %d MiB upload over 4 parallel stripe sessions (FIN trailers rule out truncation)\n",
-		atomic.LoadInt64(&received)>>20)
-
-	// 13. End-to-end tracing: WithTracing on both ends gives every
+	// 12. End-to-end tracing: WithTracing on both ends gives every
 	// exchange one causally linked trace whose 25-byte context crosses
 	// the wire (GT2 framing trailer, GT3 SOAP header), so the client's
 	// root span and the server's exchange/authz spans share a trace id.
@@ -380,10 +358,10 @@ func main() {
 	tid := slowest.TraceID.String()
 	clientSide := traced.Tracer().Recorder().Snapshot(gsi.TraceQuery{TraceID: tid, N: 20})
 	serverSide := traceServer.Tracer().Recorder().Snapshot(gsi.TraceQuery{TraceID: tid, N: 20})
-	fmt.Printf("13. slowest server span: %s %.0fms peer=%s — trace %s… links %d client + %d server span(s) across the wire\n",
+	fmt.Printf("12. slowest server span: %s %.0fms peer=%s — trace %s… links %d client + %d server span(s) across the wire\n",
 		slowest.Op, float64(slowest.Duration.Milliseconds()), slowest.Peer, tid[:8], len(clientSide), len(serverSide))
 
-	// 14. The durable trust plane: policy, gridmap, and the audit hash
+	// 13. The durable trust plane: policy, gridmap, and the audit hash
 	// chain journal through one write-ahead log (fsync before apply), so
 	// a server that dies mid-churn restarts with the exact generations it
 	// crashed with — the decision cache re-warms instead of stampeding,
@@ -429,17 +407,17 @@ func main() {
 	if bad := recovered.Audit().VerifyChain(); bad != -1 {
 		log.Fatalf("audit chain broken at %d after restart", bad)
 	}
-	fmt.Printf("14. killed mid-churn and restarted: policy/gridmap generations %d/%d identical, %d-event audit chain verifies\n",
+	fmt.Printf("13. killed mid-churn and restarted: policy/gridmap generations %d/%d identical, %d-event audit chain verifies\n",
 		pGen, gGen, recovered.Audit().Len())
 
-	// 15. The control-plane fast path: every sync is one pull carrying
+	// 14. The control-plane fast path: every sync is one pull carrying
 	// the replica's version. Once a resource server holds a VO's full
 	// signed bundle, membership churn comes back as signed DELTAS — only
 	// the mutations since that version, verified against the same VO key
 	// — and the publisher answers with the full bundle whenever its delta
 	// log does not cover the version. `gsictl cas-status` reads the same
 	// status shown here over the secure admin channel (and `gsictl
-	// compact` folds step 14's journal on demand).
+	// compact` folds step 13's journal on demand).
 	voCred, err := authority.NewEntity(gsi.MustParseName("/O=Grid/CN=ClimateVO CAS"), 7*24*time.Hour)
 	if err != nil {
 		log.Fatal(err)
@@ -520,6 +498,6 @@ func main() {
 	casStatus := waitCAS("delta catch-up", func(st gsi.CASSyncStatus) bool {
 		return st.Version >= want && st.DeltaSyncs > 0
 	})
-	fmt.Printf("15. CAS replica at v%d via %d delta sync(s) after 1 full bundle: %d delta bytes vs %d full, %d bytes saved\n",
+	fmt.Printf("14. CAS replica at v%d via %d delta sync(s) after 1 full bundle: %d delta bytes vs %d full, %d bytes saved\n",
 		casStatus.Version, casStatus.DeltaSyncs, casStatus.DeltaBytes, casStatus.FullBytes, casStatus.BytesSaved)
 }

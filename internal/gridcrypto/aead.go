@@ -143,27 +143,10 @@ func (o *Opener) open(dst []byte, seq uint64, ciphertext, aad []byte) ([]byte, e
 	return plaintext, nil
 }
 
-// Advance is the pipelined-open counterpart of Reserve: it accepts the
-// next expected sequence number, in arrival order, and moves the
-// anti-replay cursor past it. Records on an ordered carrier arrive in
-// seal order, so advancing at read time preserves exactly the replay
-// and reorder detection of Open while letting the expensive decrypt
-// (OpenAtInPlace) run on a worker afterwards.
-func (o *Opener) Advance(seq uint64) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if seq != o.next {
-		return fmt.Errorf("gridcrypto: record sequence %d, want %d (replay or reorder)", seq, o.next)
-	}
-	o.next++
-	return nil
-}
-
-// OpenAtInPlace decrypts a record whose sequence number was already
-// admitted by Advance. It takes no lock: GCM's Open is safe for
-// concurrent use and the nonce is derived from seq alone, so reserved
-// records decrypt in parallel. The returned plaintext occupies the
-// ciphertext's own storage (see OpenInPlace).
+// OpenAtInPlace decrypts a record under an explicit sequence number,
+// the counterpart of SealAtInto. It takes no lock and does not move the
+// anti-replay cursor: the caller owns ordering. The returned plaintext
+// occupies the ciphertext's own storage (see OpenInPlace).
 func (o *Opener) OpenAtInPlace(seq uint64, ciphertext, aad []byte) ([]byte, error) {
 	var nonce [12]byte
 	binary.BigEndian.PutUint64(nonce[4:], seq)

@@ -350,8 +350,7 @@ func (g *GetReader) Close() error {
 	return err
 }
 
-// readAll consumes the whole file into memory through the pipelined
-// receive path and closes the transfer.
+// readAll consumes the whole file into memory and closes the transfer.
 func (g *GetReader) readAll() ([]byte, error) {
 	hint := 0
 	if g.size > 0 && g.size <= maxPutPrealloc {
@@ -415,7 +414,7 @@ func (c *Client) GetTo(path string, w io.Writer) (int64, error) {
 	return n, err
 }
 
-// Get fetches a file into memory through the pipelined receive path.
+// Get fetches a file into memory.
 func (c *Client) Get(path string) ([]byte, error) {
 	g, err := c.GetStream(path)
 	if err != nil {

@@ -97,7 +97,7 @@ func (s *Server) invite(conn *gsitransport.Conn, identity gridcert.Name, path st
 		return nil, nil, err
 	}
 	granted := clampStripes(k)
-	grp, err := s.stripes.Open(identity.String(), string(tok), granted, "")
+	grp, err := s.stripes.Open(identity.String(), string(tok), granted)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -121,7 +121,7 @@ func (s *Server) serveJoin(conn *gsitransport.Conn, identity gridcert.Name, payl
 	}
 	idx := int(binary.BigEndian.Uint32(payload[stripeTokenLen:]))
 	var replyErr error
-	grp, _, err := s.stripes.Join(identity.String(), string(payload[:stripeTokenLen]), idx, conn, func() {
+	grp, err := s.stripes.Join(identity.String(), string(payload[:stripeTokenLen]), idx, conn, func() {
 		replyErr = conn.Send(encodeReply(opOK, "", nil))
 	})
 	if err != nil {

@@ -16,9 +16,10 @@ import (
 // is complete when every index is taken and every join reply has been
 // handed to its socket — not before, or whoever runs the transfer could
 // write DATA on a lane ahead of (or into the middle of) that lane's own
-// reply. From its Join until the group's Close a connection belongs to
-// the group: its serve goroutine parks in Wait and must not read, write
-// or close it.
+// reply. Whoever opened the group Awaits that and runs the transfer.
+// From its Join until the group's Close a connection belongs to the
+// group: its serve goroutine parks in Wait and must not read, write or
+// close it.
 
 // StripeJoinTimeout bounds how long a forming group waits for its
 // remaining stripes: a peer that dies between joins must not park serve
@@ -34,22 +35,20 @@ var (
 	ErrTooManyGroups   = errors.New("gsitransport: too many forming stripe groups")
 	ErrUnknownToken    = errors.New("gsitransport: unknown transfer token")
 	ErrTokenIdentity   = errors.New("gsitransport: transfer token bound to another identity")
-	ErrStripeCount     = errors.New("gsitransport: stripe count disagrees within group")
-	ErrStripeOp        = errors.New("gsitransport: op disagrees within group")
 	ErrBadStripeIndex  = errors.New("gsitransport: bad stripe index")
 	ErrDuplicateStripe = errors.New("gsitransport: duplicate stripe index")
+	errTokenForming    = errors.New("gsitransport: transfer token already names a forming group")
 )
 
 // StripeGroup is one striped transfer forming, or running, on a server.
 type StripeGroup struct {
 	// Conns holds the group's connections by stripe index. It is
-	// complete, and the caller's to run a transfer over, once Join
-	// reported the last arrival or Await reported true.
+	// complete, and the caller's to run a transfer over, once Await
+	// reported true.
 	Conns []*Conn
 
 	token    string
 	identity string
-	op       string
 	replied  int // stripes seated whose join reply has been sent
 	failed   bool
 	ready    chan struct{} // closed when every stripe has joined and been told so
@@ -75,34 +74,28 @@ func NewRendezvous(timeout time.Duration) *Rendezvous {
 	return &Rendezvous{timeout: timeout, forming: make(map[string]*StripeGroup)}
 }
 
-// Open returns the forming group named token, creating it on first use.
-// A group already forming under token must have been opened by the same
-// identity for the same stripe count and op.
-func (r *Rendezvous) Open(identity, token string, count int, op string) (*StripeGroup, error) {
+// Open creates the group named token, bound to identity, for count
+// stripes. Its caller minted token fresh for this one transfer, so a
+// token already forming is refused.
+func (r *Rendezvous) Open(identity, token string, count int) (*StripeGroup, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g := r.forming[token]
-	switch {
-	case g == nil:
-		if len(r.forming) >= maxFormingGroups {
-			return nil, ErrTooManyGroups
-		}
-		g = &StripeGroup{
-			Conns:    make([]*Conn, count),
-			token:    token,
-			identity: identity,
-			op:       op,
-			ready:    make(chan struct{}),
-			done:     make(chan struct{}),
-		}
-		r.forming[token] = g
-	case g.identity != identity:
+	switch g := r.forming[token]; {
+	case g != nil && g.identity != identity:
 		return nil, ErrTokenIdentity
-	case len(g.Conns) != count:
-		return nil, ErrStripeCount
-	case g.op != op:
-		return nil, ErrStripeOp
+	case g != nil:
+		return nil, errTokenForming
+	case len(r.forming) >= maxFormingGroups:
+		return nil, ErrTooManyGroups
 	}
+	g := &StripeGroup{
+		Conns:    make([]*Conn, count),
+		token:    token,
+		identity: identity,
+		ready:    make(chan struct{}),
+		done:     make(chan struct{}),
+	}
+	r.forming[token] = g
 	return g, nil
 }
 
@@ -110,13 +103,10 @@ func (r *Rendezvous) Open(identity, token string, count int, op string) (*Stripe
 // then runs reply, which tells the peer so over conn — outside the lock,
 // and before the stripe counts toward completion: a group is complete
 // only once every stripe's reply is out, so no reply can share its
-// connection with the transfer. A refused Join does not run reply. The
-// arrival that completes the group is told so (last): the group has
-// left the rendezvous and a caller without a separate coordinator runs
-// the transfer on this goroutine. Every other arrival parks in Wait —
-// as does one whose group was abandoned while it replied; Wait reports
-// that.
-func (r *Rendezvous) Join(identity, token string, idx int, conn *Conn, reply func()) (g *StripeGroup, last bool, err error) {
+// connection with the transfer. A refused Join does not run reply. Every
+// arrival then parks in Wait — also one whose group was abandoned while
+// it replied; Wait reports that.
+func (r *Rendezvous) Join(identity, token string, idx int, conn *Conn, reply func()) (g *StripeGroup, err error) {
 	r.mu.Lock()
 	g = r.forming[token]
 	switch {
@@ -133,21 +123,19 @@ func (r *Rendezvous) Join(identity, token string, idx int, conn *Conn, reply fun
 	}
 	r.mu.Unlock()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	reply()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g.failed {
-		return g, false, nil
+		return g, nil
 	}
-	g.replied++
-	if g.replied == len(g.Conns) {
+	if g.replied++; g.replied == len(g.Conns) {
 		delete(r.forming, token)
 		close(g.ready)
-		return g, true, nil
 	}
-	return g, false, nil
+	return g, nil
 }
 
 // abandon fails a group whose stripes did not all arrive and reply in
@@ -166,7 +154,7 @@ func (r *Rendezvous) abandon(g *StripeGroup) {
 }
 
 // complete reports whether every stripe has joined and been told so.
-// Once the group has left the rendezvous (last Join, or abandon) the
+// Once the group has left the rendezvous (final Join, or abandon) the
 // answer is final.
 func (g *StripeGroup) complete() bool {
 	select {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 
-	"repro/internal/gss"
 	"repro/internal/record"
 )
 
@@ -139,6 +138,14 @@ func (s *Stream) Write(p []byte) (int, error) {
 // assembled (and their chunk sequence numbers stamped) here in order,
 // workers seal them concurrently, and the pipeline's writer flushes
 // consecutive ready frames through one vectored SendSealedBatch each.
+//
+// It stays because it measures. On 2 vCPUs, the 16 MiB GridFTP
+// PUT/GET workload (bench's bulk_transfer) ran 8% fewer transfers a
+// second with this path replaced by the serial seal (medians 27.6 and
+// 25.4 over 6 alternating pairs; the serial seal lost every pair). A
+// matching open pipeline on the receive side measured no faster than
+// the serial open (-0.6% over 10 pairs, inside the spread between
+// runs), so receiving has none.
 func (s *Stream) writeBulk(p []byte) (int, error) {
 	pl := record.NewPipeline(s.c.Context(), 0, 0, func(frames [][]byte) error {
 		return s.c.SendSealedBatch(s.ctx, frames)
@@ -311,136 +318,13 @@ func (s *Stream) WriteTo(w io.Writer) (int64, error) {
 	}
 }
 
-// ReadAll consumes the stream to FIN through the pipelined receive
-// path and returns every payload byte, preallocating sizeHint. Frames
-// are read off the wire by a dedicated goroutine and decrypted by open-
-// pipeline workers in parallel; this goroutine reassembles the chunk
-// protocol in arrival order, so the result is byte-identical to a
-// serial Read loop.
-//
-// Prefetch safety: the wire reader may only run ahead on records it can
-// prove are DATA without decrypting them — and it can, by size alone. A
-// full-size DATA chunk's sealed token is longer than any terminal
-// record can be (FIN is empty, ERROR is capped at MaxErrorPayload), so
-// full-size records prefetch freely while anything smaller — a partial
-// tail chunk, FIN, ERROR — makes the reader pause until this goroutine
-// has decoded it and signalled whether the stream continues. Bulk
-// transfers pay one pause at the tail; the reader never steals bytes
-// belonging to the next protocol message after FIN.
+// ReadAll consumes the stream to FIN and returns every payload byte,
+// preallocating sizeHint: WriteTo into one buffer, on one connection or
+// K. Records open serially, in arrival order.
 func (s *Stream) ReadAll(sizeHint int) ([]byte, error) {
-	if sizeHint < 0 {
-		sizeHint = 0
-	}
-	data := make([]byte, 0, sizeHint)
-	if s.r != nil {
-		// The lanes already open their records in parallel; what is left
-		// is to string the chunks together, each copied with no lock held.
-		out := bytes.NewBuffer(data)
-		_, err := s.WriteTo(out)
-		return out.Bytes(), err
-	}
-	if len(s.cur) > 0 {
-		data = append(data, s.cur...)
-		s.cur = nil
-		s.curBuf.Free()
-		s.curBuf = nil
-	}
-	if s.rerr != nil {
-		if s.rerr == io.EOF {
-			return data, nil
-		}
-		return data, s.rerr
-	}
-
-	op := record.NewOpenPipeline(s.c.Context(), 0, 0)
-	fullToken := gss.WrapOverhead + record.ChunkHeader + chunkSize
-	proceed := make(chan bool, 1)
-	readerDone := make(chan struct{})
-	var readErr error // written before CloseSubmit, read after Next reports closed
-	go func() {
-		defer close(readerDone)
-		for {
-			token, buf, err := s.c.ReceiveSealed(s.ctx)
-			if err != nil {
-				readErr = err
-				break
-			}
-			possiblyTerminal := len(token) != fullToken
-			if err := op.Submit(token, buf); err != nil {
-				break // pipeline poisoned; consumer already has the error
-			}
-			if possiblyTerminal && !<-proceed {
-				break
-			}
-		}
-		op.CloseSubmit()
-	}()
-
-	// teardown reaps the reader after a failure: wake it wherever it is
-	// blocked (record read, window-full Submit, or the proceed gate) and
-	// drain whatever was still in flight.
-	teardown := func() {
-		s.c.abortReads()
-		select {
-		case proceed <- false:
-		default:
-		}
-		for {
-			_, buf, ok, _ := op.Next()
-			if !ok {
-				break
-			}
-			buf.Free()
-		}
-		<-readerDone
-	}
-
-	for {
-		pt, buf, ok, err := op.Next()
-		if err != nil {
-			teardown()
-			s.rerr = err
-			return data, err
-		}
-		if !ok {
-			<-readerDone
-			s.rerr = lostBeforeFIN(readErr)
-			return data, s.rerr
-		}
-		small := len(pt) != record.ChunkHeader+chunkSize
-		payload, fin, aerr := s.asm.Accept(pt)
-		switch {
-		case aerr != nil:
-			buf.Free()
-			var peerErr *record.PeerError
-			if errors.As(aerr, &peerErr) && small {
-				// Graceful peer abort: the reader is parked at the proceed
-				// gate and the connection stays synchronized.
-				proceed <- false
-				<-readerDone
-				op.Drain()
-			} else {
-				s.c.broken.Store(true)
-				teardown()
-			}
-			s.rerr = aerr
-			return data, aerr
-		case fin:
-			buf.Free()
-			proceed <- false // FIN is never full-size: the reader is parked
-			<-readerDone
-			op.Drain()
-			s.rerr = io.EOF
-			s.c.SetReceiveSizeHint(0)
-			return data, nil
-		default:
-			data = append(data, payload...)
-			buf.Free()
-			if small {
-				proceed <- true
-			}
-		}
-	}
+	out := bytes.NewBuffer(make([]byte, 0, max(sizeHint, 0)))
+	_, err := s.WriteTo(out)
+	return out.Bytes(), err
 }
 
 // Finish ends the transfer and settles its connections; nothing else

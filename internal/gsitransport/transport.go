@@ -463,40 +463,9 @@ func (c *Conn) SendSealedBatch(ctx context.Context, frames [][]byte) error {
 	return nil
 }
 
-// ReceiveSealed reads one record's wrap token off the wire without
-// opening it — the frame half of ReceiveView, for the pipelined
-// receive path where worker goroutines do the cryptographic open. The
-// caller owns the returned Buf.
-func (c *Conn) ReceiveSealed(ctx context.Context) ([]byte, *record.Buf, error) {
-	c.recvMu.Lock()
-	defer c.recvMu.Unlock()
-	if c.broken.Load() {
-		return nil, nil, ErrBroken
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	var token []byte
-	var buf *record.Buf
-	err := runWithContext(ctx, c.raw, scopeRead, func() error {
-		var err error
-		token, buf, err = record.ReadSealed(&c.in, 0, c.recvHint)
-		return err
-	})
-	if err != nil {
-		c.broken.Store(true)
-		return nil, nil, err
-	}
-	recordsReceived.Add(1)
-	if n := len(token) - gss.WrapOverhead; n > 0 {
-		bytesReceived.Add(uint64(n))
-	}
-	return token, buf, nil
-}
-
 // abortReads poisons the connection and forces a reader blocked in a
-// record read to fail promptly (the pipelined receive path uses it to
-// reap its reader goroutine after a consumer-side failure).
+// record read to fail promptly (Finish uses it on a failed transfer, so
+// no reader stays blocked on a connection that is already lost).
 func (c *Conn) abortReads() {
 	c.broken.Store(true)
 	c.raw.SetReadDeadline(aLongTimeAgo)

@@ -192,34 +192,6 @@ func (c *Context) WrapAtInto(seq uint64, dst, plaintext []byte) ([]byte, error) 
 	return out, nil
 }
 
-// ReserveUnwrap validates a wrap token's framing and admits its
-// sequence number through the anti-replay cursor, in arrival order,
-// without decrypting. The returned seq and ciphertext view feed a later
-// (possibly concurrent) UnwrapAtInPlace on a worker goroutine. On an
-// ordered carrier this preserves exactly Unwrap's replay/reorder
-// detection while moving the AEAD work off the reader.
-func (c *Context) ReserveUnwrap(wrapped []byte) (seq uint64, ct []byte, err error) {
-	seq, ct, err = c.parseWrapToken(wrapped)
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := c.opener.Advance(seq); err != nil {
-		return 0, nil, fmt.Errorf("gss: unwrap: %w", err)
-	}
-	return seq, ct, nil
-}
-
-// UnwrapAtInPlace decrypts the ciphertext of a token already admitted
-// by ReserveUnwrap, into its own storage. Concurrency-safe across
-// distinct reservations.
-func (c *Context) UnwrapAtInPlace(seq uint64, ct []byte) ([]byte, error) {
-	pt, err := c.opener.OpenAtInPlace(seq, ct, wrapAAD)
-	if err != nil {
-		return nil, fmt.Errorf("gss: unwrap: %w", err)
-	}
-	return pt, nil
-}
-
 func (c *Context) parseWrapToken(wrapped []byte) (seq uint64, ct []byte, err error) {
 	if c.Expired() {
 		return 0, nil, ErrContextExpired

@@ -48,7 +48,7 @@ const (
 	// (empty body = defaults).
 	AdminOpTraces = "Traces"
 	// AdminOpTransfers lists the in-flight bulk transfers (op, peer DN,
-	// bytes moved so far, stripe count, start time). Body: empty.
+	// bytes moved so far, start time). Body: empty.
 	AdminOpTransfers = "Transfers"
 	// AdminOpCASStatus reports the CAS bundle replication state: applied
 	// bundle version and generation, configured upstreams, and pull

@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// Pipelined seal/open: the single-connection multicore path. The
+// Pipelined seal: the single-connection multicore send path. The
 // record protocol requires wire order to equal sequence order, which a
 // lock around the whole seal trivially guarantees — at the price of one
 // core. The pipeline splits the two concerns: sequence numbers are
@@ -16,7 +16,8 @@ import (
 // reassembles completed frames back into submission order before they
 // touch the wire. Record N+1 seals while record N is in flight; the
 // peer observes exactly the byte stream the serial path would have
-// produced.
+// produced. Receiving has no such pipeline: records open serially
+// (Read), which measured as fast end to end.
 
 // PipelinedProtector is the explicit-sequence extension of Protector
 // that the pipeline needs. gss.Context implements it.
@@ -28,17 +29,11 @@ type PipelinedProtector interface {
 	// WrapAtInto seals under a reserved sequence number; safe for
 	// concurrent use across distinct reservations.
 	WrapAtInto(seq uint64, dst, plaintext []byte) ([]byte, error)
-	// ReserveUnwrap validates a token's framing and admits its sequence
-	// number through the anti-replay cursor without decrypting.
-	ReserveUnwrap(token []byte) (seq uint64, ct []byte, err error)
-	// UnwrapAtInPlace decrypts a token admitted by ReserveUnwrap; safe
-	// for concurrent use across distinct reservations.
-	UnwrapAtInPlace(seq uint64, ct []byte) ([]byte, error)
 }
 
 // DefaultPipelineWindow bounds how many records may be in flight
 // (reserved but not yet written) in a pipeline. Window × chunk size is
-// the memory bound: 16 × 256 KiB = 4 MiB per direction.
+// the memory bound: 16 × 256 KiB = 4 MiB.
 const DefaultPipelineWindow = 16
 
 // PipelineWorkers picks a worker count for n requested workers: n if
@@ -255,129 +250,4 @@ func (pl *Pipeline) Close() error {
 	close(pl.order)
 	<-pl.wrDone
 	return pl.Err()
-}
-
-// --- open pipeline -------------------------------------------------------
-
-type openTask struct {
-	seq  uint64
-	ct   []byte
-	buf  *Buf
-	pt   []byte
-	err  error
-	done chan struct{}
-}
-
-// OpenPipeline is the receive half: the reading goroutine Submits
-// sealed tokens in arrival order (which reserves their sequence numbers
-// through the anti-replay cursor immediately, preserving the serial
-// path's replay/reorder detection), workers decrypt concurrently, and
-// Next returns plaintexts in exactly arrival order. One goroutine
-// submits, one consumes; they may be the same goroutine only if it
-// never lets more than the window build up.
-type OpenPipeline struct {
-	p     PipelinedProtector
-	tasks chan *openTask
-	order chan *openTask
-	wg    sync.WaitGroup
-
-	mu  sync.Mutex
-	err error
-}
-
-// NewOpenPipeline starts an open pipeline (workers/window as in
-// NewPipeline).
-func NewOpenPipeline(p PipelinedProtector, workers, window int) *OpenPipeline {
-	workers = PipelineWorkers(workers)
-	if window <= 0 {
-		window = DefaultPipelineWindow
-	}
-	pl := &OpenPipeline{
-		p:     p,
-		tasks: make(chan *openTask, window),
-		order: make(chan *openTask, window),
-	}
-	for i := 0; i < workers; i++ {
-		pl.wg.Add(1)
-		go pl.worker()
-	}
-	return pl
-}
-
-func (pl *OpenPipeline) fail(err error) {
-	pl.mu.Lock()
-	if pl.err == nil {
-		pl.err = err
-	}
-	pl.mu.Unlock()
-}
-
-// Err returns the first pipeline failure, if any.
-func (pl *OpenPipeline) Err() error {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.err
-}
-
-// Submit hands the pipeline one sealed token (a ReadSealed result);
-// ownership of buf transfers with it. Blocks when the window is full.
-func (pl *OpenPipeline) Submit(token []byte, buf *Buf) error {
-	if err := pl.Err(); err != nil {
-		buf.Free()
-		return err
-	}
-	seq, ct, err := pl.p.ReserveUnwrap(token)
-	if err != nil {
-		buf.Free()
-		pl.fail(err)
-		return err
-	}
-	t := &openTask{seq: seq, ct: ct, buf: buf, done: make(chan struct{})}
-	pl.order <- t
-	pl.tasks <- t
-	return nil
-}
-
-func (pl *OpenPipeline) worker() {
-	defer pl.wg.Done()
-	for t := range pl.tasks {
-		t.pt, t.err = pl.p.UnwrapAtInPlace(t.seq, t.ct)
-		close(t.done)
-	}
-}
-
-// Next returns the next plaintext in arrival order together with its
-// backing Buf (owned by the caller, Free after consuming). ok is false
-// once the pipeline is closed and drained.
-func (pl *OpenPipeline) Next() (pt []byte, buf *Buf, ok bool, err error) {
-	t, open := <-pl.order
-	if !open {
-		return nil, nil, false, pl.Err()
-	}
-	<-t.done
-	if t.err != nil {
-		t.buf.Free()
-		pl.fail(t.err)
-		return nil, nil, false, t.err
-	}
-	return t.pt, t.buf, true, nil
-}
-
-// CloseSubmit ends the submission side; Next drains the remainder and
-// then reports ok=false. Call from the submitting goroutine.
-func (pl *OpenPipeline) CloseSubmit() {
-	close(pl.tasks)
-	close(pl.order)
-}
-
-// Drain consumes and frees everything still in flight (after a
-// consumer-side abort). Must follow CloseSubmit.
-func (pl *OpenPipeline) Drain() {
-	for {
-		_, buf, ok, _ := pl.Next()
-		if !ok {
-			return
-		}
-		buf.Free()
-	}
 }

@@ -3,7 +3,6 @@ package record
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"sync"
@@ -11,8 +10,8 @@ import (
 )
 
 // pipeRoundTrip pushes payloads through a seal pipeline into an
-// in-memory wire, then pulls them back through an open pipeline, and
-// returns the reassembled byte stream.
+// in-memory wire, then opens them back serially, and returns the
+// reassembled byte stream.
 func pipeRoundTrip(t *testing.T, workers, window int, payloads [][]byte) []byte {
 	t.Helper()
 	p, q := newTestPair(t)
@@ -39,39 +38,17 @@ func pipeRoundTrip(t *testing.T, workers, window int, payloads [][]byte) []byte 
 		t.Fatal(err)
 	}
 
-	op := NewOpenPipeline(q, workers, window)
 	var out bytes.Buffer
-	done := make(chan error, 1)
-	go func() {
-		defer close(done)
-		for {
-			pt, buf, ok, err := op.Next()
-			if err != nil {
-				done <- err
-				return
-			}
-			if !ok {
-				return
-			}
-			out.Write(pt)
-			buf.Free()
-		}
-	}()
-	for {
-		token, buf, err := ReadSealed(&wire, 0, 0)
-		if err == io.EOF {
-			break
-		}
+	for range payloads {
+		pt, buf, err := Read(&wire, q, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := op.Submit(token, buf); err != nil {
-			t.Fatal(err)
-		}
+		out.Write(pt)
+		buf.Free()
 	}
-	op.CloseSubmit()
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if _, _, err := Read(&wire, q, 0, 0); err != io.EOF {
+		t.Fatalf("wire holds more than the submitted records: %v", err)
 	}
 	return out.Bytes()
 }
@@ -129,56 +106,6 @@ func TestPipelineSinkFailurePoisons(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("sink called %d times after failing", calls)
-	}
-}
-
-// A tampered record fails the open pipeline with the AEAD error, not a
-// hang or a reorder.
-func TestOpenPipelineTamperRejected(t *testing.T) {
-	p, q := newTestPair(t)
-	var wire bytes.Buffer
-	for i := 0; i < 3; i++ {
-		if err := SealAndWrite(&wire, p, []byte(fmt.Sprintf("record %d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw := wire.Bytes()
-	raw[len(raw)-1] ^= 0x40 // corrupt the last record's tag
-
-	op := NewOpenPipeline(q, 2, 4)
-	var firstErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			_, buf, ok, err := op.Next()
-			if err != nil {
-				firstErr = err
-				return
-			}
-			if !ok {
-				return
-			}
-			buf.Free()
-		}
-	}()
-	r := bytes.NewReader(raw)
-	for {
-		token, buf, err := ReadSealed(r, 0, 0)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := op.Submit(token, buf); err != nil {
-			break
-		}
-	}
-	op.CloseSubmit()
-	<-done
-	if firstErr == nil {
-		t.Fatal("tampered record crossed the open pipeline")
 	}
 }
 

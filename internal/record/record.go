@@ -229,11 +229,8 @@ func Read(r io.Reader, p Protector, maxFrame, sizeHint int) ([]byte, *Buf, error
 }
 
 // ReadSealed reads one record's protection token without opening it,
-// returning the token view and the pooled Buf that backs it. It is the
-// frame half of Read, split out for the pipelined receive path: the
-// reader goroutine pulls sealed tokens off the wire in order while
-// worker goroutines do the cryptographic open. Caps and growth rules
-// match Read.
+// returning the token view and the pooled Buf that backs it: the frame
+// half of Read, with the same caps and growth rules.
 func ReadSealed(r io.Reader, maxFrame, sizeHint int) ([]byte, *Buf, error) {
 	// The header is read into a pooled buffer (a stack array would
 	// escape through the io.Reader interface and cost an allocation per

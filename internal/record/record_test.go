@@ -115,24 +115,6 @@ func (p *testProtector) WrapAtInto(seq uint64, dst, plaintext []byte) ([]byte, e
 	return out, nil
 }
 
-func (p *testProtector) ReserveUnwrap(token []byte) (uint64, []byte, error) {
-	if len(token) < 12 {
-		return 0, nil, errors.New("short token")
-	}
-	seq := binary.BigEndian.Uint64(token)
-	if n := binary.BigEndian.Uint32(token[8:]); int(n) != len(token)-12 {
-		return 0, nil, errors.New("bad token length")
-	}
-	if err := p.opener.Advance(seq); err != nil {
-		return 0, nil, err
-	}
-	return seq, token[12:], nil
-}
-
-func (p *testProtector) UnwrapAtInPlace(seq uint64, ct []byte) ([]byte, error) {
-	return p.opener.OpenAtInPlace(seq, ct, testAAD)
-}
-
 func TestPoolClasses(t *testing.T) {
 	for _, n := range []int{0, 1, 511, 512, 513, 4096, 64 << 10, DefaultChunkSize + 41, 1 << 20, 4 << 20} {
 		b := Get(n)

@@ -1,9 +1,9 @@
 // The active-transfer registry: a live table of in-flight bulk
-// transfers (streams, striped groups, GridFTP gets/puts) keyed by a
-// process-local id. Unlike the flight recorder — which sees a span
-// only at End — the registry is populated at Begin, so the admin
-// plane can answer "what is moving right now, for whom, and how far
-// along" while the bytes are still in flight.
+// transfers (facade streams) keyed by a process-local id. Unlike the
+// flight recorder — which sees a span only at End — the registry is
+// populated at Begin, so the admin plane can answer "what is moving
+// right now, for whom, and how far along" while the bytes are still in
+// flight.
 package trace
 
 import (
@@ -14,17 +14,16 @@ import (
 )
 
 // Transfer is one in-flight bulk operation. Byte accounting is atomic
-// so stripe lanes on separate goroutines update one counter without a
-// lock.
+// so a stream's reading and writing goroutines update one counter
+// without a lock.
 type Transfer struct {
-	id      uint64
-	trace   TraceID
-	op      string
-	peer    string
-	stripes int
-	start   time.Time
-	bytes   atomic.Int64
-	reg     *TransferRegistry
+	id    uint64
+	trace TraceID
+	op    string
+	peer  string
+	start time.Time
+	bytes atomic.Int64
+	reg   *TransferRegistry
 }
 
 // Add accumulates moved payload bytes. Nil-safe.
@@ -51,12 +50,10 @@ type TransferInfo struct {
 	// Trace is the owning trace id (lowercase hex; empty when the
 	// transfer is not part of a trace).
 	Trace string `json:"trace,omitempty"`
-	// Op names the operation ("stream", "stripe", "gridftp.get", ...).
+	// Op names the operation ("stream:<op>").
 	Op string `json:"op"`
 	// Peer is the authenticated peer DN.
 	Peer string `json:"peer,omitempty"`
-	// Stripes counts parallel lanes (1 for plain streams).
-	Stripes int `json:"stripes"`
 	// Bytes counts payload bytes moved so far.
 	Bytes int64 `json:"bytes"`
 	// Start is when the transfer began.
@@ -76,14 +73,11 @@ type TransferRegistry struct {
 
 // Begin registers an active transfer. tid may be zero when the
 // transfer is untraced. Returns nil (inert) on a nil registry.
-func (r *TransferRegistry) Begin(op, peer string, stripes int, tid TraceID) *Transfer {
+func (r *TransferRegistry) Begin(op, peer string, tid TraceID) *Transfer {
 	if r == nil {
 		return nil
 	}
-	if stripes < 1 {
-		stripes = 1
-	}
-	t := &Transfer{trace: tid, op: op, peer: peer, stripes: stripes, start: time.Now(), reg: r}
+	t := &Transfer{trace: tid, op: op, peer: peer, start: time.Now(), reg: r}
 	r.mu.Lock()
 	r.seq++
 	t.id = r.seq
@@ -117,7 +111,6 @@ func (r *TransferRegistry) Snapshot() []TransferInfo {
 		info := TransferInfo{
 			Op:        t.op,
 			Peer:      t.peer,
-			Stripes:   t.stripes,
 			Bytes:     t.bytes.Load(),
 			Start:     t.start,
 			ElapsedUS: now.Sub(t.start).Microseconds(),

@@ -95,12 +95,6 @@ type hostPool struct {
 	idle    []idleSession
 	active  int
 	waiters []chan struct{}
-
-	// gather is held by the one striped open currently collecting its
-	// sessions under this key (beginGather); gatherers counts the opens
-	// holding or queued for it, so the key is not reaped under them.
-	gather    chan struct{}
-	gatherers int
 }
 
 func (hp *hostPool) total() int { return hp.active + len(hp.idle) }
@@ -266,7 +260,7 @@ func (p *SessionPool) host(key poolKey) *hostPool {
 // long-lived pool serving many ephemeral endpoints or rotated
 // credentials does not accrete empty entries. Callers hold the mutex.
 func (p *SessionPool) reapLocked(key poolKey, hp *hostPool) {
-	if hp.active == 0 && len(hp.idle) == 0 && len(hp.waiters) == 0 && hp.gatherers == 0 {
+	if hp.active == 0 && len(hp.idle) == 0 && len(hp.waiters) == 0 {
 		delete(p.hosts, key)
 	}
 }
@@ -374,32 +368,6 @@ func (p *SessionPool) checkout(ctx context.Context, key poolKey, dial dialReques
 			p.mu.Unlock()
 			return nil, checkoutAbort(op, ctx.Err())
 		}
-	}
-}
-
-// beginGather admits one striped open at a time to key's checkout
-// phase, waiting no longer than ctx allows; the open calls done once it
-// holds all of its sessions (or gave up).
-func (p *SessionPool) beginGather(ctx context.Context, key poolKey) (done func(), err error) {
-	p.mu.Lock()
-	hp := p.host(key)
-	if hp.gather == nil {
-		hp.gather = make(chan struct{}, 1)
-	}
-	hp.gatherers++
-	p.mu.Unlock()
-	leave := func() {
-		p.mu.Lock()
-		hp.gatherers--
-		p.reapLocked(key, hp)
-		p.mu.Unlock()
-	}
-	select {
-	case hp.gather <- struct{}{}:
-		return func() { <-hp.gather; leave() }, nil
-	case <-ctx.Done():
-		leave()
-		return nil, checkoutAbort("gsi.SessionPool.Checkout", ctx.Err())
 	}
 }
 

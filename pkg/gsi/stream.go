@@ -96,7 +96,7 @@ func (c *Client) OpenStream(ctx context.Context, endpoint, op string) (Stream, e
 		dn := peerDNOf(st.Peer())
 		sp.SetPeer(dn)
 		ts := newTracedStream(out, sp, "client")
-		ts.xfer = c.base.tracer.Transfers().Begin("stream:"+op, dn, 1, sp.Context().TraceID)
+		ts.xfer = c.base.tracer.Transfers().Begin("stream:"+op, dn, sp.Context().TraceID)
 		out = ts
 	}
 	return out, nil
@@ -139,31 +139,18 @@ func (s *gt2Session) OpenStream(ctx context.Context, op string) (Stream, error) 
 		return nil, opErr(opName, err)
 	}
 	buf.Free()
-	return newGT2Stream(ctx, []*gt2Session{s}, nil), nil
+	return &gt2Stream{sess: s, pipe: gsitransport.NewStream(ctx, s.conn)}, nil
 }
 
-// gt2Stream is the client side of a GT2 stream: the sessions it rides —
-// one, or the K stripes of OpenStripedStream — stay locked until Close
-// has resynchronized every connection, so a pooling client parks only
-// clean sessions (a connection that could not resynchronize is left
-// broken, which the pool observes via the health check at release).
+// gt2Stream is the client side of a GT2 stream: the session it rides
+// stays locked until Close has resynchronized its connection, so a
+// pooling client parks only clean sessions (a connection that could not
+// resynchronize is left broken, which the pool observes via the health
+// check at release).
 type gt2Stream struct {
-	members []*gt2Session // locked for the stream's duration
-	owners  []Session     // checkouts this stream releases at Close (striped opens)
-	pipe    *gsitransport.Stream
-	closed  atomic.Bool
-}
-
-func newGT2Stream(ctx context.Context, members []*gt2Session, owners []Session) *gt2Stream {
-	conns := make([]*gsitransport.Conn, len(members))
-	for i, m := range members {
-		conns[i] = m.conn
-	}
-	return &gt2Stream{
-		members: members,
-		owners:  owners,
-		pipe:    gsitransport.NewTransfer(ctx, conns, gsitransport.Duplex),
-	}
+	sess   *gt2Session // locked for the stream's duration
+	pipe   *gsitransport.Stream
+	closed atomic.Bool
 }
 
 func (g *gt2Stream) Read(p []byte) (int, error) {
@@ -178,10 +165,10 @@ func (g *gt2Stream) Write(p []byte) (int, error) {
 
 func (g *gt2Stream) CloseWrite() error { return streamErr(g.pipe.CloseWrite()) }
 
-func (g *gt2Stream) Peer() Peer { return g.members[0].conn.Peer() }
+func (g *gt2Stream) Peer() Peer { return g.sess.conn.Peer() }
 
-// Close terminates both halves and returns every connection to
-// exchange mode, then releases the sessions.
+// Close terminates both halves and returns the connection to exchange
+// mode, then unlocks the session.
 func (g *gt2Stream) Close() error {
 	if g.closed.Swap(true) {
 		return nil
@@ -189,17 +176,10 @@ func (g *gt2Stream) Close() error {
 	err := g.pipe.Finish(nil)
 	if peerAborted(err) {
 		// A peer abort surfaces through Read; as far as Close is concerned
-		// its terminal record resynchronized the connections.
+		// its terminal record resynchronized the connection.
 		err = nil
 	}
-	for _, m := range g.members {
-		m.mu.Unlock()
-	}
-	for _, o := range g.owners {
-		if cerr := o.Close(); err == nil {
-			err = cerr
-		}
-	}
+	g.sess.mu.Unlock()
 	return streamErr(err)
 }
 
@@ -228,10 +208,9 @@ func streamErr(err error) error {
 	return &Error{Op: "gsi.Stream", Kind: classify(err), Err: err}
 }
 
-// serverGT2Stream is the handler-facing stream of a GT2 server, over
-// one connection or a stripe group's K. Termination and drain are owned
-// by the serve loop (serveGT2Stream), so Close here only flushes the
-// write half.
+// serverGT2Stream is the handler-facing stream of a GT2 server.
+// Termination and drain are owned by the serve loop (serveGT2Stream),
+// so Close here only flushes the write half.
 type serverGT2Stream struct {
 	pipe *gsitransport.Stream
 	peer Peer

@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/wire"
 	"repro/pkg/gsi"
 )
 
@@ -284,107 +284,36 @@ func TestStreamSignedRefused(t *testing.T) {
 	}
 }
 
-// A striped open holds all K checkouts at once. On a pool capped below
-// K the surplus checkout used to queue at the cap for a session only
-// this same call could give back — until the context ended, forever
-// without a deadline — with the stripes already bound parked on the
-// server. It must be refused before the first checkout.
-func TestStripedOpenBeyondPoolCapFailsFast(t *testing.T) {
-	_, client, addr, done := streamWorld(t, gsi.TransportGT2(),
-		gsi.WithSessionPool(nil), gsi.WithMaxConcurrentPerHost(2))
+// The facade's striped open (gsi.__stream.sopen) is retired: a GT2
+// server answers it, whatever its body, as any other reserved op — the
+// NotFound status, over an intact record stream — and the same
+// connection goes on to serve an ordinary exchange.
+func TestRetiredStripedOpenRefused(t *testing.T) {
+	_, client, addr, done := streamWorld(t, gsi.TransportGT2())
 	defer done()
-	const deadline = 2 * time.Second
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	start := time.Now()
-	st, err := client.OpenStripedStream(ctx, addr, "mirror", 4)
-	if err == nil {
-		st.Close()
-		t.Fatal("4 stripes opened through a pool capped at 2 sessions per host")
-	}
-	if !errors.Is(err, gsi.ErrPoolExhausted) {
-		t.Fatalf("err = %v, want ErrPoolExhausted", err)
-	}
-	if waited := time.Since(start); waited > deadline/2 {
-		t.Fatalf("refused only after queueing at the cap for %v", waited)
-	}
-	if s := client.Pool().Stats(); s.Dials != 0 {
-		t.Fatalf("%d sessions dialed for an open that could never complete", s.Dials)
-	}
-}
-
-// slowDialProxy relays TCP to backend, holding every new connection for
-// delay first: handshakes through it are slow, so concurrent callers'
-// dials reliably overlap.
-func slowDialProxy(t *testing.T, backend string, delay time.Duration) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	sess, err := client.Connect(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			client, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer client.Close()
-				time.Sleep(delay)
-				server, err := net.Dial("tcp", backend)
-				if err != nil {
-					return
-				}
-				defer server.Close()
-				go io.Copy(server, client)
-				io.Copy(client, server)
-			}()
+	defer sess.Close()
+	bodies := map[string][]byte{
+		"empty": nil,
+		"well-formed": wire.NewEncoder().Str("upload:/x").Bytes(make([]byte, 16)).
+			U32(0).U32(2).Finish(),
+		"garbage": []byte("\xff\x00not a striped open"),
+	}
+	for name, body := range bodies {
+		if _, err := sess.Exchange(ctx, "gsi.__stream.sopen", body); !errors.Is(err, gsi.ErrNotFound) {
+			t.Fatalf("%s body: err = %v, want ErrNotFound", name, err)
 		}
-	}()
-	return ln.Addr().String()
-}
-
-// Two striped opens under one pool key whose stripes together exceed the
-// per-host cap: each holds its checkouts while it waits for more, so
-// opens that interleave their checkouts (slow handshakes make them) used
-// to each hold part of the cap and wait for the rest until their
-// contexts ended. One open collects its sessions at a time; both
-// transfers complete.
-func TestConcurrentStripedOpensShareCap(t *testing.T) {
-	store, client, addr, done := streamWorld(t, gsi.TransportGT2(),
-		gsi.WithSessionPool(nil), gsi.WithMaxConcurrentPerHost(4))
-	defer done()
-	addr = slowDialProxy(t, addr, 20*time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	payload := bytes.Repeat([]byte("stripe"), 100_000)
-	start := time.Now()
-	errs := make(chan error, 2)
-	for _, path := range []string{"/a", "/b"} {
-		go func() {
-			st, err := client.OpenStripedStream(ctx, addr, "upload:"+path, 3)
-			if err != nil {
-				errs <- fmt.Errorf("open %s: %w", path, err)
-				return
-			}
-			_, werr := st.Write(payload)
-			errs <- errors.Join(werr, st.Close())
-		}()
-	}
-	for range 2 {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
+		out, err := sess.Exchange(ctx, "echo", []byte(name))
+		if err != nil {
+			t.Fatalf("exchange after a refused %s open: %v", name, err)
 		}
-	}
-	if took := time.Since(start); took > 2*time.Second {
-		t.Fatalf("two 3-stripe transfers under a cap of 4 took %v", took)
-	}
-	store.mu.Lock()
-	defer store.mu.Unlock()
-	for _, path := range []string{"/a", "/b"} {
-		if !bytes.Equal(store.files[path], payload) {
-			t.Fatalf("upload %s stored %d bytes, want %d", path, len(store.files[path]), len(payload))
+		if string(out) != name {
+			t.Fatalf("echo after a refused %s open = %q", name, out)
 		}
 	}
 }

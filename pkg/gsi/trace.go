@@ -21,7 +21,7 @@ func setTraceHeader(ctx context.Context, env *soap.Envelope) {
 }
 
 // Tracer is the facade's end-to-end tracer: spans for every traced
-// exchange, stream, and striped transfer, per-op latency histograms in
+// exchange and stream, per-op latency histograms in
 // the metrics registry, and a bounded flight recorder queryable live
 // via Tracer().Recorder(), the gsi.__admin Traces op, or gsictl
 // traces. A nil *Tracer is valid and inert.
@@ -51,7 +51,7 @@ func SampleNever() TraceSampler { return trace.NeverSample() }
 func SampleRatio(ratio float64) TraceSampler { return trace.RatioSampler(ratio) }
 
 // WithTracing enables end-to-end tracing on a Client or Server: every
-// exchange, stream open, and striped transfer produces a causally
+// exchange and stream open produces a causally
 // linked trace whose context crosses the wire on both transports, so
 // the client's spans and the server's spans share one trace id.
 // Tracing is materialized by NewClient/NewServer; with WithMetrics
@@ -109,6 +109,21 @@ func clientHandshakeSpan(sp *trace.Span, sess Session) {
 	}
 }
 
+// gt2SessionOf unwraps a facade Session to the GT2 session holding the
+// transport connection, through any pool wrapper.
+func gt2SessionOf(s Session) *gt2Session {
+	for {
+		switch v := s.(type) {
+		case *gt2Session:
+			return v
+		case *pooledSession:
+			s = v.sess
+		default:
+			return nil
+		}
+	}
+}
+
 // Tracer returns the server's tracer (nil unless WithTracing was set
 // at NewServer).
 func (s *Server) Tracer() *Tracer { return s.base.tracer }
@@ -116,14 +131,13 @@ func (s *Server) Tracer() *Tracer { return s.base.tracer }
 // tracedStream wraps a Stream with span accounting: bytes and
 // cumulative open/seal pipeline time accumulate per direction, and
 // Close ends the owning span after emitting the pipeline child spans.
-// Lane spans (striped transfers) and an active-transfer registration
-// may ride along; both are released exactly once at Close.
+// An active-transfer registration may ride along; it is released
+// exactly once at Close.
 type tracedStream struct {
 	Stream
-	sp    *trace.Span
-	lanes []*trace.Span
-	xfer  *trace.Transfer
-	side  string // "client" or "server": prefixes the pipeline span ops
+	sp   *trace.Span
+	xfer *trace.Transfer
+	side string // "client" or "server": prefixes the pipeline span ops
 
 	opened  time.Time
 	readNS  atomic.Int64
@@ -161,8 +175,8 @@ func (t *tracedStream) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// finish emits the pipeline child spans and ends the owning span (and
-// lane spans, oldest id first) exactly once.
+// finish emits the pipeline child spans and ends the owning span
+// exactly once.
 func (t *tracedStream) finish(err error) {
 	if !t.closed.CompareAndSwap(false, true) {
 		return
@@ -173,9 +187,6 @@ func (t *tracedStream) finish(err error) {
 	}
 	if ns := t.writeNS.Load(); ns > 0 || t.writeB.Load() > 0 {
 		t.sp.AddTimed(t.side+".seal.pipeline", t.opened, time.Duration(ns), "")
-	}
-	for _, lane := range t.lanes {
-		lane.End()
 	}
 	t.sp.AddBytes(t.readB.Load() + t.writeB.Load())
 	t.sp.SetError(err)

@@ -123,103 +123,6 @@ func TestTraceExchangePropagation(t *testing.T) {
 	t.Run("GT3", func(t *testing.T) { testTraceExchange(t, gsi.TransportGT3()) })
 }
 
-// TestTraceStripedStream is the acceptance trace of the issue: one
-// client-side striped transfer produces ONE trace whose spans cover the
-// root stream, every stripe lane on the client, and — on the server,
-// under the same trace id — per-stripe lanes, per-stripe authorization,
-// and the group's stream span.
-func TestTraceStripedStream(t *testing.T) {
-	const stripes = 3
-	bed := newAuthzBed(t)
-	bed.local.Add(gsi.Rule{
-		ID:        "streams",
-		Effect:    gsi.EffectPermit,
-		Subjects:  []string{"*"},
-		Resources: []string{"*"},
-		Actions:   []string{"*"},
-	})
-	pl := bed.pipeline(t)
-	server, err := bed.env.NewServer(bed.host,
-		gsi.WithTransport(gsi.TransportGT2()),
-		gsi.WithAuthorizationPipeline(pl),
-		gsi.WithStreamHandler(func(ctx context.Context, peer gsi.Peer, op string, st gsi.Stream) error {
-			_, err := io.Copy(io.Discard, st)
-			return err
-		}),
-		gsi.WithTracing())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	ep, err := server.Serve(ctx, "127.0.0.1:0",
-		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
-			return body, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-
-	client, err := bed.env.NewClient(bed.alice,
-		gsi.WithTransport(gsi.TransportGT2()),
-		gsi.WithTracing())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := client.OpenStripedStream(ctx, ep.Addr(), "bulk", stripes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, 1<<20)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	if _, err := st.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	roots := waitSpans(t, client.Tracer(), gsi.TraceQuery{Op: "client.stream"}, 1)
-	root := roots[0]
-	if root.Bytes < int64(len(payload)) {
-		t.Fatalf("client.stream root accounts %d bytes, wrote %d", root.Bytes, len(payload))
-	}
-	tid := root.TraceID.String()
-
-	cli := waitSpans(t, client.Tracer(), gsi.TraceQuery{TraceID: tid, N: 100}, 1+stripes)
-	cops := opCount(cli)
-	if cops["client.stripe"] != stripes {
-		t.Fatalf("trace %s: client.stripe count = %d, want %d (spans %+v)", tid, cops["client.stripe"], stripes, cli)
-	}
-
-	// The same trace id on the server covers every lane, every per-lane
-	// authorization decision, and the group's stream span. Lane spans
-	// end last — when the group releases its connections, after the
-	// client's Close has already returned — so they are what to wait for.
-	waitSpans(t, server.Tracer(), gsi.TraceQuery{TraceID: tid, Op: "server.stripe", N: 100}, stripes)
-	srv := waitSpans(t, server.Tracer(), gsi.TraceQuery{TraceID: tid, N: 100}, 2*stripes+1)
-	sops := opCount(srv)
-	if sops["server.stripe"] != stripes {
-		t.Fatalf("trace %s: server.stripe count = %d, want %d (spans %+v)", tid, sops["server.stripe"], stripes, srv)
-	}
-	if sops["server.authz"] != stripes {
-		t.Fatalf("trace %s: server.authz count = %d, want %d", tid, sops["server.authz"], stripes)
-	}
-	if sops["server.stream"] != 1 {
-		t.Fatalf("trace %s: server.stream count = %d, want 1", tid, sops["server.stream"])
-	}
-	for _, r := range srv {
-		if !r.Remote && r.Op == "server.stripe" {
-			t.Fatalf("server.stripe lane not marked remote: %+v", r)
-		}
-	}
-}
-
 // TestTracePropagationConcurrent hammers one traced server from
 // concurrent traced clients over both transports at once and checks
 // that every client-side root trace reappears server-side — contexts
@@ -395,9 +298,8 @@ func TestAdminTracesAndTransfers(t *testing.T) {
 		t.Fatalf("Transfers as admin: %v", err)
 	}
 	var transfers []struct {
-		Op      string `json:"op"`
-		Peer    string `json:"peer"`
-		Stripes int    `json:"stripes"`
+		Op   string `json:"op"`
+		Peer string `json:"peer"`
 	}
 	if err := json.Unmarshal(out, &transfers); err != nil {
 		t.Fatalf("Transfers is not JSON: %v\n%s", err, out)
@@ -406,9 +308,6 @@ func TestAdminTracesAndTransfers(t *testing.T) {
 	for _, tr := range transfers {
 		if tr.Op == "stream:bulk" {
 			foundStream = true
-			if tr.Stripes != 1 {
-				t.Fatalf("stream transfer lists %d stripes, want 1", tr.Stripes)
-			}
 			if !strings.Contains(tr.Peer, "Alice") {
 				t.Fatalf("stream transfer peer = %q, want Alice's DN", tr.Peer)
 			}

@@ -112,10 +112,10 @@ type ServeConfig struct {
 	// without one ignore the hook.
 	ConfigureContainer func(*ogsa.Container) error
 
-	// Tracer, when set, records server-side spans for every exchange,
-	// stream, and stripe lane, continuing the trace context received
-	// over the wire (the GT2 trailing field, the GT3 SOAP header) so
-	// client and server spans share one trace id. Nil disables tracing.
+	// Tracer, when set, records server-side spans for every exchange
+	// and stream, continuing the trace context received over the wire
+	// (the GT2 trailing field, the GT3 SOAP header) so client and
+	// server spans share one trace id. Nil disables tracing.
 	Tracer *Tracer
 }
 
@@ -326,9 +326,6 @@ func (t gt2Transport) Serve(ctx context.Context, addr string, cfg ServeConfig) (
 	serveCtx, cancel := context.WithCancel(ctx)
 	listener := gsitransport.NewListener(inner, cfg.Context)
 	ep := &gt2Endpoint{addr: inner.Addr().String(), cancel: cancel, listener: listener}
-	// The stripe rendezvous is endpoint-scoped: striped opens on
-	// different connections of this endpoint meet through it.
-	groups := gsitransport.NewRendezvous(gsitransport.StripeJoinTimeout)
 	go func() {
 		for {
 			conn, err := listener.AcceptContext(serveCtx)
@@ -338,7 +335,7 @@ func (t gt2Transport) Serve(ctx context.Context, addr string, cfg ServeConfig) (
 				}
 				continue // a failed handshake must not stop the acceptor
 			}
-			go serveGT2Conn(serveCtx, conn, cfg, groups)
+			go serveGT2Conn(serveCtx, conn, cfg)
 		}
 	}()
 	return ep, nil
@@ -369,7 +366,7 @@ const maxInternedOps = 1024
 // buffer, valid only for the duration of the call — handlers that
 // retain it must copy (returning it, as an echo handler does, is safe:
 // the reply is sealed before the buffer is reused).
-func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, groups *gsitransport.Rendezvous) {
+func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig) {
 	defer conn.Close()
 	stop := conn.CloseOnDone(ctx)
 	defer stop()
@@ -431,20 +428,14 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 				interned[op] = op
 			}
 		}
-		if striped := op == stripedOpenOp; striped || op == streamOpenOp {
+		if op == streamOpenOp {
 			var sp *trace.Span
 			if tracer != nil {
-				// A striped open's span is its lane; the group's runner
-				// parents the stream span under it.
-				name := "server.stream"
-				if striped {
-					name = "server.stripe"
-				}
-				sp = tracer.StartRemote(remote, name)
+				sp = tracer.StartRemote(remote, "server.stream")
 				sp.SetPeer(peerDN)
 				handshakeSpan(sp)
 			}
-			if !serveGT2Stream(ctx, conn, cfg, peer, groups, striped, body, rbuf, sp) {
+			if !serveGT2Stream(ctx, conn, cfg, peer, body, rbuf, sp) {
 				return
 			}
 			continue
@@ -496,26 +487,17 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 	}
 }
 
-// serveGT2Stream handles one stream open on a GT2 connection — a plain
-// gsi.__stream.open, or one stripe's gsi.__stream.sopen: authorize the
-// named op (once per connection — the decision cache makes a group's
-// repeats cheap), then run the StreamHandler over this connection, or
-// join the stripe group and either run the handler over all of its
-// connections (last arrival) or park until the group's transfer is over.
-// Reports whether the connection is still usable for further exchanges.
-func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, peer Peer, groups *gsitransport.Rendezvous, striped bool, body []byte, rbuf *record.Buf, sp *trace.Span) bool {
+// serveGT2Stream handles one gsi.__stream.open on a GT2 connection:
+// authorize the named op, then run the StreamHandler over this
+// connection, followed by the end-of-transfer sequence — the handler's
+// error travels as the stream's terminal record, and the client half is
+// consumed to its own if the handler did not. sp (nil when untraced)
+// covers the handler's whole transfer and is ended here. Reports whether
+// the connection is still usable for further exchanges: one that could
+// not resynchronize is left broken.
+func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, peer Peer, body []byte, rbuf *record.Buf, sp *trace.Span) bool {
 	bg := context.Background()
-	op, groupID, idx, count := string(body), "", 0, 1
-	malformed := false
-	if striped {
-		d := wire.NewDecoder(body)
-		op = d.Str()
-		groupID = string(d.Bytes())
-		idx = int(d.U32())
-		count = int(d.U32())
-		malformed = d.Done() != nil || len(groupID) != 16 ||
-			count < 1 || count > maxStripes || idx < 0 || idx >= count
-	}
+	op := string(body)
 	rbuf.Free()
 	refuse := func(status byte, err error) bool {
 		sp.SetError(err)
@@ -525,8 +507,6 @@ func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfi
 	switch {
 	case cfg.StreamHandler == nil:
 		return refuse(gt2StatusNotFound, errors.New("gsi: endpoint does not accept streams"))
-	case malformed:
-		return refuse(gt2StatusNotFound, errors.New("gsi: malformed striped open"))
 	case op == "" || strings.HasPrefix(op, reservedOpPrefix):
 		return refuse(gt2StatusNotFound, errors.New("gsi: invalid stream op "+op))
 	}
@@ -539,66 +519,16 @@ func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfi
 	if authErr != nil {
 		return refuse(gt2Status(authErr), authErr)
 	}
-	if !striped {
-		if err := sendGT2Reply(bg, conn, gt2StatusOK, nil); err != nil {
-			sp.SetError(err)
-			sp.End()
-			return false
-		}
-		runGT2Stream(ctx, cfg, []*gsitransport.Conn{conn}, exPeer, "stream:", op, sp)
-		return !conn.Broken()
-	}
-	// The group is bound to the authenticated peer: stripes under one
-	// group id must all arrive from the same identity.
-	grp, err := groups.Open(peerKey(peer), groupID, count, op)
-	var (
-		last     bool
-		replyErr error
-	)
-	if err == nil {
-		grp, last, err = groups.Join(peerKey(peer), groupID, idx, conn, func() {
-			replyErr = sendGT2Reply(bg, conn, gt2StatusOK, nil)
-		})
-	}
-	if err != nil {
-		return refuse(gt2StatusError, err)
-	}
-	// The connection has belonged to the group since it joined: even on
-	// a failed reply it must not be closed out from under the transfer.
-	if last {
-		// The completing arrival runs the transfer; its lane span (when
-		// traced) parents the stream span covering the handler's run.
-		var gsp *trace.Span
-		if sp != nil {
-			gsp = sp.StartChild("server.stream")
-			gsp.SetPeer(peerDNOf(exPeer))
-		}
-		runGT2Stream(ctx, cfg, grp.Conns, exPeer, "sopen:", op, gsp)
-		grp.Close()
-	} else if !groups.Wait(grp) {
-		// The group never completed; this stripe was never handed to a
-		// transfer, so the connection can simply die.
-		sp.SetError(errors.New("gsi: stripe group incomplete"))
+	if err := sendGT2Reply(bg, conn, gt2StatusOK, nil); err != nil {
+		sp.SetError(err)
 		sp.End()
 		return false
 	}
-	sp.End()
-	return replyErr == nil && !conn.Broken()
-}
-
-// runGT2Stream executes one stream over conns: the handler, then the
-// end-of-transfer sequence — the handler's error travels as the
-// stream's terminal record, and the client half is consumed to its own
-// if the handler did not. A connection that could not resynchronize is
-// left broken. sp (nil when untraced) covers the handler's whole
-// transfer and is ended here; kind names the stream in the
-// active-transfer registry.
-func runGT2Stream(ctx context.Context, cfg ServeConfig, conns []*gsitransport.Conn, peer Peer, kind, op string, sp *trace.Span) {
 	// The stream's record I/O runs under Background like the exchange
 	// loop's: cancellation arrives through the connection-lifetime
 	// CloseOnDone watcher, not a per-record watcher goroutine.
-	pipe := gsitransport.NewTransfer(context.Background(), conns, gsitransport.Duplex)
-	var hstream Stream = &serverGT2Stream{pipe: pipe, peer: peer}
+	pipe := gsitransport.NewStream(bg, conn)
+	var hstream Stream = &serverGT2Stream{pipe: pipe, peer: exPeer}
 	var ts *tracedStream
 	if sp != nil {
 		// The traced wrapper accounts bytes and cumulative seal/open
@@ -606,14 +536,15 @@ func runGT2Stream(ctx context.Context, cfg ServeConfig, conns []*gsitransport.Co
 		// when the handler is done, registering the stream as an active
 		// transfer meanwhile.
 		ts = newTracedStream(hstream, sp, "server")
-		ts.xfer = cfg.Tracer.Transfers().Begin(kind+op, peerDNOf(peer), len(conns), sp.Context().TraceID)
+		ts.xfer = cfg.Tracer.Transfers().Begin("stream:"+op, peerDNOf(exPeer), sp.Context().TraceID)
 		hstream = ts
 	}
-	herr := cfg.StreamHandler(ctx, peer, op, hstream)
+	herr := cfg.StreamHandler(ctx, exPeer, op, hstream)
 	if ts != nil {
 		ts.finish(herr)
 	}
-	pipe.Finish(herr) // the verdict is in the connections' state
+	pipe.Finish(herr) // the verdict is in the connection's state
+	return !conn.Broken()
 }
 
 type gt2Endpoint struct {
@@ -865,7 +796,7 @@ func (s *handlerService) openStream(call *ogsa.Call, op string) ([]byte, error) 
 		dn := peerDNOf(peer)
 		sp.SetPeer(dn)
 		ts = newTracedStream(hstream, sp, "server")
-		ts.xfer = s.tracer.Transfers().Begin("stream:"+op, dn, 1, sp.Context().TraceID)
+		ts.xfer = s.tracer.Transfers().Begin("stream:"+op, dn, sp.Context().TraceID)
 		hstream = ts
 	}
 	go func() {
@@ -901,11 +832,11 @@ func (e *gt3Endpoint) Close() error {
 // --- shared server-side authorization -----------------------------------
 
 // authorizeCall is a server's one authorization path: every GT2
-// exchange, every GT2 stream open (single or striped) and the GT3 gate
-// decide through it. A server with a pipeline asks it — chain
-// re-validation, decision cache and audit trail included — and gets the
-// requester's gridmap account on permit, an ErrUnauthorized-classified
-// error on deny; a server without one serves every authenticated peer.
+// exchange, every GT2 stream open and the GT3 gate decide through it.
+// A server with a pipeline asks it — chain re-validation, decision cache
+// and audit trail included — and gets the requester's gridmap account
+// on permit, an ErrUnauthorized-classified error on deny; a server
+// without one serves every authenticated peer.
 func authorizeCall(ctx context.Context, p *AuthorizationPipeline, peer Peer, resource, action string) (account string, err error) {
 	if p == nil {
 		return "", nil
