@@ -16,15 +16,13 @@
 //	gsictl reload [-dir DIR] [-cred NAME]
 //	gsictl retire [-dir DIR] [-cred NAME] FINGERPRINT
 //	gsictl traces [-dir DIR] [-cred NAME] [-n N] [-op OP] [-peer DN] [-errors] [-trace HEXID]
-//	gsictl transfers [-dir DIR] [-cred NAME]
 //	gsictl cas-status [-dir DIR] [-cred NAME]
 //	gsictl cas-sync [-dir DIR] [-cred NAME]
 //	gsictl compact [-dir DIR] [-cred NAME]
 //
 // traces queries the server's flight recorder: slowest-N spans by
 // default, filterable by op name, peer DN substring, errors-only, or a
-// single full trace by id. transfers lists the bulk transfers in
-// flight right now (op, peer, bytes so far, elapsed).
+// single full trace by id.
 // cas-status reports the CAS policy-bundle replica (applied version,
 // generation, pull history split into delta and full-bundle replies,
 // what the last pull took and in which shape it was answered); cas-sync
@@ -79,8 +77,8 @@ func main() {
 	switch cmd {
 	case "serve":
 		runServe(args)
-	case "stats", "metrics", "drain", "reload", "retire", "traces", "transfers",
-		"cas-status", "cas-sync", "compact":
+	case "stats", "metrics", "drain", "reload", "retire", "traces", "cas-status",
+		"cas-sync", "compact":
 		runAdminOp(cmd, args)
 	default:
 		usage()
@@ -88,7 +86,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: gsictl serve|stats|metrics|drain|reload|retire|traces|transfers|cas-status|cas-sync|compact [flags] [args]")
+	fmt.Fprintln(os.Stderr, "usage: gsictl serve|stats|metrics|drain|reload|retire|traces|cas-status|cas-sync|compact [flags] [args]")
 	os.Exit(2)
 }
 
@@ -202,7 +200,7 @@ func runServe(args []string) {
 	}
 	fmt.Printf("  bundle     %s\n", *dir)
 	fmt.Printf("  admin via  gsictl stats -dir %s\n", *dir)
-	fmt.Printf("  tracing    on — gsictl traces -dir %s (flight recorder), gsictl transfers\n", *dir)
+	fmt.Printf("  tracing    on — gsictl traces -dir %s (flight recorder)\n", *dir)
 	fmt.Printf("edit %s/policy.json or %s/gridmap and watch them apply live; ^C drains and exits\n", *dir, *dir)
 
 	<-ctx.Done()
@@ -319,8 +317,6 @@ func runAdminOp(cmd string, args []string) {
 		if body, err = json.Marshal(q); err != nil {
 			log.Fatal(err)
 		}
-	case "transfers":
-		op = ogsa.AdminOpTransfers
 	case "cas-status":
 		op = ogsa.AdminOpCASStatus
 	case "cas-sync":

@@ -47,9 +47,6 @@ const (
 	// errors-only, or one full trace). Body: a JSON query object
 	// (empty body = defaults).
 	AdminOpTraces = "Traces"
-	// AdminOpTransfers lists the in-flight bulk transfers (op, peer DN,
-	// bytes moved so far, start time). Body: empty.
-	AdminOpTransfers = "Transfers"
 	// AdminOpCASStatus reports the CAS bundle replication state: applied
 	// bundle version and generation, configured upstreams, and pull
 	// history. Body: empty.
@@ -82,8 +79,6 @@ type AdminBackend interface {
 	AdminReload() ([]byte, error)
 	// AdminTraces answers a flight-recorder query (JSON in, JSON out).
 	AdminTraces(query []byte) ([]byte, error)
-	// AdminTransfers lists active bulk transfers as JSON.
-	AdminTransfers() ([]byte, error)
 	// AdminCASStatus reports the CAS replication state as JSON.
 	AdminCASStatus() ([]byte, error)
 	// AdminCASSync forces a bundle pull and reports the outcome as JSON.
@@ -173,6 +168,7 @@ func (s *AdminService) Invoke(call *Call) ([]byte, error) {
 	case AdminOpRetire:
 		fp := strings.TrimSpace(string(call.Body))
 		if fp == "" {
+			s.audit("admin-refused", subject, "Retire without a fingerprint")
 			return nil, errors.New("ogsa: Retire requires a credential fingerprint")
 		}
 		s.audit("admin-retire", subject, fp)
@@ -186,9 +182,6 @@ func (s *AdminService) Invoke(call *Call) ([]byte, error) {
 	case AdminOpTraces:
 		s.audit("admin-traces", subject, "")
 		return s.cfg.Backend.AdminTraces(call.Body)
-	case AdminOpTransfers:
-		s.audit("admin-transfers", subject, "")
-		return s.cfg.Backend.AdminTransfers()
 	case AdminOpCASStatus:
 		s.audit("admin-cas-status", subject, "")
 		return s.cfg.Backend.AdminCASStatus()
@@ -199,6 +192,8 @@ func (s *AdminService) Invoke(call *Call) ([]byte, error) {
 		s.audit("admin-compact", subject, "")
 		return s.cfg.Backend.AdminCompact()
 	default:
-		return nil, fmt.Errorf("ogsa: admin port type has no op %q", call.Op)
+		err := fmt.Errorf("ogsa: admin port type has no op %q", call.Op)
+		s.audit("admin-refused", subject, err.Error())
+		return nil, err
 	}
 }

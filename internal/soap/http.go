@@ -20,7 +20,7 @@ const maxHTTPBody = 1 << 24
 
 // readBody reads an HTTP body into a buffer sized from Content-Length
 // when the peer declared one, avoiding ReadAll's repeated grow-and-copy
-// on large envelopes (streamed GT3 chunks make these common). An
+// on large envelopes (large exchange bodies make these common). An
 // undeclared length degrades to the incremental path. A body over the
 // cap, declared or not, is an error that says so: cut to the cap it would
 // reach the parser as a malformed envelope and hide the real reason.

@@ -154,18 +154,6 @@ type Tracer struct {
 
 	histMu sync.RWMutex
 	hists  map[string]*telemetry.Histogram
-
-	transfers TransferRegistry
-}
-
-// Transfers returns the tracer's active-transfer registry (the admin
-// plane's "what is moving right now" view). Nil-safe: a nil tracer
-// returns nil, and all registry methods no-op on a nil receiver.
-func (t *Tracer) Transfers() *TransferRegistry {
-	if t == nil {
-		return nil
-	}
-	return &t.transfers
 }
 
 // New creates a Tracer.

@@ -159,13 +159,6 @@ func (b *adminBackend) AdminTraces(query []byte) ([]byte, error) {
 	return json.MarshalIndent(spans, "", "  ")
 }
 
-func (b *adminBackend) AdminTransfers() ([]byte, error) {
-	if b.tracer == nil {
-		return nil, errors.New("gsi: no tracer configured (WithTracing)")
-	}
-	return json.MarshalIndent(b.tracer.Transfers().Snapshot(), "", "  ")
-}
-
 func (b *adminBackend) AdminCASStatus() ([]byte, error) {
 	cs := b.server.currentCASSyncer()
 	if cs == nil {

@@ -443,9 +443,7 @@ var (
 	_ sessionProber = (*gt2Session)(nil)
 
 	_ Stream = (*gt2Stream)(nil)
-	_ Stream = (*gt3Stream)(nil)
 	_ Stream = (*serverGT2Stream)(nil)
-	_ Stream = (*serverGT3Stream)(nil)
 	_ Stream = (*pooledStream)(nil)
 	_ Stream = (*ownedStream)(nil)
 )

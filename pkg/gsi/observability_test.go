@@ -405,6 +405,7 @@ func TestNewServerRefusesIncoherentOptions(t *testing.T) {
 		{"admin without a pipeline", []gsi.Option{gt3, gsi.WithAdmin()}, "authorization pipeline"},
 		{"CAS publisher on GT2", []gsi.Option{gsi.WithAuthorizationPipeline(pl), gsi.WithCASPublisher(bed.vo)}, "GT3"},
 		{"CAS publisher without a pipeline", []gsi.Option{gt3, gsi.WithCASPublisher(bed.vo)}, "authorization pipeline"},
+		{"stream handler on GT3", []gsi.Option{gt3, gsi.WithStreamHandler(func(context.Context, gsi.Peer, string, gsi.Stream) error { return nil })}, "GT2"},
 		{"metrics listener without a registry", []gsi.Option{gsi.WithMetricsListener("127.0.0.1:0")}, "WithMetrics"},
 		{"prebuilt pipeline plus assembly options", []gsi.Option{gsi.WithAuthorizationPipeline(pl), gsi.WithLocalPolicy(bed.local)}, "prebuilt"},
 		{"auto-compaction without durable state", []gsi.Option{gsi.WithAutoCompact(gsi.AutoCompactConfig{MaxRecords: 1})}, "WithDurableState"},

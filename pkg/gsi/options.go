@@ -241,7 +241,8 @@ func WithMaxConcurrentPerHost(n int) Option {
 // message, so their size is unbounded. The stream's op is authorized
 // once — through the authorization pipeline when one is configured —
 // before the handler sees the stream. Endpoints without a stream
-// handler refuse stream opens.
+// handler refuse stream opens. Streams ride GT2 sessions only: NewServer
+// refuses a stream handler on the GT3 transport.
 func WithStreamHandler(h StreamHandler) Option {
 	return func(s *settings) error {
 		if h == nil {

@@ -99,6 +99,8 @@ func (s *settings) serverCoherent() error {
 		return errors.New("gsi: the admin surface requires the GT3 transport (a hosting container to publish gsi.__admin on)")
 	case s.adminEnable && !s.authzEnabled:
 		return errors.New("gsi: the admin surface requires an authorization pipeline (an unauthorized control plane is refused outright)")
+	case s.streamHandler != nil && gt3:
+		return errors.New("gsi: a stream handler requires the GT2 transport (streams ride GT2 sessions; a GT3 session refuses OpenStream)")
 	case s.casPublish != nil && !gt3:
 		return errors.New("gsi: publishing a CAS bundle feed requires the GT3 transport (a hosting container to publish gsi.__cas.sync on)")
 	case s.casPublish != nil && !s.authzEnabled:

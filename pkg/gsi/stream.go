@@ -2,30 +2,16 @@ package gsi
 
 import (
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/gridcrypto"
 	"repro/internal/gsitransport"
 	"repro/internal/record"
-	"repro/internal/soap"
 	"repro/internal/trace"
 )
-
-// newStreamID mints the unguessable id a GT3 stream is addressed by.
-func newStreamID() (string, error) {
-	b, err := gridcrypto.RandomBytes(16)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("st-%x", b), nil
-}
 
 // Stream is a secured, unbounded byte stream bound to one session —
 // the record layer's chunked mode surfaced at the facade. Data crosses
@@ -93,11 +79,8 @@ func (c *Client) OpenStream(ctx context.Context, endpoint, op string) (Stream, e
 	}
 	var out Stream = &ownedStream{Stream: st, sess: sess}
 	if sp != nil {
-		dn := peerDNOf(st.Peer())
-		sp.SetPeer(dn)
-		ts := newTracedStream(out, sp, "client")
-		ts.xfer = c.base.tracer.Transfers().Begin("stream:"+op, dn, sp.Context().TraceID)
-		out = ts
+		sp.SetPeer(peerDNOf(st.Peer()))
+		out = newTracedStream(out, sp, "client")
 	}
 	return out, nil
 }
@@ -230,451 +213,16 @@ func (s *serverGT2Stream) CloseWrite() error { return streamErr(s.pipe.CloseWrit
 func (s *serverGT2Stream) Close() error      { return streamErr(s.pipe.CloseWrite()) }
 func (s *serverGT2Stream) Peer() Peer        { return s.peer }
 
-// --- GT3: chunk records as conversation calls ---------------------------
-//
-// GT3 has no connection to own, so a stream is a server-side resource:
-// gsi.__stream.open:<op> creates it (authorized as <op> through the
-// container's chain gate — once per stream), returning an unguessable
-// stream id. Chunks then travel as calls through the same secure
-// conversation: gsi.__stream.w:<id> carries a client chunk record,
-// gsi.__stream.r:<id> returns the next server chunk record. The chunk
-// records themselves — sequence binding, FIN, ERROR — are exactly the
-// GT2 ones; only the carriage differs, which is the paper's §5.1 story
-// retold for bulk data.
+// --- GT3: no streams ----------------------------------------------------
 
-const (
-	gt3StreamOpenPrefix  = streamOpenOp + ":"
-	gt3StreamWritePrefix = reservedOpPrefix + "stream.w:"
-	gt3StreamReadPrefix  = reservedOpPrefix + "stream.r:"
-)
-
-func (s *gt3Session) call(ctx context.Context, op string, body []byte) ([]byte, error) {
-	env := soap.NewEnvelope("ogsa-sc/"+exchangeHandle+"/"+op, body)
-	setTraceHeader(ctx, env)
-	reply, err := s.conv.CallContext(ctx, env)
-	if err != nil {
-		return nil, err
-	}
-	return reply.Body, nil
-}
-
-// encodeStreamOp renders an application op for carriage in a GT3
-// action suffix. Ops are arbitrary strings — a '/' would collide with
-// the container's handle/op routing — so the base64url alphabet
-// (slash-free) carries them.
-func encodeStreamOp(op string) string {
-	return base64.RawURLEncoding.EncodeToString([]byte(op))
-}
-
-func decodeStreamOp(enc string) (string, error) {
-	b, err := base64.RawURLEncoding.DecodeString(enc)
-	if err != nil {
-		return "", fmt.Errorf("gsi: malformed stream op encoding denied: %w", err)
-	}
-	return string(b), nil
-}
-
-// OpenStream on a GT3 session.
+// OpenStream on a GT3 session: streams ride GT2 sessions, whose
+// connection the chunk protocol can own; a conversation has none.
 func (s *gt3Session) OpenStream(ctx context.Context, op string) (Stream, error) {
-	const opName = "gsi.Session.OpenStream"
-	if op == "" || strings.HasPrefix(op, reservedOpPrefix) {
-		return nil, opErr(opName, fmt.Errorf("gsi: invalid stream op %q", op))
-	}
-	id, err := s.call(ctx, gt3StreamOpenPrefix+encodeStreamOp(op), nil)
-	if err != nil {
-		return nil, opErr(opName, err)
-	}
-	if len(id) == 0 {
-		return nil, opErr(opName, errors.New("gsi: stream open returned no id"))
-	}
-	return &gt3Stream{sess: s, ctx: ctx, id: string(id)}, nil
+	return nil, opErr("gsi.Session.OpenStream", fmt.Errorf("%w: streams ride GT2 sessions", errStreamsUnsupported))
 }
 
-type gt3Stream struct {
-	sess   *gt3Session
-	ctx    context.Context
-	id     string
-	sender record.ChunkSender
-	asm    record.Assembler
-	rbuf   []byte // unread remainder of the last server chunk
-	rerr   error
-	closed bool
-}
-
-func (g *gt3Stream) sendChunk(build func([]byte) ([]byte, error)) error {
-	rec, err := build(nil)
-	if err != nil {
-		return streamErr(err)
-	}
-	if _, err := g.sess.call(g.ctx, gt3StreamWritePrefix+g.id, rec); err != nil {
-		return streamErr(err)
-	}
-	return nil
-}
-
-func (g *gt3Stream) Write(p []byte) (int, error) {
-	if g.sender.Terminated() {
-		return 0, streamErr(gsitransport.ErrWriteHalfClosed)
-	}
-	written := 0
-	for written < len(p) {
-		piece := p[written:]
-		if len(piece) > record.DefaultChunkSize {
-			piece = piece[:record.DefaultChunkSize]
-		}
-		if err := g.sendChunk(func(dst []byte) ([]byte, error) {
-			return g.sender.AppendData(dst, piece)
-		}); err != nil {
-			return written, err
-		}
-		written += len(piece)
-	}
-	return written, nil
-}
-
-func (g *gt3Stream) CloseWrite() error {
-	if g.sender.Terminated() {
-		return nil
-	}
-	return g.sendChunk(g.sender.AppendFIN)
-}
-
-func (g *gt3Stream) Read(p []byte) (int, error) {
-	for {
-		if len(g.rbuf) > 0 {
-			n := copy(p, g.rbuf)
-			g.rbuf = g.rbuf[n:]
-			return n, nil
-		}
-		if g.rerr != nil {
-			return 0, g.rerr
-		}
-		if len(p) == 0 {
-			return 0, nil
-		}
-		rec, err := g.sess.call(g.ctx, gt3StreamReadPrefix+g.id, nil)
-		if err != nil {
-			g.rerr = streamErr(err)
-			return 0, g.rerr
-		}
-		payload, fin, err := g.asm.Accept(rec)
-		switch {
-		case err != nil:
-			g.rerr = streamErr(err)
-			return 0, g.rerr
-		case fin:
-			g.rerr = io.EOF
-			return 0, io.EOF
-		default:
-			g.rbuf = payload // reply bodies are owned, not pooled
-		}
-	}
-}
-
-func (g *gt3Stream) Peer() Peer { return g.sess.conv.Peer() }
-
-func (g *gt3Stream) Close() error {
-	if g.closed {
-		return nil
-	}
-	g.closed = true
-	var firstErr error
-	if err := g.CloseWrite(); err != nil {
-		firstErr = err
-	}
-	// Drain the server half so its registry entry retires.
-	var scratch [4096]byte
-	for firstErr == nil {
-		if _, err := g.Read(scratch[:]); err != nil {
-			if err != io.EOF {
-				var peerErr *record.PeerError
-				if !errors.As(err, &peerErr) {
-					firstErr = err
-				}
-			}
-			break
-		}
-	}
-	return firstErr
-}
-
-// gt3SignedSession has no security context to stream under: each signed
-// message stands alone, so chunked streaming is refused.
+// OpenStream on a signed GT3 session: each signed message stands alone,
+// so there is nothing to stream under either.
 func (s *gt3SignedSession) OpenStream(ctx context.Context, op string) (Stream, error) {
-	return nil, opErr("gsi.Session.OpenStream", fmt.Errorf("%w: ProtectionSigned sessions sign stateless messages", errStreamsUnsupported))
-}
-
-// --- GT3 server side -----------------------------------------------------
-
-// gt3StreamRegistry holds the server-side state of open GT3 streams,
-// keyed by their unguessable ids.
-type gt3StreamRegistry struct {
-	mu      sync.Mutex
-	streams map[string]*gt3ServerStream
-}
-
-func newGT3StreamRegistry() *gt3StreamRegistry {
-	return &gt3StreamRegistry{streams: make(map[string]*gt3ServerStream)}
-}
-
-// maxGT3Streams bounds concurrently open server-side streams.
-const maxGT3Streams = 1024
-
-// gt3StreamIdleLimit reaps streams whose client vanished mid-protocol.
-const gt3StreamIdleLimit = 5 * time.Minute
-
-func (r *gt3StreamRegistry) add(s *gt3ServerStream) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := time.Now()
-	for id, old := range r.streams {
-		if now.Sub(old.lastActive()) > gt3StreamIdleLimit {
-			old.abandon()
-			delete(r.streams, id)
-		}
-	}
-	if len(r.streams) >= maxGT3Streams {
-		return errors.New("gsi: too many open streams")
-	}
-	r.streams[s.id] = s
-	return nil
-}
-
-func (r *gt3StreamRegistry) get(id string) *gt3ServerStream {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.streams[id]
-}
-
-func (r *gt3StreamRegistry) remove(id string) {
-	r.mu.Lock()
-	delete(r.streams, id)
-	r.mu.Unlock()
-}
-
-// peerKey renders the identity a stream is bound to: chunk calls must
-// arrive from the same authenticated party that opened the stream.
-func peerKey(p Peer) string {
-	if p.Anonymous {
-		return "anonymous"
-	}
-	return p.Identity.String()
-}
-
-// gt3ServerStream is one open stream's server-side state.
-type gt3ServerStream struct {
-	id      string
-	peer    Peer
-	peerKey string
-	account string
-
-	// Client -> handler: chunk payloads flow through a pipe so the w:
-	// call blocks while the handler catches up (backpressure).
-	inR *io.PipeReader
-	inW *io.PipeWriter
-
-	inMu  sync.Mutex // serializes w: calls
-	inAsm record.Assembler
-
-	// Handler -> client: chunk records popped by r: calls.
-	out chan []byte
-
-	// dead releases everything blocked on the stream when the registry
-	// reaps it (client vanished mid-protocol).
-	dead     chan struct{}
-	deadOnce sync.Once
-
-	ctx    context.Context // serve lifetime
-	active int64           // unix nanos of last chunk call (atomic via mutex below)
-	actMu  sync.Mutex
-}
-
-func (s *gt3ServerStream) touch() {
-	s.actMu.Lock()
-	s.active = time.Now().UnixNano()
-	s.actMu.Unlock()
-}
-
-func (s *gt3ServerStream) lastActive() time.Time {
-	s.actMu.Lock()
-	defer s.actMu.Unlock()
-	return time.Unix(0, s.active)
-}
-
-// abandon releases a reaped stream: the handler's reads fail, and its
-// writes — including the goroutine parked pushing the terminal record
-// no client will ever poll — stop blocking.
-func (s *gt3ServerStream) abandon() {
-	s.inW.CloseWithError(errors.New("gsi: stream abandoned by peer"))
-	s.inR.CloseWithError(errors.New("gsi: stream abandoned by peer"))
-	s.deadOnce.Do(func() { close(s.dead) })
-}
-
-// acceptIn processes one client chunk record.
-func (s *gt3ServerStream) acceptIn(rec []byte) error {
-	s.touch()
-	s.inMu.Lock()
-	defer s.inMu.Unlock()
-	payload, fin, err := s.inAsm.Accept(rec)
-	if err != nil {
-		var peerErr *record.PeerError
-		if errors.As(err, &peerErr) {
-			// Clean client abort: surface to the handler as a read error.
-			s.inW.CloseWithError(peerErr)
-			return nil
-		}
-		return err
-	}
-	if fin {
-		return s.inW.Close()
-	}
-	if len(payload) > 0 {
-		// A handler that returned early closed the read end; remaining
-		// client chunks are validated, then discarded.
-		if _, err := s.inW.Write(payload); err != nil && !errors.Is(err, io.ErrClosedPipe) {
-			var perr *record.PeerError
-			if !errors.As(err, &perr) {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// nextOut blocks for the next server chunk record.
-func (s *gt3ServerStream) nextOut() ([]byte, bool, error) {
-	s.touch()
-	select {
-	case rec := <-s.out:
-		typ, _, _, err := record.ParseChunk(rec)
-		terminal := err == nil && (typ == record.ChunkFIN || typ == record.ChunkError)
-		return rec, terminal, nil
-	case <-s.dead:
-		return nil, false, errors.New("gsi: stream abandoned")
-	case <-s.ctx.Done():
-		return nil, false, s.ctx.Err()
-	}
-}
-
-// serverGT3Stream is the handler-facing Stream of a GT3 stream.
-type serverGT3Stream struct {
-	s      *gt3ServerStream
-	sender record.ChunkSender
-}
-
-func (h *serverGT3Stream) Read(p []byte) (int, error) {
-	n, err := h.s.inR.Read(p)
-	return n, streamErr(err)
-}
-
-func (h *serverGT3Stream) push(rec []byte) error {
-	select {
-	case h.s.out <- rec:
-		return nil
-	case <-h.s.dead:
-		return streamErr(errors.New("gsi: stream abandoned"))
-	case <-h.s.ctx.Done():
-		return streamErr(h.s.ctx.Err())
-	}
-}
-
-func (h *serverGT3Stream) Write(p []byte) (int, error) {
-	if h.sender.Terminated() {
-		return 0, streamErr(gsitransport.ErrWriteHalfClosed)
-	}
-	written := 0
-	for written < len(p) {
-		piece := p[written:]
-		if len(piece) > record.DefaultChunkSize {
-			piece = piece[:record.DefaultChunkSize]
-		}
-		rec, err := h.sender.AppendData(nil, piece)
-		if err != nil {
-			return written, streamErr(err)
-		}
-		if err := h.push(rec); err != nil {
-			return written, err
-		}
-		written += len(piece)
-	}
-	return written, nil
-}
-
-func (h *serverGT3Stream) CloseWrite() error {
-	if h.sender.Terminated() {
-		return nil
-	}
-	rec, err := h.sender.AppendFIN(nil)
-	if err != nil {
-		return streamErr(err)
-	}
-	return h.push(rec)
-}
-
-func (h *serverGT3Stream) closeWithError(msg string) error {
-	if h.sender.Terminated() {
-		return nil
-	}
-	rec, err := h.sender.AppendError(nil, msg)
-	if err != nil {
-		return streamErr(err)
-	}
-	return h.push(rec)
-}
-
-func (h *serverGT3Stream) Close() error { return h.CloseWrite() }
-func (h *serverGT3Stream) Peer() Peer   { return h.s.peer }
-
-// --- GT3 authorization gate ----------------------------------------------
-
-// gt3AuthGate is the container's chain-authorization hook with stream
-// awareness: stream opens are authorized as the op they carry (once per
-// stream), chunk calls are admitted by possession of a live stream id
-// bound to the same authenticated peer, and everything else is
-// authorized as it arrives — all through authorizeCall.
-type gt3AuthGate struct {
-	pipeline *AuthorizationPipeline
-	reg      *gt3StreamRegistry
-	tracer   *Tracer
-}
-
-func (g *gt3AuthGate) AuthorizeChain(ctx context.Context, peer Peer, resource, action string) (string, error) {
-	if enc, ok := strings.CutPrefix(action, gt3StreamOpenPrefix); ok {
-		op, err := decodeStreamOp(enc)
-		if err != nil {
-			return "", err
-		}
-		if op == "" || strings.HasPrefix(op, reservedOpPrefix) {
-			return "", fmt.Errorf("gsi: invalid stream op %q denied", op)
-		}
-		return g.authorize(ctx, peer, resource, op)
-	}
-	id, isChunk := strings.CutPrefix(action, gt3StreamWritePrefix)
-	if !isChunk {
-		id, isChunk = strings.CutPrefix(action, gt3StreamReadPrefix)
-	}
-	if isChunk {
-		st := g.reg.get(id)
-		if st == nil || st.peerKey != peerKey(peer) {
-			return "", errors.New("gsi: unknown stream denied")
-		}
-		// Authorization was decided at open; the stream carries it.
-		return st.account, nil
-	}
-	return g.authorize(ctx, peer, resource, action)
-}
-
-// authorize decides one call. When the router lifted a trace context off
-// the envelope, the decision is recorded as a server.authz span in the
-// caller's trace.
-func (g *gt3AuthGate) authorize(ctx context.Context, peer Peer, resource, action string) (account string, err error) {
-	if g.tracer != nil {
-		asp := g.tracer.StartRemote(trace.RemoteFromContext(ctx), "server.authz")
-		asp.SetPeer(peerKey(peer))
-		defer func() {
-			asp.SetError(err)
-			asp.End()
-		}()
-	}
-	return authorizeCall(ctx, g.pipeline, peer, resource, action)
+	return nil, opErr("gsi.Session.OpenStream", fmt.Errorf("%w: streams ride GT2 sessions", errStreamsUnsupported))
 }

@@ -3,6 +3,7 @@ package gsi_test
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
@@ -61,7 +62,9 @@ func (s *streamStore) handle(ctx context.Context, peer gsi.Peer, op string, st g
 }
 
 // streamWorld serves the streamStore over one transport with an
-// authorization pipeline admitting only Alice.
+// authorization pipeline admitting only Alice. Streams ride GT2, so a
+// GT3 world serves exchanges only: NewServer refuses a stream handler
+// on GT3.
 func streamWorld(t *testing.T, transport gsi.Transport, clientOpts ...gsi.Option) (*streamStore, *gsi.Client, string, func()) {
 	t.Helper()
 	tb := newTestbed(t)
@@ -74,12 +77,15 @@ func streamWorld(t *testing.T, transport gsi.Transport, clientOpts ...gsi.Option
 	})
 	gm := gsi.NewGridMap()
 	gm.Add(gsi.MustParseName("/O=Grid/CN=Alice"), "alice")
-	server, err := tb.env.NewServer(tb.host,
+	serverOpts := []gsi.Option{
 		gsi.WithTransport(transport),
-		gsi.WithStreamHandler(store.handle),
 		gsi.WithLocalPolicy(policy),
 		gsi.WithGridMap(gm),
-	)
+	}
+	if transport.String() == "gt2" {
+		serverOpts = append(serverOpts, gsi.WithStreamHandler(store.handle))
+	}
+	server, err := tb.env.NewServer(tb.host, serverOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +191,31 @@ func TestStreamGT2(t *testing.T) { streamRoundTrip(t, gsi.TransportGT2()) }
 func TestStreamGT2Pooled(t *testing.T) {
 	streamRoundTrip(t, gsi.TransportGT2(), gsi.WithSessionPool(nil))
 }
-func TestStreamGT3(t *testing.T) { streamRoundTrip(t, gsi.TransportGT3()) }
-func TestStreamGT3Pooled(t *testing.T) {
-	streamRoundTrip(t, gsi.TransportGT3(), gsi.WithSessionPool(nil))
+
+// Streams ride GT2 sessions: every kind of GT3 session refuses to open
+// one, and the client goes on to serve an ordinary exchange.
+func TestStreamGT3Refused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []gsi.Option
+	}{
+		{"conversation", nil},
+		{"pooled conversation", []gsi.Option{gsi.WithSessionPool(nil)}},
+		{"signed", []gsi.Option{gsi.WithMessageProtection(gsi.ProtectionSigned)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, client, addr, done := streamWorld(t, gsi.TransportGT3(), tc.opts...)
+			defer done()
+			ctx := context.Background()
+			_, err := client.OpenStream(ctx, addr, "upload:/x")
+			if err == nil || !strings.Contains(err.Error(), "streams ride GT2 sessions") {
+				t.Fatalf("GT3 stream open: err = %v, want a refusal", err)
+			}
+			if out, err := client.Exchange(ctx, addr, "echo", []byte("after")); err != nil || string(out) != "after" {
+				t.Fatalf("exchange after a refused stream: %q %v", out, err)
+			}
+		})
+	}
 }
 
 // Duplex mirror on GT2: both halves busy at once.
@@ -223,11 +251,10 @@ func TestStreamMirrorGT2(t *testing.T) {
 	}
 }
 
-// An identity outside the pipeline's policy cannot open a stream on
-// either transport — authorization happens before the handler, once,
-// at open.
+// An identity outside the pipeline's policy cannot open a stream —
+// authorization happens before the handler, once, at open.
 func TestStreamDenied(t *testing.T) {
-	for _, transport := range []gsi.Transport{gsi.TransportGT2(), gsi.TransportGT3()} {
+	for _, transport := range []gsi.Transport{gsi.TransportGT2()} {
 		t.Run(transport.String(), func(t *testing.T) {
 			tb := newTestbed(t)
 			bob, err := tb.ca.NewEntity(gsi.MustParseName("/O=Grid/CN=Bob"), 12*time.Hour)
@@ -273,17 +300,6 @@ func TestStreamDenied(t *testing.T) {
 	}
 }
 
-// ProtectionSigned sessions are stateless and refuse streams.
-func TestStreamSignedRefused(t *testing.T) {
-	_, client, addr, done := streamWorld(t, gsi.TransportGT3(),
-		gsi.WithMessageProtection(gsi.ProtectionSigned))
-	defer done()
-	_, err := client.OpenStream(context.Background(), addr, "upload:/x")
-	if err == nil {
-		t.Fatal("signed session accepted a stream")
-	}
-}
-
 // The facade's striped open (gsi.__stream.sopen) is retired: a GT2
 // server answers it, whatever its body, as any other reserved op — the
 // NotFound status, over an intact record stream — and the same
@@ -315,5 +331,74 @@ func TestRetiredStripedOpenRefused(t *testing.T) {
 		if string(out) != name {
 			t.Fatalf("echo after a refused %s open = %q", name, out)
 		}
+	}
+}
+
+// The GT3 stream ops (gsi.__stream.open:<b64 op>, .w:<id>, .r:<id>) are
+// retired: a GT3 server answers each as any reserved op, with or without
+// a pipeline in front of it, the exchange handler never runs for them,
+// and the same conversation goes on to serve an ordinary exchange.
+func TestRetiredGT3StreamOpsRefused(t *testing.T) {
+	policy := gsi.NewPolicy(gsi.Rule{
+		Effect:    gsi.EffectPermit,
+		Subjects:  []string{"/O=Grid/CN=Alice"},
+		Resources: []string{"*"},
+		Actions:   []string{"*"},
+	})
+	for _, tc := range []struct {
+		name string
+		opts []gsi.Option
+	}{
+		{"no pipeline", nil},
+		{"pipeline", []gsi.Option{gsi.WithLocalPolicy(policy)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newTestbed(t)
+			server, err := tb.env.NewServer(tb.host, append([]gsi.Option{gsi.WithTransport(gsi.TransportGT3())}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			var served []string
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			ep, err := server.Serve(ctx, "127.0.0.1:0", func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
+				mu.Lock()
+				served = append(served, op)
+				mu.Unlock()
+				return body, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ep.Close()
+			client, err := tb.env.NewClient(tb.alice, gsi.WithTransport(gsi.TransportGT3()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := client.Connect(ctx, ep.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			for _, op := range []string{
+				"gsi.__stream.open:" + base64.RawURLEncoding.EncodeToString([]byte("upload:/x")),
+				"gsi.__stream.w:st-00112233445566778899aabbccddeeff",
+				"gsi.__stream.r:st-00112233445566778899aabbccddeeff",
+			} {
+				if _, err := sess.Exchange(ctx, op, []byte("chunk")); err == nil {
+					t.Fatalf("%s accepted", op)
+				}
+				out, err := sess.Exchange(ctx, "echo", []byte(op))
+				if err != nil || string(out) != op {
+					t.Fatalf("echo after a refused %s: %q %v", op, out, err)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if strings.Join(served, ",") != "echo,echo,echo" {
+				t.Fatalf("handler ran for %q, want the three echoes only", served)
+			}
+		})
 	}
 }

@@ -38,9 +38,6 @@ type SpanRecord = trace.SpanRecord
 // by-op, by-peer-DN, errors-only, or one full trace by id).
 type TraceQuery = trace.Query
 
-// TransferInfo is one active bulk transfer as the admin plane lists it.
-type TransferInfo = trace.TransferInfo
-
 // SampleAlways records every trace (the default sampler).
 func SampleAlways() TraceSampler { return trace.AlwaysSample() }
 
@@ -90,8 +87,7 @@ func (s *settings) buildTracer() {
 // at NewClient).
 func (c *Client) Tracer() *Tracer { return c.base.tracer }
 
-// peerDNOf renders the peer's grid identity for span records and the
-// transfer registry.
+// peerDNOf renders the peer's grid identity for span records.
 func peerDNOf(p Peer) string { return p.Identity.String() }
 
 // clientHandshakeSpan records the transport handshake as a
@@ -129,15 +125,12 @@ func gt2SessionOf(s Session) *gt2Session {
 func (s *Server) Tracer() *Tracer { return s.base.tracer }
 
 // tracedStream wraps a Stream with span accounting: bytes and
-// cumulative open/seal pipeline time accumulate per direction, and
-// Close ends the owning span after emitting the pipeline child spans.
-// An active-transfer registration may ride along; it is released
-// exactly once at Close.
+// cumulative read and write time accumulate per direction, and Close
+// ends the owning span after emitting one child span per direction.
 type tracedStream struct {
 	Stream
 	sp   *trace.Span
-	xfer *trace.Transfer
-	side string // "client" or "server": prefixes the pipeline span ops
+	side string // "client" or "server": prefixes the child span ops
 
 	opened  time.Time
 	readNS  atomic.Int64
@@ -159,7 +152,6 @@ func (t *tracedStream) Read(p []byte) (int, error) {
 	t.readNS.Add(int64(time.Since(start)))
 	if n > 0 {
 		t.readB.Add(int64(n))
-		t.xfer.Add(int64(n))
 	}
 	return n, err
 }
@@ -170,28 +162,28 @@ func (t *tracedStream) Write(p []byte) (int, error) {
 	t.writeNS.Add(int64(time.Since(start)))
 	if n > 0 {
 		t.writeB.Add(int64(n))
-		t.xfer.Add(int64(n))
 	}
 	return n, err
 }
 
-// finish emits the pipeline child spans and ends the owning span
+// finish emits the per-direction child spans and ends the owning span
 // exactly once.
 func (t *tracedStream) finish(err error) {
 	if !t.closed.CompareAndSwap(false, true) {
 		return
 	}
-	// Reads cross the open (unseal) pipeline; writes the seal pipeline.
+	// Each child span carries the time spent inside Read or Write: a
+	// read opens records serially, a large write seals them through the
+	// seal pipeline and a small one does not.
 	if ns := t.readNS.Load(); ns > 0 || t.readB.Load() > 0 {
-		t.sp.AddTimed(t.side+".open.pipeline", t.opened, time.Duration(ns), "")
+		t.sp.AddTimed(t.side+".stream.read", t.opened, time.Duration(ns), "")
 	}
 	if ns := t.writeNS.Load(); ns > 0 || t.writeB.Load() > 0 {
-		t.sp.AddTimed(t.side+".seal.pipeline", t.opened, time.Duration(ns), "")
+		t.sp.AddTimed(t.side+".stream.write", t.opened, time.Duration(ns), "")
 	}
 	t.sp.AddBytes(t.readB.Load() + t.writeB.Load())
 	t.sp.SetError(err)
 	t.sp.End()
-	t.xfer.End()
 }
 
 func (t *tracedStream) Close() error {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -36,7 +35,8 @@ type Session interface {
 	Exchange(ctx context.Context, op string, body []byte) ([]byte, error)
 	// OpenStream opens a chunked byte stream for op (authorized once,
 	// server-side, before any data flows). The stream owns the session
-	// until its Close; see the Stream type for the protocol.
+	// until its Close; see the Stream type for the protocol. Only GT2
+	// sessions stream: GT3 sessions refuse.
 	OpenStream(ctx context.Context, op string) (Stream, error)
 	// Peer is the authenticated remote party (zero-valued on
 	// ProtectionSigned GT3 sessions, which authenticate requests, not
@@ -96,7 +96,8 @@ type ServeConfig struct {
 	// Handler receives authenticated, authorized exchanges.
 	Handler Handler
 	// StreamHandler receives opened streams (Session.OpenStream on the
-	// client side); nil refuses stream opens.
+	// client side); nil refuses stream opens. Only the GT2 transport
+	// serves streams.
 	StreamHandler StreamHandler
 	// Pipeline is the chain-aware authorization pipeline; when set it
 	// gates every exchange and stream open (CAS assertion, VO ∩ local
@@ -141,7 +142,7 @@ const gt2PingOp = reservedOpPrefix + "ping"
 // streamOpenOp opens a chunked stream on a session. Its body names the
 // application op the stream is for; the server authorizes that op —
 // once, through its pipeline when it has one — before any chunk
-// flows. The GT3 form suffixes the op: "gsi.__stream.open:<op>".
+// flows. Only GT2 knows it: streams ride GT2 sessions.
 const streamOpenOp = reservedOpPrefix + "stream.open"
 
 // gt2PingOpBytes/pongBytes keep the ping fast path allocation-free.
@@ -531,12 +532,10 @@ func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfi
 	var hstream Stream = &serverGT2Stream{pipe: pipe, peer: exPeer}
 	var ts *tracedStream
 	if sp != nil {
-		// The traced wrapper accounts bytes and cumulative seal/open
-		// pipeline time; it ends sp (emitting the pipeline child spans)
-		// when the handler is done, registering the stream as an active
-		// transfer meanwhile.
+		// The traced wrapper accounts bytes and cumulative read/write
+		// time; it ends sp (emitting the per-direction child spans) when
+		// the handler is done.
 		ts = newTracedStream(hstream, sp, "server")
-		ts.xfer = cfg.Tracer.Transfers().Begin("stream:"+op, peerDNOf(exPeer), sp.Context().TraceID)
 		hstream = ts
 	}
 	herr := cfg.StreamHandler(ctx, exPeer, op, hstream)
@@ -650,16 +649,9 @@ func (gt3Transport) Serve(ctx context.Context, addr string, cfg ServeConfig) (En
 		Now:           cfg.Context.Now,
 	}
 	serveCtx, cancel := context.WithCancel(ctx)
-	svc := &handlerService{ctx: serveCtx, h: cfg.Handler, sh: cfg.StreamHandler, tracer: cfg.Tracer}
-	if cfg.Pipeline != nil || cfg.StreamHandler != nil {
-		// The chain gate carries the pipeline and admits chunk calls on
-		// streams their peer opened.
-		svc.reg = newGT3StreamRegistry()
-		containerCfg.ChainAuthorizer = &gt3AuthGate{
-			pipeline: cfg.Pipeline,
-			reg:      svc.reg,
-			tracer:   cfg.Tracer,
-		}
+	svc := &handlerService{ctx: serveCtx, h: cfg.Handler, tracer: cfg.Tracer}
+	if cfg.Pipeline != nil {
+		containerCfg.ChainAuthorizer = &gt3AuthGate{pipeline: cfg.Pipeline, tracer: cfg.Tracer}
 	}
 	container, err := ogsa.NewContainer(containerCfg)
 	if err != nil {
@@ -687,14 +679,12 @@ func (gt3Transport) Serve(ctx context.Context, addr string, cfg ServeConfig) (En
 type handlerService struct {
 	ctx    context.Context
 	h      Handler
-	sh     StreamHandler
-	reg    *gt3StreamRegistry // nil when the endpoint takes no streams and has no pipeline
 	tracer *Tracer
 }
 
 func (s *handlerService) Invoke(call *ogsa.Call) ([]byte, error) {
 	if strings.HasPrefix(call.Op, reservedOpPrefix) {
-		return s.invokeReserved(call)
+		return nil, fmt.Errorf("gsi: reserved op %s not found", call.Op)
 	}
 	if s.tracer == nil {
 		return s.h(s.ctx, callerPeer(call), call.Op, call.Body)
@@ -720,102 +710,6 @@ func callerPeer(call *ogsa.Call) Peer {
 	}
 }
 
-// invokeReserved serves the transport-owned op namespace: the GT3
-// stream protocol. The authorization gate has already admitted the
-// call (open as the carried op; chunks by stream possession).
-func (s *handlerService) invokeReserved(call *ogsa.Call) ([]byte, error) {
-	switch {
-	case s.sh != nil && strings.HasPrefix(call.Op, gt3StreamOpenPrefix):
-		if !call.Conversation {
-			return nil, errors.New("gsi: streams require a secure conversation")
-		}
-		op, err := decodeStreamOp(strings.TrimPrefix(call.Op, gt3StreamOpenPrefix))
-		if err != nil {
-			return nil, err
-		}
-		return s.openStream(call, op)
-	case s.reg != nil && strings.HasPrefix(call.Op, gt3StreamWritePrefix):
-		st := s.reg.get(strings.TrimPrefix(call.Op, gt3StreamWritePrefix))
-		if st == nil {
-			return nil, errors.New("gsi: unknown stream")
-		}
-		if err := st.acceptIn(call.Body); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	case s.reg != nil && strings.HasPrefix(call.Op, gt3StreamReadPrefix):
-		id := strings.TrimPrefix(call.Op, gt3StreamReadPrefix)
-		st := s.reg.get(id)
-		if st == nil {
-			return nil, errors.New("gsi: unknown stream")
-		}
-		rec, terminal, err := st.nextOut()
-		if err != nil {
-			return nil, err
-		}
-		if terminal {
-			s.reg.remove(id)
-		}
-		return rec, nil
-	}
-	return nil, fmt.Errorf("gsi: reserved op %s not found", call.Op)
-}
-
-// openStream creates the server-side stream state and runs the
-// StreamHandler in its own goroutine; the handler's outcome travels to
-// the client as the stream's terminal record.
-func (s *handlerService) openStream(call *ogsa.Call, op string) ([]byte, error) {
-	idBytes, err := newStreamID()
-	if err != nil {
-		return nil, err
-	}
-	peer := callerPeer(call)
-	inR, inW := io.Pipe()
-	st := &gt3ServerStream{
-		id:      idBytes,
-		peer:    peer,
-		peerKey: peerKey(peer),
-		account: call.Caller.LocalAccount,
-		inR:     inR,
-		inW:     inW,
-		out:     make(chan []byte, 1),
-		dead:    make(chan struct{}),
-		ctx:     s.ctx,
-	}
-	st.touch()
-	if err := s.reg.add(st); err != nil {
-		return nil, err
-	}
-	handlerStream := &serverGT3Stream{s: st}
-	var hstream Stream = handlerStream
-	var ts *tracedStream
-	if s.tracer != nil {
-		// Continue the opener's trace: the span covers the handler's
-		// whole run over the stream, chunks included.
-		sp := s.tracer.StartRemote(call.Trace, "server.stream")
-		dn := peerDNOf(peer)
-		sp.SetPeer(dn)
-		ts = newTracedStream(hstream, sp, "server")
-		ts.xfer = s.tracer.Transfers().Begin("stream:"+op, dn, sp.Context().TraceID)
-		hstream = ts
-	}
-	go func() {
-		herr := s.sh(s.ctx, peer, op, hstream)
-		// Stop absorbing input and terminate the out half with the
-		// handler's verdict.
-		inR.CloseWithError(io.ErrClosedPipe)
-		if herr != nil {
-			handlerStream.closeWithError(herr.Error())
-		} else {
-			handlerStream.CloseWrite()
-		}
-		if ts != nil {
-			ts.finish(herr)
-		}
-	}()
-	return []byte(st.id), nil
-}
-
 type gt3Endpoint struct {
 	url    string
 	cancel context.CancelFunc
@@ -829,10 +723,36 @@ func (e *gt3Endpoint) Close() error {
 	return e.close()
 }
 
+// gt3AuthGate is the container's chain-authorization hook on an
+// endpoint with a pipeline: every call is authorized as it arrives,
+// through authorizeCall. When the router lifted a trace context off the
+// envelope, the decision is recorded as a server.authz span in the
+// caller's trace.
+type gt3AuthGate struct {
+	pipeline *AuthorizationPipeline
+	tracer   *Tracer
+}
+
+func (g *gt3AuthGate) AuthorizeChain(ctx context.Context, peer Peer, resource, action string) (account string, err error) {
+	if g.tracer != nil {
+		asp := g.tracer.StartRemote(trace.RemoteFromContext(ctx), "server.authz")
+		if peer.Anonymous {
+			asp.SetPeer("anonymous")
+		} else {
+			asp.SetPeer(peerDNOf(peer))
+		}
+		defer func() {
+			asp.SetError(err)
+			asp.End()
+		}()
+	}
+	return authorizeCall(ctx, g.pipeline, peer, resource, action)
+}
+
 // --- shared server-side authorization -----------------------------------
 
 // authorizeCall is a server's one authorization path: every GT2
-// exchange, every GT2 stream open and the GT3 gate decide through it.
+// exchange, every stream open and the GT3 gate decide through it.
 // A server with a pipeline asks it — chain re-validation, decision cache
 // and audit trail included — and gets the requester's gridmap account
 // on permit, an ErrUnauthorized-classified error on deny; a server
