@@ -24,20 +24,19 @@ vet:
 build:
 	$(GO) build ./...
 
-## reachable: nothing under internal/ exists for tests alone. Per
-## package: every internal package is a dependency of some cmd, pkg or
-## example; one that only its own tests (or nothing) import fails here,
-## so a paper-era island cannot quietly come back (internal/israce is
-## test-only by design). Per symbol (TestNoTestOnlyExports, type-checked
-## from source with go/types): every exported function, method, type,
-## constant and variable a non-test file under internal/ declares is
-## referenced by a non-test file of this module, or named by a file under
-## bench/. Three things are exempt: a method that satisfies an interface
-## non-test code can see (it is called through the interface); a method of
-## a type pkg/gsi re-exports by alias (facade surface, held to `make
-## options`' standard: something must use it); and the keep-list in
-## reachable_test.go, for reference implementations a named test compares
-## the product against. Each finding prints file:line package.Name.
+## reachable: nothing exists for tests alone. Per package: every
+## internal package is a dependency of some cmd, pkg or example; one that
+## only its own tests (or nothing) import fails here, so a paper-era
+## island cannot quietly come back (internal/israce is test-only by
+## design). Per declaration (TestReachable, type-checked from source with
+## go/types): every function and method, and every exported type,
+## constant and variable, that a non-test file declares is reached from a
+## root — main, init, a package-level variable's initialiser, or a name
+## spelled under bench/ in a package bench imports. A method is reached
+## with its receiver type once a reached body calls it or it satisfies an
+## interface (Unwrap, Is and As count). The keep-list holds gsi.WithClock
+## alone. Each finding prints file:line package.Name: delete it, or use it
+## from an example.
 reachable:
 	@deps=$$($(GO) list -deps ./cmd/... ./pkg/... ./examples/...); \
 	islands=$$($(GO) list ./internal/... | grep -v '/internal/israce$$' | while read -r p; do \
@@ -45,11 +44,11 @@ reachable:
 	if [ -n "$$islands" ]; then \
 		echo "internal packages no cmd, pkg or example reaches:"; echo "$$islands"; exit 1; \
 	fi
-	$(GO) test -count=1 -run TestNoTestOnlyExports .
+	$(GO) test -count=1 -run '^TestReachable$$' .
 
 ## options: pkg/gsi's option surface stays what something uses. Every
 ## exported With* it declares is named by a cmd, an example, the
-## benchmark or a test, and only the six handle constructors take
+## benchmark or a test, and only the five handle constructors take
 ## ...Option — an option nobody sets, or a per-call option list, fails
 ## here instead of quietly coming back.
 options:
@@ -58,7 +57,7 @@ options:
 		grep -rqw --include='*.go' "$$o" cmd examples bench || \
 		grep -rqw --include='*_test.go' "$$o" . || echo "$$o"; done); \
 	percall=$$(grep -hE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9]*\(.*\.\.\.Option' $$src | \
-		grep -vE '^func (\([^)]*\) )?(NewClient|NewServer|NewSessionPool|NewCredentialManager|NewAuthorizationPipeline|OpenDurableState)\('); \
+		grep -vE '^func (\([^)]*\) )?(NewClient|NewServer|NewSessionPool|NewCredentialManager|NewAuthorizationPipeline)\('); \
 	if [ -n "$$unset" ]; then echo "pkg/gsi options no cmd, example, benchmark or test sets:"; echo "$$unset"; fi; \
 	if [ -n "$$percall" ]; then echo "pkg/gsi functions other than the handle constructors taking ...Option:"; echo "$$percall"; fi; \
 	[ -z "$$unset$$percall" ]

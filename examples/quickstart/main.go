@@ -284,7 +284,13 @@ func main() {
 	if _, err := pooled.Exchange(ctx, obsEP.Addr(), "echo", []byte("permitted")); err != nil {
 		log.Fatal(err)
 	}
-	denyAll, err := gsi.NewPolicy().EncodePolicyJSON()
+	denyAll, err := gsi.NewPolicy(gsi.Rule{
+		ID:        "deny-all",
+		Effect:    gsi.EffectDeny,
+		Subjects:  []string{"*"},
+		Resources: []string{"*"},
+		Actions:   []string{"*"},
+	}).EncodePolicyJSON()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -500,4 +506,67 @@ func main() {
 	})
 	fmt.Printf("14. CAS replica at v%d via %d delta sync(s) after 1 full bundle: %d delta bytes vs %d full, %d bytes saved\n",
 		casStatus.Version, casStatus.DeltaSyncs, casStatus.DeltaBytes, casStatus.FullBytes, casStatus.BytesSaved)
+
+	// 15. Guards on a session. A client pins the identity its server must
+	// prove; a server refuses limited proxies (GSI's job-initiation rule);
+	// a GT3 exchange signs each message instead of holding a conversation.
+	// Each refusal below must happen.
+	pinned, err := env.NewClient(aliceProxy, gsi.WithExpectedPeer(gridftp.Identity()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := pinned.Exchange(ctx, ep.Addr(), "echo", []byte("pinned")); err != nil {
+		log.Fatal(err)
+	}
+	misPinned, err := env.NewClient(aliceProxy, gsi.WithExpectedPeer(alice.Identity()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := misPinned.Exchange(ctx, ep.Addr(), "echo", nil); !errors.Is(err, gsi.ErrAuthentication) {
+		log.Fatalf("a server other than the pinned peer was not refused: %v", err)
+	}
+	jobServer, err := env.NewServer(gridftp, gsi.WithRejectLimited())
+	if err != nil {
+		log.Fatal(err)
+	}
+	jobEP, err := jobServer.Serve(ctx, "127.0.0.1:0", echo)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer jobEP.Close()
+	if _, err := proxyClient.Exchange(ctx, jobEP.Addr(), "submit", nil); err != nil {
+		log.Fatalf("a full proxy was refused by a WithRejectLimited server: %v", err)
+	}
+	limited, err := aliceClient.Proxy(gsi.ProxyOptions{Variant: gsi.ProxyLimited, Lifetime: time.Hour})
+	if err != nil {
+		log.Fatal(err)
+	}
+	limitedClient, err := env.NewClient(limited)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The 3-token handshake lets the client's Connect finish before the
+	// server has validated it; the server then hangs up on the limited
+	// proxy, so the refusal reads as end of stream on the first exchange.
+	if _, err := limitedClient.Exchange(ctx, jobEP.Addr(), "submit", nil); !errors.Is(err, gsi.ErrTransport) || !errors.Is(err, io.EOF) {
+		log.Fatalf("a limited proxy was not refused by a WithRejectLimited server: %v", err)
+	}
+	signedServer, err := env.NewServer(gridftp, gsi.WithTransport(gsi.TransportGT3()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	signedEP, err := signedServer.Serve(ctx, "127.0.0.1:0", echo)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer signedEP.Close()
+	signer, err := env.NewClient(aliceProxy, gsi.WithTransport(gsi.TransportGT3()),
+		gsi.WithMessageProtection(gsi.ProtectionSigned))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if out, err := signer.Exchange(ctx, signedEP.Addr(), "echo", []byte("signed")); err != nil || string(out) != "signed" {
+		log.Fatalf("signed GT3 exchange: %q %v", out, err)
+	}
+	fmt.Println("15. guards: a wrong peer pin and a limited proxy refused; a per-message-signed GT3 exchange served")
 }

@@ -3,9 +3,9 @@
 // restricted proxy (step 2) and dials a facade server whose
 // authorization pipeline enforces VO ∩ local policy, maps her through
 // the grid-mapfile, caches the decision, and audits every outcome to a
-// tamper-evident hash chain (step 3 + §4.1). A mid-traffic revocation
-// shows the decision cache honoring the policy-generation bump on the
-// very next exchange.
+// tamper-evident hash chain (step 3 + §4.1). Two mid-traffic
+// revocations — of the VO, then of the local rule — show the decision
+// cache honoring each generation bump on the very next exchange.
 //
 //	go run ./examples/voauthz
 package main
@@ -142,11 +142,21 @@ func main() {
 		log.Fatalf("delete unexpectedly: %v", err)
 	}
 
-	// Revocation mid-traffic: the resource operator pulls the local
-	// rule; the generation bump defeats the cached permit immediately.
+	// Revocation mid-traffic, twice; each generation bump defeats the
+	// cached permit on the very next exchange. First the resource stops
+	// honouring the VO: Alice's assertion-bearing proxy is refused, while
+	// local policy alone still serves her own credential.
+	pipeline.DistrustVO(vo.VO())
+	if _, err := voClient.Exchange(ctx, ep.Addr(), "fetch", nil); !errors.Is(err, gsi.ErrUnauthorized) {
+		log.Fatalf("exchange under a distrusted VO's assertion: %v", err)
+	}
+	if _, err := aliceClient.Exchange(ctx, ep.Addr(), "fetch", nil); err != nil {
+		log.Fatal(err)
+	}
+	// Then the operator pulls the local rule.
 	local.Remove("local-any-subject")
-	if _, err := voClient.Exchange(ctx, ep.Addr(), "fetch", nil); errors.Is(err, gsi.ErrUnauthorized) {
-		fmt.Println("6. after revocation: very next exchange denied (no stale cache grant)")
+	if _, err := aliceClient.Exchange(ctx, ep.Addr(), "fetch", nil); errors.Is(err, gsi.ErrUnauthorized) {
+		fmt.Println("6. after revoking the VO, then the local rule: each very next exchange denied (no stale cache grant)")
 	} else {
 		log.Fatalf("post-revocation exchange: %v", err)
 	}

@@ -89,7 +89,7 @@ func TestIntegrationMyProxyToGRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := repo.Store("alice", "portal-pass", deposit, 2*time.Hour); err != nil {
+	if err := repo.StoreContext(context.Background(), "alice", "portal-pass", deposit, 2*time.Hour); err != nil {
 		t.Fatal(err)
 	}
 
@@ -99,7 +99,7 @@ func TestIntegrationMyProxyToGRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err := repo.Retrieve("alice", "portal-pass", req)
+	reply, err := repo.RetrieveContext(context.Background(), "alice", "portal-pass", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestIntegrationCASGovernedSharing(t *testing.T) {
 		Resources: []string{"data:/shared/*"},
 		Actions:   []string{"read"},
 	})
-	assertion, err := server.IssueAssertion(f.alice.Identity())
+	assertion, err := server.IssueAssertionContext(context.Background(), f.alice.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,14 +268,14 @@ func TestIntegrationFullStackHTTP(t *testing.T) {
 	defer srv.Close()
 	httpClient := &soap.Client{Endpoint: srv.URL()}
 	req := &core.Requestor{Credential: f.alice, Trust: f.trust}
-	out, trace, err := req.Invoke(httpClient.Call, "app", "echo", []byte("over the wire"))
+	out, trace, err := req.InvokeContext(context.Background(), httpClient.Call, "app", "echo", []byte("over the wire"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(out) != "over the wire" {
 		t.Fatalf("out = %q", out)
 	}
-	if trace.Mechanism == "" || trace.Total() <= 0 {
+	if trace.Mechanism == "" || trace.Invocation <= 0 {
 		t.Fatalf("trace = %+v", trace)
 	}
 	// The audit log is intact and saw the traffic.

@@ -138,7 +138,7 @@ func TestCASJournalAndReplay(t *testing.T) {
 		ID: "vo-students", Effect: authz.EffectPermit,
 		Groups: []string{"students"}, Resources: []string{"data:/climate/public/*"}, Actions: []string{"read"},
 	})
-	bed.server.RemoveMember(bed.alice.Identity())
+	bed.server.RemoveMemberChecked(bed.alice.Identity())
 	if len(journal) != 4 {
 		t.Fatalf("journaled %d mutations, want 4", len(journal))
 	}

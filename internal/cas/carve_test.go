@@ -352,7 +352,7 @@ func TestCarvedTablesAreIsolated(t *testing.T) {
 func TestExportMatchesFieldEncoding(t *testing.T) {
 	bed := newVOBed(t)
 	at := time.Unix(1_700_000_000, 0)
-	bed.server.SetClock(func() time.Time { return at })
+	bed.server.now = func() time.Time { return at }
 	for i := 0; i < 50; i++ {
 		dn := gridcert.MustParseName(fmt.Sprintf("/O=Grid/OU=Pin/CN=member %d of a name long enough to leave the small-string path", (i*37)%50))
 		bed.server.AddMember(dn, "researchers", fmt.Sprintf("project-%d", i%7))
@@ -495,7 +495,7 @@ func TestReplicaFollowsPublisher(t *testing.T) {
 		case n < 8:
 			bed.server.AddMember(dn, pick(groups)...)
 		case n < 11:
-			bed.server.RemoveMember(dn)
+			bed.server.RemoveMemberChecked(dn)
 		case n < 19:
 			bed.server.AssignRole(dn, pick(roles)...)
 		default:

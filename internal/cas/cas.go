@@ -173,9 +173,6 @@ func NewServer(cred *gridcert.Credential) *Server {
 	}
 }
 
-// SetClock overrides the server clock (tests).
-func (s *Server) SetClock(now func() time.Time) { s.now = now }
-
 // VO returns the community identity.
 func (s *Server) VO() gridcert.Name { return s.cred.Leaf().Subject }
 
@@ -187,13 +184,6 @@ func (s *Server) Certificate() *gridcert.Certificate { return s.cred.Leaf() }
 // on a journal failure; durable deployments use AddMemberChecked.
 func (s *Server) AddMember(dn gridcert.Name, groups ...string) {
 	if err := s.AddMemberChecked(dn, groups...); err != nil {
-		panic(err)
-	}
-}
-
-// RemoveMember expels a user; see AddMember for the journal contract.
-func (s *Server) RemoveMember(dn gridcert.Name) {
-	if err := s.RemoveMemberChecked(dn); err != nil {
 		panic(err)
 	}
 }
@@ -233,16 +223,11 @@ func (s *Server) AddPolicy(rules ...authz.Rule) {
 // PolicySize returns the number of VO policy rules.
 func (s *Server) PolicySize() int { return s.policy.Len() }
 
-// IssueAssertion is step 1 of Figure 2: the authenticated member receives
-// the subset of VO policy that applies to them, signed by the CAS server.
-// The caller must have authenticated requester (e.g. via a GSS context);
-// CAS trusts that identity here.
-func (s *Server) IssueAssertion(requester gridcert.Name) (*Assertion, error) {
-	return s.IssueAssertionContext(context.Background(), requester)
-}
-
-// IssueAssertionContext is IssueAssertion honoring ctx: the policy scan is
-// abandoned when the context ends, so a request against a huge VO policy
+// IssueAssertionContext is step 1 of Figure 2: the authenticated member
+// receives the subset of VO policy that applies to them, signed by the
+// CAS server. The caller must have authenticated requester (e.g. via a
+// GSS context); CAS trusts that identity here. The policy scan is
+// abandoned when ctx ends, so a request against a huge VO policy
 // respects its deadline.
 func (s *Server) IssueAssertionContext(ctx context.Context, requester gridcert.Name) (*Assertion, error) {
 	if err := ctx.Err(); err != nil {

@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -69,7 +70,7 @@ func newVOBed(t testing.TB) *voBed {
 
 func TestAssertionRoundTrip(t *testing.T) {
 	bed := newVOBed(t)
-	a, err := bed.server.IssueAssertion(bed.alice.Identity())
+	a, err := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestAssertionRoundTrip(t *testing.T) {
 
 func TestAssertionTamperDetected(t *testing.T) {
 	bed := newVOBed(t)
-	a, _ := bed.server.IssueAssertion(bed.alice.Identity())
+	a, _ := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity())
 	enc := a.Encode()
 	enc[len(enc)/3] ^= 1
 	dec, err := DecodeAssertion(enc)
@@ -101,15 +102,15 @@ func TestAssertionTamperDetected(t *testing.T) {
 
 func TestNonMemberDeniedAssertion(t *testing.T) {
 	bed := newVOBed(t)
-	if _, err := bed.server.IssueAssertion(bed.bob.Identity()); err == nil {
+	if _, err := bed.server.IssueAssertionContext(context.Background(), bed.bob.Identity()); err == nil {
 		t.Fatal("non-member received assertion")
 	}
 	bed.server.AddMember(bed.bob.Identity())
-	if _, err := bed.server.IssueAssertion(bed.bob.Identity()); err != nil {
+	if _, err := bed.server.IssueAssertionContext(context.Background(), bed.bob.Identity()); err != nil {
 		t.Fatal(err)
 	}
-	bed.server.RemoveMember(bed.bob.Identity())
-	if _, err := bed.server.IssueAssertion(bed.bob.Identity()); err == nil {
+	bed.server.RemoveMemberChecked(bed.bob.Identity())
+	if _, err := bed.server.IssueAssertionContext(context.Background(), bed.bob.Identity()); err == nil {
 		t.Fatal("expelled member received assertion")
 	}
 }
@@ -122,7 +123,7 @@ func TestAssertionScopedToMember(t *testing.T) {
 		Effect: authz.EffectPermit,
 		Groups: []string{"admins"},
 	})
-	a, err := bed.server.IssueAssertion(bed.alice.Identity())
+	a, err := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestFigure2Flow(t *testing.T) {
 	bed := newVOBed(t)
 
 	// Step 1: Alice gets her assertion.
-	a, err := bed.server.IssueAssertion(bed.alice.Identity())
+	a, err := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestResourceRemainsUltimateAuthority(t *testing.T) {
 		Resources: []string{"*"},
 		Actions:   []string{"delete"},
 	})
-	a, _ := bed.server.IssueAssertion(bed.alice.Identity())
+	a, _ := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity())
 	proxyCred, _ := EmbedInProxy(bed.alice, a)
 	res, err := bed.enforcer.Authorize(proxyCred.Chain, "data:/climate/run1", "delete", time.Time{})
 	if err != nil {
@@ -202,7 +203,7 @@ func TestUntrustedVOAssertionRejected(t *testing.T) {
 	rogue := NewServer(rogueVO)
 	rogue.AddMember(bed.alice.Identity(), "researchers")
 	rogue.AddPolicy(authz.Rule{Effect: authz.EffectPermit, Groups: []string{"researchers"}})
-	a, _ := rogue.IssueAssertion(bed.alice.Identity())
+	a, _ := rogue.IssueAssertionContext(context.Background(), bed.alice.Identity())
 	proxyCred, _ := EmbedInProxy(bed.alice, a)
 	res, _ := bed.enforcer.Authorize(proxyCred.Chain, "data:/climate/run1", "read", time.Time{})
 	if res.Decision != authz.Deny {
@@ -218,7 +219,7 @@ func TestStolenAssertionRejected(t *testing.T) {
 	// Bob embeds Alice's assertion in his own proxy: EmbedInProxy refuses,
 	// and even a hand-rolled embedding fails at the enforcer because the
 	// assertion subject must match the authenticated identity.
-	a, _ := bed.server.IssueAssertion(bed.alice.Identity())
+	a, _ := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity())
 	if _, err := EmbedInProxy(bed.bob, a); err == nil {
 		t.Fatal("EmbedInProxy accepted mismatched subject")
 	}
@@ -241,8 +242,8 @@ func handEmbed(member *gridcert.Credential, a *Assertion) (*gridcert.Credential,
 func TestExpiredAssertionRejected(t *testing.T) {
 	bed := newVOBed(t)
 	past := time.Now().Add(-3 * time.Hour)
-	bed.server.SetClock(func() time.Time { return past })
-	a, _ := bed.server.IssueAssertion(bed.alice.Identity())
+	bed.server.now = func() time.Time { return past }
+	a, _ := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity())
 	// Embed manually since the proxy lifetime computation would clip.
 	cred, err := proxyNewForTest(bed.alice, a.Encode())
 	if err != nil {
@@ -284,7 +285,7 @@ func BenchmarkIssueAssertion(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bed.server.IssueAssertion(bed.alice.Identity()); err != nil {
+		if _, err := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -292,7 +293,7 @@ func BenchmarkIssueAssertion(b *testing.B) {
 
 func BenchmarkEnforcerAuthorize(b *testing.B) {
 	bed := newVOBed(b)
-	a, _ := bed.server.IssueAssertion(bed.alice.Identity())
+	a, _ := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity())
 	cred, _ := EmbedInProxy(bed.alice, a)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

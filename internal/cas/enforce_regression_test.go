@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -117,7 +118,7 @@ func TestSignedAssertionWithInvalidEffectDenies(t *testing.T) {
 func TestAssertionCarriesVOAttributes(t *testing.T) {
 	bed := newVOBed(t)
 	bed.server.AssignRole(bed.alice.Identity(), "operator")
-	a, err := bed.server.IssueAssertion(bed.alice.Identity())
+	a, err := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}

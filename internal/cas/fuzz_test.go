@@ -94,7 +94,7 @@ func deltaFuzzWorld(f *testing.F) (voCred *gridcert.Credential, base *Bundle, de
 	from := server.Version()
 	server.AddMember(gridcert.MustParseName("/O=Fuzz/CN=Joiner"), "g", "h")
 	server.AssignRole(gridcert.MustParseName("/O=Fuzz/CN=Joiner"), "admin")
-	server.RemoveMember(gridcert.MustParseName("/O=Fuzz/CN=Member"))
+	server.RemoveMemberChecked(gridcert.MustParseName("/O=Fuzz/CN=Member"))
 	delta, err = server.ExportDelta(from)
 	if err != nil {
 		f.Fatal(err)

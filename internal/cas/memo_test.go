@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"context"
 	"crypto/ed25519"
 	"errors"
 	"math/rand"
@@ -43,12 +44,12 @@ func TestAssertionMemoDifferential(t *testing.T) {
 	instants := []time.Time{t0.Add(20 * time.Minute), t0.Add(5 * time.Second), t0.Add(50 * time.Minute)}
 	issued := make([][]*Assertion, len(servers)) // by server, by member
 	for i, s := range servers {
-		s.SetClock(func() time.Time { return t0.Add(10 * time.Minute) })
+		s.now = func() time.Time { return t0.Add(10 * time.Minute) }
 		s.AssertionLifetime = 30 * time.Minute
 		s.AddPolicy(authz.Rule{ID: "vo-read", Effect: authz.EffectPermit, Groups: []string{"researchers"}, Resources: []string{"data:/climate/*"}, Actions: []string{"read"}})
 		for _, m := range members {
 			s.AddMember(m.Identity(), "researchers")
-			a, err := s.IssueAssertion(m.Identity())
+			a, err := s.IssueAssertionContext(context.Background(), m.Identity())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,8 +64,8 @@ func TestExportOrderFollowsRoll(t *testing.T) {
 	bed := newVOBed(t)
 	at := time.Unix(1_700_000_000, 0)
 	live, follower := bed.server, NewServer(bed.server.cred)
-	live.SetClock(func() time.Time { return at })
-	follower.SetClock(func() time.Time { return at })
+	live.now = func() time.Time { return at }
+	follower.now = func() time.Time { return at }
 	if err := follower.RestoreState(live.EncodeState()); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestExportOrderFollowsRoll(t *testing.T) {
 			live.AddMember(who, fmt.Sprintf("group-%d", rng.Intn(5)))
 		case 1:
 			step = "expel " + who.String()
-			live.RemoveMember(who)
+			live.RemoveMemberChecked(who)
 		case 2:
 			step = "role for " + who.String() // a role holder need not be a member
 			live.AssignRole(who, fmt.Sprintf("role-%d", rng.Intn(3)))
@@ -93,7 +93,7 @@ func TestExportOrderFollowsRoll(t *testing.T) {
 			step = "restore"
 			restored := NewServer(live.cred)
 			restored.AddMember(who, "before the restore") // an order to forget
-			restored.SetClock(func() time.Time { return at })
+			restored.now = func() time.Time { return at }
 			checkExports(t, "enrol before restore", restored, at)
 			if err := restored.RestoreState(live.EncodeState()); err != nil {
 				t.Fatal(err)
@@ -158,7 +158,7 @@ func TestExportOrderUnderConcurrentExports(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		dn := gridcert.MustParseName(fmt.Sprintf("/O=Grid/OU=Roll/CN=member %03d", (i*7)%50))
 		if i%3 == 2 {
-			bed.server.RemoveMember(dn)
+			bed.server.RemoveMemberChecked(dn)
 		} else {
 			bed.server.AddMember(dn, "researchers")
 			bed.server.AssignRole(dn, "operator")

@@ -86,7 +86,7 @@ func (s *Server) AddMemberChecked(dn gridcert.Name, groups ...string) error {
 	return nil
 }
 
-// RemoveMemberChecked is RemoveMember returning journal failures.
+// RemoveMemberChecked expels a user, returning journal failures.
 func (s *Server) RemoveMemberChecked(dn gridcert.Name) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

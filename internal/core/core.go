@@ -29,11 +29,6 @@ type Trace struct {
 	Converted       bool
 }
 
-// Total sums the phases.
-func (t Trace) Total() time.Duration {
-	return t.PolicyFetch + t.Conversion + t.TokenProcessing + t.Invocation
-}
-
 // Converter obtains an acceptable credential when the requestor's current
 // one does not satisfy the target's policy (Figure 3 step 2) — e.g. an
 // online-CA exchange or a CAS assertion embedding.
@@ -82,14 +77,10 @@ func (r *Requestor) capabilities(cred *gridcert.Credential) wssec.ClientCapabili
 	return caps
 }
 
-// Invoke runs the full Figure-3 pipeline against a target transport.
-func (r *Requestor) Invoke(transport wssec.Transport, handle, op string, body []byte) ([]byte, Trace, error) {
-	return r.InvokeContext(context.Background(), transport, handle, op, body)
-}
-
-// InvokeContext is Invoke honoring ctx: the pipeline aborts between the
-// policy-fetch, conversion, token-processing, and invocation phases when
-// the context ends, returning ctx.Err().
+// InvokeContext runs the full Figure-3 pipeline against a target
+// transport. It aborts between the policy-fetch, conversion,
+// token-processing, and invocation phases when ctx ends, returning
+// ctx.Err().
 func (r *Requestor) InvokeContext(ctx context.Context, transport wssec.Transport, handle, op string, body []byte) ([]byte, Trace, error) {
 	var trace Trace
 

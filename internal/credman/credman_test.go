@@ -47,7 +47,7 @@ func newWorld(t testing.TB, proxyLifetime time.Duration) world {
 
 // scripted hands out pre-made successors in order, then fails.
 func scripted(succ ...*gridcert.Credential) Source {
-	return SourceFunc(func(ctx context.Context, _ *gridcert.Credential) (*gridcert.Credential, error) {
+	return sourceFunc(func(ctx context.Context, _ *gridcert.Credential) (*gridcert.Credential, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -118,7 +118,7 @@ func TestManagerRejectsUnusableSuccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, cfg := range map[string]Config{
-		"nil credential": {Source: SourceFunc(func(context.Context, *gridcert.Credential) (*gridcert.Credential, error) {
+		"nil credential": {Source: sourceFunc(func(context.Context, *gridcert.Credential) (*gridcert.Credential, error) {
 			return nil, nil
 		})},
 		"expired": {
@@ -146,7 +146,7 @@ func TestManagerRejectsUnusableSuccessors(t *testing.T) {
 func TestManagerBackgroundRotationAndBackoff(t *testing.T) {
 	w := newWorld(t, 150*time.Millisecond)
 	var attempts atomic.Int64
-	src := SourceFunc(func(ctx context.Context, _ *gridcert.Credential) (*gridcert.Credential, error) {
+	src := sourceFunc(func(ctx context.Context, _ *gridcert.Credential) (*gridcert.Credential, error) {
 		// Fail twice to exercise the retry backoff, then deliver.
 		if attempts.Add(1) <= 2 {
 			return nil, errors.New("repository briefly down")
@@ -211,7 +211,7 @@ func TestMyProxySourceRenews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := repo.Store("alice", "open sesame", deposit, 2*time.Hour); err != nil {
+	if err := repo.StoreContext(context.Background(), "alice", "open sesame", deposit, 2*time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	src := MyProxySource{Repo: repo, Username: "alice", Passphrase: "open sesame", Lifetime: time.Hour}
@@ -333,7 +333,7 @@ func TestEndpointSourceDepositAndRenew(t *testing.T) {
 func TestManagerPacesWhenSuccessorsInsideHorizon(t *testing.T) {
 	w := newWorld(t, 200*time.Millisecond)
 	var renews atomic.Int64
-	src := SourceFunc(func(ctx context.Context, _ *gridcert.Credential) (*gridcert.Credential, error) {
+	src := sourceFunc(func(ctx context.Context, _ *gridcert.Credential) (*gridcert.Credential, error) {
 		renews.Add(1)
 		return proxy.New(w.user, proxy.Options{Lifetime: 200 * time.Millisecond})
 	})
@@ -387,4 +387,11 @@ func TestOnRotateWhilePrunes(t *testing.T) {
 	if always != 3 {
 		t.Fatalf("persistent hook fired %d times, want 3", always)
 	}
+}
+
+// sourceFunc adapts a function to Source.
+type sourceFunc func(ctx context.Context, current *gridcert.Credential) (*gridcert.Credential, error)
+
+func (f sourceFunc) Renew(ctx context.Context, current *gridcert.Credential) (*gridcert.Credential, error) {
+	return f(ctx, current)
 }

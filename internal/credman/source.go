@@ -28,14 +28,6 @@ type Source interface {
 	Renew(ctx context.Context, current *gridcert.Credential) (*gridcert.Credential, error)
 }
 
-// SourceFunc adapts a function to Source.
-type SourceFunc func(ctx context.Context, current *gridcert.Credential) (*gridcert.Credential, error)
-
-// Renew implements Source.
-func (f SourceFunc) Renew(ctx context.Context, current *gridcert.Credential) (*gridcert.Credential, error) {
-	return f(ctx, current)
-}
-
 // MyProxySource renews from an online credential repository: a fresh
 // key pair is generated locally, only its public half crosses the
 // exchange, and the repository signs a short-lived proxy below the

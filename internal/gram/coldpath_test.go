@@ -40,16 +40,6 @@ func mapText(b *gramBed, withAlice bool, fillers int) []byte {
 	return []byte(gm.Serialize())
 }
 
-// rootShell is an administrator's process on the resource.
-func rootShell(t testing.TB, sys *osim.System) *osim.Process {
-	t.Helper()
-	p, err := sys.Boot("admin-shell", "root", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
 func signedSubmit(t testing.TB, b *gramBed) *soap.Envelope {
 	t.Helper()
 	env := soap.NewEnvelope(ActionSubmit, testJob().Encode())
@@ -69,11 +59,8 @@ func TestMapfileEditAppliesToNextSubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := b.res.lmjfs["alice"]
-	root := rootShell(t, b.res.Sys)
 
-	if err := root.WriteFile(GridMapPath, mapText(b, false, 20), true); err != nil {
-		t.Fatal(err)
-	}
+	b.res.Sys.WriteFileAs(osim.RootUID, GridMapPath, mapText(b, false, 20), true)
 	if _, err := b.client.Submit(testJob()); err == nil || !strings.Contains(err.Error(), "mmjfs: no grid-mapfile entry") {
 		t.Fatalf("dropped user at MMJFS: %v", err)
 	}
@@ -84,9 +71,7 @@ func TestMapfileEditAppliesToNextSubmit(t *testing.T) {
 		t.Fatalf("a refused request had effects: %+v", st)
 	}
 
-	if err := root.WriteFile(GridMapPath, mapText(b, true, 20), true); err != nil {
-		t.Fatal(err)
-	}
+	b.res.Sys.WriteFileAs(osim.RootUID, GridMapPath, mapText(b, true, 20), true)
 	if _, err := b.client.SubmitAndRunContext(context.Background(), testJob()); err != nil {
 		t.Fatalf("after re-adding the user: %v", err)
 	}
@@ -133,13 +118,10 @@ func TestMapfileMalformedRefusesUntilRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := b.res.lmjfs["alice"]
-	root := rootShell(t, b.res.Sys)
 	booted := b.res.gridmap
 
 	bad := append(mapText(b, true, 5), "/O=Grid/CN=Unquoted mallory\n"...)
-	if err := root.WriteFile(GridMapPath, bad, true); err != nil {
-		t.Fatal(err)
-	}
+	b.res.Sys.WriteFileAs(osim.RootUID, GridMapPath, bad, true)
 	for i := 0; i < 3; i++ {
 		if _, err := b.client.Submit(testJob()); err == nil || !strings.Contains(err.Error(), "DN must be quoted") {
 			t.Fatalf("submit %d over a malformed mapfile: %v", i, err)
@@ -152,9 +134,7 @@ func TestMapfileMalformedRefusesUntilRepaired(t *testing.T) {
 		}
 	}
 
-	if err := root.WriteFile(GridMapPath, mapText(b, true, 5), true); err != nil {
-		t.Fatal(err)
-	}
+	b.res.Sys.WriteFileAs(osim.RootUID, GridMapPath, mapText(b, true, 5), true)
 	if _, err := b.client.SubmitAndRunContext(context.Background(), testJob()); err != nil {
 		t.Fatalf("after the repair: %v", err)
 	}
@@ -196,9 +176,7 @@ func bedWithMapfile(t testing.TB, fillers, users int) (*gramBed, []*Client) {
 		}
 		clients[i] = &Client{Credential: p, Trust: b.trust, Resource: b.res}
 	}
-	if err := rootShell(t, b.res.Sys).WriteFile(GridMapPath, []byte(gm.Serialize()), true); err != nil {
-		t.Fatal(err)
-	}
+	b.res.Sys.WriteFileAs(osim.RootUID, GridMapPath, []byte(gm.Serialize()), true)
 	// The one parse the write costs.
 	if _, err := b.client.SubmitAndRunContext(context.Background(), testJob()); err != nil {
 		t.Fatal(err)

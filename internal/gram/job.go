@@ -122,10 +122,9 @@ type Job struct {
 	Description JobDescription
 	Account     string
 
-	mu      sync.Mutex
-	state   JobState
-	history []JobState
-	sde     *ogsa.ServiceData
+	mu    sync.Mutex
+	state JobState
+	sde   *ogsa.ServiceData
 }
 
 // NewJob creates a job in StateUnsubmitted bound to an SDE set.
@@ -142,20 +141,12 @@ func (j *Job) State() JobState {
 	return j.state
 }
 
-// History returns the visited states.
-func (j *Job) History() []JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]JobState{j.state}, j.history...)
-}
-
 // Transition moves the job to a new state, enforcing the state machine.
 func (j *Job) Transition(to JobState) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for _, ok := range validTransitions[j.state] {
 		if ok == to {
-			j.history = append(j.history, j.state)
 			j.state = to
 			j.mu.Unlock()
 			j.publish()

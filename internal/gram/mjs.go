@@ -38,9 +38,6 @@ func (m *MJS) Handle() string { return m.handle }
 // Job exposes the managed job.
 func (m *MJS) Job() *Job { return m.job }
 
-// Owner returns the grid identity the MJS serves.
-func (m *MJS) Owner() gridcert.Name { return m.owner }
-
 // DelegatedCredential returns the credential delegated by the requestor
 // (nil until delegation completes).
 func (m *MJS) DelegatedCredential() *gridcert.Credential {

@@ -19,8 +19,15 @@ func TestRekeyedRootStartsWithoutCRL(t *testing.T) {
 		name  string
 		rekey func(ts *TrustStore, old, next *Certificate) error
 	}{
+		// The root is removed by a ReplaceRoots that leaves it out.
 		{"RemoveRoot then AddRoot", func(ts *TrustStore, old, next *Certificate) error {
-			ts.RemoveRoot(old.Subject)
+			other, _, err := NewSelfSignedCA(MustParseName("/CN=Other"), time.Hour, gridcrypto.AlgEd25519)
+			if err == nil {
+				err = ts.ReplaceRoots([]*Certificate{other})
+			}
+			if err != nil {
+				return err
+			}
 			return ts.AddRoot(next)
 		}},
 		{"AddRoot over the old name", func(ts *TrustStore, old, next *Certificate) error {

@@ -178,10 +178,6 @@ func (c *Certificate) FindExtension(id string) (Extension, bool) {
 	return Extension{}, false
 }
 
-// IsCA reports whether the certificate may sign other certificates as an
-// authority.
-func (c *Certificate) IsCA() bool { return c.Type == TypeCA }
-
 // IsProxy reports whether the certificate is a proxy certificate.
 func (c *Certificate) IsProxy() bool { return c.Type == TypeProxy }
 

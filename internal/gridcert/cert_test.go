@@ -202,9 +202,6 @@ func TestCredential(t *testing.T) {
 	if !cred.Identity().Equal(userCert.Subject) {
 		t.Fatalf("Identity = %q", cred.Identity())
 	}
-	if cred.Limited() {
-		t.Fatal("plain credential reported limited")
-	}
 	// Key mismatch.
 	otherKey, _ := gridcrypto.GenerateKeyPair(gridcrypto.AlgEd25519)
 	if _, err := NewCredential([]*Certificate{userCert}, otherKey); err == nil {
@@ -225,9 +222,6 @@ func TestCredentialProxyIdentity(t *testing.T) {
 	}
 	if !cred.Identity().Equal(userCert.Subject) {
 		t.Fatalf("proxy credential identity = %q, want user subject", cred.Identity())
-	}
-	if !cred.Limited() {
-		t.Fatal("limited proxy chain not reported limited")
 	}
 }
 

@@ -152,17 +152,6 @@ func (c *Credential) Identity() Name {
 	return n
 }
 
-// Limited reports whether any proxy in the chain is a limited proxy, in
-// which case services such as GRAM must refuse job creation.
-func (c *Credential) Limited() bool {
-	for _, cert := range c.Chain {
-		if cert.Proxy != nil && cert.Proxy.Variant == ProxyLimited {
-			return true
-		}
-	}
-	return false
-}
-
 // EncodeChain serialises the full chain, leaf first.
 func EncodeChain(chain []*Certificate) []byte {
 	e := &encoder{}

@@ -78,8 +78,15 @@ func TestVerifyMemoStillEnforces(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, ErrRevoked},
+		// The root is removed by a ReplaceRoots that leaves it out.
 		{"RemoveRoot", func(t *testing.T, b *bed) {
-			b.ts.RemoveRoot(b.caCert.Subject)
+			other, _, err := NewSelfSignedCA(MustParseName("/CN=Other"), time.Hour, gridcrypto.AlgEd25519)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.ts.ReplaceRoots([]*Certificate{other}); err != nil {
+				t.Fatal(err)
+			}
 		}, ErrUntrustedIssuer},
 		{"ReplaceRoots with a same-named root under a new key", func(t *testing.T, b *bed) {
 			impostor, _, err := NewSelfSignedCA(b.caCert.Subject, time.Hour, gridcrypto.AlgEd25519)

@@ -44,7 +44,7 @@ func TestReplaceRoots(t *testing.T) {
 	if _, ok := ts.Root(caB.Subject); !ok {
 		t.Fatal("new root missing after replacement")
 	}
-	if ts.revoked(caA.Subject, 42) {
+	if ts.snapshot().revoked(caA.Subject, 42) {
 		t.Fatal("pruned issuer's CRL still consulted")
 	}
 

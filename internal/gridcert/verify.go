@@ -221,15 +221,6 @@ func (ts *TrustStore) AddRoot(root *Certificate) error {
 	return nil
 }
 
-// RemoveRoot withdraws trust from a root by subject name, and its CRL
-// with it.
-func (ts *TrustStore) RemoveRoot(subject Name) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.anchors = ts.anchors.without(subject)
-	ts.gen++
-}
-
 func (ts *TrustStore) snapshot() anchorSet {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
@@ -331,11 +322,6 @@ func (ts *TrustStore) Generation() uint64 {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
 	return ts.gen
-}
-
-// revoked reports whether serial was revoked by the CA with the given name.
-func (ts *TrustStore) revoked(issuer Name, serial uint64) bool {
-	return ts.snapshot().revoked(issuer, serial)
 }
 
 // VerifyOptions tunes chain validation.

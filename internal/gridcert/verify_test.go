@@ -388,10 +388,6 @@ func TestAddRootValidation(t *testing.T) {
 	if ts.Len() != 1 {
 		t.Fatalf("Len = %d", ts.Len())
 	}
-	ts.RemoveRoot(caCert.Subject)
-	if ts.Len() != 0 {
-		t.Fatal("RemoveRoot did not remove")
-	}
 }
 
 func TestCRLRevocation(t *testing.T) {

@@ -164,10 +164,6 @@ type Conn struct {
 	// which no further record can be trusted.
 	broken atomic.Bool
 
-	// Accounting for experiment E6.
-	handshakeMsgs  int
-	handshakeBytes int
-
 	// Handshake timing, stashed for the tracing layer: a connection's
 	// establishment happens before any exchange names a trace, so the
 	// facade emits the handshake span retroactively — under the first
@@ -219,12 +215,6 @@ func (r *readAhead) Read(p []byte) (int, error) {
 		r.buf = nil
 	}
 	return n, nil
-}
-
-// HandshakeStats reports the message and byte cost of establishment.
-type HandshakeStats struct {
-	Messages int
-	Bytes    int
 }
 
 // Client performs the initiator handshake over raw.
@@ -322,21 +312,9 @@ func (c *Conn) HandshakeTiming() (start time.Time, d time.Duration) {
 	return c.hsStart, c.hsDur
 }
 
-func (c *Conn) writeToken(tok []byte) error {
-	c.handshakeMsgs++
-	c.handshakeBytes += len(tok) + 4
-	return wire.WriteFrame(c.raw, tok)
-}
+func (c *Conn) writeToken(tok []byte) error { return wire.WriteFrame(c.raw, tok) }
 
-func (c *Conn) readToken() ([]byte, error) {
-	tok, err := wire.ReadFrame(&c.in)
-	if err != nil {
-		return nil, err
-	}
-	c.handshakeMsgs++
-	c.handshakeBytes += len(tok) + 4
-	return tok, nil
-}
+func (c *Conn) readToken() ([]byte, error) { return wire.ReadFrame(&c.in) }
 
 // Context returns the established security context.
 func (c *Conn) Context() *gss.Context { return c.ctx }
@@ -356,11 +334,6 @@ func (c *Conn) Healthy() bool {
 
 // Peer returns the authenticated remote party.
 func (c *Conn) Peer() gss.Peer { return c.ctx.Peer() }
-
-// Handshake returns the establishment cost accounting.
-func (c *Conn) Handshake() HandshakeStats {
-	return HandshakeStats{Messages: c.handshakeMsgs, Bytes: c.handshakeBytes}
-}
 
 // Send protects and transmits one message.
 func (c *Conn) Send(msg []byte) error {
@@ -555,9 +528,6 @@ func (c *Conn) CloseOnDone(ctx context.Context) (stop func()) {
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.raw.Close() }
-
-// SetDeadline forwards to the underlying connection.
-func (c *Conn) SetDeadline(t time.Time) error { return c.raw.SetDeadline(t) }
 
 // Listener wraps a net.Listener so every accepted connection completes
 // the acceptor handshake with the given config before being returned.

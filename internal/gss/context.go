@@ -17,7 +17,6 @@ import (
 type Context struct {
 	initiator bool
 	peer      Peer
-	flags     Flags
 	expiry    time.Time
 	now       func() time.Time
 
@@ -27,7 +26,7 @@ type Context struct {
 	vfyKey []byte // peer MIC verification key
 }
 
-func newContext(initiator bool, ks keySchedule, peer Peer, cfg Config, flags Flags) (*Context, error) {
+func newContext(initiator bool, ks keySchedule, peer Peer, cfg Config) (*Context, error) {
 	sendKey, recvKey := ks.initWrite, ks.acceptWrite
 	micKey, vfyKey := ks.initFin, ks.acceptFin
 	if !initiator {
@@ -66,7 +65,6 @@ func newContext(initiator bool, ks keySchedule, peer Peer, cfg Config, flags Fla
 	return &Context{
 		initiator: initiator,
 		peer:      peer,
-		flags:     flags,
 		expiry:    expiry,
 		now:       nowFn,
 		sealer:    sealer,
@@ -79,17 +77,11 @@ func newContext(initiator bool, ks keySchedule, peer Peer, cfg Config, flags Fla
 // Peer returns the authenticated remote party.
 func (c *Context) Peer() Peer { return c.peer }
 
-// Initiator reports whether the local side initiated the context.
-func (c *Context) Initiator() bool { return c.initiator }
-
 // Expiry returns when the context lapses.
 func (c *Context) Expiry() time.Time { return c.expiry }
 
 // Expired reports whether the context has lapsed.
 func (c *Context) Expired() bool { return c.now().After(c.expiry) }
-
-// DelegationRequested reports whether the initiator set FlagDelegate.
-func (c *Context) DelegationRequested() bool { return c.flags&FlagDelegate != 0 }
 
 // Wrap-token layout: seq (8) || ciphertext length (4) || ciphertext.
 const (
@@ -222,7 +214,7 @@ const ResumeNonceSize = 32
 // salted with the two resumption nonces. Both parties call Resume with
 // the same nonces and obtain matching key schedules; each keeps its own
 // orientation. The child inherits the parent's authenticated peer,
-// flags, clock, and — crucially — its expiry, which newContext already
+// clock, and — crucially — its expiry, which newContext already
 // clamped to the local credential's lifetime: a resumed context can
 // never outlive the credential that authenticated the original
 // handshake. A lapsed parent cannot be resumed.
@@ -280,7 +272,6 @@ func (c *Context) Resume(clientNonce, serverNonce []byte) (*Context, error) {
 	return &Context{
 		initiator: c.initiator,
 		peer:      c.peer,
-		flags:     c.flags,
 		expiry:    c.expiry,
 		now:       c.now,
 		sealer:    sealer,

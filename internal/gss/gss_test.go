@@ -40,6 +40,32 @@ func newTestbed(t testing.TB) *testbed {
 	return &testbed{auth: auth, ts: ts, alice: alice, bob: bob}
 }
 
+// TestDelegateFlagReachesAcceptor: an initiator configured to delegate
+// announces it in token1, where the acceptor reads it.
+func TestDelegateFlagReachesAcceptor(t *testing.T) {
+	tb := newTestbed(t)
+	for _, delegate := range []bool{false, true} {
+		init, err := NewInitiator(Config{Credential: tb.alice, TrustStore: tb.ts, Delegate: delegate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t1, err := init.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, err := NewAcceptor(Config{Credential: tb.bob, TrustStore: tb.ts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := acc.Accept(t1); err != nil {
+			t.Fatal(err)
+		}
+		if got := acc.flags&FlagDelegate != 0; got != delegate {
+			t.Fatalf("Delegate %v: the acceptor read the delegation flag as %v", delegate, got)
+		}
+	}
+}
+
 func TestEstablishMutual(t *testing.T) {
 	tb := newTestbed(t)
 	ictx, actx, err := Establish(

@@ -133,7 +133,7 @@ func (i *Initiator) Finish(token2Bytes []byte) ([]byte, *Context, error) {
 		Subject:  info.Subject,
 		Chain:    chain,
 		Info:     info,
-	}, i.cfg, i.flags)
+	}, i.cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -260,7 +260,7 @@ func (a *Acceptor) Complete(token3Bytes []byte) (*Context, error) {
 	if !gridcrypto.HMACEqual(t3.finished, gridcrypto.HMACSHA256(a.ks.initFin, respTr.sum())) {
 		return nil, fmt.Errorf("%w: initiator finished MAC", ErrAuthFailed)
 	}
-	return newContext(false, a.ks, peer, a.cfg, a.flags)
+	return newContext(false, a.ks, peer, a.cfg)
 }
 
 // token2Core encodes the fields of token2 covered by the signature.

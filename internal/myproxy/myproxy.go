@@ -40,23 +40,19 @@ type entry struct {
 	salt        []byte
 	maxLifetime time.Duration
 	failures    int
-	storedAt    time.Time
 }
 
 // Server is the credential repository.
 type Server struct {
 	mu      sync.Mutex
 	entries map[string]*entry
-	now     func() time.Time
+	now     func() time.Time // the repository clock; tests move it
 }
 
 // NewServer creates an empty repository.
 func NewServer() *Server {
 	return &Server{entries: make(map[string]*entry), now: time.Now}
 }
-
-// SetClock overrides the clock (tests).
-func (s *Server) SetClock(now func() time.Time) { s.now = now }
 
 func hashPass(pass string, salt []byte) []byte {
 	h, err := gridcrypto.DeriveKey([]byte(pass), salt, []byte("myproxy passphrase"), 32)
@@ -66,16 +62,12 @@ func hashPass(pass string, salt []byte) []byte {
 	return h
 }
 
-// Store deposits a credential under a username and passphrase. The
-// credential should be a medium-lived proxy delegated specifically for
-// the repository (the caller creates it with proxy.New). maxLifetime
-// bounds proxies later retrieved; 0 means DefaultMaxLifetime.
-func (s *Server) Store(username, passphrase string, cred *gridcert.Credential, maxLifetime time.Duration) error {
-	return s.StoreContext(context.Background(), username, passphrase, cred, maxLifetime)
-}
-
-// StoreContext is Store honoring ctx: the (deliberately slow) passphrase
-// derivation is skipped when the context has already ended.
+// StoreContext deposits a credential under a username and passphrase.
+// The credential should be a medium-lived proxy delegated specifically
+// for the repository (the caller creates it with proxy.New). maxLifetime
+// bounds proxies later retrieved; 0 means DefaultMaxLifetime. The
+// (deliberately slow) passphrase derivation is skipped when ctx has
+// already ended.
 func (s *Server) StoreContext(ctx context.Context, username, passphrase string, cred *gridcert.Credential, maxLifetime time.Duration) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -100,61 +92,15 @@ func (s *Server) StoreContext(ctx context.Context, username, passphrase string, 
 		passHash:    hashPass(passphrase, salt),
 		salt:        salt,
 		maxLifetime: maxLifetime,
-		storedAt:    s.now(),
 	}
 	return nil
 }
 
-// Info describes a stored credential without exposing it.
-type Info struct {
-	Identity gridcert.Name
-	NotAfter time.Time
-	StoredAt time.Time
-	MaxProxy time.Duration
-	Locked   bool
-}
-
-// Info reports metadata for a username.
-func (s *Server) Info(username string) (Info, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[username]
-	if !ok {
-		return Info{}, ErrNotFound
-	}
-	return Info{
-		Identity: e.cred.Identity(),
-		NotAfter: e.cred.Leaf().NotAfter,
-		StoredAt: e.storedAt,
-		MaxProxy: e.maxLifetime,
-		Locked:   e.failures >= maxFailures,
-	}, nil
-}
-
-// Destroy removes a stored credential (requires the passphrase).
-func (s *Server) Destroy(username, passphrase string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[username]
-	if !ok {
-		return ErrNotFound
-	}
-	if !gridcrypto.HMACEqual(e.passHash, hashPass(passphrase, e.salt)) {
-		return ErrBadPassphrase
-	}
-	delete(s.entries, username)
-	return nil
-}
-
-// Retrieve authenticates by passphrase and answers a delegation request:
-// the client generated a key pair locally (proxy.NewDelegatee) and the
-// repository signs a short-lived proxy below the stored credential.
-func (s *Server) Retrieve(username, passphrase string, req proxy.DelegationRequest) (proxy.DelegationReply, error) {
-	return s.RetrieveContext(context.Background(), username, passphrase, req)
-}
-
-// RetrieveContext is Retrieve honoring ctx: the passphrase check and the
-// delegation signing are both skipped once the context ends.
+// RetrieveContext authenticates by passphrase and answers a delegation
+// request: the client generated a key pair locally (proxy.NewDelegatee)
+// and the repository signs a short-lived proxy below the stored
+// credential. The passphrase check and the delegation signing are both
+// skipped once ctx ends.
 func (s *Server) RetrieveContext(ctx context.Context, username, passphrase string, req proxy.DelegationRequest) (proxy.DelegationReply, error) {
 	if err := ctx.Err(); err != nil {
 		return proxy.DelegationReply{}, err

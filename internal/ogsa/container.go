@@ -333,9 +333,3 @@ func (cl *Client) InvokeSecure(handle, op string, body []byte) ([]byte, error) {
 	}
 	return reply.Body, nil
 }
-
-// FetchPolicy retrieves the container's published security policy
-// (Figure 3 step 1).
-func (cl *Client) FetchPolicy() (*wssec.PolicyDocument, error) {
-	return wssec.FetchPolicy(cl.Transport)
-}

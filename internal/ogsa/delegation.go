@@ -112,14 +112,6 @@ func (c *Container) EnableDelegation(cfg DelegationConfig) *DelegationService {
 	return svc
 }
 
-// Deposits reports how many subjects currently have a stored
-// delegation.
-func (s *DelegationService) Deposits() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.deposits)
-}
-
 func (s *DelegationService) audit(event, subject, detail string) {
 	if s.cfg.Audit != nil {
 		s.cfg.Audit.Record(event, subject, detail)

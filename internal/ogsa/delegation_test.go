@@ -117,8 +117,8 @@ func depositFor(t *testing.T, svc *DelegationService, cred *gridcert.Credential,
 func TestDelegationDepositAndRetrieve(t *testing.T) {
 	w := newDelegationWorld(t, DelegationConfig{MaxLifetime: 2 * time.Hour})
 	depositFor(t, w.svc, w.proxy, 4*time.Hour, time.Hour)
-	if w.svc.Deposits() != 1 {
-		t.Fatalf("deposits = %d, want 1", w.svc.Deposits())
+	if deposits(w.svc) != 1 {
+		t.Fatalf("deposits = %d, want 1", deposits(w.svc))
 	}
 
 	// Retrieve a successor: lifetime must honor the tightest cap (the
@@ -242,8 +242,8 @@ func TestDelegationIsolatesSubjects(t *testing.T) {
 	if _, err := w.svc.Invoke(delegCall(w.mallet, DelegationOpDeposit, body)); err == nil {
 		t.Fatal("identity-mismatched deposit must be refused")
 	}
-	if w.svc.Deposits() != 1 {
-		t.Fatalf("deposits = %d, want only Alice's", w.svc.Deposits())
+	if deposits(w.svc) != 1 {
+		t.Fatalf("deposits = %d, want only Alice's", deposits(w.svc))
 	}
 }
 
@@ -268,8 +268,8 @@ func TestDelegationExpiredDeposit(t *testing.T) {
 	if _, err := w.svc.Invoke(delegCall(w.proxy, DelegationOpRetrieve, req.Encode())); err == nil {
 		t.Fatal("retrieve below an expired deposit must fail")
 	}
-	if w.svc.Deposits() != 0 {
-		t.Fatalf("expired deposit must be dropped, have %d", w.svc.Deposits())
+	if deposits(w.svc) != 0 {
+		t.Fatalf("expired deposit must be dropped, have %d", deposits(w.svc))
 	}
 }
 
@@ -336,4 +336,11 @@ func TestContainerEnableDelegation(t *testing.T) {
 		wire.NewEncoder().I64(0).Finish()); err == nil {
 		t.Fatal("signed-pipeline delegation must be refused")
 	}
+}
+
+// deposits counts the subjects with a stored delegation.
+func deposits(s *DelegationService) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.deposits)
 }

@@ -2,6 +2,7 @@ package ogsa
 
 import (
 	"fmt"
+	"repro/internal/wssec"
 	"strings"
 	"sync"
 	"testing"
@@ -235,7 +236,7 @@ func TestLimitedProxyRejectedByJobContainer(t *testing.T) {
 
 func TestFetchContainerPolicy(t *testing.T) {
 	b := newBed(t, nil)
-	pol, err := b.client.FetchPolicy()
+	pol, err := wssec.FetchPolicy(b.client.Transport)
 	if err != nil {
 		t.Fatal(err)
 	}

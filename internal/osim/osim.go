@@ -253,28 +253,6 @@ func (p *Process) ReadFileIfChanged(path string, have uint64) (data []byte, vers
 	return append([]byte(nil), f.Data...), f.Version, nil
 }
 
-// WriteFile writes a file under the process's effective UID; only the
-// owner or root may write, and new files are owned by the writer.
-func (p *Process) WriteFile(path string, data []byte, worldReadable bool) error {
-	if err := p.check(); err != nil {
-		return err
-	}
-	s := p.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.chargeLocked(p)
-	f, ok := s.files[path]
-	if !ok {
-		f = &File{Path: path, OwnerUID: p.EUID, WorldReadable: worldReadable}
-		s.files[path] = f
-	} else if p.EUID != RootUID && p.EUID != f.OwnerUID {
-		return fmt.Errorf("%w: write %q", ErrPermission, path)
-	}
-	s.writes++
-	f.Data, f.Version = append([]byte(nil), data...), s.writes
-	return nil
-}
-
 // Exec runs an executable file in a new process. If the file is setuid,
 // the new process's effective UID is the file owner's — the only
 // privilege-escalation mechanism in the system, mirroring Unix.

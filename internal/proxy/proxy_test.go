@@ -98,7 +98,7 @@ func TestLimitedAndRestrictedProxies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Limited || !lim.Limited() {
+	if !info.Limited {
 		t.Fatal("limited proxy not flagged")
 	}
 

@@ -114,16 +114,6 @@ func (e *Envelope) SetHeader(name string, content []byte) {
 	e.Headers = append(e.Headers, HeaderBlock{Name: name, Content: content})
 }
 
-// RemoveHeader deletes the named header block.
-func (e *Envelope) RemoveHeader(name string) {
-	for i, h := range e.Headers {
-		if h.Name == name {
-			e.Headers = append(e.Headers[:i], e.Headers[i+1:]...)
-			return
-		}
-	}
-}
-
 // --- XML wire form -----------------------------------------------------
 
 // Marshal renders the envelope in its one spelling, into a buffer sized

@@ -80,11 +80,6 @@ func TestHeaderOperations(t *testing.T) {
 	if len(e.Headers) != 1 {
 		t.Fatalf("headers = %d", len(e.Headers))
 	}
-	e.RemoveHeader("A")
-	if _, ok := e.Header("A"); ok {
-		t.Fatal("RemoveHeader failed")
-	}
-	e.RemoveHeader("missing") // no panic
 }
 
 func TestCanonicalStability(t *testing.T) {

@@ -83,28 +83,6 @@ func DecodeSpanContext(b []byte) (SpanContext, bool) {
 	return sc, true
 }
 
-// Sampler decides, per root span, whether a new trace is recorded.
-// Sampling gates recording only — per-op latency histograms are
-// observed for every span regardless.
-type Sampler func(op string) bool
-
-// AlwaysSample records every trace.
-func AlwaysSample() Sampler { return func(string) bool { return true } }
-
-// NeverSample records no traces (histograms still observe).
-func NeverSample() Sampler { return func(string) bool { return false } }
-
-// RatioSampler records approximately ratio of traces (0..1).
-func RatioSampler(ratio float64) Sampler {
-	switch {
-	case ratio <= 0:
-		return NeverSample()
-	case ratio >= 1:
-		return AlwaysSample()
-	}
-	return func(string) bool { return rand.Float64() < ratio }
-}
-
 // SpanRecord is one finished span as the flight recorder holds it: a
 // self-contained value with no aliases into transport buffers.
 type SpanRecord struct {
@@ -128,8 +106,6 @@ type Config struct {
 	// Capacity bounds the flight recorder (spans). 0 selects
 	// DefaultCapacity.
 	Capacity int
-	// Sampler gates recording. Nil selects AlwaysSample.
-	Sampler Sampler
 }
 
 // DefaultCapacity is the flight-recorder ring size when Config leaves
@@ -147,10 +123,9 @@ const maxOpHistograms = 256
 // valid and inert — every method no-ops — so call sites never branch
 // on "is tracing on".
 type Tracer struct {
-	sampler Sampler
-	rec     *FlightRecorder
-	reg     *telemetry.Registry
-	pool    sync.Pool
+	rec  *FlightRecorder
+	reg  *telemetry.Registry
+	pool sync.Pool
 
 	histMu sync.RWMutex
 	hists  map[string]*telemetry.Histogram
@@ -162,15 +137,10 @@ func New(cfg Config) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	sampler := cfg.Sampler
-	if sampler == nil {
-		sampler = AlwaysSample()
-	}
 	t := &Tracer{
-		sampler: sampler,
-		rec:     NewFlightRecorder(capacity),
-		reg:     cfg.Registry,
-		hists:   make(map[string]*telemetry.Histogram),
+		rec:   NewFlightRecorder(capacity),
+		reg:   cfg.Registry,
+		hists: make(map[string]*telemetry.Histogram),
 	}
 	t.pool.New = func() any { return new(Span) }
 	return t
@@ -243,16 +213,12 @@ func (t *Tracer) startSpan(sc SpanContext, parent SpanID, op string, remote bool
 	return s
 }
 
-// StartRoot begins a new trace with op as its root span. The sampler
-// decides whether the trace's spans are recorded.
+// StartRoot begins a new trace, recorded, with op as its root span.
 func (t *Tracer) StartRoot(op string) *Span {
 	if t == nil {
 		return nil
 	}
-	sc := SpanContext{TraceID: newTraceID(), SpanID: newSpanID()}
-	if t.sampler(op) {
-		sc.Flags |= FlagSampled
-	}
+	sc := SpanContext{TraceID: newTraceID(), SpanID: newSpanID(), Flags: FlagSampled}
 	return t.startSpan(sc, SpanID{}, op, false)
 }
 
@@ -412,15 +378,4 @@ func (t *Tracer) histogram(op string) *telemetry.Histogram {
 	}
 	t.hists[op] = h
 	return h
-}
-
-// Histogram exposes the op's latency histogram (nil when never
-// observed). Test and admin surface.
-func (t *Tracer) Histogram(op string) *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	t.histMu.RLock()
-	defer t.histMu.RUnlock()
-	return t.hists[op]
 }

@@ -101,27 +101,27 @@ func TestRemoteAndChildSpansShareTrace(t *testing.T) {
 	fresh.End()
 }
 
-func TestSamplerGatesRecordingNotHistograms(t *testing.T) {
+// TestUnsampledRemoteTimedNotRecorded: a remote context with the sampled
+// flag clear is joined and timed — its op histogram observes it — but
+// the flight recorder keeps nothing.
+func TestUnsampledRemoteTimedNotRecorded(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tr := New(Config{Registry: reg, Sampler: NeverSample()})
-	s := tr.StartRoot("client.exchange")
-	if s.Context().Sampled() {
-		t.Fatal("NeverSample minted a sampled root")
+	tr := New(Config{Registry: reg})
+	parent := SpanContext{TraceID: TraceID{1}, SpanID: SpanID{2}}
+	s := tr.StartRemote(parent, "server.exchange")
+	if sc := s.Context(); sc.TraceID != parent.TraceID || sc.Sampled() {
+		t.Fatalf("remote span context = %+v, want trace %v unsampled", sc, parent.TraceID)
 	}
 	s.End()
 	if n := tr.Recorder().Len(); n != 0 {
-		t.Fatalf("recorder holds %d spans under NeverSample, want 0", n)
-	}
-	h := tr.Histogram("client.exchange")
-	if h == nil || h.Count() != 1 {
-		t.Fatal("histogram not observed for unsampled span")
+		t.Fatalf("recorder holds %d spans from an unsampled trace, want 0", n)
 	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), `gsi_op_seconds_count{op="client.exchange"}`) {
-		t.Fatalf("exposition missing per-op series:\n%s", sb.String())
+	if !strings.Contains(sb.String(), `gsi_op_seconds_count{op="server.exchange"} 1`) {
+		t.Fatalf("exposition missing the unsampled span's observation:\n%s", sb.String())
 	}
 }
 

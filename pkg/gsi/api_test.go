@@ -173,26 +173,6 @@ func TestWithExpectedPeer(t *testing.T) {
 	sess.Close()
 }
 
-// TestWithDelegationFlag: WithDelegation sets the GSS delegation flag,
-// visible to the acceptor.
-func TestWithDelegationFlag(t *testing.T) {
-	tb := newTestbed(t)
-	client, err := tb.env.NewClient(tb.alice, gsi.WithDelegation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, actx, err := client.Establish(context.Background(), gsi.ContextConfig{
-		Credential: tb.host,
-		TrustStore: tb.env.Trust(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !actx.DelegationRequested() {
-		t.Fatal("delegation flag not visible to acceptor")
-	}
-}
-
 // TestWithRejectLimited: a limited proxy is refused by a server built
 // with WithRejectLimited.
 func TestWithRejectLimited(t *testing.T) {

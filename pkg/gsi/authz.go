@@ -157,17 +157,14 @@ func (p *AuthorizationPipeline) Replica() *cas.Replica { return p.replica }
 // over (nil for in-memory pipelines).
 func (p *AuthorizationPipeline) DurableState() *DurableState { return p.durable }
 
-// TrustVO registers a CAS signing certificate at runtime: the resource
-// provider's act of outsourcing a policy slice to that community.
-// Registration bumps the VO-set generation, so cached decisions made
-// under the previous set re-evaluate on their next lookup.
-func (p *AuthorizationPipeline) TrustVO(certs ...*Certificate) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, cert := range certs {
-		p.vos[cert.Subject.String()] = cert
+// auditLog returns the pipeline's sink when it is an audit log, whose
+// journal can drop events (nil otherwise, and for a nil pipeline).
+func (p *AuthorizationPipeline) auditLog() *AuditLog {
+	if p == nil {
+		return nil
 	}
-	p.voGen++
+	log, _ := p.audit.(*AuditLog)
+	return log
 }
 
 // DistrustVO removes a community's signing certificate; assertions it

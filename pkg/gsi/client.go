@@ -92,19 +92,6 @@ func (c *Client) Environment() *Environment { return c.env }
 // fixed one otherwise.
 func (c *Client) Credential() *Credential { return c.credential() }
 
-// CredentialManager returns the manager a managed client is bound to
-// (nil otherwise).
-func (c *Client) CredentialManager() *CredentialManager { return c.base.credman }
-
-// skewed derives the effective context of one operation: the handle's
-// deadline-skew budget (if any) is taken off the caller's deadline.
-func (c *Client) skewed(ctx context.Context) (context.Context, context.CancelFunc) {
-	if deadline, ok := ctx.Deadline(); ok && c.base.deadlineSkew > 0 {
-		return context.WithDeadline(ctx, deadline.Add(-c.base.deadlineSkew))
-	}
-	return ctx, func() {}
-}
-
 // Connect establishes a secured session with the peer at endpoint over
 // the client's transport. Cancellation aborts the handshake mid-flight,
 // including while blocked on the network. On a pooling client the
@@ -114,8 +101,6 @@ func (c *Client) skewed(ctx context.Context) (context.Context, context.CancelFun
 // delegation, credential).
 func (c *Client) Connect(ctx context.Context, endpoint string) (Session, error) {
 	const op = "gsi.Client.Connect"
-	ctx, cancelSkew := c.skewed(ctx)
-	defer cancelSkew()
 	s := &c.base
 	cred := c.credential()
 	// Tracing: a Connect inside a traced operation (OpenStream's dial,
@@ -208,8 +193,6 @@ func (c *Client) dialSession(ctx context.Context, endpoint string, cred *Credent
 // Connect and Session.Exchange instead, which never retry.
 func (c *Client) Exchange(ctx context.Context, endpoint, op string, body []byte) ([]byte, error) {
 	const opName = "gsi.Client.Exchange"
-	ctx, cancelSkew := c.skewed(ctx)
-	defer cancelSkew()
 	s := &c.base
 	// Tracing: the root span covers the whole operation — dial (or pool
 	// checkout), any retries, and the exchange itself — and rides ctx so
@@ -299,8 +282,6 @@ func (c *Client) Exchange(ctx context.Context, endpoint, op string, body []byte)
 // configuration, for co-located services and tests.
 func (c *Client) Establish(ctx context.Context, acceptor ContextConfig) (initiator, accepted *Context, err error) {
 	const op = "gsi.Client.Establish"
-	ctx, cancelSkew := c.skewed(ctx)
-	defer cancelSkew()
 	ictx, actx, err := gss.EstablishContext(ctx, c.base.contextConfig(c.env, c.credential()), acceptor)
 	if err != nil {
 		return nil, nil, opErr(op, err)
@@ -323,8 +304,6 @@ func (c *Client) Proxy(opts ProxyOptions) (*Credential, error) {
 // signed policy assertion. Cancellation aborts the policy scan.
 func (c *Client) RequestAssertion(ctx context.Context, server *CASServer) (*CASAssertion, error) {
 	const op = "gsi.Client.RequestAssertion"
-	ctx, cancelSkew := c.skewed(ctx)
-	defer cancelSkew()
 	a, err := server.IssueAssertionContext(ctx, c.credential().Identity())
 	if err != nil {
 		return nil, opErr(op, err)
@@ -343,40 +322,11 @@ func (c *Client) EmbedAssertion(a *CASAssertion) (*Credential, error) {
 	return cred, nil
 }
 
-// RetrieveCredential authenticates to a MyProxy repository by passphrase
-// and receives a fresh short-lived proxy delegated from the stored
-// credential. The private key is generated locally and never crosses the
-// exchange.
-func (c *Client) RetrieveCredential(ctx context.Context, repo *MyProxy, username, passphrase string, lifetime time.Duration) (*Credential, error) {
-	const op = "gsi.Client.RetrieveCredential"
-	ctx, cancelSkew := c.skewed(ctx)
-	defer cancelSkew()
-	if err := ctx.Err(); err != nil {
-		return nil, opErr(op, err)
-	}
-	delegatee, req, err := proxy.NewDelegatee(lifetime, false)
-	if err != nil {
-		return nil, opErr(op, err)
-	}
-	req.Lifetime = lifetime
-	reply, err := repo.RetrieveContext(ctx, username, passphrase, req)
-	if err != nil {
-		return nil, opErr(op, err)
-	}
-	cred, err := delegatee.Accept(reply)
-	if err != nil {
-		return nil, opErr(op, err)
-	}
-	return cred, nil
-}
-
 // StoreCredential delegates a proxy below the client's credential into a
 // MyProxy repository under username/passphrase; maxLifetime bounds
 // proxies later retrieved.
 func (c *Client) StoreCredential(ctx context.Context, repo *MyProxy, username, passphrase string, deposit *Credential, maxLifetime time.Duration) error {
 	const op = "gsi.Client.StoreCredential"
-	ctx, cancelSkew := c.skewed(ctx)
-	defer cancelSkew()
 	if err := repo.StoreContext(ctx, username, passphrase, deposit, maxLifetime); err != nil {
 		return opErr(op, err)
 	}
@@ -390,8 +340,6 @@ func (c *Client) StoreCredential(ctx context.Context, repo *MyProxy, username, p
 // start steps.
 func (c *Client) SubmitJob(ctx context.Context, resource *JobResource, desc JobDescription) (*MJS, error) {
 	const op = "gsi.Client.SubmitJob"
-	ctx, cancelSkew := c.skewed(ctx)
-	defer cancelSkew()
 	// The handle's options shape the step-7 MJS connection: delegation
 	// intent, peer pinning, limited-proxy rejection, depth caps.
 	gc := &gram.Client{
@@ -412,8 +360,6 @@ func (c *Client) SubmitJob(ctx context.Context, resource *JobResource, desc JobD
 // processing, delivery), returning the reply and the phase timings.
 func (c *Client) Invoke(ctx context.Context, endpoint, handle, op string, body []byte) ([]byte, Trace, error) {
 	const opName = "gsi.Client.Invoke"
-	ctx, cancelSkew := c.skewed(ctx)
-	defer cancelSkew()
 	r := &Requestor{
 		Credential:      c.credential(),
 		Trust:           c.env.trust,

@@ -32,12 +32,8 @@ func DepositDelegation(ctx context.Context, invoke func(ctx context.Context, op 
 // RenewalSource obtains successor credentials for a CredentialManager.
 // The built-in sources cover the paper's renewal paths — MyProxyRenewal
 // (online repository), DelegationRenewal (re-delegation below a local
-// signer), EndpointRenewal (the OGSA delegation port type) — and
-// RenewalFunc adapts anything else.
+// signer) and EndpointRenewal (the OGSA delegation port type).
 type RenewalSource = credman.Source
-
-// RenewalFunc adapts a function to RenewalSource (static/test sources).
-type RenewalFunc = credman.SourceFunc
 
 // RenewalStats is a snapshot of a CredentialManager's activity.
 type RenewalStats = credman.Stats

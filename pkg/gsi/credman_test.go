@@ -109,9 +109,6 @@ func TestManagedClientCredentialIsDynamic(t *testing.T) {
 	if client.Credential() != initial {
 		t.Fatal("managed client does not read the manager's credential")
 	}
-	if client.CredentialManager() != cm {
-		t.Fatal("CredentialManager accessor broken")
-	}
 	next, err := cm.Renew(context.Background())
 	if err != nil {
 		t.Fatal(err)

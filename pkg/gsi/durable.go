@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/authz"
 	"repro/internal/secsvc"
@@ -23,10 +22,6 @@ import (
 // AuditLog is the paper's §4.1 audit service with its tamper-evident
 // hash chain (see secsvc). A DurableState's log journals every event.
 type AuditLog = secsvc.AuditLog
-
-// AuditEvent is one hash-chained entry of an AuditLog, as returned by
-// AuditLog.Events.
-type AuditEvent = secsvc.AuditEvent
 
 // Shared-WAL record kinds: one log carries all three subsystems'
 // records, discriminated by kind.
@@ -58,21 +53,7 @@ type DurableState struct {
 	// seen since, in order.
 	casSnap    []byte
 	casBacklog [][]byte
-
-	// Background compaction (WithAutoCompact).
-	compactStop chan struct{}
-	compactDone chan struct{}
-	stopOnce    sync.Once
-
-	cmu            sync.Mutex
-	autoCompacts   uint64
-	lastCompactErr string
 }
-
-// DefaultAutoCompactInterval is how often the background compactor
-// checks the journal against its thresholds when
-// AutoCompactConfig.Interval is zero.
-const DefaultAutoCompactInterval = 5 * time.Second
 
 // OpenDurableState opens (or creates) the durable trust plane rooted at
 // dir: the WAL is replayed — snapshot first, then every journaled
@@ -81,19 +62,8 @@ const DefaultAutoCompactInterval = 5 * time.Second
 // so subsequent mutations journal through the log with fsync-before-
 // apply semantics. Fail closed: corruption anywhere but a torn final
 // record refuses to open.
-//
-// The one option honored here is WithAutoCompact; others do not apply
-// to a bare durable state and are ignored, matching the Option contract.
-func OpenDurableState(dir string, opts ...Option) (*DurableState, error) {
+func OpenDurableState(dir string) (*DurableState, error) {
 	const op = "gsi.OpenDurableState"
-	var cfg settings
-	if err := cfg.apply(opts); err != nil {
-		return nil, opErr(op, err)
-	}
-	return openDurable(op, dir, cfg.autoCompact)
-}
-
-func openDurable(op, dir string, autoCompact *AutoCompactConfig) (*DurableState, error) {
 	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		return nil, opErr(op, err)
@@ -152,56 +122,11 @@ func openDurable(op, dir string, autoCompact *AutoCompactConfig) (*DurableState,
 		_, err := w.Append(kindAudit, secsvc.EncodeAuditEvent(e))
 		return err
 	})
-	if autoCompact != nil {
-		ds.startAutoCompact(*autoCompact)
-	}
 	return ds, nil
 }
 
-// startAutoCompact launches the background compactor: each tick reads
-// the journal's growth since its last snapshot and runs Compact once a
-// threshold is crossed. Compact stages the snapshot payload off the
-// mutation path, so writers stall only for the final rotate/rename. A
-// failed compaction (e.g. sustained churn exhausting the stale-snapshot
-// retries) is recorded and retried next tick; the journal stays intact.
-func (d *DurableState) startAutoCompact(cfg AutoCompactConfig) {
-	interval := cfg.Interval
-	if interval <= 0 {
-		interval = DefaultAutoCompactInterval
-	}
-	d.compactStop = make(chan struct{})
-	d.compactDone = make(chan struct{})
-	go func() {
-		defer close(d.compactDone)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-d.compactStop:
-				return
-			case <-t.C:
-				st := d.w.Stats()
-				due := (cfg.MaxBytes > 0 && st.BytesSinceSnapshot >= cfg.MaxBytes) ||
-					(cfg.MaxRecords > 0 && st.RecordsSinceSnapshot >= cfg.MaxRecords)
-				if !due || st.RecordsSinceSnapshot == 0 {
-					continue
-				}
-				err := d.Compact()
-				d.cmu.Lock()
-				if err != nil {
-					d.lastCompactErr = err.Error()
-				} else {
-					d.autoCompacts++
-					d.lastCompactErr = ""
-				}
-				d.cmu.Unlock()
-			}
-		}
-	}()
-}
-
-// JournalStats describes the durable journal's shape and the background
-// compactor's history, for the admin surface and compaction tuning.
+// JournalStats describes the durable journal's shape, for the admin
+// surface and compaction tuning.
 type JournalStats struct {
 	// Segments, LastSeq, and SnapshotSeq mirror the journal's on-disk
 	// shape: live segment files, the newest record, and the last record
@@ -213,26 +138,17 @@ type JournalStats struct {
 	// what a restart would re-apply.
 	RecordsSinceSnapshot uint64 `json:"records_since_snapshot"`
 	BytesSinceSnapshot   int64  `json:"bytes_since_snapshot"`
-	// AutoCompactions counts background compactions since open;
-	// LastCompactError is the most recent background failure ("" after a
-	// success).
-	AutoCompactions  uint64 `json:"auto_compactions"`
-	LastCompactError string `json:"last_compact_error,omitempty"`
 }
 
 // JournalStats reports the journal's current shape.
 func (d *DurableState) JournalStats() JournalStats {
 	st := d.w.Stats()
-	d.cmu.Lock()
-	defer d.cmu.Unlock()
 	return JournalStats{
 		Segments:             st.Segments,
 		LastSeq:              st.LastSeq,
 		SnapshotSeq:          st.SnapshotSeq,
 		RecordsSinceSnapshot: st.RecordsSinceSnapshot,
 		BytesSinceSnapshot:   st.BytesSinceSnapshot,
-		AutoCompactions:      d.autoCompacts,
-		LastCompactError:     d.lastCompactErr,
 	}
 }
 
@@ -244,15 +160,12 @@ func (d *DurableState) JournalStats() JournalStats {
 // truth for one policy, and the ad-hoc one would silently win.
 func (s *settings) materializeDurable() error {
 	if s.durableDir == "" {
-		if s.autoCompact != nil {
-			return errors.New("gsi: WithAutoCompact configures the durable journal; it requires WithDurableState")
-		}
 		return nil
 	}
 	if s.authzLocal != nil || s.authzGridMap != nil {
 		return errors.New("gsi: WithDurableState cannot combine with WithLocalPolicy or WithGridMap; mutate the durable objects via Server.DurableState instead")
 	}
-	ds, err := openDurable("gsi.OpenDurableState", s.durableDir, s.autoCompact)
+	ds, err := OpenDurableState(s.durableDir)
 	if err != nil {
 		return err
 	}
@@ -420,16 +333,7 @@ func (d *DurableState) restoreSnapshot(snap []byte) ([]secsvc.AuditEvent, error)
 	return events, nil
 }
 
-// Close stops the background compactor, then syncs and closes the
-// journal. The bound objects refuse further mutations (journaling into
-// a closed WAL errors), which is the correct fail-closed posture for a
-// trust plane that can no longer persist.
-func (d *DurableState) Close() error {
-	if d.compactStop != nil {
-		d.stopOnce.Do(func() {
-			close(d.compactStop)
-			<-d.compactDone
-		})
-	}
-	return d.w.Close()
-}
+// Close syncs and closes the journal. The bound objects refuse further
+// mutations (journaling into a closed WAL errors), which is the correct
+// fail-closed posture for a trust plane that can no longer persist.
+func (d *DurableState) Close() error { return d.w.Close() }

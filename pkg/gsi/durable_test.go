@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"repro/internal/secsvc"
 	"strings"
 	"testing"
 	"time"
@@ -147,13 +148,13 @@ func TestDurableCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestCompactCrashChild is the churn half of the background-compaction
-// crash test; it only runs re-exec'd by TestCompactCrashRecovery. It
-// opens the directory with auto-compaction at aggressive thresholds and
-// churns mutations; the snapshot stage hook kills the process with
-// SIGKILL the moment the background compactor completes the stage named
-// by GSI_CRASH_STAGE, so each run dies at a different point of the
-// stage → rotate → rename → cleanup sequence.
+// TestCompactCrashChild is the churn half of the compaction crash test;
+// it only runs re-exec'd by TestCompactCrashRecovery. It churns
+// mutations while a goroutine compacts once 16 records sit past the last
+// snapshot; the snapshot stage hook kills the process with SIGKILL the
+// moment a compaction completes the stage named by GSI_CRASH_STAGE, so
+// each run dies at a different point of the stage → rotate → rename →
+// cleanup sequence.
 func TestCompactCrashChild(t *testing.T) {
 	dir := os.Getenv("GSI_CRASH_DIR")
 	stage := os.Getenv("GSI_CRASH_STAGE")
@@ -172,13 +173,17 @@ func TestCompactCrashChild(t *testing.T) {
 		p.Kill()
 		select {} // freeze the compactor until the signal lands
 	}
-	ds, err := gsi.OpenDurableState(dir, gsi.WithAutoCompact(gsi.AutoCompactConfig{
-		MaxRecords: 16,
-		Interval:   5 * time.Millisecond,
-	}))
+	ds, err := gsi.OpenDurableState(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	go func() {
+		for range time.Tick(5 * time.Millisecond) {
+			if ds.JournalStats().RecordsSinceSnapshot >= 16 {
+				ds.Compact() // a stale snapshot is retried next tick
+			}
+		}
+	}()
 	for i := 0; ; i++ {
 		if err := ds.Policy().AddChecked(gsi.Rule{
 			ID:        fmt.Sprintf("rule-%06d", i),
@@ -196,8 +201,8 @@ func TestCompactCrashChild(t *testing.T) {
 		fmt.Printf("GEN %d %d\n", ds.Policy().Generation(), ds.Audit().Len())
 		// Burst-then-pause: WriteSnapshotAt refuses any snapshot a
 		// concurrent append outran, so gapless append-per-microsecond
-		// churn can starve the compactor indefinitely (documented
-		// behavior — it just retries next tick). Real mutation streams
+		// churn can starve the compactor indefinitely (Compact gives up
+		// with the stale-snapshot error; the loop retries next tick). Real mutation streams
 		// have gaps; give the compactor one every 20 mutations so each
 		// run deterministically reaches the stage under test, even at
 		// race-detector speed.
@@ -416,7 +421,7 @@ func TestTraceAuditDurableRoundTrip(t *testing.T) {
 	}
 	sp.End()
 
-	findTraced := func(events []gsi.AuditEvent) *gsi.AuditEvent {
+	findTraced := func(events []secsvc.AuditEvent) *secsvc.AuditEvent {
 		for i := range events {
 			if events[i].Trace == tid && strings.HasPrefix(events[i].Event, "authz-") {
 				return &events[i]

@@ -33,18 +33,6 @@ type Environment struct {
 // EnvOption configures NewEnvironment.
 type EnvOption func(*Environment) error
 
-// WithTrustStore adopts an existing trust store (shared with code using
-// the lower-level API).
-func WithTrustStore(ts *TrustStore) EnvOption {
-	return func(e *Environment) error {
-		if ts == nil {
-			return errors.New("gsi: nil trust store")
-		}
-		e.trust = ts
-		return nil
-	}
-}
-
 // WithRoots installs trusted CA roots into the environment's store.
 func WithRoots(roots ...*Certificate) EnvOption {
 	return func(e *Environment) error {

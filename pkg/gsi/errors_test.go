@@ -88,7 +88,7 @@ func TestErrorTaxonomyExpiredCredential(t *testing.T) {
 	}
 	future := time.Now().Add(time.Hour)
 	env, err := gsi.NewEnvironment(
-		gsi.WithTrustStore(tb.env.Trust()),
+		gsi.WithRoots(tb.ca.Certificate()),
 		gsi.WithClock(func() time.Time { return future }),
 	)
 	if err != nil {
@@ -114,8 +114,9 @@ func TestErrorTaxonomyExpiredCredential(t *testing.T) {
 	}
 }
 
-// TestErrorTaxonomyMyProxy: repository failures map onto ErrNotFound and
-// ErrBadPassphrase while the myproxy sentinels stay matchable.
+// TestErrorTaxonomyMyProxy: repository failures met on the MyProxy
+// renewal path map onto ErrNotFound and ErrBadPassphrase while the
+// myproxy sentinels stay matchable.
 func TestErrorTaxonomyMyProxy(t *testing.T) {
 	tb := newTestbed(t)
 	client, err := tb.env.NewClient(tb.alice)
@@ -124,24 +125,31 @@ func TestErrorTaxonomyMyProxy(t *testing.T) {
 	}
 	repo := gsi.NewMyProxy()
 	ctx := context.Background()
-
-	_, err = client.RetrieveCredential(ctx, repo, "nobody", "pw", time.Hour)
-	if !errors.Is(err, gsi.ErrNotFound) || !errors.Is(err, myproxy.ErrNotFound) {
-		t.Fatalf("absent user not ErrNotFound: %v", err)
-	}
-
 	deposit, err := client.Proxy(gsi.ProxyOptions{Lifetime: 2 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
+	retrieve := func(username, passphrase string) (*gsi.Credential, error) {
+		cm, err := tb.env.NewCredentialManager(deposit, gsi.MyProxyRenewal(repo, username, passphrase, time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cm.Close()
+		return cm.Renew(ctx)
+	}
+
+	_, err = retrieve("nobody", "pw")
+	if !errors.Is(err, gsi.ErrNotFound) || !errors.Is(err, myproxy.ErrNotFound) {
+		t.Fatalf("absent user not ErrNotFound: %v", err)
+	}
 	if err := client.StoreCredential(ctx, repo, "alice", "pw", deposit, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.RetrieveCredential(ctx, repo, "alice", "wrong", time.Hour)
+	_, err = retrieve("alice", "wrong")
 	if !errors.Is(err, gsi.ErrBadPassphrase) {
 		t.Fatalf("wrong passphrase not ErrBadPassphrase: %v", err)
 	}
-	cred, err := client.RetrieveCredential(ctx, repo, "alice", "pw", time.Hour)
+	cred, err := retrieve("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}

