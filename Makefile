@@ -124,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaApply$$' -fuzztime=5s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzSyncReplyDecode$$' -fuzztime=5s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzEnvelopeDecode$$' -fuzztime=5s ./internal/soap
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeChain$$' -fuzztime=5s ./internal/gridcert
 
 ## bench: the repo's one benchmark (BENCHMARK.json): four grid
 ## workloads, end-to-end metrics and per-layer probes.
@@ -140,9 +141,12 @@ bench:
 ## time, never on the decision hot path); a durable WAL append at 1 —
 ## the single frame-buffer allocation, so group commit never buys
 ## throughput with garbage; a GRAM Submit routed to a running LMJFS over
-## a 1,000-entry grid-mapfile at 217: one O(mapfile) step in the router
-## or the LMJFS would be thousands over; a chain whose links the trust
-## store has in its memo verifies in <= 2 (its ChainInfo, and the
+## a 1,000-entry grid-mapfile at 120: one O(mapfile) step in the router
+## or the LMJFS would be thousands over; a three-certificate proxy chain,
+## impersonation or restricted, decodes in <= 30 — one copy of each
+## certificate's bytes, every field a view of it or a substring of one
+## string per name (copying each field took 100); a chain whose links the
+## trust store has in its memo verifies in <= 2 (its ChainInfo, and the
 ## Restricted list when a proxy carries a policy) — that, not a cache of
 ## verdicts in front of Verify, is what makes a repeated peer cheap; a
 ## cold authorization decision (65 local rules, the VO's half from the

@@ -439,7 +439,7 @@ func TestSubmitWarm1kAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 217 {
-		t.Fatalf("warm submit over a 1,000-entry mapfile allocates %.0f/op, want <= 217", allocs)
+	if allocs > 120 {
+		t.Fatalf("warm submit over a 1,000-entry mapfile allocates %.0f/op, want <= 120", allocs)
 	}
 }

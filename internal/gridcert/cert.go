@@ -239,14 +239,18 @@ func (c *Certificate) Encode() []byte {
 
 // Decode parses a certificate produced by Encode. The signature is not
 // verified here; use CheckSignatureFrom or chain validation.
+//
+// The certificate keeps one private copy of b and never aliases b
+// itself. Every field that holds bytes is a capacity-capped view of that
+// copy — the memoized encodings, the signature, the public key, the proxy
+// policy and each extension value — and each Name is one string whose
+// components are substrings of it.
 func Decode(b []byte) (*Certificate, error) {
-	// The certificate keeps one private copy of its encoding; the
-	// memoized signed portion is a view into it, not a second copy.
 	raw := append([]byte(nil), b...)
 	d := &decoder{b: raw}
 	tbs := d.view()
 	alg := gridcrypto.Algorithm(d.u8())
-	sig := d.bytes()
+	sig := d.view()
 	if err := d.done(); err != nil {
 		return nil, err
 	}
@@ -259,12 +263,15 @@ func Decode(b []byte) (*Certificate, error) {
 	}
 	c.SignatureAlg = alg
 	c.Signature = sig
-	c.raw.Store(&raw)
+	// One allocation holds both memoized slice headers.
+	enc := &[2][]byte{raw, tbs}
+	c.raw.Store(&enc[0])
+	c.rawTBS.Store(&enc[1])
 	return c, nil
 }
 
-// decodeTBS parses the signed portion of a certificate. The certificate
-// keeps tbs as its memoized encoding, so tbs must not change afterwards.
+// decodeTBS parses the signed portion of a certificate into views of
+// tbs, which must not change afterwards.
 func decodeTBS(tbs []byte) (*Certificate, error) {
 	d := &decoder{b: tbs}
 	c := &Certificate{}
@@ -275,7 +282,7 @@ func decodeTBS(tbs []byte) (*Certificate, error) {
 	c.Subject = decodeName(d)
 	c.NotBefore = time.Unix(d.i64(), 0).UTC()
 	c.NotAfter = time.Unix(d.i64(), 0).UTC()
-	pkBytes := d.bytes()
+	pkBytes := d.view()
 	c.KeyUsage = KeyUsage(d.u16())
 	c.MaxPathLen = int(d.i64())
 	if d.bool() {
@@ -283,7 +290,7 @@ func decodeTBS(tbs []byte) (*Certificate, error) {
 		pi.Variant = ProxyVariant(d.u8())
 		pi.PathLenConstraint = int(d.i64())
 		pi.PolicyLanguage = d.str()
-		pi.Policy = d.bytes()
+		pi.Policy = d.view()
 		c.Proxy = pi
 	}
 	extCnt := d.count("extension", d.u32(), maxExtensions)
@@ -291,7 +298,7 @@ func decodeTBS(tbs []byte) (*Certificate, error) {
 		var ext Extension
 		ext.ID = d.str()
 		ext.Critical = d.bool()
-		ext.Value = d.bytes()
+		ext.Value = d.view()
 		c.Extensions = append(c.Extensions, ext)
 	}
 	if err := d.done(); err != nil {
@@ -300,7 +307,7 @@ func decodeTBS(tbs []byte) (*Certificate, error) {
 	if c.Version != certVersion {
 		return nil, fmt.Errorf("gridcert: unsupported certificate version %d", c.Version)
 	}
-	pk, err := gridcrypto.DecodePublicKey(pkBytes)
+	pk, err := gridcrypto.DecodePublicKeyView(pkBytes)
 	if err != nil {
 		return nil, fmt.Errorf("gridcert: bad subject public key: %w", err)
 	}
@@ -308,7 +315,6 @@ func decodeTBS(tbs []byte) (*Certificate, error) {
 	if err := c.checkStructure(); err != nil {
 		return nil, err
 	}
-	c.rawTBS.Store(&tbs)
 	return c, nil
 }
 

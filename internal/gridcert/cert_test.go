@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/gridcrypto"
+	"repro/internal/israce"
 )
 
 // testPKI builds a CA, a user end-entity cert, and returns all pieces.
@@ -288,4 +289,139 @@ func TestFingerprintStable(t *testing.T) {
 	if dec.Fingerprint() != f1 {
 		t.Fatal("fingerprint changed across round trip")
 	}
+}
+
+// proxyChain mints a two-proxy chain below the test user — the first
+// proxy of the given variant — and returns it with its encoding.
+func proxyChain(t testing.TB, variant ProxyVariant) ([]*Certificate, []byte) {
+	t.Helper()
+	_, _, userCert, userKey := testPKI(t)
+	p1, k1 := issueProxy(t, userCert, userKey, variant, -1)
+	p2, _ := issueProxy(t, p1, k1, ProxyImpersonation, -1)
+	chain := []*Certificate{p2, p1, userCert}
+	return chain, EncodeChain(chain)
+}
+
+// TestDecodeChainOwnsItsBytes: a decoded chain keeps its own copy of
+// every certificate, so overwriting the input afterwards changes no
+// name, key, signature, policy, extension, encoding or fingerprint.
+func TestDecodeChainOwnsItsBytes(t *testing.T) {
+	caCert, caKey, _, _ := testPKI(t)
+	key, _ := gridcrypto.GenerateKeyPair(gridcrypto.AlgEd25519)
+	withExt, err := Sign(Template{
+		Type:       TypeEndEntity,
+		Subject:    MustParseName("/O=Grid/OU=svc/CN=host"),
+		Extensions: []Extension{{ID: "site.origin", Critical: true, Value: []byte("alice@REALM")}},
+	}, key.Public(), caCert.Subject, caKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restricted, _ := proxyChain(t, ProxyRestricted)
+	want := append(restricted, withExt)
+	input := EncodeChain(want)
+	got, err := DecodeChain(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range input {
+		input[i] = 0xa5
+	}
+	for i, c := range got {
+		w := want[i]
+		if !c.Subject.Equal(w.Subject) || !c.Issuer.Equal(w.Issuer) ||
+			c.Subject.String() != w.Subject.String() || c.Issuer.String() != w.Issuer.String() {
+			t.Fatalf("entry %d: names changed: %s / %s", i, c.Subject, c.Issuer)
+		}
+		if !c.PublicKey.Equal(w.PublicKey) || string(c.Signature) != string(w.Signature) {
+			t.Fatalf("entry %d: key or signature changed", i)
+		}
+		if (c.Proxy == nil) != (w.Proxy == nil) ||
+			c.Proxy != nil && (c.Proxy.PolicyLanguage != w.Proxy.PolicyLanguage || string(c.Proxy.Policy) != string(w.Proxy.Policy)) {
+			t.Fatalf("entry %d: proxy policy changed", i)
+		}
+		if len(c.Extensions) != len(w.Extensions) {
+			t.Fatalf("entry %d: %d extensions, want %d", i, len(c.Extensions), len(w.Extensions))
+		}
+		for j, e := range c.Extensions {
+			we := w.Extensions[j]
+			if e.ID != we.ID || e.Critical != we.Critical || string(e.Value) != string(we.Value) {
+				t.Fatalf("entry %d: extension %d changed", i, j)
+			}
+		}
+		if string(c.Encode()) != string(w.Encode()) || c.Fingerprint() != w.Fingerprint() {
+			t.Fatalf("entry %d: encoding or fingerprint changed", i)
+		}
+	}
+	if got[1].Proxy.Policy == nil || string(got[1].Proxy.Policy) != "read-only" {
+		t.Fatal("restricted proxy lost its policy")
+	}
+	// A view handed out is capped: appending to it cannot write into the
+	// certificate's encoding.
+	sig := got[0].Signature
+	_ = append(sig, 0xff)
+	if string(got[0].Encode()) != string(want[0].Encode()) {
+		t.Fatal("appending to a decoded signature rewrote the certificate")
+	}
+}
+
+// TestDecodeChainAllocs: a three-certificate proxy chain decodes in a
+// fixed, small number of allocations — per certificate one copy of its
+// bytes, the Certificate, one string and one component slice per name,
+// the memoized-encoding headers and, on a proxy, its ProxyInfo and
+// policy language. A decode that copied each field would be over 100.
+func TestDecodeChainAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("race instrumentation allocates; exactness only holds in plain builds")
+	}
+	for _, variant := range []ProxyVariant{ProxyImpersonation, ProxyRestricted} {
+		chain, enc := proxyChain(t, variant)
+		allocs := testing.AllocsPerRun(200, func() {
+			got, err := DecodeChain(enc)
+			if err != nil || len(got) != len(chain) {
+				t.Fatalf("DecodeChain: %d certificates, %v", len(got), err)
+			}
+		})
+		if allocs > 30 {
+			t.Errorf("decoding a 3-certificate %v proxy chain allocates %.0f/op, want <= 30", variant, allocs)
+		}
+	}
+}
+
+// FuzzDecodeChain: no input panics the decoder, and whatever decodes
+// re-encodes to exactly the bytes it came from.
+func FuzzDecodeChain(f *testing.F) {
+	for _, variant := range []ProxyVariant{ProxyImpersonation, ProxyRestricted} {
+		_, enc := proxyChain(f, variant)
+		f.Add(enc)
+	}
+	caCert, _, _, _ := testPKI(f)
+	f.Add(EncodeChain([]*Certificate{caCert}))
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		chain, err := DecodeChain(b)
+		if err != nil {
+			return
+		}
+		if got := EncodeChain(chain); string(got) != string(b) {
+			t.Fatalf("decoded chain re-encodes to %x, want %x", got, b)
+		}
+		for i, c := range chain {
+			if again := reencode(c); string(again) != string(c.Encode()) {
+				t.Fatalf("entry %d: fields re-encode to %x, decoded from %x", i, again, c.Encode())
+			}
+		}
+	})
+}
+
+// reencode encodes c's fields afresh, bypassing its memoized encoding.
+func reencode(c *Certificate) []byte {
+	fresh := &Certificate{
+		Version: c.Version, SerialNumber: c.SerialNumber, Type: c.Type,
+		Issuer: c.Issuer, Subject: c.Subject,
+		NotBefore: c.NotBefore, NotAfter: c.NotAfter,
+		PublicKey: c.PublicKey, KeyUsage: c.KeyUsage, MaxPathLen: c.MaxPathLen,
+		Proxy: c.Proxy, Extensions: c.Extensions,
+		SignatureAlg: c.SignatureAlg, Signature: c.Signature,
+	}
+	return fresh.Encode()
 }

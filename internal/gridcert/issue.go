@@ -203,13 +203,14 @@ func DecodeCredential(b []byte) (*Credential, error) {
 
 const maxChainLen = 64
 
-// DecodeChain reverses EncodeChain.
+// DecodeChain reverses EncodeChain. Each entry is handed to Decode as a
+// view of b, so each certificate's own copy is the only one made.
 func DecodeChain(b []byte) ([]*Certificate, error) {
 	d := &decoder{b: b}
 	cnt := d.count("chain", d.u32(), maxChainLen)
 	chain := make([]*Certificate, 0, cnt)
 	for i := 0; i < cnt; i++ {
-		raw := d.bytes()
+		raw := d.view()
 		if d.err != nil {
 			return nil, d.err
 		}

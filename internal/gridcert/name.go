@@ -138,18 +138,38 @@ func (n Name) encodeTo(e *encoder) {
 
 const maxNameComponents = 256
 
-// decodeName reads a Name from d.
+// Each component is two length-prefixed, non-empty strings.
+const minNameComponentLen = 2 * (4 + 1)
+
+// decodeName reads a Name from d as one string: the component span of
+// the input, length prefixes and all, with each Type and Value a
+// substring of it.
 func decodeName(d *decoder) Name {
 	cnt := d.count("name component", d.u32(), maxNameComponents)
-	var n Name
-	for i := 0; i < cnt && d.err == nil; i++ {
-		typ := d.str()
-		val := d.str()
-		if d.err == nil && (typ == "" || val == "") {
+	if d.err != nil || cnt == 0 {
+		return Name{}
+	}
+	if cnt > (len(d.b)-d.off)/minNameComponentLen {
+		d.fail(errTruncated)
+		return Name{}
+	}
+	start := d.off
+	for i := 0; i < cnt; i++ {
+		typ, val := d.view(), d.view()
+		if d.err != nil {
+			return Name{}
+		}
+		if len(typ) == 0 || len(val) == 0 {
 			d.fail(fmt.Errorf("gridcert: empty name component at index %d", i))
 			return Name{}
 		}
-		n.Components = append(n.Components, NameComponent{Type: typ, Value: val})
+	}
+	span := d.b[start:d.off]
+	s := string(span)
+	sd := &decoder{b: span}
+	n := Name{Components: make([]NameComponent, cnt)}
+	for i := range n.Components {
+		n.Components[i] = NameComponent{Type: sd.substr(s), Value: sd.substr(s)}
 	}
 	return n
 }

@@ -153,7 +153,14 @@ func (d *decoder) bytes() []byte {
 	return out
 }
 
-func (d *decoder) str() string { return string(d.bytes()) }
+func (d *decoder) str() string { return string(d.view()) }
+
+// substr returns the next length-prefixed field as a substring of s,
+// which holds the same bytes as d's input.
+func (d *decoder) substr(s string) string {
+	v := d.view()
+	return s[d.off-len(v) : d.off]
+}
 
 // done reports a decoding error if any input remains unconsumed.
 func (d *decoder) done() error {

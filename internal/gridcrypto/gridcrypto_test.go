@@ -3,6 +3,7 @@ package gridcrypto
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -283,5 +284,44 @@ func BenchmarkSignVerifyEd25519(b *testing.B) {
 		if err := kp.Public().Verify(msg, sig); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestHKDFKnownAnswer is RFC 5869's test case A.1 (SHA-256). HKDFKeys's
+// key for an info is the first 32 bytes of the same expand.
+func TestHKDFKnownAnswer(t *testing.T) {
+	unhex := func(s string) []byte {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	ikm := bytes.Repeat([]byte{0x0b}, 22)
+	salt := unhex("000102030405060708090a0b0c")
+	info := unhex("f0f1f2f3f4f5f6f7f8f9")
+	wantPRK := "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"
+	wantOKM := "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
+
+	prk := HKDFExtract(salt, ikm)
+	if got := hex.EncodeToString(prk); got != wantPRK {
+		t.Fatalf("PRK = %s, want %s", got, wantPRK)
+	}
+	okm, err := HKDFExpand(prk, info, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(okm); got != wantOKM {
+		t.Fatalf("OKM = %s, want %s", got, wantOKM)
+	}
+	keys := HKDFKeys(salt, ikm, [][]byte{info, []byte("other"), info})
+	if len(keys) != 3*sha256.Size {
+		t.Fatalf("HKDFKeys returned %d bytes, want %d", len(keys), 3*sha256.Size)
+	}
+	if got := hex.EncodeToString(keys[:32]); got != wantOKM[:64] {
+		t.Fatalf("HKDFKeys first key = %s, want %s", got, wantOKM[:64])
+	}
+	if !bytes.Equal(keys[64:], keys[:32]) || bytes.Equal(keys[32:64], keys[:32]) {
+		t.Fatal("HKDFKeys: a key depends on another info than its own")
 	}
 }

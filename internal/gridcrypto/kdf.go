@@ -39,6 +39,27 @@ func HKDFExpand(prk, info []byte, length int) ([]byte, error) {
 	return out[:length], nil
 }
 
+// HKDFKeys is HKDF with SHA-256 for a key schedule: one extract from
+// salt and ikm, then one sha256.Size-byte key per info, each the first
+// expand block T(1) = HMAC(PRK, info || 0x01) — the bytes
+// HKDFExpand(prk, info, n) returns for any n <= sha256.Size. Every
+// expand runs through one HMAC keyed once with the PRK. The keys come
+// back concatenated in info order.
+func HKDFKeys(salt, ikm []byte, infos [][]byte) []byte {
+	mac := hmac.New(sha256.New, HKDFExtract(salt, ikm))
+	out := make([]byte, 0, len(infos)*sha256.Size)
+	for _, info := range infos {
+		mac.Reset()
+		mac.Write(info)
+		mac.Write(firstBlock)
+		out = mac.Sum(out)
+	}
+	return out
+}
+
+// firstBlock is the counter byte of HKDF's first expand block.
+var firstBlock = []byte{1}
+
 // DeriveKey is the one-shot HKDF: extract with salt then expand with info.
 func DeriveKey(secret, salt, info []byte, length int) ([]byte, error) {
 	return HKDFExpand(HKDFExtract(salt, secret), info, length)

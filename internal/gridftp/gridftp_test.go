@@ -2,6 +2,7 @@ package gridftp
 
 import (
 	"bytes"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -402,5 +403,35 @@ func TestStreamedPutDeniedUpFront(t *testing.T) {
 	// The refusal left no half-open stream: further commands work.
 	if _, err := c.List("/"); err == nil {
 		t.Fatal("bob should be denied list too")
+	}
+}
+
+// TestSilentClientDoesNotStallAccept: a TCP connection that never sends
+// its first handshake token holds up only itself — the next client's
+// Dial completes while it sits there.
+func TestSilentClientDoesNotStallAccept(t *testing.T) {
+	b := newBed(t, openAll("/O=Grid/CN=Alice"))
+	silent, err := net.Dial("tcp", b.srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	time.Sleep(50 * time.Millisecond) // let the server accept it first
+
+	dialed := make(chan error, 1)
+	go func() {
+		c, err := Dial(b.srv.Addr(), b.alice, b.trust, b.srv.Identity())
+		if err == nil {
+			c.Close()
+		}
+		dialed <- err
+	}()
+	select {
+	case err := <-dialed:
+		if err != nil {
+			t.Fatalf("Dial behind a silent client: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Dial still blocked behind a silent client after 2s")
 	}
 }

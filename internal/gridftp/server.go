@@ -24,9 +24,6 @@ type Server struct {
 	trust    *gridcert.TrustStore
 	listener *gsitransport.Listener
 
-	mu      sync.Mutex
-	closing bool
-
 	// stripes collects the data connections of striped transfers as
 	// their JOINs arrive.
 	stripes *gsitransport.Rendezvous
@@ -48,7 +45,7 @@ func NewServer(addr string, store *Store, cred *gridcert.Credential, trust *grid
 			TrustStore: trust,
 		}),
 	}
-	go s.acceptLoop()
+	go s.listener.Serve(context.Background(), s.serve)
 	return s, nil
 }
 
@@ -59,28 +56,7 @@ func (s *Server) Addr() string { return s.listener.Addr().String() }
 func (s *Server) Identity() gridcert.Name { return s.cred.Leaf().Subject }
 
 // Close stops the server.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closing = true
-	s.mu.Unlock()
-	return s.listener.Close()
-}
-
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closing := s.closing
-			s.mu.Unlock()
-			if closing {
-				return
-			}
-			continue // failed handshake; keep serving
-		}
-		go s.serve(conn)
-	}
-}
+func (s *Server) Close() error { return s.listener.Close() }
 
 func (s *Server) serve(conn *gsitransport.Conn) {
 	defer conn.Close()

@@ -79,19 +79,19 @@ func runWithContext(ctx context.Context, raw net.Conn, scope deadlineScope, op f
 	if ctx.Done() == nil {
 		return op()
 	}
-	watchDone := make(chan struct{})
+	// The interrupt is armed on the context itself: no goroutine runs
+	// unless the context ends.
 	interrupted := make(chan struct{})
-	go func() {
-		defer close(interrupted)
-		select {
-		case <-ctx.Done():
-			scope.set(raw, aLongTimeAgo)
-		case <-watchDone:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() {
+		scope.set(raw, aLongTimeAgo)
+		close(interrupted)
+	})
 	err := op()
-	close(watchDone)
-	<-interrupted
+	if !stop() {
+		// The interrupt started: let it finish before the deadline is
+		// cleared, or it could land after and poison the next operation.
+		<-interrupted
+	}
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return ctxErr
 	}
@@ -529,22 +529,18 @@ func (c *Conn) CloseOnDone(ctx context.Context) (stop func()) {
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.raw.Close() }
 
+// handshakeTimeout bounds every acceptor handshake a Listener runs: a
+// peer that connects and then sends nothing is dropped after it.
+const handshakeTimeout = 10 * time.Second
+
 // Listener wraps a net.Listener so every accepted connection completes
-// the acceptor handshake with the given config before being returned.
+// the acceptor handshake with the given config before it is used.
 type Listener struct {
 	inner net.Listener
 	cfg   gss.Config
 
-	// pending parks the in-flight inner Accept of a canceled
-	// AcceptContext call, so the next caller takes it over instead of
-	// racing it for (and losing) the next incoming connection.
-	mu      sync.Mutex
-	pending chan acceptResult
-}
-
-type acceptResult struct {
-	raw net.Conn
-	err error
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // NewListener builds a secured listener.
@@ -554,54 +550,42 @@ func NewListener(inner net.Listener, cfg gss.Config) *Listener {
 
 // Accept waits for a connection and completes the security handshake.
 func (l *Listener) Accept() (*Conn, error) {
-	return l.AcceptContext(context.Background())
-}
-
-// AcceptContext is Accept honoring ctx: cancellation aborts both the wait
-// for a connection and an in-flight acceptor handshake. A canceled call
-// parks its in-flight inner Accept for the next caller, so no incoming
-// connection is stolen and closed by an abandoned wait.
-func (l *Listener) AcceptContext(ctx context.Context) (*Conn, error) {
-	if err := ctx.Err(); err != nil {
+	raw, err := l.inner.Accept()
+	if err != nil {
 		return nil, err
 	}
-	// Take over a parked accept from a previously canceled call, or
-	// start a fresh one.
-	l.mu.Lock()
-	ch := l.pending
-	l.pending = nil
-	l.mu.Unlock()
-	if ch == nil {
-		ch = make(chan acceptResult, 1)
+	return l.handshake(context.Background(), raw)
+}
+
+// Serve accepts connections until the listener is closed or ctx ends
+// (which closes it). Each connection's handshake runs on its own
+// goroutine under handshakeTimeout, and handle gets the established
+// Conn on that goroutine, so a silent peer holds up only itself. A
+// failed handshake closes its connection; serving goes on.
+func (l *Listener) Serve(ctx context.Context, handle func(*Conn)) {
+	stop := context.AfterFunc(ctx, func() { l.Close() })
+	defer stop()
+	for {
+		raw, err := l.inner.Accept()
+		if err != nil {
+			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
+				return
+			}
+			continue
+		}
 		go func() {
-			raw, err := l.inner.Accept()
-			ch <- acceptResult{raw, err}
+			if conn, err := l.handshake(ctx, raw); err == nil {
+				handle(conn)
+			}
 		}()
 	}
-	var raw net.Conn
-	select {
-	case <-ctx.Done():
-		l.mu.Lock()
-		if l.pending == nil {
-			l.pending = ch
-			l.mu.Unlock()
-		} else {
-			// Another canceled call already parked its accept; drain
-			// this one in the background so the connection isn't leaked.
-			l.mu.Unlock()
-			go func() {
-				if a := <-ch; a.raw != nil {
-					a.raw.Close()
-				}
-			}()
-		}
-		return nil, ctx.Err()
-	case a := <-ch:
-		if a.err != nil {
-			return nil, a.err
-		}
-		raw = a.raw
-	}
+}
+
+// handshake runs the acceptor handshake on raw under ctx and
+// handshakeTimeout, closing raw if it fails.
+func (l *Listener) handshake(ctx context.Context, raw net.Conn) (*Conn, error) {
+	ctx, cancel := context.WithTimeout(ctx, handshakeTimeout)
+	defer cancel()
 	conn, err := ServerContext(ctx, raw, l.cfg)
 	if err != nil {
 		raw.Close()
@@ -610,21 +594,11 @@ func (l *Listener) AcceptContext(ctx context.Context) (*Conn, error) {
 	return conn, nil
 }
 
-// Close closes the inner listener and reaps any parked accept.
+// Close closes the inner listener. It is idempotent: every call reports
+// the first close's result.
 func (l *Listener) Close() error {
-	err := l.inner.Close()
-	l.mu.Lock()
-	ch := l.pending
-	l.pending = nil
-	l.mu.Unlock()
-	if ch != nil {
-		go func() {
-			if a := <-ch; a.raw != nil {
-				a.raw.Close()
-			}
-		}()
-	}
-	return err
+	l.closeOnce.Do(func() { l.closeErr = l.inner.Close() })
+	return l.closeErr
 }
 
 // Addr returns the inner listener's address.

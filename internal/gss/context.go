@@ -240,21 +240,7 @@ func (c *Context) Resume(clientNonce, serverNonce []byte) (*Context, error) {
 	salt := make([]byte, 0, len(clientNonce)+len(serverNonce))
 	salt = append(salt, clientNonce...)
 	salt = append(salt, serverNonce...)
-	prk := gridcrypto.HKDFExtract(salt, ikm)
-	var ks keySchedule
-	var err error
-	if ks.initWrite, err = gridcrypto.HKDFExpand(prk, []byte("gsi3 resume initiator write"), gridcrypto.AEADKeySize); err != nil {
-		return nil, err
-	}
-	if ks.acceptWrite, err = gridcrypto.HKDFExpand(prk, []byte("gsi3 resume acceptor write"), gridcrypto.AEADKeySize); err != nil {
-		return nil, err
-	}
-	if ks.initFin, err = gridcrypto.HKDFExpand(prk, []byte("gsi3 resume initiator finished"), 32); err != nil {
-		return nil, err
-	}
-	if ks.acceptFin, err = gridcrypto.HKDFExpand(prk, []byte("gsi3 resume acceptor finished"), 32); err != nil {
-		return nil, err
-	}
+	ks := deriveKeys(salt, ikm, resumeLabels)
 	sendKey, recvKey := ks.initWrite, ks.acceptWrite
 	micKey, vfyKey := ks.initFin, ks.acceptFin
 	if !c.initiator {

@@ -249,21 +249,33 @@ type keySchedule struct {
 	acceptFin   []byte
 }
 
-func deriveKeys(secret []byte, transcriptHash []byte) (keySchedule, error) {
-	prk := gridcrypto.HKDFExtract(transcriptHash, secret)
-	var ks keySchedule
-	var err error
-	if ks.initWrite, err = gridcrypto.HKDFExpand(prk, []byte("gsi3 initiator write"), gridcrypto.AEADKeySize); err != nil {
-		return ks, err
+// The HKDF info labels of the two key schedules, in keySchedule order:
+// a full handshake's and a resumption's.
+var (
+	handshakeLabels = [][]byte{
+		[]byte("gsi3 initiator write"),
+		[]byte("gsi3 acceptor write"),
+		[]byte("gsi3 initiator finished"),
+		[]byte("gsi3 acceptor finished"),
 	}
-	if ks.acceptWrite, err = gridcrypto.HKDFExpand(prk, []byte("gsi3 acceptor write"), gridcrypto.AEADKeySize); err != nil {
-		return ks, err
+	resumeLabels = [][]byte{
+		[]byte("gsi3 resume initiator write"),
+		[]byte("gsi3 resume acceptor write"),
+		[]byte("gsi3 resume initiator finished"),
+		[]byte("gsi3 resume acceptor finished"),
 	}
-	if ks.initFin, err = gridcrypto.HKDFExpand(prk, []byte("gsi3 initiator finished"), 32); err != nil {
-		return ks, err
+)
+
+// deriveKeys is the one key schedule: HKDF-extract from salt and ikm,
+// then the four keys under labels through one keyed HMAC. Each key is
+// one expand block; the write keys are its first AEADKeySize bytes.
+func deriveKeys(salt, ikm []byte, labels [][]byte) keySchedule {
+	k := gridcrypto.HKDFKeys(salt, ikm, labels)
+	const n = sha256.Size
+	return keySchedule{
+		initWrite:   k[0*n : 0*n+gridcrypto.AEADKeySize : 1*n],
+		acceptWrite: k[1*n : 1*n+gridcrypto.AEADKeySize : 2*n],
+		initFin:     k[2*n : 3*n : 3*n],
+		acceptFin:   k[3*n : 4*n : 4*n],
 	}
-	if ks.acceptFin, err = gridcrypto.HKDFExpand(prk, []byte("gsi3 acceptor finished"), 32); err != nil {
-		return ks, err
-	}
-	return ks, nil
 }

@@ -100,10 +100,7 @@ func (i *Initiator) Finish(token2Bytes []byte) ([]byte, *Context, error) {
 	}
 	keyTr := sigTr
 	keyTr.add("token2-sig", t2.sig)
-	ks, err := deriveKeys(secret, keyTr.sum())
-	if err != nil {
-		return nil, nil, err
-	}
+	ks := deriveKeys(keyTr.sum(), secret, handshakeLabels)
 	// Verify the acceptor's finished MAC (binds keys to transcript).
 	if !gridcrypto.HMACEqual(t2.finished, gridcrypto.HMACSHA256(ks.acceptFin, keyTr.sum())) {
 		return nil, nil, fmt.Errorf("%w: acceptor finished MAC", ErrAuthFailed)
@@ -202,10 +199,7 @@ func (a *Acceptor) Accept(token1Bytes []byte) ([]byte, error) {
 	}
 	keyTr := sigTr
 	keyTr.add("token2-sig", sig)
-	a.ks, err = deriveKeys(secret, keyTr.sum())
-	if err != nil {
-		return nil, err
-	}
+	a.ks = deriveKeys(keyTr.sum(), secret, handshakeLabels)
 	t2.finished = gridcrypto.HMACSHA256(a.ks.acceptFin, keyTr.sum())
 	a.tr = keyTr
 	a.tr.add("token2-finished", t2.finished)

@@ -287,3 +287,43 @@ func TestCloseAbortsCASPullInFlight(t *testing.T) {
 		t.Fatalf("gsi_cas_sync_failures_total = %q after the aborted pull, want 1:\n%s", failures, sb.String())
 	}
 }
+
+// TestSilentClientDoesNotStallServe: a TCP connection that never sends
+// its first handshake token holds up only itself — the next client's
+// handshake completes while it sits there.
+func TestSilentClientDoesNotStallServe(t *testing.T) {
+	tb := newTestbed(t)
+	server, err := tb.env.NewServer(tb.host, gsi.WithTransport(gsi.TransportGT2()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ep, err := server.Serve(ctx, "127.0.0.1:0", echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+
+	silent, err := net.Dial("tcp", ep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	time.Sleep(50 * time.Millisecond) // let the server accept it first
+
+	client, err := tb.env.NewClient(tb.alice, gsi.WithTransport(gsi.TransportGT2()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx, ccancel := context.WithTimeout(ctx, 2*time.Second)
+	defer ccancel()
+	sess, err := client.Connect(cctx, ep.Addr())
+	if err != nil {
+		t.Fatalf("Connect behind a silent client: %v", err)
+	}
+	defer sess.Close()
+	if out, err := sess.Exchange(cctx, "echo", []byte("ping")); err != nil || string(out) != "ping" {
+		t.Fatalf("Exchange behind a silent client: %v %q", err, out)
+	}
+}

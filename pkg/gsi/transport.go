@@ -327,18 +327,7 @@ func (t gt2Transport) Serve(ctx context.Context, addr string, cfg ServeConfig) (
 	serveCtx, cancel := context.WithCancel(ctx)
 	listener := gsitransport.NewListener(inner, cfg.Context)
 	ep := &gt2Endpoint{addr: inner.Addr().String(), cancel: cancel, listener: listener}
-	go func() {
-		for {
-			conn, err := listener.AcceptContext(serveCtx)
-			if err != nil {
-				if serveCtx.Err() != nil || errors.Is(err, net.ErrClosed) {
-					return
-				}
-				continue // a failed handshake must not stop the acceptor
-			}
-			go serveGT2Conn(serveCtx, conn, cfg)
-		}
-	}()
+	go listener.Serve(serveCtx, func(conn *gsitransport.Conn) { serveGT2Conn(serveCtx, conn, cfg) })
 	return ep, nil
 }
 
