@@ -307,7 +307,7 @@ func decodeTBS(tbs []byte) (*Certificate, error) {
 	if c.Version != certVersion {
 		return nil, fmt.Errorf("gridcert: unsupported certificate version %d", c.Version)
 	}
-	pk, err := gridcrypto.DecodePublicKeyView(pkBytes)
+	pk, err := gridcrypto.DecodePublicKey(pkBytes)
 	if err != nil {
 		return nil, fmt.Errorf("gridcert: bad subject public key: %w", err)
 	}

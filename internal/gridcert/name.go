@@ -138,19 +138,12 @@ func (n Name) encodeTo(e *encoder) {
 
 const maxNameComponents = 256
 
-// Each component is two length-prefixed, non-empty strings.
-const minNameComponentLen = 2 * (4 + 1)
-
 // decodeName reads a Name from d as one string: the component span of
 // the input, length prefixes and all, with each Type and Value a
 // substring of it.
 func decodeName(d *decoder) Name {
 	cnt := d.count("name component", d.u32(), maxNameComponents)
 	if d.err != nil || cnt == 0 {
-		return Name{}
-	}
-	if cnt > (len(d.b)-d.off)/minNameComponentLen {
-		d.fail(errTruncated)
 		return Name{}
 	}
 	start := d.off

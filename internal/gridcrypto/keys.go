@@ -80,21 +80,9 @@ func (p PublicKey) Encode() []byte {
 }
 
 // DecodePublicKey parses a wire-encoded public key produced by Encode.
-// The key owns its bytes.
+// Raw is a capacity-capped view of b, so the key aliases b: b must not
+// change while the key is in use.
 func DecodePublicKey(b []byte) (PublicKey, error) {
-	pk, err := DecodePublicKeyView(b)
-	if err != nil {
-		return PublicKey{}, err
-	}
-	pk.Raw = append([]byte(nil), pk.Raw...)
-	return pk, nil
-}
-
-// DecodePublicKeyView is DecodePublicKey without the copy: Raw is a
-// capacity-capped view of b, so b must not change while the key is in
-// use. A decoded certificate keys itself this way into its own private
-// copy of its encoding.
-func DecodePublicKeyView(b []byte) (PublicKey, error) {
 	if len(b) < 2 {
 		return PublicKey{}, errors.New("gridcrypto: public key too short")
 	}

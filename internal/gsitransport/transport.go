@@ -561,18 +561,25 @@ func (l *Listener) Accept() (*Conn, error) {
 // (which closes it). Each connection's handshake runs on its own
 // goroutine under handshakeTimeout, and handle gets the established
 // Conn on that goroutine, so a silent peer holds up only itself. A
-// failed handshake closes its connection; serving goes on.
+// failed handshake closes its connection; serving goes on. Any other
+// Accept error (EMFILE while silent peers hold every descriptor, say)
+// is retried after a pause that doubles from 5 ms up to 1 s and resets
+// on the next accepted connection, so the loop does not spin.
 func (l *Listener) Serve(ctx context.Context, handle func(*Conn)) {
 	stop := context.AfterFunc(ctx, func() { l.Close() })
 	defer stop()
+	var delay time.Duration
 	for {
 		raw, err := l.inner.Accept()
 		if err != nil {
 			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
 				return
 			}
+			delay = min(max(2*delay, 5*time.Millisecond), time.Second)
+			time.Sleep(delay)
 			continue
 		}
+		delay = 0
 		go func() {
 			if conn, err := l.handshake(ctx, raw); err == nil {
 				handle(conn)

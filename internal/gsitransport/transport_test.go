@@ -2,7 +2,10 @@ package gsitransport
 
 import (
 	"bytes"
+	"context"
 	"net"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -283,5 +286,49 @@ func BenchmarkGT2Send4K(b *testing.B) {
 		if err := client.Send(msg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// failingListener fails every Accept with a non-close error, as a
+// listener out of file descriptors does, until it is closed.
+type failingListener struct {
+	net.Listener
+	calls  atomic.Int64
+	closed atomic.Bool
+}
+
+func (f *failingListener) Accept() (net.Conn, error) {
+	f.calls.Add(1)
+	if f.closed.Load() {
+		return nil, net.ErrClosed
+	}
+	return nil, syscall.EMFILE
+}
+
+func (f *failingListener) Close() error { f.closed.Store(true); return nil }
+
+// TestServeBacksOffOnAcceptErrors: Serve retries a failing Accept after
+// a growing pause instead of spinning, and still returns once the
+// listener is closed.
+func TestServeBacksOffOnAcceptErrors(t *testing.T) {
+	creds := newCreds(t)
+	inner := &failingListener{}
+	l := NewListener(inner, gss.Config{Credential: creds.host, TrustStore: creds.ts})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		l.Serve(ctx, func(c *Conn) { c.Close() })
+		close(done)
+	}()
+	time.Sleep(300 * time.Millisecond)
+	// 5+10+20+40+80 ms of pauses fit in 300 ms: about six calls.
+	if n := inner.calls.Load(); n > 20 {
+		t.Errorf("Accept called %d times in 300ms of EMFILE; want a backoff (at most 20)", n)
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve did not return after its context ended")
 	}
 }
