@@ -50,9 +50,17 @@ reachable:
 ## exported With* it declares is named by a cmd, an example, the
 ## benchmark or a test, and only the five handle constructors take
 ## ...Option — an option nobody sets, or a per-call option list, fails
-## here instead of quietly coming back.
+## here instead of quietly coming back. The count is a ratchet: more
+## exported With* than OPTIONS_CEILING fails, and DESIGN.md's option
+## inventory ("All N, as ...") must state the ceiling. Deleting an
+## option lowers both.
+OPTIONS_CEILING := 31
+
 options:
 	@src=$$(ls pkg/gsi/*.go | grep -v '_test\.go$$'); \
+	count=$$(grep -ho '^func With[A-Za-z0-9]*' $$src | sort -u | wc -l); \
+	over=""; [ "$$count" -le $(OPTIONS_CEILING) ] || over=yes; \
+	stale=""; grep -q '^All $(OPTIONS_CEILING), as ' DESIGN.md || stale=yes; \
 	unset=$$(grep -ho '^func With[A-Za-z0-9]*' $$src | sed 's/^func //' | sort -u | while read -r o; do \
 		grep -rqw --include='*.go' "$$o" cmd examples bench || \
 		grep -rqw --include='*_test.go' "$$o" . || echo "$$o"; done); \
@@ -60,7 +68,9 @@ options:
 		grep -vE '^func (\([^)]*\) )?(NewClient|NewServer|NewSessionPool|NewCredentialManager|NewAuthorizationPipeline)\('); \
 	if [ -n "$$unset" ]; then echo "pkg/gsi options no cmd, example, benchmark or test sets:"; echo "$$unset"; fi; \
 	if [ -n "$$percall" ]; then echo "pkg/gsi functions other than the handle constructors taking ...Option:"; echo "$$percall"; fi; \
-	[ -z "$$unset$$percall" ]
+	if [ -n "$$over" ]; then echo "pkg/gsi declares $$count With* options, over the ceiling of $(OPTIONS_CEILING)"; fi; \
+	if [ -n "$$stale" ]; then echo "DESIGN.md's option inventory does not read 'All $(OPTIONS_CEILING), as ...'"; fi; \
+	[ -z "$$unset$$percall$$over$$stale" ]
 
 test:
 	$(GO) test ./...

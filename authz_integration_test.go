@@ -80,7 +80,8 @@ func testAuthzRevocationUnderLoad(t *testing.T, transport gsi.Transport) {
 	gridmap := gsi.NewGridMap()
 	gridmap.Add(alice.Identity(), "alice")
 	audit := secsvc.NewAuditLog()
-	pipeline, err := env.NewAuthorizationPipeline(
+	server, err := env.NewServer(host,
+		gsi.WithTransport(transport),
 		gsi.WithLocalPolicy(local),
 		gsi.WithTrustedVO(vo.Certificate()),
 		gsi.WithGridMap(gridmap),
@@ -90,12 +91,7 @@ func testAuthzRevocationUnderLoad(t *testing.T, transport gsi.Transport) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := env.NewServer(host,
-		gsi.WithTransport(transport),
-		gsi.WithAuthorizationPipeline(pipeline))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pipeline := server.AuthorizationPipeline()
 	ep, err := server.Serve(ctx, "127.0.0.1:0",
 		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
 			return []byte(peer.LocalAccount), nil

@@ -4,10 +4,10 @@
 // under a context.Context, embeds it in a restricted proxy, and a
 // resource enforces the intersection of VO and local policy.
 //
-// With -serve the enforcement runs through a live facade server's
-// authorization pipeline instead of the bare enforcer: N exchanges hit
-// the decision cache, a -revoke pass proves the generation bump defeats
-// cached grants, and the audit chain is verified.
+// With -serve the enforcement also runs through a live facade server's
+// authorization pipeline: N exchanges hit the decision cache, a -revoke
+// pass proves the generation bump defeats cached grants, and the audit
+// chain is verified.
 //
 // Usage:
 //
@@ -98,9 +98,11 @@ func main() {
 		Resources: []string{"data:/*"},
 		Actions:   []string{"read", "write"},
 	})
-	enforcer := gsi.NewCASEnforcer(env.Trust(), local)
-	enforcer.TrustVO(server.Certificate())
-	res, err := enforcer.AuthorizeContext(ctx, proxyCred.Chain, *resource, *action, time.Time{})
+	enforcer, err := env.NewAuthorizationPipeline(gsi.WithLocalPolicy(local), gsi.WithTrustedVO(server.Certificate()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := enforcer.Authorize(ctx, gsi.Peer{Chain: proxyCred.Chain}, *resource, *action)
 	if err != nil {
 		log.Fatalf("step 3 (enforce): %v", err)
 	}
@@ -144,7 +146,7 @@ func main() {
 	gridmap := gsi.NewGridMap()
 	gridmap.Add(memberDN, "griduser")
 	audit := secsvc.NewAuditLog()
-	pipeline, err := env.NewAuthorizationPipeline(
+	facade, err := env.NewServer(host,
 		gsi.WithLocalPolicy(serverLocal),
 		gsi.WithTrustedVO(server.Certificate()),
 		gsi.WithGridMap(gridmap),
@@ -154,10 +156,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	facade, err := env.NewServer(host, gsi.WithAuthorizationPipeline(pipeline))
-	if err != nil {
-		log.Fatal(err)
-	}
+	pipeline := facade.AuthorizationPipeline()
 	ep, err := facade.Serve(ctx, "127.0.0.1:0",
 		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
 			return []byte(peer.LocalAccount), nil

@@ -80,12 +80,16 @@ func main() {
 		log.Fatal(err)
 	}
 	audit := secsvc.NewAuditLog()
+	pipeline, err := env.NewAuthorizationPipeline(gsi.WithLocalPolicy(policy))
+	if err != nil {
+		log.Fatal(err)
+	}
 	container, err := ogsa.NewContainer(ogsa.ContainerConfig{
-		Name:       "inventory.example.org",
-		Credential: host,
-		TrustStore: env.Trust(),
-		Authorizer: &authz.PolicyEngine{Policy: policy, DefaultDeny: true},
-		Audit:      audit,
+		Name:            "inventory.example.org",
+		Credential:      host,
+		TrustStore:      env.Trust(),
+		ChainAuthorizer: pipeline,
+		Audit:           audit,
 	})
 	if err != nil {
 		log.Fatal(err)

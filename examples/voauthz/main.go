@@ -91,7 +91,7 @@ func main() {
 	gridmap := gsi.NewGridMap()
 	gridmap.Add(alice.Identity(), "alice")
 	audit := secsvc.NewAuditLog()
-	pipeline, err := env.NewAuthorizationPipeline(
+	server, err := env.NewServer(host,
 		gsi.WithLocalPolicy(local),
 		gsi.WithTrustedVO(vo.Certificate()),
 		gsi.WithGridMap(gridmap),
@@ -101,10 +101,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	server, err := env.NewServer(host, gsi.WithAuthorizationPipeline(pipeline))
-	if err != nil {
-		log.Fatal(err)
-	}
+	pipeline := server.AuthorizationPipeline()
 	ep, err := server.Serve(ctx, "127.0.0.1:0",
 		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
 			return []byte(fmt.Sprintf("%s ran %s as local account %q", peer.Identity, op, peer.LocalAccount)), nil

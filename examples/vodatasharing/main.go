@@ -74,8 +74,10 @@ func main() {
 		Resources: []string{"gridftp:/climate/*"},
 		Actions:   []string{"read", "write"},
 	})
-	enforcer := gsi.NewCASEnforcer(anlEnv.Trust(), local)
-	enforcer.TrustVO(casServer.Certificate())
+	enforcer, err := anlEnv.NewAuthorizationPipeline(gsi.WithLocalPolicy(local), gsi.WithTrustedVO(casServer.Certificate()))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Step 1–2 through Alice's Client handle: request the assertion
 	// (cancellable) and embed it in a restricted proxy.
@@ -99,8 +101,8 @@ func main() {
 		{"write", "gridftp:/climate/run7"},
 		{"read", "gridftp:/secret/plans"},
 	} {
-		res, err := enforcer.AuthorizeContext(ctx, cred.Chain, attempt.resource, attempt.action, time.Time{})
-		if err != nil && res.Decision != gsi.Deny {
+		res, err := enforcer.Authorize(ctx, gsi.Peer{Chain: cred.Chain}, attempt.resource, attempt.action)
+		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %s %-24s -> %-6s (local=%s, vo=%s)\n",

@@ -21,6 +21,7 @@ import (
 	"repro/internal/proxy"
 	"repro/internal/secsvc"
 	"repro/internal/soap"
+	"repro/pkg/gsi"
 )
 
 // fixture is a single-CA grid: the CA, a trust store holding it, a user
@@ -168,14 +169,20 @@ func TestIntegrationCASGovernedSharing(t *testing.T) {
 		Resources: []string{"data:/*"},
 		Actions:   []string{"read", "write", "delete"},
 	})
-	enforcer := cas.NewEnforcer(f.trust, local)
-	enforcer.TrustVO(server.Certificate())
-
-	res, err := enforcer.Authorize(cred.Chain, "data:/shared/set1", "read", time.Time{})
+	env, err := gsi.NewEnvironment(gsi.WithRoots(f.auth.Certificate()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enforcer, err := env.NewAuthorizationPipeline(gsi.WithLocalPolicy(local), gsi.WithTrustedVO(server.Certificate()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := enforcer.Authorize(ctx, gsi.Peer{Chain: cred.Chain}, "data:/shared/set1", "read")
 	if err != nil || res.Decision != authz.Permit {
 		t.Fatalf("read: %v %+v", err, res)
 	}
-	res, _ = enforcer.Authorize(cred.Chain, "data:/shared/set1", "delete", time.Time{})
+	res, _ = enforcer.Authorize(ctx, gsi.Peer{Chain: cred.Chain}, "data:/shared/set1", "delete")
 	if res.Decision != authz.Deny {
 		t.Fatalf("delete: %+v", res)
 	}
@@ -248,13 +255,21 @@ func TestIntegrationFullStackHTTP(t *testing.T) {
 		Resources: []string{"ogsa:*"},
 		Actions:   []string{"*"},
 	})
+	env, err := gsi.NewEnvironment(gsi.WithRoots(f.auth.Certificate()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipeline, err := env.NewAuthorizationPipeline(gsi.WithLocalPolicy(pol))
+	if err != nil {
+		t.Fatal(err)
+	}
 	audit := secsvc.NewAuditLog()
 	container, err := ogsa.NewContainer(ogsa.ContainerConfig{
-		Name:       "full",
-		Credential: f.host,
-		TrustStore: f.trust,
-		Authorizer: &authz.PolicyEngine{Policy: pol, DefaultDeny: true},
-		Audit:      audit,
+		Name:            "full",
+		Credential:      f.host,
+		TrustStore:      f.trust,
+		ChainAuthorizer: pipeline,
+		Audit:           audit,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -106,23 +106,6 @@ func TestCombiningAlgorithms(t *testing.T) {
 	}
 }
 
-func TestPolicyEngineDefaultDeny(t *testing.T) {
-	e := &PolicyEngine{Policy: NewPolicy(DenyOverrides), DefaultDeny: true}
-	d, err := e.Authorize(Request{Subject: alice, Resource: "x", Action: "y"})
-	if err != nil || d != Deny {
-		t.Fatalf("default deny: %v %v", d, err)
-	}
-	open := &PolicyEngine{Policy: NewPolicy(DenyOverrides)}
-	d, err = open.Authorize(Request{Subject: alice, Resource: "x", Action: "y"})
-	if err != nil || d != NotApplicable {
-		t.Fatalf("open world: %v %v", d, err)
-	}
-	nilEngine := &PolicyEngine{}
-	if _, err := nilEngine.Authorize(Request{}); err == nil {
-		t.Fatal("engine without policy did not error")
-	}
-}
-
 func TestCombineConjunction(t *testing.T) {
 	cases := []struct {
 		in   []Decision

@@ -1,13 +1,12 @@
 // Package authz implements the grid authorization engine: attribute- and
 // identity-based policy rules with pluggable combination algorithms,
-// and the grid-mapfile. It is consumed
-// directly by resources (GT2 style) and wrapped as an OGSA authorization
-// service (GT3 style, paper §4.1: "a service that evaluates policy rules
-// regarding the decision to allow the attempted actions").
+// and the grid-mapfile. The facade's authorization pipeline evaluates
+// it, for GT2 sessions and GT3 containers alike (paper §4.1: "a service
+// that evaluates policy rules regarding the decision to allow the
+// attempted actions").
 package authz
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -412,32 +411,6 @@ func (p *Policy) Evaluate(req Request) Decision {
 	default:
 		return NotApplicable
 	}
-}
-
-// Engine is the authorization-service interface (OGSA roadmap §4.1).
-type Engine interface {
-	Authorize(req Request) (Decision, error)
-}
-
-// PolicyEngine adapts a Policy to the Engine interface with a default
-// decision for NotApplicable.
-type PolicyEngine struct {
-	Policy *Policy
-	// DefaultDeny treats NotApplicable as Deny (closed world). Resources
-	// are closed-world by default in GSI.
-	DefaultDeny bool
-}
-
-// Authorize implements Engine.
-func (e *PolicyEngine) Authorize(req Request) (Decision, error) {
-	if e.Policy == nil {
-		return Deny, errors.New("authz: engine has no policy")
-	}
-	d := e.Policy.Evaluate(req)
-	if d == NotApplicable && e.DefaultDeny {
-		return Deny, nil
-	}
-	return d, nil
 }
 
 // Combine computes the resource-side conjunction of several decisions:

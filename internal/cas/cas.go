@@ -313,7 +313,7 @@ func EmbedInProxy(member *gridcert.Credential, a *Assertion) (*gridcert.Credenti
 // all. Callers branch on it to distinguish "the requester simply did
 // not present community credentials" (fall back to local policy) from
 // "the requester presented a CAS block that does not parse" (which must
-// deny — see Enforcer.AuthorizeContext).
+// deny — see CheckAssertion).
 var ErrNoAssertion = errors.New("cas: chain carries no CAS assertion")
 
 // ExtractAssertion recovers a CAS assertion from a validated chain's

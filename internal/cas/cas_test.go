@@ -11,15 +11,14 @@ import (
 	"repro/internal/gridcert"
 )
 
-// voBed is a full CAS test fixture: a CA, a VO with a CAS server, a
-// member, and a resource enforcer.
+// voBed is a full CAS test fixture: a CA, a trust store holding it, a
+// VO with a CAS server, a member and an outsider.
 type voBed struct {
-	auth     *ca.Authority
-	trust    *gridcert.TrustStore
-	server   *Server
-	alice    *gridcert.Credential
-	bob      *gridcert.Credential
-	enforcer *Enforcer
+	auth   *ca.Authority
+	trust  *gridcert.TrustStore
+	server *Server
+	alice  *gridcert.Credential
+	bob    *gridcert.Credential
 }
 
 func newVOBed(t testing.TB) *voBed {
@@ -53,19 +52,27 @@ func newVOBed(t testing.TB) *voBed {
 		Resources: []string{"data:/climate/*"},
 		Actions:   []string{"read"},
 	})
+	return &voBed{auth: auth, trust: trust, server: server, alice: alice, bob: bob}
+}
 
-	// The resource's local policy: members of the grid CA may read and
-	// write its climate data (the VO will narrow this to read-only).
-	local := authz.NewPolicy(authz.DenyOverrides).Add(authz.Rule{
-		ID:        "local-allow",
-		Effect:    authz.EffectPermit,
-		Subjects:  []string{"*"},
-		Resources: []string{"data:/climate/*"},
-		Actions:   []string{"read", "write"},
-	})
-	enforcer := NewEnforcer(trust, local)
-	enforcer.TrustVO(server.Certificate())
-	return &voBed{auth: auth, trust: trust, server: server, alice: alice, bob: bob, enforcer: enforcer}
+// check is a resource's test of the assertion a presented chain
+// carries: the chain is validated against the bed's trust store, and
+// the bed's VO is the only community trusted.
+func (b *voBed) check(t testing.TB, chain []*gridcert.Certificate, now time.Time) (*Assertion, string, error) {
+	t.Helper()
+	info, err := b.trust.Verify(chain, gridcert.VerifyOptions{Now: now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return CheckAssertion(info, trustOnly(b.server.Certificate()), now)
+}
+
+// trustOnly is a trusted-VO lookup that knows vo alone (nothing when vo
+// is nil).
+func trustOnly(vo *gridcert.Certificate) func(gridcert.Name) (*gridcert.Certificate, bool) {
+	return func(n gridcert.Name) (*gridcert.Certificate, bool) {
+		return vo, vo != nil && n.Equal(vo.Subject)
+	}
 }
 
 func TestAssertionRoundTrip(t *testing.T) {
@@ -134,66 +141,6 @@ func TestAssertionScopedToMember(t *testing.T) {
 	}
 }
 
-// TestFigure2Flow exercises the full three-step CAS flow.
-func TestFigure2Flow(t *testing.T) {
-	bed := newVOBed(t)
-
-	// Step 1: Alice gets her assertion.
-	a, err := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Step 2: she embeds it in a restricted proxy.
-	proxyCred, err := EmbedInProxy(bed.alice, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Step 3: the resource authorizes read (VO permits, local permits)…
-	res, err := bed.enforcer.Authorize(proxyCred.Chain, "data:/climate/run1", "read", time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Decision != authz.Permit {
-		t.Fatalf("read: %+v", res)
-	}
-	// …but denies write: local policy would allow it, the VO assertion
-	// does not, and the applied policy is the intersection.
-	res, err = bed.enforcer.Authorize(proxyCred.Chain, "data:/climate/run1", "write", time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Decision != authz.Deny {
-		t.Fatalf("write: %+v", res)
-	}
-	if res.Local != authz.Permit || res.VO == authz.Permit {
-		t.Fatalf("component decisions: %+v", res)
-	}
-}
-
-func TestResourceRemainsUltimateAuthority(t *testing.T) {
-	bed := newVOBed(t)
-	// The VO grants delete on everything, but local policy does not.
-	bed.server.AddPolicy(authz.Rule{
-		ID:        "vo-generous",
-		Effect:    authz.EffectPermit,
-		Groups:    []string{"researchers"},
-		Resources: []string{"*"},
-		Actions:   []string{"delete"},
-	})
-	a, _ := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity())
-	proxyCred, _ := EmbedInProxy(bed.alice, a)
-	res, err := bed.enforcer.Authorize(proxyCred.Chain, "data:/climate/run1", "delete", time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Decision != authz.Deny {
-		t.Fatal("VO policy overrode local authority")
-	}
-	if res.VO != authz.Permit || res.Local == authz.Permit {
-		t.Fatalf("component decisions: %+v", res)
-	}
-}
-
 func TestUntrustedVOAssertionRejected(t *testing.T) {
 	bed := newVOBed(t)
 	rogueVO, err := bed.auth.NewEntity(gridcert.MustParseName("/O=Grid/CN=Rogue CAS"), time.Hour)
@@ -205,19 +152,19 @@ func TestUntrustedVOAssertionRejected(t *testing.T) {
 	rogue.AddPolicy(authz.Rule{Effect: authz.EffectPermit, Groups: []string{"researchers"}})
 	a, _ := rogue.IssueAssertionContext(context.Background(), bed.alice.Identity())
 	proxyCred, _ := EmbedInProxy(bed.alice, a)
-	res, _ := bed.enforcer.Authorize(proxyCred.Chain, "data:/climate/run1", "read", time.Time{})
-	if res.Decision != authz.Deny {
+	got, reason, _ := bed.check(t, proxyCred.Chain, time.Now())
+	if got != nil {
 		t.Fatal("assertion from untrusted VO accepted")
 	}
-	if !strings.Contains(res.Reason, "untrusted VO") {
-		t.Fatalf("reason = %q", res.Reason)
+	if !strings.Contains(reason, "untrusted VO") {
+		t.Fatalf("reason = %q", reason)
 	}
 }
 
 func TestStolenAssertionRejected(t *testing.T) {
 	bed := newVOBed(t)
 	// Bob embeds Alice's assertion in his own proxy: EmbedInProxy refuses,
-	// and even a hand-rolled embedding fails at the enforcer because the
+	// and even a hand-rolled embedding fails the check because the
 	// assertion subject must match the authenticated identity.
 	a, _ := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity())
 	if _, err := EmbedInProxy(bed.bob, a); err == nil {
@@ -228,9 +175,12 @@ func TestStolenAssertionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := bed.enforcer.Authorize(cred.Chain, "data:/climate/run1", "read", time.Time{})
-	if res.Decision != authz.Deny {
+	got, reason, _ := bed.check(t, cred.Chain, time.Now())
+	if got != nil {
 		t.Fatal("stolen assertion accepted")
+	}
+	if reason != "assertion subject does not match authenticated identity" {
+		t.Fatalf("reason = %q", reason)
 	}
 }
 
@@ -249,27 +199,12 @@ func TestExpiredAssertionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := bed.enforcer.Authorize(cred.Chain, "data:/climate/run1", "read", time.Time{})
-	if res.Decision != authz.Deny {
+	got, reason, err := bed.check(t, cred.Chain, time.Now())
+	if got != nil {
 		t.Fatal("expired assertion accepted")
 	}
-}
-
-func TestNoAssertionFallsBackToLocalOnly(t *testing.T) {
-	bed := newVOBed(t)
-	// Alice presents her bare credential (no proxy, no assertion): local
-	// policy alone decides — and it permits read.
-	res, err := bed.enforcer.Authorize(bed.alice.Chain, "data:/climate/run1", "read", time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Decision != authz.Permit || res.VO != authz.NotApplicable {
-		t.Fatalf("%+v", res)
-	}
-	// For a resource not covered by local policy, deny.
-	res, _ = bed.enforcer.Authorize(bed.alice.Chain, "data:/secret", "read", time.Time{})
-	if res.Decision != authz.Deny {
-		t.Fatalf("%+v", res)
+	if reason != "assertion verification failed" || err == nil {
+		t.Fatalf("reason = %q, err = %v", reason, err)
 	}
 }
 
@@ -287,19 +222,6 @@ func BenchmarkIssueAssertion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity()); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEnforcerAuthorize(b *testing.B) {
-	bed := newVOBed(b)
-	a, _ := bed.server.IssueAssertionContext(context.Background(), bed.alice.Identity())
-	cred, _ := EmbedInProxy(bed.alice, a)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := bed.enforcer.Authorize(cred.Chain, "data:/climate/run1", "read", time.Time{})
-		if err != nil || res.Decision != authz.Permit {
-			b.Fatalf("%v %+v", err, res)
 		}
 	}
 }

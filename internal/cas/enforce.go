@@ -1,65 +1,24 @@
 package cas
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/authz"
 	"repro/internal/gridcert"
 )
 
-// Enforcer is the resource side of Figure 2 (step 3): it validates the
-// presented chain, extracts and verifies the CAS assertion, evaluates the
-// VO policy it carries, evaluates local policy, and permits the request
-// only when *both* permit — keeping the resource the ultimate authority.
-type Enforcer struct {
-	// Trust validates requester chains.
-	Trust *gridcert.TrustStore
-	// Local is the resource's own policy.
-	Local *authz.Policy
-
-	mu  sync.RWMutex
-	vos map[string]*gridcert.Certificate // trusted CAS signing certs by VO DN
-}
-
-// NewEnforcer creates a resource-side enforcer.
-func NewEnforcer(trust *gridcert.TrustStore, local *authz.Policy) *Enforcer {
-	return &Enforcer{
-		Trust: trust,
-		Local: local,
-		vos:   make(map[string]*gridcert.Certificate),
-	}
-}
-
-// TrustVO registers a CAS server certificate: the resource provider's act
-// of outsourcing policy to that community.
-func (e *Enforcer) TrustVO(casCert *gridcert.Certificate) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.vos[casCert.Subject.String()] = casCert
-}
-
-func (e *Enforcer) trustedVO(vo gridcert.Name) (*gridcert.Certificate, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	cert, ok := e.vos[vo.String()]
-	return cert, ok
-}
-
 // CheckAssertion extracts and fully verifies the CAS assertion a
 // validated chain carries: decode, trusted-VO resolution, signature and
-// validity window, subject binding. It is the one implementation of
-// the "is this community statement usable?" question, shared by the
-// Enforcer and the facade's authorization pipeline so the checks can
-// never drift apart. Outcomes:
+// validity window, subject binding, rule effects. It is the one
+// implementation of the "is this community statement usable?" question;
+// the resource side of Figure 2 (step 3) — the facade's authorization
+// pipeline — asks it before any VO rule is evaluated. Outcomes:
 //
 //   - (nil, "", nil): the chain carries no assertion at all — the
 //     caller falls back to local policy;
-//   - (a, "", nil): a is fully verified and bound to the chain's
-//     identity;
+//   - (a, "", nil): a is fully verified, bound to the chain's identity,
+//     and every rule it carries has a valid effect;
 //   - (nil, reason, err): an assertion is present but unusable — the
 //     caller must deny, quoting reason (err adds detail and may be nil).
 func CheckAssertion(info *gridcert.ChainInfo, trustedVO func(gridcert.Name) (*gridcert.Certificate, bool), now time.Time) (*Assertion, string, error) {
@@ -82,91 +41,14 @@ func CheckAssertion(info *gridcert.ChainInfo, trustedVO func(gridcert.Name) (*gr
 	if !assertion.Subject.Equal(info.Identity) {
 		return nil, "assertion subject does not match authenticated identity", nil
 	}
-	return assertion, "", nil
-}
-
-// Result is an explained decision, for auditing.
-type Result struct {
-	Decision authz.Decision
-	// Local and VO hold the component decisions.
-	Local authz.Decision
-	VO    authz.Decision
-	// Identity is the authenticated requester.
-	Identity gridcert.Name
-	// Reason is a human-readable explanation.
-	Reason string
-}
-
-// Authorize runs the full step-3 check on a presented chain.
-func (e *Enforcer) Authorize(chain []*gridcert.Certificate, resource, action string, now time.Time) (Result, error) {
-	return e.AuthorizeContext(context.Background(), chain, resource, action, now)
-}
-
-// AuthorizeContext is Authorize honoring ctx: a canceled or expired
-// context denies the request with ctx.Err() before any validation work.
-func (e *Enforcer) AuthorizeContext(ctx context.Context, chain []*gridcert.Certificate, resource, action string, now time.Time) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{Decision: authz.Deny, Reason: "request context ended"}, err
-	}
-	if now.IsZero() {
-		now = time.Now()
-	}
-	info, err := e.Trust.Verify(chain, gridcert.VerifyOptions{Now: now})
-	if err != nil {
-		return Result{Decision: authz.Deny, Reason: "authentication failed"}, err
-	}
-	res := Result{Identity: info.Identity}
-	req := authz.Request{Subject: info.Identity, Resource: resource, Action: action, Time: now}
-
-	// VO policy applies through the assertion, if one is present. An
-	// assertion that is present but malformed must deny outright — it
-	// previously degraded to local-policy-only, letting a corrupted or
-	// tampered CAS block widen access to whatever local policy allows.
-	assertion, reason, aerr := CheckAssertion(info, e.trustedVO, now)
-	if reason != "" {
-		res.Decision = authz.Deny
-		res.Reason = reason
-		return res, aerr
-	}
-
-	if assertion == nil {
-		// No assertion at all: decision rests on local policy alone,
-		// which must therefore permit explicitly.
-		res.Local = e.Local.Evaluate(req)
-		res.VO = authz.NotApplicable
-		res.Decision = res.Local
-		if res.Decision != authz.Permit {
-			res.Decision = authz.Deny
-			res.Reason = "no CAS assertion and local policy does not permit"
-		} else {
-			res.Reason = "permitted by local policy alone"
-		}
-		return res, nil
-	}
-	// Only now — signature checked, subject bound — may the assertion's
-	// VO attributes flow into the request, so local policy can match on
-	// community groups and roles the VO actually vouched for.
-	req.Groups = assertion.Groups
-	req.Roles = assertion.Roles
-	res.Local = e.Local.Evaluate(req)
-	voPolicy := authz.NewPolicy(authz.DenyOverrides)
-	if err := voPolicy.AddChecked(assertion.Rules...); err != nil {
+	for _, r := range assertion.Rules {
 		// A signed assertion can still carry an effect byte outside the
 		// enum; refusing it here keeps an attacker-chosen zero effect from
 		// ever reaching rule evaluation.
-		res.Decision = authz.Deny
-		res.Reason = "assertion carries a rule with an invalid effect"
-		return res, err
+		if !r.Effect.Valid() {
+			return nil, "assertion carries a rule with an invalid effect",
+				fmt.Errorf("cas: assertion rule %q has invalid effect %d (want EffectPermit or EffectDeny)", r.ID, r.Effect)
+		}
 	}
-	res.VO = voPolicy.Evaluate(req)
-
-	// The applied policy is the intersection: both must permit.
-	res.Decision = authz.Combine(res.Local, res.VO)
-	if res.Decision != authz.Permit {
-		res.Decision = authz.Deny
-		res.Reason = fmt.Sprintf("intersection of local (%s) and VO (%s) policy", res.Local, res.VO)
-	} else {
-		res.Reason = "permitted by local ∩ VO policy"
-	}
-	return res, nil
+	return assertion, "", nil
 }

@@ -3,6 +3,7 @@ package cas
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,42 +15,38 @@ import (
 // TestMalformedAssertionDenies is the fail-open regression: a chain
 // carrying a CAS policy block that does not decode used to be treated
 // exactly like a chain with no assertion at all, so a permissive local
-// policy would still permit. "Present but invalid" must deny.
+// policy would still permit. "Present but invalid" must come back with
+// a reason to deny.
 func TestMalformedAssertionDenies(t *testing.T) {
 	bed := newVOBed(t)
 	proxyCred, err := proxyNewForTest(bed.alice, []byte("!! not an assertion !!"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bed.enforcer.Authorize(proxyCred.Chain, "data:/climate/run1", "read", time.Now())
+	a, reason, err := bed.check(t, proxyCred.Chain, time.Now())
+	if a != nil || reason != "CAS assertion present but invalid" {
+		t.Fatalf("malformed assertion: got %v, reason %q; want a deny reason", a, reason)
+	}
 	if err == nil {
 		t.Fatal("malformed assertion produced no error")
 	}
 	if errors.Is(err, ErrNoAssertion) {
 		t.Fatal("malformed assertion classified as absent")
 	}
-	if res.Decision != authz.Deny {
-		t.Fatalf("malformed assertion decision %s, want deny (local policy alone would have permitted)", res.Decision)
-	}
 }
 
 // TestAbsentAssertionFallsBackToLocal pins the other side of the
-// distinction: truly assertion-free chains still ride on local policy.
+// distinction: a truly assertion-free chain gets no deny reason, so the
+// resource decides it on local policy alone.
 func TestAbsentAssertionFallsBackToLocal(t *testing.T) {
 	bed := newVOBed(t)
 	plain, err := proxy.New(bed.alice, proxy.Options{Lifetime: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bed.enforcer.Authorize(plain.Chain, "data:/climate/run1", "read", time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Decision != authz.Permit {
-		t.Fatalf("assertion-free chain denied (%s): %s", res.Decision, res.Reason)
-	}
-	if res.VO != authz.NotApplicable {
-		t.Fatalf("VO component %s, want not-applicable", res.VO)
+	a, reason, err := bed.check(t, plain.Chain, time.Now())
+	if a != nil || reason != "" || err != nil {
+		t.Fatalf("assertion-free chain: got %v, reason %q, err %v; want nothing at all", a, reason, err)
 	}
 }
 
@@ -103,18 +100,18 @@ func TestSignedAssertionWithInvalidEffectDenies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bed.enforcer.Authorize(proxyCred.Chain, "data:/climate/run1", "read", now)
-	if res.Decision != authz.Deny {
-		t.Fatalf("zero-effect assertion rule permitted (decision %s, err %v)", res.Decision, err)
+	got, reason, err := bed.check(t, proxyCred.Chain, now)
+	if got != nil || reason != "assertion carries a rule with an invalid effect" {
+		t.Fatalf("zero-effect assertion rule accepted (got %v, reason %q)", got, reason)
 	}
-	if err == nil {
-		t.Fatal("zero-effect assertion rule produced no error")
+	if err == nil || !strings.Contains(err.Error(), `"zero-effect"`) {
+		t.Fatalf("zero-effect assertion rule: err %v, want one naming the rule", err)
 	}
 }
 
-// TestAssertionCarriesVOAttributes: issued assertions now carry the
-// member's groups and roles, verified end to end through the enforcer —
-// local policy can match on community attributes.
+// TestAssertionCarriesVOAttributes: issued assertions carry the
+// member's groups and roles, and they survive encoding, embedding and
+// the resource's check — what local policy may then match on.
 func TestAssertionCarriesVOAttributes(t *testing.T) {
 	bed := newVOBed(t)
 	bed.server.AssignRole(bed.alice.Identity(), "operator")
@@ -135,33 +132,15 @@ func TestAssertionCarriesVOAttributes(t *testing.T) {
 	if len(dec.Groups) != 1 || dec.Groups[0] != "researchers" || len(dec.Roles) != 1 {
 		t.Fatal("attributes lost in encode/decode round trip")
 	}
-
-	// A resource whose local policy keys on the VO group: only holders
-	// of a verified assertion carrying that group pass.
-	local := authz.NewPolicy(authz.DenyOverrides).Add(authz.Rule{
-		ID:        "group-gate",
-		Effect:    authz.EffectPermit,
-		Groups:    []string{"researchers"},
-		Resources: []string{"data:/climate/*"},
-		Actions:   []string{"read"},
-	})
-	enf := NewEnforcer(bed.trust, local)
-	enf.TrustVO(bed.server.Certificate())
 	proxyCred, err := EmbedInProxy(bed.alice, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := enf.Authorize(proxyCred.Chain, "data:/climate/run1", "read", time.Now())
-	if err != nil {
-		t.Fatal(err)
+	got, reason, err := bed.check(t, proxyCred.Chain, time.Now())
+	if got == nil {
+		t.Fatalf("honest assertion refused: %s (%v)", reason, err)
 	}
-	if res.Decision != authz.Permit {
-		t.Fatalf("group-gated local policy denied assertion holder: %s (%s)", res.Decision, res.Reason)
-	}
-	// Without an assertion the same identity carries no group: denied.
-	plain, _ := proxy.New(bed.alice, proxy.Options{Lifetime: time.Hour})
-	res, _ = enf.Authorize(plain.Chain, "data:/climate/run1", "read", time.Now())
-	if res.Decision == authz.Permit {
-		t.Fatal("group-gated policy permitted a chain without the VO attribute")
+	if len(got.Groups) != 1 || got.Groups[0] != "researchers" || len(got.Roles) != 1 || got.Roles[0] != "operator" {
+		t.Fatalf("checked assertion carries groups %v roles %v", got.Groups, got.Roles)
 	}
 }

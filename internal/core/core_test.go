@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/authz"
 	"repro/internal/ca"
 	"repro/internal/gridcert"
+	"repro/internal/gss"
 	"repro/internal/ogsa"
 	"repro/internal/soap"
 	"repro/internal/wssec"
@@ -23,7 +25,7 @@ type bootstrap struct {
 	Container *ogsa.Container
 }
 
-func newBootstrap(t testing.TB, authorizer authz.Engine) *bootstrap {
+func newBootstrap(t testing.TB, authorizer ogsa.ChainAuthorizer) *bootstrap {
 	t.Helper()
 	authority, err := ca.New(gridcert.MustParseName("/O=Grid/CN=CA"), 24*time.Hour, ca.DefaultPolicy())
 	if err != nil {
@@ -38,16 +40,27 @@ func newBootstrap(t testing.TB, authorizer authz.Engine) *bootstrap {
 		t.Fatal(err)
 	}
 	container, err := ogsa.NewContainer(ogsa.ContainerConfig{
-		Name:       "s1",
-		Credential: host,
-		TrustStore: trust,
-		Authorizer: authorizer,
+		Name:            "s1",
+		Credential:      host,
+		TrustStore:      trust,
+		ChainAuthorizer: authorizer,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	container.Publish("app", newDemoService())
 	return &bootstrap{CA: authority, Trust: trust, Container: container}
+}
+
+// policyAuthorizer is a test ChainAuthorizer over a bare local policy:
+// closed world, so only an explicit permit admits the caller.
+type policyAuthorizer struct{ policy *authz.Policy }
+
+func (a policyAuthorizer) AuthorizeChain(_ context.Context, peer gss.Peer, resource, action string) (string, error) {
+	if a.policy.Evaluate(authz.Request{Subject: peer.Identity, Resource: resource, Action: action}) != authz.Permit {
+		return "", errors.New("local policy does not permit")
+	}
+	return "", nil
 }
 
 // demoService echoes with its caller's identity.
@@ -147,7 +160,7 @@ func TestPipelineAuthorizationDeny(t *testing.T) {
 		Resources: []string{"ogsa:app"},
 		Actions:   []string{"whoami", "FindServiceData"},
 	})
-	boot := newBootstrap(t, &authz.PolicyEngine{Policy: pol, DefaultDeny: true})
+	boot := newBootstrap(t, policyAuthorizer{pol})
 	alice, _ := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
 	bob, _ := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Bob"), 12*time.Hour)
 

@@ -118,11 +118,11 @@ func NewAdminService(cfg AdminConfig) (*AdminService, error) {
 }
 
 // EnableAdmin publishes the admin port type under AdminHandle. It
-// refuses a container with neither a ChainAuthorizer nor an Authorizer:
-// on such a container every authenticated caller could command the
-// control plane, which fails the gated-by-local-policy requirement.
+// refuses a container without a ChainAuthorizer: on such a container
+// every authenticated caller could command the control plane, which
+// fails the gated-by-local-policy requirement.
 func (c *Container) EnableAdmin(cfg AdminConfig) (*AdminService, error) {
-	if c.cfg.ChainAuthorizer == nil && c.cfg.Authorizer == nil {
+	if c.cfg.ChainAuthorizer == nil {
 		return nil, errors.New("ogsa: admin surface requires an authorizing container (configure an authorization pipeline)")
 	}
 	if cfg.Audit == nil {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/authz"
 	"repro/internal/gridcert"
 	"repro/internal/gss"
 	"repro/internal/soap"
@@ -23,13 +22,13 @@ type AuditSink interface {
 	Record(event, subject, detail string)
 }
 
-// ChainAuthorizer is the chain-aware authorization hook (Figure 3 step
-// 5, upgraded): unlike authz.Engine it receives the caller's full
-// authenticated peer — validated chain and ChainInfo included — so
-// implementations can verify CAS assertions, combine VO and local
-// policy, and map the identity through a grid-mapfile. It returns the
-// mapped local account (empty if no mapping applies) or an error to
-// deny the call. The pkg/gsi AuthorizationPipeline implements it.
+// ChainAuthorizer is the container's authorization hook (Figure 3 step
+// 5): it receives the caller's full authenticated peer — validated chain
+// and ChainInfo included — so implementations can verify CAS
+// assertions, combine VO and local policy, and map the identity through
+// a grid-mapfile. It returns the mapped local account (empty if no
+// mapping applies) or an error to deny the call. The pkg/gsi
+// AuthorizationPipeline implements it.
 //
 // ctx is the lifetime of the authorization question; the container
 // passes context.Background() because the SOAP request path carries no
@@ -47,17 +46,15 @@ type ContainerConfig struct {
 	Credential *gridcert.Credential
 	// TrustStore validates callers.
 	TrustStore *gridcert.TrustStore
-	// Authorizer decides inbound calls; nil permits everything that
-	// authenticated (used by per-user containers whose OS account is the
-	// authorization boundary).
-	Authorizer authz.Engine
-	// ChainAuthorizer, when set, takes precedence over Authorizer: it
-	// sees the caller's validated chain, so CAS assertions and gridmap
-	// mappings participate in the decision.
+	// ChainAuthorizer decides inbound calls from the caller's validated
+	// chain, so CAS assertions and gridmap mappings participate in the
+	// decision; nil permits everything that authenticated (used by
+	// per-user containers whose OS account is the authorization
+	// boundary).
 	ChainAuthorizer ChainAuthorizer
-	// Now overrides the clock authorization requests are stamped with
-	// (nil means time.Now). Wired from the facade Environment so
-	// time-bounded policy rules see the same clock as chain validation.
+	// Now overrides the clock signed requests are validated against
+	// (nil means time.Now). Wired from the facade Environment so chain
+	// validation sees the same clock as the authorization pipeline.
 	Now func() time.Time
 	// Audit receives events; nil disables auditing.
 	Audit AuditSink
@@ -231,8 +228,7 @@ func (c *Container) route(env *soap.Envelope, prefix string, caller Identity, pe
 		}
 	}
 
-	// Authorization (Figure 3 step 5). The chain-aware hook sees the
-	// full peer and wins over the plain engine when both are set.
+	// Authorization (Figure 3 step 5).
 	if c.cfg.ChainAuthorizer != nil {
 		account, err := c.cfg.ChainAuthorizer.AuthorizeChain(authCtx, peer, "ogsa:"+handle, op)
 		if err != nil {
@@ -240,20 +236,6 @@ func (c *Container) route(env *soap.Envelope, prefix string, caller Identity, pe
 			return nil, fmt.Errorf("ogsa: %q denied %s on %s: %w", caller.Name, op, handle, err)
 		}
 		caller.LocalAccount = account
-	} else if c.cfg.Authorizer != nil {
-		decision, err := c.cfg.Authorizer.Authorize(authz.Request{
-			Subject:  caller.Name,
-			Resource: "ogsa:" + handle,
-			Action:   op,
-			Time:     c.now(),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("ogsa: authorization service: %w", err)
-		}
-		if decision != authz.Permit {
-			c.audit("authz-deny", caller.Name.String(), handle+"/"+op)
-			return nil, fmt.Errorf("ogsa: %q denied %s on %s", caller.Name, op, handle)
-		}
 	}
 	c.audit("invoke", caller.Name.String(), handle+"/"+op)
 

@@ -1,6 +1,8 @@
 package ogsa
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"repro/internal/wssec"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/authz"
 	"repro/internal/ca"
 	"repro/internal/gridcert"
+	"repro/internal/gss"
 	"repro/internal/proxy"
 	"repro/internal/soap"
 )
@@ -60,6 +63,17 @@ func (a *memAudit) contains(substr string) bool {
 	return false
 }
 
+// policyAuthorizer is a test ChainAuthorizer over a bare local policy:
+// closed world, so only an explicit permit admits the caller.
+type policyAuthorizer struct{ policy *authz.Policy }
+
+func (a policyAuthorizer) AuthorizeChain(_ context.Context, peer gss.Peer, resource, action string) (string, error) {
+	if a.policy.Evaluate(authz.Request{Subject: peer.Identity, Resource: resource, Action: action}) != authz.Permit {
+		return "", errors.New("local policy does not permit")
+	}
+	return "", nil
+}
+
 type bed struct {
 	auth      *ca.Authority
 	ts        *gridcert.TrustStore
@@ -70,7 +84,7 @@ type bed struct {
 	audit     *memAudit
 }
 
-func newBed(t testing.TB, authorizer authz.Engine) *bed {
+func newBed(t testing.TB, authorizer ChainAuthorizer) *bed {
 	t.Helper()
 	auth, err := ca.New(gridcert.MustParseName("/O=Grid/CN=CA"), 24*time.Hour, ca.DefaultPolicy())
 	if err != nil {
@@ -90,11 +104,11 @@ func newBed(t testing.TB, authorizer authz.Engine) *bed {
 	}
 	audit := &memAudit{}
 	container, err := NewContainer(ContainerConfig{
-		Name:       "c1",
-		Credential: host,
-		TrustStore: ts,
-		Authorizer: authorizer,
-		Audit:      audit,
+		Name:            "c1",
+		Credential:      host,
+		TrustStore:      ts,
+		ChainAuthorizer: authorizer,
+		Audit:           audit,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +174,7 @@ func TestAuthorizationPipeline(t *testing.T) {
 		Resources: []string{"ogsa:echo"},
 		Actions:   []string{"echo", "FindServiceData"},
 	})
-	b := newBed(t, &authz.PolicyEngine{Policy: pol, DefaultDeny: true})
+	b := newBed(t, policyAuthorizer{pol})
 	b.container.Publish("echo", newEchoService())
 
 	if _, err := b.client.InvokeSigned("echo", "echo", []byte("x")); err != nil {

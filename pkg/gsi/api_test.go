@@ -294,14 +294,16 @@ func TestCASFlowThroughHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enforcer := gsi.NewCASEnforcer(tb.env.Trust(), gsi.NewPolicy(gsi.Rule{
+	enforcer, err := tb.env.NewAuthorizationPipeline(gsi.WithLocalPolicy(gsi.NewPolicy(gsi.Rule{
 		Effect:    gsi.EffectPermit,
 		Subjects:  []string{"*"},
 		Resources: []string{"data:/*"},
 		Actions:   []string{"read"},
-	}))
-	enforcer.TrustVO(casServer.Certificate())
-	res, err := enforcer.Authorize(restricted.Chain, "data:/climate/run1", "read", time.Time{})
+	})), gsi.WithTrustedVO(casServer.Certificate()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := enforcer.Authorize(context.Background(), gsi.Peer{Chain: restricted.Chain}, "data:/climate/run1", "read")
 	if err != nil || res.Decision != gsi.Permit {
 		t.Fatalf("%v %+v", err, res)
 	}

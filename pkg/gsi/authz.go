@@ -2,7 +2,6 @@ package gsi
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -67,9 +66,11 @@ const DefaultDecisionTTL = 30 * time.Second
 // generations) makes the hot path one map lookup instead of chain
 // crypto plus rule-list scans.
 //
-// Build one with Environment.NewAuthorizationPipeline and attach it to
-// servers with WithAuthorizationPipeline, or let a Server assemble a
-// private one from WithLocalPolicy/WithTrustedVO/WithGridMap options.
+// It is the one place local ∩ VO is decided: a Server assembles its own
+// from WithLocalPolicy/WithTrustedVO/WithGridMap options, a GT3
+// container takes one as its ChainAuthorizer, and
+// Environment.NewAuthorizationPipeline builds a standalone one for
+// decisions made outside any server.
 type AuthorizationPipeline struct {
 	env     *Environment
 	local   *Policy
@@ -78,8 +79,11 @@ type AuthorizationPipeline struct {
 	cache   *decisionCache // nil when disabled
 	// replica is the pulled CAS policy bundle (WithCASUpstream): when a
 	// member arrives WITHOUT an assertion, the replica answers the VO's
-	// half of the decision from the last applied bundle. nil = none.
-	replica *cas.Replica
+	// half of the decision from the last applied bundle while its VO is
+	// still trusted. nil = none. replicaVO is that VO's key in vos,
+	// rendered at construction so the cold path never formats a DN.
+	replica   *cas.Replica
+	replicaVO string
 	// durable is the WAL-backed state the pipeline's policy/gridmap/audit
 	// came from (WithDurableState); nil for in-memory pipelines.
 	durable *DurableState
@@ -107,12 +111,6 @@ func (e *Environment) NewAuthorizationPipeline(opts ...Option) (*AuthorizationPi
 	var s settings
 	if err := s.apply(opts); err != nil {
 		return nil, opErr("gsi.NewAuthorizationPipeline", err)
-	}
-	if s.authzAdopted {
-		// Accepting it silently would discard the prebuilt pipeline and
-		// hand back a policy-less deny-all one — the same trap NewServer
-		// refuses loudly.
-		return nil, opErr("gsi.NewAuthorizationPipeline", errors.New("gsi: WithAuthorizationPipeline is a server option; NewAuthorizationPipeline builds pipelines from assembly options"))
 	}
 	if err := s.materializeDurable(); err != nil {
 		return nil, opErr("gsi.NewAuthorizationPipeline", err)
@@ -144,7 +142,8 @@ func newPipeline(e *Environment, s *settings) *AuthorizationPipeline {
 		p.replica = cas.NewReplica(s.casUpstream.Cert)
 		// Bundles from the upstream VO are as trusted as assertions it
 		// signs: pulling implies trusting.
-		p.vos[s.casUpstream.Cert.Subject.String()] = s.casUpstream.Cert
+		p.replicaVO = s.casUpstream.Cert.Subject.String()
+		p.vos[p.replicaVO] = s.casUpstream.Cert
 	}
 	return p
 }
@@ -168,7 +167,9 @@ func (p *AuthorizationPipeline) auditLog() *AuditLog {
 }
 
 // DistrustVO removes a community's signing certificate; assertions it
-// issued stop being honored on the very next exchange.
+// issued stop being honored on the very next exchange, and so does its
+// replicated policy bundle (WithCASUpstream): a bare member of a
+// distrusted VO is decided by local policy alone, like any non-member.
 func (p *AuthorizationPipeline) DistrustVO(vo Name) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -181,6 +182,14 @@ func (p *AuthorizationPipeline) trustedVO(vo Name) (*Certificate, bool) {
 	defer p.mu.RUnlock()
 	cert, ok := p.vos[vo.String()]
 	return cert, ok
+}
+
+// replicaTrusted reports whether the replica's VO is still trusted.
+func (p *AuthorizationPipeline) replicaTrusted() bool {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	_, ok := p.vos[p.replicaVO]
+	return ok
 }
 
 // LocalPolicy returns the pipeline's local policy (nil when none was
@@ -327,9 +336,9 @@ func (p *AuthorizationPipeline) evaluate(peer Peer, leaf *Certificate, resource,
 	// with chain validation (no time.Now fallback inside the engine).
 	req := authz.Request{Subject: info.Identity, Resource: resource, Action: action, Time: now}
 
-	// Assertion handling is the enforcer's exact logic (cas.CheckAssertion
-	// is shared, so the two paths cannot drift): absent falls back to
-	// local policy; present-but-unusable denies outright.
+	// cas.CheckAssertion is the one test of a presented assertion:
+	// absent falls back to local policy; present-but-unusable denies
+	// outright.
 	assertion, reason, aerr := cas.CheckAssertion(info, p.trustedVO, now)
 	if reason != "" {
 		d.Decision = Deny
@@ -355,18 +364,13 @@ func (p *AuthorizationPipeline) evaluate(peer Peer, leaf *Certificate, resource,
 		// policy may reference VO groups and roles.
 		req.Groups = assertion.Groups
 		req.Roles = assertion.Roles
-		voPolicy := authz.NewPolicy(authz.DenyOverrides)
-		if err := voPolicy.AddChecked(assertion.Rules...); err != nil {
-			d.Decision = Deny
-			d.Reason = "assertion carries a rule with an invalid effect"
-			return d, expiry, nil
-		}
-		d.VO = voPolicy.Evaluate(req)
+		// CheckAssertion refused any rule with an invalid effect.
+		d.VO = authz.NewPolicy(authz.DenyOverrides).Add(assertion.Rules...).Evaluate(req)
 		// A cached grant must not outlive the assertion that backs it.
 		if assertion.ExpiresAt.Before(expiry) {
 			expiry = assertion.ExpiresAt
 		}
-	} else if p.replica != nil {
+	} else if p.replica != nil && p.replicaTrusted() {
 		if groups, roles, ok := p.replica.Lookup(info.Identity); ok {
 			voLayer = true
 			d.VOName = p.replica.VO()

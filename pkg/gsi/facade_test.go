@@ -34,14 +34,16 @@ func TestFacadeCASFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enforcer := gsi.NewCASEnforcer(tb.env.Trust(), gsi.NewPolicy(gsi.Rule{
+	enforcer, err := tb.env.NewAuthorizationPipeline(gsi.WithLocalPolicy(gsi.NewPolicy(gsi.Rule{
 		Effect:    gsi.EffectPermit,
 		Subjects:  []string{"*"},
 		Resources: []string{"r:/*"},
 		Actions:   []string{"read", "write"},
-	}))
-	enforcer.TrustVO(server.Certificate())
-	res, err := enforcer.Authorize(cred.Chain, "r:/x", "read", time.Time{})
+	})), gsi.WithTrustedVO(server.Certificate()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := enforcer.Authorize(context.Background(), gsi.Peer{Chain: cred.Chain}, "r:/x", "read")
 	if err != nil || res.Decision != gsi.Permit {
 		t.Fatalf("%v %+v", err, res)
 	}

@@ -120,8 +120,6 @@ type (
 	CASServer = cas.Server
 	// CASAssertion is a signed VO policy statement.
 	CASAssertion = cas.Assertion
-	// CASEnforcer applies local ∩ VO policy at a resource.
-	CASEnforcer = cas.Enforcer
 )
 
 // GT3 service types.
@@ -212,11 +210,6 @@ func NewGridMap() *GridMap { return authz.NewGridMap() }
 // NewCASServer creates a community authorization server for a VO
 // credential. Members request assertions with Client.RequestAssertion.
 func NewCASServer(voCred *Credential) *CASServer { return cas.NewServer(voCred) }
-
-// NewCASEnforcer creates the resource-side CAS policy combiner.
-func NewCASEnforcer(trust *TrustStore, local *Policy) *CASEnforcer {
-	return cas.NewEnforcer(trust, local)
-}
 
 // NewMyProxy creates an online credential repository.
 func NewMyProxy() *MyProxy { return myproxy.NewServer() }

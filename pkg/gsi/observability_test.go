@@ -110,16 +110,8 @@ func testHotReloadUnderTraffic(t *testing.T, transport gsi.Transport) {
 	bundle := newReloadBundle(t, bed, variantA)
 	validRoots := gridcert.EncodeChain([]*gsi.Certificate{bed.ca.Certificate()})
 
-	pl := bed.pipeline(t)
 	reg := gsi.NewMetricsRegistry()
-	server, err := bed.env.NewServer(bed.host,
-		gsi.WithTransport(transport),
-		gsi.WithAuthorizationPipeline(pl),
-		gsi.WithMetrics(reg),
-		gsi.WithReload(bundle.config()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	server := bed.server(t, gsi.WithTransport(transport), gsi.WithMetrics(reg), gsi.WithReload(bundle.config()))
 	ctx := context.Background()
 	ep, err := server.Serve(ctx, "127.0.0.1:0",
 		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
@@ -284,22 +276,13 @@ func TestAdminSurfaceAuthz(t *testing.T) {
 		Resources: []string{"ogsa:" + ogsa.AdminHandle},
 		Actions:   []string{"*"},
 	})
-	pl := bed.pipeline(t)
 	pool, err := gsi.NewSessionPool()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 	reg := gsi.NewMetricsRegistry()
-	server, err := bed.env.NewServer(bed.host,
-		gsi.WithTransport(gsi.TransportGT3()),
-		gsi.WithAuthorizationPipeline(pl),
-		gsi.WithMetrics(reg),
-		gsi.WithAdmin(),
-		gsi.WithAdminPool(pool))
-	if err != nil {
-		t.Fatal(err)
-	}
+	server := bed.server(t, gsi.WithTransport(gsi.TransportGT3()), gsi.WithMetrics(reg), gsi.WithAdmin(), gsi.WithAdminPool(pool))
 	ctx := context.Background()
 	ep, err := server.Serve(ctx, "127.0.0.1:0",
 		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
@@ -394,21 +377,19 @@ func TestAdminSurfaceAuthz(t *testing.T) {
 // admin-less, feed-less or listener-less endpoint.
 func TestNewServerRefusesIncoherentOptions(t *testing.T) {
 	bed := newAuthzBed(t)
-	pl := bed.pipeline(t)
 	gt3 := gsi.WithTransport(gsi.TransportGT3())
 	for _, tc := range []struct {
 		name string
 		opts []gsi.Option
 		want string // substring of the refusal; "" = accepted
 	}{
-		{"admin on GT2", []gsi.Option{gsi.WithAuthorizationPipeline(pl), gsi.WithAdmin()}, "GT3"},
+		{"admin on GT2", []gsi.Option{gsi.WithLocalPolicy(bed.local), gsi.WithAdmin()}, "GT3"},
 		{"admin without a pipeline", []gsi.Option{gt3, gsi.WithAdmin()}, "authorization pipeline"},
-		{"CAS publisher on GT2", []gsi.Option{gsi.WithAuthorizationPipeline(pl), gsi.WithCASPublisher(bed.vo)}, "GT3"},
+		{"CAS publisher on GT2", []gsi.Option{gsi.WithLocalPolicy(bed.local), gsi.WithCASPublisher(bed.vo)}, "GT3"},
 		{"CAS publisher without a pipeline", []gsi.Option{gt3, gsi.WithCASPublisher(bed.vo)}, "authorization pipeline"},
 		{"stream handler on GT3", []gsi.Option{gt3, gsi.WithStreamHandler(func(context.Context, gsi.Peer, string, gsi.Stream) error { return nil })}, "GT2"},
 		{"metrics listener without a registry", []gsi.Option{gsi.WithMetricsListener("127.0.0.1:0")}, "WithMetrics"},
-		{"prebuilt pipeline plus assembly options", []gsi.Option{gsi.WithAuthorizationPipeline(pl), gsi.WithLocalPolicy(bed.local)}, "prebuilt"},
-		{"all of it, coherently", []gsi.Option{gt3, gsi.WithAuthorizationPipeline(pl), gsi.WithAdmin(),
+		{"all of it, coherently", []gsi.Option{gt3, gsi.WithLocalPolicy(bed.local), gsi.WithAdmin(),
 			gsi.WithCASPublisher(bed.vo), gsi.WithMetrics(gsi.NewMetricsRegistry()), gsi.WithMetricsListener("127.0.0.1:0")}, ""},
 	} {
 		_, err := bed.env.NewServer(bed.host, tc.opts...)

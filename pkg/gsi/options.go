@@ -67,11 +67,10 @@ type settings struct {
 	renewRetryMin time.Duration
 	renewRetryMax time.Duration
 
-	// Authorization pipeline. authzPipeline adopts a prebuilt pipeline;
-	// the authz* fields assemble a private one (the enforcement options
-	// also set authzEnabled so servers know to build it).
+	// Authorization pipeline. The authz* fields assemble a server's
+	// pipeline, authzPipeline (the enforcement options also set
+	// authzEnabled so servers know to build it).
 	authzPipeline *AuthorizationPipeline
-	authzAdopted  bool // authzPipeline came from WithAuthorizationPipeline
 	authzEnabled  bool
 	authzLocal    *Policy
 	authzVOs      []*Certificate
@@ -303,26 +302,6 @@ func WithRenewalRetry(min, max time.Duration) Option {
 		}
 		s.renewRetryMin = min
 		s.renewRetryMax = max
-		return nil
-	}
-}
-
-// WithAuthorizationPipeline attaches a prebuilt chain-aware
-// authorization pipeline (Environment.NewAuthorizationPipeline) to a
-// Server: every exchange on both transports passes through it before
-// the handler runs, and its decision cache and audit trail are shared
-// across all endpoints the server opens. Combining it with the
-// assembly/tuning options below is an error — the pipeline's policy
-// lives inside the pipeline object, so those options could only be
-// dropped or misapplied; build the desired variant up front instead.
-func WithAuthorizationPipeline(p *AuthorizationPipeline) Option {
-	return func(s *settings) error {
-		if p == nil {
-			return errors.New("gsi: nil authorization pipeline")
-		}
-		s.authzPipeline = p
-		s.authzAdopted = true
-		s.authzEnabled = true
 		return nil
 	}
 }
@@ -601,15 +580,6 @@ func (s *settings) apply(opts []Option) error {
 		}
 	}
 	return nil
-}
-
-// assemblesPipeline reports whether any pipeline assembly or tuning
-// option was given: a prebuilt pipeline's policy lives inside the
-// pipeline object, so none of them may accompany one.
-func (s *settings) assemblesPipeline() bool {
-	return s.authzLocal != nil || len(s.authzVOs) > 0 || s.authzGridMap != nil ||
-		s.durableDir != "" || s.casUpstream != nil ||
-		s.authzTTLSet || s.authzAudit != nil || s.authzAuditOff
 }
 
 // contextConfig assembles the GSS configuration for one side of an

@@ -96,32 +96,42 @@ func newAuthzBed(t testing.TB) *authzBed {
 	}
 }
 
-func (b *authzBed) pipeline(t testing.TB, extra ...gsi.Option) *gsi.AuthorizationPipeline {
-	t.Helper()
-	opts := append([]gsi.Option{
+// opts is the bed's pipeline assembly: its local policy, VO, gridmap
+// and audit log, then extra.
+func (b *authzBed) opts(extra ...gsi.Option) []gsi.Option {
+	return append([]gsi.Option{
 		gsi.WithLocalPolicy(b.local),
 		gsi.WithTrustedVO(b.vo.Certificate()),
 		gsi.WithGridMap(b.gridmap),
 		gsi.WithAuditSink(b.audit),
 	}, extra...)
-	p, err := b.env.NewAuthorizationPipeline(opts...)
+}
+
+func (b *authzBed) pipeline(t testing.TB, extra ...gsi.Option) *gsi.AuthorizationPipeline {
+	t.Helper()
+	p, err := b.env.NewAuthorizationPipeline(b.opts(extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-// serveEcho starts a server whose handler reports the mapped local
-// account, so tests can observe Peer.LocalAccount end to end.
-func (b *authzBed) serveEcho(t testing.TB, transport gsi.Transport, pl *gsi.AuthorizationPipeline) gsi.Endpoint {
+// server builds the host's server, which assembles its pipeline from
+// the bed's options plus extra.
+func (b *authzBed) server(t testing.TB, extra ...gsi.Option) *gsi.Server {
 	t.Helper()
-	server, err := b.env.NewServer(b.host,
-		gsi.WithTransport(transport),
-		gsi.WithAuthorizationPipeline(pl))
+	server, err := b.env.NewServer(b.host, b.opts(extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := server.Serve(context.Background(), "127.0.0.1:0",
+	return server
+}
+
+// serveEcho starts a server whose handler reports the mapped local
+// account, so tests can observe Peer.LocalAccount end to end.
+func (b *authzBed) serveEcho(t testing.TB, transport gsi.Transport) gsi.Endpoint {
+	t.Helper()
+	ep, err := b.server(t, gsi.WithTransport(transport)).Serve(context.Background(), "127.0.0.1:0",
 		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
 			return []byte("account=" + peer.LocalAccount), nil
 		})
@@ -134,8 +144,7 @@ func (b *authzBed) serveEcho(t testing.TB, transport gsi.Transport, pl *gsi.Auth
 
 func testPipelineEndToEnd(t *testing.T, transport gsi.Transport) {
 	bed := newAuthzBed(t)
-	pl := bed.pipeline(t)
-	ep := bed.serveEcho(t, transport, pl)
+	ep := bed.serveEcho(t, transport)
 	ctx := context.Background()
 
 	// Alice, carrying her CAS assertion: VO ∩ local permits, gridmap
@@ -197,8 +206,7 @@ func TestPipelineEndToEndGT3(t *testing.T) { testPipelineEndToEnd(t, gsi.Transpo
 // not silently downgraded to local-only policy.
 func TestPipelineMalformedAssertionDenied(t *testing.T) {
 	bed := newAuthzBed(t)
-	pl := bed.pipeline(t)
-	ep := bed.serveEcho(t, gsi.TransportGT2(), pl)
+	ep := bed.serveEcho(t, gsi.TransportGT2())
 
 	garbage, err := proxy.New(bed.alice, proxy.Options{
 		Variant:        gridcert.ProxyRestricted,
@@ -248,11 +256,7 @@ func TestPipelineClockPlumbing(t *testing.T) {
 		NotBefore: fake.Add(-time.Hour),
 		NotAfter:  fake.Add(time.Hour),
 	})
-	pl, err := env.NewAuthorizationPipeline(gsi.WithLocalPolicy(local))
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := env.NewServer(host, gsi.WithAuthorizationPipeline(pl))
+	server, err := env.NewServer(host, gsi.WithLocalPolicy(local))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,12 +394,8 @@ func TestPipelineRevocationBitesLiveConnection(t *testing.T) {
 		ID: "allow", Effect: gsi.EffectPermit,
 		Subjects: []string{"*"}, Resources: []string{"*"}, Actions: []string{"*"},
 	})
-	pl, err := env.NewAuthorizationPipeline(
+	server, err := env.NewServer(host,
 		gsi.WithLocalPolicy(local), gsi.WithDecisionCache(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := env.NewServer(host, gsi.WithAuthorizationPipeline(pl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,36 +442,6 @@ func TestPipelineRevocationBitesLiveConnection(t *testing.T) {
 	}
 }
 
-// TestServeRefusesTuningPrebuiltPipeline: a prebuilt pipeline's policy
-// lives inside the pipeline object, so assembly and tuning options
-// cannot be merged into it — NewServer must error loudly rather than
-// silently drop them; the variant is built up front instead.
-func TestServeRefusesTuningPrebuiltPipeline(t *testing.T) {
-	bed := newAuthzBed(t)
-	pl := bed.pipeline(t)
-	for name, opt := range map[string]gsi.Option{
-		"WithGridMap":       gsi.WithGridMap(bed.gridmap),
-		"WithDecisionCache": gsi.WithDecisionCache(5 * time.Second),
-	} {
-		if _, err := bed.env.NewServer(bed.host, gsi.WithAuthorizationPipeline(pl), opt); err == nil {
-			t.Fatalf("NewServer accepted %s alongside a prebuilt pipeline", name)
-		}
-	}
-	server, err := bed.env.NewServer(bed.host,
-		gsi.WithAuthorizationPipeline(bed.pipeline(t, gsi.WithDecisionCache(5*time.Second))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := server.Serve(context.Background(), "127.0.0.1:0",
-		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
-			return body, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep.Close()
-}
-
 // TestTuningOptionsAloneDoNotEnforce: WithAuditSink/WithDecisionCache
 // are observability/tuning, not enforcement — on their own they must
 // not assemble a policy-less (deny-everything) pipeline.
@@ -509,5 +479,147 @@ func TestPipelineAnonymousDenied(t *testing.T) {
 	}
 	if d.Decision != gsi.Deny {
 		t.Fatalf("anonymous peer: %+v", d)
+	}
+}
+
+// TestLocalIntersectVODecisions is Figure 2's resource rule, decided by
+// the one decider: a request carrying a CAS assertion is permitted only
+// when local policy and the VO's both permit it; one without falls back
+// to local policy alone; the VO's groups and roles reach local rules
+// only through a verified assertion. Each row is decided three ways —
+// with the decision cache off, cold with it on, and as a cache hit —
+// and all three must give the same decision, components and reason.
+func TestLocalIntersectVODecisions(t *testing.T) {
+	voRead := gsi.Rule{ID: "vo-read", Effect: gsi.EffectPermit,
+		Groups: []string{"researchers"}, Resources: []string{"data:/climate/*"}, Actions: []string{"read"}}
+	voGenerous := gsi.Rule{ID: "vo-generous", Effect: gsi.EffectPermit,
+		Groups: []string{"researchers"}, Resources: []string{"*"}, Actions: []string{"delete"}}
+	localRW := gsi.Rule{ID: "local-rw", Effect: gsi.EffectPermit,
+		Subjects: []string{"*"}, Resources: []string{"data:/climate/*"}, Actions: []string{"read", "write"}}
+	groupGate := gsi.Rule{ID: "group-gate", Effect: gsi.EffectPermit,
+		Groups: []string{"researchers"}, Resources: []string{"data:/climate/*"}, Actions: []string{"read"}}
+	roleGate := gsi.Rule{ID: "role-gate", Effect: gsi.EffectPermit,
+		Roles: []string{"operator"}, Resources: []string{"data:/climate/*"}, Actions: []string{"read"}}
+	const run1 = "data:/climate/run1"
+	for _, tc := range []struct {
+		name             string
+		vo               []gsi.Rule // added to the VO before Alice's assertion is issued
+		local            gsi.Rule
+		bare             bool // Alice presents her end-entity chain, no assertion
+		resource, action string
+		want             gsi.AuthzDecision
+	}{
+		{"figure2_read", []gsi.Rule{voRead}, localRW, false, run1, "read",
+			gsi.AuthzDecision{Decision: gsi.Permit, Local: gsi.Permit, VO: gsi.Permit, Reason: "permitted by local ∩ VO policy"}},
+		{"figure2_write", []gsi.Rule{voRead}, localRW, false, run1, "write",
+			gsi.AuthzDecision{Decision: gsi.Deny, Local: gsi.Permit, VO: gsi.NotApplicable, Reason: "intersection of local (permit) and VO (not-applicable) policy"}},
+		{"resource_is_final_authority", []gsi.Rule{voRead, voGenerous}, localRW, false, run1, "delete",
+			gsi.AuthzDecision{Decision: gsi.Deny, Local: gsi.NotApplicable, VO: gsi.Permit, Reason: "intersection of local (not-applicable) and VO (permit) policy"}},
+		{"no_assertion_local_permits", nil, localRW, true, run1, "read",
+			gsi.AuthzDecision{Decision: gsi.Permit, Local: gsi.Permit, VO: gsi.NotApplicable, Reason: "permitted by local policy alone"}},
+		{"no_assertion_local_denies", nil, localRW, true, "data:/secret", "read",
+			gsi.AuthzDecision{Decision: gsi.Deny, Local: gsi.NotApplicable, VO: gsi.NotApplicable, Reason: "no CAS assertion and local policy does not permit"}},
+		{"vo_group_reaches_local_rule", []gsi.Rule{voRead}, groupGate, false, run1, "read",
+			gsi.AuthzDecision{Decision: gsi.Permit, Local: gsi.Permit, VO: gsi.Permit, Reason: "permitted by local ∩ VO policy"}},
+		{"vo_role_reaches_local_rule", []gsi.Rule{voRead}, roleGate, false, run1, "read",
+			gsi.AuthzDecision{Decision: gsi.Permit, Local: gsi.Permit, VO: gsi.Permit, Reason: "permitted by local ∩ VO policy"}},
+		{"bare_chain_has_no_vo_attributes", nil, groupGate, true, run1, "read",
+			gsi.AuthzDecision{Decision: gsi.Deny, Local: gsi.NotApplicable, VO: gsi.NotApplicable, Reason: "no CAS assertion and local policy does not permit"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bed := newAuthzBed(t)
+			for _, r := range tc.vo {
+				bed.vo.AddPolicy(r)
+			}
+			chain := bed.alice.Chain
+			if !tc.bare {
+				cl, err := bed.env.NewClient(bed.alice)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, err := cl.RequestAssertion(context.Background(), bed.vo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cred, err := cl.EmbedAssertion(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chain = cred.Chain
+			}
+			peer := gsi.Peer{Chain: chain}
+			decide := func(pl *gsi.AuthorizationPipeline) gsi.AuthzDecision {
+				t.Helper()
+				d, err := pl.Authorize(context.Background(), peer, tc.resource, tc.action)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			local := gsi.NewPolicy(tc.local)
+			pipeline := func(extra ...gsi.Option) *gsi.AuthorizationPipeline {
+				pl, err := bed.env.NewAuthorizationPipeline(append([]gsi.Option{
+					gsi.WithLocalPolicy(local), gsi.WithTrustedVO(bed.vo.Certificate())}, extra...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pl
+			}
+			uncached := decide(pipeline(gsi.WithDecisionCache(0)))
+			cachedPL := pipeline()
+			cold, hit := decide(cachedPL), decide(cachedPL)
+			if cold.Cached || !hit.Cached {
+				t.Fatalf("cache: cold decision cached=%v, repeat cached=%v", cold.Cached, hit.Cached)
+			}
+			for way, d := range map[string]gsi.AuthzDecision{"uncached": uncached, "cold": cold, "cache hit": hit} {
+				if d.Decision != tc.want.Decision || d.Local != tc.want.Local || d.VO != tc.want.VO || d.Reason != tc.want.Reason {
+					t.Errorf("%s: got %s (local %s, VO %s): %q; want %s (local %s, VO %s): %q", way,
+						d.Decision, d.Local, d.VO, d.Reason, tc.want.Decision, tc.want.Local, tc.want.VO, tc.want.Reason)
+				}
+			}
+		})
+	}
+}
+
+// TestDistrustVOStopsReplica: once a VO is distrusted, its replicated
+// policy bundle stops vouching for members who arrive without an
+// assertion, exactly as its assertions stop being honored. A local rule
+// keyed on the VO's group then no longer matches, so the bare member is
+// denied.
+func TestDistrustVOStopsReplica(t *testing.T) {
+	bed := newAuthzBed(t)
+	pl, err := bed.env.NewAuthorizationPipeline(
+		gsi.WithLocalPolicy(gsi.NewPolicy(gsi.Rule{
+			ID: "researchers", Effect: gsi.EffectPermit,
+			Groups: []string{"researchers"}, Resources: []string{"ogsa:gsi.exchange"}, Actions: []string{"*"},
+		})),
+		gsi.WithCASUpstream(gsi.CASUpstreamConfig{Endpoints: []string{"unused:0"}, Cert: bed.vo.Certificate()}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := bed.vo.ExportBundle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Replica().Apply(bundle); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	bare := gsi.Peer{Chain: bed.alice.Chain}
+	if d, err := pl.Authorize(ctx, bare, "ogsa:gsi.exchange", "echo"); err != nil || d.Decision != gsi.Permit {
+		t.Fatalf("trusted VO's replica: %+v %v", d, err)
+	}
+
+	pl.DistrustVO(bed.vo.VO())
+	d, err := pl.Authorize(ctx, bare, "ogsa:gsi.exchange", "echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Decision != gsi.Deny || d.VO != gsi.NotApplicable || !d.VOName.Empty() {
+		t.Fatalf("distrusted VO's replica still vouches for a bare member: %+v", d)
+	}
+	if d, _ := pl.Authorize(ctx, gsi.Peer{Chain: bed.aliceVO.Chain}, "ogsa:gsi.exchange", "echo"); d.Decision != gsi.Deny || !strings.Contains(d.Reason, "untrusted VO") {
+		t.Fatalf("distrusted VO's assertion: %+v", d)
 	}
 }

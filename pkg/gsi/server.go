@@ -51,10 +51,9 @@ type serverControl struct {
 // NewServer builds a Server handle. A credential is mandatory: GSI
 // always authenticates the service side. Pipeline options given here
 // (WithLocalPolicy, WithTrustedVO, WithGridMap, WithDecisionCache,
-// WithAuditSink) assemble one authorization pipeline shared by every
-// endpoint the server opens; WithAuthorizationPipeline adopts a
-// prebuilt one instead. Options that contradict each other are refused
-// here, before any endpoint exists.
+// WithAuditSink) assemble the one authorization pipeline shared by
+// every endpoint the server opens. Options that contradict each other
+// are refused here, before any endpoint exists.
 func (e *Environment) NewServer(cred *Credential, opts ...Option) (*Server, error) {
 	const op = "gsi.NewServer"
 	if cred == nil {
@@ -78,7 +77,7 @@ func (e *Environment) NewServer(cred *Credential, opts ...Option) (*Server, erro
 			return nil, opErr(op, err)
 		}
 	}
-	if base.authzEnabled && base.authzPipeline == nil {
+	if base.authzEnabled {
 		base.authzPipeline = newPipeline(e, base)
 	}
 	base.buildTracer()
@@ -91,10 +90,6 @@ func (e *Environment) NewServer(cred *Credential, opts ...Option) (*Server, erro
 func (s *settings) serverCoherent() error {
 	_, gt3 := s.transport.(gt3Transport)
 	switch {
-	case s.authzAdopted && s.assemblesPipeline():
-		// Dropping the options silently would serve under weaker policy
-		// than the operator wrote down.
-		return errors.New("gsi: pipeline options cannot modify a prebuilt authorization pipeline; build the variant with Environment.NewAuthorizationPipeline and pass it via WithAuthorizationPipeline")
 	case s.adminEnable && !gt3:
 		return errors.New("gsi: the admin surface requires the GT3 transport (a hosting container to publish gsi.__admin on)")
 	case s.adminEnable && !s.authzEnabled:
@@ -115,10 +110,9 @@ func (s *settings) serverCoherent() error {
 func (s *Server) Environment() *Environment { return s.env }
 
 // AuthorizationPipeline returns the server's policy decision point —
-// the pipeline NewServer assembled from enforcement options, or the
-// prebuilt one adopted via WithAuthorizationPipeline. Nil when the
-// server enforces nothing. The pipeline is live: mutating its policy,
-// gridmap, or VO trust set takes effect on the serving hot path
+// the pipeline NewServer assembled from enforcement options. Nil when
+// the server enforces nothing. The pipeline is live: mutating its
+// policy, gridmap, or VO trust set takes effect on the serving hot path
 // through the generation counters.
 func (s *Server) AuthorizationPipeline() *AuthorizationPipeline { return s.base.authzPipeline }
 
@@ -167,15 +161,7 @@ func (s *Server) Serve(ctx context.Context, addr string, h Handler) (Endpoint, e
 // WithDurableState, or nil. Mutate policy and gridmap through its
 // objects — every mutation journals before it applies, so a restarted
 // server resumes with identical state and generation counters.
-func (s *Server) DurableState() *DurableState {
-	if s.base.durable != nil {
-		return s.base.durable
-	}
-	if s.base.authzPipeline != nil {
-		return s.base.authzPipeline.DurableState()
-	}
-	return nil
-}
+func (s *Server) DurableState() *DurableState { return s.base.durable }
 
 // CASSyncStatus snapshots the CAS replication state: the replica's
 // applied bundle version and generation plus the syncer's pull history.

@@ -47,16 +47,8 @@ func opCount(recs []trace.SpanRecord) map[string]int {
 // the server's span marked as continuing a remote context.
 func testTraceExchange(t *testing.T, transport gsi.Transport) {
 	bed := newAuthzBed(t)
-	pl := bed.pipeline(t)
 	reg := gsi.NewMetricsRegistry()
-	server, err := bed.env.NewServer(bed.host,
-		gsi.WithTransport(transport),
-		gsi.WithAuthorizationPipeline(pl),
-		gsi.WithMetrics(reg),
-		gsi.WithTracing())
-	if err != nil {
-		t.Fatal(err)
-	}
+	server := bed.server(t, gsi.WithTransport(transport), gsi.WithMetrics(reg), gsi.WithTracing())
 	ctx := context.Background()
 	ep, err := server.Serve(ctx, "127.0.0.1:0",
 		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
@@ -130,7 +122,6 @@ func TestTraceExchangePropagation(t *testing.T) {
 // doubles as the data-race proof for the span plumbing.
 func TestTracePropagationConcurrent(t *testing.T) {
 	bed := newAuthzBed(t)
-	pl := bed.pipeline(t)
 	ctx := context.Background()
 	const (
 		workers    = 4
@@ -150,13 +141,7 @@ func TestTracePropagationConcurrent(t *testing.T) {
 		if trName == "gt3" {
 			transport = gsi.TransportGT3()
 		}
-		server, err := bed.env.NewServer(bed.host,
-			gsi.WithTransport(transport),
-			gsi.WithAuthorizationPipeline(pl),
-			gsi.WithTracing())
-		if err != nil {
-			t.Fatal(err)
-		}
+		server := bed.server(t, gsi.WithTransport(transport), gsi.WithTracing())
 		ep, err := server.Serve(ctx, "127.0.0.1:0",
 			func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
 				return body, nil
@@ -243,15 +228,7 @@ func TestAdminTraces(t *testing.T) {
 		Resources: []string{"ogsa:" + ogsa.AdminHandle},
 		Actions:   []string{"*"},
 	})
-	pl := bed.pipeline(t)
-	server, err := bed.env.NewServer(bed.host,
-		gsi.WithTransport(gsi.TransportGT3()),
-		gsi.WithAuthorizationPipeline(pl),
-		gsi.WithAdmin(),
-		gsi.WithTracing())
-	if err != nil {
-		t.Fatal(err)
-	}
+	server := bed.server(t, gsi.WithTransport(gsi.TransportGT3()), gsi.WithAdmin(), gsi.WithTracing())
 	ctx := context.Background()
 	ep, err := server.Serve(ctx, "127.0.0.1:0",
 		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
@@ -330,13 +307,7 @@ func TestAdminTraces(t *testing.T) {
 
 	// A tracing-less admin server answers Traces with a typed fault
 	// pointing at WithTracing, not a denial and not a panic.
-	dark, err := bed.env.NewServer(bed.host,
-		gsi.WithTransport(gsi.TransportGT3()),
-		gsi.WithAuthorizationPipeline(bed.pipeline(t)),
-		gsi.WithAdmin())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dark := bed.server(t, gsi.WithTransport(gsi.TransportGT3()), gsi.WithAdmin())
 	dep, err := dark.Serve(ctx, "127.0.0.1:0",
 		func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
 			return body, nil
