@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build reachable options test examples test-bench-module test-multicore race fuzz-smoke bench gate-allocs fmt
+.PHONY: ci fmt-check vet build reachable options test examples cmds test-bench-module test-multicore race fuzz-smoke bench gate-allocs fmt
 
 ## ci: the tier-1 gate — format check, vet, build, the reachability and
-## option-surface checks, test (plus the example walkthroughs, the
-## benchmark module, which compiles against this one's API, and the
+## option-surface checks, test (plus the example walkthroughs, a shipped
+## command driven end to end, the benchmark module, which compiles against this one's API, and the
 ## GOMAXPROCS matrix over the data plane — the seal pipeline and
 ## GridFTP's striped lanes: the same tests must pass single-core and
 ## multicore), race (which includes the
 ## hot-reload-under-traffic test), fuzz smoke, and the allocation
 ## ceilings on their own. It leaves the working tree as it found it.
-ci: fmt-check vet build reachable options test examples test-bench-module test-multicore race fuzz-smoke gate-allocs
+ci: fmt-check vet build reachable options test examples cmds test-bench-module test-multicore race fuzz-smoke gate-allocs
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -82,6 +82,29 @@ examples:
 	@for e in examples/*/; do \
 		$(GO) run ./$$e > /dev/null || { echo "$$e failed"; exit 1; }; \
 	done
+
+## cmds: gsictl driven as an operator drives it, a few seconds end to
+## end. `serve` stands a bundle up in a temp dir; `stats` as the bundled
+## admin is served and as the bundled user is refused with "denied
+## Stats"; the flight recorder's server.authz spans are the ops the
+## clients sent and no others (no FindServiceData: an operator reading
+## the trail must not find a denial for a call nobody made); and SIGINT
+## drains the server, which removes its endpoint file.
+cmds:
+	@tmp=$$(mktemp -d); pid=; trap '[ -z "$$pid" ] || kill $$pid 2>/dev/null; rm -rf $$tmp' EXIT; \
+	$(GO) build -o $$tmp/gsictl ./cmd/gsictl || exit 1; \
+	$$tmp/gsictl serve -dir $$tmp/bundle -metrics "" > $$tmp/serve.log 2>&1 & pid=$$!; \
+	for i in $$(seq 100); do [ -s $$tmp/bundle/endpoint ] && break; sleep 0.1; done; \
+	[ -s $$tmp/bundle/endpoint ] || { echo "cmds: gsictl serve wrote no endpoint file"; cat $$tmp/serve.log; exit 1; }; \
+	$$tmp/gsictl stats -dir $$tmp/bundle > /dev/null || { echo "cmds: gsictl stats as admin failed"; exit 1; }; \
+	if $$tmp/gsictl stats -dir $$tmp/bundle -cred user > $$tmp/user.log 2>&1; then \
+		echo "cmds: gsictl stats -cred user was served"; exit 1; fi; \
+	grep -q 'denied Stats' $$tmp/user.log || { echo "cmds: gsictl stats -cred user failed without 'denied Stats':"; cat $$tmp/user.log; exit 1; }; \
+	$$tmp/gsictl traces -dir $$tmp/bundle -op server.authz > $$tmp/traces.log || { echo "cmds: gsictl traces failed"; exit 1; }; \
+	if grep -q FindServiceData $$tmp/traces.log; then \
+		echo "cmds: server.authz spans for an op no one sent:"; cat $$tmp/traces.log; exit 1; fi; \
+	kill -INT $$pid; wait $$pid; pid=; \
+	[ ! -e $$tmp/bundle/endpoint ] || { echo "cmds: endpoint file left after SIGINT"; exit 1; }
 
 ## test-bench-module: bench/ is its own module, so `go test ./...` here
 ## never descends into it; an API it calls could break unnoticed.

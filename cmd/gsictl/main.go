@@ -348,7 +348,7 @@ func runAdminOp(cmd string, args []string) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	out, _, err := client.Invoke(ctx, endpoint, ogsa.AdminHandle, op, body)
+	out, err := client.Invoke(ctx, endpoint, ogsa.AdminHandle, op, body)
 	if err != nil {
 		log.Fatalf("%s: %v", cmd, err)
 	}

@@ -1,9 +1,9 @@
 // Secured request: the Figure-3 pipeline over real HTTP through the
-// handle-based API. A hosting environment publishes its security
-// policy; Client.Invoke fetches it, selects a mechanism, establishes
-// trust, and invokes the service under a context.Context; the container
-// authenticates, authorizes, and audits before the application sees the
-// call. Denials come back as typed errors matchable with errors.Is.
+// handle-based API. A GT3 client's Invoke establishes a secure
+// conversation with the hosting environment and calls a named service
+// under a context.Context; the container authenticates, authorizes, and
+// audits before the application sees the call. Denials come back as
+// typed errors matchable with errors.Is.
 //
 //	go run ./examples/securedrequest
 package main
@@ -26,7 +26,6 @@ type inventoryService struct{ *ogsa.Base }
 
 func newInventoryService() *inventoryService {
 	s := &inventoryService{Base: ogsa.NewBase()}
-	s.Data.Set("__warmup__", []byte("ok"))
 	s.Data.Set("datasets", []byte("climate-2003,physics-1998"))
 	return s
 }
@@ -103,27 +102,22 @@ func main() {
 	defer shutdown()
 	fmt.Println("hosting environment listening at", url)
 
-	// Client side: a Client handle for Alice under the same trust
-	// roots. Invoke runs the whole Figure-3 pipeline under the context.
+	// Client side: a GT3 Client handle for Alice under the same trust
+	// roots. Invoke runs the whole Figure-3 pipeline under the context:
+	// the conversation's two token exchanges, then the call.
 	alice, err := authority.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
-	aliceClient, err := env.NewClient(alice)
+	aliceClient, err := env.NewClient(alice, gsi.WithTransport(gsi.TransportGT3()))
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, trace, err := aliceClient.Invoke(ctx, url, "inventory", "list", nil)
+	out, err := aliceClient.Invoke(ctx, url, "inventory", "list", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("datasets: %s\n", out)
-	fmt.Printf("pipeline trace: policy=%v conversion=%v tokens=%v invoke=%v (mechanism %s)\n",
-		trace.PolicyFetch.Round(time.Microsecond),
-		trace.Conversion.Round(time.Microsecond),
-		trace.TokenProcessing.Round(time.Microsecond),
-		trace.Invocation.Round(time.Microsecond),
-		trace.Mechanism)
 
 	// Bob authenticates fine but is denied by the authorization service
 	// (step 5) — surfaced as a typed gsi.ErrUnauthorized; the
@@ -132,22 +126,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bobClient, err := env.NewClient(bob)
+	bobClient, err := env.NewClient(bob, gsi.WithTransport(gsi.TransportGT3()))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, _, err := bobClient.Invoke(ctx, url, "inventory", "list", nil); errors.Is(err, gsi.ErrUnauthorized) {
+	if _, err := bobClient.Invoke(ctx, url, "inventory", "list", nil); errors.Is(err, gsi.ErrUnauthorized) {
 		fmt.Println("bob denied as expected (errors.Is(err, gsi.ErrUnauthorized)):", err)
 	} else if err != nil {
 		fmt.Println("bob denied as expected:", err)
 	}
 
 	// The audit service recorded everything, tamper-evidently.
-	count, _, err := aliceClient.Invoke(ctx, url, "security/audit", "Count", nil)
+	count, err := aliceClient.Invoke(ctx, url, "security/audit", "Count", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	intact, _, err := aliceClient.Invoke(ctx, url, "security/audit", "Verify", nil)
+	intact, err := aliceClient.Invoke(ctx, url, "security/audit", "Verify", nil)
 	if err != nil {
 		log.Fatal(err)
 	}

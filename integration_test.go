@@ -12,7 +12,6 @@ import (
 	"repro/internal/authz"
 	"repro/internal/ca"
 	"repro/internal/cas"
-	"repro/internal/core"
 	"repro/internal/gram"
 	"repro/internal/gridcert"
 	"repro/internal/gridftp"
@@ -67,7 +66,6 @@ type benchService struct{ *ogsa.Base }
 
 func newBenchService() *benchService {
 	s := &benchService{Base: ogsa.NewBase()}
-	s.Data.Set("__warmup__", []byte("ok"))
 	return s
 }
 
@@ -281,19 +279,19 @@ func TestIntegrationFullStackHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	httpClient := &soap.Client{Endpoint: srv.URL()}
-	req := &core.Requestor{Credential: f.alice, Trust: f.trust}
-	out, trace, err := req.InvokeContext(context.Background(), httpClient.Call, "app", "echo", []byte("over the wire"))
+	alice, err := env.NewClient(f.alice, gsi.WithTransport(gsi.TransportGT3()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := alice.Invoke(context.Background(), srv.URL(), "app", "echo", []byte("over the wire"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(out) != "over the wire" {
 		t.Fatalf("out = %q", out)
 	}
-	if trace.Mechanism == "" || trace.Invocation <= 0 {
-		t.Fatalf("trace = %+v", trace)
-	}
 	// The audit log is intact and saw the traffic.
+	httpClient := &soap.Client{Endpoint: srv.URL()}
 	client := &ogsa.Client{Transport: httpClient.Call, Credential: f.alice, TrustStore: f.trust}
 	verify, err := client.InvokeSigned("security/audit", "Verify", nil)
 	if err != nil || string(verify) != "intact" {

@@ -315,9 +315,10 @@ func TestEndpointSourceDepositAndRenew(t *testing.T) {
 	}
 	// An establishment under the rotated credential proves the
 	// manager's published successor carries a working key.
-	conv, err := wssec.EstablishConversation(
+	pipe := soap.Pipe(container.Dispatcher())
+	conv, err := wssec.EstablishConversation(context.Background(),
 		gss.Config{Credential: m.Current(), TrustStore: w.trust},
-		soap.Pipe(container.Dispatcher()),
+		func(_ context.Context, env *soap.Envelope) (*soap.Envelope, error) { return pipe(env) },
 	)
 	if err != nil {
 		t.Fatalf("handshake under rotated credential: %v", err)

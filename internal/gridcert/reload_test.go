@@ -38,10 +38,10 @@ func TestReplaceRoots(t *testing.T) {
 	if got := ts.Generation(); got != gen+1 {
 		t.Fatalf("generation moved %d times, want 1", got-gen)
 	}
-	if _, ok := ts.Root(caA.Subject); ok {
+	if ts.snapshot().find(caA.Subject) != nil {
 		t.Fatal("old root survived replacement")
 	}
-	if _, ok := ts.Root(caB.Subject); !ok {
+	if ts.snapshot().find(caB.Subject) == nil {
 		t.Fatal("new root missing after replacement")
 	}
 	if ts.snapshot().revoked(caA.Subject, 42) {
@@ -66,7 +66,7 @@ func TestReplaceRoots(t *testing.T) {
 	if err := ts.ReplaceRoots([]*Certificate{caA, notCA}); err == nil {
 		t.Fatal("ReplaceRoots with non-CA candidate succeeded")
 	}
-	if _, ok := ts.Root(caA.Subject); ok {
+	if ts.snapshot().find(caA.Subject) != nil {
 		t.Fatal("failed batch partially applied")
 	}
 }

@@ -227,14 +227,6 @@ func (ts *TrustStore) snapshot() anchorSet {
 	return ts.anchors
 }
 
-// Root returns the trusted root with the given subject, if present.
-func (ts *TrustStore) Root(subject Name) (*Certificate, bool) {
-	if a := ts.snapshot().find(subject); a != nil {
-		return a.root, true
-	}
-	return nil, false
-}
-
 // Roots returns all trusted roots.
 func (ts *TrustStore) Roots() []*Certificate {
 	anchors := ts.snapshot()

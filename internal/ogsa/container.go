@@ -58,9 +58,6 @@ type ContainerConfig struct {
 	Now func() time.Time
 	// Audit receives events; nil disables auditing.
 	Audit AuditSink
-	// Policy is the published security policy; nil publishes a default
-	// (both mechanisms, gsi:proxy tokens, container trust roots).
-	Policy *wssec.PolicyDocument
 	// RejectLimited refuses limited-proxy callers container-wide (set on
 	// job-creating containers per the GSI limited-proxy rule).
 	RejectLimited bool
@@ -102,14 +99,11 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 	})
 	c.convMgr.Register(c.dispatcher)
 
-	// Publish security policy (§4.3). The default policy is recomputed on
+	// Publish security policy (§4.3): both mechanisms, gsi:proxy and
+	// cas:assertion tokens, the container's trust roots — recomputed on
 	// every fetch so trust roots added after boot are reflected.
 	c.dispatcher.Handle(wssec.ActionGetPolicy, func(env *soap.Envelope) (*soap.Envelope, error) {
-		pol := cfg.Policy
-		if pol == nil {
-			pol = c.defaultPolicy()
-		}
-		data, err := pol.Marshal()
+		data, err := c.policy().Marshal()
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +117,7 @@ func NewContainer(cfg ContainerConfig) (*Container, error) {
 	return c, nil
 }
 
-func (c *Container) defaultPolicy() *wssec.PolicyDocument {
+func (c *Container) policy() *wssec.PolicyDocument {
 	var roots []string
 	for _, r := range c.cfg.TrustStore.Roots() {
 		fp := r.Fingerprint()
@@ -263,10 +257,12 @@ func (c *Container) audit(event, subject, detail string) {
 
 // Client is the client side of container invocation: it wraps transports
 // and credentials into typed calls. Stateless calls sign each envelope;
-// stateful calls run over an established conversation.
+// stateful calls run over an established conversation. Its calls take no
+// context; a caller that needs one invokes through pkg/gsi's
+// Client.Invoke instead.
 type Client struct {
 	// Transport delivers envelopes to the container.
-	Transport wssec.Transport
+	Transport func(*soap.Envelope) (*soap.Envelope, error)
 	// Credential signs stateless requests and establishes conversations.
 	Credential *gridcert.Credential
 	// TrustStore validates the container.
@@ -293,14 +289,16 @@ func (cl *Client) InvokeSigned(handle, op string, body []byte) ([]byte, error) {
 }
 
 // InvokeSecure makes a stateful call, establishing the conversation on
-// first use.
+// first use. The conversation carries Transport, adapted once to the
+// context-taking shape.
 func (cl *Client) InvokeSecure(handle, op string, body []byte) ([]byte, error) {
 	cl.mu.Lock()
 	if cl.conv == nil || cl.conv.Context().Expired() {
-		conv, err := wssec.EstablishConversation(gss.Config{
+		transport := func(_ context.Context, env *soap.Envelope) (*soap.Envelope, error) { return cl.Transport(env) }
+		conv, err := wssec.EstablishConversation(context.Background(), gss.Config{
 			Credential: cl.Credential,
 			TrustStore: cl.TrustStore,
-		}, cl.Transport)
+		}, transport)
 		if err != nil {
 			cl.mu.Unlock()
 			return nil, err
@@ -309,7 +307,7 @@ func (cl *Client) InvokeSecure(handle, op string, body []byte) ([]byte, error) {
 	}
 	conv := cl.conv
 	cl.mu.Unlock()
-	reply, err := conv.Call(soap.NewEnvelope("ogsa-sc/"+handle+"/"+op, body))
+	reply, err := conv.Call(context.Background(), soap.NewEnvelope("ogsa-sc/"+handle+"/"+op, body))
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,10 @@ package ogsa
 
 import (
 	"context"
+	"encoding/hex"
+	"encoding/xml"
 	"errors"
 	"fmt"
-	"repro/internal/wssec"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/gss"
 	"repro/internal/proxy"
 	"repro/internal/soap"
+	"repro/internal/wssec"
 )
 
 // echoService is a minimal Grid service for tests.
@@ -248,13 +250,22 @@ func TestLimitedProxyRejectedByJobContainer(t *testing.T) {
 	}
 }
 
+// TestFetchContainerPolicy: the container publishes its security
+// policy at wspolicy/Get (§4.3) — both mechanisms, in preference order,
+// and its trust roots — to a raw envelope decoded with encoding/xml.
 func TestFetchContainerPolicy(t *testing.T) {
 	b := newBed(t, nil)
-	pol, err := wssec.FetchPolicy(b.client.Transport)
+	reply, err := b.client.Transport(soap.NewEnvelope(wssec.ActionGetPolicy, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pol.Service != "c1" || len(pol.Mechanisms) != 2 || len(pol.TrustRoots) == 0 {
+	var pol wssec.PolicyDocument
+	if err := xml.Unmarshal(reply.Body, &pol); err != nil {
+		t.Fatal(err)
+	}
+	fp := b.auth.Certificate().Fingerprint()
+	if pol.Service != "c1" || len(pol.Mechanisms) != 2 || pol.Mechanisms[0] != wssec.MechSecureConversation ||
+		len(pol.TrustRoots) != 1 || pol.TrustRoots[0] != hex.EncodeToString(fp[:]) {
 		t.Fatalf("policy = %+v", pol)
 	}
 }

@@ -2,8 +2,8 @@
 // paper (§4.4, §5.1): WS-SecureConversation (security-context
 // establishment, in WS-Trust's RequestSecurityToken exchange, whose
 // tokens are the same GSS tokens GT2 frames over TCP, here carried in SOAP
-// envelopes) and WS-Policy (security policy documents, their retrieval
-// and intersection).
+// envelopes) and the WS-Policy document a hosting environment publishes
+// (§4.3).
 package wssec
 
 import (
@@ -29,29 +29,30 @@ const (
 const SCTHeader = "wssc:SecurityContextToken"
 
 // Transport is how envelopes reach the peer: an HTTP client call or an
-// in-memory pipe.
-type Transport func(*soap.Envelope) (*soap.Envelope, error)
-
-// ContextTransport is a Transport whose round-trips honor a
-// context.Context (cancellation aborts the in-flight exchange).
-type ContextTransport func(context.Context, *soap.Envelope) (*soap.Envelope, error)
+// in-memory pipe. ctx governs the round trip: its end aborts an
+// exchange in flight.
+type Transport func(context.Context, *soap.Envelope) (*soap.Envelope, error)
 
 // Conversation is an established client-side secure conversation.
 type Conversation struct {
 	ContextID string
 	// Resumed reports whether this conversation was derived from an
 	// earlier one via ActionResume instead of the full bootstrap.
-	Resumed      bool
-	ctx          *gss.Context
-	transport    Transport
-	ctxTransport ContextTransport // set when established via EstablishConversationContext
+	Resumed   bool
+	ctx       *gss.Context
+	transport Transport
 }
 
 // EstablishConversation runs the WS-SecureConversation handshake against
 // a service endpoint. The GSS tokens are exactly those of the GT2
 // transport; only the carriage differs (SOAP request/response instead of
-// raw frames), which is the paper's §5.1 point.
-func EstablishConversation(cfg gss.Config, transport Transport) (*Conversation, error) {
+// raw frames), which is the paper's §5.1 point. ctx governs both token
+// exchanges; the conversation's later calls go through the same
+// transport under their own contexts.
+func EstablishConversation(ctx context.Context, cfg gss.Config, transport Transport) (*Conversation, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	init, err := gss.NewInitiator(cfg)
 	if err != nil {
@@ -62,7 +63,7 @@ func EstablishConversation(cfg gss.Config, transport Transport) (*Conversation, 
 		return nil, err
 	}
 	req1 := soap.NewEnvelope(ActionRST, t1)
-	resp1, err := transport(req1)
+	resp1, err := transport(ctx, req1)
 	if err != nil {
 		return nil, fmt.Errorf("wssec: RST exchange: %w", err)
 	}
@@ -70,13 +71,13 @@ func EstablishConversation(cfg gss.Config, transport Transport) (*Conversation, 
 	if !ok {
 		return nil, errors.New("wssec: RSTR missing security context token")
 	}
-	t3, ctx, err := init.Finish(resp1.Body)
+	t3, gctx, err := init.Finish(resp1.Body)
 	if err != nil {
 		return nil, err
 	}
 	req2 := soap.NewEnvelope(ActionRSTR, t3)
 	req2.SetHeader(SCTHeader, sct.Content)
-	resp2, err := transport(req2)
+	resp2, err := transport(ctx, req2)
 	if err != nil {
 		return nil, fmt.Errorf("wssec: RSTR exchange: %w", err)
 	}
@@ -84,25 +85,7 @@ func EstablishConversation(cfg gss.Config, transport Transport) (*Conversation, 
 		return nil, resp2.Fault
 	}
 	gss.ObserveHandshake(time.Since(start))
-	return &Conversation{ContextID: string(sct.Content), ctx: ctx, transport: transport}, nil
-}
-
-// EstablishConversationContext is EstablishConversation over a
-// context-aware transport: ctx governs both token exchanges, and the
-// returned conversation's CallContext threads per-call contexts through
-// the same transport.
-func EstablishConversationContext(ctx context.Context, cfg gss.Config, transport ContextTransport) (*Conversation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	conv, err := EstablishConversation(cfg, func(env *soap.Envelope) (*soap.Envelope, error) {
-		return transport(ctx, env)
-	})
-	if err != nil {
-		return nil, err
-	}
-	conv.ctxTransport = transport
-	return conv, nil
+	return &Conversation{ContextID: string(sct.Content), ctx: gctx, transport: transport}, nil
 }
 
 // Context exposes the underlying GSS context.
@@ -111,19 +94,11 @@ func (c *Conversation) Context() *gss.Context { return c.ctx }
 // Peer returns the authenticated service identity.
 func (c *Conversation) Peer() gss.Peer { return c.ctx.Peer() }
 
-// Call sends an application envelope through the secure conversation:
-// the body is wrapped (encrypted + integrity + ordering) under the
-// context, and the reply body unwrapped.
-func (c *Conversation) Call(env *soap.Envelope) (*soap.Envelope, error) {
-	return c.CallContext(context.Background(), env)
-}
-
-// CallContext is Call honoring ctx when the conversation was established
-// over a context-aware transport; otherwise ctx only gates entry. The
-// request body is sealed with one exact-size allocation (WrapInto) and
-// the reply body decrypted in place — the old path round-tripped both
-// through intermediate buffers.
-func (c *Conversation) CallContext(ctx context.Context, env *soap.Envelope) (*soap.Envelope, error) {
+// Call sends an application envelope through the secure conversation
+// under ctx: the body is wrapped (encrypted + integrity + ordering)
+// under the context with one exact-size allocation (WrapInto), and the
+// reply body decrypted in place.
+func (c *Conversation) Call(ctx context.Context, env *soap.Envelope) (*soap.Envelope, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -135,12 +110,7 @@ func (c *Conversation) CallContext(ctx context.Context, env *soap.Envelope) (*so
 	secured.Body = wrapped
 	secured.Headers = append([]soap.HeaderBlock(nil), env.Headers...) // the copy must not mutate env's backing array
 	secured.SetHeader(SCTHeader, []byte(c.ContextID))
-	var reply *soap.Envelope
-	if c.ctxTransport != nil {
-		reply, err = c.ctxTransport(ctx, &secured)
-	} else {
-		reply, err = c.transport(&secured)
-	}
+	reply, err := c.transport(ctx, &secured)
 	if err != nil {
 		return nil, err
 	}

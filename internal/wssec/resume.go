@@ -27,7 +27,7 @@ const ActionResume = "wssc/ResumeSecurityContext"
 // finite even under pathological clients.
 const maxResumesPerSession = 1024
 
-// ResumeContext derives a fresh conversation from an established one in
+// Resume derives a fresh conversation from an established one in
 // a single secured round trip: request carries the parent's context
 // token and a client nonce, reply carries the server nonce and the new
 // context token. The derived conversation has fresh wrap keys but the
@@ -35,7 +35,7 @@ const maxResumesPerSession = 1024
 // credential lifetime at establishment, so resumption can never extend
 // a credential's reach). The parent remains usable: many children can
 // be derived from one bootstrap.
-func (c *Conversation) ResumeContext(ctx context.Context, transport ContextTransport) (*Conversation, error) {
+func (c *Conversation) Resume(ctx context.Context, transport Transport) (*Conversation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -73,13 +73,10 @@ func (c *Conversation) ResumeContext(ctx context.Context, transport ContextTrans
 	}
 	gss.ObserveResume(time.Since(start))
 	return &Conversation{
-		ContextID:    string(sct.Content),
-		Resumed:      true,
-		ctx:          derived,
-		ctxTransport: transport,
-		transport: func(env *soap.Envelope) (*soap.Envelope, error) {
-			return transport(context.Background(), env)
-		},
+		ContextID: string(sct.Content),
+		Resumed:   true,
+		ctx:       derived,
+		transport: transport,
 	}, nil
 }
 
@@ -199,14 +196,14 @@ func (rc *ResumptionCache) Stats() ResumptionStats {
 // parent. A failed resumption evicts the parent and falls back to the
 // bootstrap — unless the failure was the caller's own context ending,
 // which is returned as-is.
-func (rc *ResumptionCache) EstablishOrResume(ctx context.Context, key string, cfg gss.Config, transport ContextTransport) (conv *Conversation, resumed bool, err error) {
+func (rc *ResumptionCache) EstablishOrResume(ctx context.Context, key string, cfg gss.Config, transport Transport) (conv *Conversation, resumed bool, err error) {
 	rc.mu.Lock()
 	parent := rc.parents[key]
 	rc.mu.Unlock()
 	if parent != nil {
 		if parent.Context().Expired() {
 			rc.evict(key, parent)
-		} else if child, err := parent.ResumeContext(ctx, transport); err == nil {
+		} else if child, err := parent.Resume(ctx, transport); err == nil {
 			rc.mu.Lock()
 			rc.hits++
 			rc.mu.Unlock()
@@ -217,7 +214,7 @@ func (rc *ResumptionCache) EstablishOrResume(ctx context.Context, key string, cf
 			rc.evict(key, parent)
 		}
 	}
-	conv, err = EstablishConversationContext(ctx, cfg, transport)
+	conv, err = EstablishConversation(ctx, cfg, transport)
 	if err != nil {
 		return nil, false, err
 	}

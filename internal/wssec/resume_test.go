@@ -11,8 +11,9 @@ import (
 	"repro/internal/wire"
 )
 
-// pipeCtx adapts a soap.Pipe to the context-aware transport shape.
-func pipeCtx(d *soap.Dispatcher) ContextTransport {
+// pipeCtx adapts a soap.Pipe to the Transport shape: a dead context
+// fails the round trip before delivery.
+func pipeCtx(d *soap.Dispatcher) Transport {
 	p := soap.Pipe(d)
 	return func(ctx context.Context, env *soap.Envelope) (*soap.Envelope, error) {
 		if err := ctx.Err(); err != nil {
@@ -33,12 +34,12 @@ func TestResumeDerivesWorkingConversation(t *testing.T) {
 	transport := pipeCtx(d)
 	ctx := context.Background()
 
-	parent, err := EstablishConversationContext(ctx, gss.Config{Credential: b.alice, TrustStore: b.ts}, transport)
+	parent, err := EstablishConversation(ctx, gss.Config{Credential: b.alice, TrustStore: b.ts}, transport)
 	if err != nil {
 		t.Fatal(err)
 	}
 	messages := 0
-	child, err := parent.ResumeContext(ctx, func(ctx context.Context, env *soap.Envelope) (*soap.Envelope, error) {
+	child, err := parent.Resume(ctx, func(ctx context.Context, env *soap.Envelope) (*soap.Envelope, error) {
 		reply, err := transport(ctx, env)
 		if messages++; reply != nil {
 			messages++
@@ -64,7 +65,7 @@ func TestResumeDerivesWorkingConversation(t *testing.T) {
 	}
 	// Both parent and child carry application traffic, under distinct keys.
 	for _, conv := range []*Conversation{child, parent} {
-		reply, err := conv.CallContext(ctx, soap.NewEnvelope("app/echo", []byte("hi")))
+		reply, err := conv.Call(ctx, soap.NewEnvelope("app/echo", []byte("hi")))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,13 +87,13 @@ func TestResumeRejectsExpiredParent(t *testing.T) {
 
 	clock := time.Now()
 	now := func() time.Time { return clock }
-	parent, err := EstablishConversationContext(context.Background(),
+	parent, err := EstablishConversation(context.Background(),
 		gss.Config{Credential: b.alice, TrustStore: b.ts, Lifetime: time.Minute, Now: now}, transport)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock = clock.Add(2 * time.Minute)
-	if _, err := parent.ResumeContext(context.Background(), transport); !errors.Is(err, gss.ErrContextExpired) {
+	if _, err := parent.Resume(context.Background(), transport); !errors.Is(err, gss.ErrContextExpired) {
 		t.Fatalf("resume of expired parent: %v", err)
 	}
 }
@@ -140,7 +141,7 @@ func TestResumeRequiresProofOfPossession(t *testing.T) {
 	mgr.Register(d)
 	transport := pipeCtx(d)
 
-	parent, err := EstablishConversationContext(context.Background(), gss.Config{Credential: b.alice, TrustStore: b.ts}, transport)
+	parent, err := EstablishConversation(context.Background(), gss.Config{Credential: b.alice, TrustStore: b.ts}, transport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +177,11 @@ func TestResumeReplayRejected(t *testing.T) {
 		}
 		return inner(env)
 	}
-	parent, err := EstablishConversationContext(context.Background(), gss.Config{Credential: b.alice, TrustStore: b.ts}, transport)
+	parent, err := EstablishConversation(context.Background(), gss.Config{Credential: b.alice, TrustStore: b.ts}, transport)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := parent.ResumeContext(context.Background(), transport); err != nil {
+	if _, err := parent.Resume(context.Background(), transport); err != nil {
 		t.Fatal(err)
 	}
 	if captured == nil {
@@ -194,7 +195,7 @@ func TestResumeReplayRejected(t *testing.T) {
 		t.Fatalf("sessions grew %d -> %d on replay", sessions, got)
 	}
 	// A fresh, honest resumption still works.
-	if _, err := parent.ResumeContext(context.Background(), transport); err != nil {
+	if _, err := parent.Resume(context.Background(), transport); err != nil {
 		t.Fatalf("legitimate resume after replay attempt: %v", err)
 	}
 }
@@ -206,13 +207,13 @@ func TestResumeUnknownContextRejected(t *testing.T) {
 	mgr.Register(d)
 	transport := pipeCtx(d)
 
-	parent, err := EstablishConversationContext(context.Background(), gss.Config{Credential: b.alice, TrustStore: b.ts}, transport)
+	parent, err := EstablishConversation(context.Background(), gss.Config{Credential: b.alice, TrustStore: b.ts}, transport)
 	if err != nil {
 		t.Fatal(err)
 	}
 	forged := *parent
 	forged.ContextID = "sct-deadbeef"
-	if _, err := forged.ResumeContext(context.Background(), transport); err == nil {
+	if _, err := forged.Resume(context.Background(), transport); err == nil {
 		t.Fatal("resume with unknown token accepted")
 	}
 }

@@ -176,9 +176,8 @@ func TestCASRequestCancellation(t *testing.T) {
 	}
 }
 
-// TestGT3InvokeCancellation: the Figure-3 pipeline run through
-// Client.Invoke refuses a dead context and succeeds under a live one,
-// over real HTTP.
+// TestGT3InvokeCancellation: Client.Invoke against a container handle
+// refuses a dead context and succeeds under a live one, over real HTTP.
 func TestGT3InvokeCancellation(t *testing.T) {
 	tb := newTestbed(t)
 	url, shutdown, err := gsi.ServeHTTP(newPingContainer(t, tb), "127.0.0.1:0")
@@ -186,35 +185,35 @@ func TestGT3InvokeCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shutdown()
-	client, err := tb.env.NewClient(tb.alice)
+	client, err := tb.env.NewClient(tb.alice, gsi.WithTransport(gsi.TransportGT3()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := client.Invoke(canceled, url, "ping", "ping", nil); !errors.Is(err, gsi.ErrContextClosed) {
+	if _, err := client.Invoke(canceled, url, "ping", "ping", nil); !errors.Is(err, gsi.ErrContextClosed) {
 		t.Fatalf("canceled Invoke not surfaced: %v", err)
 	}
-	// Live context: full pipeline succeeds.
-	if out, _, err := client.Invoke(context.Background(), url, "ping", "ping", nil); err != nil {
+	// Live context: the conversation and the call succeed.
+	if out, err := client.Invoke(context.Background(), url, "ping", "ping", nil); err != nil {
 		t.Fatalf("live Invoke: %v (out=%q)", err, out)
 	}
 }
 
 // TestGT3InvokeDeadlineMidRPC: a deadline that passes while an RPC of
-// the pipeline is in flight — the peer accepted and never answers —
-// ends the call then, not at the HTTP client's own 30 s timeout.
+// the Invoke is in flight — the peer accepted and never answers — ends
+// the call then, not at the HTTP client's own 30 s timeout.
 func TestGT3InvokeDeadlineMidRPC(t *testing.T) {
 	tb := newTestbed(t)
 	ln := blackholeListener(t)
-	client, err := tb.env.NewClient(tb.alice)
+	client, err := tb.env.NewClient(tb.alice, gsi.WithTransport(gsi.TransportGT3()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err = client.Invoke(ctx, "http://"+ln.Addr().String()+"/soap", "ping", "ping", nil)
+	_, err = client.Invoke(ctx, "http://"+ln.Addr().String()+"/soap", "ping", "ping", nil)
 	if !errors.Is(err, gsi.ErrContextClosed) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline not surfaced: %v", err)
 	}

@@ -191,7 +191,7 @@ func (cs *casSyncer) pull(ctx context.Context, endpoint string) error {
 // not the endpoint's or a full bundle's.
 func (cs *casSyncer) pullSince(ctx context.Context, endpoint string, have uint64) (badDelta bool, err error) {
 	start := time.Now()
-	body, _, err := cs.client.Invoke(ctx, endpoint, cas.SyncHandle, cas.SyncOpPull, strconv.AppendUint(nil, have, 10))
+	body, err := cs.client.Invoke(ctx, endpoint, cas.SyncHandle, cas.SyncOpPull, strconv.AppendUint(nil, have, 10))
 	if err != nil {
 		return false, err
 	}

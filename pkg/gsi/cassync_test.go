@@ -468,7 +468,7 @@ func TestCASAdminOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := admin.Invoke(ctx, c.rsEP.Addr(), ogsa.AdminHandle, ogsa.AdminOpCASStatus, nil)
+	out, err := admin.Invoke(ctx, c.rsEP.Addr(), ogsa.AdminHandle, ogsa.AdminOpCASStatus, nil)
 	if err != nil {
 		t.Fatalf("CASStatus: %v", err)
 	}
@@ -481,7 +481,7 @@ func TestCASAdminOps(t *testing.T) {
 	}
 
 	before := status.Syncs
-	out, _, err = admin.Invoke(ctx, c.rsEP.Addr(), ogsa.AdminHandle, ogsa.AdminOpCASSync, nil)
+	out, err = admin.Invoke(ctx, c.rsEP.Addr(), ogsa.AdminHandle, ogsa.AdminOpCASSync, nil)
 	if err != nil {
 		t.Fatalf("CASSync: %v", err)
 	}

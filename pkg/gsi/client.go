@@ -3,13 +3,13 @@ package gsi
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/cas"
 	"repro/internal/gram"
 	"repro/internal/gss"
 	"repro/internal/proxy"
-	"repro/internal/soap"
 	"repro/internal/trace"
 )
 
@@ -192,7 +192,24 @@ func (c *Client) dialSession(ctx context.Context, endpoint string, cred *Credent
 // the op may execute twice. Issue non-idempotent operations through
 // Connect and Session.Exchange instead, which never retry.
 func (c *Client) Exchange(ctx context.Context, endpoint, op string, body []byte) ([]byte, error) {
-	const opName = "gsi.Client.Exchange"
+	return c.call(ctx, "gsi.Client.Exchange", endpoint, exchangeHandle, op, body)
+}
+
+// Invoke is Exchange aimed at a named service handle of the GT3 hosting
+// environment at endpoint (the admin port type, CAS sync, any
+// ogsa.Container service), on the same sessions and under the same
+// options. Only a GT3 client invokes; any other transport is refused.
+func (c *Client) Invoke(ctx context.Context, endpoint, handle, op string, body []byte) ([]byte, error) {
+	const opName = "gsi.Client.Invoke"
+	if _, ok := c.base.transport.(gt3Transport); !ok {
+		return nil, opErr(opName, fmt.Errorf("gsi: Invoke addresses GT3 container handles; this client's transport is %s", c.base.transport))
+	}
+	return c.call(ctx, opName, endpoint, handle, op, body)
+}
+
+// call is the one body of Exchange and Invoke: the client span, the
+// attempts, and the public error op.
+func (c *Client) call(ctx context.Context, opName, endpoint, handle, op string, body []byte) ([]byte, error) {
 	s := &c.base
 	// Tracing: the root span covers the whole operation — dial (or pool
 	// checkout), any retries, and the exchange itself — and rides ctx so
@@ -204,78 +221,66 @@ func (c *Client) Exchange(ctx context.Context, endpoint, op string, body []byte)
 		sp = s.tracer.StartRoot("client.exchange")
 		ctx = trace.ContextWithSpan(ctx, sp)
 	}
-	if s.pool == nil {
-		dialStart := time.Time{}
-		if sp != nil {
-			dialStart = time.Now()
-		}
-		sess, err := c.dialSession(ctx, endpoint, c.credential())
-		if err != nil {
-			sp.SetError(err)
-			sp.End()
-			return nil, opErr(opName, err)
-		}
-		if sp != nil {
-			sp.AddTimed("client.connect", dialStart, time.Since(dialStart), "")
-			clientHandshakeSpan(sp, sess)
-			sp.SetPeer(sess.Peer().Identity.String())
-		}
-		defer sess.Close()
-		out, err := sess.Exchange(ctx, op, body)
-		if sp != nil {
-			sp.AddBytes(int64(len(body) + len(out)))
-			sp.SetError(err)
-			sp.End()
-		}
-		if err != nil {
-			return nil, opErr(opName, err)
-		}
-		return out, nil
-	}
 	// Every reused-but-poisoned session may hide another stale one
-	// behind it in the idle pool; allow one attempt per possible parked
-	// session plus a final fresh dial. The credential is re-resolved per
-	// attempt so a retry racing a rotation lands on the successor.
-	attempts := s.pool.maxIdle + 2
-	var lastErr error
+	// behind it in the idle pool; a pooling client allows one attempt per
+	// possible parked session plus a final fresh dial.
+	attempts := 1
+	if s.pool != nil {
+		attempts = s.pool.maxIdle + 2
+	}
+	var err error
 	for i := 0; i < attempts; i++ {
-		cred := c.credential()
-		key := c.poolKey(endpoint, cred)
-		checkoutStart := time.Time{}
-		if sp != nil {
-			checkoutStart = time.Now()
-		}
-		sess, err := s.pool.checkout(ctx, key, dialRequest{client: c, endpoint: endpoint, cred: cred})
-		if err != nil {
-			sp.SetError(err)
-			sp.End()
-			return nil, opErr(opName, err)
-		}
-		if sp != nil {
-			if !sess.reused {
-				sp.AddTimed("client.connect", checkoutStart, time.Since(checkoutStart), "")
-				clientHandshakeSpan(sp, sess)
-			}
-			sp.SetPeer(sess.Peer().Identity.String())
-		}
-		out, err := sess.Exchange(ctx, op, body)
-		retriable := err != nil && sess.reused && sess.poisoned.Load() && ctx.Err() == nil
-		sess.Close()
-		if err == nil {
+		var out []byte
+		var retriable bool
+		if out, retriable, err = c.attempt(ctx, sp, endpoint, handle, op, body); err == nil {
 			if sp != nil {
 				sp.AddBytes(int64(len(body) + len(out)))
 				sp.End()
 			}
 			return out, nil
 		}
-		lastErr = err
 		if !retriable {
 			break
 		}
 	}
-	sp.SetError(lastErr)
+	sp.SetError(err)
 	sp.End()
-	return nil, opErr(opName, lastErr)
+	return nil, opErr(opName, err)
+}
+
+// attempt is one try of call: a pool checkout — or, without a pool, a
+// dial — then the request to handle and the session's return. The
+// credential is resolved per attempt so a retry racing a rotation lands
+// on the successor. retriable reports a reused session that turned out
+// poisoned, which the next attempt replaces.
+func (c *Client) attempt(ctx context.Context, sp *trace.Span, endpoint, handle, op string, body []byte) (out []byte, retriable bool, err error) {
+	s := &c.base
+	cred := c.credential()
+	start := time.Time{}
+	if sp != nil {
+		start = time.Now()
+	}
+	var sess Session
+	var pooled *pooledSession
+	if s.pool != nil {
+		if pooled, err = s.pool.checkout(ctx, c.poolKey(endpoint, cred), dialRequest{client: c, endpoint: endpoint, cred: cred}); err != nil {
+			return nil, false, err
+		}
+		sess = pooled
+	} else if sess, err = c.dialSession(ctx, endpoint, cred); err != nil {
+		return nil, false, err
+	}
+	defer sess.Close()
+	if sp != nil {
+		if pooled == nil || !pooled.reused {
+			sp.AddTimed("client.connect", start, time.Since(start), "")
+			clientHandshakeSpan(sp, sess)
+		}
+		sp.SetPeer(sess.Peer().Identity.String())
+	}
+	out, err = exchangeAt(ctx, sess, handle, op, body)
+	retriable = err != nil && pooled != nil && pooled.reused && pooled.poisoned.Load() && ctx.Err() == nil
+	return out, retriable, err
 }
 
 // Establish runs an in-memory mutual authentication against an acceptor
@@ -353,27 +358,6 @@ func (c *Client) SubmitJob(ctx context.Context, resource *JobResource, desc JobD
 		return nil, opErr(op, err)
 	}
 	return mjs, nil
-}
-
-// Invoke runs the Figure-3 secured-request pipeline against a GT3
-// container endpoint (policy fetch, mechanism selection, token
-// processing, delivery), returning the reply and the phase timings.
-func (c *Client) Invoke(ctx context.Context, endpoint, handle, op string, body []byte) ([]byte, Trace, error) {
-	const opName = "gsi.Client.Invoke"
-	r := &Requestor{
-		Credential:      c.credential(),
-		Trust:           c.env.trust,
-		PreferStateless: c.base.protection == ProtectionSigned,
-	}
-	// Every round trip of the pipeline is bound to ctx, so its end aborts
-	// an RPC in flight, not just the next phase.
-	soapClient := &soap.Client{Endpoint: endpoint}
-	transport := func(env *Envelope) (*Envelope, error) { return soapClient.CallContext(ctx, env) }
-	out, phases, err := r.InvokeContext(ctx, transport, handle, op, body)
-	if err != nil {
-		return nil, phases, opErr(opName, err)
-	}
-	return out, phases, nil
 }
 
 // compile-time interface checks for the session and stream

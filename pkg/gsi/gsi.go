@@ -9,8 +9,8 @@
 //   - Environment — trust roots + clock, constructed with
 //     NewEnvironment and EnvOptions;
 //   - Client — an initiator credential bound to an Environment; its
-//     Connect/Establish/RequestAssertion/SubmitJob/Invoke methods all
-//     take a context.Context (cancellation and deadlines are honored
+//     Connect/Exchange/Invoke/Establish/RequestAssertion/SubmitJob
+//     methods all take a context.Context (cancellation and deadlines are honored
 //     mid-handshake and mid-RPC) and return typed
 //     errors matchable with errors.Is (ErrExpiredCredential,
 //     ErrUntrustedIssuer, ErrUnauthorized, ErrContextClosed,
@@ -49,7 +49,9 @@
 //     enforcement (Figure 2);
 //   - the GT3 service stack: hosting environments with security handler
 //     pipelines, published security policy, WS-SecureConversation and
-//     per-message signatures, and the secured-request pipeline (Figure 3);
+//     per-message signatures — the secured request of Figure 3, which a
+//     GT3 Client's Invoke sends to a container's named service on the
+//     same sessions as Exchange;
 //   - GRAM: least-privilege remote job management (Figure 4).
 //
 // The quickstart example (examples/quickstart) shows the typical flow:
@@ -63,7 +65,6 @@ import (
 	"repro/internal/authz"
 	"repro/internal/ca"
 	"repro/internal/cas"
-	"repro/internal/core"
 	"repro/internal/gram"
 	"repro/internal/gridcert"
 	"repro/internal/gsitransport"
@@ -130,8 +131,6 @@ type (
 	Call = ogsa.Call
 	// ServiceClient invokes container services (signed or stateful).
 	ServiceClient = ogsa.Client
-	// Requestor automates the Figure-3 secured-request pipeline.
-	Requestor = core.Requestor
 	// Envelope is a SOAP message.
 	Envelope = soap.Envelope
 	// MyProxy is an online credential repository.
@@ -139,8 +138,6 @@ type (
 	// DelegationConfig tunes a container's delegation port type
 	// (Container.EnableDelegation; see DelegationEndpoint).
 	DelegationConfig = ogsa.DelegationConfig
-	// Trace records where time went in one secured request (Figure 3).
-	Trace = core.Trace
 )
 
 // GRAM types (Figure 4).
@@ -214,8 +211,8 @@ func NewCASServer(voCred *Credential) *CASServer { return cas.NewServer(voCred) 
 // NewMyProxy creates an online credential repository.
 func NewMyProxy() *MyProxy { return myproxy.NewServer() }
 
-// PipeTransport wires a Requestor or ServiceClient directly to a
-// container in-process.
+// PipeTransport wires a ServiceClient directly to a container
+// in-process.
 func PipeTransport(c *Container) func(*Envelope) (*Envelope, error) {
 	return soap.Pipe(c.Dispatcher())
 }

@@ -2,6 +2,7 @@ package gsi_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,21 +67,28 @@ func newPingContainer(t testing.TB, tb *testbed) *gsi.Container {
 	return c
 }
 
+// TestPublicAPIServiceStack: a ServiceClient wired in-process through
+// PipeTransport reaches a container service over a secure conversation
+// and is served under its authenticated identity.
 func TestPublicAPIServiceStack(t *testing.T) {
 	tb := newTestbed(t)
-	req := &gsi.Requestor{Credential: tb.alice, Trust: tb.env.Trust()}
-	out, trace, err := req.InvokeContext(context.Background(), gsi.PipeTransport(newPingContainer(t, tb)), "ping", "ping", nil)
+	svc := &gsi.ServiceClient{
+		Transport:  gsi.PipeTransport(newPingContainer(t, tb)),
+		Credential: tb.alice,
+		TrustStore: tb.env.Trust(),
+	}
+	out, err := svc.InvokeSecure("ping", "ping", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(out) != "pong:/O=Grid/CN=Alice" {
 		t.Fatalf("out = %q", out)
 	}
-	if trace.Invocation <= 0 {
-		t.Fatal("no trace")
-	}
 }
 
+// TestPublicAPIOverHTTP: a GT3 Client's Invoke reaches a container
+// service over real HTTP; a GT2 client's Invoke is refused before any
+// I/O, since only GT3 containers have service handles.
 func TestPublicAPIOverHTTP(t *testing.T) {
 	tb := newTestbed(t)
 	url, shutdown, err := gsi.ServeHTTP(newPingContainer(t, tb), "127.0.0.1:0")
@@ -88,12 +96,22 @@ func TestPublicAPIOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shutdown()
-	req := &gsi.Requestor{Credential: tb.alice, Trust: tb.env.Trust()}
-	out, _, err := req.InvokeContext(context.Background(), gsi.HTTPTransport(url), "ping", "ping", nil)
+	client, err := tb.env.NewClient(tb.alice, gsi.WithTransport(gsi.TransportGT3()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := client.Invoke(context.Background(), url, "ping", "ping", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(out) != "pong:/O=Grid/CN=Alice" {
 		t.Fatalf("out = %q", out)
+	}
+	gt2, err := tb.env.NewClient(tb.alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gt2.Invoke(context.Background(), url, "ping", "ping", nil); err == nil || !strings.Contains(err.Error(), "GT3") {
+		t.Fatalf("GT2 Invoke: %v, want a refusal naming GT3", err)
 	}
 }

@@ -298,7 +298,7 @@ func TestAdminSurfaceAuthz(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, _, err := admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpStats, nil)
+	out, err := admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpStats, nil)
 	if err != nil {
 		t.Fatalf("Stats as admin: %v", err)
 	}
@@ -320,7 +320,7 @@ func TestAdminSurfaceAuthz(t *testing.T) {
 		t.Fatal("Stats has a reload section but the server has no WithReload")
 	}
 
-	out, _, err = admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpMetrics, nil)
+	out, err = admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpMetrics, nil)
 	if err != nil {
 		t.Fatalf("Metrics as admin: %v", err)
 	}
@@ -329,7 +329,7 @@ func TestAdminSurfaceAuthz(t *testing.T) {
 		t.Fatalf("Metrics scrape missing expected series:\n%s", out)
 	}
 
-	out, _, err = admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpDrain, nil)
+	out, err = admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpDrain, nil)
 	if err != nil {
 		t.Fatalf("Drain as admin: %v", err)
 	}
@@ -340,12 +340,12 @@ func TestAdminSurfaceAuthz(t *testing.T) {
 	// Unconfigured subsystems and bad arguments come back as faults,
 	// not denials: retirement of an unknown fingerprint and a forced
 	// reload on a server without WithReload.
-	if _, _, err := admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpRetire, []byte("deadbeef")); err == nil {
+	if _, err := admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpRetire, []byte("deadbeef")); err == nil {
 		t.Fatal("Retire of unknown fingerprint succeeded")
 	} else if errors.Is(err, gsi.ErrUnauthorized) {
 		t.Fatalf("Retire of unknown fingerprint misclassified as denial: %v", err)
 	}
-	if _, _, err := admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpReload, nil); err == nil {
+	if _, err := admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpReload, nil); err == nil {
 		t.Fatal("Reload succeeded on a server without WithReload")
 	}
 
@@ -355,7 +355,7 @@ func TestAdminSurfaceAuthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := bob.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpStats, nil); !errors.Is(err, gsi.ErrUnauthorized) {
+	if _, err := bob.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpStats, nil); !errors.Is(err, gsi.ErrUnauthorized) {
 		t.Fatalf("Stats as Bob: got %v, want ErrUnauthorized", err)
 	}
 
@@ -366,7 +366,7 @@ func TestAdminSurfaceAuthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := restricted.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpStats, nil); !errors.Is(err, gsi.ErrUnauthorized) {
+	if _, err := restricted.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpStats, nil); !errors.Is(err, gsi.ErrUnauthorized) {
 		t.Fatalf("Stats with VO-restricted proxy: got %v, want ErrUnauthorized", err)
 	}
 }
@@ -615,10 +615,10 @@ func TestCASSyncCostIsObservable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpCASSync, nil); err != nil {
+	if _, err := admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpCASSync, nil); err != nil {
 		t.Fatalf("CASSync: %v", err)
 	}
-	out, _, err := admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpCASStatus, nil)
+	out, err := admin.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpCASStatus, nil)
 	if err != nil {
 		t.Fatalf("CASStatus: %v", err)
 	}

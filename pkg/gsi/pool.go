@@ -649,10 +649,17 @@ type pooledSession struct {
 }
 
 func (ps *pooledSession) Exchange(ctx context.Context, op string, body []byte) ([]byte, error) {
+	return ps.invoke(ctx, exchangeHandle, op, body)
+}
+
+// invoke forwards a request to handle through the underlying session
+// (see exchangeAt), poisoning the checkout when the error leaves the
+// channel unsafe to park.
+func (ps *pooledSession) invoke(ctx context.Context, handle, op string, body []byte) ([]byte, error) {
 	if ps.released.Load() {
 		return nil, &Error{Op: "gsi.Session.Exchange", Err: errors.New("gsi: session already returned to pool")}
 	}
-	out, err := ps.sess.Exchange(ctx, op, body)
+	out, err := exchangeAt(ctx, ps.sess, handle, op, body)
 	if sessionPoisoned(err) {
 		// A cancellation that struck before any I/O leaves the channel
 		// intact (the transports guarantee it); trust the session's own

@@ -41,11 +41,12 @@ func opCount(recs []trace.SpanRecord) map[string]int {
 	return m
 }
 
-// testTraceExchange drives one traced Exchange over a transport and
-// asserts the tentpole's core property: the client's root span and the
-// server's spans — exchange, authorization — share one trace id, with
-// the server's span marked as continuing a remote context.
-func testTraceExchange(t *testing.T, transport gsi.Transport) {
+// testTraceExchange drives one traced Exchange over a transport (the
+// client built with clientOpts besides) and asserts the core property
+// of tracing: the client's root span and the server's spans — exchange,
+// authorization — share one trace id, with the server's span marked as
+// continuing a remote context.
+func testTraceExchange(t *testing.T, transport gsi.Transport, clientOpts ...gsi.Option) {
 	bed := newAuthzBed(t)
 	reg := gsi.NewMetricsRegistry()
 	server := bed.server(t, gsi.WithTransport(transport), gsi.WithMetrics(reg), gsi.WithTracing())
@@ -60,8 +61,7 @@ func testTraceExchange(t *testing.T, transport gsi.Transport) {
 	defer ep.Close()
 
 	client, err := bed.env.NewClient(bed.alice,
-		gsi.WithTransport(transport),
-		gsi.WithTracing())
+		append([]gsi.Option{gsi.WithTransport(transport), gsi.WithTracing()}, clientOpts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +113,9 @@ func testTraceExchange(t *testing.T, transport gsi.Transport) {
 func TestTraceExchangePropagation(t *testing.T) {
 	t.Run("GT2", func(t *testing.T) { testTraceExchange(t, gsi.TransportGT2()) })
 	t.Run("GT3", func(t *testing.T) { testTraceExchange(t, gsi.TransportGT3()) })
+	t.Run("GT3signed", func(t *testing.T) {
+		testTraceExchange(t, gsi.TransportGT3(), gsi.WithMessageProtection(gsi.ProtectionSigned))
+	})
 }
 
 // TestTracePropagationConcurrent hammers one traced server from
@@ -264,7 +267,7 @@ func TestAdminTraces(t *testing.T) {
 		Remote bool   `json:"remote"`
 	}
 	for {
-		out, _, err = client.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpTraces, query)
+		out, err = client.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpTraces, query)
 		if err != nil {
 			t.Fatalf("Traces as admin: %v", err)
 		}
@@ -293,7 +296,7 @@ func TestAdminTraces(t *testing.T) {
 	}
 
 	// Errors-only on a clean server comes back empty, not faulted.
-	out, _, err = client.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpTraces, []byte(`{"errors_only":true,"op":"server.exchange"}`))
+	out, err = client.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpTraces, []byte(`{"errors_only":true,"op":"server.exchange"}`))
 	if err != nil {
 		t.Fatalf("Traces errors_only: %v", err)
 	}
@@ -316,7 +319,7 @@ func TestAdminTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dep.Close()
-	if _, _, err := client.Invoke(ctx, dep.Addr(), ogsa.AdminHandle, ogsa.AdminOpTraces, nil); err == nil ||
+	if _, err := client.Invoke(ctx, dep.Addr(), ogsa.AdminHandle, ogsa.AdminOpTraces, nil); err == nil ||
 		!strings.Contains(err.Error(), "WithTracing") {
 		t.Fatalf("Traces without tracer: %v, want WithTracing hint", err)
 	}

@@ -553,9 +553,7 @@ func (gt3Transport) String() string { return "gt3" }
 
 func (gt3Transport) Dial(ctx context.Context, endpoint string, cfg DialConfig) (Session, error) {
 	soapClient := &soap.Client{Endpoint: endpoint}
-	transport := func(ctx context.Context, env *soap.Envelope) (*soap.Envelope, error) {
-		return soapClient.CallContext(ctx, env)
-	}
+	transport := wssec.Transport(soapClient.CallContext)
 	if cfg.Protection == ProtectionSigned {
 		return &gt3SignedSession{cred: cfg.Context.Credential, transport: transport}, nil
 	}
@@ -566,11 +564,28 @@ func (gt3Transport) Dial(ctx context.Context, endpoint string, cfg DialConfig) (
 		}
 		return &gt3Session{conv: conv}, nil
 	}
-	conv, err := wssec.EstablishConversationContext(ctx, cfg.Context, transport)
+	conv, err := wssec.EstablishConversation(ctx, cfg.Context, transport)
 	if err != nil {
 		return nil, err
 	}
 	return &gt3Session{conv: conv}, nil
+}
+
+// exchangeAt sends op+body to handle on sess: the exchange service
+// through Session.Exchange, any other handle through invoke, which the
+// GT3 sessions and a pooled checkout of one have. invoke's errors are
+// unwrapped; the public operation wraps them.
+func exchangeAt(ctx context.Context, sess Session, handle, op string, body []byte) ([]byte, error) {
+	if handle == exchangeHandle {
+		return sess.Exchange(ctx, op, body)
+	}
+	hs, ok := sess.(interface {
+		invoke(ctx context.Context, handle, op string, body []byte) ([]byte, error)
+	})
+	if !ok {
+		return nil, fmt.Errorf("gsi: session cannot address service handle %q", handle)
+	}
+	return hs.invoke(ctx, handle, op, body)
 }
 
 type gt3Session struct {
@@ -578,11 +593,19 @@ type gt3Session struct {
 }
 
 func (s *gt3Session) Exchange(ctx context.Context, op string, body []byte) ([]byte, error) {
-	env := soap.NewEnvelope("ogsa-sc/"+exchangeHandle+"/"+op, body)
-	setTraceHeader(ctx, env)
-	reply, err := s.conv.CallContext(ctx, env)
+	out, err := s.invoke(ctx, exchangeHandle, op, body)
 	if err != nil {
 		return nil, opErr("gsi.Session.Exchange", err)
+	}
+	return out, nil
+}
+
+func (s *gt3Session) invoke(ctx context.Context, handle, op string, body []byte) ([]byte, error) {
+	env := soap.NewEnvelope("ogsa-sc/"+handle+"/"+op, body)
+	setTraceHeader(ctx, env)
+	reply, err := s.conv.Call(ctx, env)
+	if err != nil {
+		return nil, err
 	}
 	return reply.Body, nil
 }
@@ -598,20 +621,32 @@ func (s *gt3Session) Healthy() bool { return !s.conv.Context().Expired() }
 // signed under the caller's credential.
 type gt3SignedSession struct {
 	cred      *Credential
-	transport wssec.ContextTransport
+	transport wssec.Transport
 }
 
 func (s *gt3SignedSession) Exchange(ctx context.Context, op string, body []byte) ([]byte, error) {
-	env := soap.NewEnvelope("ogsa/"+exchangeHandle+"/"+op, body)
-	if err := xmlsec.SignEnvelope(env, s.cred); err != nil {
-		return nil, opErr("gsi.Session.Exchange", err)
-	}
-	reply, err := s.transport(ctx, env)
+	out, err := s.invoke(ctx, exchangeHandle, op, body)
 	if err != nil {
 		return nil, opErr("gsi.Session.Exchange", err)
 	}
+	return out, nil
+}
+
+// invoke signs the request after attaching the trace header, which the
+// signature does not cover: it is telemetry-only metadata (see
+// ogsa.Container's routing).
+func (s *gt3SignedSession) invoke(ctx context.Context, handle, op string, body []byte) ([]byte, error) {
+	env := soap.NewEnvelope("ogsa/"+handle+"/"+op, body)
+	setTraceHeader(ctx, env)
+	if err := xmlsec.SignEnvelope(env, s.cred); err != nil {
+		return nil, err
+	}
+	reply, err := s.transport(ctx, env)
+	if err != nil {
+		return nil, err
+	}
 	if reply.Fault != nil {
-		return nil, opErr("gsi.Session.Exchange", reply.Fault)
+		return nil, reply.Fault
 	}
 	return reply.Body, nil
 }
