@@ -127,8 +127,10 @@ test-multicore:
 ## join racing the join timeout), its parked data lanes (a session's
 ## next JOIN reaching a lane whose server goroutine is still leaving the
 ## last transfer's rendezvous), the trust store's signature memo
-## (verifiers in flight while a root reload and a CRL land) and a
-## connection's read-ahead (records and handshakes read in every split).
+## (verifiers in flight while a root reload and a CRL land), a
+## connection's read-ahead (records and handshakes read in every split)
+## and the decision oracle (the pipeline against its reference evaluator
+## while member deltas land on the replica).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run 'Concurrent' ./internal/gram
@@ -136,6 +138,7 @@ race:
 	$(GO) test -race -count=20 -run 'ReadAhead|OneRead' ./internal/gsitransport
 	$(GO) test -race -count=50 -run 'StripedLane' ./internal/gridftp
 	$(GO) test -race -count=20 -run 'TestVerifyMemoConcurrentRevocation' ./internal/gridcert
+	$(GO) test -race -count=20 -run 'TestDecisionOracle' ./pkg/gsi
 
 ## fuzz-smoke: a short fuzz pass over every parser target (go test runs
 ## one -fuzz target per invocation).
@@ -183,7 +186,9 @@ bench:
 ## Restricted list when a proxy carries a policy) — that, not a cache of
 ## verdicts in front of Verify, is what makes a repeated peer cheap; a
 ## cold authorization decision (65 local rules, the VO's half from the
-## bundle replica) <= 100; a
+## bundle replica) <= 5 — the identity rendered once, each rule matched
+## in place, the replica read once — and the 65-rule local scan itself
+## at 0, subject-listing rules included; a
 ## replica's first full sync of a 10,000-member bundle <= 1,000 on each
 ## side — DecodeBundle + Apply, and the publisher's version-0 Pull —
 ## where anything done per member would be tens of thousands; and a SOAP
@@ -191,7 +196,7 @@ bench:
 ## 4 MiB, the latter in <= 3x the body's size (encoding/xml took 128 for
 ## the small one and 12x for the large).
 gate-allocs:
-	$(GO) test -count=1 -run 'Alloc' ./pkg/gsi ./internal/telemetry ./internal/trace ./internal/wal ./internal/gram ./internal/cas ./internal/gridcert ./internal/soap
+	$(GO) test -count=1 -run 'Alloc' ./pkg/gsi ./internal/telemetry ./internal/trace ./internal/wal ./internal/gram ./internal/cas ./internal/gridcert ./internal/soap ./internal/authz
 
 ## fmt: rewrite files in place.
 fmt:

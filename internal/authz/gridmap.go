@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,10 +99,7 @@ func validAccount(account string) bool {
 // entry set stays live.
 func (g *GridMap) Replace(other *GridMap) error {
 	other.mu.RLock()
-	next := make(map[string]string, len(other.entries))
-	for dn, acct := range other.entries {
-		next[dn] = acct
-	}
+	next := maps.Clone(other.entries)
 	other.mu.RUnlock()
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -186,10 +184,13 @@ func (g *GridMap) Generation() uint64 {
 }
 
 // Lookup returns the local account for a grid identity.
-func (g *GridMap) Lookup(dn gridcert.Name) (string, bool) {
+func (g *GridMap) Lookup(dn gridcert.Name) (string, bool) { return g.LookupDN(dn.String()) }
+
+// LookupDN is Lookup for an identity already rendered (Name.String).
+func (g *GridMap) LookupDN(dn string) (string, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	acct, ok := g.entries[dn.String()]
+	acct, ok := g.entries[dn]
 	return acct, ok
 }
 

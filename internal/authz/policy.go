@@ -8,6 +8,7 @@ package authz
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -56,7 +57,7 @@ type Request struct {
 	Time time.Time
 }
 
-func (r Request) time() time.Time {
+func (r *Request) time() time.Time {
 	if r.Time.IsZero() {
 		return time.Now()
 	}
@@ -100,10 +101,12 @@ type Rule struct {
 	NotAfter  time.Time
 }
 
-// Matches reports whether the rule applies to the request. The cheap
-// string matchers run first: in a scan most rules miss on resource or
-// action, and only a rule that lists Subjects needs the DN rendered.
-func (r Rule) Matches(req Request) bool {
+// Matches reports whether the rule applies to the request.
+func (r Rule) Matches(req Request) bool { return r.matches(&req) }
+
+// matches is Matches by pointer, copying neither rule nor request; the
+// cheap matchers run first, as most rules in a scan miss on them.
+func (r *Rule) matches(req *Request) bool {
 	if !matchAny(r.Resources, req.Resource, matchResource) || !matchAny(r.Actions, req.Action, matchExactOrStar) {
 		return false
 	}
@@ -117,17 +120,16 @@ func (r Rule) Matches(req Request) bool {
 	return r.subjectMatches(req)
 }
 
-func (r Rule) subjectMatches(req Request) bool {
+// subjectMatches meets Subjects with req.Subject itself (RendersAs): the
+// DN is never rendered, and nothing else can stand in for it.
+func (r *Rule) subjectMatches(req *Request) bool {
 	// A rule with no subject/group/role matchers applies to everyone.
 	if len(r.Subjects) == 0 && len(r.Groups) == 0 && len(r.Roles) == 0 {
 		return true
 	}
-	if len(r.Subjects) > 0 {
-		subj := req.Subject.String()
-		for _, s := range r.Subjects {
-			if s == "*" || s == subj {
-				return true
-			}
+	for _, s := range r.Subjects {
+		if s == "*" || req.Subject.RendersAs(s) {
+			return true
 		}
 	}
 	for _, g := range r.Groups {
@@ -223,10 +225,8 @@ func (p *Policy) Add(rules ...Rule) *Policy {
 // serialized policy): an attacker-chosen effect byte must fail loudly,
 // not decay into an implicit permit.
 func (p *Policy) AddChecked(rules ...Rule) error {
-	for _, r := range rules {
-		if !r.Effect.Valid() {
-			return fmt.Errorf("authz: rule %q has invalid effect %d (want EffectPermit or EffectDeny)", r.ID, r.Effect)
-		}
+	if err := checkEffects("rule", rules); err != nil {
+		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -240,6 +240,17 @@ func (p *Policy) AddChecked(rules ...Rule) error {
 	return nil
 }
 
+// checkEffects refuses a batch with any rule (called what) whose effect
+// is neither EffectPermit nor EffectDeny.
+func checkEffects(what string, rules []Rule) error {
+	for _, r := range rules {
+		if !r.Effect.Valid() {
+			return fmt.Errorf("authz: %s %q has invalid effect %d (want EffectPermit or EffectDeny)", what, r.ID, r.Effect)
+		}
+	}
+	return nil
+}
+
 // Replace swaps the entire rule set in one transaction, bumping the
 // generation once. The batch is validated first (same rule as
 // AddChecked): one bad effect rejects the whole replacement and the
@@ -248,10 +259,8 @@ func (p *Policy) AddChecked(rules ...Rule) error {
 // meaningful closed-world policy (default-deny engines deny all),
 // not a fail-open state.
 func (p *Policy) Replace(rules []Rule) error {
-	for _, r := range rules {
-		if !r.Effect.Valid() {
-			return fmt.Errorf("authz: rule %q has invalid effect %d (want EffectPermit or EffectDeny)", r.ID, r.Effect)
-		}
+	if err := checkEffects("rule", rules); err != nil {
+		return err
 	}
 	next := append([]Rule(nil), rules...)
 	p.mu.Lock()
@@ -294,14 +303,8 @@ func (p *Policy) Remove(id string) bool {
 func (p *Policy) RemoveChecked(id string) (bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	removed := false
-	for _, r := range p.rules {
-		if r.ID == id {
-			removed = true
-			break
-		}
-	}
-	if !removed {
+	hasID := func(r Rule) bool { return r.ID == id }
+	if !slices.ContainsFunc(p.rules, hasID) {
 		return false, nil
 	}
 	if p.store != nil {
@@ -309,13 +312,7 @@ func (p *Policy) RemoveChecked(id string) (bool, error) {
 			return false, fmt.Errorf("authz: policy removal not journaled: %w", err)
 		}
 	}
-	kept := p.rules[:0]
-	for _, r := range p.rules {
-		if r.ID != id {
-			kept = append(kept, r)
-		}
-	}
-	p.rules = kept
+	p.rules = slices.DeleteFunc(p.rules, hasID)
 	p.gen++
 	return true, nil
 }
@@ -323,10 +320,8 @@ func (p *Policy) RemoveChecked(id string) (bool, error) {
 // applyReplayed applies a journaled policy mutation without journaling,
 // restoring the recorded generation (replay path).
 func (p *Policy) applyReplayed(m Mutation) error {
-	for _, r := range m.Rules {
-		if !r.Effect.Valid() {
-			return fmt.Errorf("authz: journaled rule %q has invalid effect %d", r.ID, r.Effect)
-		}
+	if err := checkEffects("journaled rule", m.Rules); err != nil {
+		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -336,13 +331,7 @@ func (p *Policy) applyReplayed(m Mutation) error {
 	case MutPolicyReplace:
 		p.rules = append([]Rule(nil), m.Rules...)
 	case MutPolicyRemove:
-		kept := p.rules[:0]
-		for _, r := range p.rules {
-			if r.ID != m.RuleID {
-				kept = append(kept, r)
-			}
-		}
-		p.rules = kept
+		p.rules = slices.DeleteFunc(p.rules, func(r Rule) bool { return r.ID == m.RuleID })
 	default:
 		return fmt.Errorf("authz: mutation kind %d is not a policy mutation", m.Kind)
 	}
@@ -377,15 +366,22 @@ func (p *Policy) Rules() []Rule {
 func (p *Policy) Evaluate(req Request) Decision {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	return EvaluateRules(p.combining, p.rules, req)
+}
+
+// EvaluateRules decides rules under c as a Policy holding them would,
+// without building one (a CAS assertion's rules), matching in place.
+func EvaluateRules(c Combining, rules []Rule, req Request) Decision {
 	var sawPermit, sawDeny bool
-	for _, r := range p.rules {
-		if !r.Matches(req) {
+	for i := range rules {
+		r := &rules[i]
+		if !r.matches(&req) {
 			continue
 		}
 		// Fail closed: only EffectPermit ever permits. Any other effect —
 		// EffectDeny or an unknown value that slipped past Add validation
 		// (e.g. a rule built directly or decoded before checking) — denies.
-		switch p.combining {
+		switch c {
 		case FirstApplicable:
 			if r.Effect == EffectPermit {
 				return Permit

@@ -131,10 +131,8 @@ func (p *Policy) RestoreState(b []byte) error {
 	if combining != DenyOverrides && combining != PermitOverrides && combining != FirstApplicable {
 		return fmt.Errorf("authz: snapshot declares unknown combining mode %d", combining)
 	}
-	for _, r := range rules {
-		if !r.Effect.Valid() {
-			return fmt.Errorf("authz: snapshot rule %q has invalid effect %d", r.ID, r.Effect)
-		}
+	if err := checkEffects("snapshot rule", rules); err != nil {
+		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -242,29 +242,30 @@ func (r *Replica) Members() int {
 // Lookup reports whether dn is a VO member, and if so its groups and
 // roles from the applied bundle.
 func (r *Replica) Lookup(dn gridcert.Name) (groups, roles []string, ok bool) {
+	key := dn.String()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	g, ok := r.members[dn.String()]
-	if !ok {
-		return nil, nil, false
+	if groups, ok = r.members[key]; ok {
+		roles = r.roles[key]
 	}
-	return g, r.roles[dn.String()], true
+	return groups, roles, ok
 }
 
-// Evaluate answers the VO's half of a decision from the replica: the
-// request is scored against the bundle's rules with the subject's
-// bundle groups and roles attached. The caller intersects the result
-// with local policy, exactly as it would an assertion's.
-func (r *Replica) Evaluate(req authz.Request) authz.Decision {
-	r.mu.RLock()
-	groups, ok := r.members[req.Subject.String()]
-	roles := r.roles[req.Subject.String()]
-	policy := r.policy
-	r.mu.RUnlock()
-	if !ok {
-		return authz.Deny
+// Decide answers the VO's half of a decision for req.Subject, rendered
+// as dn (any other dn reads as a non-member), in one read: for a member
+// it sets req's Groups and Roles and scores req against the bundle's
+// rules under the same lock, so no delta lands between the two halves.
+// ok is false for a non-member.
+func (r *Replica) Decide(dn string, req *authz.Request) (d authz.Decision, ok bool) {
+	if !req.Subject.RendersAs(dn) {
+		return authz.NotApplicable, false
 	}
-	req.Groups = groups
-	req.Roles = roles
-	return policy.Evaluate(req)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	groups, ok := r.members[dn]
+	if !ok {
+		return authz.NotApplicable, false
+	}
+	req.Groups, req.Roles = groups, r.roles[dn]
+	return r.policy.Evaluate(*req), true
 }

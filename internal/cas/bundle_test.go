@@ -53,15 +53,30 @@ func TestBundleExportApplyRoundTrip(t *testing.T) {
 
 	// The replica answers the VO's half of a decision.
 	req := authz.Request{Subject: bed.alice.Identity(), Resource: "data:/climate/ocean", Action: "read"}
-	if d := r.Evaluate(req); d != authz.Permit {
+	if d := evaluate(r, req); d != authz.Permit {
 		t.Fatalf("replica Evaluate = %v, want permit", d)
 	}
 	req.Action = "write"
-	if d := r.Evaluate(req); d == authz.Permit {
+	if d := evaluate(r, req); d == authz.Permit {
 		t.Fatal("replica granted an action the VO policy does not")
 	}
-	if d := r.Evaluate(authz.Request{Subject: bed.bob.Identity(), Resource: "data:/climate/ocean", Action: "read"}); d != authz.Deny {
+	if d := evaluate(r, authz.Request{Subject: bed.bob.Identity(), Resource: "data:/climate/ocean", Action: "read"}); d != authz.Deny {
 		t.Fatal("non-member must be denied at the replica")
+	}
+
+	// Decide reads membership for req.Subject only: a dn naming another
+	// member — or nobody's rendering at all — reads as a non-member and
+	// leaves req without VO attributes.
+	bob := authz.Request{Subject: bed.bob.Identity(), Resource: "data:/climate/ocean", Action: "read"}
+	for _, dn := range []string{bed.alice.Identity().String(), bed.bob.Identity().String() + "/CN=x", ""} {
+		if d, ok := r.Decide(dn, &bob); ok || d != authz.NotApplicable || bob.Groups != nil || bob.Roles != nil {
+			t.Fatalf("Decide(%q, bob) = %v, %v with groups %v roles %v", dn, d, ok, bob.Groups, bob.Roles)
+		}
+	}
+	alice := authz.Request{Subject: bed.alice.Identity(), Resource: "data:/climate/ocean", Action: "read"}
+	if d, ok := r.Decide(bed.alice.Identity().String(), &alice); !ok || d != authz.Permit ||
+		len(alice.Groups) != 1 || len(alice.Roles) != 1 {
+		t.Fatalf("Decide(alice) = %v, %v with groups %v roles %v", d, ok, alice.Groups, alice.Roles)
 	}
 }
 

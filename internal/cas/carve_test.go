@@ -255,7 +255,7 @@ func TestApplyInstallsWhatWasSigned(t *testing.T) {
 		t.Fatalf("Lookup(alice) = %v, %v, %v; want what was signed", groups, roles, ok)
 	}
 	write := authz.Request{Subject: bed.alice.Identity(), Resource: "data:/climate/ocean", Action: "write"}
-	if d := r.Evaluate(write); d == authz.Permit {
+	if d := evaluate(r, write); d == authz.Permit {
 		t.Fatal("a rule swapped in after decode was installed")
 	}
 	if !bytes.Equal(b.Encode(), doc) {
@@ -541,7 +541,7 @@ func TestReplicaFollowsPublisher(t *testing.T) {
 					asked.Groups, asked.Roles = wantGroups, wantRoles
 					want = bed.server.policy.Evaluate(asked)
 				}
-				if got := r.Evaluate(req); got != want {
+				if got := evaluate(r, req); got != want {
 					t.Fatalf("step %d: Evaluate(%s %s %s) = %v, publisher says %v", step, dn, req.Action, req.Resource, got, want)
 				}
 			}

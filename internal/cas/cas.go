@@ -33,6 +33,8 @@ import (
 const PolicyLanguage = "grid.cas.assertion.v1"
 
 // Assertion is a signed statement of VO policy scoped to one member.
+// One that arrived as bytes (DecodeAssertion) answers for those bytes:
+// Verify and Encode go by them, never re-encoding its fields.
 type Assertion struct {
 	// VO is the issuing community's identity (the CAS server's DN).
 	VO gridcert.Name
@@ -51,6 +53,7 @@ type Assertion struct {
 	ExpiresAt time.Time
 
 	Signature []byte
+	signed    []byte // DecodeAssertion's view of the signed bytes as they arrived
 
 	// chain is the validated chain ExtractAssertion found the assertion
 	// in, if any: Verify checks the signature through the signature memo
@@ -64,7 +67,11 @@ const maxAssertionRules = 4096
 // shared with journaled mutations and durable snapshots, so the
 // assertion wire format and the persistence format cannot drift.
 
+// tbs is the bytes the VO signs: as received, if they were.
 func (a *Assertion) tbs() []byte {
+	if a.signed != nil {
+		return a.signed
+	}
 	e := wire.NewEncoder()
 	e.Str("cas-assertion-v2")
 	e.Str(a.VO.String())
@@ -86,10 +93,10 @@ func (a *Assertion) Encode() []byte {
 }
 
 // DecodeAssertion parses an encoded assertion (signature not verified).
+// The assertion keeps a view of b: do not change b while holding it.
 func DecodeAssertion(b []byte) (*Assertion, error) {
 	d := wire.NewDecoder(b)
-	tbs := d.Bytes()
-	sig := d.Bytes()
+	tbs, sig := d.View(), d.View()
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
@@ -118,7 +125,7 @@ func DecodeAssertion(b []byte) (*Assertion, error) {
 	if a.Subject, err = gridcert.ParseName(subjStr); err != nil {
 		return nil, err
 	}
-	a.Signature = sig
+	a.Signature, a.signed = sig, tbs
 	return a, nil
 }
 

@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"repro/internal/authz"
 	"repro/internal/gridcert"
 	"repro/internal/proxy"
 )
@@ -14,4 +15,13 @@ func proxyNewForTest(member *gridcert.Credential, blob []byte) (*gridcert.Creden
 		PolicyLanguage: PolicyLanguage,
 		Policy:         blob,
 	})
+}
+
+// evaluate is the replica's VO half for req as the pipeline asks for
+// it (Decide), a non-member denied.
+func evaluate(r *Replica, req authz.Request) authz.Decision {
+	if d, ok := r.Decide(req.Subject.String(), &req); ok {
+		return d
+	}
+	return authz.Deny
 }

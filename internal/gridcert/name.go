@@ -30,6 +30,7 @@ func ParseName(s string) (Name, error) {
 	if !strings.HasPrefix(s, "/") {
 		return n, fmt.Errorf("gridcert: name %q must start with '/'", s)
 	}
+	n.Components = make([]NameComponent, 0, strings.Count(s, "/"))
 	for _, part := range strings.Split(s[1:], "/") {
 		eq := strings.IndexByte(part, '=')
 		if eq <= 0 {
@@ -58,7 +59,12 @@ func (n Name) String() string {
 	if len(n.Components) == 0 {
 		return "/"
 	}
+	size := 0
+	for _, c := range n.Components {
+		size += 2 + len(c.Type) + len(c.Value)
+	}
 	var sb strings.Builder
+	sb.Grow(size)
 	for _, c := range n.Components {
 		sb.WriteByte('/')
 		sb.WriteString(c.Type)
@@ -66,6 +72,22 @@ func (n Name) String() string {
 		sb.WriteString(c.Value)
 	}
 	return sb.String()
+}
+
+// RendersAs reports whether s is n.String(), without rendering n: how a
+// rule's subject list meets the requester, allocating nothing.
+func (n Name) RendersAs(s string) bool {
+	if len(n.Components) == 0 {
+		return s == "/"
+	}
+	for _, c := range n.Components {
+		t, v := len(c.Type), len(c.Value)
+		if len(s) < 2+t+v || s[0] != '/' || s[1:1+t] != c.Type || s[1+t] != '=' || s[2+t:2+t+v] != c.Value {
+			return false
+		}
+		s = s[2+t+v:]
+	}
+	return s == ""
 }
 
 // Equal reports whether two names have identical component sequences.

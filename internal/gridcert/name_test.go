@@ -174,3 +174,41 @@ func containsAny(s, chars string) bool {
 	}
 	return false
 }
+
+// RendersAs(s) is String() == s, for every name and every candidate:
+// the rendering itself, each of its prefixes and one-byte extensions,
+// and every one-byte edit of it.
+func TestNameRendersAs(t *testing.T) {
+	names := []Name{
+		{},
+		MustParseName("/CN=root"),
+		MustParseName("/O=Grid/OU=ANL/CN=Alice"),
+		MustParseName("/O=Grid/CN=Alice/CN=proxy-1"),
+		{Components: []NameComponent{{Type: "CN", Value: "a=b"}, {Type: "", Value: "x"}}},
+	}
+	for _, n := range names {
+		r := n.String()
+		cands := []string{r, r + "/", r + "x", "", "/", "//"}
+		for i := range r {
+			cands = append(cands, r[:i], r[:i]+"?"+r[i+1:], r[:i]+r[i+1:])
+		}
+		for _, m := range names {
+			cands = append(cands, m.String())
+		}
+		for _, s := range cands {
+			if got, want := n.RendersAs(s), r == s; got != want {
+				t.Errorf("%q.RendersAs(%q) = %v, want %v", r, s, got, want)
+			}
+		}
+	}
+	f := func(types, vals []string, s string) bool {
+		var n Name
+		for i := range min(len(types), len(vals)) {
+			n.Components = append(n.Components, NameComponent{Type: types[i], Value: vals[i]})
+		}
+		return n.RendersAs(s) == (n.String() == s) && n.RendersAs(n.String())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -331,6 +331,9 @@ func (p *AuthorizationPipeline) evaluate(peer Peer, leaf *Certificate, resource,
 		return AuthzDecision{Decision: Deny, Reason: "peer presented no certificate chain"}, expiry, nil
 	}
 	d := AuthzDecision{Identity: info.Identity, VO: NotApplicable}
+	// The one rendering of the identity, for the replica and the gridmap;
+	// rules meet info.Identity itself (Name.RendersAs).
+	dn := info.Identity.String()
 	// The environment clock rides on every rule evaluation, so
 	// time-bounded rules are testable under WithClock and consistent
 	// with chain validation (no time.Now fallback inside the engine).
@@ -365,18 +368,16 @@ func (p *AuthorizationPipeline) evaluate(peer Peer, leaf *Certificate, resource,
 		req.Groups = assertion.Groups
 		req.Roles = assertion.Roles
 		// CheckAssertion refused any rule with an invalid effect.
-		d.VO = authz.NewPolicy(authz.DenyOverrides).Add(assertion.Rules...).Evaluate(req)
+		d.VO = authz.EvaluateRules(authz.DenyOverrides, assertion.Rules, req)
 		// A cached grant must not outlive the assertion that backs it.
 		if assertion.ExpiresAt.Before(expiry) {
 			expiry = assertion.ExpiresAt
 		}
 	} else if p.replica != nil && p.replicaTrusted() {
-		if groups, roles, ok := p.replica.Lookup(info.Identity); ok {
-			voLayer = true
+		// One read: the groups and roles that go on to local policy in req
+		// are those of the bundle version the VO half was scored against.
+		if d.VO, voLayer = p.replica.Decide(dn, &req); voLayer {
 			d.VOName = p.replica.VO()
-			req.Groups = groups
-			req.Roles = roles
-			d.VO = p.replica.Evaluate(req)
 		}
 		// A non-member falls through to local policy alone — the bundle
 		// vouches for members only; it never blocks identities the VO
@@ -413,10 +414,10 @@ func (p *AuthorizationPipeline) evaluate(peer Peer, leaf *Certificate, resource,
 	// Grid-mapfile mapping (paper §5.3 step 3): a permitted requester
 	// with no local account cannot be served — fail closed.
 	if d.Decision == Permit && p.gridmap != nil {
-		account, ok := p.gridmap.Lookup(info.Identity)
+		account, ok := p.gridmap.LookupDN(dn)
 		if !ok {
 			d.Decision = Deny
-			d.Reason = fmt.Sprintf("no gridmap entry for %q", info.Identity)
+			d.Reason = fmt.Sprintf("no gridmap entry for %q", dn)
 			return d, expiry, nil
 		}
 		d.LocalAccount = account

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -708,6 +709,8 @@ func (p *pooledStream) Close() error {
 	}
 	return err
 }
+
+func (p *pooledStream) WriteTo(w io.Writer) (int64, error) { return writeTo(p.Stream, w) }
 
 func (ps *pooledSession) Peer() Peer { return ps.sess.Peer() }
 

@@ -104,6 +104,16 @@ func (o *ownedStream) Close() error {
 	return errors.Join(o.Stream.Close(), o.sess.Close())
 }
 
+func (o *ownedStream) WriteTo(w io.Writer) (int64, error) { return writeTo(o.Stream, w) }
+
+// writeTo is a wrapper's WriteTo: st's own, or a plain copy without one.
+func writeTo(st Stream, w io.Writer) (int64, error) {
+	if wt, ok := st.(io.WriterTo); ok {
+		return wt.WriteTo(w)
+	}
+	return io.Copy(w, st)
+}
+
 // --- GT2: chunk records on the connection's record stream ---------------
 
 // OpenStream on a GT2 session: one gsi.__stream.open round trip
@@ -138,6 +148,12 @@ type gt2Stream struct {
 
 func (g *gt2Stream) Read(p []byte) (int, error) {
 	n, err := g.pipe.Read(p)
+	return n, streamErr(err)
+}
+
+// WriteTo hands w each payload uncopied, ending as Read does (nil for io.EOF).
+func (g *gt2Stream) WriteTo(w io.Writer) (int64, error) {
+	n, err := g.pipe.WriteTo(w)
 	return n, streamErr(err)
 }
 
@@ -201,6 +217,11 @@ type serverGT2Stream struct {
 
 func (s *serverGT2Stream) Read(p []byte) (int, error) {
 	n, err := s.pipe.Read(p)
+	return n, streamErr(err)
+}
+
+func (s *serverGT2Stream) WriteTo(w io.Writer) (int64, error) {
+	n, err := s.pipe.WriteTo(w)
 	return n, streamErr(err)
 }
 

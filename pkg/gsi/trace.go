@@ -2,6 +2,7 @@ package gsi
 
 import (
 	"context"
+	"io"
 	"sync/atomic"
 	"time"
 
@@ -122,6 +123,15 @@ func (t *tracedStream) Read(p []byte) (int, error) {
 	if n > 0 {
 		t.readB.Add(int64(n))
 	}
+	return n, err
+}
+
+// WriteTo counts as reading: its bytes, and its time, w's included.
+func (t *tracedStream) WriteTo(w io.Writer) (int64, error) {
+	start := time.Now()
+	n, err := writeTo(t.Stream, w)
+	t.readNS.Add(int64(time.Since(start)))
+	t.readB.Add(n)
 	return n, err
 }
 
