@@ -191,12 +191,18 @@ bench:
 ## at 0, subject-listing rules included; a
 ## replica's first full sync of a 10,000-member bundle <= 1,000 on each
 ## side — DecodeBundle + Apply, and the publisher's version-0 Pull —
-## where anything done per member would be tens of thousands; and a SOAP
+## where anything done per member would be tens of thousands, and the
+## syncer's apply of that bundle (DecodeSyncReply + ApplyEncoded) in
+## <= 3x its signed bytes: one string copy and one table build, where
+## building the tables twice took 4.8x; a SOAP
 ## envelope's Marshal + Unmarshal <= 12 whether its body is 1 KiB or
 ## 4 MiB, the latter in <= 3x the body's size (encoding/xml took 128 for
-## the small one and 12x for the large).
+## the small one and 12x for the large); HMAC-SHA256 and HKDF extract at
+## 0 and a key schedule at 1, its keys; and a full GSS handshake over a
+## warm trust store <= 87, its key schedule, transcript and finished
+## MACs off the heap (156 when each built a crypto/hmac or a digest).
 gate-allocs:
-	$(GO) test -count=1 -run 'Alloc' ./pkg/gsi ./internal/telemetry ./internal/trace ./internal/wal ./internal/gram ./internal/cas ./internal/gridcert ./internal/soap ./internal/authz
+	$(GO) test -count=1 -run 'Alloc' ./pkg/gsi ./internal/telemetry ./internal/trace ./internal/wal ./internal/gram ./internal/cas ./internal/gridcert ./internal/soap ./internal/authz ./internal/gridcrypto ./internal/gss
 
 ## fmt: rewrite files in place.
 fmt:

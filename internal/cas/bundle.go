@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -30,7 +31,7 @@ type Bundle struct {
 	// Version is the server's bundle version at export. Replicas apply
 	// bundles in version order and never move backwards.
 	Version uint64
-	// IssuedAt stamps the export.
+	// IssuedAt is when this version was first exported.
 	IssuedAt time.Time
 	// Members maps member DN -> VO groups; Roles maps member DN -> roles.
 	Members map[string][]string
@@ -71,16 +72,22 @@ func (b *Bundle) Encode() []byte {
 // DecodeBundle parses an encoded bundle (signature not verified). The
 // bundle keeps a view of data: do not change data while holding it.
 func DecodeBundle(data []byte) (*Bundle, error) {
-	d := wire.NewDecoder(data)
-	tbs, sig := d.View(), d.Bytes()
-	if err := d.Done(); err != nil {
+	tbs, sig, err := splitSigned(data)
+	if err != nil {
 		return nil, err
 	}
-	b, err := decodeSigned(tbs, sig)
+	b, err := decodeSigned(tbs, bytes.Clone(sig))
 	if err == nil {
 		b.signed = tbs
 	}
 	return b, err
+}
+
+// splitSigned views an encoded document's signed bytes and signature.
+func splitSigned(doc []byte) (tbs, sig []byte, err error) {
+	d := wire.NewDecoder(doc)
+	tbs, sig = d.View(), d.View()
+	return tbs, sig, d.Done()
 }
 
 // decodeSigned reads signed bytes into fields carved from one string copy
@@ -127,16 +134,49 @@ func (b *Bundle) Verify(casCert *gridcert.Certificate) error {
 	return nil
 }
 
+// signedExport is what a full export keeps of its signature: the state
+// it covered, named by (version, resets), and the IssuedAt it carried.
+type signedExport struct {
+	version, resets uint64
+	issuedAt        time.Time
+	sig             []byte
+}
+
 // exportSigned encodes the signed bytes of the server's state once,
-// straight from the live tables under the read lock, and signs them.
+// straight from the live tables under the read lock, and signs each
+// version once: an export at the version the last one signed carries
+// that export's IssuedAt, so it writes the bytes already signed, and the
+// kept signature goes with them (an Ed25519 key would sign them to the
+// same bytes again). Every mutation bumps the version and RestoreState
+// and ApplyReplayed bump resets, so a kept signature never meets other
+// tables; were one to, it would not cover them, and the replica's verify
+// would refuse the bundle: a slip here fails closed.
 func (s *Server) exportSigned() (version uint64, tbs, sig []byte, err error) {
 	s.mu.RLock()
-	live := Bundle{VO: s.VO(), Version: s.version, IssuedAt: s.now(), Members: s.members, Roles: s.roles, Rules: s.policy.Rules()}
+	s.exportMu.Lock()
+	last := s.lastExport
+	s.exportMu.Unlock()
+	this := signedExport{version: s.version, resets: s.resets}
+	if last.sig != nil && last.version == this.version && last.resets == this.resets {
+		this = last
+	} else {
+		this.issuedAt = s.now()
+	}
+	live := Bundle{VO: s.VO(), Version: this.version, IssuedAt: this.issuedAt, Members: s.members, Roles: s.roles, Rules: s.policy.Rules()}
 	live.memberOrder, live.roleOrder = s.keptOrder(&s.memberOrder, s.members), s.keptOrder(&s.roleOrder, s.roles)
 	tbs = live.tbs()
 	s.mu.RUnlock()
-	sig, err = s.cred.Key.Sign(tbs)
-	return live.Version, tbs, sig, err
+	if this.sig != nil {
+		return this.version, tbs, bytes.Clone(this.sig), nil
+	}
+	if sig, err = s.cred.Key.Sign(tbs); err != nil {
+		return 0, nil, nil, err
+	}
+	this.sig = bytes.Clone(sig)
+	s.exportMu.Lock()
+	s.lastExport = this
+	s.exportMu.Unlock()
+	return this.version, tbs, sig, nil
 }
 
 // ExportBundle snapshots the server's state as a signed bundle that
@@ -188,12 +228,24 @@ func (r *Replica) VO() gridcert.Name { return r.cert.Subject }
 // the signature covers and shares nothing with b. Equal version is a
 // no-op; lower is ErrStaleBundle; a bad signature or invalid rule is an
 // error. In every failure case the previous bundle stays live.
-func (r *Replica) Apply(b *Bundle) error {
-	tbs := b.tbs()
-	if err := r.cert.PublicKey.Verify(tbs, b.Signature); err != nil {
+func (r *Replica) Apply(b *Bundle) error { return r.apply(b.tbs(), b.Signature) }
+
+// ApplyEncoded is Apply for a bundle still in its encoding (Encode's
+// bytes, as a full Pull reply carries them): one verify, then the one
+// table build, with nothing decoded before the signature is checked.
+func (r *Replica) ApplyEncoded(doc []byte) error {
+	tbs, sig, err := splitSigned(doc)
+	if err != nil {
+		return err
+	}
+	return r.apply(tbs, sig)
+}
+
+func (r *Replica) apply(tbs, sig []byte) error {
+	if err := r.cert.PublicKey.Verify(tbs, sig); err != nil {
 		return fmt.Errorf("cas: bundle signature: %w", err)
 	}
-	own, err := decodeSigned(tbs, b.Signature)
+	own, err := decodeSigned(tbs, sig)
 	if err != nil {
 		return err
 	}

@@ -336,19 +336,23 @@ func TestSyncServiceOps(t *testing.T) {
 			t.Fatalf("%s: DecodeSyncReply: %v", tc.name, err)
 		}
 		if tc.full {
-			if bundle == nil || bundle.Version != snap+1 {
-				t.Fatalf("%s: want the full bundle at %d, got delta=%v bundle=%v", tc.name, snap+1, delta, bundle)
+			if bundle == nil {
+				t.Fatalf("%s: want the full bundle, got delta=%v", tc.name, delta)
 			}
-			if err := bundle.Verify(server.Certificate()); err != nil {
+			b, err := DecodeBundle(bundle)
+			if err != nil || b.Version != snap+1 {
+				t.Fatalf("%s: want the full bundle at %d, got %v (%v)", tc.name, snap+1, b, err)
+			}
+			if err := b.Verify(server.Certificate()); err != nil {
 				t.Fatalf("%s: served bundle does not verify: %v", tc.name, err)
 			}
-			if !bytes.Equal(body[1:], bundle.Encode()) {
+			if !bytes.Equal(body[1:], b.Encode()) {
 				t.Fatalf("%s: reply is not a tag plus Bundle.Encode()", tc.name)
 			}
 			continue
 		}
 		if delta == nil || delta.FromVersion != tc.have || delta.ToVersion != snap+1 || len(delta.Ops) != tc.wantOps {
-			t.Fatalf("%s: want a %d-op delta %d-%d, got delta=%+v bundle=%v", tc.name, tc.wantOps, tc.have, snap+1, delta, bundle)
+			t.Fatalf("%s: want a %d-op delta %d-%d, got delta=%+v, a %d-byte bundle", tc.name, tc.wantOps, tc.have, snap+1, delta, len(bundle))
 		}
 		if err := delta.Verify(server.Certificate()); err != nil {
 			t.Fatalf("%s: served delta does not verify: %v", tc.name, err)

@@ -421,7 +421,11 @@ func TestExportMatchesFieldEncoding(t *testing.T) {
 	if reply[0] != syncTagFull || !bytes.Equal(reply[1:], exported.Encode()) {
 		t.Fatal("Pull reply is not the full tag plus ExportBundle().Encode()")
 	}
-	_, decoded, err := DecodeSyncReply(reply)
+	_, doc, err := DecodeSyncReply(reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeBundle(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +439,7 @@ func TestExportMatchesFieldEncoding(t *testing.T) {
 // TestReplicaFollowsPublisher is the differential oracle ROADMAP aim 3
 // asks for: over a seeded random sequence of publisher mutations, each
 // followed by a full pull, a delta pull or nothing — all through
-// SyncService.Invoke, DecodeSyncReply and Apply/ApplyDelta — a replica
+// SyncService.Invoke, DecodeSyncReply and ApplyEncoded/ApplyDelta — a replica
 // that has just synced answers Lookup for every DN ever used, and
 // Evaluate for a fixed request set, exactly as the publisher's own state
 // does. (Seeded bug it catches: carving lists without the cap == len
@@ -480,7 +484,7 @@ func TestReplicaFollowsPublisher(t *testing.T) {
 		if delta != nil {
 			err = r.ApplyDelta(delta)
 		} else {
-			err = r.Apply(bundle)
+			err = r.ApplyEncoded(bundle)
 		}
 		if err != nil {
 			t.Fatalf("sync from %d: %v", have, err)

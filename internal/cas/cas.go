@@ -151,14 +151,20 @@ type Server struct {
 	mu      sync.RWMutex
 	members map[string][]string // member DN -> groups within the VO
 	roles   map[string][]string // member DN -> roles within the VO
-	// The tables' keys ascending, kept between exports (nil: to be sorted
-	// again); exporters fill them under mu's read lock, hence orderMu.
-	orderMu                sync.Mutex
+	// What exporters keep between exports, filled under mu's read lock,
+	// hence exportMu: the tables' keys ascending (nil: to be sorted again)
+	// and the last full export's signature (see exportSigned).
+	exportMu               sync.Mutex
 	memberOrder, roleOrder []string
+	lastExport             signedExport
 	policy                 *authz.Policy
 	// version is the bundle version: bumped by every mutation, journaled
 	// with it, exported in signed bundles. See state.go.
 	version uint64
+	// resets counts RestoreState and ApplyReplayed calls, which set the
+	// version rather than bump it: a signature kept from before one is
+	// never reused.
+	resets  uint64
 	journal func(payload []byte) error
 	// deltaLog is the bounded recent-mutation history backing
 	// ExportDelta; see delta.go.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ca"
 	"repro/internal/gridcert"
+	"repro/internal/wire"
 )
 
 // FuzzPolicyBundleDecode feeds arbitrary bytes to the bundle decoder
@@ -197,7 +198,8 @@ func FuzzDeltaApply(f *testing.F) {
 
 // FuzzSyncReplyDecode feeds arbitrary bytes to the one decoder of the
 // sync port type. It must never panic; whatever decodes is exactly one
-// document whose tag-plus-Encode() spelling is the input (so trailing
+// document — a delta, or a bundle's signed bytes and signature still
+// encoded — whose tag-plus-Encode() spelling is the input (so trailing
 // bytes and second spellings are refused), and any other tag errors.
 func FuzzSyncReplyDecode(f *testing.F) {
 	_, base, delta := deltaFuzzWorld(f)
@@ -225,7 +227,11 @@ func FuzzSyncReplyDecode(f *testing.F) {
 		case d != nil && b == nil && data[0] == syncTagDelta:
 			respelled = d.Encode()
 		case b != nil && d == nil && data[0] == syncTagFull:
-			respelled = b.Encode()
+			tbs, sig, err := splitSigned(b)
+			if err != nil {
+				t.Fatalf("a full reply decoded to a document that does not split: %v", err)
+			}
+			respelled = wire.NewEncoder().Bytes(tbs).Bytes(sig).Finish()
 		default:
 			t.Fatalf("tag %d decoded to delta=%v bundle=%v", data[0], d != nil, b != nil)
 		}

@@ -223,6 +223,7 @@ func (s *Server) ApplyReplayed(payload []byte) error {
 		return fmt.Errorf("cas: unknown mutation kind %d", kind)
 	}
 	s.version = version
+	s.resets++
 	// Replayed mutations feed the delta log too, so a restarted
 	// publisher can still serve deltas to replicas that tracked it
 	// before the restart.
@@ -272,6 +273,7 @@ func (s *Server) RestoreState(b []byte) error {
 	s.members, s.memberOrder = members, nil
 	s.roles, s.roleOrder = roles, nil
 	s.version = version
+	s.resets++
 	// A snapshot collapses mutation history: deltas across the restore
 	// point cannot be served, so replicas behind it fall back to a full
 	// bundle.
@@ -292,8 +294,8 @@ func setKeyLocked(table map[string][]string, order *[]string, key string, v []st
 // a key has come or gone since the last export (that drops the order: an
 // insert per enrolment would go quadratic); the caller holds s.mu.
 func (s *Server) keptOrder(order *[]string, table map[string][]string) []string {
-	s.orderMu.Lock()
-	defer s.orderMu.Unlock()
+	s.exportMu.Lock()
+	defer s.exportMu.Unlock()
 	if *order == nil {
 		*order = sortedKeys(table)
 	}

@@ -43,9 +43,11 @@ func encodeSyncReply(tag byte, tbs, sig []byte) []byte {
 }
 
 // DecodeSyncReply parses a Pull reply (signatures not verified): exactly
-// one of delta and bundle is non-nil on success. The document is decoded
-// from a view of data, not a copy.
-func DecodeSyncReply(data []byte) (delta *Delta, bundle *Bundle, err error) {
+// one of delta and bundle is non-nil on success. A delta is decoded from
+// a view of data; a full bundle comes back still encoded, as the view of
+// data that is its Encode() bytes, for Replica.ApplyEncoded: its tables
+// are built once, by the replica, after the signature is checked.
+func DecodeSyncReply(data []byte) (delta *Delta, bundle []byte, err error) {
 	if len(data) == 0 {
 		return nil, nil, errors.New("cas: empty sync reply")
 	}
@@ -56,8 +58,10 @@ func DecodeSyncReply(data []byte) (delta *Delta, bundle *Bundle, err error) {
 		}
 		return delta, nil, nil
 	case syncTagFull:
-		bundle, err = DecodeBundle(data[1:])
-		return nil, bundle, err
+		if _, _, err := splitSigned(data[1:]); err != nil {
+			return nil, nil, err
+		}
+		return nil, data[1:], nil
 	default:
 		return nil, nil, fmt.Errorf("cas: unknown sync reply tag %d", data[0])
 	}

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/israce"
 )
 
 func TestGenerateSignVerify(t *testing.T) {
@@ -110,10 +112,10 @@ func TestHKDFKnownProperties(t *testing.T) {
 
 func TestHKDFExpandBounds(t *testing.T) {
 	prk := HKDFExtract(nil, []byte("ikm"))
-	if _, err := HKDFExpand(prk, nil, 0); err == nil {
+	if _, err := HKDFExpand(prk[:], nil, 0); err == nil {
 		t.Fatal("accepted zero length")
 	}
-	if _, err := HKDFExpand(prk, nil, 255*sha256.Size+1); err == nil {
+	if _, err := HKDFExpand(prk[:], nil, 255*sha256.Size+1); err == nil {
 		t.Fatal("accepted over-long output")
 	}
 }
@@ -217,11 +219,11 @@ func TestRandomSerialPositive(t *testing.T) {
 }
 
 func TestHMACHelpers(t *testing.T) {
-	tag := HMACSHA256([]byte("k"), []byte("m"))
-	if !HMACEqual(tag, HMACSHA256([]byte("k"), []byte("m"))) {
+	tag, again, other := HMACSHA256([]byte("k"), []byte("m")), HMACSHA256([]byte("k"), []byte("m")), HMACSHA256([]byte("k2"), []byte("m"))
+	if !HMACEqual(tag[:], again[:]) {
 		t.Fatal("HMAC not deterministic")
 	}
-	if HMACEqual(tag, HMACSHA256([]byte("k2"), []byte("m"))) {
+	if HMACEqual(tag[:], other[:]) {
 		t.Fatal("different keys produced equal MACs")
 	}
 }
@@ -287,27 +289,92 @@ func BenchmarkSignVerifyEd25519(b *testing.B) {
 	}
 }
 
-// TestHKDFKnownAnswer is RFC 5869's test case A.1 (SHA-256). HKDFKeys's
-// key for an info is the first 32 bytes of the same expand.
-func TestHKDFKnownAnswer(t *testing.T) {
-	unhex := func(s string) []byte {
-		b, err := hex.DecodeString(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+func unhex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b
+}
+
+// TestHMACKnownAnswer is RFC 4231's HMAC-SHA-256 test cases 1-4, 6 and
+// 7: keys shorter than, and (6, 7) longer than, the block, which are
+// hashed first; data shorter and longer than a block. (Case 5 is a
+// truncated output.)
+func TestHMACKnownAnswer(t *testing.T) {
+	aa := bytes.Repeat([]byte{0xaa}, 131)
+	for _, tc := range []struct {
+		name      string
+		key, data []byte
+		want      string
+	}{
+		{"1", bytes.Repeat([]byte{0x0b}, 20), []byte("Hi There"),
+			"b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+		{"2", []byte("Jefe"), []byte("what do ya want for nothing?"),
+			"5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+		{"3", aa[:20], bytes.Repeat([]byte{0xdd}, 50),
+			"773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+		{"4", unhex(t, "0102030405060708090a0b0c0d0e0f10111213141516171819"), bytes.Repeat([]byte{0xcd}, 50),
+			"82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+		{"6", aa, []byte("Test Using Larger Than Block-Size Key - Hash Key First"),
+			"60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+		{"7", aa, []byte("This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm."),
+			"9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+	} {
+		if mac := HMACSHA256(tc.key, tc.data); hex.EncodeToString(mac[:]) != tc.want {
+			t.Errorf("RFC 4231 case %s: %x, want %s", tc.name, mac, tc.want)
+		}
+	}
+}
+
+// TestKeyScheduleAllocs: HMAC and HKDF extract allocate nothing, and a
+// four-key schedule allocates its keys, once.
+func TestKeyScheduleAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("race instrumentation allocates; the ceiling only holds in plain builds")
+	}
+	key, msg := bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{2}, 200)
+	infos := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}
+	for _, tc := range []struct {
+		name string
+		want float64
+		run  func()
+	}{
+		{"HMACSHA256", 0, func() { HMACSHA256(key, msg) }},
+		{"HKDFExtract", 0, func() { HKDFExtract(key, msg) }},
+		{"HKDFKeys", 1, func() { HKDFKeys(key, msg, infos) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.run); got > tc.want {
+			t.Errorf("%s allocates %.0f, want <= %.0f", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestHKDFKnownAnswer is RFC 5869's test cases A.1 and A.3 (SHA-256;
+// A.3 has an empty salt and info). HKDFKeys's key for an info is the
+// first 32 bytes of the same expand.
+func TestHKDFKnownAnswer(t *testing.T) {
+	noSalt := HKDFExtract(nil, bytes.Repeat([]byte{0x0b}, 22))
+	if got := hex.EncodeToString(noSalt[:]); got != "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04" {
+		t.Fatalf("A.3 PRK = %s", got)
+	}
+	okm3, err := HKDFExpand(noSalt[:], nil, 42)
+	if err != nil || hex.EncodeToString(okm3) != "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8" {
+		t.Fatalf("A.3 OKM = %x (%v)", okm3, err)
+	}
+
 	ikm := bytes.Repeat([]byte{0x0b}, 22)
-	salt := unhex("000102030405060708090a0b0c")
-	info := unhex("f0f1f2f3f4f5f6f7f8f9")
+	salt := unhex(t, "000102030405060708090a0b0c")
+	info := unhex(t, "f0f1f2f3f4f5f6f7f8f9")
 	wantPRK := "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"
 	wantOKM := "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
 
 	prk := HKDFExtract(salt, ikm)
-	if got := hex.EncodeToString(prk); got != wantPRK {
+	if got := hex.EncodeToString(prk[:]); got != wantPRK {
 		t.Fatalf("PRK = %s, want %s", got, wantPRK)
 	}
-	okm, err := HKDFExpand(prk, info, 42)
+	okm, err := HKDFExpand(prk[:], info, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

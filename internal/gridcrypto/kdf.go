@@ -8,15 +8,9 @@ import (
 	"fmt"
 )
 
-// HKDFExtract implements the extract step of HKDF (RFC 5869) with SHA-256.
-func HKDFExtract(salt, ikm []byte) []byte {
-	if len(salt) == 0 {
-		salt = make([]byte, sha256.Size)
-	}
-	mac := hmac.New(sha256.New, salt)
-	mac.Write(ikm)
-	return mac.Sum(nil)
-}
+// HKDFExtract implements the extract step of HKDF (RFC 5869) with
+// SHA-256. An empty salt is HashLen zeros, which pad to the same HMAC key.
+func HKDFExtract(salt, ikm []byte) [sha256.Size]byte { return HMACSHA256(salt, ikm) }
 
 // HKDFExpand implements the expand step of HKDF (RFC 5869) with SHA-256,
 // producing length bytes of output keyed by prk and bound to info.
@@ -24,17 +18,12 @@ func HKDFExpand(prk, info []byte, length int) ([]byte, error) {
 	if length <= 0 || length > 255*sha256.Size {
 		return nil, fmt.Errorf("gridcrypto: invalid HKDF output length %d", length)
 	}
-	var (
-		out  []byte
-		prev []byte
-	)
+	out := make([]byte, 0, length+sha256.Size)
+	var prev []byte
 	for counter := byte(1); len(out) < length; counter++ {
-		mac := hmac.New(sha256.New, prk)
-		mac.Write(prev)
-		mac.Write(info)
-		mac.Write([]byte{counter})
-		prev = mac.Sum(nil)
-		out = append(out, prev...)
+		block := HMACSHA256(prk, prev, info, []byte{counter})
+		out = append(out, block[:]...)
+		prev = out[len(out)-sha256.Size:]
 	}
 	return out[:length], nil
 }
@@ -42,34 +31,56 @@ func HKDFExpand(prk, info []byte, length int) ([]byte, error) {
 // HKDFKeys is HKDF with SHA-256 for a key schedule: one extract from
 // salt and ikm, then one sha256.Size-byte key per info, each the first
 // expand block T(1) = HMAC(PRK, info || 0x01) — the bytes
-// HKDFExpand(prk, info, n) returns for any n <= sha256.Size. Every
-// expand runs through one HMAC keyed once with the PRK. The keys come
-// back concatenated in info order.
+// HKDFExpand(prk, info, n) returns for any n <= sha256.Size. The keys
+// come back concatenated in info order, the one allocation.
 func HKDFKeys(salt, ikm []byte, infos [][]byte) []byte {
-	mac := hmac.New(sha256.New, HKDFExtract(salt, ikm))
+	prk := HKDFExtract(salt, ikm)
 	out := make([]byte, 0, len(infos)*sha256.Size)
 	for _, info := range infos {
-		mac.Reset()
-		mac.Write(info)
-		mac.Write(firstBlock)
-		out = mac.Sum(out)
+		key := HMACSHA256(prk[:], info, firstBlock[:])
+		out = append(out, key[:]...)
 	}
 	return out
 }
 
 // firstBlock is the counter byte of HKDF's first expand block.
-var firstBlock = []byte{1}
+var firstBlock = [1]byte{1}
 
 // DeriveKey is the one-shot HKDF: extract with salt then expand with info.
 func DeriveKey(secret, salt, info []byte, length int) ([]byte, error) {
-	return HKDFExpand(HKDFExtract(salt, secret), info, length)
+	prk := HKDFExtract(salt, secret)
+	return HKDFExpand(prk[:], info, length)
 }
 
-// HMACSHA256 computes an HMAC-SHA256 tag over msg with key.
-func HMACSHA256(key, msg []byte) []byte {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(msg)
-	return mac.Sum(nil)
+// HMACSHA256 computes the HMAC-SHA256 (RFC 2104) tag of msg's parts,
+// concatenated, under key, without a crypto/hmac (six allocations a
+// call): the padded key is a stack array and both passes run through one
+// local SHA-256 digest, which the compiler keeps on the stack too.
+func HMACSHA256(key []byte, msg ...[]byte) (mac [sha256.Size]byte) {
+	var pad [sha256.BlockSize]byte
+	if len(key) > len(pad) {
+		sum := sha256.Sum256(key)
+		copy(pad[:], sum[:])
+	} else {
+		copy(pad[:], key)
+	}
+	for i := range pad {
+		pad[i] ^= 0x36
+	}
+	h := sha256.New()
+	h.Write(pad[:])
+	for _, m := range msg {
+		h.Write(m)
+	}
+	h.Sum(mac[:0])
+	for i := range pad {
+		pad[i] ^= 0x36 ^ 0x5c
+	}
+	h.Reset()
+	h.Write(pad[:])
+	h.Write(mac[:])
+	h.Sum(mac[:0])
+	return mac
 }
 
 // HMACEqual compares two MAC values in constant time.

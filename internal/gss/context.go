@@ -269,12 +269,13 @@ func (c *Context) Resume(clientNonce, serverNonce []byte) (*Context, error) {
 
 // GetMIC computes an integrity check over msg without encrypting it.
 func (c *Context) GetMIC(msg []byte) []byte {
-	return gridcrypto.HMACSHA256(c.micKey, msg)
+	mic := gridcrypto.HMACSHA256(c.micKey, msg)
+	return mic[:]
 }
 
 // VerifyMIC checks a MIC produced by the peer's GetMIC.
 func (c *Context) VerifyMIC(msg, mic []byte) error {
-	if !gridcrypto.HMACEqual(mic, gridcrypto.HMACSHA256(c.vfyKey, msg)) {
+	if want := gridcrypto.HMACSHA256(c.vfyKey, msg); !gridcrypto.HMACEqual(mic, want[:]) {
 		return errors.New("gss: MIC verification failed")
 	}
 	return nil

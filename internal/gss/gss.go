@@ -228,8 +228,11 @@ func decodeToken3(b []byte) (token3, error) {
 
 // --- transcript and key schedule --------------------------------------
 
+// transcript is the running hash of a handshake, h = SHA-256(h || label
+// || data) per step. A value: copying one forks it, and it stays off the
+// heap (the step's digest is a local one the compiler keeps on the stack).
 type transcript struct {
-	h [32]byte
+	h [sha256.Size]byte
 }
 
 func (tr *transcript) add(label string, data []byte) {
@@ -237,10 +240,10 @@ func (tr *transcript) add(label string, data []byte) {
 	h.Write(tr.h[:])
 	h.Write([]byte(label))
 	h.Write(data)
-	copy(tr.h[:], h.Sum(nil))
+	h.Sum(tr.h[:0])
 }
 
-func (tr *transcript) sum() []byte { return append([]byte(nil), tr.h[:]...) }
+func (tr *transcript) sum() [sha256.Size]byte { return tr.h }
 
 type keySchedule struct {
 	initWrite   []byte // initiator's sending key

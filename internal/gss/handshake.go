@@ -89,7 +89,8 @@ func (i *Initiator) Finish(token2Bytes []byte) ([]byte, *Context, error) {
 	// Rebuild the signed transcript: token1 || token2 core fields.
 	sigTr := i.tr
 	sigTr.add("token2-core", token2Core(t2))
-	if err := chain[0].PublicKey.Verify(sigTr.sum(), t2.sig); err != nil {
+	signed := sigTr.sum()
+	if err := chain[0].PublicKey.Verify(signed[:], t2.sig); err != nil {
 		return nil, nil, fmt.Errorf("%w: acceptor transcript signature: %v", ErrAuthFailed, err)
 	}
 
@@ -100,9 +101,10 @@ func (i *Initiator) Finish(token2Bytes []byte) ([]byte, *Context, error) {
 	}
 	keyTr := sigTr
 	keyTr.add("token2-sig", t2.sig)
-	ks := deriveKeys(keyTr.sum(), secret, handshakeLabels)
+	keyed := keyTr.sum()
+	ks := deriveKeys(keyed[:], secret, handshakeLabels)
 	// Verify the acceptor's finished MAC (binds keys to transcript).
-	if !gridcrypto.HMACEqual(t2.finished, gridcrypto.HMACSHA256(ks.acceptFin, keyTr.sum())) {
+	if fin := gridcrypto.HMACSHA256(ks.acceptFin, keyed[:]); !gridcrypto.HMACEqual(t2.finished, fin[:]) {
 		return nil, nil, fmt.Errorf("%w: acceptor finished MAC", ErrAuthFailed)
 	}
 
@@ -113,7 +115,8 @@ func (i *Initiator) Finish(token2Bytes []byte) ([]byte, *Context, error) {
 	if !i.cfg.Anonymous {
 		t3.chain = gridcert.EncodeChain(i.cfg.Credential.Chain)
 		respTr.add("token3-chain", t3.chain)
-		sig, err := i.cfg.Credential.Key.Sign(respTr.sum())
+		signed = respTr.sum()
+		sig, err := i.cfg.Credential.Key.Sign(signed[:])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -123,7 +126,9 @@ func (i *Initiator) Finish(token2Bytes []byte) ([]byte, *Context, error) {
 		respTr.add("token3-chain", nil)
 		respTr.add("token3-sig", nil)
 	}
-	t3.finished = gridcrypto.HMACSHA256(ks.initFin, respTr.sum())
+	resp := respTr.sum()
+	fin := gridcrypto.HMACSHA256(ks.initFin, resp[:])
+	t3.finished = fin[:]
 
 	ctx, err := newContext(true, ks, Peer{
 		Identity: info.Identity,
@@ -187,7 +192,8 @@ func (a *Acceptor) Accept(token1Bytes []byte) ([]byte, error) {
 	}
 	sigTr := a.tr
 	sigTr.add("token2-core", token2Core(t2))
-	sig, err := a.cfg.Credential.Key.Sign(sigTr.sum())
+	signed := sigTr.sum()
+	sig, err := a.cfg.Credential.Key.Sign(signed[:])
 	if err != nil {
 		return nil, err
 	}
@@ -199,8 +205,10 @@ func (a *Acceptor) Accept(token1Bytes []byte) ([]byte, error) {
 	}
 	keyTr := sigTr
 	keyTr.add("token2-sig", sig)
-	a.ks = deriveKeys(keyTr.sum(), secret, handshakeLabels)
-	t2.finished = gridcrypto.HMACSHA256(a.ks.acceptFin, keyTr.sum())
+	keyed := keyTr.sum()
+	a.ks = deriveKeys(keyed[:], secret, handshakeLabels)
+	fin := gridcrypto.HMACSHA256(a.ks.acceptFin, keyed[:])
+	t2.finished = fin[:]
 	a.tr = keyTr
 	a.tr.add("token2-finished", t2.finished)
 	a.state = 2
@@ -236,7 +244,8 @@ func (a *Acceptor) Complete(token3Bytes []byte) (*Context, error) {
 			return nil, fmt.Errorf("%w: initiator identity %q, expected %q", ErrAuthFailed, info.Identity, a.cfg.ExpectedPeer)
 		}
 		respTr.add("token3-chain", t3.chain)
-		if err := chain[0].PublicKey.Verify(respTr.sum(), t3.sig); err != nil {
+		signed := respTr.sum()
+		if err := chain[0].PublicKey.Verify(signed[:], t3.sig); err != nil {
 			return nil, fmt.Errorf("%w: initiator transcript signature: %v", ErrAuthFailed, err)
 		}
 		respTr.add("token3-sig", t3.sig)
@@ -251,7 +260,8 @@ func (a *Acceptor) Complete(token3Bytes []byte) (*Context, error) {
 		respTr.add("token3-chain", nil)
 		respTr.add("token3-sig", nil)
 	}
-	if !gridcrypto.HMACEqual(t3.finished, gridcrypto.HMACSHA256(a.ks.initFin, respTr.sum())) {
+	resp := respTr.sum()
+	if fin := gridcrypto.HMACSHA256(a.ks.initFin, resp[:]); !gridcrypto.HMACEqual(t3.finished, fin[:]) {
 		return nil, fmt.Errorf("%w: initiator finished MAC", ErrAuthFailed)
 	}
 	return newContext(false, a.ks, peer, a.cfg)

@@ -12,6 +12,7 @@ package xmlsec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/gridcert"
@@ -108,22 +109,11 @@ func VerifyEnvelope(env *soap.Envelope, opts VerifyOptions) (*gridcert.ChainInfo
 	if err != nil {
 		return nil, fmt.Errorf("xmlsec: malformed signature block: %w", err)
 	}
-	chain, err := gridcert.DecodeChain(block.chain)
-	if err != nil {
-		return nil, fmt.Errorf("xmlsec: signer chain: %w", err)
+	// Freshness first, and only a timestamp the signature covers counts:
+	// a stale or replayed envelope costs no chain verification.
+	if !slices.Contains(block.covered, TimestampHeader) {
+		return nil, errors.New("xmlsec: signature does not cover the timestamp")
 	}
-	now := opts.Now
-	if now.IsZero() {
-		now = time.Now()
-	}
-	info, err := opts.TrustStore.Verify(chain, gridcert.VerifyOptions{
-		Now:           now,
-		RejectLimited: opts.RejectLimited,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("xmlsec: signer chain: %w", err)
-	}
-	// Timestamp must be covered and fresh.
 	tsRaw, ok := env.Header(TimestampHeader)
 	if !ok {
 		return nil, errors.New("xmlsec: signed envelope missing timestamp")
@@ -132,6 +122,10 @@ func VerifyEnvelope(env *soap.Envelope, opts VerifyOptions) (*gridcert.ChainInfo
 	if err != nil {
 		return nil, fmt.Errorf("xmlsec: bad timestamp: %w", err)
 	}
+	now := opts.Now
+	if now.IsZero() {
+		now = time.Now()
+	}
 	maxAge := opts.MaxAge
 	if maxAge == 0 {
 		maxAge = 5 * time.Minute
@@ -139,6 +133,17 @@ func VerifyEnvelope(env *soap.Envelope, opts VerifyOptions) (*gridcert.ChainInfo
 	age := now.Sub(ts)
 	if age > maxAge || age < -time.Minute {
 		return nil, fmt.Errorf("xmlsec: timestamp outside freshness window (age %v)", age)
+	}
+	chain, err := gridcert.DecodeChain(block.chain)
+	if err != nil {
+		return nil, fmt.Errorf("xmlsec: signer chain: %w", err)
+	}
+	info, err := opts.TrustStore.Verify(chain, gridcert.VerifyOptions{
+		Now:           now,
+		RejectLimited: opts.RejectLimited,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("xmlsec: signer chain: %w", err)
 	}
 	canonical := env.Canonical(block.covered...)
 	if err := chain[0].PublicKey.Verify(canonical, block.sigValue); err != nil {

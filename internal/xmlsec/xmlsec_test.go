@@ -145,6 +145,47 @@ func TestVerifyStaleTimestamp(t *testing.T) {
 	}
 }
 
+// TestStaleEnvelopeCostsNoChainCheck: freshness is checked before the
+// signer's chain, so a stale envelope from a signer the store has never
+// seen is refused with no certificate signature checked.
+func TestStaleEnvelopeCostsNoChainCheck(t *testing.T) {
+	b := newBed(t)
+	env := soap.NewEnvelope("op", nil)
+	if err := SignEnvelope(env, b.alice); err != nil {
+		t.Fatal(err)
+	}
+	before := b.ts.SignatureStats().Checks
+	_, err := VerifyEnvelope(env, VerifyOptions{TrustStore: b.ts, Now: time.Now().Add(time.Hour)})
+	if err == nil || !strings.Contains(err.Error(), "freshness") {
+		t.Fatalf("stale envelope: %v", err)
+	}
+	if got := b.ts.SignatureStats().Checks - before; got != 0 {
+		t.Fatalf("a stale envelope cost %d certificate-signature checks", got)
+	}
+}
+
+// TestUncoveredTimestampRefused: the timestamp counts only if the
+// signature covers it. An envelope signed, validly, over a covered list
+// the sender chose without the timestamp is refused, whatever its
+// timestamp header says.
+func TestUncoveredTimestampRefused(t *testing.T) {
+	b := newBed(t)
+	env := soap.NewEnvelope("op", []byte("body"))
+	env.SetHeader(TimestampHeader, []byte(time.Now().UTC().Format(time.RFC3339Nano)))
+	sig, err := b.alice.Key.Sign(env.Canonical())
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := signatureBlock{chain: gridcert.EncodeChain(b.alice.Chain), sigValue: sig}
+	env.SetHeader(SignatureHeader, block.encode())
+	if err := b.alice.Leaf().PublicKey.Verify(env.Canonical(block.covered...), sig); err != nil {
+		t.Fatalf("the hand-built signature does not verify over what it covers: %v", err)
+	}
+	if _, err := VerifyEnvelope(env, VerifyOptions{TrustStore: b.ts}); err == nil || !strings.Contains(err.Error(), "does not cover the timestamp") {
+		t.Fatalf("envelope whose signature omits the timestamp: %v", err)
+	}
+}
+
 func TestVerifyUntrustedSigner(t *testing.T) {
 	b := newBed(t)
 	env := soap.NewEnvelope("op", nil)
@@ -209,9 +250,10 @@ func TestVerifyEnvelopeWarmSignerStillChecked(t *testing.T) {
 		}
 	}
 	// An hour past the proxy's NotAfter the signer is refused as expired,
-	// every link in the memo or not.
+	// every link in the memo or not (under a window wide enough that the
+	// freshness check, which comes first, lets the envelope that far).
 	late := short.Leaf().NotAfter.Add(time.Hour)
-	if _, err := VerifyEnvelope(sign(short, "job"), VerifyOptions{TrustStore: b.ts, Now: late}); !errors.Is(err, gridcert.ErrExpired) {
+	if _, err := VerifyEnvelope(sign(short, "job"), VerifyOptions{TrustStore: b.ts, Now: late, MaxAge: 2 * time.Hour}); !errors.Is(err, gridcert.ErrExpired) {
 		t.Fatalf("envelope from a signer an hour past its proxy's NotAfter: %v", err)
 	}
 	// A remembered chain does not carry a tampered body through.

@@ -204,7 +204,7 @@ func (cs *casSyncer) pullSince(ctx context.Context, endpoint string, have uint64
 		if err := cs.replica.ApplyDelta(delta); err != nil {
 			return true, err
 		}
-	} else if err := cs.replica.Apply(bundle); err != nil {
+	} else if err := cs.replica.ApplyEncoded(bundle); err != nil {
 		return false, err
 	}
 	cs.mu.Lock()

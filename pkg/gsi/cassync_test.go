@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -277,14 +278,16 @@ func TestCASPromotionFailover(t *testing.T) {
 
 // tamperingFeed fronts an honest sync service as a publisher that can
 // be told to corrupt what it serves: the signature of the next delta
-// that carries mutations, or — answering as if its log had a gap — of
-// every full bundle. It logs the version each pull carried.
+// that carries mutations, or — answering as if its log had a gap — the
+// signature or a signed byte of every full bundle. It logs the version
+// each pull carried.
 type tamperingFeed struct {
 	inner ogsa.Service
 
 	mu        sync.Mutex
 	badDelta  bool // one shot
 	badFull   bool
+	badTables bool // a full bundle's signed bytes, not its signature
 	requested []string
 }
 
@@ -295,7 +298,7 @@ func (f *tamperingFeed) Invoke(call *ogsa.Call) ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.requested = append(f.requested, string(call.Body))
-	if f.badFull {
+	if f.badFull || f.badTables {
 		call.Body = []byte("0")
 	}
 	reply, err := f.inner.Invoke(call)
@@ -309,6 +312,8 @@ func (f *tamperingFeed) Invoke(call *ogsa.Call) ([]byte, error) {
 	switch {
 	case delta == nil && f.badFull:
 		reply[len(reply)-1] ^= 0x80
+	case delta == nil && f.badTables:
+		reply[len(reply)/2] ^= 0x01
 	case delta != nil && len(delta.Ops) > 0 && f.badDelta:
 		f.badDelta = false
 		reply[len(reply)-1] ^= 0x80
@@ -338,27 +343,7 @@ func (f *tamperingFeed) since(n int) []string {
 func TestCASPullFallback(t *testing.T) {
 	bed := newAuthzBed(t)
 	ctx := context.Background()
-	feedCred, err := bed.ca.NewHostEntity(gsi.MustParseName("/O=Grid/CN=cas tamperer"), 72*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	container, err := ogsa.NewContainer(ogsa.ContainerConfig{
-		Name: "tamperer", Credential: feedCred, TrustStore: bed.env.Trust(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := &tamperingFeed{inner: cas.NewSyncService(bed.vo, nil)}
-	container.Publish(cas.SyncHandle, feed)
-	feedURL, shutdown, err := gsi.ServeHTTP(container, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-
-	echo := func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
-		return body, nil
-	}
+	feed, feedURL := serveTamperingFeed(t, bed)
 	honestCred, err := bed.ca.NewHostEntity(gsi.MustParseName("/O=Grid/CN=cas honest"), 72*time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -373,32 +358,13 @@ func TestCASPullFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	honestEP, err := honest.Serve(ctx, "127.0.0.1:0", echo)
+	honestEP, err := honest.Serve(ctx, "127.0.0.1:0", echoHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer honestEP.Close()
 
-	rsCred, err := bed.ca.NewHostEntity(gsi.MustParseName("/O=Grid/CN=resource node"), 72*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resource, err := bed.env.NewServer(rsCred,
-		gsi.WithCASUpstream(gsi.CASUpstreamConfig{
-			Endpoints: []string{feedURL, honestEP.Addr()},
-			Cert:      bed.vo.Certificate(),
-			Interval:  20 * time.Millisecond,
-		}),
-		gsi.WithLocalPolicy(bed.local))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsEP, err := resource.Serve(ctx, "127.0.0.1:0", echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rsEP.Close()
-	c := &casSyncBed{resource: resource}
+	c := pullingResource(t, bed, feedURL, honestEP.Addr())
 	first := c.waitSync(t, "first bundle", func(st gsi.CASSyncStatus) bool { return st.Version >= 1 })
 	if first.LastEndpoint != feedURL || first.FullSyncs != 1 {
 		t.Fatalf("first sync: %+v", first)
@@ -443,6 +409,78 @@ func TestCASPullFallback(t *testing.T) {
 			t.Fatalf("a failed full bundle was retried from version 0: %q", feed.since(mark))
 		}
 	}
+}
+
+// TestCASRefusedFullBundleIsAFailure: a full bundle whose signed bytes
+// its signature does not cover — what a publisher that kept a signature
+// across a change of its tables would serve — is refused by the replica
+// every round. With no other endpoint, each round counts as a failure,
+// and the replica stays at the version and generation it held.
+func TestCASRefusedFullBundleIsAFailure(t *testing.T) {
+	bed := newAuthzBed(t)
+	feed, feedURL := serveTamperingFeed(t, bed)
+	c := pullingResource(t, bed, feedURL)
+	first := c.waitSync(t, "first bundle", func(st gsi.CASSyncStatus) bool { return st.Version >= 1 })
+
+	feed.arm(func(f *tamperingFeed) { f.badTables = true })
+	bed.vo.AddMember(gsi.MustParseName("/O=Grid/CN=Joiner"), "researchers")
+	st := c.waitSync(t, "a failed round", func(st gsi.CASSyncStatus) bool { return st.Failures >= 2 })
+	if st.Version != first.Version || st.Generation != first.Generation || st.FullSyncs != first.FullSyncs {
+		t.Fatalf("a refused full bundle moved the replica: %+v, was %+v", st, first)
+	}
+	if !strings.Contains(st.LastError, "bundle signature") {
+		t.Fatalf("last error %q does not name the signature", st.LastError)
+	}
+}
+
+// serveTamperingFeed publishes bed's VO feed behind a tamperingFeed on a
+// GT3 container of its own, returning the feed and its URL.
+func serveTamperingFeed(t *testing.T, bed *authzBed) (*tamperingFeed, string) {
+	t.Helper()
+	feedCred, err := bed.ca.NewHostEntity(gsi.MustParseName("/O=Grid/CN=cas tamperer"), 72*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	container, err := ogsa.NewContainer(ogsa.ContainerConfig{
+		Name: "tamperer", Credential: feedCred, TrustStore: bed.env.Trust(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := &tamperingFeed{inner: cas.NewSyncService(bed.vo, nil)}
+	container.Publish(cas.SyncHandle, feed)
+	feedURL, shutdown, err := gsi.ServeHTTP(container, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shutdown() })
+	return feed, feedURL
+}
+
+// pullingResource serves a resource whose replica pulls from endpoints,
+// in failover order, every 20 ms.
+func pullingResource(t *testing.T, bed *authzBed, endpoints ...string) *casSyncBed {
+	t.Helper()
+	rsCred, err := bed.ca.NewHostEntity(gsi.MustParseName("/O=Grid/CN=resource node"), 72*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resource, err := bed.env.NewServer(rsCred,
+		gsi.WithCASUpstream(gsi.CASUpstreamConfig{
+			Endpoints: endpoints,
+			Cert:      bed.vo.Certificate(),
+			Interval:  20 * time.Millisecond,
+		}),
+		gsi.WithLocalPolicy(bed.local))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsEP, err := resource.Serve(context.Background(), "127.0.0.1:0", echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rsEP.Close() })
+	return &casSyncBed{resource: resource}
 }
 
 // TestCASAdminOps drives the gsi.__admin CAS surface (what gsictl
