@@ -147,10 +147,7 @@ func runServe(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pool, err := gsi.NewSessionPool()
-	if err != nil {
-		log.Fatal(err)
-	}
+	pool := gsi.NewSessionPool()
 	reg := gsi.NewMetricsRegistry()
 
 	opts := []gsi.Option{

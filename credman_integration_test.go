@@ -76,8 +76,7 @@ func TestRotationMidTrafficGT2(t *testing.T) {
 		t.Fatal(err)
 	}
 	cm, err := w.env.NewCredentialManager(initial,
-		gsi.DelegationRenewal(w.alice, gsi.ProxyOptions{Lifetime: 2 * time.Hour}),
-		gsi.WithRenewalRetry(10*time.Millisecond, 100*time.Millisecond))
+		gsi.DelegationRenewal(w.alice, gsi.ProxyOptions{Lifetime: 2 * time.Hour}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +98,7 @@ func TestRotationMidTrafficGT2(t *testing.T) {
 
 	client, err := w.env.NewClient(nil,
 		gsi.WithCredentialManager(cm),
-		gsi.WithSessionPool(nil),
-		gsi.WithMaxIdle(8))
+		gsi.WithSessionPool(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,5 +126,9 @@ func main() {
 	if _, err := check.GetTo("/replica/run-42", &replica); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("replica verified: %d bytes, identical=%v\n", replica.Len(), bytes.Equal(replica.Bytes(), dataset))
+	identical := bytes.Equal(replica.Bytes(), dataset)
+	fmt.Printf("replica verified: %d bytes, identical=%v\n", replica.Len(), identical)
+	if !identical {
+		log.Fatalf("replica differs from the dataset: %d bytes, want %d", replica.Len(), len(dataset))
+	}
 }

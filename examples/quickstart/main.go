@@ -1,8 +1,9 @@
 // Quickstart: the core GSI flow through the public handle-based API —
 // create a CA, build an Environment of its trust roots, issue a user
 // and a service, single sign-on with a proxy certificate, mutual
-// authentication under a context.Context, protected messaging, and
-// remote delegation.
+// authentication under a context.Context, protected messaging, remote
+// delegation, and on to pooling, authorization, observability, the
+// durable trust plane, CAS sync, session guards and CRL revocation.
 //
 //	go run ./examples/quickstart
 package main
@@ -19,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/gridcert"
 	"repro/internal/proxy"
 	"repro/pkg/gsi"
 )
@@ -142,9 +144,9 @@ func main() {
 
 	// 8. Credential lifecycle: a CredentialManager keeps the proxy alive
 	// past its own expiry — ahead of a configurable horizon it obtains a
-	// successor (here by re-delegating below Alice's credential; MyProxy
-	// and remote delegation endpoints are the other sources) and a
-	// managed, pooled client rolls onto it with no dropped traffic:
+	// successor (here by re-delegating below Alice's credential; a remote
+	// delegation endpoint is the other source) and a managed, pooled
+	// client rolls onto it with no dropped traffic:
 	// rotation drains the old sessions and new calls handshake under the
 	// successor. cm.Start() would do this continuously in the background.
 	cm, err := env.NewCredentialManager(aliceProxy,
@@ -569,4 +571,60 @@ func main() {
 		log.Fatalf("signed GT3 exchange: %q %v", out, err)
 	}
 	fmt.Println("15. guards: a wrong peer pin and a limited proxy refused; a per-message-signed GT3 exchange served")
+
+	// 16. Revocation. The CA revokes Bob and publishes a CRL; a server
+	// watching its CRL file (WithReload's CRLs, the one way a CRL enters
+	// a running server) installs it in the environment's trust store, so
+	// Bob's next handshake is refused as an untrusted issuer while Alice
+	// is still served. Each outcome below must happen.
+	bob, err := authority.NewEntity(gsi.MustParseName("/O=Grid/CN=Bob"), 7*24*time.Hour)
+	if err != nil {
+		log.Fatal(err)
+	}
+	crlPath := filepath.Join(dir, "crls")
+	if err := os.WriteFile(crlPath, gridcert.EncodeCRLSet(nil), 0o644); err != nil {
+		log.Fatal(err)
+	}
+	crlServer, err := env.NewServer(gridftp, gsi.WithTransport(gsi.TransportGT3()),
+		gsi.WithReload(gsi.ReloadConfig{CRLs: crlPath}))
+	if err != nil {
+		log.Fatal(err)
+	}
+	crlEP, err := crlServer.Serve(ctx, "127.0.0.1:0", echo)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer crlEP.Close()
+	bobClient, err := env.NewClient(bob, gsi.WithTransport(gsi.TransportGT3()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	aliceGT3, err := env.NewClient(alice, gsi.WithTransport(gsi.TransportGT3()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := bobClient.Exchange(ctx, crlEP.Addr(), "echo", nil); err != nil {
+		log.Fatalf("bob refused before his revocation: %v", err)
+	}
+	if err := authority.Revoke(bob.Leaf().SerialNumber); err != nil {
+		log.Fatal(err)
+	}
+	crl, err := authority.CRL()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := os.WriteFile(crlPath, gridcert.EncodeCRLSet([]*gridcert.CRL{crl}), 0o644); err != nil {
+		log.Fatal(err)
+	}
+	if err := crlServer.Reloader().Reload(); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := bobClient.Exchange(ctx, crlEP.Addr(), "echo", nil); !errors.Is(err, gsi.ErrUntrustedIssuer) {
+		log.Fatalf("a revoked user was not refused as an untrusted issuer: %v", err)
+	}
+	if _, err := aliceGT3.Exchange(ctx, crlEP.Addr(), "echo", nil); err != nil {
+		log.Fatalf("an unrevoked user was refused after the CRL landed: %v", err)
+	}
+	fmt.Printf("16. CRL #%d revokes serial %d: Bob refused (gsi.ErrUntrustedIssuer), Alice still served\n",
+		crl.Number, bob.Leaf().SerialNumber)
 }

@@ -130,11 +130,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := bobClient.Invoke(ctx, url, "inventory", "list", nil); errors.Is(err, gsi.ErrUnauthorized) {
-		fmt.Println("bob denied as expected (errors.Is(err, gsi.ErrUnauthorized)):", err)
-	} else if err != nil {
-		fmt.Println("bob denied as expected:", err)
+	_, err = bobClient.Invoke(ctx, url, "inventory", "list", nil)
+	if !errors.Is(err, gsi.ErrUnauthorized) {
+		log.Fatalf("bob was not denied with gsi.ErrUnauthorized: %v", err)
 	}
+	fmt.Println("bob denied as expected (errors.Is(err, gsi.ErrUnauthorized)):", err)
 
 	// The audit service recorded everything, tamper-evidently.
 	count, err := aliceClient.Invoke(ctx, url, "security/audit", "Count", nil)

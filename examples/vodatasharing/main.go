@@ -120,7 +120,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := malloryClient.RequestAssertion(ctx, casServer); err != nil {
-		fmt.Println("non-member denied an assertion:", err)
+	a, err := malloryClient.RequestAssertion(ctx, casServer)
+	if err == nil {
+		log.Fatalf("a non-member was issued an assertion: %+v", a)
 	}
+	fmt.Println("non-member denied an assertion:", err)
 }

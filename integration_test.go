@@ -15,7 +15,6 @@ import (
 	"repro/internal/gram"
 	"repro/internal/gridcert"
 	"repro/internal/gridftp"
-	"repro/internal/myproxy"
 	"repro/internal/ogsa"
 	"repro/internal/proxy"
 	"repro/internal/secsvc"
@@ -74,65 +73,6 @@ func (s *benchService) Invoke(call *ogsa.Call) ([]byte, error) {
 		return reply, err
 	}
 	return call.Body, nil
-}
-
-// TestIntegrationMyProxyToGRAM: a portal retrieves a user's delegated
-// credential from the repository and submits a job with it — the classic
-// MyProxy + GRAM workflow.
-func TestIntegrationMyProxyToGRAM(t *testing.T) {
-	f := newFixture(t)
-
-	// Alice deposits a week-long proxy with the repository.
-	repo := myproxy.NewServer()
-	deposit, err := proxy.New(f.alice, proxy.Options{Lifetime: 12 * time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.StoreContext(context.Background(), "alice", "portal-pass", deposit, 2*time.Hour); err != nil {
-		t.Fatal(err)
-	}
-
-	// The portal (a different machine: it has no copy of Alice's keys)
-	// retrieves a short-lived proxy.
-	delegatee, req, err := proxy.NewDelegatee(time.Hour, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply, err := repo.RetrieveContext(context.Background(), "alice", "portal-pass", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	portalCred, err := delegatee.Accept(reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The portal submits a job on Alice's behalf.
-	gm := authz.NewGridMap()
-	gm.Add(f.alice.Identity(), "alice")
-	res, err := gram.NewResource(f.host, f.trust, gm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.CreateAccount("alice"); err != nil {
-		t.Fatal(err)
-	}
-	client := &gram.Client{Credential: portalCred, Trust: f.trust, Resource: res}
-	mjs, err := client.SubmitAndRunContext(context.Background(), gram.JobDescription{
-		Executable:         gram.JobProgram,
-		DelegateCredential: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mjs.Job().State() != gram.StateDone {
-		t.Fatalf("job state = %s", mjs.Job().State())
-	}
-	// The job's delegated credential still resolves to Alice even though
-	// it came through repository + portal (chain depth 3).
-	if !mjs.DelegatedCredential().Identity().Equal(f.alice.Identity()) {
-		t.Fatalf("delegated identity = %q", mjs.DelegatedCredential().Identity())
-	}
 }
 
 // TestIntegrationCASRestrictedProxyCannotSubmitJobs: a CAS restricted

@@ -47,7 +47,7 @@ type Authority struct {
 	nextStat Stats
 }
 
-// Stats summarises CA activity (cmd/gridca prints it).
+// Stats summarises CA activity.
 type Stats struct {
 	Issued  int
 	Revoked int

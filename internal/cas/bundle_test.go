@@ -192,8 +192,8 @@ func TestCASJournalAndReplay(t *testing.T) {
 	if roles := restored.Roles(bed.bob.Identity()); len(roles) != 1 || roles[0] != "reader" {
 		t.Fatalf("Roles(bob) = %v", roles)
 	}
-	if restored.PolicySize() != bed.server.PolicySize() {
-		t.Fatalf("restored policy size %d != live %d", restored.PolicySize(), bed.server.PolicySize())
+	if restored.policy.Len() != bed.server.policy.Len() {
+		t.Fatalf("restored policy size %d != live %d", restored.policy.Len(), bed.server.policy.Len())
 	}
 }
 
@@ -280,7 +280,7 @@ func TestCASStateSnapshotRoundTrip(t *testing.T) {
 	if err := restored.RestoreState(snap); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
-	if restored.Version() != bed.server.Version() || restored.PolicySize() != bed.server.PolicySize() {
+	if restored.Version() != bed.server.Version() || restored.policy.Len() != bed.server.policy.Len() {
 		t.Fatal("snapshot round trip lost state")
 	}
 	// Truncated snapshot fails closed.

@@ -233,9 +233,6 @@ func (s *Server) AddPolicy(rules ...authz.Rule) {
 	}
 }
 
-// PolicySize returns the number of VO policy rules.
-func (s *Server) PolicySize() int { return s.policy.Len() }
-
 // IssueAssertionContext is step 1 of Figure 2: the authenticated member
 // receives the subset of VO policy that applies to them, signed by the
 // CAS server. The caller must have authenticated requester (e.g. via a

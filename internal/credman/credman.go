@@ -19,10 +19,10 @@ import (
 const (
 	// DefaultHorizon is how far before NotAfter renewal starts.
 	DefaultHorizon = 15 * time.Minute
-	// DefaultRetryMin is the first retry backoff after a failed renewal.
-	DefaultRetryMin = time.Second
-	// DefaultRetryMax caps the exponential retry backoff.
-	DefaultRetryMax = time.Minute
+	// retryMin is the first retry backoff after a failed renewal.
+	retryMin = time.Second
+	// retryMax caps the exponential retry backoff.
+	retryMax = time.Minute
 )
 
 // ErrClosed is returned by operations on a closed Manager.
@@ -39,9 +39,6 @@ type Config struct {
 	// Jitter desynchronizes fleets: each renewal fires up to Jitter
 	// earlier than the horizon, uniformly at random. 0 disables.
 	Jitter time.Duration
-	// RetryMin/RetryMax bound the exponential backoff between failed
-	// renewal attempts; 0 selects the defaults.
-	RetryMin, RetryMax time.Duration
 	// Now overrides the clock (tests); nil means time.Now.
 	Now func() time.Time
 }
@@ -58,7 +55,7 @@ type Stats struct {
 
 // Manager keeps one credential alive: Current always returns a usable
 // credential (fresh successors replace it atomically), Start runs the
-// background renewal loop, and OnRotate hooks let dependent state —
+// background renewal loop, and OnRotateWhile hooks let dependent state —
 // session pools, resumption caches — rekey at the moment of rotation.
 // Safe for concurrent use.
 type Manager struct {
@@ -68,6 +65,10 @@ type Manager struct {
 	cur  atomic.Pointer[gridcert.Credential]
 	base context.Context // canceled by Close; bounds background renewals
 	stop context.CancelFunc
+
+	// The backoff bounds, retryMin and retryMax, as fields so that tests
+	// can tighten them before Start.
+	backoffMin, backoffMax time.Duration
 
 	mu      sync.Mutex
 	hooks   []*rotateHook
@@ -89,23 +90,11 @@ func NewManager(initial *gridcert.Credential, cfg Config) (*Manager, error) {
 	if cfg.Source == nil {
 		return nil, errors.New("credman: manager requires a renewal source")
 	}
-	if cfg.Horizon < 0 || cfg.Jitter < 0 || cfg.RetryMin < 0 || cfg.RetryMax < 0 {
+	if cfg.Horizon < 0 || cfg.Jitter < 0 {
 		return nil, errors.New("credman: negative duration")
 	}
 	if cfg.Horizon == 0 {
 		cfg.Horizon = DefaultHorizon
-	}
-	if cfg.RetryMin == 0 {
-		cfg.RetryMin = DefaultRetryMin
-	}
-	if cfg.RetryMax == 0 {
-		cfg.RetryMax = DefaultRetryMax
-	}
-	if cfg.RetryMax < cfg.RetryMin {
-		// An explicit ceiling always wins: a caller who set only
-		// RetryMax below the default floor gets a tighter loop, not a
-		// silently raised cap.
-		cfg.RetryMin = cfg.RetryMax
 	}
 	nowFn := cfg.Now
 	if nowFn == nil {
@@ -113,11 +102,13 @@ func NewManager(initial *gridcert.Credential, cfg Config) (*Manager, error) {
 	}
 	base, stop := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:  cfg,
-		now:  nowFn,
-		rng:  rand.New(rand.NewSource(nowFn().UnixNano())),
-		base: base,
-		stop: stop,
+		cfg:        cfg,
+		now:        nowFn,
+		backoffMin: retryMin,
+		backoffMax: retryMax,
+		rng:        rand.New(rand.NewSource(nowFn().UnixNano())),
+		base:       base,
+		stop:       stop,
 	}
 	m.cur.Store(initial)
 	return m, nil
@@ -135,31 +126,20 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// OnRotate registers a hook called synchronously during each rotation
-// with the replaced and the successor credential. Hooks run after the
-// successor is validated but before it is published through Current,
-// so dependent state (pool rekey, cache invalidation) is settled by
-// the time any caller can observe the successor. Hooks must not call
-// back into the Manager's renewal methods; Current still returns the
-// replaced credential while they run.
-func (m *Manager) OnRotate(fn func(old, next *gridcert.Credential)) {
-	if fn == nil {
-		return
-	}
-	m.OnRotateWhile(func(old, next *gridcert.Credential) bool {
-		fn(old, next)
-		return true
-	})
-}
-
 // rotateHook is one registered rotation hook; fn returning false marks
 // it dead.
 type rotateHook struct {
 	fn func(old, next *gridcert.Credential) bool
 }
 
-// OnRotateWhile is OnRotate for hooks with a natural end of life: a
-// hook returning false is removed and never called again. Rotation
+// OnRotateWhile registers a hook called synchronously during each
+// rotation with the replaced and the successor credential. Hooks run
+// after the successor is validated but before it is published through
+// Current, so dependent state (pool rekey, cache invalidation) is
+// settled by the time any caller can observe the successor. Hooks must
+// not call back into the Manager's renewal methods; Current still
+// returns the replaced credential while they run. A hook returning
+// false is removed and never called again. Rotation
 // hooks cannot be unregistered from outside (the registrant may be long
 // gone by the time the hook fires), so a hook watching state that can
 // die — a session pool that may be closed — prunes itself instead of
@@ -298,13 +278,13 @@ func (m *Manager) run() {
 	renewed := false
 	for {
 		wait := m.renewIn(m.Current())
-		if renewed && wait < m.cfg.RetryMin {
+		if renewed && wait < m.backoffMin {
 			// The freshly published successor is already inside the
 			// renewal window (the source caps lifetimes below the
 			// horizon). Renewing "immediately" forever would spin the
 			// loop and hammer the source; pace it like a failure
 			// instead.
-			wait = m.cfg.RetryMin
+			wait = m.backoffMin
 		}
 		timer := time.NewTimer(wait)
 		select {
@@ -316,7 +296,7 @@ func (m *Manager) run() {
 		// Renew until a successor is published, backing off between
 		// failures. The source sees the manager's lifetime as its
 		// context, so Close aborts an in-flight attempt promptly.
-		backoff := m.cfg.RetryMin
+		backoff := m.backoffMin
 		for {
 			if _, err := m.Renew(m.base); err == nil || errors.Is(err, ErrClosed) {
 				renewed = true
@@ -328,8 +308,8 @@ func (m *Manager) run() {
 			case <-time.After(backoff):
 			}
 			backoff *= 2
-			if backoff > m.cfg.RetryMax {
-				backoff = m.cfg.RetryMax
+			if backoff > m.backoffMax {
+				backoff = m.backoffMax
 			}
 		}
 		if m.base.Err() != nil {

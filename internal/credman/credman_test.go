@@ -10,7 +10,6 @@ import (
 	"repro/internal/ca"
 	"repro/internal/gridcert"
 	"repro/internal/gss"
-	"repro/internal/myproxy"
 	"repro/internal/ogsa"
 	"repro/internal/proxy"
 	"repro/internal/soap"
@@ -73,11 +72,12 @@ func TestManagerRenewPublishesAndRunsHooks(t *testing.T) {
 	defer m.Close()
 
 	var hookOld, hookNext, hookCurrent *gridcert.Credential
-	m.OnRotate(func(old, next *gridcert.Credential) {
+	m.OnRotateWhile(func(old, next *gridcert.Credential) bool {
 		hookOld, hookNext = old, next
 		// Hooks run before publication: dependent state is rekeyed
 		// before any caller can observe the successor.
 		hookCurrent = m.Current()
+		return true
 	})
 
 	if got := m.Current(); got != w.initial {
@@ -154,15 +154,14 @@ func TestManagerBackgroundRotationAndBackoff(t *testing.T) {
 		return proxy.New(w.user, proxy.Options{Lifetime: time.Hour})
 	})
 	m, err := NewManager(w.initial, Config{
-		Source:   src,
-		Horizon:  100 * time.Millisecond,
-		Jitter:   20 * time.Millisecond,
-		RetryMin: 5 * time.Millisecond,
-		RetryMax: 20 * time.Millisecond,
+		Source:  src,
+		Horizon: 100 * time.Millisecond,
+		Jitter:  20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.backoffMin, m.backoffMax = 5*time.Millisecond, 20*time.Millisecond
 	defer m.Close()
 	m.Start()
 	m.Start() // idempotent
@@ -201,37 +200,6 @@ func TestManagerCloseStopsRenewal(t *testing.T) {
 	}
 	if m.Current() != w.initial {
 		t.Fatal("Current must keep answering after Close")
-	}
-}
-
-func TestMyProxySourceRenews(t *testing.T) {
-	w := newWorld(t, time.Hour)
-	repo := myproxy.NewServer()
-	deposit, err := proxy.New(w.user, proxy.Options{Lifetime: 6 * time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.StoreContext(context.Background(), "alice", "open sesame", deposit, 2*time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	src := MyProxySource{Repo: repo, Username: "alice", Passphrase: "open sesame", Lifetime: time.Hour}
-	next, err := src.Renew(context.Background(), w.initial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !next.Identity().Equal(w.user.Identity()) {
-		t.Fatalf("renewed identity = %s, want %s", next.Identity(), w.user.Identity())
-	}
-	if _, err := w.trust.Verify(next.Chain, gridcert.VerifyOptions{}); err != nil {
-		t.Fatalf("renewed chain does not validate: %v", err)
-	}
-	if remaining := time.Until(next.Leaf().NotAfter); remaining > time.Hour+time.Minute {
-		t.Fatalf("renewed proxy lifetime %s exceeds the requested hour", remaining)
-	}
-
-	bad := MyProxySource{Repo: repo, Username: "alice", Passphrase: "wrong", Lifetime: time.Hour}
-	if _, err := bad.Renew(context.Background(), w.initial); !errors.Is(err, myproxy.ErrBadPassphrase) {
-		t.Fatalf("bad passphrase = %v, want ErrBadPassphrase", err)
 	}
 }
 
@@ -330,7 +298,7 @@ func TestEndpointSourceDepositAndRenew(t *testing.T) {
 
 // When the source can only mint credentials shorter than the horizon,
 // every successor is already inside the renewal window — the loop must
-// pace itself at RetryMin instead of spinning a renewal storm.
+// pace itself at the minimum backoff instead of spinning a renewal storm.
 func TestManagerPacesWhenSuccessorsInsideHorizon(t *testing.T) {
 	w := newWorld(t, 200*time.Millisecond)
 	var renews atomic.Int64
@@ -339,19 +307,18 @@ func TestManagerPacesWhenSuccessorsInsideHorizon(t *testing.T) {
 		return proxy.New(w.user, proxy.Options{Lifetime: 200 * time.Millisecond})
 	})
 	m, err := NewManager(w.initial, Config{
-		Source:   src,
-		Horizon:  time.Hour, // always inside the window
-		RetryMin: 50 * time.Millisecond,
-		RetryMax: 50 * time.Millisecond,
+		Source:  src,
+		Horizon: time.Hour, // always inside the window
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.backoffMin, m.backoffMax = 50*time.Millisecond, 50*time.Millisecond
 	m.Start()
 	time.Sleep(300 * time.Millisecond)
 	m.Close()
 	if n := renews.Load(); n > 20 {
-		t.Fatalf("renewal loop spun %d times in 300ms; want RetryMin pacing (~6)", n)
+		t.Fatalf("renewal loop spun %d times in 300ms; want minimum-backoff pacing (~6)", n)
 	}
 	if n := renews.Load(); n == 0 {
 		t.Fatal("loop never renewed")
@@ -376,7 +343,7 @@ func TestOnRotateWhilePrunes(t *testing.T) {
 	defer m.Close()
 	var oneShot, always int
 	m.OnRotateWhile(func(_, _ *gridcert.Credential) bool { oneShot++; return false })
-	m.OnRotate(func(_, _ *gridcert.Credential) { always++ })
+	m.OnRotateWhile(func(_, _ *gridcert.Credential) bool { always++; return true })
 	for i := 0; i < 3; i++ {
 		if _, err := m.Renew(context.Background()); err != nil {
 			t.Fatal(err)

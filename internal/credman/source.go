@@ -1,8 +1,9 @@
 // Package credman keeps a proxy credential alive: a Manager watches the
 // managed credential's remaining lifetime and, ahead of a configurable
-// horizon, obtains a successor from a pluggable Source — the paper's
-// MyProxy online repository, re-delegation against a local signer, or
-// the OGSA delegation port type — then publishes it atomically so
+// horizon, obtains a successor from a pluggable Source — re-delegation
+// against a local signer, or the OGSA delegation port type (the
+// container-hosted analogue of the MyProxy online repository) — then
+// publishes it atomically so
 // long-running grid work (job trees, pooled sessions, resumption trees)
 // outlives any single short-lived proxy.
 package credman
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/gridcert"
-	"repro/internal/myproxy"
 	"repro/internal/ogsa"
 	"repro/internal/proxy"
 	"repro/internal/wire"
@@ -26,38 +26,6 @@ import (
 // Implementations must be safe for concurrent use.
 type Source interface {
 	Renew(ctx context.Context, current *gridcert.Credential) (*gridcert.Credential, error)
-}
-
-// MyProxySource renews from an online credential repository: a fresh
-// key pair is generated locally, only its public half crosses the
-// exchange, and the repository signs a short-lived proxy below the
-// stored credential (myproxy-logon as a renewal engine).
-type MyProxySource struct {
-	// Repo is the repository holding the deposited credential.
-	Repo *myproxy.Server
-	// Username and Passphrase authenticate the retrieval.
-	Username, Passphrase string
-	// Lifetime requests the successor's lifetime (the repository may
-	// cap it); 0 accepts the repository's maximum.
-	Lifetime time.Duration
-	// Limited requests a limited proxy.
-	Limited bool
-}
-
-// Renew implements Source.
-func (s MyProxySource) Renew(ctx context.Context, _ *gridcert.Credential) (*gridcert.Credential, error) {
-	if s.Repo == nil {
-		return nil, errors.New("credman: MyProxySource requires a repository")
-	}
-	delegatee, req, err := proxy.NewDelegatee(s.Lifetime, s.Limited)
-	if err != nil {
-		return nil, err
-	}
-	reply, err := s.Repo.RetrieveContext(ctx, s.Username, s.Passphrase, req)
-	if err != nil {
-		return nil, fmt.Errorf("credman: myproxy retrieve: %w", err)
-	}
-	return delegatee.Accept(reply)
 }
 
 // LocalSource renews by re-delegating below a locally held signer (the

@@ -223,8 +223,8 @@ func TestSubmitCostIndependentOfMapfileSize(t *testing.T) {
 	}
 }
 
-// TestPrivilegedOpsPerJob pins the §5.2 accounting `gramsim -exp e5`
-// reports: what a job costs in root-privileged operations in each
+// TestPrivilegedOpsPerJob pins the §5.2 accounting `examples/gramjob`
+// checks: what a job costs in root-privileged operations in each
 // architecture. Reading the mapfile through the view is charged exactly
 // as reading it was.
 func TestPrivilegedOpsPerJob(t *testing.T) {

@@ -379,7 +379,7 @@ func (c *Certificate) Fingerprint() [32]byte {
 // SelfSigned reports whether issuer and subject match (root CA shape).
 func (c *Certificate) SelfSigned() bool { return c.Issuer.Equal(c.Subject) }
 
-// String renders a one-line summary for logs and the certinfo tool.
+// String renders a one-line summary for logs.
 func (c *Certificate) String() string {
 	extra := ""
 	if c.Proxy != nil {

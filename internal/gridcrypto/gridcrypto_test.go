@@ -89,34 +89,36 @@ func TestCrossAlgorithmVerifyFails(t *testing.T) {
 func TestHKDFKnownProperties(t *testing.T) {
 	secret := []byte("shared secret")
 	salt := []byte("salt")
-	k1, err := DeriveKey(secret, salt, []byte("client write"), 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := DeriveKey(secret, salt, []byte("server write"), 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := HKDFKeys(salt, secret, [][]byte{[]byte("client write"), []byte("server write")})
+	k1, k2 := keys[:sha256.Size], keys[sha256.Size:]
 	if bytes.Equal(k1, k2) {
 		t.Fatal("different info produced identical keys")
 	}
-	k1b, _ := DeriveKey(secret, salt, []byte("client write"), 32)
+	k1b := HKDFKeys(salt, secret, [][]byte{[]byte("client write")})
 	if !bytes.Equal(k1, k1b) {
 		t.Fatal("HKDF not deterministic")
 	}
-	long, err := DeriveKey(secret, salt, []byte("x"), 100)
-	if err != nil || len(long) != 100 {
-		t.Fatalf("long derivation: len=%d err=%v", len(long), err)
-	}
 }
 
+// TestHKDFExpandBounds: HKDFKeys expands no further than the first
+// block — each key is exactly T(1) = HMAC(PRK, info || 0x01), empty and
+// block-sized infos included — and no infos give no bytes.
 func TestHKDFExpandBounds(t *testing.T) {
-	prk := HKDFExtract(nil, []byte("ikm"))
-	if _, err := HKDFExpand(prk[:], nil, 0); err == nil {
-		t.Fatal("accepted zero length")
+	salt, ikm := []byte("salt"), []byte("ikm")
+	infos := [][]byte{nil, []byte("x"), bytes.Repeat([]byte{7}, sha256.BlockSize)}
+	keys := HKDFKeys(salt, ikm, infos)
+	if len(keys) != len(infos)*sha256.Size {
+		t.Fatalf("HKDFKeys returned %d bytes for %d infos", len(keys), len(infos))
 	}
-	if _, err := HKDFExpand(prk[:], nil, 255*sha256.Size+1); err == nil {
-		t.Fatal("accepted over-long output")
+	prk := HKDFExtract(salt, ikm)
+	for i, info := range infos {
+		t1 := HMACSHA256(prk[:], info, []byte{1})
+		if !bytes.Equal(keys[i*sha256.Size:(i+1)*sha256.Size], t1[:]) {
+			t.Fatalf("key %d is not T(1) of its info", i)
+		}
+	}
+	if got := HKDFKeys(salt, ikm, nil); len(got) != 0 {
+		t.Fatalf("no infos gave %d bytes", len(got))
 	}
 }
 
@@ -235,9 +237,8 @@ func TestPropertyHKDFInfoSeparation(t *testing.T) {
 		if bytes.Equal(a, b) {
 			return true
 		}
-		ka, err1 := DeriveKey(secret, nil, a, 32)
-		kb, err2 := DeriveKey(secret, nil, b, 32)
-		return err1 == nil && err2 == nil && !bytes.Equal(ka, kb)
+		keys := HKDFKeys(nil, secret, [][]byte{a, b})
+		return !bytes.Equal(keys[:sha256.Size], keys[sha256.Size:])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -353,15 +354,15 @@ func TestKeyScheduleAllocs(t *testing.T) {
 
 // TestHKDFKnownAnswer is RFC 5869's test cases A.1 and A.3 (SHA-256;
 // A.3 has an empty salt and info). HKDFKeys's key for an info is the
-// first 32 bytes of the same expand.
+// first 32 bytes of the case's 42-byte output.
 func TestHKDFKnownAnswer(t *testing.T) {
 	noSalt := HKDFExtract(nil, bytes.Repeat([]byte{0x0b}, 22))
 	if got := hex.EncodeToString(noSalt[:]); got != "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04" {
 		t.Fatalf("A.3 PRK = %s", got)
 	}
-	okm3, err := HKDFExpand(noSalt[:], nil, 42)
-	if err != nil || hex.EncodeToString(okm3) != "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8" {
-		t.Fatalf("A.3 OKM = %x (%v)", okm3, err)
+	okm3 := HKDFKeys(nil, bytes.Repeat([]byte{0x0b}, 22), [][]byte{nil})
+	if got := hex.EncodeToString(okm3); got != "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"[:64] {
+		t.Fatalf("A.3 OKM = %s", got)
 	}
 
 	ikm := bytes.Repeat([]byte{0x0b}, 22)
@@ -373,13 +374,6 @@ func TestHKDFKnownAnswer(t *testing.T) {
 	prk := HKDFExtract(salt, ikm)
 	if got := hex.EncodeToString(prk[:]); got != wantPRK {
 		t.Fatalf("PRK = %s, want %s", got, wantPRK)
-	}
-	okm, err := HKDFExpand(prk[:], info, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hex.EncodeToString(okm); got != wantOKM {
-		t.Fatalf("OKM = %s, want %s", got, wantOKM)
 	}
 	keys := HKDFKeys(salt, ikm, [][]byte{info, []byte("other"), info})
 	if len(keys) != 3*sha256.Size {

@@ -12,27 +12,11 @@ import (
 // SHA-256. An empty salt is HashLen zeros, which pad to the same HMAC key.
 func HKDFExtract(salt, ikm []byte) [sha256.Size]byte { return HMACSHA256(salt, ikm) }
 
-// HKDFExpand implements the expand step of HKDF (RFC 5869) with SHA-256,
-// producing length bytes of output keyed by prk and bound to info.
-func HKDFExpand(prk, info []byte, length int) ([]byte, error) {
-	if length <= 0 || length > 255*sha256.Size {
-		return nil, fmt.Errorf("gridcrypto: invalid HKDF output length %d", length)
-	}
-	out := make([]byte, 0, length+sha256.Size)
-	var prev []byte
-	for counter := byte(1); len(out) < length; counter++ {
-		block := HMACSHA256(prk, prev, info, []byte{counter})
-		out = append(out, block[:]...)
-		prev = out[len(out)-sha256.Size:]
-	}
-	return out[:length], nil
-}
-
-// HKDFKeys is HKDF with SHA-256 for a key schedule: one extract from
-// salt and ikm, then one sha256.Size-byte key per info, each the first
-// expand block T(1) = HMAC(PRK, info || 0x01) — the bytes
-// HKDFExpand(prk, info, n) returns for any n <= sha256.Size. The keys
-// come back concatenated in info order, the one allocation.
+// HKDFKeys is HKDF (RFC 5869) with SHA-256 for a key schedule: one
+// extract from salt and ikm, then one sha256.Size-byte key per info,
+// each the first expand block T(1) = HMAC(PRK, info || 0x01) — the
+// first sha256.Size bytes of any longer expand. The keys come back
+// concatenated in info order, the one allocation.
 func HKDFKeys(salt, ikm []byte, infos [][]byte) []byte {
 	prk := HKDFExtract(salt, ikm)
 	out := make([]byte, 0, len(infos)*sha256.Size)
@@ -45,12 +29,6 @@ func HKDFKeys(salt, ikm []byte, infos [][]byte) []byte {
 
 // firstBlock is the counter byte of HKDF's first expand block.
 var firstBlock = [1]byte{1}
-
-// DeriveKey is the one-shot HKDF: extract with salt then expand with info.
-func DeriveKey(secret, salt, info []byte, length int) ([]byte, error) {
-	prk := HKDFExtract(salt, secret)
-	return HKDFExpand(prk[:], info, length)
-}
 
 // HMACSHA256 computes the HMAC-SHA256 (RFC 2104) tag of msg's parts,
 // concatenated, under key, without a crypto/hmac (six allocations a

@@ -11,10 +11,10 @@ import (
 )
 
 // Round-trip invariants for the delegation wire format, the two
-// messages the online delegation endpoint and MyProxy accept from the
-// network: a decoder must never panic on arbitrary bytes, and anything
-// it accepts must re-encode to a value that decodes back equal
-// (encode∘decode is the identity on the accepted set).
+// messages the online delegation endpoint accepts from the network: a
+// decoder must never panic on arbitrary bytes, and anything it accepts
+// must re-encode to a value that decodes back equal (encode∘decode is
+// the identity on the accepted set).
 
 func FuzzDecodeDelegationRequest(f *testing.F) {
 	key, err := gridcrypto.GenerateKeyPair(gridcrypto.AlgEd25519)

@@ -31,10 +31,8 @@ type Client struct {
 // NewClient builds a Client from a credential. A nil credential is
 // allowed only together with WithCredentialManager (a managed client
 // always reads the manager's current credential, so a fixed one here
-// would be misleading). Any pool option
-// (WithSessionPool, WithMaxIdle, WithIdleTTL, WithMaxConcurrentPerHost)
-// enables session pooling; without an explicitly shared pool the client
-// gets a private one tuned by those options. A pooling client bound to
+// would be misleading). WithSessionPool enables session pooling; given
+// nil, the client gets a private pool. A pooling client bound to
 // a CredentialManager rekeys its pool on every rotation: the replaced
 // credential's sessions drain and its resumption trees are dropped.
 func (e *Environment) NewClient(cred *Credential, opts ...Option) (*Client, error) {
@@ -50,9 +48,6 @@ func (e *Environment) NewClient(cred *Credential, opts ...Option) (*Client, erro
 	}
 	if cred != nil && base.credman != nil {
 		return nil, opErr("gsi.NewClient", errors.New("gsi: a managed client takes its credential from the manager; pass a nil credential"))
-	}
-	if base.poolEnable && base.pool == nil {
-		base.pool = newSessionPool(base)
 	}
 	if base.pool != nil && base.credman != nil {
 		base.credman.bindPool(base.pool)
@@ -325,17 +320,6 @@ func (c *Client) EmbedAssertion(a *CASAssertion) (*Credential, error) {
 		return nil, opErr("gsi.Client.EmbedAssertion", err)
 	}
 	return cred, nil
-}
-
-// StoreCredential delegates a proxy below the client's credential into a
-// MyProxy repository under username/passphrase; maxLifetime bounds
-// proxies later retrieved.
-func (c *Client) StoreCredential(ctx context.Context, repo *MyProxy, username, passphrase string, deposit *Credential, maxLifetime time.Duration) error {
-	const op = "gsi.Client.StoreCredential"
-	if err := repo.StoreContext(ctx, username, passphrase, deposit, maxLifetime); err != nil {
-		return opErr(op, err)
-	}
-	return nil
 }
 
 // SubmitJob runs the full Figure-4 GRAM flow against a resource: sign

@@ -30,21 +30,14 @@ func DepositDelegation(ctx context.Context, invoke func(ctx context.Context, op 
 }
 
 // RenewalSource obtains successor credentials for a CredentialManager.
-// The built-in sources cover the paper's renewal paths — MyProxyRenewal
-// (online repository), DelegationRenewal (re-delegation below a local
-// signer) and EndpointRenewal (the OGSA delegation port type).
+// The built-in sources cover the paper's renewal paths —
+// DelegationRenewal (re-delegation below a local signer) and
+// EndpointRenewal (the OGSA delegation port type, where a deposited
+// credential is renewed as from a MyProxy repository).
 type RenewalSource = credman.Source
 
 // RenewalStats is a snapshot of a CredentialManager's activity.
 type RenewalStats = credman.Stats
-
-// MyProxyRenewal renews from an online credential repository: each
-// renewal generates a fresh key pair locally and retrieves a proxy
-// delegated below the credential stored under username (myproxy-logon
-// as a renewal engine). lifetime 0 accepts the repository's cap.
-func MyProxyRenewal(repo *MyProxy, username, passphrase string, lifetime time.Duration) RenewalSource {
-	return credman.MyProxySource{Repo: repo, Username: username, Passphrase: passphrase, Lifetime: lifetime}
-}
 
 // DelegationRenewal renews by minting a fresh sibling proxy below a
 // locally held signer via the standard delegation exchange.
@@ -68,7 +61,7 @@ func EndpointRenewal(invoke func(ctx context.Context, op string, body []byte) ([
 // of clients.
 //
 //	cm, _ := env.NewCredentialManager(proxy,
-//	    gsi.MyProxyRenewal(repo, "alice", "pw", time.Hour),
+//	    gsi.EndpointRenewal(invoke, time.Hour),
 //	    gsi.WithRenewalHorizon(10*time.Minute))
 //	cm.Start()
 //	defer cm.Close()
@@ -111,8 +104,9 @@ func (cm *CredentialManager) bindPool(pool *SessionPool) {
 
 // NewCredentialManager builds a manager over an initial credential,
 // renewing from source and validating against the environment's clock.
-// The renewal options (WithRenewalHorizon, WithRenewalJitter,
-// WithRenewalRetry) tune it; options that do not apply to a manager are
+// The renewal options (WithRenewalHorizon, WithRenewalJitter) tune it;
+// failed renewals back off from 1 s, doubling to 1 min. Options that do
+// not apply to a manager are
 // ignored, matching how handle options behave across operations.
 func (e *Environment) NewCredentialManager(initial *Credential, source RenewalSource, opts ...Option) (*CredentialManager, error) {
 	const op = "gsi.NewCredentialManager"
@@ -121,12 +115,10 @@ func (e *Environment) NewCredentialManager(initial *Credential, source RenewalSo
 		return nil, opErr(op, err)
 	}
 	m, err := credman.NewManager(initial, credman.Config{
-		Source:   source,
-		Horizon:  s.renewHorizon,
-		Jitter:   s.renewJitter,
-		RetryMin: s.renewRetryMin,
-		RetryMax: s.renewRetryMax,
-		Now:      e.now,
+		Source:  source,
+		Horizon: s.renewHorizon,
+		Jitter:  s.renewJitter,
+		Now:     e.now,
 	})
 	if err != nil {
 		return nil, opErr(op, err)
@@ -158,10 +150,6 @@ func (cm *CredentialManager) Renew(ctx context.Context) (*Credential, error) {
 	}
 	return next, nil
 }
-
-// OnRotate registers a hook called synchronously after each rotation
-// with the replaced and successor credentials.
-func (cm *CredentialManager) OnRotate(fn func(old, next *Credential)) { cm.m.OnRotate(fn) }
 
 // Stats returns a snapshot of the manager's counters.
 func (cm *CredentialManager) Stats() RenewalStats { return cm.m.Stats() }

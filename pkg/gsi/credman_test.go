@@ -51,8 +51,7 @@ func TestCredentialManagerFacade(t *testing.T) {
 	cm, err := w.env.NewCredentialManager(initial,
 		DelegationRenewal(w.alice, ProxyOptions{Lifetime: time.Hour}),
 		WithRenewalHorizon(10*time.Minute),
-		WithRenewalJitter(time.Minute),
-		WithRenewalRetry(10*time.Millisecond, time.Second))
+		WithRenewalJitter(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +83,6 @@ func TestCredentialManagerOptionValidation(t *testing.T) {
 	}
 	if _, err := w.env.NewCredentialManager(initial, src, WithRenewalHorizon(-time.Second)); err == nil {
 		t.Fatal("negative horizon must be rejected")
-	}
-	if _, err := w.env.NewCredentialManager(initial, src, WithRenewalRetry(time.Minute, time.Second)); err == nil {
-		t.Fatal("retry min > max must be rejected")
 	}
 }
 
@@ -241,11 +237,12 @@ func TestRotationInvalidatesResumptionTrees(t *testing.T) {
 	defer ep.Close()
 
 	client, err := w.env.NewClient(nil,
-		WithCredentialManager(cm), WithTransport(TransportGT3()), WithSessionPool(nil), WithMaxIdle(1))
+		WithCredentialManager(cm), WithTransport(TransportGT3()), WithSessionPool(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := client.Pool()
+	pool.maxIdle = 1
 	defer pool.Close()
 
 	// Establish a conversation, then force a re-dial (drop the idle
@@ -347,10 +344,7 @@ func TestRotationHookDedupAndSelfPrune(t *testing.T) {
 	}
 	defer cm.Close()
 
-	shared, err := NewSessionPool()
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := NewSessionPool()
 	for i := 0; i < 3; i++ { // three clients, one pool: one hook
 		if _, err := w.env.NewClient(nil, WithCredentialManager(cm), WithSessionPool(shared)); err != nil {
 			t.Fatal(err)

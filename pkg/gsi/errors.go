@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/gridcert"
 	"repro/internal/gss"
-	"repro/internal/myproxy"
 	"repro/internal/soap"
 )
 
@@ -45,12 +44,9 @@ var (
 	// ErrTransport marks network- or framing-level failures: dial errors,
 	// broken connections, SOAP faults that carry no security meaning.
 	ErrTransport = errors.New("gsi: transport failure")
-	// ErrNotFound marks lookups of absent entities (stored MyProxy
-	// credentials, unknown service handles, unknown jobs).
+	// ErrNotFound marks lookups of absent entities (unknown service
+	// handles, unknown jobs).
 	ErrNotFound = errors.New("gsi: not found")
-	// ErrBadPassphrase marks MyProxy passphrase failures (including
-	// lockout after repeated attempts).
-	ErrBadPassphrase = errors.New("gsi: bad passphrase")
 	// ErrPoolExhausted marks session-pool checkouts that could not
 	// produce a session: the per-host concurrency cap was still reached
 	// when the checkout deadline passed, or the pool was closed. A
@@ -98,17 +94,12 @@ func classify(err error) error {
 		errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, gss.ErrContextExpired):
 		return ErrContextClosed
-	case errors.Is(err, gridcert.ErrExpired),
-		errors.Is(err, myproxy.ErrExpired):
+	case errors.Is(err, gridcert.ErrExpired):
 		return ErrExpiredCredential
 	case errors.Is(err, gridcert.ErrUntrustedIssuer),
 		errors.Is(err, gridcert.ErrRevoked):
 		return ErrUntrustedIssuer
-	case errors.Is(err, myproxy.ErrBadPassphrase),
-		errors.Is(err, myproxy.ErrLocked):
-		return ErrBadPassphrase
-	case errors.Is(err, myproxy.ErrNotFound),
-		errors.Is(err, soap.ErrNoHandler):
+	case errors.Is(err, soap.ErrNoHandler):
 		return ErrNotFound
 	case errors.Is(err, gridcert.ErrLimitedProxy),
 		errors.Is(err, gss.ErrAuthFailed),
@@ -125,11 +116,17 @@ func classify(err error) error {
 // classifyFaultReason maps a SOAP fault's reason text onto the taxonomy.
 // Faults cross the HTTP boundary as text, so the error identity of the
 // server-side cause is gone; the container's stable phrasing ("denied",
-// "authentication") is the contract instead.
+// "authentication") is the contract instead. A chain the server refused
+// for its issuer or a revocation reads as ErrUntrustedIssuer, as it
+// does in process, although the handshake failure wrapping it says
+// "authentication".
 func classifyFaultReason(reason string) error {
 	switch {
 	case strings.Contains(reason, "denied"):
 		return ErrUnauthorized
+	case strings.Contains(reason, gridcert.ErrUntrustedIssuer.Error()),
+		strings.Contains(reason, gridcert.ErrRevoked.Error()):
+		return ErrUntrustedIssuer
 	case strings.Contains(reason, "authentication"),
 		strings.Contains(reason, "signature"),
 		strings.Contains(reason, "limited proxy"):

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/gridcert"
-	"repro/internal/myproxy"
 	"repro/pkg/gsi"
 )
 
@@ -114,50 +113,6 @@ func TestErrorTaxonomyExpiredCredential(t *testing.T) {
 	}
 }
 
-// TestErrorTaxonomyMyProxy: repository failures met on the MyProxy
-// renewal path map onto ErrNotFound and ErrBadPassphrase while the
-// myproxy sentinels stay matchable.
-func TestErrorTaxonomyMyProxy(t *testing.T) {
-	tb := newTestbed(t)
-	client, err := tb.env.NewClient(tb.alice)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo := gsi.NewMyProxy()
-	ctx := context.Background()
-	deposit, err := client.Proxy(gsi.ProxyOptions{Lifetime: 2 * time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	retrieve := func(username, passphrase string) (*gsi.Credential, error) {
-		cm, err := tb.env.NewCredentialManager(deposit, gsi.MyProxyRenewal(repo, username, passphrase, time.Hour))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cm.Close()
-		return cm.Renew(ctx)
-	}
-
-	_, err = retrieve("nobody", "pw")
-	if !errors.Is(err, gsi.ErrNotFound) || !errors.Is(err, myproxy.ErrNotFound) {
-		t.Fatalf("absent user not ErrNotFound: %v", err)
-	}
-	if err := client.StoreCredential(ctx, repo, "alice", "pw", deposit, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	_, err = retrieve("alice", "wrong")
-	if !errors.Is(err, gsi.ErrBadPassphrase) {
-		t.Fatalf("wrong passphrase not ErrBadPassphrase: %v", err)
-	}
-	cred, err := retrieve("alice", "pw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cred.Identity().Equal(tb.alice.Identity()) {
-		t.Fatalf("retrieved identity %q", cred.Identity())
-	}
-}
-
 // TestErrorTaxonomyContextClosed: every context-aware entry point
 // returns ErrContextClosed for an already-canceled context, and the
 // underlying context.Canceled stays matchable.
@@ -175,10 +130,6 @@ func TestErrorTaxonomyContextClosed(t *testing.T) {
 	}
 	if _, err := client.Connect(canceled, "127.0.0.1:1"); !errors.Is(err, gsi.ErrContextClosed) {
 		t.Fatalf("Connect: %v", err)
-	}
-	repo := gsi.NewMyProxy()
-	if err := client.StoreCredential(canceled, repo, "a", "b", tb.alice, time.Hour); !errors.Is(err, gsi.ErrContextClosed) {
-		t.Fatalf("StoreCredential: %v", err)
 	}
 	vo := gsi.NewCASServer(tb.alice)
 	if _, err := client.RequestAssertion(canceled, vo); !errors.Is(err, gsi.ErrContextClosed) {

@@ -22,8 +22,8 @@
 //     one; a server without a pipeline serves every authenticated peer).
 //
 // A fourth handle, CredentialManager, keeps a credential alive across
-// its own expiry: it renews from a pluggable RenewalSource (MyProxy,
-// local re-delegation, or a remote delegation endpoint) ahead of a
+// its own expiry: it renews from a pluggable RenewalSource (local
+// re-delegation, or a remote delegation endpoint) ahead of a
 // configurable horizon, and a Client bound to one (WithCredentialManager)
 // picks up each rotation on its very next call — its session pool
 // drains the replaced credential's sessions while traffic continues.
@@ -69,7 +69,6 @@ import (
 	"repro/internal/gridcert"
 	"repro/internal/gsitransport"
 	"repro/internal/gss"
-	"repro/internal/myproxy"
 	"repro/internal/ogsa"
 	"repro/internal/proxy"
 	"repro/internal/soap"
@@ -133,8 +132,6 @@ type (
 	ServiceClient = ogsa.Client
 	// Envelope is a SOAP message.
 	Envelope = soap.Envelope
-	// MyProxy is an online credential repository.
-	MyProxy = myproxy.Server
 	// DelegationConfig tunes a container's delegation port type
 	// (Container.EnableDelegation; see DelegationEndpoint).
 	DelegationConfig = ogsa.DelegationConfig
@@ -176,10 +173,8 @@ func NewJobResource(hostCred *Credential, trust *TrustStore, gridmap *GridMap) (
 	return gram.NewResource(hostCred, trust, gridmap)
 }
 
-// ParseName parses "/O=Grid/CN=Alice" style distinguished names.
-func ParseName(s string) (Name, error) { return gridcert.ParseName(s) }
-
-// MustParseName is ParseName that panics on error.
+// MustParseName parses "/O=Grid/CN=Alice" style distinguished names,
+// panicking on a malformed one.
 func MustParseName(s string) Name { return gridcert.MustParseName(s) }
 
 // NewCA creates a certificate authority with a self-signed root.
@@ -208,9 +203,6 @@ func NewGridMap() *GridMap { return authz.NewGridMap() }
 // credential. Members request assertions with Client.RequestAssertion.
 func NewCASServer(voCred *Credential) *CASServer { return cas.NewServer(voCred) }
 
-// NewMyProxy creates an online credential repository.
-func NewMyProxy() *MyProxy { return myproxy.NewServer() }
-
 // PipeTransport wires a ServiceClient directly to a container
 // in-process.
 func PipeTransport(c *Container) func(*Envelope) (*Envelope, error) {
@@ -235,6 +227,3 @@ func HTTPTransport(endpoint string) func(*Envelope) (*Envelope, error) {
 
 // EncodeChain serialises a certificate chain, leaf first.
 func EncodeChain(chain []*Certificate) []byte { return gridcert.EncodeChain(chain) }
-
-// DecodeCertificate parses one encoded certificate (grid-cert-info).
-func DecodeCertificate(b []byte) (*Certificate, error) { return gridcert.Decode(b) }

@@ -276,10 +276,7 @@ func TestAdminSurfaceAuthz(t *testing.T) {
 		Resources: []string{"ogsa:" + ogsa.AdminHandle},
 		Actions:   []string{"*"},
 	})
-	pool, err := gsi.NewSessionPool()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := gsi.NewSessionPool()
 	defer pool.Close()
 	reg := gsi.NewMetricsRegistry()
 	server := bed.server(t, gsi.WithTransport(gsi.TransportGT3()), gsi.WithMetrics(reg), gsi.WithAdmin(), gsi.WithAdminPool(pool))

@@ -38,7 +38,7 @@ func (p ProtectionLevel) String() string {
 }
 
 // settings is the resolved option set of one handle — a Client, Server,
-// SessionPool, CredentialManager or AuthorizationPipeline.
+// CredentialManager or AuthorizationPipeline.
 // Options compose left to right and are applied once, by the handle's
 // constructor.
 type settings struct {
@@ -48,24 +48,18 @@ type settings struct {
 	rejectLimited bool
 	expectedPeer  Name
 
-	// Session pooling. poolEnable is set by any pool option; NewClient
-	// then creates a private pool unless one was adopted explicitly.
-	pool           *SessionPool
-	poolEnable     bool
-	poolMaxIdle    int           // 0 = DefaultMaxIdle
-	poolIdleTTL    time.Duration // 0 = DefaultIdleTTL
-	poolMaxPerHost int           // 0 = DefaultMaxConcurrentPerHost, < 0 = unlimited
+	// pool is the session pool a Client checks sessions out of (set by
+	// WithSessionPool; nil means no pooling).
+	pool *SessionPool
 
 	// streamHandler receives streams opened by peers (Server option).
 	streamHandler StreamHandler
 
 	// Credential lifecycle. credman makes a Client's credential dynamic;
 	// the renew* knobs tune a CredentialManager under construction.
-	credman       *CredentialManager
-	renewHorizon  time.Duration // 0 = credman.DefaultHorizon
-	renewJitter   time.Duration
-	renewRetryMin time.Duration
-	renewRetryMax time.Duration
+	credman      *CredentialManager
+	renewHorizon time.Duration // 0 = credman.DefaultHorizon
+	renewJitter  time.Duration
 
 	// Authorization pipeline. The authz* fields assemble a server's
 	// pipeline, authzPipeline (the enforcement options also set
@@ -109,11 +103,11 @@ type settings struct {
 }
 
 // Option configures a handle, once, at its constructor (NewClient,
-// NewServer, NewSessionPool, NewCredentialManager,
-// NewAuthorizationPipeline); the handle's methods take none. Options that
-// do not apply to a given handle or operation (e.g. WithTransport on the
-// in-memory Establish) are ignored by it; the GSS options apply
-// everywhere a handshake exists.
+// NewServer, NewCredentialManager, NewAuthorizationPipeline); the
+// handle's methods take none. Options that do not apply to a given
+// handle or operation (e.g. WithTransport on the in-memory Establish)
+// are ignored by it; the GSS options apply everywhere a handshake
+// exists.
 type Option func(*settings) error
 
 // WithTransport selects how sessions reach peers: TransportGT2 (the
@@ -172,57 +166,17 @@ func WithExpectedPeer(name Name) Option {
 // sessions out of the pool and Session.Close returns them for reuse, so
 // the public-key handshake is paid once per pooled connection instead
 // of once per call (the paper's WS-SecureConversation amortization
-// argument). Passing nil gives the client a private pool built from the
-// other pool options; passing a pool built with NewSessionPool shares
-// it — sessions are keyed by (endpoint, transport, protection,
-// delegation, credential), so clients with different credentials never
-// receive each other's sessions.
+// argument). Passing nil gives the client a private pool; passing a
+// pool built with NewSessionPool shares it — sessions are keyed by
+// (endpoint, transport, protection, delegation, credential), so clients
+// with different credentials never receive each other's sessions.
 func WithSessionPool(p *SessionPool) Option {
 	return func(s *settings) error {
-		s.pool = p
-		s.poolEnable = true
-		return nil
-	}
-}
-
-// WithMaxIdle caps the idle sessions the pool parks per key (omit for
-// DefaultMaxIdle; a pool always parks at least one). Implies pooling.
-func WithMaxIdle(n int) Option {
-	return func(s *settings) error {
-		if n <= 0 {
-			return errors.New("gsi: max idle must be positive")
+		if p == nil {
+			s.pool = NewSessionPool()
+		} else {
+			s.pool = p
 		}
-		s.poolMaxIdle = n
-		s.poolEnable = true
-		return nil
-	}
-}
-
-// WithIdleTTL bounds how long an idle session may sit parked before the
-// pool discards it instead of reusing it (omit for DefaultIdleTTL).
-// Implies pooling.
-func WithIdleTTL(d time.Duration) Option {
-	return func(s *settings) error {
-		if d <= 0 {
-			return errors.New("gsi: idle TTL must be positive")
-		}
-		s.poolIdleTTL = d
-		s.poolEnable = true
-		return nil
-	}
-}
-
-// WithMaxConcurrentPerHost caps live sessions (checked out plus idle)
-// per pool key; checkouts beyond the cap wait for a return until their
-// context ends (default DefaultMaxConcurrentPerHost; negative removes
-// the cap). Implies pooling.
-func WithMaxConcurrentPerHost(n int) Option {
-	return func(s *settings) error {
-		if n == 0 {
-			return errors.New("gsi: zero concurrent-per-host cap")
-		}
-		s.poolMaxPerHost = n
-		s.poolEnable = true
 		return nil
 	}
 }
@@ -285,23 +239,6 @@ func WithRenewalJitter(d time.Duration) Option {
 			return errors.New("gsi: negative renewal jitter")
 		}
 		s.renewJitter = d
-		return nil
-	}
-}
-
-// WithRenewalRetry bounds the exponential backoff between failed
-// renewal attempts (NewCredentialManager option; zeros mean the
-// package defaults).
-func WithRenewalRetry(min, max time.Duration) Option {
-	return func(s *settings) error {
-		if min < 0 || max < 0 {
-			return errors.New("gsi: negative renewal retry bound")
-		}
-		if max > 0 && min > max {
-			return errors.New("gsi: renewal retry min exceeds max")
-		}
-		s.renewRetryMin = min
-		s.renewRetryMax = max
 		return nil
 	}
 }

@@ -15,17 +15,18 @@ import (
 	"repro/internal/wssec"
 )
 
-// Session-pool defaults, chosen for interactive grid clients: a few
+// Session-pool limits, chosen for interactive grid clients: a few
 // parked connections per peer, retired before credential-scale
 // lifetimes matter, with a cap that keeps one misbehaving caller from
 // opening unbounded sockets to one host.
 const (
-	// DefaultMaxIdle is the idle sessions parked per pool key.
-	DefaultMaxIdle = 4
-	// DefaultIdleTTL is how long an idle session stays reusable.
-	DefaultIdleTTL = 5 * time.Minute
-	// DefaultMaxConcurrentPerHost caps live sessions per pool key.
-	DefaultMaxConcurrentPerHost = 16
+	// poolMaxIdle is the idle sessions parked per pool key.
+	poolMaxIdle = 4
+	// poolIdleTTL is how long an idle session stays reusable.
+	poolIdleTTL = 5 * time.Minute
+	// poolMaxPerHost caps live sessions (checked out plus idle) per pool
+	// key; checkouts beyond it wait for a return until their context ends.
+	poolMaxPerHost = 16
 	// probeAfter is the idle age beyond which a checkout actively probes
 	// the session (one cheap ping round trip) before trusting it; fresher
 	// sessions are reused on the strength of the I/O-free health check.
@@ -145,9 +146,11 @@ type PoolStats struct {
 // bootstrap. Safe for concurrent use; share one pool between clients
 // freely.
 type SessionPool struct {
+	// The limits, poolMaxIdle, poolIdleTTL and poolMaxPerHost, as fields
+	// so that tests can tighten them.
 	maxIdle    int
 	idleTTL    time.Duration
-	maxPerHost int // <= 0 means unlimited
+	maxPerHost int
 
 	resume *wssec.ResumptionCache
 
@@ -163,36 +166,16 @@ type SessionPool struct {
 	retiredSess atomic.Uint64
 }
 
-// NewSessionPool builds a standalone pool tuned by the pool options
-// (WithMaxIdle, WithIdleTTL, WithMaxConcurrentPerHost); other options
-// are accepted and ignored. Share the pool between clients with
-// WithSessionPool.
-func NewSessionPool(opts ...Option) (*SessionPool, error) {
-	var s settings
-	if err := s.apply(opts); err != nil {
-		return nil, opErr("gsi.NewSessionPool", err)
-	}
-	return newSessionPool(&s), nil
-}
-
-func newSessionPool(s *settings) *SessionPool {
-	p := &SessionPool{
-		maxIdle:    s.poolMaxIdle,
-		idleTTL:    s.poolIdleTTL,
-		maxPerHost: s.poolMaxPerHost,
+// NewSessionPool builds a standalone pool. Share it between clients
+// with WithSessionPool.
+func NewSessionPool() *SessionPool {
+	return &SessionPool{
+		maxIdle:    poolMaxIdle,
+		idleTTL:    poolIdleTTL,
+		maxPerHost: poolMaxPerHost,
 		resume:     wssec.NewResumptionCache(0),
 		hosts:      make(map[poolKey]*hostPool),
 	}
-	if p.maxIdle == 0 {
-		p.maxIdle = DefaultMaxIdle
-	}
-	if p.idleTTL == 0 {
-		p.idleTTL = DefaultIdleTTL
-	}
-	if p.maxPerHost == 0 {
-		p.maxPerHost = DefaultMaxConcurrentPerHost
-	}
-	return p
 }
 
 // Stats returns a snapshot of the pool counters.
@@ -340,7 +323,7 @@ func (p *SessionPool) checkout(ctx context.Context, key poolKey, dial dialReques
 		}
 
 		// Under the cap: establish a fresh session.
-		if p.maxPerHost <= 0 || hp.total() < p.maxPerHost {
+		if hp.total() < p.maxPerHost {
 			hp.active++
 			p.mu.Unlock()
 			sess, err := dial.dial(ctx)

@@ -1,15 +1,11 @@
-// Race-enabled integration coverage for the session pool: many
-// goroutines hammering one pooled Client against a live Server must
-// share a bounded set of connections (exactly one handshake per pooled
-// conn), run clean under -race, and drain on Close.
+// Integration coverage for the session pool: one pool shared by
+// clients of different credentials keys their sessions apart. The pool
+// under concurrent load is pkg/gsi's TestIntegrationPooledClientUnderLoad,
+// which tightens the pool's limits from inside the package.
 package repro
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,98 +40,6 @@ func newPoolWorld(t testing.TB) poolWorld {
 	return poolWorld{ca: authority, env: env, alice: alice, host: host}
 }
 
-// TestIntegrationPooledClientUnderLoad is the ISSUE's race harness: N
-// goroutines × M exchanges through one pooled client, over both
-// transports.
-func TestIntegrationPooledClientUnderLoad(t *testing.T) {
-	for _, tr := range []gsi.Transport{gsi.TransportGT2(), gsi.TransportGT3()} {
-		t.Run(tr.String(), func(t *testing.T) {
-			w := newPoolWorld(t)
-			var served atomic.Int64
-			handler := func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
-				served.Add(1)
-				return body, nil
-			}
-			server, err := w.env.NewServer(w.host, gsi.WithTransport(tr))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ep, err := server.Serve(context.Background(), "127.0.0.1:0", handler)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ep.Close()
-
-			const maxConns = 4
-			pool, err := gsi.NewSessionPool(gsi.WithMaxIdle(maxConns), gsi.WithMaxConcurrentPerHost(maxConns))
-			if err != nil {
-				t.Fatal(err)
-			}
-			client, err := w.env.NewClient(w.alice, gsi.WithTransport(tr), gsi.WithSessionPool(pool))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			const goroutines, perG = 8, 25
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			var wg sync.WaitGroup
-			errs := make(chan error, goroutines)
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < perG; i++ {
-						payload := []byte(fmt.Sprintf("g%d-i%d", g, i))
-						out, err := client.Exchange(ctx, ep.Addr(), "echo", payload)
-						if err != nil {
-							errs <- fmt.Errorf("goroutine %d call %d: %w", g, i, err)
-							return
-						}
-						if string(out) != string(payload) {
-							errs <- fmt.Errorf("goroutine %d call %d: got %q", g, i, out)
-							return
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-
-			st := pool.Stats()
-			if got := served.Load(); got != goroutines*perG {
-				t.Fatalf("served = %d, want %d", got, goroutines*perG)
-			}
-			// Exactly one handshake per pooled conn: the dial count is the
-			// conn count, and it never exceeds the per-host cap.
-			if st.Dials == 0 || st.Dials > maxConns {
-				t.Fatalf("dials = %d, want 1..%d", st.Dials, maxConns)
-			}
-			if st.Poisoned != 0 {
-				t.Fatalf("poisoned = %d under a healthy server", st.Poisoned)
-			}
-			if st.Hits+st.Dials < goroutines*perG {
-				t.Fatalf("stats %+v do not account for %d exchanges", st, goroutines*perG)
-			}
-
-			// Clean drain: Close empties the pool; later checkouts fail
-			// with the taxonomy sentinel.
-			if err := pool.Close(); err != nil {
-				t.Fatalf("drain: %v", err)
-			}
-			if st := pool.Stats(); st.Idle != 0 || st.Active != 0 {
-				t.Fatalf("post-drain stats = %+v", st)
-			}
-			if _, err := client.Exchange(ctx, ep.Addr(), "echo", nil); !errors.Is(err, gsi.ErrPoolExhausted) {
-				t.Fatalf("exchange after Close: %v", err)
-			}
-		})
-	}
-}
-
 // TestIntegrationPoolSharedAcrossClients: one pool serving clients with
 // different credentials must key their sessions apart — Bob never rides
 // Alice's authenticated connection.
@@ -158,10 +62,7 @@ func TestIntegrationPoolSharedAcrossClients(t *testing.T) {
 	}
 	defer ep.Close()
 
-	pool, err := gsi.NewSessionPool()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := gsi.NewSessionPool()
 	defer pool.Close()
 	clientA, err := w.env.NewClient(w.alice, gsi.WithSessionPool(pool))
 	if err != nil {

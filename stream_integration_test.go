@@ -90,9 +90,7 @@ func TestStreamsAndExchangesAcrossRotation(t *testing.T) {
 	defer cm.Close()
 	client, err := env.NewClient(nil,
 		gsi.WithCredentialManager(cm),
-		gsi.WithSessionPool(nil),
-		gsi.WithMaxConcurrentPerHost(64),
-	)
+		gsi.WithSessionPool(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
