@@ -88,9 +88,18 @@ func (s *Sealer) Reserve() (uint64, error) {
 // own seq, so any number of workers may seal reserved records in
 // parallel. The caller must have obtained seq from Reserve (sealing the
 // same seq twice reuses a GCM nonce — catastrophic — so reservations
-// must be used exactly once).
+// must be used exactly once). Its nonce escapes to the heap; SealAt
+// takes the caller's.
 func (s *Sealer) SealAtInto(seq uint64, dst, plaintext, aad []byte) []byte {
 	var nonce [12]byte
+	return s.SealAt(&nonce, seq, dst, plaintext, aad)
+}
+
+// SealAt is SealAtInto building the nonce in the caller's scratch,
+// which must not be shared with a concurrent seal: a stack nonce would
+// escape through the AEAD interface and cost an allocation per record.
+func (s *Sealer) SealAt(nonce *[12]byte, seq uint64, dst, plaintext, aad []byte) []byte {
+	*nonce = [12]byte{}
 	binary.BigEndian.PutUint64(nonce[4:], seq)
 	return s.aead.Seal(dst, nonce[:], plaintext, aad)
 }
@@ -117,18 +126,16 @@ func NewOpener(key []byte) (*Opener, error) {
 // must arrive in order; replayed or reordered sequence numbers are
 // rejected before any cryptographic work.
 func (o *Opener) Open(seq uint64, ciphertext, aad []byte) ([]byte, error) {
-	return o.open(nil, seq, ciphertext, aad)
+	return o.OpenInto(nil, seq, ciphertext, aad)
 }
 
-// OpenInPlace is Open decrypting into the ciphertext's own storage: the
-// returned plaintext is ciphertext[:len(ciphertext)-SealOverhead]. The
-// record is consumed either way — on success the buffer holds plaintext,
-// on failure its contents are undefined.
-func (o *Opener) OpenInPlace(seq uint64, ciphertext, aad []byte) ([]byte, error) {
-	return o.open(ciphertext[:0], seq, ciphertext, aad)
-}
-
-func (o *Opener) open(dst []byte, seq uint64, ciphertext, aad []byte) ([]byte, error) {
+// OpenInto is Open appending the plaintext to dst. Pass dst =
+// ciphertext[:0] to decrypt in place: the returned plaintext is then
+// ciphertext[:len(ciphertext)-SealOverhead], and the record is consumed
+// either way — on success the buffer holds plaintext, on failure its
+// contents are undefined. Any other overlap between dst's spare
+// capacity and ciphertext is the caller's bug, per crypto/cipher.
+func (o *Opener) OpenInto(dst []byte, seq uint64, ciphertext, aad []byte) ([]byte, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if seq != o.next {
@@ -146,7 +153,7 @@ func (o *Opener) open(dst []byte, seq uint64, ciphertext, aad []byte) ([]byte, e
 // OpenAtInPlace decrypts a record under an explicit sequence number,
 // the counterpart of SealAtInto. It takes no lock and does not move the
 // anti-replay cursor: the caller owns ordering. The returned plaintext
-// occupies the ciphertext's own storage (see OpenInPlace).
+// occupies the ciphertext's own storage (see OpenInto).
 func (o *Opener) OpenAtInPlace(seq uint64, ciphertext, aad []byte) ([]byte, error) {
 	var nonce [12]byte
 	binary.BigEndian.PutUint64(nonce[4:], seq)

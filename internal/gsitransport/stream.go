@@ -1,7 +1,6 @@
 package gsitransport
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -102,12 +101,13 @@ func NewTransfer(ctx context.Context, conns []*Conn, dir Dir) *Stream {
 // flushes pay for the pipeline's goroutines.
 const bulkWriteThreshold = 4 * chunkSize
 
-// Write splits p into DATA chunk records of at most DefaultChunkSize.
-// On one connection each is sealed in place from a pooled buffer, and
-// large writes take the pipelined path: chunks seal on worker goroutines
-// in parallel and reach the wire as vectored batches, in exactly the
-// byte order the serial path would have produced. On K connections the
-// chunks are dealt across the lanes.
+// Write splits p into DATA chunk records of at most DefaultChunkSize,
+// each sealed straight from p into its frame. On one connection large
+// writes take the pipelined path: chunks seal on worker goroutines in
+// parallel and reach the wire as vectored batches, in exactly the byte
+// order the serial path would have produced. On K connections the
+// chunks are dealt across the lanes. Either way p is sealed before
+// Write returns.
 func (s *Stream) Write(p []byte) (int, error) {
 	if len(s.conns) > 1 {
 		return s.w.Write(p)
@@ -120,13 +120,8 @@ func (s *Stream) Write(p []byte) (int, error) {
 	}
 	written := 0
 	for written < len(p) {
-		piece := p[written:]
-		if len(piece) > chunkSize {
-			piece = piece[:chunkSize]
-		}
-		if err := s.sendChunk(func(frame []byte) ([]byte, error) {
-			return s.sender.AppendData(frame, piece)
-		}, len(piece)); err != nil {
+		piece := p[written:min(written+chunkSize, len(p))]
+		if err := s.send(record.ChunkData, piece); err != nil {
 			return written, err
 		}
 		written += len(piece)
@@ -134,10 +129,11 @@ func (s *Stream) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// writeBulk drives p through a seal pipeline: chunk records are
-// assembled (and their chunk sequence numbers stamped) here in order,
-// workers seal them concurrently, and the pipeline's writer flushes
-// consecutive ready frames through one vectored SendSealedBatch each.
+// writeBulk drives p through a seal pipeline: chunk sequence numbers
+// are stamped here in order, workers seal the chunks concurrently from
+// p itself, and the pipeline's writer flushes consecutive ready frames
+// through one vectored SendSealedBatch each. Close waits for every seal,
+// so p is free again when writeBulk returns.
 //
 // It stays because it measures. On 2 vCPUs, the 16 MiB GridFTP
 // PUT/GET workload (bench's bulk_transfer) ran 8% fewer transfers a
@@ -152,27 +148,18 @@ func (s *Stream) writeBulk(p []byte) (int, error) {
 	})
 	written := 0
 	for written < len(p) {
-		piece := p[written:]
-		if len(piece) > chunkSize {
-			piece = piece[:chunkSize]
+		piece := p[written:min(written+chunkSize, len(p))]
+		seq, err := s.sender.Next(record.ChunkData, len(piece))
+		if err == nil {
+			err = pl.Submit(record.ChunkData, seq, piece)
 		}
-		buf := record.Get(Headroom + record.ChunkHeader + len(piece) + SendOverhead)
-		frame, err := s.sender.AppendData(buf.B[:Headroom], piece)
 		if err != nil {
-			buf.Free()
-			pl.Close()
-			return written, err
-		}
-		if err := pl.Submit(buf, len(frame)-Headroom); err != nil {
 			pl.Close()
 			return written, err
 		}
 		written += len(piece)
 	}
-	if err := pl.Close(); err != nil {
-		return written, err
-	}
-	return written, nil
+	return written, pl.Close()
 }
 
 // CloseWrite terminates the send half cleanly with the FIN record (on
@@ -185,7 +172,7 @@ func (s *Stream) CloseWrite() error {
 	if s.sender.Terminated() {
 		return nil
 	}
-	return s.sendChunk(s.sender.AppendFIN, 0)
+	return s.send(record.ChunkFIN, nil)
 }
 
 // CloseWithError aborts the send half with an ERROR record carrying
@@ -198,21 +185,17 @@ func (s *Stream) CloseWithError(msg string) error {
 	if s.sender.Terminated() {
 		return nil
 	}
-	return s.sendChunk(func(frame []byte) ([]byte, error) {
-		return s.sender.AppendError(frame, msg)
-	}, len(msg))
+	return s.send(record.ChunkError, []byte(msg))
 }
 
-// sendChunk assembles one chunk record via appendFn directly into a
-// pooled frame buffer and sends it in place.
-func (s *Stream) sendChunk(appendFn func([]byte) ([]byte, error), payloadLen int) error {
-	buf := record.Get(Headroom + record.ChunkHeader + payloadLen + SendOverhead)
-	defer buf.Free()
-	frame, err := appendFn(buf.B[:Headroom])
+// send stamps the next chunk of type typ and seals it from payload
+// straight onto the connection.
+func (s *Stream) send(typ record.ChunkType, payload []byte) error {
+	seq, err := s.sender.Next(typ, len(payload))
 	if err != nil {
 		return err
 	}
-	return s.c.SendAssembled(s.ctx, frame)
+	return s.c.SendChunk(s.ctx, typ, seq, payload)
 }
 
 // lostBeforeFIN is the receive failure for a record stream that ended
@@ -228,25 +211,28 @@ func lostBeforeFIN(err error) error {
 
 // next hands over the next DATA payload in stream order — first the
 // unread rest of the one Read was delivering — with the pooled record
-// buffer behind it, which the caller frees. After the peer's FIN it
-// reports io.EOF; after an abort, the *record.PeerError. A sequence
-// violation breaks the connection.
-func (s *Stream) next() ([]byte, *record.Buf, error) {
+// buffer behind it, which the caller frees. Given a non-nil dst, a
+// payload arriving on one connection opens straight onto dst's end
+// instead: next returns dst grown by it, and no payload or buffer. After
+// the peer's FIN it reports io.EOF; after an abort, the
+// *record.PeerError. A sequence violation breaks the connection.
+func (s *Stream) next(dst []byte) (payload []byte, buf *record.Buf, out []byte, err error) {
 	if len(s.cur) > 0 {
-		payload, buf := s.cur, s.curBuf
+		payload, buf = s.cur, s.curBuf
 		s.cur, s.curBuf = nil, nil
-		return payload, buf, nil
+		return payload, buf, dst, nil
 	}
 	if s.r != nil {
-		return s.r.next()
+		payload, buf, err = s.r.next()
+		return payload, buf, dst, err
 	}
 	for s.rerr == nil {
-		view, buf, err := s.c.ReceiveView(s.ctx)
+		rec, out, buf, err := s.c.ReceiveChunk(s.ctx, dst)
 		if err != nil {
 			s.rerr = lostBeforeFIN(err)
 			break
 		}
-		payload, fin, err := s.asm.Accept(view)
+		payload, fin, err := s.asm.Accept(rec)
 		switch {
 		case err != nil:
 			buf.Free()
@@ -261,13 +247,16 @@ func (s *Stream) next() ([]byte, *record.Buf, error) {
 			buf.Free()
 			s.rerr = io.EOF
 			s.c.SetReceiveSizeHint(0)
+		case len(out) > len(dst):
+			buf.Free() // opened onto dst: rec was the header alone
+			return nil, nil, out, nil
 		case len(payload) == 0:
 			buf.Free() // empty DATA chunk: keep reading
 		default:
-			return payload, buf, nil
+			return payload, buf, dst, nil
 		}
 	}
-	return nil, nil, s.rerr
+	return nil, nil, dst, s.rerr
 }
 
 // Read returns stream bytes as the peer's DATA chunks arrive, io.EOF
@@ -279,7 +268,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 			return 0, nil
 		}
 		var err error
-		if s.cur, s.curBuf, err = s.next(); err != nil {
+		if s.cur, s.curBuf, _, err = s.next(nil); err != nil {
 			return 0, err
 		}
 	}
@@ -299,7 +288,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 func (s *Stream) WriteTo(w io.Writer) (int64, error) {
 	var n int64
 	for {
-		payload, buf, err := s.next()
+		payload, buf, _, err := s.next(nil)
 		if err != nil {
 			if err == io.EOF {
 				err = nil
@@ -318,13 +307,25 @@ func (s *Stream) WriteTo(w io.Writer) (int64, error) {
 	}
 }
 
-// ReadAll consumes the stream to FIN and returns every payload byte,
-// preallocating sizeHint: WriteTo into one buffer, on one connection or
-// K. Records open serially, in arrival order.
+// ReadAll consumes the stream to FIN and returns every payload byte in
+// one slice preallocated to sizeHint, through the same next as Read and
+// WriteTo. On one connection each payload opens straight onto the
+// slice; on K, each is copied there from its record buffer, since where
+// a striped chunk goes is known only once every earlier one has arrived.
+// Records open serially, in arrival order.
 func (s *Stream) ReadAll(sizeHint int) ([]byte, error) {
-	out := bytes.NewBuffer(make([]byte, 0, max(sizeHint, 0)))
-	_, err := s.WriteTo(out)
-	return out.Bytes(), err
+	out := make([]byte, 0, max(sizeHint, 0))
+	for {
+		payload, buf, grown, err := s.next(out)
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return out, err
+		}
+		out = append(grown, payload...)
+		buf.Free()
+	}
 }
 
 // Finish ends the transfer and settles its connections; nothing else

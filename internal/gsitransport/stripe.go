@@ -24,29 +24,32 @@ import (
 // ErrStripeAborted reports a striped transfer torn down by a failed Finish.
 var ErrStripeAborted = errors.New("gsitransport: striped transfer aborted")
 
+// laneFrame is one chunk record for a lane to seal and send: payload is
+// the writer's, sealed from where it lies.
 type laneFrame struct {
-	buf *record.Buf
-	n   int // chunk record length, assembled at offset Headroom
+	typ     record.ChunkType
+	seq     uint64
+	payload []byte
 }
 
 // stripedWriter fans one stream over K connections. Chunks are
-// assembled and sequence-stamped by the writing goroutine; each stripe
-// has a sender goroutine sealing and writing on its own connection, so
-// K stripes drive up to K cores. Not safe for concurrent Write.
+// sequence-stamped by the writing goroutine; each stripe has a sender
+// goroutine sealing them from the writer's bytes and writing on its own
+// connection, so K stripes drive up to K cores. Not safe for concurrent
+// Write.
 type stripedWriter struct {
-	ctx     context.Context
-	lanes   []chan laneFrame
-	seq     uint64 // next global DATA chunk sequence number
-	finSent bool
-	closed  bool
-	wg      sync.WaitGroup
+	ctx    context.Context
+	lanes  []chan laneFrame
+	sender record.ChunkSender // global sequence numbers; FIN's is the total
+	closed bool
+	wg     sync.WaitGroup // the lane goroutines
+	queued sync.WaitGroup // frames handed to lanes and not yet sent
 
 	mu  sync.Mutex
 	err error
 }
 
-// laneDepth bounds the per-stripe queue of assembled-but-unsent
-// chunks; depth × chunk size × stripes is the sender-side memory bound.
+// laneDepth bounds the per-stripe queue of stamped-but-unsent chunks.
 const laneDepth = 4
 
 // newStripedWriter starts a sender goroutine per connection.
@@ -78,68 +81,60 @@ func (w *stripedWriter) Err() error {
 	return w.err
 }
 
+// runLane seals and sends its queue. After a failure it keeps draining,
+// sending nothing, so the writing goroutine never blocks on a dead
+// lane's queue or waits on its frames.
 func (w *stripedWriter) runLane(c *Conn, ch chan laneFrame) {
 	defer w.wg.Done()
+	var err error
 	for f := range ch {
-		err := c.SendAssembled(w.ctx, f.buf.B[:Headroom+f.n])
-		f.buf.Free()
-		if err != nil {
-			w.fail(err)
-			break
+		if err == nil {
+			if err = c.SendChunk(w.ctx, f.typ, f.seq, f.payload); err != nil {
+				w.fail(err)
+			}
 		}
-	}
-	// After a failure keep draining so the writing goroutine never
-	// blocks on a dead lane's queue.
-	for f := range ch {
-		f.buf.Free()
+		w.queued.Done()
 	}
 }
 
-// Write deals p across the stripes as globally sequenced DATA chunks.
+// queue hands one chunk to the lane its sequence number deals it to.
+func (w *stripedWriter) queue(lane int, f laneFrame) {
+	w.queued.Add(1)
+	w.lanes[lane] <- f
+}
+
+// Write deals p across the stripes as globally sequenced DATA chunks,
+// and returns once every one of them is sealed: the lanes seal from p
+// itself, which is the caller's again afterwards.
 func (w *stripedWriter) Write(p []byte) (int, error) {
-	if w.finSent || w.closed {
+	if w.closed {
 		return 0, ErrWriteHalfClosed
 	}
 	written := 0
-	for written < len(p) {
-		if err := w.Err(); err != nil {
-			return written, err
-		}
-		piece := p[written:]
-		if len(piece) > chunkSize {
-			piece = piece[:chunkSize]
-		}
-		buf := record.Get(Headroom + record.ChunkHeader + len(piece) + SendOverhead)
-		rec := record.AppendChunk(buf.B[:Headroom], record.ChunkData, w.seq, piece)
-		lane := int(w.seq % uint64(len(w.lanes)))
-		w.seq++
-		w.lanes[lane] <- laneFrame{buf: buf, n: len(rec) - Headroom}
+	for written < len(p) && w.Err() == nil {
+		piece := p[written:min(written+chunkSize, len(p))]
+		seq, _ := w.sender.Next(record.ChunkData, len(piece)) // cannot fail: the half is open, piece a chunk at most
+		w.queue(int(seq%uint64(len(w.lanes))), laneFrame{record.ChunkData, seq, piece})
 		written += len(piece)
 	}
-	return written, nil
+	w.queued.Wait()
+	return written, w.Err()
 }
 
-// terminate fans one terminal record (built by mk) to every stripe.
-func (w *stripedWriter) terminate(mk func(dst []byte) []byte) {
-	for _, lane := range w.lanes {
-		buf := record.Get(Headroom + record.ChunkHeader + record.MaxErrorPayload + SendOverhead)
-		rec := mk(buf.B[:Headroom])
-		lane <- laneFrame{buf: buf, n: len(rec) - Headroom}
+// terminate sends one terminal record on every stripe, then shuts the
+// lanes.
+func (w *stripedWriter) terminate(typ record.ChunkType, payload []byte) {
+	seq, _ := w.sender.Next(typ, len(payload))
+	for i := range w.lanes {
+		w.queue(i, laneFrame{typ, seq, payload})
 	}
 }
 
-// Close sends the FIN trailer — total chunk count — on every stripe,
-// waits for all lanes to flush, and returns the first failure.
-func (w *stripedWriter) Close() error {
+// shut closes the lanes once, waits for them to flush, and returns the
+// first failure.
+func (w *stripedWriter) shut() error {
 	if !w.closed {
 		w.closed = true
-		if !w.finSent && w.Err() == nil {
-			w.finSent = true
-			total := w.seq
-			w.terminate(func(dst []byte) []byte {
-				return record.AppendChunk(dst, record.ChunkFIN, total, nil)
-			})
-		}
 		for _, lane := range w.lanes {
 			close(lane)
 		}
@@ -148,26 +143,24 @@ func (w *stripedWriter) Close() error {
 	return w.Err()
 }
 
+// Close sends the FIN trailer — total chunk count — on every stripe
+// (unless a stripe already failed), waits for all lanes to flush, and
+// returns the first failure.
+func (w *stripedWriter) Close() error {
+	if !w.closed && w.Err() == nil {
+		w.terminate(record.ChunkFIN, nil)
+	}
+	return w.shut()
+}
+
 // CloseWithError aborts the transfer: every stripe carries the ERROR
 // record so the receiver fails with a *record.PeerError no matter which
 // stripe it reads first.
 func (w *stripedWriter) CloseWithError(msg string) error {
-	if w.closed {
-		return w.Err()
+	if !w.closed {
+		w.terminate(record.ChunkError, []byte(msg))
 	}
-	w.closed = true
-	if !w.finSent {
-		w.finSent = true
-		seq := w.seq
-		w.terminate(func(dst []byte) []byte {
-			return record.AppendErrorChunk(dst, seq, msg)
-		})
-	}
-	for _, lane := range w.lanes {
-		close(lane)
-	}
-	w.wg.Wait()
-	return w.Err()
+	return w.shut()
 }
 
 // stripedReader reassembles one stream from K connections. A reader
@@ -203,7 +196,7 @@ func newStripedReader(ctx context.Context, conns []*Conn) *stripedReader {
 func (r *stripedReader) runStripe(ctx context.Context, c *Conn) {
 	defer r.wg.Done()
 	for {
-		view, buf, err := c.ReceiveView(ctx)
+		view, _, buf, err := c.ReceiveChunk(ctx, nil)
 		if err != nil {
 			r.mu.Lock()
 			if r.err == nil && !r.asm.Done() {

@@ -350,23 +350,7 @@ var ErrBroken = errors.New("gsitransport: connection broken by interrupted opera
 // The message is sealed straight into a pooled record buffer (one
 // cryptographic pass, no intermediate copy) and leaves in one write.
 func (c *Conn) SendContext(ctx context.Context, msg []byte) error {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	if c.broken.Load() {
-		return ErrBroken
-	}
-	if err := ctx.Err(); err != nil {
-		return err // nothing written yet; the stream is still intact
-	}
-	if err := runWithContext(ctx, c.raw, scopeWrite, func() error {
-		return record.SealAndWrite(c.raw, c.ctx, msg)
-	}); err != nil {
-		c.broken.Store(true)
-		return err
-	}
-	recordsSent.Add(1)
-	bytesSent.Add(uint64(len(msg)))
-	return nil
+	return c.send(ctx, len(msg), func() error { return record.SealAndWrite(c.raw, c.ctx, msg) })
 }
 
 // SendAssembled protects and transmits a message assembled directly in
@@ -380,22 +364,35 @@ func (c *Conn) SendContext(ctx context.Context, msg []byte) error {
 //	err := conn.SendAssembled(ctx, frame)
 //	buf.Free()
 func (c *Conn) SendAssembled(ctx context.Context, frame []byte) error {
+	return c.send(ctx, len(frame)-Headroom, func() error { return record.WriteAssembled(c.raw, c.ctx, frame) })
+}
+
+// SendChunk seals one chunk record — header typ and seq in the clear,
+// payload sealed straight from where it lies — and transmits it in one
+// write (record.WriteChunk), with SendContext's failure rules.
+func (c *Conn) SendChunk(ctx context.Context, typ record.ChunkType, seq uint64, payload []byte) error {
+	return c.send(ctx, record.ChunkHeader+len(payload), func() error {
+		return record.WriteChunk(c.raw, c.ctx, typ, seq, payload)
+	})
+}
+
+// send runs write, which puts one record of n plaintext bytes on raw,
+// under the send lock and ctx, poisoning the connection if it fails.
+func (c *Conn) send(ctx context.Context, n int, write func() error) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	if c.broken.Load() {
 		return ErrBroken
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return err // nothing written yet; the stream is still intact
 	}
-	if err := runWithContext(ctx, c.raw, scopeWrite, func() error {
-		return record.WriteAssembled(c.raw, c.ctx, frame)
-	}); err != nil {
+	if err := runWithContext(ctx, c.raw, scopeWrite, write); err != nil {
 		c.broken.Store(true)
 		return err
 	}
 	recordsSent.Add(1)
-	bytesSent.Add(uint64(len(frame) - Headroom))
+	bytesSent.Add(uint64(n))
 	return nil
 }
 
@@ -469,29 +466,51 @@ func (c *Conn) ReceiveContext(ctx context.Context) ([]byte, error) {
 // buffer backing it. The caller owns the buffer and must Free it
 // exactly once, after which the view is dead; bytes retained longer
 // must be copied first.
-func (c *Conn) ReceiveView(ctx context.Context) ([]byte, *record.Buf, error) {
+func (c *Conn) ReceiveView(ctx context.Context) (view []byte, buf *record.Buf, err error) {
+	err = c.receive(ctx, func() (int, error) {
+		view, buf, err = record.Read(&c.in, c.ctx, 0, c.recvHint)
+		return len(view), err
+	})
+	return view, buf, err
+}
+
+// ReceiveChunk reads one chunk record and opens it (record.ReadChunk):
+// with dst nil, in place — rec is header and payload, a view into the
+// returned buffer, which the caller frees; otherwise a DATA payload
+// opens onto dst's end and out is dst grown by it. ReceiveView's failure
+// rules apply.
+func (c *Conn) ReceiveChunk(ctx context.Context, dst []byte) (rec, out []byte, buf *record.Buf, err error) {
+	out = dst
+	err = c.receive(ctx, func() (int, error) {
+		rec, out, buf, err = record.ReadChunk(&c.in, c.ctx, dst, c.recvHint)
+		return len(rec) + len(out) - len(dst), err
+	})
+	return rec, out, buf, err
+}
+
+// receive runs read, which takes one record of n plaintext bytes off the
+// read-ahead, under the receive lock and ctx, poisoning the connection
+// if it fails.
+func (c *Conn) receive(ctx context.Context, read func() (n int, err error)) error {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
 	if c.broken.Load() {
-		return nil, nil, ErrBroken
+		return ErrBroken
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err // nothing read yet; the stream is still intact
+		return err // nothing read yet; the stream is still intact
 	}
-	var view []byte
-	var buf *record.Buf
-	err := runWithContext(ctx, c.raw, scopeRead, func() error {
-		var err error
-		view, buf, err = record.Read(&c.in, c.ctx, 0, c.recvHint)
+	var n int
+	if err := runWithContext(ctx, c.raw, scopeRead, func() (err error) {
+		n, err = read()
 		return err
-	})
-	if err != nil {
+	}); err != nil {
 		c.broken.Store(true)
-		return nil, nil, err
+		return err
 	}
 	recordsReceived.Add(1)
-	bytesReceived.Add(uint64(len(view)))
-	return view, buf, nil
+	bytesReceived.Add(uint64(n))
+	return nil
 }
 
 // SetReceiveSizeHint tunes the pooled buffer the next records are read

@@ -150,19 +150,63 @@ func (c *Context) UnwrapInPlace(wrapped []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt, err := c.opener.OpenInPlace(seq, ct, wrapAAD)
+	pt, err := c.opener.OpenInto(ct[:0], seq, ct, wrapAAD)
 	if err != nil {
 		return nil, fmt.Errorf("gss: unwrap: %w", err)
 	}
 	return pt, nil
 }
 
+// Chunk-token layout: seq (8) || length (4) || chunk header (clear) ||
+// ciphertext. The record layer's chunk header — type and chunk sequence
+// number; its length is the record layer's to fix — travels in the
+// clear, bound with the length as the AEAD's associated data, so a chunk
+// seals straight from the caller's payload and opens straight into its
+// destination. That AAD (13 bytes under the record layer's 9-byte
+// header) is never a message token's wrapAAD: neither kind of record
+// opens as the other.
+
+// chunkAAD is the associated data of the chunk token at token[off:]
+// whose clear header is hdrLen bytes: its length field and that header,
+// as they lie in the token.
+func chunkAAD(token []byte, off, hdrLen int) []byte {
+	return token[off+8 : off+WrapPrefix+hdrLen]
+}
+
+// appendChunkPrefix appends a chunk token's prefix for an n-byte payload
+// — the seq placeholder, the length, and hdr — to dst. hdr may already
+// lie where it is to be appended.
+func appendChunkPrefix(dst, hdr []byte, n int) []byte {
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(hdr)+n+gridcrypto.SealOverhead))
+	return append(dst, hdr...)
+}
+
+// WrapChunkInto appends a chunk token to dst: hdr in the clear, payload
+// sealed straight from where it lies into dst's spare capacity. hdr may
+// be the very bytes of dst's spare capacity it is copied to; payload
+// must not overlap that capacity.
+func (c *Context) WrapChunkInto(dst, hdr, payload []byte) ([]byte, error) {
+	if c.Expired() {
+		return nil, ErrContextExpired
+	}
+	off := len(dst)
+	dst = appendChunkPrefix(dst, hdr, len(payload))
+	seq, out, err := c.sealer.SealInto(dst, payload, chunkAAD(dst, off, len(hdr)))
+	if err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint64(out[off:], seq)
+	return out, nil
+}
+
 // ReserveWrap claims the next wrap sequence number without sealing.
 // It anchors the pipelined send path: a submitter reserves in
-// submission order, worker goroutines seal concurrently with WrapAtInto,
-// and submission order alone fixes the wire order the peer's in-order
-// opener will verify. Every reservation must be consumed by exactly one
-// WrapAtInto (a reused seq would reuse a GCM nonce).
+// submission order, worker goroutines seal concurrently with
+// WrapChunkAt, and submission order alone fixes the wire order the
+// peer's in-order opener will verify. Every reservation must be
+// consumed by exactly one WrapChunkAt (a reused seq would reuse a GCM
+// nonce).
 func (c *Context) ReserveWrap() (uint64, error) {
 	if c.Expired() {
 		return 0, ErrContextExpired
@@ -170,18 +214,36 @@ func (c *Context) ReserveWrap() (uint64, error) {
 	return c.sealer.Reserve()
 }
 
-// WrapAtInto is WrapInto sealing under a sequence number previously
-// obtained from ReserveWrap. It is safe for any number of goroutines to
-// call concurrently with distinct reservations; dst layout rules match
-// WrapInto.
-func (c *Context) WrapAtInto(seq uint64, dst, plaintext []byte) ([]byte, error) {
+// WrapChunkAt is WrapChunkInto sealing under a sequence number obtained
+// from ReserveWrap, its nonce built in the caller's scratch. Any number
+// of goroutines may call it concurrently, each with its own reservation
+// and scratch.
+func (c *Context) WrapChunkAt(seq uint64, nonce *[12]byte, dst, hdr, payload []byte) []byte {
 	off := len(dst)
-	var hdr [WrapPrefix]byte
-	dst = append(dst, hdr[:]...)
-	out := c.sealer.SealAtInto(seq, dst, plaintext, wrapAAD)
+	dst = appendChunkPrefix(dst, hdr, len(payload))
+	out := c.sealer.SealAt(nonce, seq, dst, payload, chunkAAD(dst, off, len(hdr)))
 	binary.BigEndian.PutUint64(out[off:], seq)
-	binary.BigEndian.PutUint32(out[off+8:], uint32(len(out)-off-WrapPrefix))
-	return out, nil
+	return out
+}
+
+// UnwrapChunkInto opens the peer's chunk token, whose clear header is
+// hdrLen bytes, appending the payload to dst, and returns that header,
+// authenticated with it. Pass dst = token[WrapPrefix+hdrLen:][:0] to
+// open in place: the header and payload are then contiguous in the
+// token. On failure dst's spare capacity is undefined.
+func (c *Context) UnwrapChunkInto(dst, token []byte, hdrLen int) (hdr, out []byte, err error) {
+	seq, body, err := c.parseWrapToken(token)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(body) < hdrLen {
+		return nil, nil, fmt.Errorf("gss: bad chunk token: %w", wire.ErrTruncated)
+	}
+	out, err = c.opener.OpenInto(dst, seq, body[hdrLen:], chunkAAD(token, 0, hdrLen))
+	if err != nil {
+		return nil, nil, fmt.Errorf("gss: unwrap: %w", err)
+	}
+	return body[:hdrLen], out, nil
 }
 
 func (c *Context) parseWrapToken(wrapped []byte) (seq uint64, ct []byte, err error) {

@@ -2,12 +2,14 @@ package gss
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/ca"
 	"repro/internal/gridcert"
+	"repro/internal/gridcrypto"
 	"repro/internal/proxy"
 )
 
@@ -494,4 +496,123 @@ func TestWrapIntoUnwrapInPlace(t *testing.T) {
 	if _, err := actx.UnwrapInPlace(bad); err == nil {
 		t.Fatal("tampered wrap-token length accepted")
 	}
+}
+
+// A chunk token carries its header in the clear and opens in place or
+// onto a destination; the header is bound, and chunk and message tokens
+// never open as each other.
+func TestChunkTokenRoundTripAndSeparation(t *testing.T) {
+	tb := newTestbed(t)
+	ictx, actx, err := Establish(
+		Config{Credential: tb.alice, TrustStore: tb.ts},
+		Config{Credential: tb.bob, TrustStore: tb.ts},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := []byte{1, 0, 0, 0, 0, 0, 0, 0, 42}
+	hl := len(hdr)
+	payload := []byte("sealed from where it lies")
+
+	token, err := ictx.WrapChunkInto(nil, hdr, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(token) != WrapOverhead+hl+len(payload) || !bytes.Equal(token[WrapPrefix:WrapPrefix+hl], hdr) {
+		t.Fatalf("chunk token layout: %d bytes, header % x", len(token), token[WrapPrefix:WrapPrefix+hl])
+	}
+	at := WrapPrefix + hl
+	gotHdr, pt, err := actx.UnwrapChunkInto(token[at:at], token, hl)
+	if err != nil || !bytes.Equal(gotHdr, hdr) || !bytes.Equal(pt, payload) || &pt[0] != &token[at] {
+		t.Fatalf("in-place open: % x %q %v", gotHdr, pt, err)
+	}
+
+	token, _ = ictx.WrapChunkInto(nil, hdr, payload)
+	_, out, err := actx.UnwrapChunkInto([]byte("dst:"), token, hl)
+	if err != nil || string(out) != "dst:"+string(payload) {
+		t.Fatalf("open onto dst: %q %v", out, err)
+	}
+
+	// Any flipped header or length byte fails the open, and the failed
+	// open leaves the opener where it was: the untouched token still opens.
+	for i := 8; i < at; i++ {
+		token, _ = ictx.WrapChunkInto(nil, hdr, payload)
+		bad := bytes.Clone(token)
+		bad[i] ^= 0x01
+		if _, _, err := actx.UnwrapChunkInto(nil, bad, hl); err == nil {
+			t.Fatalf("chunk token with byte %d flipped opened", i)
+		}
+		if _, _, err := actx.UnwrapChunkInto(nil, token, hl); err != nil {
+			t.Fatalf("after the refusal of byte %d: %v", i, err)
+		}
+	}
+
+	// A chunk token is no message token, and a message token no chunk
+	// token, though each is in sequence and of a well-formed length.
+	token, _ = ictx.WrapChunkInto(nil, hdr, payload)
+	if _, err := actx.Unwrap(token); !errors.Is(err, gridcrypto.ErrOpenFailed) {
+		t.Fatalf("chunk token opened as a message: %v", err)
+	}
+	if _, _, err := actx.UnwrapChunkInto(nil, token, hl); err != nil {
+		t.Fatalf("chunk token refused as a chunk after its message refusal: %v", err)
+	}
+	msg, _ := ictx.Wrap(bytes.Repeat([]byte{1}, 40))
+	if _, _, err := actx.UnwrapChunkInto(nil, msg, hl); !errors.Is(err, gridcrypto.ErrOpenFailed) {
+		t.Fatalf("message token opened as a chunk: %v", err)
+	}
+}
+
+// FuzzChunkTokenOpen: a chunk token sealed from any payload and header
+// opens to exactly them; the same token with a hostile prefix, header or
+// length — any byte of it overwritten, or the token cut or extended —
+// never opens, never grows the destination, and leaves the opener where
+// it was, so the genuine token opens after it.
+func FuzzChunkTokenOpen(f *testing.F) {
+	tb := newTestbed(f)
+	ictx, actx, err := Establish(
+		Config{Credential: tb.alice, TrustStore: tb.ts},
+		Config{Credential: tb.bob, TrustStore: tb.ts},
+	)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte("payload"), []byte{1, 0, 0, 0, 0, 0, 0, 0, 7}, []byte{0, 0, 0, 0, 0, 0, 0, 1}, int8(0))
+	f.Add([]byte{}, []byte{2}, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9}, int8(-3))
+	f.Add(bytes.Repeat([]byte{0xAB}, 300), []byte{}, []byte{}, int8(5))
+	const hl = 9 // the record layer's chunk header
+	f.Fuzz(func(t *testing.T, payload, hdr, overwrite []byte, resize int8) {
+		nonce := make([]byte, ResumeNonceSize)
+		send, err := ictx.Resume(nonce, nonce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recv, err := actx.Resume(nonce, nonce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := make([]byte, hl)
+		copy(h, hdr)
+		token, err := send.WrapChunkInto(nil, h, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		hostile := bytes.Clone(token)
+		copy(hostile, overwrite)
+		if resize < 0 {
+			hostile = hostile[:max(0, len(hostile)+int(resize))]
+		} else {
+			hostile = append(hostile, make([]byte, resize)...)
+		}
+		dst := []byte("dst")
+		if !bytes.Equal(hostile, token) {
+			if _, out, err := recv.UnwrapChunkInto(dst, hostile, hl); err == nil || len(out) != 0 {
+				t.Fatalf("hostile chunk token opened: %d bytes, %v", len(out), err)
+			}
+		}
+		gotHdr, out, err := recv.UnwrapChunkInto(dst, token, hl)
+		if err != nil || !bytes.Equal(gotHdr, h) || !bytes.Equal(out[len(dst):], payload) || string(out[:len(dst)]) != "dst" {
+			t.Fatalf("genuine chunk token: header % x, %d bytes, %v", gotHdr, len(out), err)
+		}
+	})
 }

@@ -10,10 +10,11 @@ import (
 // layer as a sequence of chunk records — DATA chunks carrying up to
 // MaxChunkPayload bytes each, terminated by exactly one FIN record (or
 // an ERROR record when the sender aborts mid-stream). Every chunk
-// carries its own stream sequence number, bound under the record
-// protection, so a stream reassembled from records can never silently
-// lose, duplicate, or reorder a chunk even across carriers that do not
-// themselves order records (the GT3 per-call carriage).
+// carries its own stream sequence number in a chunk header that travels
+// in the clear, bound under the record protection as associated data
+// (WriteChunk, ReadChunk), so a stream reassembled from records can
+// never silently lose, duplicate, or reorder a chunk even across
+// carriers that do not themselves order records.
 
 // ChunkType tags a chunk record.
 type ChunkType uint8
@@ -59,13 +60,10 @@ func truncateOnRune(b []byte, max int) []byte {
 	return b[:cut]
 }
 
-// AppendChunk appends one chunk record (header plus payload) to dst.
-func AppendChunk(dst []byte, typ ChunkType, seq uint64, payload []byte) []byte {
-	var hdr [ChunkHeader]byte
+// putChunkHeader writes a chunk header into hdr.
+func putChunkHeader(hdr []byte, typ ChunkType, seq uint64) {
 	hdr[0] = byte(typ)
-	binary.BigEndian.PutUint64(hdr[1:], seq)
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	binary.BigEndian.PutUint64(hdr[1:ChunkHeader], seq)
 }
 
 // ParseChunk splits a chunk record into its parts; payload is a view
@@ -96,47 +94,27 @@ type ChunkSender struct {
 	done bool
 }
 
-// AppendData appends a DATA chunk for payload to dst.
-func (s *ChunkSender) AppendData(dst, payload []byte) ([]byte, error) {
+// Next claims the stream sequence number of the next chunk, of type typ
+// carrying n payload bytes; a FIN or ERROR chunk terminates the stream.
+// A FIN's sequence number is the count of DATA chunks before it.
+func (s *ChunkSender) Next(typ ChunkType, n int) (uint64, error) {
 	if s.done {
-		return dst, ErrStreamTerminated
+		return 0, ErrStreamTerminated
 	}
-	if len(payload) > MaxChunkPayload {
-		return dst, fmt.Errorf("record: chunk payload %d exceeds %d", len(payload), MaxChunkPayload)
+	if typ == ChunkData && n > MaxChunkPayload {
+		return 0, fmt.Errorf("record: chunk payload %d exceeds %d", n, MaxChunkPayload)
 	}
-	out := AppendChunk(dst, ChunkData, s.seq, payload)
-	s.seq++
-	return out, nil
-}
-
-// AppendFIN appends the terminal FIN record to dst.
-func (s *ChunkSender) AppendFIN(dst []byte) ([]byte, error) {
-	if s.done {
-		return dst, ErrStreamTerminated
+	seq := s.seq
+	if typ == ChunkData {
+		s.seq++
+	} else {
+		s.done = true
 	}
-	s.done = true
-	return AppendChunk(dst, ChunkFIN, s.seq, nil), nil
-}
-
-// AppendError appends a terminal ERROR record carrying msg to dst.
-func (s *ChunkSender) AppendError(dst []byte, msg string) ([]byte, error) {
-	if s.done {
-		return dst, ErrStreamTerminated
-	}
-	s.done = true
-	return AppendChunk(dst, ChunkError, s.seq, truncateOnRune([]byte(msg), MaxErrorPayload)), nil
+	return seq, nil
 }
 
 // Terminated reports whether the sender has sent its terminal record.
 func (s *ChunkSender) Terminated() bool { return s.done }
-
-// AppendErrorChunk appends an ERROR record carrying msg (rune-safely
-// truncated to MaxErrorPayload) under an explicit sequence number — the
-// striped sender's stateless sibling of AppendError, where the global
-// sequence counter lives outside any one ChunkSender.
-func AppendErrorChunk(dst []byte, seq uint64, msg string) []byte {
-	return AppendChunk(dst, ChunkError, seq, truncateOnRune([]byte(msg), MaxErrorPayload))
-}
 
 // Assembler validates the receive half of one stream: chunks must
 // arrive with strictly sequential sequence numbers, respect the payload

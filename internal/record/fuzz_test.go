@@ -13,9 +13,11 @@ func fuzzPair(t testing.TB) (send, recv *testProtector) {
 }
 
 // FuzzRecordRoundTrip drives the sealed record layer from both ends:
-// any payload must survive WriteAssembled -> Read intact, and arbitrary
-// wire bytes fed to Read must fail cleanly (no panic, no crash, no
-// acceptance of unauthenticated data).
+// any payload must survive WriteAssembled -> Read as a message record,
+// and WriteChunk -> ReadChunk as a DATA chunk opened in place and onto a
+// destination, intact; arbitrary wire bytes fed to Read or ReadChunk
+// must fail cleanly (no panic, no crash, no acceptance of
+// unauthenticated data, no byte added to the destination).
 func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add([]byte("payload"), []byte{0, 0, 0, 3, 1, 2, 3})
 	f.Add([]byte{}, []byte{0xFF, 0xFF, 0xFF, 0xFF})
@@ -44,11 +46,36 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}
 		rbuf.Free()
 
+		// Chunk round trip, sealed from payload where it lies, opened in
+		// place and then onto a destination.
+		chunk := payload[:min(len(payload), MaxChunkPayload)]
+		dst := []byte("kept")
+		for i, into := range [][]byte{nil, dst} {
+			if err := WriteChunk(&wireBuf, send, ChunkData, uint64(i), chunk); err != nil {
+				t.Fatalf("seal chunk: %v", err)
+			}
+			rec, out, rbuf, err := ReadChunk(&wireBuf, recv, into, 0)
+			if err != nil {
+				t.Fatalf("read back own chunk: %v", err)
+			}
+			typ, seq, body, _ := ParseChunk(rec)
+			if into != nil {
+				body = out[len(dst):]
+			}
+			if typ != ChunkData || seq != uint64(i) || !bytes.Equal(body, chunk) || (into != nil && string(out[:len(dst)]) != "kept") {
+				t.Fatalf("chunk round trip %d corrupted: type %d seq %d, %d != %d bytes", i, typ, seq, len(body), len(chunk))
+			}
+			rbuf.Free()
+		}
+
 		// Hostile wire bytes must never be accepted as a record (the
 		// protector's AEAD would have to be forged) and never panic.
 		if pt, rbuf, err := Read(bytes.NewReader(hostile), recv, 0, 0); err == nil {
 			rbuf.Free()
 			t.Fatalf("unauthenticated record accepted: %d bytes", len(pt))
+		}
+		if rec, out, _, err := ReadChunk(bytes.NewReader(hostile), recv, dst, 0); err == nil || len(out) != len(dst) {
+			t.Fatalf("unauthenticated chunk accepted: %d bytes, destination %d -> %d, %v", len(rec), len(dst), len(out), err)
 		}
 	})
 }
@@ -64,40 +91,61 @@ func FuzzStreamReassembly(f *testing.F) {
 	f.Add([]byte{}, []byte{2, 0, 0, 0, 0, 0, 0, 0, 1, 9}, uint8(1))
 	f.Add(bytes.Repeat([]byte{0xAB}, 1000), []byte{3, 0, 0, 0}, uint8(0))
 	f.Fuzz(func(t *testing.T, stream, hostile []byte, chunkLen uint8) {
-		// Faithful transcript: sender chunks the stream, assembler must
-		// reproduce it.
+		// Faithful transcript: sender chunks the stream, seals each chunk
+		// and the FIN onto a wire, and the receiver opens them —
+		// alternately in place and onto its destination — and must
+		// reproduce the stream.
 		size := int(chunkLen) + 1
+		send, recv := fuzzPair(t)
+		var wireBuf bytes.Buffer
 		var s ChunkSender
-		var a Assembler
-		var rebuilt []byte
 		for off := 0; off < len(stream); off += size {
-			end := off + size
-			if end > len(stream) {
-				end = len(stream)
-			}
-			rec, err := s.AppendData(nil, stream[off:end])
+			piece := stream[off:min(off+size, len(stream))]
+			seq, err := s.Next(ChunkData, len(piece))
 			if err != nil {
-				t.Fatalf("append: %v", err)
+				t.Fatalf("stamp: %v", err)
 			}
-			pl, fin, err := a.Accept(rec)
-			if err != nil || fin {
-				t.Fatalf("faithful chunk rejected: %v", err)
+			if err := WriteChunk(&wireBuf, send, ChunkData, seq, piece); err != nil {
+				t.Fatalf("seal: %v", err)
 			}
-			rebuilt = append(rebuilt, pl...)
 		}
-		finRec, err := s.AppendFIN(nil)
+		finSeq, err := s.Next(ChunkFIN, 0)
 		if err != nil {
 			t.Fatalf("fin: %v", err)
 		}
-		if _, fin, err := a.Accept(finRec); err != nil || !fin {
-			t.Fatalf("faithful FIN rejected: %v", err)
+		if err := WriteChunk(&wireBuf, send, ChunkFIN, finSeq, nil); err != nil {
+			t.Fatalf("seal fin: %v", err)
+		}
+		var a Assembler
+		rebuilt := []byte{}
+		for i := 0; ; i++ {
+			var into []byte
+			if i%2 == 1 {
+				into = rebuilt
+			}
+			rec, out, buf, err := ReadChunk(&wireBuf, recv, into, 0)
+			if err != nil {
+				t.Fatalf("faithful chunk %d unreadable: %v", i, err)
+			}
+			pl, fin, err := a.Accept(rec)
+			if err != nil {
+				t.Fatalf("faithful chunk %d rejected: %v", i, err)
+			}
+			if into != nil {
+				rebuilt = out
+			}
+			rebuilt = append(rebuilt, pl...)
+			buf.Free()
+			if fin {
+				break
+			}
 		}
 		if !bytes.Equal(rebuilt, stream) {
 			t.Fatalf("reassembly corrupted: %d != %d bytes", len(rebuilt), len(stream))
 		}
 
 		// Post-FIN traffic must be rejected.
-		if _, _, err := a.Accept(AppendChunk(nil, ChunkData, s.seq, nil)); err == nil {
+		if _, _, err := a.Accept(chunkRec(ChunkData, finSeq, nil)); err == nil {
 			t.Fatal("chunk after FIN accepted")
 		}
 
@@ -119,10 +167,8 @@ func FuzzStreamReassembly(f *testing.F) {
 
 		// Mutated duplicates of a valid transcript: flipping the seq of
 		// the second chunk must poison the stream.
-		var s2 ChunkSender
 		var a2 Assembler
-		r1, _ := s2.AppendData(nil, []byte("one"))
-		r2, _ := s2.AppendData(nil, []byte("two"))
+		r1, r2 := chunkRec(ChunkData, 0, []byte("one")), chunkRec(ChunkData, 1, []byte("two"))
 		if _, _, err := a2.Accept(r1); err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +289,7 @@ func FuzzStripeReassembly(f *testing.F) {
 		// fresh assembler. No panic; if anything is delivered it must be
 		// in strictly increasing global order starting at 0.
 		h := NewStripeAssembler(2, 16)
-		hostile := AppendChunk(nil, ChunkType(stripeCount), uint64(chunkLen), schedule)
+		hostile := chunkRec(ChunkType(stripeCount), uint64(chunkLen), schedule)
 		if err := h.Accept(hostile, nil); err == nil {
 			next := uint64(0)
 			for {

@@ -2,22 +2,23 @@ package record
 
 import (
 	"encoding/binary"
-	"fmt"
 	"runtime"
 	"sync"
 )
 
-// Pipelined seal: the single-connection multicore send path. The
-// record protocol requires wire order to equal sequence order, which a
-// lock around the whole seal trivially guarantees — at the price of one
-// core. The pipeline splits the two concerns: sequence numbers are
-// *reserved* in submission order (cheap, on the submitting goroutine),
-// the AEAD work runs on worker goroutines in parallel, and a writer
-// reassembles completed frames back into submission order before they
-// touch the wire. Record N+1 seals while record N is in flight; the
-// peer observes exactly the byte stream the serial path would have
-// produced. Receiving has no such pipeline: records open serially
-// (Read), which measured as fast end to end.
+// Pipelined seal: the single-connection multicore send path for chunk
+// records. The record protocol requires wire order to equal sequence
+// order, which a lock around the whole seal trivially guarantees — at
+// the price of one core. The pipeline splits the two concerns: sequence
+// numbers are *reserved* in submission order (cheap, on the submitting
+// goroutine), the AEAD work runs on worker goroutines in parallel, each
+// sealing its chunk's payload straight from the submitter's slice into
+// a pooled frame, and a writer reassembles completed frames back into
+// submission order before they touch the wire. Record N+1 seals while
+// record N is in flight; the peer observes exactly the byte stream the
+// serial path (WriteChunk) would have produced. Receiving has no such
+// pipeline: records open serially (ReadChunk), which measured as fast
+// end to end.
 
 // PipelinedProtector is the explicit-sequence extension of Protector
 // that the pipeline needs. gss.Context implements it.
@@ -26,9 +27,10 @@ type PipelinedProtector interface {
 	// ReserveWrap claims the next wrap sequence number, in submission
 	// order, without sealing.
 	ReserveWrap() (uint64, error)
-	// WrapAtInto seals under a reserved sequence number; safe for
-	// concurrent use across distinct reservations.
-	WrapAtInto(seq uint64, dst, plaintext []byte) ([]byte, error)
+	// WrapChunkAt is WrapChunkInto under a reserved sequence number, its
+	// nonce built in the caller's scratch; safe for concurrent use
+	// across distinct reservations and scratches.
+	WrapChunkAt(seq uint64, nonce *[12]byte, dst, hdr, payload []byte) []byte
 }
 
 // DefaultPipelineWindow bounds how many records may be in flight
@@ -54,21 +56,21 @@ func PipelineWorkers(n int) int {
 }
 
 type sealTask struct {
-	seq   uint64
-	buf   *Buf
-	n     int // plaintext length at offset Headroom
-	frame []byte
-	err   error
-	done  chan struct{}
+	seq     uint64
+	nonce   [12]byte // seal scratch: a stack nonce would escape through the AEAD interface
+	buf     *Buf     // the frame, chunk header written at offset Headroom
+	payload []byte   // the submitter's, sealed from where it lies
+	frame   []byte
+	done    chan struct{}
 }
 
-// Pipeline is the seal half: Submit hands it assembled plaintext
-// frames, workers seal them concurrently, and completed frames reach
-// the sink — batched, in submission order — ready for a vectored
-// write. A Pipeline serves one Protector send direction; submissions
-// must come from one goroutine. Any failure poisons the pipeline (and
-// with it the connection: a reserved-but-unsent sequence number is a
-// hole the peer's opener would refuse anyway).
+// Pipeline is the seal half: Submit hands it chunks, workers seal them
+// concurrently, and completed frames reach the sink — batched, in
+// submission order — ready for a vectored write. A Pipeline serves one
+// Protector send direction; submissions must come from one goroutine.
+// Any failure poisons the pipeline (and with it the connection: a
+// reserved-but-unsent sequence number is a hole the peer's opener would
+// refuse anyway).
 type Pipeline struct {
 	p      PipelinedProtector
 	sink   func(frames [][]byte) error
@@ -124,24 +126,24 @@ func (pl *Pipeline) Err() error {
 	return pl.err
 }
 
-// Submit hands the pipeline one frame: plaintext of n bytes assembled
-// at offset Headroom(p) of buf, with WrapOverhead-WrapPrefix spare tail
-// capacity (any Get(Headroom+n+WrapOverhead) buffer qualifies).
-// Ownership of buf transfers to the pipeline, which frees it after the
-// frame is written. Submit blocks when the in-flight window is full —
-// that backpressure is the pipeline's memory bound.
-func (pl *Pipeline) Submit(buf *Buf, n int) error {
+// Submit hands the pipeline one chunk record: header typ and seq, and
+// payload (at most MaxChunkPayload bytes), which the pipeline reads
+// until Close returns — the caller must not modify it before then.
+// Submit blocks when the in-flight window is full — that backpressure
+// is the pipeline's memory bound.
+func (pl *Pipeline) Submit(typ ChunkType, seq uint64, payload []byte) error {
 	if err := pl.Err(); err != nil {
-		buf.Free()
 		return err
 	}
-	seq, err := pl.p.ReserveWrap()
+	wseq, err := pl.p.ReserveWrap()
 	if err != nil {
-		buf.Free()
 		pl.fail(err)
 		return err
 	}
-	t := &sealTask{seq: seq, buf: buf, n: n, done: make(chan struct{})}
+	hr := Headroom(pl.p)
+	t := &sealTask{seq: wseq, payload: payload, done: make(chan struct{})}
+	t.buf = Get(hr + ChunkHeader + len(payload) + pl.p.WrapOverhead() - pl.p.WrapPrefix())
+	putChunkHeader(t.buf.B[hr:], typ, seq)
 	// The order channel is the window: it fills in submission order and
 	// the writer drains it in the same order.
 	pl.order <- t
@@ -153,25 +155,9 @@ func (pl *Pipeline) worker() {
 	defer pl.wg.Done()
 	hr := Headroom(pl.p)
 	for t := range pl.tasks {
-		token, err := pl.p.WrapAtInto(t.seq, t.buf.B[FramePrefix:FramePrefix], t.buf.B[hr:hr+t.n])
-		switch {
-		case err != nil:
-			t.err = err
-		case len(token) > MaxRecord:
-			t.err = fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(token))
-		case &token[0] == &t.buf.B[FramePrefix]:
-			binary.BigEndian.PutUint32(t.buf.B[:FramePrefix], uint32(len(token)))
-			t.frame = t.buf.B[:FramePrefix+len(token)]
-		default:
-			// The wrap outgrew the buffer (under-sized submission):
-			// relocate into a correctly sized frame.
-			nb := Get(FramePrefix + len(token))
-			binary.BigEndian.PutUint32(nb.B[:FramePrefix], uint32(len(token)))
-			copy(nb.B[FramePrefix:], token)
-			t.buf.Free()
-			t.buf = nb
-			t.frame = nb.B[:FramePrefix+len(token)]
-		}
+		token := pl.p.WrapChunkAt(t.seq, &t.nonce, t.buf.B[FramePrefix:FramePrefix], t.buf.B[hr:hr+ChunkHeader], t.payload)
+		binary.BigEndian.PutUint32(t.buf.B, uint32(len(token)))
+		t.frame = t.buf.B[:FramePrefix+len(token)]
 		close(t.done)
 	}
 }
@@ -195,11 +181,6 @@ func (pl *Pipeline) writer() {
 	}
 	collect := func(t *sealTask) {
 		<-t.done
-		if t.err != nil {
-			pl.fail(t.err)
-			t.buf.Free()
-			return
-		}
 		frames = append(frames, t.frame)
 		bufs = append(bufs, t.buf)
 	}

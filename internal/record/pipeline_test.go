@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// pipeRoundTrip pushes payloads through a seal pipeline into an
-// in-memory wire, then opens them back serially, and returns the
+// pipeRoundTrip pushes payloads through a seal pipeline as DATA chunks
+// into an in-memory wire, then opens them back serially, and returns the
 // reassembled byte stream.
 func pipeRoundTrip(t *testing.T, workers, window int, payloads [][]byte) []byte {
 	t.Helper()
@@ -26,11 +26,8 @@ func pipeRoundTrip(t *testing.T, workers, window int, payloads [][]byte) []byte 
 		return nil
 	}
 	pl := NewPipeline(p, workers, window, sink)
-	hr := Headroom(p)
-	for _, pt := range payloads {
-		buf := Get(hr + len(pt) + p.WrapOverhead())
-		copy(buf.B[hr:], pt)
-		if err := pl.Submit(buf, len(pt)); err != nil {
+	for i, pt := range payloads {
+		if err := pl.Submit(ChunkData, uint64(i), pt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,15 +36,20 @@ func pipeRoundTrip(t *testing.T, workers, window int, payloads [][]byte) []byte 
 	}
 
 	var out bytes.Buffer
+	var a Assembler
 	for range payloads {
-		pt, buf, err := Read(&wire, q, 0, 0)
+		rec, _, buf, err := ReadChunk(&wire, q, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, _, err := a.Accept(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out.Write(pt)
 		buf.Free()
 	}
-	if _, _, err := Read(&wire, q, 0, 0); err != io.EOF {
+	if _, _, _, err := ReadChunk(&wire, q, nil, 0); err != io.EOF {
 		t.Fatalf("wire holds more than the submitted records: %v", err)
 	}
 	return out.Bytes()
@@ -89,11 +91,9 @@ func TestPipelineSinkFailurePoisons(t *testing.T) {
 		calls++
 		return sinkErr
 	})
-	hr := Headroom(p)
 	var submitErr error
 	for i := 0; i < 64; i++ {
-		buf := Get(hr + 100 + p.WrapOverhead())
-		if err := pl.Submit(buf, 100); err != nil {
+		if err := pl.Submit(ChunkData, uint64(i), make([]byte, 100)); err != nil {
 			submitErr = err
 			break
 		}
@@ -109,11 +109,13 @@ func TestPipelineSinkFailurePoisons(t *testing.T) {
 	}
 }
 
-// Interleaved pipelined records decrypt on the peer's *serial* path
-// too: the pipeline changes scheduling, never the wire format.
+// Pipelined records are the serial path's records, byte for byte: the
+// wire a pipeline writes equals WriteChunk's for the same chunks under
+// the same key, and the peer's serial opener reads it.
 func TestPipelineWireCompatibleWithSerialRead(t *testing.T) {
 	p, q := newTestPair(t)
-	var wire bytes.Buffer
+	serialSeal, _ := newTestPair(t)
+	var wire, serial bytes.Buffer
 	var mu sync.Mutex
 	pl := NewPipeline(p, 4, 8, func(frames [][]byte) error {
 		mu.Lock()
@@ -123,24 +125,28 @@ func TestPipelineWireCompatibleWithSerialRead(t *testing.T) {
 		}
 		return nil
 	})
-	hr := Headroom(p)
 	for i := 0; i < 50; i++ {
 		msg := bytes.Repeat([]byte{byte(i)}, 1000+i)
-		buf := Get(hr + len(msg) + p.WrapOverhead())
-		copy(buf.B[hr:], msg)
-		if err := pl.Submit(buf, len(msg)); err != nil {
+		if err := pl.Submit(ChunkData, uint64(i), msg); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteChunk(&serial, serialSeal, ChunkData, uint64(i), msg); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := pl.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(wire.Bytes(), serial.Bytes()) {
+		t.Fatal("pipelined wire differs from the serial seal's")
+	}
 	for i := 0; i < 50; i++ {
-		pt, buf, err := Read(&wire, q, 0, 0)
+		rec, _, buf, err := ReadChunk(&wire, q, nil, 0)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if len(pt) != 1000+i || pt[0] != byte(i) {
+		typ, seq, pt, _ := ParseChunk(rec)
+		if typ != ChunkData || seq != uint64(i) || len(pt) != 1000+i || pt[0] != byte(i) {
 			t.Fatalf("record %d corrupted", i)
 		}
 		buf.Free()

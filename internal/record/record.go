@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -38,6 +39,14 @@ type Protector interface {
 	// UnwrapInPlace opens a token, decrypting into the token's own
 	// storage and returning the plaintext view.
 	UnwrapInPlace(token []byte) ([]byte, error)
+	// WrapChunkInto appends a chunk token to dst: hdr in the clear right after the wrap prefix, bound as associated
+	// data, and payload sealed from where it lies (see
+	// gss.Context.WrapChunkInto).
+	WrapChunkInto(dst, hdr, payload []byte) ([]byte, error)
+	// UnwrapChunkInto opens a chunk token whose clear header is hdrLen
+	// bytes, appending its payload to dst, and returns that header,
+	// authenticated.
+	UnwrapChunkInto(dst, token []byte, hdrLen int) (hdr, out []byte, err error)
 	// WrapPrefix is the header WrapInto prepends before the ciphertext.
 	WrapPrefix() int
 	// WrapOverhead is the token's total expansion over the plaintext.
@@ -204,6 +213,58 @@ func SealAndWrite(w io.Writer, p Protector, plaintext []byte) error {
 	}
 	_, err = w.Write(token)
 	return err
+}
+
+// WriteChunk seals one chunk record — its header in the clear, payload
+// sealed straight from where it lies into a pooled frame buffer — and
+// writes it with a single Write. An ERROR chunk's payload, its message,
+// is cut at MaxErrorPayload on a rune boundary.
+func WriteChunk(w io.Writer, p Protector, typ ChunkType, seq uint64, payload []byte) error {
+	if typ == ChunkError {
+		payload = truncateOnRune(payload, MaxErrorPayload)
+	}
+	hr := Headroom(p)
+	buf := Get(hr + ChunkHeader + len(payload) + p.WrapOverhead() - p.WrapPrefix())
+	defer buf.Free()
+	putChunkHeader(buf.B[hr:], typ, seq)
+	token, err := p.WrapChunkInto(buf.B[FramePrefix:FramePrefix], buf.B[hr:hr+ChunkHeader], payload)
+	if err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint32(buf.B, uint32(len(token)))
+	_, err = w.Write(buf.B[:FramePrefix+len(token)])
+	return err
+}
+
+// ReadChunk reads one chunk record and opens it. With dst nil it opens
+// in place: rec is the chunk header and payload, contiguous, a view into
+// the returned Buf (the caller frees it once rec is consumed). Given a
+// non-nil dst, a DATA chunk's payload opens straight onto dst's end
+// instead — out is dst grown by it, amortized as append grows — and rec
+// is the header alone; other chunk types open in place as with nil, and
+// out is dst. A record longer than a full chunk's fails before its body
+// is read.
+func ReadChunk(r io.Reader, p Protector, dst []byte, sizeHint int) (rec, out []byte, buf *Buf, err error) {
+	token, buf, err := ReadSealed(r, p.WrapOverhead()+ChunkHeader+MaxChunkPayload, sizeHint)
+	if err != nil {
+		return nil, dst, nil, err
+	}
+	at, tag := p.WrapPrefix()+ChunkHeader, p.WrapOverhead()-p.WrapPrefix()
+	switch {
+	case len(token) < at+tag:
+		err = fmt.Errorf("record: %d-byte chunk record", len(token))
+	case dst != nil && ChunkType(token[at-ChunkHeader]) == ChunkData:
+		rec, out, err = p.UnwrapChunkInto(slices.Grow(dst, len(token)-at-tag), token, ChunkHeader)
+	default:
+		var pt []byte
+		_, pt, err = p.UnwrapChunkInto(token[at:at], token, ChunkHeader)
+		rec, out = token[at-ChunkHeader:at+len(pt)], dst
+	}
+	if err != nil {
+		buf.Free()
+		return nil, dst, nil, err
+	}
+	return rec, out, buf, nil
 }
 
 // Read reads one record into a pooled buffer and opens it in place,

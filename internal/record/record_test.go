@@ -95,24 +95,58 @@ func (p *testProtector) UnwrapInPlace(token []byte) ([]byte, error) {
 	if n != len(token)-12 {
 		return nil, errors.New("bad token length")
 	}
-	return p.opener.OpenInPlace(seq, token[12:], testAAD)
+	return p.opener.OpenInto(token[12:12], seq, token[12:], testAAD)
 }
 
 func (p *testProtector) WrapPrefix() int   { return 12 }
 func (p *testProtector) WrapOverhead() int { return 12 + gridcrypto.SealOverhead }
 
+// The chunk token, as gss lays it out: seq || length || header (clear)
+// || ciphertext, the length and header bound as associated data.
+
+func (p *testProtector) WrapChunkInto(dst, hdr, payload []byte) ([]byte, error) {
+	off := len(dst)
+	dst = testChunkPrefix(dst, hdr, len(payload))
+	seq, out, err := p.sealer.SealInto(dst, payload, dst[off+8:])
+	if err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint64(out[off:], seq)
+	return out, nil
+}
+
+func (p *testProtector) UnwrapChunkInto(dst, token []byte, hdrLen int) (hdr, out []byte, err error) {
+	if len(token) < 12+hdrLen || int(binary.BigEndian.Uint32(token[8:])) != len(token)-12 {
+		return nil, nil, errors.New("bad chunk token")
+	}
+	out, err = p.opener.OpenInto(dst, binary.BigEndian.Uint64(token), token[12+hdrLen:], token[8:12+hdrLen])
+	return token[12 : 12+hdrLen], out, err
+}
+
+func testChunkPrefix(dst, hdr []byte, n int) []byte {
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(hdr)+n+gridcrypto.SealOverhead))
+	return append(dst, hdr...)
+}
+
 // Explicit-sequence half: testProtector is a PipelinedProtector too.
 
 func (p *testProtector) ReserveWrap() (uint64, error) { return p.sealer.Reserve() }
 
-func (p *testProtector) WrapAtInto(seq uint64, dst, plaintext []byte) ([]byte, error) {
+func (p *testProtector) WrapChunkAt(seq uint64, nonce *[12]byte, dst, hdr, payload []byte) []byte {
 	off := len(dst)
-	var hdr [12]byte
-	dst = append(dst, hdr[:]...)
-	out := p.sealer.SealAtInto(seq, dst, plaintext, testAAD)
+	dst = testChunkPrefix(dst, hdr, len(payload))
+	out := p.sealer.SealAt(nonce, seq, dst, payload, dst[off+8:])
 	binary.BigEndian.PutUint64(out[off:], seq)
-	binary.BigEndian.PutUint32(out[off+8:], uint32(len(out)-off-12))
-	return out, nil
+	return out
+}
+
+// chunkRec is a chunk record as a chunk token opens in place: header,
+// then payload.
+func chunkRec(typ ChunkType, seq uint64, payload []byte) []byte {
+	rec := make([]byte, ChunkHeader, ChunkHeader+len(payload))
+	putChunkHeader(rec, typ, seq)
+	return append(rec, payload...)
 }
 
 func TestPoolClasses(t *testing.T) {
@@ -236,44 +270,44 @@ func TestReadTamperRejected(t *testing.T) {
 func TestChunkProtocol(t *testing.T) {
 	var s ChunkSender
 	var a Assembler
-
-	rec, err := s.AppendData(nil, []byte("part one "))
-	if err != nil {
-		t.Fatal(err)
+	send := func(typ ChunkType, payload string) []byte {
+		t.Helper()
+		seq, err := s.Next(typ, len(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chunkRec(typ, seq, []byte(payload))
 	}
+
+	rec := send(ChunkData, "part one ")
 	if pl, fin, err := a.Accept(rec); err != nil || fin || string(pl) != "part one " {
 		t.Fatalf("data chunk: %q %v %v", pl, fin, err)
 	}
-	rec, err = s.AppendData(nil, []byte("part two"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec = send(ChunkData, "part two")
 	if pl, _, err := a.Accept(rec); err != nil || string(pl) != "part two" {
 		t.Fatalf("data chunk 2: %q %v", pl, err)
 	}
-	fin, err := s.AppendFIN(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, done, err := a.Accept(fin); err != nil || !done {
+	if _, done, err := a.Accept(send(ChunkFIN, "")); err != nil || !done {
 		t.Fatalf("FIN: %v %v", done, err)
 	}
 	if !a.fin {
 		t.Fatal("assembler not done after FIN")
 	}
 	// Termination is single-shot on both halves.
-	if _, err := s.AppendData(nil, []byte("late")); !errors.Is(err, ErrStreamTerminated) {
+	if _, err := s.Next(ChunkData, 4); !errors.Is(err, ErrStreamTerminated) {
 		t.Fatalf("send after FIN: %v", err)
 	}
 	if _, _, err := a.Accept(rec); !errors.Is(err, ErrStreamTerminated) {
 		t.Fatalf("accept after FIN: %v", err)
 	}
+	var big ChunkSender
+	if _, err := big.Next(ChunkData, MaxChunkPayload+1); err == nil {
+		t.Fatal("oversized chunk stamped")
+	}
 }
 
 func TestChunkSequenceViolations(t *testing.T) {
-	mk := func(typ ChunkType, seq uint64, payload []byte) []byte {
-		return AppendChunk(nil, typ, seq, payload)
-	}
+	mk := chunkRec
 	cases := []struct {
 		name string
 		recs [][]byte
@@ -305,18 +339,15 @@ func TestChunkSequenceViolations(t *testing.T) {
 func TestErrorChunkSurfacesAsPeerError(t *testing.T) {
 	var s ChunkSender
 	var a Assembler
-	rec, err := s.AppendData(nil, []byte("partial"))
+	seq, _ := s.Next(ChunkData, 7)
+	if _, _, err := a.Accept(chunkRec(ChunkData, seq, []byte("partial"))); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := s.Next(ChunkError, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.Accept(rec); err != nil {
-		t.Fatal(err)
-	}
-	abort, err := s.AppendError(nil, "disk on fire")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = a.Accept(abort)
+	_, _, err = a.Accept(chunkRec(ChunkError, seq, []byte("disk on fire")))
 	var pe *PeerError
 	if !errors.As(err, &pe) || pe.Msg != "disk on fire" {
 		t.Fatalf("error chunk: %v", err)
@@ -331,7 +362,7 @@ func TestErrorChunkAheadOfSequenceSurfacesPeerError(t *testing.T) {
 	var a Assembler
 	// Sender shipped DATA 0,1,2 then ERROR at seq 3; the receiver sees
 	// the ERROR first.
-	abort := AppendChunk(nil, ChunkError, 3, []byte("quota exceeded"))
+	abort := chunkRec(ChunkError, 3, []byte("quota exceeded"))
 	_, _, err := a.Accept(abort)
 	var pe *PeerError
 	if !errors.As(err, &pe) {
@@ -341,14 +372,14 @@ func TestErrorChunkAheadOfSequenceSurfacesPeerError(t *testing.T) {
 		t.Fatalf("abort reason corrupted: %q", pe.Msg)
 	}
 	// The stream stays poisoned with the same peer error.
-	if _, _, err := a.Accept(AppendChunk(nil, ChunkData, 0, []byte("x"))); !errors.As(err, &pe) {
+	if _, _, err := a.Accept(chunkRec(ChunkData, 0, []byte("x"))); !errors.As(err, &pe) {
 		t.Fatalf("poisoning lost the peer error: %v", err)
 	}
 }
 
-// Regression: AppendError used to truncate the abort message at a raw
-// byte offset, splitting a multi-byte UTF-8 rune so the receiver got an
-// invalid string. The cap must land on a rune boundary, on both the
+// Regression: the ERROR chunk's sender used to cut the abort message at
+// a raw byte offset, splitting a multi-byte UTF-8 rune so the receiver
+// got an invalid string. The cap must land on a rune boundary, on both the
 // send-side truncation and the assembler's mirror cap.
 func TestErrorMessageTruncatesOnRuneBoundary(t *testing.T) {
 	// "на" etc: 2-byte runes; build a message whose MaxErrorPayload'th
@@ -359,11 +390,16 @@ func TestErrorMessageTruncatesOnRuneBoundary(t *testing.T) {
 	if n := len(msg); n != MaxErrorPayload+3 {
 		t.Fatalf("test construction: %d bytes", n)
 	}
-	var s ChunkSender
-	rec, err := s.AppendError(nil, msg)
+	p, q := newTestPair(t)
+	var wireBuf bytes.Buffer
+	if err := WriteChunk(&wireBuf, p, ChunkError, 0, []byte(msg)); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, buf, err := ReadChunk(&wireBuf, q, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer buf.Free()
 	_, _, body, err := ParseChunk(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +413,7 @@ func TestErrorMessageTruncatesOnRuneBoundary(t *testing.T) {
 	// Mirror cap on the assembler: a hostile over-long ERROR record is
 	// capped without manufacturing invalid UTF-8 from a valid message.
 	var a Assembler
-	hostile := AppendChunk(nil, ChunkError, 0, []byte(msg))
+	hostile := chunkRec(ChunkError, 0, []byte(msg))
 	_, _, err = a.Accept(hostile)
 	var pe *PeerError
 	if !errors.As(err, &pe) {

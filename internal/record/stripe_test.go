@@ -12,7 +12,7 @@ import (
 // stripe reader hands them to the assembler.
 func mkChunk(typ ChunkType, seq uint64, payload []byte) ([]byte, *Buf) {
 	buf := Get(ChunkHeader + len(payload))
-	rec := AppendChunk(buf.B[:0], typ, seq, payload)
+	rec := append(buf.B[:0], chunkRec(typ, seq, payload)...)
 	return rec, buf
 }
 
